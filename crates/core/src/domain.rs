@@ -122,6 +122,7 @@ impl<S: AcquireRetire> Drop for DomainRef<S> {
 
 impl<S: AcquireRetire> Deref for DomainRef<S> {
     type Target = Domain<S>;
+    #[inline]
     fn deref(&self) -> &Domain<S> {
         &self.0
     }
@@ -1219,6 +1220,7 @@ pub struct CsGuard<S: AcquireRetire> {
 
 impl<S: AcquireRetire> CsGuard<S> {
     /// The domain this section protects.
+    #[inline]
     pub fn domain(&self) -> &Domain<S> {
         &self.domain
     }
@@ -1233,6 +1235,7 @@ impl<S: AcquireRetire> CsGuard<S> {
         self.domain.ptr_eq(domain)
     }
 
+    #[inline]
     pub(crate) fn tid(&self) -> Tid {
         self.t
     }
@@ -1271,11 +1274,13 @@ pub struct WeakCsGuard<S: AcquireRetire> {
 
 impl<S: AcquireRetire> WeakCsGuard<S> {
     /// The strong section view, for APIs that only need strong protection.
+    #[inline]
     pub fn as_cs(&self) -> &CsGuard<S> {
         &self.inner
     }
 
     /// The domain this section protects.
+    #[inline]
     pub fn domain(&self) -> &Domain<S> {
         self.inner.domain()
     }
@@ -1286,6 +1291,7 @@ impl<S: AcquireRetire> WeakCsGuard<S> {
         self.inner.covers(domain)
     }
 
+    #[inline]
     pub(crate) fn tid(&self) -> Tid {
         self.inner.t
     }
@@ -1330,12 +1336,14 @@ pub trait OpGuard<S: AcquireRetire> {
 }
 
 impl<S: AcquireRetire> OpGuard<S> for CsGuard<S> {
+    #[inline]
     fn strong_cs(&self) -> &CsGuard<S> {
         self
     }
 }
 
 impl<S: AcquireRetire> OpGuard<S> for WeakCsGuard<S> {
+    #[inline]
     fn strong_cs(&self) -> &CsGuard<S> {
         self.as_cs()
     }

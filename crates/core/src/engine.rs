@@ -41,11 +41,12 @@
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::marker::PhantomData;
 
-use smr::{untagged, Tid};
+use smr::{untagged, AcquireRetire, Tid};
 
 use crate::counted;
 use crate::domain::{
-    check_same_domain, load_and_increment, with_full_cs, with_strong_cs, Domain, DomainRef, Scheme,
+    check_same_domain, load_and_increment, with_full_cs, with_strong_cs, CsGuard, Domain,
+    DomainRef, Scheme,
 };
 
 /// Low bit set in the *owned pointer types'* private word (never in an
@@ -54,6 +55,110 @@ use crate::domain::{
 /// out. Distinct namespace from [`smr::TAG_MASK`]: owned pointers store
 /// untagged block addresses, so bit 0 is free.
 pub(crate) const DISPLACED: usize = 0b1;
+
+/// What keeps a snapshot's pointee alive, i.e. what its drop gives back.
+#[derive(Clone, Copy)]
+#[repr(usize)]
+pub(crate) enum Hold<G> {
+    /// Nothing: a null snapshot, or a word the section alone protects.
+    Section,
+    /// Count-free fast path: an acquire-retire guard, released on drop.
+    Guard(G),
+    /// Slow path: one owned strong reference, decremented on drop.
+    Owned,
+}
+
+impl<G> Hold<G> {
+    /// The hold a `try_acquire` hit on an instance of `S` earned. A region
+    /// scheme's guard has nothing to release (`S::PROTECTS_REGIONS`) and
+    /// folds into `Section`: every snapshot then carries the same constant,
+    /// and rotating snapshots along a traversal compiles to moving words.
+    #[inline(always)]
+    pub(crate) fn of<S: AcquireRetire<Guard = G>>(guard: G) -> Self {
+        if S::PROTECTS_REGIONS {
+            Hold::Section
+        } else {
+            Hold::Guard(guard)
+        }
+    }
+}
+
+/// The untyped core of a snapshot (strong, or weak with `DISPOSE`: its
+/// guard is then on the dispose instance). Owns the drop; the typed shells
+/// add the payload type and nothing else.
+pub(crate) struct Held<'g, S: Scheme, const DISPOSE: bool> {
+    pub(crate) word: usize,
+    hold: Hold<S::Guard>,
+    cs: &'g CsGuard<S>,
+}
+
+impl<'g, S: Scheme, const DISPOSE: bool> Held<'g, S, DISPOSE> {
+    #[inline(always)]
+    pub(crate) fn new(word: usize, hold: Hold<S::Guard>, cs: &'g CsGuard<S>) -> Self {
+        Held { word, hold, cs }
+    }
+
+    /// Whether the snapshot holds no reference count of its own.
+    #[inline(always)]
+    pub(crate) fn count_free(&self) -> bool {
+        !matches!(self.hold, Hold::Owned)
+    }
+
+    /// Borrows the payload, or `None` for null.
+    ///
+    /// # Safety
+    ///
+    /// `T` is the payload type of the block the word names.
+    #[inline(always)]
+    #[cfg_attr(feature = "sanitize", track_caller)]
+    pub(crate) unsafe fn payload<T>(&self) -> Option<&T> {
+        let addr = untagged(self.word);
+        if addr == 0 {
+            return None;
+        }
+        if self.count_free() {
+            // Liveness rests on the thread's protection covering the block.
+            smr::sanitize::check_protected_read(addr);
+        } else {
+            smr::sanitize::check_payload(addr);
+        }
+        // Guard, section or owned reference: the payload is not destroyed.
+        Some(&*(*counted::as_counted::<T>(addr)).value.as_ptr())
+    }
+}
+
+impl<S: Scheme, const DISPOSE: bool> Drop for Held<'_, S, DISPOSE> {
+    #[inline(always)]
+    fn drop(&mut self) {
+        // One test and one by-value call, no more: see `give_back`.
+        if !matches!(self.hold, Hold::Section) {
+            give_back::<S, DISPOSE>(self.cs, self.word, self.hold);
+        }
+    }
+}
+
+/// Gives back what a dropped snapshot of `word` held.
+///
+/// Out of line and by value on purpose. Unwind cleanup reaches the drop
+/// glue from cold landing pads, where LLVM inlines only the smallest
+/// callees; glue left out of line takes the snapshot's address, and one
+/// escaped address keeps every snapshot of a traversal on the stack. So the
+/// glue is one test and this call: under a region scheme the test folds
+/// away and a drop is nothing; under hazard pointers a hop pays this call
+/// and keeps its snapshots in registers.
+#[inline(never)]
+fn give_back<S: Scheme, const DISPOSE: bool>(cs: &CsGuard<S>, word: usize, hold: Hold<S::Guard>) {
+    let (d, t) = (cs.domain(), cs.tid());
+    match hold {
+        Hold::Section => {}
+        Hold::Guard(g) if DISPOSE => d.dispose_ar.release(t, g),
+        Hold::Guard(g) => d.strong_ar.release(t, g),
+        // Safety: an owning snapshot holds one strong reference to its
+        // (non-null) block; the guard it borrowed keeps the domain alive.
+        Hold::Owned if untagged(word) != 0 => unsafe { d.decrement(t, untagged(word)) },
+        Hold::Owned => {}
+    }
+}
 
 /// How one flavour of reference (strong or weak) plugs into the engine.
 pub(crate) trait RefKind<S: Scheme> {

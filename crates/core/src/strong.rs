@@ -53,7 +53,7 @@ use crate::sync::atomic::AtomicUsize;
 use std::fmt;
 use std::marker::PhantomData;
 
-use smr::{untagged, AcquireRetire};
+use smr::untagged;
 use sticky::Counter;
 
 use crate::cas::CompareExchangeErr;
@@ -61,7 +61,7 @@ use crate::counted::{self, as_counted, as_header, PtrMarker};
 use crate::domain::{
     check_same_domain, domain_ref_of, CsGuard, DomainHold, DomainRef, OpGuard, Scheme, StrongRef,
 };
-use crate::engine::{RcWord, StrongKind, DISPLACED};
+use crate::engine::{Held, Hold, RcWord, StrongKind, DISPLACED};
 use crate::tagged::TaggedPtr;
 use crate::weak::WeakPtr;
 
@@ -224,6 +224,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
 
     /// Creates a strong reference from any borrow that guarantees liveness
     /// (a [`SnapshotPtr`] or another `SharedPtr`), incrementing the count.
+    #[inline(always)]
     pub fn from_strong<R: StrongRef<T>>(r: &R) -> Self {
         let addr = r.addr();
         if addr != 0 {
@@ -251,6 +252,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
 }
 
 impl<T, S: Scheme> StrongRef<T> for SharedPtr<T, S> {
+    #[inline(always)]
     fn addr(&self) -> usize {
         self.block()
     }
@@ -418,39 +420,18 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// critical section `cs`, which must be a guard over **this location's
     /// domain** (asserted in debug builds — a foreign guard provides no
     /// protection here).
+    #[inline(always)]
     pub fn get_snapshot<'g>(&self, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, T, S> {
         debug_assert!(
             cs.covers(self.inner.domain()),
             "guard from a different reclamation domain used on this location"
         );
-        let d = cs.domain();
-        let t = cs.tid();
-        match d.strong_ar.try_acquire(t, self.inner.word()) {
-            Some((w, g)) => SnapshotPtr {
-                word: w,
-                guard: Some(g),
-                cs,
-                _marker: PhantomData,
-            },
-            None => {
-                // Slow path: protect with the reserved `acquire` slot just
-                // long enough to take a real reference.
-                let (w, g) = d.strong_ar.acquire(t, self.inner.word());
-                let addr = untagged(w);
-                if addr != 0 {
-                    // Safety: the location holds a strong reference and the
-                    // acquire blocks its deferred decrement.
-                    unsafe { counted::increment_alive(addr) };
-                }
-                d.strong_ar.release(t, g);
-                SnapshotPtr {
-                    word: w,
-                    guard: None,
-                    cs,
-                    _marker: PhantomData,
-                }
-            }
-        }
+        let src = self.inner.word();
+        let (word, hold) = match cs.domain().strong_ar.try_acquire(cs.tid(), src) {
+            Some((w, g)) => (w, Hold::of::<S>(g)),
+            None => (snapshot_owning(cs, src), Hold::Owned),
+        };
+        SnapshotPtr::from_parts(word, hold, cs)
     }
 
     /// Wraps a word this location held while `cs`'s section was active into
@@ -459,38 +440,21 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ///
     /// Schemes whose active section alone protects every word read from a
     /// live location ([`smr::AcquireRetire::PROTECTS_SECTION_READS`]: EBR,
-    /// Hyaline) need no re-read — the stack-local acquire only mints a
-    /// trivially-releasable guard. The others must revalidate against the
-    /// live word — IBR because a witness born after the announced interval
-    /// is not yet covered (extending the interval is exactly `acquire`'s
+    /// Hyaline) need no re-read and no guard: the witness is wrapped as it
+    /// is. The others must revalidate against the live word — IBR because a
+    /// witness born after the announced interval is not yet covered
+    /// (extending the interval is exactly `acquire`'s
     /// announce-then-revalidate loop), HP because protection is per
     /// announced pointer — so they fall back to
     /// [`get_snapshot`](Self::get_snapshot): the witness then seeds only
     /// the failed comparison, and the snapshot may observe a newer value.
+    #[inline(always)]
     fn protect_witness<'g>(&self, cs: &'g CsGuard<S>, w: usize) -> SnapshotPtr<'g, T, S> {
-        if untagged(w) == 0 {
-            return SnapshotPtr {
-                word: w,
-                guard: None,
-                cs,
-                _marker: PhantomData,
-            };
+        if S::PROTECTS_SECTION_READS || untagged(w) == 0 {
+            SnapshotPtr::from_parts(w, Hold::Section, cs)
+        } else {
+            self.get_snapshot(cs)
         }
-        if S::PROTECTS_SECTION_READS {
-            let d = cs.domain();
-            let t = cs.tid();
-            let local = AtomicUsize::new(w);
-            if let Some((w2, g)) = d.strong_ar.try_acquire(t, &local) {
-                debug_assert_eq!(w2, w);
-                return SnapshotPtr {
-                    word: w,
-                    guard: Some(g),
-                    cs,
-                    _marker: PhantomData,
-                };
-            }
-        }
-        self.get_snapshot(cs)
     }
 
     /// Stores `desired` (with tag 0), consuming its reference; the previous
@@ -511,6 +475,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// # Panics
     ///
     /// Panics if `r` is non-null and from a different domain.
+    #[inline(always)]
     pub fn store_from<R: StrongRef<T>>(&self, r: &R) {
         let addr = r.addr();
         check_same_domain(addr, self.inner.domain());
@@ -586,6 +551,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ///
     /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
     /// (always) if `desired` is non-null and from a different domain.
+    #[inline(always)]
     pub fn compare_exchange_tagged<R: StrongRef<T>>(
         &self,
         expected: TaggedPtr<T>,
@@ -594,16 +560,31 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
         // Safety: `desired` is a strong borrow, guaranteeing liveness and a
         // nonzero count for the pre-increment.
-        unsafe {
-            self.inner
-                .cas_borrowed(expected.word(), desired.addr(), new_tag, false)
-        }
-        .map(|old| SharedPtr::from_displaced(untagged(old)))
-        .map_err(TaggedPtr::from_word)
+        unsafe { self.cas_addr(expected, desired.addr(), new_tag, false) }
+            .map_err(TaggedPtr::from_word)
+    }
+
+    /// The borrowed-desired CAS behind the `compare_exchange` family, past
+    /// the inlined shells that read `desired.addr()`.
+    ///
+    /// # Safety
+    ///
+    /// `new_addr` is 0 or a block the caller holds a strong borrow on.
+    unsafe fn cas_addr(
+        &self,
+        expected: TaggedPtr<T>,
+        new_addr: usize,
+        new_tag: usize,
+        weak_cas: bool,
+    ) -> Result<SharedPtr<T, S>, usize> {
+        self.inner
+            .cas_borrowed(expected.word(), new_addr, new_tag, weak_cas)
+            .map(|old| SharedPtr::from_displaced(untagged(old)))
     }
 
     /// As [`compare_exchange_tagged`](Self::compare_exchange_tagged) with
     /// tag 0 on the new value.
+    #[inline(always)]
     pub fn compare_exchange<R: StrongRef<T>>(
         &self,
         expected: TaggedPtr<T>,
@@ -615,6 +596,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// As [`compare_exchange`](Self::compare_exchange), but may fail
     /// spuriously (the witness then equals `expected`) — cheaper on
     /// LL/SC architectures inside a retry loop that re-attempts anyway.
+    #[inline(always)]
     pub fn compare_exchange_weak<R: StrongRef<T>>(
         &self,
         expected: TaggedPtr<T>,
@@ -629,6 +611,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// # Panics
     ///
     /// As [`compare_exchange_tagged`](Self::compare_exchange_tagged).
+    #[inline(always)]
     pub fn compare_exchange_weak_tagged<R: StrongRef<T>>(
         &self,
         expected: TaggedPtr<T>,
@@ -636,12 +619,8 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
         new_tag: usize,
     ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
         // Safety: as in `compare_exchange_tagged`.
-        unsafe {
-            self.inner
-                .cas_borrowed(expected.word(), desired.addr(), new_tag, true)
-        }
-        .map(|old| SharedPtr::from_displaced(untagged(old)))
-        .map_err(TaggedPtr::from_word)
+        unsafe { self.cas_addr(expected, desired.addr(), new_tag, true) }
+            .map_err(TaggedPtr::from_word)
     }
 
     /// By-value compare-exchange: on success the **moved** `desired`
@@ -704,6 +683,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// HP must revalidate against the live location, so their snapshot may
     /// observe a value newer than the one that failed the comparison (see
     /// [`smr::AcquireRetire::PROTECTS_SECTION_READS`]).
+    #[inline(always)]
     pub fn compare_exchange_with<'g, R: StrongRef<T>, G: OpGuard<S>>(
         &self,
         guard: &'g G,
@@ -720,6 +700,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ///
     /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
     /// (always) if `desired` is non-null and from a different domain.
+    #[inline(always)]
     pub fn compare_exchange_tagged_with<'g, R: StrongRef<T>, G: OpGuard<S>>(
         &self,
         guard: &'g G,
@@ -733,12 +714,8 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
             "guard from a different reclamation domain used on this location"
         );
         // Safety: as in `compare_exchange_tagged`.
-        unsafe {
-            self.inner
-                .cas_borrowed(expected.word(), desired.addr(), new_tag, false)
-        }
-        .map(|old| SharedPtr::from_displaced(untagged(old)))
-        .map_err(|w| self.protect_witness(cs, w))
+        unsafe { self.cas_addr(expected, desired.addr(), new_tag, false) }
+            .map_err(|w| self.protect_witness(cs, w))
     }
 
     /// Atomically ORs `tag_bits` into the word unconditionally, returning
@@ -801,107 +778,116 @@ impl<T, S: Scheme> fmt::Debug for AtomicSharedPtr<T, S> {
 /// While a snapshot is alive, the object's strong count cannot reach zero,
 /// so dereferencing is safe even though the snapshot usually holds **no**
 /// reference of its own. Not `Send`: protection is thread-local.
+///
+/// # Cost: fast arms inline, slow arms out of line and by value
+///
+/// Under a region scheme taking a snapshot is a load and dropping one is
+/// nothing (Fig. 13a) — if a traversal's snapshots live in registers. So
+/// the fast arms (`try_acquire` hit, accessors, dropping a snapshot that
+/// holds nothing) are `#[inline(always)]`, and the slow arms (`try_acquire`
+/// miss → one owned reference; giving back a hazard slot or that
+/// reference) are free functions taking the *word* by value.
+///
+/// **No-escape invariant:** no `&SnapshotPtr` or `&mut SnapshotPtr`
+/// reaches a function that is not inlined, on any path, unwind cleanup
+/// included — one escaped address pins the snapshot, and every snapshot it
+/// is rotated with, to the stack: a store and a reload per hop on the
+/// pointer-chasing dependency chain. This crate's `&R: StrongRef`
+/// parameters are read (`r.addr()`) in inlined shells; structure code
+/// should likewise chase the word and rotate the snapshot, never lend it.
 pub struct SnapshotPtr<'g, T, S: Scheme> {
-    word: usize,
-    /// `Some` — fast path, protection held via an acquire-retire guard.
-    /// `None` — slow path, the snapshot owns a real strong reference.
-    guard: Option<<S as AcquireRetire>::Guard>,
-    cs: &'g CsGuard<S>,
+    inner: Held<'g, S, false>,
     _marker: PhantomData<Box<T>>,
 }
 
+/// Slow arm of [`AtomicSharedPtr::get_snapshot`], out of protection
+/// resources: protects `src` with the reserved `acquire` slot just long
+/// enough to take a real reference to the (non-null) word it returns.
+#[cold]
+#[inline(never)]
+fn snapshot_owning<S: Scheme>(cs: &CsGuard<S>, src: &AtomicUsize) -> usize {
+    let (d, t) = (cs.domain(), cs.tid());
+    let (w, g) = d.strong_ar.acquire(t, src);
+    let addr = untagged(w);
+    if addr != 0 {
+        // Safety: the location holds a strong reference and the acquire
+        // blocks its deferred decrement.
+        unsafe { counted::increment_alive(addr) };
+    }
+    d.strong_ar.release(t, g);
+    w
+}
+
 impl<'g, T, S: Scheme> SnapshotPtr<'g, T, S> {
-    /// A null snapshot (no protection needed).
-    pub fn null(cs: &'g CsGuard<S>) -> Self {
+    #[inline(always)]
+    fn from_parts(word: usize, hold: Hold<S::Guard>, cs: &'g CsGuard<S>) -> Self {
         SnapshotPtr {
-            word: 0,
-            guard: None,
-            cs,
+            inner: Held::new(word, hold, cs),
             _marker: PhantomData,
         }
     }
 
+    /// A null snapshot (no protection needed).
+    #[inline(always)]
+    pub fn null(cs: &'g CsGuard<S>) -> Self {
+        Self::from_parts(0, Hold::Section, cs)
+    }
+
     /// The word as loaded, including tag bits.
-    #[inline]
+    #[inline(always)]
     pub fn tagged(&self) -> TaggedPtr<T> {
-        TaggedPtr::from_word(self.word)
+        TaggedPtr::from_word(self.inner.word)
     }
 
     /// The tag bits observed at load time.
-    #[inline]
+    #[inline(always)]
     pub fn tag(&self) -> usize {
         self.tagged().tag()
     }
 
     /// Whether the snapshot observed null.
-    #[inline]
+    #[inline(always)]
     pub fn is_null(&self) -> bool {
-        untagged(self.word) == 0
+        untagged(self.inner.word) == 0
     }
 
     /// Borrows the managed value, or `None` for null.
+    #[inline(always)]
     #[cfg_attr(feature = "sanitize", track_caller)]
     pub fn as_ref(&self) -> Option<&T> {
-        let addr = untagged(self.word);
-        if addr == 0 {
-            None
-        } else {
-            if self.guard.is_some() {
-                // Count-free fast path: liveness rests entirely on the
-                // thread's protection covering this block.
-                smr::sanitize::check_protected_read(addr);
-            } else {
-                smr::sanitize::check_payload(addr);
-            }
-            // Safety: the snapshot's protection (guard or owned reference)
-            // keeps the strong count positive, hence the payload alive.
-            unsafe { Some(&*(*as_counted::<T>(addr)).value.as_ptr()) }
-        }
+        // Safety: snapshots of a `T` location name `T` blocks.
+        unsafe { self.inner.payload() }
     }
 
-    /// Whether this snapshot took the fast (guard-protected, count-free)
-    /// path — exposed for tests and the snapshot ablation benchmark.
+    /// Whether this snapshot took the fast (protected, count-free) path —
+    /// exposed for tests and the snapshot ablation benchmark.
+    #[inline(always)]
     pub fn used_fast_path(&self) -> bool {
-        self.guard.is_some()
+        self.inner.count_free()
     }
 
     /// This snapshot with its witnessed tag bits replaced (protection is on
     /// the address, so retagging is free) — used by list traversals that
     /// unlink a marked node and continue with the unmarked word they
     /// installed.
+    #[inline(always)]
     pub fn with_tag(mut self, tag: usize) -> Self {
         debug_assert_eq!(tag & !smr::TAG_MASK, 0);
-        self.word = untagged(self.word) | tag;
+        self.inner.word = untagged(self.inner.word) | tag;
         self
     }
 
     /// Promotes to an owned [`SharedPtr`] (increments the count).
+    #[inline(always)]
     pub fn to_shared(&self) -> SharedPtr<T, S> {
         SharedPtr::from_strong(self)
     }
 }
 
 impl<T, S: Scheme> StrongRef<T> for SnapshotPtr<'_, T, S> {
+    #[inline(always)]
     fn addr(&self) -> usize {
-        untagged(self.word)
-    }
-}
-
-impl<T, S: Scheme> Drop for SnapshotPtr<'_, T, S> {
-    fn drop(&mut self) {
-        let d = self.cs.domain();
-        let t = self.cs.tid();
-        match self.guard.take() {
-            Some(g) => d.strong_ar.release(t, g),
-            None => {
-                let addr = untagged(self.word);
-                if addr != 0 {
-                    // Safety: slow-path snapshots own one strong reference;
-                    // the guard we borrow keeps the domain alive.
-                    unsafe { d.decrement(t, addr) };
-                }
-            }
-        }
+        untagged(self.inner.word)
     }
 }
 

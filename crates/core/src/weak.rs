@@ -35,15 +35,15 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::fmt;
 use std::marker::PhantomData;
 
-use smr::{untagged, AcquireRetire};
+use smr::untagged;
 use sticky::Counter;
 
 use crate::cas::CompareExchangeErr;
-use crate::counted::{self, as_counted, as_header, PtrMarker};
+use crate::counted::{self, as_header, PtrMarker};
 use crate::domain::{
     check_same_domain, domain_ref_of, DomainHold, DomainRef, Scheme, StrongRef, WeakCsGuard,
 };
-use crate::engine::{RcWord, WeakKind, DISPLACED};
+use crate::engine::{Held, Hold, RcWord, WeakKind, DISPLACED};
 use crate::strong::SharedPtr;
 use crate::tagged::TaggedPtr;
 
@@ -121,6 +121,7 @@ impl<T, S: Scheme> WeakPtr<T, S> {
     }
 
     /// Creates a weak reference from any strong borrow.
+    #[inline(always)]
     pub fn from_strong<R: StrongRef<T>>(r: &R) -> Self {
         let addr = r.addr();
         if addr != 0 {
@@ -315,6 +316,7 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
     /// # Panics
     ///
     /// Panics if `r` is non-null and from a different domain.
+    #[inline(always)]
     pub fn store_strong<R: StrongRef<T>>(&self, r: &R) {
         let addr = r.addr();
         check_same_domain(addr, self.inner.domain());
@@ -467,6 +469,7 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
     /// Returns a null snapshot iff, at the linearization point, the
     /// location was null or held an expired object. Lock-free (the retry
     /// resolves races between expiry and replacement, §4.5).
+    #[inline]
     pub fn get_snapshot<'g>(&self, cs: &'g WeakCsGuard<S>) -> WeakSnapshotPtr<'g, T, S> {
         debug_assert!(
             cs.covers(self.inner.domain()),
@@ -484,35 +487,28 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
                 return WeakSnapshotPtr::null(cs);
             }
             // Protect the object from disposal: acquire on a stack location
-            // holding the (stable) address.
+            // holding the (stable) address. `None` = expired.
             let local = AtomicUsize::new(addr);
-            let dispose_guard = d.dispose_ar.try_acquire(t, &local).map(|(_, g)| g);
-            let mut owns_strong = false;
-            if dispose_guard.is_none() {
-                // Out of guards (hazard-pointer schemes only): fall back to
-                // a real strong reference, if the object is still alive.
-                // Safety: weak_guard keeps the control block readable.
-                owns_strong = unsafe { counted::increment(addr) };
-            }
-            // Safety: control block alive under weak_guard.
-            let alive = owns_strong || unsafe { !counted::expired(addr) };
-            if alive {
-                d.weak_ar.release(t, weak_guard);
+            let hold = match d.dispose_ar.try_acquire(t, &local) {
+                // Safety: control block alive under weak_guard.
+                Some((_, g)) if unsafe { !counted::expired(addr) } => Some(Hold::of::<S>(g)),
+                Some((_, g)) => {
+                    d.dispose_ar.release(t, g);
+                    None
+                }
+                // Safety: as above.
+                None => unsafe { own_if_alive(addr) },
+            };
+            d.weak_ar.release(t, weak_guard);
+            if let Some(hold) = hold {
                 return WeakSnapshotPtr {
-                    word: w,
-                    guard: if owns_strong { None } else { dispose_guard },
-                    owns_strong,
-                    cs,
+                    inner: Held::new(w, hold, cs.as_cs()),
                     _marker: PhantomData,
                 };
             }
             // Expired. Only report null if the location still holds this
             // object — otherwise the count may have belonged to a previous
             // occupant and we must retry for linearizability (§4.5).
-            if let Some(g) = dispose_guard {
-                d.dispose_ar.release(t, g);
-            }
-            d.weak_ar.release(t, weak_guard);
             // Ordering: Acquire — the nullity decision linearizes here: we
             // may only report "expired ⇒ null" if the location *still*
             // holds the expired occupant, so this re-validation must not be
@@ -523,6 +519,18 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
             }
         }
     }
+}
+
+/// Slow arm of [`AtomicWeakPtr::get_snapshot`], out of dispose guards (HP
+/// only): take a real strong reference if the object is still alive.
+///
+/// # Safety
+///
+/// The control block at `addr` is alive (the caller holds a weak guard).
+#[cold]
+#[inline(never)]
+unsafe fn own_if_alive<G>(addr: usize) -> Option<Hold<G>> {
+    counted::increment(addr).then_some(Hold::Owned)
 }
 
 impl<T, S: Scheme> Default for AtomicWeakPtr<T, S> {
@@ -545,90 +553,72 @@ impl<T, S: Scheme> fmt::Debug for AtomicWeakPtr<T, S> {
 /// *expire* (strong count → 0) during the snapshot's lifetime, but its
 /// memory remains safely readable until the snapshot drops: disposal is
 /// deferred through the dispose instance this snapshot holds protection on.
+///
+/// Split like [`SnapshotPtr`](crate::SnapshotPtr) and bound by the same
+/// no-escape invariant: accessors and the drop of a snapshot that holds
+/// nothing are `#[inline(always)]`; the out-of-guards arm and giving a
+/// guard or reference back work on the word by value, so no
+/// `&WeakSnapshotPtr` reaches a function that is not inlined.
 pub struct WeakSnapshotPtr<'g, T, S: Scheme> {
-    word: usize,
-    /// Dispose-instance guard (fast path).
-    guard: Option<<S as AcquireRetire>::Guard>,
-    /// Slow path: the snapshot owns a full strong reference instead.
-    owns_strong: bool,
-    cs: &'g WeakCsGuard<S>,
+    /// A guard held here is on the dispose instance.
+    inner: Held<'g, S, true>,
     _marker: PhantomData<Box<T>>,
 }
 
 impl<'g, T, S: Scheme> WeakSnapshotPtr<'g, T, S> {
     /// A null weak snapshot.
+    #[inline(always)]
     pub fn null(cs: &'g WeakCsGuard<S>) -> Self {
         WeakSnapshotPtr {
-            word: 0,
-            guard: None,
-            owns_strong: false,
-            cs,
+            inner: Held::new(0, Hold::Section, cs.as_cs()),
             _marker: PhantomData,
         }
     }
 
     /// The word as loaded, including tag bits.
-    #[inline]
+    #[inline(always)]
     pub fn tagged(&self) -> TaggedPtr<T> {
-        TaggedPtr::from_word(self.word)
+        TaggedPtr::from_word(self.inner.word)
     }
 
     /// Whether the snapshot observed null (or an expired object).
-    #[inline]
+    #[inline(always)]
     pub fn is_null(&self) -> bool {
-        untagged(self.word) == 0
+        untagged(self.inner.word) == 0
     }
 
     /// Borrows the managed value, or `None` for null. Reading is safe even
     /// if the object has since expired — that is the point of the deferred
     /// dispose instance.
+    #[inline(always)]
     #[cfg_attr(feature = "sanitize", track_caller)]
     pub fn as_ref(&self) -> Option<&T> {
-        let addr = untagged(self.word);
-        if addr == 0 {
-            None
-        } else {
-            if self.guard.is_some() {
-                // Count-free path: only the thread's protection keeps the
-                // (possibly expired) payload undisposed.
-                smr::sanitize::check_protected_read(addr);
-            } else {
-                smr::sanitize::check_payload(addr);
-            }
-            // Safety: disposal is blocked by our guard (or we own a strong
-            // reference), so the payload has not been destroyed.
-            unsafe { Some(&*(*as_counted::<T>(addr)).value.as_ptr()) }
-        }
+        // Safety: snapshots of a `T` location name `T` blocks; disposal is
+        // blocked by our guard (or we own a strong reference).
+        unsafe { self.inner.payload() }
     }
 
     /// Whether the object has expired since the snapshot was taken.
+    #[inline(always)]
     pub fn expired(&self) -> bool {
-        let addr = untagged(self.word);
-        if addr == 0 {
-            return true;
-        }
+        let addr = untagged(self.inner.word);
         // Safety: snapshot protection keeps the control block alive.
-        unsafe { counted::expired(addr) }
+        addr == 0 || unsafe { counted::expired(addr) }
     }
 
     /// Attempts to promote to an owned strong reference; fails if the
     /// object expired after the snapshot was taken.
+    #[inline(always)]
     pub fn try_promote(&self) -> Option<SharedPtr<T, S>> {
-        let addr = untagged(self.word);
-        if addr == 0 {
-            return None;
-        }
+        let addr = untagged(self.inner.word);
         // Safety: control block alive under snapshot protection.
-        if unsafe { counted::increment(addr) } {
-            Some(SharedPtr::from_addr(addr))
-        } else {
-            None
-        }
+        (addr != 0 && unsafe { counted::increment(addr) }).then(|| SharedPtr::from_addr(addr))
     }
 
     /// Creates an owned weak reference to the snapshotted object.
+    #[inline(always)]
     pub fn to_weak(&self) -> WeakPtr<T, S> {
-        let addr = untagged(self.word);
+        let addr = untagged(self.inner.word);
         if addr != 0 {
             // Safety: control block alive under snapshot protection.
             unsafe { counted::weak_increment(addr) };
@@ -637,25 +627,9 @@ impl<'g, T, S: Scheme> WeakSnapshotPtr<'g, T, S> {
     }
 
     /// Whether this snapshot took the guard (count-free) path.
+    #[inline(always)]
     pub fn used_fast_path(&self) -> bool {
-        self.guard.is_some()
-    }
-}
-
-impl<T, S: Scheme> Drop for WeakSnapshotPtr<'_, T, S> {
-    fn drop(&mut self) {
-        let d = self.cs.domain();
-        let t = self.cs.tid();
-        if let Some(g) = self.guard.take() {
-            d.dispose_ar.release(t, g);
-        } else if self.owns_strong {
-            let addr = untagged(self.word);
-            if addr != 0 {
-                // Safety: slow-path snapshots own one strong reference; the
-                // guard we borrow keeps the domain alive.
-                unsafe { d.decrement(t, addr) };
-            }
-        }
+        self.inner.count_free()
     }
 }
 
@@ -665,16 +639,6 @@ impl<T: fmt::Debug, S: Scheme> fmt::Debug for WeakSnapshotPtr<'_, T, S> {
             Some(v) => f.debug_tuple("WeakSnapshotPtr").field(v).finish(),
             None => f.write_str("WeakSnapshotPtr(null)"),
         }
-    }
-}
-
-/// Reads a weak count for diagnostics (racy).
-#[allow(dead_code)]
-pub(crate) fn weak_count(addr: usize) -> u64 {
-    if addr == 0 {
-        0
-    } else {
-        unsafe { (*as_header(addr)).weak.load() }
     }
 }
 

@@ -295,16 +295,19 @@ where
             {
                 return false;
             }
-            // We won: retire the spliced-out chain. Every chain node has
-            // exactly one flagged child (a deleted leaf); the walk follows
-            // the unflagged child and ends at the surviving sibling.
+            // We won: retire the spliced-out chain. Every chain node has a
+            // flagged child that dies with it (a deleted leaf); the walk
+            // follows the other child and ends at the surviving sibling.
+            // At the parent *both* children can be flagged — two deletes of
+            // sibling leaves — and the sibling, which lives on under the
+            // ancestor with its flag, is never the one to retire.
             let sibling = addr(sib_w);
             let mut n = s.successor;
             while n != sibling {
                 let node = n as *const Node<K, V>;
                 let lw = (*node).left.load(Ordering::SeqCst);
                 let rw = (*node).right.load(Ordering::SeqCst);
-                let next = if flagged(lw) {
+                let next = if flagged(lw) && addr(lw) != sibling {
                     self.retire_node(t, addr(lw));
                     addr(rw)
                 } else {
@@ -697,16 +700,20 @@ mod tests {
 
     #[test]
     fn contended_deletes_same_key_range() {
+        // Known flake (ROADMAP item 1): every thread's key stream derives
+        // from one seed, so a failing run can be replayed with `TEST_SEED`.
+        // (A null dereference aborts without a message; the seed is then
+        // the default below unless `TEST_SEED` was set.)
+        let seed = std::env::var("TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(7);
         let tree: Arc<NatarajanMittalTree<u64, u64, Ebr>> = Arc::new(NatarajanMittalTree::new());
-        let hs: Vec<_> = (0..8)
-            .map(|_| {
+        let hs: Vec<_> = (0..8u64)
+            .map(|i| {
                 let tree = Arc::clone(&tree);
                 std::thread::spawn(move || {
-                    let mut state = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .unwrap()
-                        .subsec_nanos() as u64
-                        | 1;
+                    let mut state = seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1;
                     for _ in 0..2000 {
                         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let k = (state >> 33) % 32;
@@ -723,7 +730,8 @@ mod tests {
             })
             .collect();
         for h in hs {
-            h.join().unwrap();
+            h.join()
+                .unwrap_or_else(|_| panic!("a worker died; replay with TEST_SEED={seed}"));
         }
     }
 

@@ -14,6 +14,7 @@
 //! counters — exact for this structure (plus any structures deliberately
 //! sharing the domain).
 
+use std::cmp::Ordering;
 use std::marker::PhantomData;
 
 use cdrc::{
@@ -24,10 +25,164 @@ use crate::ConcurrentMap;
 
 const MARK: usize = 1;
 
+/// What the Harris-Michael search needs of a node: its successor edge. The
+/// split-ordered map ([`super::resizable`]) is one such list too and runs
+/// the same [`find`], [`link_at`] and [`remove_at`] from a bucket sentinel.
+pub(super) trait Link<S: Scheme>: Sized {
+    fn next(&self) -> &AtomicSharedPtr<Self, S>;
+}
+
+/// Where a [`find`] stopped.
+pub(super) struct Cursor<'g, N, S: Scheme> {
+    /// Node containing the edge we are at; `None` = the edge the search
+    /// started from.
+    prev: Option<SnapshotPtr<'g, N, S>>,
+    /// Snapshot read (unmarked) from that edge; null = end of list.
+    pub(super) cur: SnapshotPtr<'g, N, S>,
+    pub(super) found: bool,
+}
+
+/// The edge out of `prev`, or `head` while the search has not left it.
+#[inline(always)]
+fn edge_of<'a, N: Link<S>, S: Scheme>(
+    head: &'a AtomicSharedPtr<N, S>,
+    prev: &'a Option<SnapshotPtr<'_, N, S>>,
+) -> &'a AtomicSharedPtr<N, S> {
+    // A `prev` snapshot is a node the search stepped over, never null.
+    match prev.as_ref().and_then(|p| p.as_ref()) {
+        Some(node) => node.next(),
+        None => head,
+    }
+}
+
+/// The Harris-Michael search: walks from the edge `head` to the first node
+/// that `cmp` (node against the target) does not order `Less`, unlinking
+/// marked nodes on the way. Restarts begin at `head` again, so it must be
+/// an edge that is never marked: the list head, or a sentinel's `next`.
+///
+/// The hop is: load `next`'s word, validate the `prev` edge, compare,
+/// rotate. The snapshots are only moved and dropped, never lent to a
+/// function that is not inlined (the no-escape invariant on
+/// [`SnapshotPtr`]), so the loop-carried dependency is load → mask → load
+/// and under a region scheme the rotation compiles to nothing.
+pub(super) fn find<'g, N: Link<S>, S: Scheme>(
+    head: &AtomicSharedPtr<N, S>,
+    cs: &'g CsGuard<S>,
+    mut cmp: impl FnMut(&N) -> Ordering,
+) -> Cursor<'g, N, S> {
+    'retry: loop {
+        let mut prev: Option<SnapshotPtr<'g, N, S>> = None;
+        let mut cur = head.get_snapshot(cs);
+        if cur.tag() != 0 {
+            // Only transiently, mid-unlink or mid-splice.
+            continue 'retry;
+        }
+        loop {
+            let Some(node) = cur.as_ref() else {
+                let found = false;
+                return Cursor { prev, cur, found };
+            };
+            let next = node.next().get_snapshot(cs);
+            // Validate cur is still linked unmarked at the prev edge.
+            let edge = edge_of(head, &prev);
+            if edge.load_tagged() != cur.tagged() {
+                continue 'retry;
+            }
+            if next.tag() & MARK != 0 {
+                // cur is logically deleted: splice it out. Dropping the
+                // displaced reference reclaims cur (and anything only it
+                // references) automatically.
+                match edge.compare_exchange_tagged_with(cs, cur.tagged(), &next, 0) {
+                    Ok(unlinked) => {
+                        drop(unlinked);
+                        cur = next.with_tag(0);
+                    }
+                    // Witness unmarked: another helper or inserter won the
+                    // race — resume from the witnessed word, same prev.
+                    Err(w) if w.tag() == 0 => cur = w,
+                    // A marked edge means prev itself is being deleted.
+                    Err(_) => continue 'retry,
+                }
+                continue;
+            }
+            match cmp(node) {
+                Ordering::Less => {
+                    prev = Some(cur);
+                    cur = next;
+                }
+                ord => {
+                    let found = ord == Ordering::Equal;
+                    return Cursor { prev, cur, found };
+                }
+            }
+        }
+    }
+}
+
+/// Links `node` in at the cursor (which did not find its key), *moving* the
+/// caller's reference in (no count round-trip); the displaced edge
+/// reference to `cur` is balanced by the one `node.next` now holds. A lost
+/// race hands `node` back untouched: re-find (the witness alone cannot
+/// certify prev is still linked).
+pub(super) fn link_at<N: Link<S>, S: Scheme>(
+    head: &AtomicSharedPtr<N, S>,
+    c: &Cursor<'_, N, S>,
+    node: SharedPtr<N, S>,
+) -> Result<(), SharedPtr<N, S>> {
+    node.as_ref()
+        .expect("linking a null node")
+        .next()
+        .store_from(&c.cur);
+    edge_of(head, &c.prev)
+        .compare_exchange_tagged_owned(c.cur.tagged(), node, 0)
+        .map(drop)
+        .map_err(|e| e.desired)
+}
+
+/// Deletes the node the cursor found: marks its next word, then tries the
+/// physical unlink (a later `find` helps otherwise). `false` if a competing
+/// delete marked it first — re-find, which helps that delete along.
+pub(super) fn remove_at<N: Link<S>, S: Scheme>(
+    head: &AtomicSharedPtr<N, S>,
+    cs: &CsGuard<S>,
+    c: &Cursor<'_, N, S>,
+) -> bool {
+    let node = c.cur.as_ref().expect("cursor found a node");
+    // Mark cur's next word, retrying in place on the witness (cur stays
+    // protected by the cursor).
+    let mut next_t = node.next().load_tagged();
+    while next_t.tag() & MARK == 0 {
+        match node.next().try_set_tag(next_t, MARK) {
+            Ok(_) => {
+                // The displaced reference to cur drops here — that is the
+                // entire reclamation path.
+                let next = node.next().get_snapshot(cs);
+                let unlinked = edge_of(head, &c.prev).compare_exchange_tagged_with(
+                    cs,
+                    c.cur.tagged(),
+                    &next,
+                    0,
+                );
+                drop(unlinked);
+                return true;
+            }
+            Err(w) => next_t = w,
+        }
+    }
+    false
+}
+
 struct Node<K, V, S: Scheme> {
     key: K,
     value: V,
     next: AtomicSharedPtr<Node<K, V, S>, S>,
+}
+
+impl<K, V, S: Scheme> Link<S> for Node<K, V, S> {
+    #[inline(always)]
+    fn next(&self) -> &AtomicSharedPtr<Self, S> {
+        &self.next
+    }
 }
 
 impl<K, V, S: Scheme> GraphNode<S> for Node<K, V, S> {
@@ -42,14 +197,6 @@ pub struct RcHarrisMichaelList<K, V, S: Scheme> {
     head: AtomicSharedPtr<Node<K, V, S>, S>,
     domain: DomainRef<S>,
     _marker: PhantomData<(K, V)>,
-}
-
-struct Cursor<'g, K, V, S: Scheme> {
-    /// Node containing the edge we are at; `None` = the list head.
-    prev: Option<SnapshotPtr<'g, Node<K, V, S>, S>>,
-    /// Snapshot read (unmarked) from that edge; null = end of list.
-    cur: SnapshotPtr<'g, Node<K, V, S>, S>,
-    found: bool,
 }
 
 impl<K, V, S> RcHarrisMichaelList<K, V, S>
@@ -78,75 +225,6 @@ where
     pub fn domain(&self) -> &DomainRef<S> {
         &self.domain
     }
-
-    fn edge<'a>(
-        &'a self,
-        prev: &'a Option<SnapshotPtr<'_, Node<K, V, S>, S>>,
-    ) -> &'a AtomicSharedPtr<Node<K, V, S>, S> {
-        match prev {
-            None => &self.head,
-            Some(p) => &p.as_ref().expect("prev snapshot is non-null").next,
-        }
-    }
-
-    fn find<'g>(&self, cs: &'g CsGuard<S>, key: &K) -> Cursor<'g, K, V, S> {
-        'retry: loop {
-            let mut prev: Option<SnapshotPtr<'g, Node<K, V, S>, S>> = None;
-            let mut cur = self.head.get_snapshot(cs);
-            if cur.tag() != 0 {
-                continue 'retry;
-            }
-            loop {
-                let Some(node) = cur.as_ref() else {
-                    return Cursor {
-                        prev,
-                        cur,
-                        found: false,
-                    };
-                };
-                let next = node.next.get_snapshot(cs);
-                // Validate cur is still linked unmarked at the prev edge.
-                if self.edge(&prev).load_tagged() != cur.tagged() {
-                    continue 'retry;
-                }
-                if next.tag() & MARK != 0 {
-                    // cur is logically deleted: splice it out. A successful
-                    // CAS hands the location's reference to cur back as the
-                    // displaced pointer; dropping it reclaims cur (and
-                    // anything only it references) automatically.
-                    match self
-                        .edge(&prev)
-                        .compare_exchange_tagged_with(cs, cur.tagged(), &next, 0)
-                    {
-                        Ok(unlinked) => {
-                            drop(unlinked);
-                            cur = next.with_tag(0);
-                            continue;
-                        }
-                        Err(w) => {
-                            // Witness: if the prev edge is still unmarked,
-                            // another helper or inserter won the race —
-                            // resume scanning from the witnessed word with
-                            // the same prev, no fresh traversal. A marked
-                            // edge means prev itself is being deleted:
-                            // restart from the head.
-                            if w.tag() == 0 {
-                                cur = w;
-                                continue;
-                            }
-                            continue 'retry;
-                        }
-                    }
-                }
-                if node.key >= *key {
-                    let found = node.key == *key;
-                    return Cursor { prev, cur, found };
-                }
-                prev = Some(cur);
-                cur = next;
-            }
-        }
-    }
 }
 
 impl<K, V, S> ConcurrentMap<K, V> for RcHarrisMichaelList<K, V, S>
@@ -172,27 +250,14 @@ where
             &self.domain,
         );
         loop {
-            let c = self.find(cs, &new_node.as_ref().unwrap().key);
+            let key = &new_node.as_ref().unwrap().key;
+            let c = find(&self.head, cs, |node| node.key.cmp(key));
             if c.found {
                 return false; // new_node drops; no manual free needed
             }
-            // Point the new node at cur and publish it by *moving* our
-            // reference in (no count round-trip); the displaced edge
-            // reference to cur is balanced by the one new_node.next now
-            // holds, so dropping it is exactly the unlink bookkeeping.
-            new_node.as_ref().unwrap().next.store_from(&c.cur);
-            match self
-                .edge(&c.prev)
-                .compare_exchange_tagged_owned(c.cur.tagged(), new_node, 0)
-            {
-                Ok(displaced) => {
-                    drop(displaced);
-                    return true;
-                }
-                // Failure hands new_node back untouched; the edge moved, so
-                // re-find the insertion point (the witness alone cannot
-                // certify prev is still linked).
-                Err(e) => new_node = e.desired,
+            match link_at(&self.head, &c, new_node) {
+                Ok(()) => return true,
+                Err(back) => new_node = back,
             }
         }
     }
@@ -200,49 +265,20 @@ where
     fn remove_with(&self, k: &K, cs: &Self::Guard) -> bool {
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
         loop {
-            let c = self.find(cs, k);
+            let c = find(&self.head, cs, |node| node.key.cmp(k));
             if !c.found {
                 return false;
             }
-            let node = c.cur.as_ref().unwrap();
-            // Logically delete: mark cur's next word, retrying in place on
-            // the witness (the word only changes if a successor was
-            // inserted/unlinked — cur stays protected by the cursor).
-            let mut next_t = node.next.load_tagged();
-            let marked = loop {
-                if next_t.tag() & MARK != 0 {
-                    break false; // someone else is deleting it
-                }
-                match node.next.try_set_tag(next_t, MARK) {
-                    Ok(_) => break true,
-                    Err(w) => next_t = w,
-                }
-            };
-            if !marked {
-                continue; // help the competing delete via find
+            if remove_at(&self.head, cs, &c) {
+                return true;
             }
-            // Marked: attempt the physical unlink; find() helps otherwise.
-            // On success the displaced reference to cur drops here — that
-            // is the entire reclamation path.
-            let next_snap = node.next.get_snapshot(cs);
-            if let Ok(unlinked) =
-                self.edge(&c.prev)
-                    .compare_exchange_tagged_with(cs, c.cur.tagged(), &next_snap, 0)
-            {
-                drop(unlinked);
-            }
-            return true;
         }
     }
 
     fn get_with(&self, k: &K, cs: &Self::Guard) -> Option<V> {
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let c = self.find(cs, k);
-        if c.found {
-            Some(c.cur.as_ref().unwrap().value.clone())
-        } else {
-            None
-        }
+        let c = find(&self.head, cs, |node| node.key.cmp(k));
+        c.cur.as_ref().filter(|_| c.found).map(|n| n.value.clone())
     }
 
     /// Exact for this list's own domain: live nodes plus deferred garbage

@@ -49,10 +49,9 @@ use cdrc::{
     TaggedPtr,
 };
 
+use super::list::{find, link_at, remove_at, Cursor, Link};
 use crate::split_order::{so_dummy, so_regular, SPINE_LEVELS};
 use crate::{ConcurrentMap, ElementCount};
-
-const MARK: usize = 1;
 
 struct Node<K, V, S: Scheme> {
     so_key: u64,
@@ -69,18 +68,19 @@ impl<K, V, S: Scheme> Node<K, V, S> {
     }
 }
 
+impl<K, V, S: Scheme> Link<S> for Node<K, V, S> {
+    #[inline(always)]
+    fn next(&self) -> &AtomicSharedPtr<Self, S> {
+        &self.next
+    }
+}
+
 impl<K, V, S: Scheme> GraphNode<S> for Node<K, V, S> {
     fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
         out.take_atomic(&mut self.next);
     }
 }
 
-/// Lock-free resizable hash map over `cdrc` pointers with scheme `S`
-/// ("RCEBR", "RCIBR", "RCHP", "RCHyaline" depending on `S`): a
-/// split-ordered list that grows without stopping the world.
-///
-/// Grows by doubling the bucket mask once the (sharded, approximate) live
-/// count exceeds the bucket count — load factor ≈ 1, the classic
 /// One directory slot: a strong, CAS-installed-once pointer to a bucket's
 /// sentinel node (null until the bucket is first touched).
 type Slot<K, V, S> = AtomicSharedPtr<Node<K, V, S>, S>;
@@ -109,15 +109,6 @@ pub struct RcResizableHashMap<K, V, S: Scheme> {
     hasher: RandomState,
     domain: DomainRef<S>,
     _marker: PhantomData<(K, V)>,
-}
-
-struct Cursor<'g, K, V, S: Scheme> {
-    /// Node containing the edge we are at; `None` = the bucket sentinel
-    /// the traversal started from.
-    prev: Option<SnapshotPtr<'g, Node<K, V, S>, S>>,
-    /// Snapshot read (unmarked) from that edge; null = end of list.
-    cur: SnapshotPtr<'g, Node<K, V, S>, S>,
-    found: bool,
 }
 
 impl<K, V, S> RcResizableHashMap<K, V, S>
@@ -277,125 +268,40 @@ where
             &self.domain,
         );
         loop {
-            let c = self.find_from(start, so_key, None, cs);
+            let c = Self::find_from(start, so_key, None, cs);
             if c.found {
                 return c.cur.to_shared(); // raced: reuse the winner's node
             }
-            sentinel.as_ref().unwrap().next.store_from(&c.cur);
             let keep = sentinel.clone();
-            match Self::edge(start, &c.prev).compare_exchange_tagged_owned(
-                c.cur.tagged(),
-                sentinel,
-                0,
-            ) {
-                Ok(displaced) => {
-                    drop(displaced);
-                    return keep;
-                }
-                Err(e) => {
-                    drop(keep);
-                    sentinel = e.desired;
-                }
+            match link_at(Self::head(start), &c, sentinel) {
+                Ok(()) => return keep,
+                Err(back) => sentinel = back,
             }
         }
     }
 
-    fn edge<'a, 'g>(
-        start: &'a SnapshotPtr<'g, Node<K, V, S>, S>,
-        prev: &'a Option<SnapshotPtr<'g, Node<K, V, S>, S>>,
+    /// The edge a bucket's walks start (and restart) from: its sentinel's
+    /// `next`. Sentinels are never deleted, so the edge is never marked and
+    /// always a valid anchor — no walk restarts from the table head.
+    fn head<'a>(
+        start: &'a SnapshotPtr<'_, Node<K, V, S>, S>,
     ) -> &'a AtomicSharedPtr<Node<K, V, S>, S> {
-        let holder = match prev {
-            None => start,
-            Some(p) => p,
-        };
-        &holder.as_ref().expect("cursor nodes are non-null").next
+        &start.as_ref().expect("sentinels are non-null").next
     }
 
-    /// The Harris-Michael find, walking from `start`'s next edge to the
-    /// first node ≥ `(so_key, key)` in split order, helping unlink marked
-    /// nodes on the way. Restarts are bucket-local: `start` is a sentinel,
-    /// and sentinels are never deleted, so its next edge is always a valid
-    /// anchor — no walk ever restarts from the table head.
+    /// The list module's Harris-Michael find from `start`'s edge to the
+    /// first node ≥ `(so_key, key)` in split order: so-key first, then the
+    /// real key (two distinct keys can share an odd so-key; sentinels are
+    /// `None` and sort before every regular node).
     fn find_from<'g>(
-        &self,
         start: &SnapshotPtr<'g, Node<K, V, S>, S>,
         so_key: u64,
         key: Option<&K>,
         cs: &'g CsGuard<S>,
-    ) -> Cursor<'g, K, V, S> {
-        'retry: loop {
-            let mut prev: Option<SnapshotPtr<'g, Node<K, V, S>, S>> = None;
-            let mut cur = Self::edge(start, &prev).get_snapshot(cs);
-            if cur.tag() != 0 {
-                // A sentinel's next edge is never marked (sentinels are not
-                // deleted), so this only trips transiently mid-splice.
-                continue 'retry;
-            }
-            loop {
-                let Some(node) = cur.as_ref() else {
-                    return Cursor {
-                        prev,
-                        cur,
-                        found: false,
-                    };
-                };
-                let next = node.next.get_snapshot(cs);
-                // Validate cur is still linked unmarked at the prev edge.
-                if Self::edge(start, &prev).load_tagged() != cur.tagged() {
-                    continue 'retry;
-                }
-                if next.tag() & MARK != 0 {
-                    // cur is logically deleted: splice it out; the displaced
-                    // reference *is* the reclamation hand-off.
-                    match Self::edge(start, &prev).compare_exchange_tagged_with(
-                        cs,
-                        cur.tagged(),
-                        &next,
-                        0,
-                    ) {
-                        Ok(unlinked) => {
-                            drop(unlinked);
-                            cur = next.with_tag(0);
-                            continue;
-                        }
-                        Err(w) => {
-                            // Witness unmarked: a competing helper/inserter
-                            // moved the edge — resume from the witnessed
-                            // word, same prev, no re-walk. Marked: prev is
-                            // itself being deleted; restart at the sentinel.
-                            if w.tag() == 0 {
-                                cur = w;
-                                continue;
-                            }
-                            continue 'retry;
-                        }
-                    }
-                }
-                // Split-order comparison: so-key first, then the real key
-                // (two distinct keys can share an odd so-key; sentinels are
-                // `None` and sort before every regular node).
-                match (node.so_key, node.key()).cmp(&(so_key, key)) {
-                    std::cmp::Ordering::Less => {
-                        prev = Some(cur);
-                        cur = next;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        return Cursor {
-                            prev,
-                            cur,
-                            found: true,
-                        }
-                    }
-                    std::cmp::Ordering::Greater => {
-                        return Cursor {
-                            prev,
-                            cur,
-                            found: false,
-                        }
-                    }
-                }
-            }
-        }
+    ) -> Cursor<'g, Node<K, V, S>, S> {
+        find(Self::head(start), cs, |node| {
+            (node.so_key, node.key()).cmp(&(so_key, key))
+        })
     }
 
     /// Doubles the mask if the live estimate exceeds the bucket count
@@ -457,26 +363,18 @@ where
             // Re-read the mask each attempt: a concurrent grow between
             // attempts may have split this key's bucket.
             let start = self.bucket_for(h, cs);
-            let c = self.find_from(&start, so, new_node.as_ref().unwrap().key(), cs);
+            let c = Self::find_from(&start, so, new_node.as_ref().unwrap().key(), cs);
             if c.found {
                 return false; // new_node drops; no manual free needed
             }
-            new_node.as_ref().unwrap().next.store_from(&c.cur);
-            match Self::edge(&start, &c.prev).compare_exchange_tagged_owned(
-                c.cur.tagged(),
-                new_node,
-                0,
-            ) {
-                Ok(displaced) => {
-                    drop(displaced);
+            match link_at(Self::head(&start), &c, new_node) {
+                Ok(()) => {
                     if self.count.on_insert(smr::current_tid()) {
                         self.maybe_grow();
                     }
                     return true;
                 }
-                // Failure hands new_node back untouched: re-find, no
-                // reallocation, no count round-trip.
-                Err(e) => new_node = e.desired,
+                Err(back) => new_node = back,
             }
         }
     }
@@ -487,50 +385,23 @@ where
         let so = so_regular(h);
         loop {
             let start = self.bucket_for(h, cs);
-            let c = self.find_from(&start, so, Some(k), cs);
+            let c = Self::find_from(&start, so, Some(k), cs);
             if !c.found {
                 return false;
             }
-            let node = c.cur.as_ref().unwrap();
-            // Logically delete: mark cur's next word, retrying in place on
-            // the witness (cur stays protected by the cursor).
-            let mut next_t = node.next.load_tagged();
-            let marked = loop {
-                if next_t.tag() & MARK != 0 {
-                    break false; // someone else is deleting it
-                }
-                match node.next.try_set_tag(next_t, MARK) {
-                    Ok(_) => break true,
-                    Err(w) => next_t = w,
-                }
-            };
-            if !marked {
-                continue; // help the competing delete via find
+            if remove_at(Self::head(&start), cs, &c) {
+                self.count.on_remove(smr::current_tid());
+                return true;
             }
-            // Marked: attempt the physical unlink; find() helps otherwise.
-            let next_snap = node.next.get_snapshot(cs);
-            if let Ok(unlinked) = Self::edge(&start, &c.prev).compare_exchange_tagged_with(
-                cs,
-                c.cur.tagged(),
-                &next_snap,
-                0,
-            ) {
-                drop(unlinked);
-            }
-            self.count.on_remove(smr::current_tid());
-            return true;
         }
     }
 
     fn get_with(&self, k: &K, cs: &Self::Guard) -> Option<V> {
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
         let h = self.hasher.hash_one(k);
-        let c = self.find_from(&self.bucket_for(h, cs), so_regular(h), Some(k), cs);
-        if c.found {
-            Some(c.cur.as_ref().unwrap().kv.as_ref().unwrap().1.clone())
-        } else {
-            None
-        }
+        let c = Self::find_from(&self.bucket_for(h, cs), so_regular(h), Some(k), cs);
+        let kv = c.cur.as_ref().filter(|_| c.found)?.kv.as_ref();
+        kv.map(|(_, v)| v.clone())
     }
 
     /// Exact for this map's own domain (live nodes — including sentinels —

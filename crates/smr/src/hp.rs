@@ -25,17 +25,22 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Protection token: the index of the announcement slot holding the pointer.
+/// Protection token: the index of the announcement word holding the pointer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HpGuard {
-    index: usize,
+    index: u8,
 }
 
+/// Index of the reserved word behind `acquire`, and so the most
+/// `try_acquire` words a thread can own (one bit each in the low half of
+/// [`Local::free`]). Fixed whatever `hp_slots` is: neither the hot path nor
+/// a guard needs the configuration.
+const RESERVED: usize = 32;
+
 struct Local {
-    /// Indices in `0..hp_slots` currently free for `try_acquire`.
-    free: Vec<usize>,
-    /// Whether the reserved slot (index `hp_slots`) is in use by `acquire`.
-    reserved_busy: bool,
+    /// Bit `i` set = announcement word `i` is unheld: bits `0..hp_slots`
+    /// for `try_acquire` (lowest first), bit [`RESERVED`] for `acquire`.
+    free: u64,
     retired: Vec<Retired>,
     ready: VecDeque<Retired>,
     depth: u32,
@@ -50,10 +55,20 @@ struct Local {
     kept_counts: HashMap<usize, usize>,
 }
 
+/// One thread's announcements and bookkeeping, inline in one `CachePadded`
+/// block: no part shares a 128-byte line with a neighbouring thread's (as
+/// separately boxed words and free lists did, by `malloc`'s coin toss).
 struct Slot {
-    /// `hp_slots + 1` announcement words; untagged addresses, 0 = empty.
-    anns: Box<[AtomicUsize]>,
+    /// Untagged addresses, 0 = empty; `0..hp_slots` and [`RESERVED`] in use.
+    anns: [AtomicUsize; RESERVED + 1],
     local: UnsafeCell<Local>,
+}
+
+impl Slot {
+    /// The words a scan must read.
+    fn in_use(&self, hp_slots: usize) -> impl Iterator<Item = &AtomicUsize> {
+        self.anns[..hp_slots].iter().chain([&self.anns[RESERVED]])
+    }
 }
 
 /// Hazard-pointer acquire-retire instance.
@@ -81,7 +96,7 @@ struct Slot {
 // read by scanning threads.
 pub struct Hp {
     cfg: SmrConfig,
-    slots: Box<[CachePadded<Slot>]>,
+    slots: Box<[CachePadded<Slot>; MAX_THREADS]>,
     exit_hook: OnceLock<ExitHook>,
 }
 
@@ -89,15 +104,21 @@ unsafe impl Send for Hp {}
 unsafe impl Sync for Hp {}
 
 impl Hp {
-    #[inline]
-    fn local(&self, t: Tid) -> *mut Local {
-        self.slots[t.index()].local.get()
+    #[inline(always)]
+    fn slot(&self, t: Tid) -> &Slot {
+        &self.slots[t.index()]
     }
 
-    /// Announce-validate loop on slot `index`; returns the validated word.
     #[inline]
-    fn protect(&self, t: Tid, index: usize, src: &AtomicUsize) -> usize {
-        let ann = &self.slots[t.index()].anns[index];
+    fn local(&self, t: Tid) -> *mut Local {
+        self.slot(t).local.get()
+    }
+
+    /// Announce-validate loop on word `index` of `t`'s slot; returns the
+    /// validated word.
+    #[inline]
+    fn protect(&self, t: Tid, slot: &Slot, index: usize, src: &AtomicUsize) -> usize {
+        let ann = &slot.anns[index];
         // Ordering: Acquire — pairs with the Release publication of the
         // pointee; this first read is only a candidate until validated.
         let mut v = src.load(Ordering::Acquire);
@@ -107,7 +128,7 @@ impl Hp {
                 // Nothing to protect; clear any stale announcement so we do
                 // not spuriously pin an unrelated object.
                 // Ordering: Release — `protect` only ever runs on a slot
-                // the free-list/reserved bookkeeping says is unheld, so any
+                // the free mask says is unheld, so any
                 // value here is either already 0 (cleared by `release`) or
                 // an unvalidated candidate from a previous loop iteration
                 // that was never dereferenced; Release is belt-and-braces
@@ -181,7 +202,7 @@ impl Hp {
         } = local;
         announced.clear();
         for slot in self.slots.iter().take(registered_high_water_mark()) {
-            for ann in slot.anns.iter() {
+            for ann in slot.in_use(self.cfg.hp_slots) {
                 // Ordering: Relaxed — ordered by the fence pairing above; a
                 // stale nonzero value only pins an object longer.
                 let a = ann.load(Ordering::Relaxed);
@@ -215,14 +236,13 @@ unsafe impl AcquireRetire for Hp {
     const PROTECTS_REGIONS: bool = false;
 
     fn new(_clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self {
-        let k = config.hp_slots;
-        let slots = (0..MAX_THREADS)
+        assert!(config.hp_slots <= RESERVED, "hp_slots is capped at 32");
+        let slots: Box<[CachePadded<Slot>]> = (0..MAX_THREADS)
             .map(|_| {
                 CachePadded::new(Slot {
-                    anns: (0..=k).map(|_| AtomicUsize::new(0)).collect(),
+                    anns: std::array::from_fn(|_| AtomicUsize::new(0)),
                     local: UnsafeCell::new(Local {
-                        free: (0..k).rev().collect(),
-                        reserved_busy: false,
+                        free: all_free(config.hp_slots),
                         retired: Vec::new(),
                         ready: VecDeque::new(),
                         depth: 0,
@@ -235,7 +255,7 @@ unsafe impl AcquireRetire for Hp {
             .collect();
         Hp {
             cfg: config,
-            slots,
+            slots: slots.try_into().ok().expect("MAX_THREADS slots collected"),
             exit_hook: OnceLock::new(),
         }
     }
@@ -294,43 +314,44 @@ unsafe impl AcquireRetire for Hp {
 
     #[inline]
     fn acquire(&self, t: Tid, src: &AtomicUsize) -> (usize, Self::Guard) {
-        let local = unsafe { &mut *self.local(t) };
+        let slot = self.slot(t);
+        let local = unsafe { &mut *slot.local.get() };
         assert!(
-            !local.reserved_busy,
+            local.free & (1 << RESERVED) != 0,
             "acquire while a previous acquire is still active (Definition 3.2)"
         );
-        local.reserved_busy = true;
-        let index = self.cfg.hp_slots; // the reserved slot
-        let v = self.protect(t, index, src);
-        (v, HpGuard { index })
+        local.free &= !(1 << RESERVED);
+        let index = RESERVED as u8;
+        (self.protect(t, slot, RESERVED, src), HpGuard { index })
     }
 
     #[inline]
     fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, Self::Guard)> {
-        let local = unsafe { &mut *self.local(t) };
-        let index = local.free.pop()?;
-        let v = self.protect(t, index, src);
-        Some((v, HpGuard { index }))
+        let slot = self.slot(t);
+        let local = unsafe { &mut *slot.local.get() };
+        // The `try_acquire` bits are the low half: index < `RESERVED`.
+        let avail = local.free as u32;
+        if avail == 0 {
+            return None;
+        }
+        let index = avail.trailing_zeros();
+        local.free &= !(1 << index);
+        let v = self.protect(t, slot, index as usize, src);
+        Some((v, HpGuard { index: index as u8 }))
     }
 
     #[inline]
     fn release(&self, t: Tid, guard: Self::Guard) {
+        let slot = self.slot(t);
+        let index = guard.index as usize;
         // Ordering: Release — the guard holder's reads of the pointee are
         // sequenced before this clear and cannot sink past it, so a scanner
         // that observes the empty slot knows those reads are done.
-        self.slots[t.index()].anns[guard.index].store(0, Ordering::Release);
-        crate::sanitize::on_unprotect(self as *const Self as usize, t, guard.index);
-        let local = unsafe { &mut *self.local(t) };
-        if guard.index == self.cfg.hp_slots {
-            debug_assert!(local.reserved_busy, "double release of acquire guard");
-            local.reserved_busy = false;
-        } else {
-            debug_assert!(
-                !local.free.contains(&guard.index),
-                "double release of try_acquire guard"
-            );
-            local.free.push(guard.index);
-        }
+        slot.anns[index].store(0, Ordering::Release);
+        crate::sanitize::on_unprotect(self as *const Self as usize, t, index);
+        let local = unsafe { &mut *slot.local.get() };
+        debug_assert!(local.free & (1 << index) == 0, "double release of a guard");
+        local.free |= 1 << index;
     }
 
     fn retire(&self, t: Tid, r: Retired) {
@@ -364,7 +385,10 @@ unsafe impl AcquireRetire for Hp {
             .take(registered_high_water_mark())
             // Ordering: Relaxed — the fence pairing above carries the
             // visibility argument, exactly as in `scan`.
-            .all(|slot| slot.anns.iter().all(|ann| ann.load(Ordering::Relaxed) == 0))
+            .all(|slot| {
+                slot.in_use(self.cfg.hp_slots)
+                    .all(|ann| ann.load(Ordering::Relaxed) == 0)
+            })
     }
 
     fn flush(&self, t: Tid) {
@@ -389,11 +413,9 @@ unsafe impl AcquireRetire for Hp {
     unsafe fn reclaim_slot(&self, dead: Tid, into: Tid) {
         debug_assert_ne!(dead, into, "cannot reclaim a slot into itself");
         let (retired, ready) = {
-            let k = self.cfg.hp_slots;
             let dead_local = &mut *self.local(dead);
             dead_local.depth = 0;
-            dead_local.free = (0..k).rev().collect();
-            dead_local.reserved_busy = false;
+            dead_local.free = all_free(self.cfg.hp_slots);
             dead_local.next_scan = 0;
             (
                 std::mem::take(&mut dead_local.retired),
@@ -414,6 +436,11 @@ unsafe impl AcquireRetire for Hp {
         local.ready.extend(ready);
         self.scan(local);
     }
+}
+
+/// The free mask of a slot holding no guard.
+fn all_free(hp_slots: usize) -> u64 {
+    ((1 << hp_slots) - 1) | (1 << RESERVED)
 }
 
 impl fmt::Debug for Hp {
@@ -451,6 +478,25 @@ mod tests {
         hp.release(t, g1);
         assert!(hp.try_acquire(t, &src).is_some());
         hp.release(t, g2);
+    }
+
+    #[test]
+    fn adjacent_slots_share_no_cache_line() {
+        // Everything a hop touches — announcement words and the free mask —
+        // must sit in 128-byte lines no other thread's slot reaches into.
+        let hp = new_hp();
+        let lines = |s: &CachePadded<Slot>| {
+            let first = s.anns.as_ptr() as usize;
+            let local = s.local.get() as usize;
+            let lo = first.min(local) / 128;
+            let hi =
+                (first + std::mem::size_of_val(&s.anns)).max(local + std::mem::size_of::<Local>());
+            lo..=(hi - 1) / 128
+        };
+        for pair in hp.slots.windows(2) {
+            let (a, b) = (lines(&pair[0]), lines(&pair[1]));
+            assert!(a.end() < b.start(), "slots overlap: {a:?} vs {b:?}");
+        }
     }
 
     #[test]
@@ -506,7 +552,7 @@ mod tests {
         let (v, g) = hp.acquire(t, &src);
         assert_eq!(v, 0x4000);
         assert_eq!(
-            hp.slots[t.index()].anns[hp.cfg.hp_slots].load(Ordering::SeqCst),
+            hp.slots[t.index()].anns[RESERVED].load(Ordering::SeqCst),
             0x4000
         );
         hp.release(t, g);
@@ -520,7 +566,7 @@ mod tests {
         let (v, g) = hp.try_acquire(t, &src).unwrap();
         assert_eq!(v, 0x5000 | 1, "value keeps its tag");
         assert_eq!(
-            hp.slots[t.index()].anns[g.index].load(Ordering::SeqCst),
+            hp.slots[t.index()].anns[g.index as usize].load(Ordering::SeqCst),
             0x5000,
             "announcement is untagged"
         );

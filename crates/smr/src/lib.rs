@@ -221,8 +221,9 @@ pub struct SmrConfig {
     /// Scan the retired list for ejectable entries once it holds this many
     /// items (protected-region schemes and the floor for HP).
     pub eject_threshold: usize,
-    /// Announcement slots per thread available to `try_acquire` (HP only).
-    /// One extra reserved slot makes `acquire` total.
+    /// Announcement slots per thread available to `try_acquire` (HP only;
+    /// at most 32, one bit each in the slot's free mask). One extra
+    /// reserved slot makes `acquire` total.
     pub hp_slots: usize,
     /// Retired nodes per Hyaline batch.
     pub batch_size: usize,
@@ -359,6 +360,12 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// schemes: EBR, IBR, Hyaline). Protected-pointer schemes (HP) set this
     /// to `false`: only acquired pointers are protected, so unbounded
     /// traversals (range queries) cannot be protected manually.
+    ///
+    /// A scheme that sets this to `true` also promises that its guards
+    /// carry nothing: [`try_acquire`](Self::try_acquire) never fails and
+    /// [`release`](Self::release) does nothing, so a consumer may drop such
+    /// a guard without releasing it (`cdrc` does, which is what makes a
+    /// snapshot under a region scheme a bare word).
     const PROTECTS_REGIONS: bool = true;
 
     /// Whether an *active critical section alone* protects every pointer

@@ -7,7 +7,10 @@
 
 use std::sync::Mutex;
 
-use cdrc::{AtomicSharedPtr, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme, SharedPtr};
+use cdrc::{
+    AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme,
+    Scheme, SharedPtr,
+};
 use lockfree::rc::{
     RcDoubleLinkQueue, RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree,
 };
@@ -119,6 +122,62 @@ fn rc_queue_balances_all_schemes() {
     run::<IbrScheme>();
     run::<HpScheme>();
     run::<HyalineScheme>();
+}
+
+/// Walks a chain holding every snapshot — more than a thread has hazard
+/// slots — so that under HP `try_acquire` misses and the overflow
+/// snapshots take the slow arm (a real reference each, given back on drop),
+/// for strong and for weak snapshots; region schemes never miss.
+fn snapshot_slow_arm_balances<S: Scheme>() {
+    struct Link<S: Scheme> {
+        v: usize,
+        next: AtomicSharedPtr<Link<S>, S>,
+    }
+    let slots = S::default_config().hp_slots;
+    let n = 2 * slots + 5;
+    let d: DomainRef<S> = DomainRef::new();
+    let head: AtomicSharedPtr<Link<S>, S> = AtomicSharedPtr::null_in(&d);
+    let observers: Vec<AtomicWeakPtr<Link<S>, S>> =
+        (0..n).map(|_| AtomicWeakPtr::null_in(&d)).collect();
+    for v in (0..n).rev() {
+        let next = AtomicSharedPtr::new_in(head.take(), &d);
+        let node = SharedPtr::new_in(Link { v, next }, &d);
+        observers[v].store_strong(&node);
+        head.store(node);
+    }
+    let fast = |i: usize| S::PROTECTS_REGIONS || i < slots;
+    {
+        let cs = d.cs();
+        let mut held = vec![head.get_snapshot(&cs)];
+        while let Some(node) = held.last().unwrap().as_ref() {
+            let next = node.next.get_snapshot(&cs);
+            held.push(next);
+        }
+        assert_eq!(held.len(), n + 1, "n nodes and the null at the end");
+        for (i, snap) in held.iter().take(n).enumerate() {
+            assert_eq!(snap.as_ref().map(|node| node.v), Some(i));
+            assert_eq!(snap.used_fast_path(), fast(i), "strong snapshot {i}");
+        }
+    }
+    {
+        let cs = d.weak_cs();
+        let held: Vec<_> = observers.iter().map(|w| w.get_snapshot(&cs)).collect();
+        for (i, snap) in held.iter().enumerate() {
+            assert_eq!(snap.as_ref().map(|node| node.v), Some(i));
+            assert_eq!(snap.used_fast_path(), fast(i), "weak snapshot {i}");
+        }
+    }
+    drop((head, observers));
+    d.process_deferred(smr::current_tid());
+    assert_eq!(d.allocated(), d.freed(), "slow-arm references given back");
+}
+
+#[test]
+fn snapshot_slow_arm_balances_all_schemes() {
+    snapshot_slow_arm_balances::<EbrScheme>();
+    snapshot_slow_arm_balances::<IbrScheme>();
+    snapshot_slow_arm_balances::<HpScheme>();
+    snapshot_slow_arm_balances::<HyalineScheme>();
 }
 
 #[test]

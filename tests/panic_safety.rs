@@ -10,12 +10,21 @@
 //! these tests also check that the skipped work is merely deferred, not
 //! lost: the next natural flush after `catch_unwind` drains it.
 
+//!
+//! The same holds one level up: a key whose `Ord::cmp` panics in the middle
+//! of a list traversal unwinds through live snapshots, and every hazard
+//! slot they held must come back.
+
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cdrc::{
-    AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme,
-    Scheme, SharedPtr,
+    AtomicSharedPtr, AtomicWeakPtr, CsGuard, DomainRef, EbrScheme, HpScheme, HyalineScheme,
+    IbrScheme, Scheme, SharedPtr,
 };
+use lockfree::rc::{RcHarrisMichaelList, RcResizableHashMap};
+use lockfree::ConcurrentMap;
 
 /// Drains a domain after the panic has been caught (single-threaded here,
 /// so exclusive access holds).
@@ -105,6 +114,93 @@ fn sections_reusable_after_panic<S: Scheme>() {
     assert_eq!(d.allocated(), d.freed());
 }
 
+thread_local! {
+    /// Comparisons left before [`TripKey`]'s `cmp` panics (`None` = never).
+    static FUSE: Cell<Option<u32>> = const { Cell::new(None) };
+}
+
+/// A key whose comparison panics when the calling thread's fuse runs out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct TripKey(u64);
+
+impl Ord for TripKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match FUSE.get() {
+            Some(0) => {
+                FUSE.set(None);
+                panic!("injected panic in Ord::cmp");
+            }
+            left => FUSE.set(left.map(|n| n - 1)),
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for TripKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Panics `K::cmp` at comparison `hop` of a `get_with`, an `insert_with`
+/// and a `remove_with`, repeatedly and under one guard (so leaked hazard
+/// slots would add up past what a thread owns): each unwind passes through
+/// the traversal's live snapshots. Afterwards the thread still owns every
+/// hazard slot, a fresh traversal works, and the domain balances.
+fn panic_in_cmp_mid_traversal<S, M>(make: impl FnOnce(DomainRef<S>) -> M, hop: u32)
+where
+    S: Scheme,
+    M: ConcurrentMap<TripKey, u64, Guard = CsGuard<S>>,
+{
+    const KEYS: u64 = 48;
+    let d: DomainRef<S> = DomainRef::new();
+    let map = make(d.clone());
+    for k in 0..KEYS {
+        assert!(map.insert(TripKey(k), k));
+    }
+    let target = TripKey(KEYS - 1);
+    let slots = S::default_config().hp_slots;
+    {
+        let guard = map.pin();
+        for _ in 0..slots {
+            let ops: [&dyn Fn(); 3] = [
+                &|| {
+                    map.get_with(&target, &guard);
+                },
+                &|| {
+                    map.insert_with(target, 0, &guard);
+                },
+                &|| {
+                    map.remove_with(&target, &guard);
+                },
+            ];
+            for op in ops {
+                FUSE.set(Some(hop));
+                let unwound = catch_unwind(AssertUnwindSafe(op));
+                assert!(unwound.is_err(), "the comparison must panic mid-traversal");
+            }
+        }
+        // Every hazard slot is free again: as many snapshots as a thread
+        // has slots all take the count-free path.
+        let cells: Vec<AtomicSharedPtr<u64, S>> = (0..slots as u64)
+            .map(|i| AtomicSharedPtr::new_in(SharedPtr::new_in(i, &d), &d))
+            .collect();
+        let snaps: Vec<_> = cells.iter().map(|c| c.get_snapshot(&guard)).collect();
+        assert!(
+            snaps.iter().all(|s| s.used_fast_path()),
+            "{}: a hazard slot leaked through an unwinding traversal",
+            <S as smr::AcquireRetire>::scheme_name()
+        );
+        drop(snaps);
+        assert_eq!(map.get_with(&target, &guard), Some(KEYS - 1));
+        assert!(map.remove_with(&target, &guard));
+        assert!(map.insert_with(target, 7, &guard));
+    }
+    drop(map);
+    drain(&d);
+    assert_eq!(d.allocated(), d.freed(), "garbage stranded by the unwinds");
+}
+
 macro_rules! scheme_tests {
     ($name:ident, $s:ty) => {
         mod $name {
@@ -123,6 +219,18 @@ macro_rules! scheme_tests {
             #[test]
             fn reusable_after() {
                 sections_reusable_after_panic::<$s>();
+            }
+
+            #[test]
+            fn cmp_panics_mid_list_traversal() {
+                panic_in_cmp_mid_traversal::<$s, _>(RcHarrisMichaelList::new_in, 20);
+            }
+
+            #[test]
+            fn cmp_panics_mid_map_traversal() {
+                // Split order compares hashes first: the key's own `cmp`
+                // runs once the walk reaches the key's node.
+                panic_in_cmp_mid_traversal::<$s, _>(RcResizableHashMap::new_in, 0);
             }
         }
     };
