@@ -196,18 +196,6 @@ pub fn run_map<M: ConcurrentMap<u64, u64>>(
 /// guard ([`ConcurrentMap::pin`]) every [`guard_batch`] operations (default
 /// 64, the paper's methodology), amortizing the scheme's per-critical-
 /// section fence while still letting reclamation proceed between batches.
-pub fn run_map_for<M: ConcurrentMap<u64, u64>>(
-    map: &M,
-    spec: &Workload,
-    threads: usize,
-    dur: Duration,
-) -> (f64, u64, u64) {
-    run_map_batched(map, spec, threads, dur, guard_batch())
-}
-
-/// As [`run_map_for`] with an explicit guard batch size (`batch` = 1 means
-/// one critical section per operation — the guard-free wrappers' cost —
-/// which the guard-API micro-benchmark compares against larger batches).
 ///
 /// The map must already be prefilled with `spec.initial_size` keys. The
 /// "extra nodes" samples read the structure's own
@@ -222,14 +210,13 @@ pub fn run_map_for<M: ConcurrentMap<u64, u64>>(
 /// scheme's global default domain still share that domain's counter —
 /// build them with the `new_in`/`with_buckets_in` constructors for
 /// isolation.)
-pub fn run_map_batched<M: ConcurrentMap<u64, u64>>(
+pub fn run_map_for<M: ConcurrentMap<u64, u64>>(
     map: &M,
     spec: &Workload,
     threads: usize,
     dur: Duration,
-    batch: usize,
 ) -> (f64, u64, u64) {
-    let batch = batch.max(1);
+    let batch = guard_batch();
     let stop = AtomicBool::new(false);
     let total_ops = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
@@ -310,21 +297,12 @@ pub fn run_queue<Q: ConcurrentQueue<u64>>(queue: &Q, threads: usize) -> f64 {
 /// second").
 ///
 /// Workers re-acquire an operation guard ([`ConcurrentQueue::pin`]) every
-/// [`guard_batch`] operations, as in [`run_map_for`].
+/// [`guard_batch`] operations (each pop+push pair is two), as in
+/// [`run_map_for`]. A batch of 1 drives the guard-free wrappers directly —
+/// one critical section per *operation*, two per pair — so it is a faithful
+/// baseline for what unbatched callers pay.
 pub fn run_queue_for<Q: ConcurrentQueue<u64>>(queue: &Q, threads: usize, dur: Duration) -> f64 {
-    run_queue_batched(queue, threads, dur, guard_batch())
-}
-
-/// As [`run_queue_for`] with an explicit guard batch size (in operations;
-/// each pop+push pair is two). `batch <= 1` drives the guard-free wrappers
-/// directly — one critical section per *operation*, two per pair — so it is
-/// a faithful baseline for what unbatched callers pay.
-pub fn run_queue_batched<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    threads: usize,
-    dur: Duration,
-    batch: usize,
-) -> f64 {
+    let batch = guard_batch();
     for i in 0..threads as u64 {
         queue.enqueue(i);
     }
@@ -575,7 +553,7 @@ pub fn run_service<M: ConcurrentMap<u64, u64>>(
 ///
 /// The map is prefilled here (every key present, so the steady state is
 /// hit-dominated), and the garbage samples subtract the post-prefill
-/// baseline, as in [`run_map_batched`]. Worker loops are guard-batched per
+/// baseline, as in [`run_map_for`]. Worker loops are guard-batched per
 /// [`guard_batch`], but latency brackets each *operation*, not the batch.
 pub fn run_service_for<M: ConcurrentMap<u64, u64>>(
     map: &M,
@@ -636,7 +614,7 @@ pub fn run_service_for<M: ConcurrentMap<u64, u64>>(
                 })
             })
             .collect();
-        // Sampler doubles as the timer, as in `run_map_batched`.
+        // Sampler doubles as the timer, as in `run_map_for`.
         barrier.wait();
         let started = Instant::now();
         let tick = Duration::from_millis(sample_millis());
@@ -708,7 +686,7 @@ pub struct AdversaryOutcome {
 /// reclaimed through the registry reaper chain. Writers run until `total`.
 ///
 /// The map is prefilled here ([`prefill`]); samples subtract the
-/// post-prefill baseline as in [`run_map_batched`]. Faults are
+/// post-prefill baseline as in [`run_map_for`]. Faults are
 /// process-global, so concurrent `run_adversarial` calls panic in
 /// [`smr::fault::arm`] — run cells sequentially.
 ///

@@ -1,70 +1,31 @@
-//! Epoch-based reclamation (EBR) behind the generalized acquire-retire
-//! interface — the paper's Figure 3.
-//!
-//! A thread entering a critical section announces the current epoch; a
-//! retired pointer is tagged with the epoch at retirement and becomes
-//! ejectable once every announced epoch is strictly greater. The epoch
-//! advances every `epoch_freq` allocations (per thread), the paper's tuned
-//! value being 10 for EBR.
-//!
-//! As a protected-region scheme, `acquire` is a plain load, `release` is a
-//! no-op and `try_acquire` never fails — all the protection comes from the
-//! critical section, which is why EBR pays one fence per *operation* rather
-//! than one per *read* (§2).
+//! EBR's protection policy (paper Fig. 3) and the [`Ebr`] alias.
 
-use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
-use crate::util::{announce_u64, CachePadded};
-use crate::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
-use crate::{THROTTLE_ROUNDS, THROTTLE_SLEEP};
-
-use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use crate::engine::{eject_unless, Engine, Local, Protection, Slot};
+use crate::registry::Tid;
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::util::announce_u64;
 
 /// Announcement value meaning "not in a critical section".
 const EMPTY: u64 = u64::MAX;
 
-struct Local {
-    /// Retired entries tagged with their retirement epoch.
-    retired: Vec<(Retired, u64)>,
-    /// Entries whose protection has lapsed, ready for `eject`.
-    ready: VecDeque<Retired>,
-    /// Allocations since registration (drives epoch advancement).
-    allocs: u64,
-    /// Critical-section nesting depth.
-    depth: u32,
-    /// Retired-list length at which the next automatic scan fires. Spacing
-    /// scans a full `eject_threshold` apart (instead of re-scanning on every
-    /// retire once the list is long) keeps the cost amortized even when an
-    /// open section — often the retiring thread's own — pins every entry:
-    /// without the spacing, a pinned list ≥ threshold degenerates to one
-    /// whole-slot-array scan plus list rebuild *per retire* (the
-    /// `guard_api/dlqueue/EBR/batch64` inversion).
-    next_scan: usize,
-}
+/// EBR's protection rule: announce the epoch a section began in; an entry
+/// retired in epoch `e` may go once every announced epoch exceeds `e`.
+#[derive(Debug)]
+pub struct Epochs;
 
-impl Local {
-    const fn new() -> Self {
-        Local {
-            retired: Vec::new(),
-            ready: VecDeque::new(),
-            allocs: 0,
-            depth: 0,
-            next_scan: 0,
-        }
-    }
-}
-
-struct Slot {
-    /// The epoch announced by this slot's thread, or [`EMPTY`].
-    ann: AtomicU64,
-    /// Thread-local part; see the safety invariant on [`Ebr`].
-    local: UnsafeCell<Local>,
-}
-
-/// Epoch-based reclamation instance.
+/// Epoch-based reclamation (EBR) behind the generalized acquire-retire
+/// interface — the paper's Figure 3.
+///
+/// A thread entering a critical section announces the current epoch; a
+/// retired pointer is tagged with the epoch at retirement and becomes
+/// ejectable once every announced epoch is strictly greater. The epoch
+/// advances every `epoch_freq` allocations (per thread), the paper's tuned
+/// value being 10 for EBR.
+///
+/// As a protected-region scheme, `acquire` is a plain load, `release` is a
+/// no-op and `try_acquire` never fails — all the protection comes from the
+/// critical section, which is why EBR pays one fence per *operation* rather
+/// than one per *read* (§2).
 ///
 /// # Examples
 ///
@@ -83,82 +44,11 @@ struct Slot {
 /// ebr.release(t, guard);
 /// ebr.end_critical_section(t);
 /// ```
-//
-// Safety invariant: `Slot::local` is only accessed by the thread whose `Tid`
-// indexes that slot, except under `drain_all`'s exclusivity contract. The
-// `ann` field is read by all threads during scans.
-pub struct Ebr {
-    clock: Arc<GlobalEpoch>,
-    cfg: SmrConfig,
-    slots: Box<[CachePadded<Slot>]>,
-    exit_hook: OnceLock<ExitHook>,
-}
+pub type Ebr = Engine<Epochs>;
 
-unsafe impl Send for Ebr {}
-unsafe impl Sync for Ebr {}
-
-impl Ebr {
-    #[inline]
-    fn local(&self, t: Tid) -> *mut Local {
-        self.slots[t.index()].local.get()
-    }
-
-    /// Bounded retire-side backpressure (the `max_garbage` escape hatch):
-    /// scan and briefly sleep until the retired list drops under the
-    /// watermark or the round budget runs out. Only ever called with
-    /// `depth == 0` — sleeping inside the caller's own section would
-    /// self-deadlock the watermark (its own announcement pins the garbage).
-    #[cold]
-    fn throttle(&self, local: &mut Local, cap: usize) {
-        for _ in 0..THROTTLE_ROUNDS {
-            std::thread::sleep(THROTTLE_SLEEP);
-            self.scan(local);
-            if local.retired.len() < cap {
-                return;
-            }
-        }
-    }
-
-    /// Moves every retired entry whose epoch precedes all announcements into
-    /// the ready queue. Allocation-free: the retired list is retained in
-    /// place rather than rebuilt.
-    fn scan(&self, local: &mut Local) {
-        crate::fault::on_scan();
-        // Ordering: fence(SeqCst) — pairs with the fence in
-        // `begin_critical_section`. For any reader, one of the two fences is
-        // first in the SeqCst total order: if the reader's is, our
-        // announcement loads below must observe its announcement (stored
-        // before its fence) and we keep its epoch's entries; if ours is, the
-        // reader's post-fence pointer loads observe every unlink that
-        // preceded this fence, so it cannot reach anything we eject.
-        fence(Ordering::SeqCst);
-        let mut min_ann = u64::MAX;
-        for slot in self.slots.iter().take(registered_high_water_mark()) {
-            // Ordering: Relaxed — safety rests entirely on the fence
-            // pairing above, in both staleness directions: reading an old
-            // *epoch* (smaller) only lowers `min_ann` and keeps entries
-            // longer, and missing a live announcement (reading a stale
-            // EMPTY) is exactly the "announcer fenced after us" case — that
-            // reader's post-fence traversal observes every unlink preceding
-            // this scan, so nothing we eject is reachable to it.
-            min_ann = min_ann.min(slot.ann.load(Ordering::Relaxed));
-        }
-        let Local { retired, ready, .. } = local;
-        retired.retain(|&(r, epoch)| {
-            if epoch < min_ann {
-                ready.push_back(r);
-                false
-            } else {
-                true
-            }
-        });
-        local.next_scan = local.retired.len() + self.cfg.eject_threshold;
-    }
-}
-
-unsafe impl AcquireRetire for Ebr {
-    type Guard = ();
-
+impl Protection for Epochs {
+    const NAME: &'static str = "EBR";
+    const PROTECTS_REGIONS: bool = true;
     /// A retire issued while any section is active stamps an epoch ≥ that
     /// section's announcement (the clock is monotone and the stamp is read
     /// after the unlink), so it cannot eject until the section ends —
@@ -166,218 +56,99 @@ unsafe impl AcquireRetire for Ebr {
     /// whatever the pointee's birth epoch.
     const PROTECTS_SECTION_READS: bool = true;
 
-    fn new(clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    ann: AtomicU64::new(EMPTY),
-                    local: UnsafeCell::new(Local::new()),
-                })
-            })
-            .collect();
-        Ebr {
-            clock,
-            cfg: config,
-            slots,
-            exit_hook: OnceLock::new(),
-        }
+    /// The epoch announced by the slot's thread, or [`EMPTY`].
+    type Ann = AtomicU64;
+    type Guard = ();
+    /// The epoch at retirement.
+    type Stamp = u64;
+    type Local = ();
+    type Shared = ();
+
+    fn ann() -> AtomicU64 {
+        AtomicU64::new(EMPTY)
     }
 
-    fn default_config() -> SmrConfig {
-        SmrConfig {
-            epoch_freq: 10,
-            ..SmrConfig::default()
-        }
-    }
+    fn local(_: &crate::SmrConfig) {}
 
-    fn scheme_name() -> &'static str {
-        "EBR"
+    #[inline]
+    fn enter(eng: &Engine<Self>, ann: &AtomicU64, _: &mut Local<Self>) {
+        // The one full fence EBR pays per outermost section (§2's "one
+        // fence per operation"): `announce_u64` stores the epoch and
+        // fences so the announcement is visible before every protected
+        // read of the section; pairs with the fence at the head of the
+        // frame's `sweep` (a scanner that misses this announcement fenced
+        // *before* us, so our reads see all of its unlinks).
+        announce_u64(ann, eng.clock.load());
     }
 
     #[inline]
-    fn begin_critical_section(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        local.depth += 1;
-        if local.depth == 1 {
-            // The one full fence EBR pays per outermost section (§2's "one
-            // fence per operation"): `announce_u64` stores the epoch and
-            // fences so the announcement is visible before every protected
-            // read of the section; pairs with the fence at the head of
-            // `scan` (a scanner that misses this announcement fenced
-            // *before* us, so our reads see all of its unlinks).
-            announce_u64(&self.slots[t.index()].ann, self.clock.load());
-            beat(t);
-            crate::fault::on_section_entry(t);
-            // Sanitizer shadow: EBR sections protect every read
-            // (PROTECTS_SECTION_READS), so no per-acquire tokens are needed.
-            crate::sanitize::section_enter(self as *const Self as usize, t, true);
-        }
+    fn leave(_: &Engine<Self>, ann: &AtomicU64, _: &mut Local<Self>) {
+        // Ordering: Release — every protected read of the section is
+        // sequenced before this store and cannot sink below it, so a
+        // scanner that sees EMPTY knows the section's reads are done.
+        ann.store(EMPTY, Ordering::Release);
+    }
+
+    fn idle(_: &Engine<Self>, ann: &AtomicU64) -> bool {
+        // Ordering: Relaxed — safety rests on the sweep's fence pairing,
+        // exactly as in `reclaim`.
+        ann.load(Ordering::Relaxed) == EMPTY
     }
 
     #[inline]
-    fn end_critical_section(&self, t: Tid) {
-        // Scoped: the hook below may re-enter `retire`/`eject`, which take
-        // their own `&mut Local` — the borrow must be dead by then.
-        let outermost = {
-            let local = unsafe { &mut *self.local(t) };
-            debug_assert!(local.depth > 0, "end_critical_section without begin");
-            local.depth -= 1;
-            local.depth == 0
-        };
-        if outermost {
-            // Ordering: Release — every protected read of the section is
-            // sequenced before this store and cannot sink below it, so a
-            // scanner that sees EMPTY knows the section's reads are done.
-            self.slots[t.index()].ann.store(EMPTY, Ordering::Release);
-            beat(t);
-            crate::sanitize::section_exit(self as *const Self as usize, t);
-            // Section fully exited: anything the hook retires from here is
-            // stamped with a fresh epoch, which only widens protection.
-            if let Some(h) = self.exit_hook.get() {
-                h.invoke(t);
-            }
-        }
-    }
-
-    fn set_exit_hook(&self, hook: ExitHook) {
-        let _ = self.exit_hook.set(hook);
+    fn acquire(_: &Engine<Self>, _: Tid, slot: &Slot<Self>, src: &AtomicUsize) -> (usize, ()) {
+        (Engine::region_load(slot, src), ())
     }
 
     #[inline]
-    fn birth_epoch(&self, t: Tid) -> u64 {
-        let local = unsafe { &mut *self.local(t) };
-        // Counted up to `epoch_freq` and reset, rather than `allocs %
-        // epoch_freq`: this runs once per allocation and the modulo is an
-        // integer division on the hot path.
-        local.allocs += 1;
-        if local.allocs >= self.cfg.epoch_freq {
-            local.allocs = 0;
-            self.clock.advance();
-        }
+    fn birth(eng: &Engine<Self>, t: Tid) -> u64 {
+        eng.tick(t);
         0
     }
 
     #[inline]
-    fn acquire(&self, t: Tid, src: &AtomicUsize) -> (usize, Self::Guard) {
-        debug_assert!(
-            unsafe { &*self.local(t) }.depth > 0,
-            "acquire outside critical section"
-        );
-        // Ordering: Acquire — pairs with the Release store/CAS that
-        // published the pointee, making its initialized contents visible to
-        // the dereferencing caller. Protection against reclamation comes
-        // from the section's announcement fence, not from this load.
-        (src.load(Ordering::Acquire), ())
+    fn stamp(eng: &Engine<Self>) -> u64 {
+        eng.clock.load()
     }
 
-    #[inline]
-    fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, Self::Guard)> {
-        Some(self.acquire(t, src))
+    /// Moves every retired entry whose epoch precedes all announcements
+    /// into the ready queue.
+    fn reclaim(eng: &Engine<Self>, local: &mut Local<Self>) {
+        let mut min_ann = EMPTY;
+        eng.survey(|ann| {
+            // Ordering: Relaxed — safety rests entirely on the sweep's
+            // fence pairing, in both staleness directions: reading an old
+            // *epoch* (smaller) only lowers `min_ann` and keeps entries
+            // longer, and missing a live announcement (reading a stale
+            // EMPTY) is exactly the "announcer fenced after us" case — that
+            // reader's post-fence traversal observes every unlink preceding
+            // this scan, so nothing we eject is reachable to it.
+            min_ann = min_ann.min(ann.load(Ordering::Relaxed));
+        });
+        eject_unless(&mut local.retired, &mut local.ready, |_, epoch| {
+            epoch >= min_ann
+        });
     }
 
-    #[inline]
-    fn release(&self, _t: Tid, _guard: Self::Guard) {}
-
-    fn retire(&self, t: Tid, r: Retired) {
-        let local = unsafe { &mut *self.local(t) };
-        local.retired.push((r, self.clock.load()));
-        // Scan only once a full threshold of retires has accumulated since
-        // the last scan (see `Local::next_scan`), never on every retire.
-        if local.retired.len() >= self.cfg.eject_threshold.max(local.next_scan) {
-            self.scan(local);
+    /// Bounded retire-side backpressure: over the watermark and outside any
+    /// section (sleeping inside the caller's own would self-deadlock the
+    /// watermark: its own announcement pins the garbage), scan and briefly
+    /// sleep until the retired list drops under it or the budget runs out.
+    fn over_watermark(eng: &Engine<Self>, local: &mut Local<Self>, cap: usize) {
+        if local.retired.len() >= cap && local.depth == 0 {
+            eng.throttle(|| {
+                eng.scan(local);
+                local.retired.len() < cap
+            });
         }
-        // Escape hatch: over the watermark and outside any section, apply
-        // bounded backpressure so a stalled reader elsewhere caps this
-        // thread's garbage instead of pinning an ever-growing list.
-        if let Some(cap) = self.cfg.max_garbage {
-            if local.retired.len() >= cap && local.depth == 0 {
-                self.throttle(local, cap);
-            }
-        }
-    }
-
-    #[inline]
-    fn eject(&self, t: Tid) -> Option<Retired> {
-        let local = unsafe { &mut *self.local(t) };
-        local.ready.pop_front()
-    }
-
-    #[inline]
-    fn has_ready(&self, t: Tid) -> bool {
-        !unsafe { &*self.local(t) }.ready.is_empty()
-    }
-
-    fn quiescent(&self) -> bool {
-        // Ordering: fence(SeqCst) — the same pairing as `scan`'s, in the
-        // degenerate min-over-empty-set case: any announcement we miss
-        // below was fenced after us, so that section's post-fence reads
-        // observe every unlink that preceded this call and it cannot
-        // reach anything the caller hands back.
-        fence(Ordering::SeqCst);
-        self.slots
-            .iter()
-            .take(registered_high_water_mark())
-            // Ordering: Relaxed — safety rests on the fence pairing above,
-            // exactly as in `scan`.
-            .all(|slot| slot.ann.load(Ordering::Relaxed) == EMPTY)
-    }
-
-    fn flush(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        self.scan(local);
-    }
-
-    unsafe fn drain_all(&self) -> Vec<Retired> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let local = &mut *slot.local.get();
-            out.extend(local.retired.drain(..).map(|(r, _)| r));
-            out.extend(local.ready.drain(..));
-        }
-        out
-    }
-
-    unsafe fn reclaim_slot(&self, dead: Tid, into: Tid) {
-        debug_assert_ne!(dead, into, "cannot reclaim a slot into itself");
-        // Exclusive access to the dead slot's local state is the caller's
-        // contract (the owner terminated; the abandon/join edge published
-        // its writes).
-        let (retired, ready) = {
-            let dead_local = &mut *self.local(dead);
-            dead_local.depth = 0;
-            dead_local.allocs = 0;
-            dead_local.next_scan = 0;
-            (
-                std::mem::take(&mut dead_local.retired),
-                std::mem::take(&mut dead_local.ready),
-            )
-        };
-        // Ordering: Release — force-close the dead section. Scanners that
-        // now read EMPTY may eject entries the dead announcement pinned;
-        // that is sound precisely because the owner is dead: no post-fence
-        // reads of its section can ever execute.
-        self.slots[dead.index()].ann.store(EMPTY, Ordering::Release);
-        // Migrate the orphaned deferred state into the caller's slot so its
-        // scans (rather than the slot's eventual next owner) drain it.
-        let local = &mut *self.local(into);
-        local.retired.extend(retired);
-        local.ready.extend(ready);
-        self.scan(local);
-    }
-}
-
-impl fmt::Debug for Ebr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ebr")
-            .field("epoch", &self.clock.load())
-            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::current_tid;
+    use crate::{current_tid, AcquireRetire, GlobalEpoch, Retired, SmrConfig};
+    use std::sync::Arc;
 
     fn new_ebr() -> Ebr {
         Ebr::new(Arc::new(GlobalEpoch::new()), Ebr::default_config())
@@ -502,19 +273,6 @@ mod tests {
             ebr.birth_epoch(t);
         }
         assert_eq!(clock.load(), 2);
-    }
-
-    #[test]
-    fn drain_all_recovers_everything() {
-        let ebr = new_ebr();
-        let t = current_tid();
-        ebr.begin_critical_section(t);
-        ebr.retire(t, Retired::new(0x5000, 0));
-        ebr.retire(t, Retired::new(0x6000, 0));
-        ebr.end_critical_section(t);
-        let drained = unsafe { ebr.drain_all() };
-        assert_eq!(drained.len(), 2);
-        assert_eq!(unsafe { ebr.drain_all() }.len(), 0);
     }
 
     #[test]

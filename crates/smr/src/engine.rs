@@ -1,0 +1,520 @@
+//! The one engine frame behind all four schemes.
+//!
+//! The generalized acquire-retire interface (paper Fig. 2) exists so that
+//! schemes differ only in *what they announce*, *what a retire is stamped
+//! with* and *when an entry may be ejected* (Fig. 3 EBR, Fig. 4 IBR, §3.2
+//! HP). [`Engine`] owns everything else exactly once — per-thread slots,
+//! section nesting, heartbeats, the fault and sanitizer checkpoints, the
+//! exit hook, allocation counting, the retire list and its
+//! threshold-spaced scans, the fence-then-sweep skeleton, the ready queue,
+//! draining and dead-slot recovery — and a crate-private `Protection`
+//! policy supplies the protection rule. `smr::{Ebr, Ibr, Hp, Hyaline}` are
+//! aliases of `Engine<policy>`; the crate docs' "Adding a scheme" table
+//! lists what a policy owes.
+
+use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
+use crate::sync::atomic::{fence, AtomicUsize, Ordering};
+use crate::util::CachePadded;
+use crate::{fault, sanitize, AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
+
+use std::cell::UnsafeCell;
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Rounds of sleep-then-recheck the [`SmrConfig::max_garbage`] backpressure
+/// loop runs before giving up. Bounded so an over-watermark `retire` slows
+/// to a crawl but never blocks forever (the watermark is a *soft* cap:
+/// liveness is preserved even when the stalled reader never wakes).
+const THROTTLE_ROUNDS: u32 = 20;
+
+/// Sleep per backpressure round (see [`THROTTLE_ROUNDS`]).
+const THROTTLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(100);
+
+/// Where one scheme's protection rule differs from the others'. Everything
+/// a policy is handed (`eng`, an announcement, a [`Local`]) comes from the
+/// frame, which has already established whose slot it is.
+//
+// `pub` in a private module, and not re-exported: the frame's public
+// `AcquireRetire` impl projects `P::Guard`, and consumers hold values of
+// type `Engine<policy>`, so the compiler requires this trait, the policy
+// types and the types in these signatures to be nominally public (E0446,
+// type privacy) — but none of them can be named, implemented or called
+// from outside the crate.
+pub trait Protection: Sized + 'static {
+    /// [`AcquireRetire::scheme_name`].
+    const NAME: &'static str;
+    /// [`AcquireRetire::PROTECTS_REGIONS`].
+    const PROTECTS_REGIONS: bool;
+    /// [`AcquireRetire::PROTECTS_SECTION_READS`]; also what the sanitizer's
+    /// section shadow is told.
+    const PROTECTS_SECTION_READS: bool;
+
+    /// One slot's announcement word(s): written by the owner, read by every
+    /// scanning thread.
+    type Ann: Send + Sync;
+    /// [`AcquireRetire::Guard`].
+    type Guard: Copy + fmt::Debug + Send;
+    /// What a retire records next to the pointer.
+    type Stamp: Copy + Send;
+    /// Owner-only per-slot state beyond the frame's [`Local`].
+    type Local: Send;
+    /// Instance-wide state beyond the frame's.
+    type Shared: Default + Send + Sync;
+
+    /// The scheme's preferred tuning (paper §5.1 values).
+    fn default_config() -> SmrConfig {
+        SmrConfig::default()
+    }
+    /// An announcement protecting nothing.
+    fn ann() -> Self::Ann;
+    /// The owner-only state of a slot nobody has used.
+    fn local(cfg: &SmrConfig) -> Self::Local;
+
+    /// Outermost section entry: publish the announcement, *fenced* before
+    /// any protected read that follows.
+    fn enter(eng: &Engine<Self>, ann: &Self::Ann, local: &mut Local<Self>);
+    /// Outermost section exit: withdraw it; the section's reads must not
+    /// sink below.
+    fn leave(eng: &Engine<Self>, ann: &Self::Ann, local: &mut Local<Self>);
+    /// Whether `ann` protects nothing right now.
+    fn idle(eng: &Engine<Self>, ann: &Self::Ann) -> bool;
+    /// Withdraws a *dead* owner's announcement, claiming whatever that
+    /// frees into `into`. A region scheme leaves on the dead thread's
+    /// behalf, which is the default.
+    ///
+    /// # Safety
+    ///
+    /// The owner of `ann`'s slot has terminated (or the caller has
+    /// `drain_all`'s exclusivity), and `into` is the caller's own.
+    unsafe fn force_close(eng: &Engine<Self>, ann: &Self::Ann, into: &mut Local<Self>) {
+        Self::leave(eng, ann, into)
+    }
+
+    /// [`AcquireRetire::acquire`] on the caller's own `slot`.
+    fn acquire(
+        eng: &Engine<Self>,
+        t: Tid,
+        slot: &Slot<Self>,
+        src: &AtomicUsize,
+    ) -> (usize, Self::Guard);
+    /// [`AcquireRetire::try_acquire`]; total unless guards are a resource.
+    #[inline]
+    fn try_acquire(
+        eng: &Engine<Self>,
+        t: Tid,
+        slot: &Slot<Self>,
+        src: &AtomicUsize,
+    ) -> Option<(usize, Self::Guard)> {
+        Some(Self::acquire(eng, t, slot, src))
+    }
+    /// [`AcquireRetire::release`]; nothing unless guards are a resource.
+    #[inline]
+    fn release(_eng: &Engine<Self>, _t: Tid, _slot: &Slot<Self>, _guard: Self::Guard) {}
+
+    /// The birth epoch of an object allocated now; epoch schemes call
+    /// [`Engine::tick`] first.
+    #[inline]
+    fn birth(_eng: &Engine<Self>, _t: Tid) -> u64 {
+        0
+    }
+    /// The stamp of a retire issued now.
+    fn stamp(eng: &Engine<Self>) -> Self::Stamp;
+    /// Retired-list length that triggers a scan (and spaces the next one).
+    fn scan_threshold(eng: &Engine<Self>) -> usize {
+        eng.cfg.eject_threshold
+    }
+    /// Moves retired entries that no announcement protects on to
+    /// `local.ready` — and never one that is protected. Scan schemes
+    /// [`Engine::survey`] the announcements and then [`eject_unless`].
+    fn reclaim(eng: &Engine<Self>, local: &mut Local<Self>);
+    /// The scheme's [`SmrConfig::max_garbage`] arm, run after every retire
+    /// while a watermark is set.
+    fn over_watermark(_eng: &Engine<Self>, _local: &mut Local<Self>, _cap: usize) {}
+    /// Brings home entries parked outside the slot-local lists.
+    ///
+    /// # Safety
+    ///
+    /// `drain_all`'s exclusivity.
+    unsafe fn recall(_eng: &Engine<Self>) {}
+}
+
+/// The owner-only part of a slot.
+#[allow(missing_debug_implementations)] // unnameable; see `Protection`
+pub struct Local<P: Protection> {
+    /// Retired entries awaiting a scan, with the stamp of their retire.
+    pub(crate) retired: Vec<(Retired, P::Stamp)>,
+    /// Entries whose protection has lapsed, ready for `eject`.
+    pub(crate) ready: VecDeque<Retired>,
+    /// Critical-section nesting depth.
+    pub(crate) depth: u32,
+    /// Allocations since the last clock advance (see [`Engine::tick`]).
+    allocs: u64,
+    /// Retired-list length at which the next automatic scan fires. Spacing
+    /// scans a full threshold past the previous scan's survivors (instead
+    /// of re-scanning on every retire once the list is long) keeps the cost
+    /// amortized even when an open section — often the retiring thread's
+    /// own — pins every entry: without the spacing, a pinned list ≥
+    /// threshold degenerates to one whole-slot-array scan plus list rebuild
+    /// *per retire*.
+    next_scan: usize,
+    /// The policy's own owner-only state.
+    pub(crate) own: P::Local,
+}
+
+impl<P: Protection> Local<P> {
+    /// The state of a slot nobody has used.
+    fn new(cfg: &SmrConfig) -> Self {
+        Local {
+            retired: Vec::new(),
+            ready: VecDeque::new(),
+            depth: 0,
+            allocs: 0,
+            next_scan: 0,
+            own: P::local(cfg),
+        }
+    }
+}
+
+/// One thread's announcement and bookkeeping, inline in one `CachePadded`
+/// block: no part shares a 128-byte line with a neighbouring thread's.
+#[allow(missing_debug_implementations)] // unnameable; see `Protection`
+pub struct Slot<P: Protection> {
+    pub(crate) ann: P::Ann,
+    pub(crate) local: UnsafeCell<Local<P>>,
+}
+
+/// One instance of a reclamation scheme: the frame every scheme shares,
+/// parameterized by the (crate-private) protection policy. Use it through
+/// the aliases [`Ebr`](crate::Ebr), [`Ibr`](crate::Ibr), [`Hp`](crate::Hp)
+/// and [`Hyaline`](crate::Hyaline) and the [`AcquireRetire`] trait.
+//
+// Safety invariant: `Slot::local` is only accessed by the thread whose
+// `Tid` indexes that slot — except under `drain_all`'s exclusivity and
+// `reclaim_slot`'s dead-owner contract. `Slot::ann` is written by the owner
+// (and by whoever a policy documents) and read by all threads during scans.
+// Every `unsafe` dereference of a `local` below leans on this.
+pub struct Engine<P: Protection> {
+    pub(crate) clock: Arc<GlobalEpoch>,
+    pub(crate) cfg: SmrConfig,
+    pub(crate) shared: P::Shared,
+    pub(crate) slots: Box<[CachePadded<Slot<P>>; MAX_THREADS]>,
+    exit_hook: OnceLock<ExitHook>,
+}
+
+// SAFETY: `clock`, `cfg`, `shared`, `exit_hook` and every `Slot::ann` are
+// `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the frame
+// invariant above gives each `Local` a single accessing thread at a time,
+// and `Local` is `Send` (its policy parts by bound), so handing a slot from
+// an exited thread to its successor is sound.
+unsafe impl<P: Protection> Sync for Engine<P> {}
+
+/// Retains in place the entries `keep` holds on to and queues the rest for
+/// `eject`; allocation-free on the retired list.
+pub(crate) fn eject_unless<S: Copy>(
+    retired: &mut Vec<(Retired, S)>,
+    ready: &mut VecDeque<Retired>,
+    mut keep: impl FnMut(&Retired, S) -> bool,
+) {
+    retired.retain(|&(r, stamp)| {
+        let kept = keep(&r, stamp);
+        if !kept {
+            ready.push_back(r);
+        }
+        kept
+    });
+}
+
+impl<P: Protection> Engine<P> {
+    #[inline(always)]
+    fn slot(&self, t: Tid) -> &Slot<P> {
+        &self.slots[t.index()]
+    }
+
+    /// Slot `t`'s owner-only state.
+    ///
+    /// # Safety
+    ///
+    /// The caller is slot `t`'s owner under the frame invariant and lets no
+    /// two of these borrows overlap.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn own(&self, t: Tid) -> &mut Local<P> {
+        &mut *self.slot(t).local.get()
+    }
+
+    /// This instance's key in the sanitizer's shadow tables.
+    #[inline(always)]
+    pub(crate) fn id(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    /// The fence-then-sweep skeleton under every scan and `quiescent`.
+    pub(crate) fn sweep(&self) -> impl Iterator<Item = &P::Ann> {
+        // Ordering: fence(SeqCst) — pairs with the announcement fence each
+        // policy pays (`enter` for region schemes, and again wherever an
+        // `acquire` widens or publishes an announcement). For any reader,
+        // one of the two fences is first in the SeqCst total order: if the
+        // reader's is, the announcement loads of this sweep must observe
+        // its announcement (stored before its fence) and the scan keeps
+        // what it protects; if ours is, the reader's post-fence loads —
+        // its protected reads, or its validating re-read — observe every
+        // unlink that preceded this fence, so it cannot reach (or will
+        // reject) anything the caller goes on to eject or hand back. With
+        // no entry to keep this degenerates to `quiescent`'s check.
+        fence(Ordering::SeqCst);
+        self.slots
+            .iter()
+            .take(registered_high_water_mark())
+            .map(|slot| &slot.ann)
+    }
+
+    /// The head of a scan: the fault checkpoint, then `observe` over the
+    /// [`sweep`](Self::sweep).
+    pub(crate) fn survey(&self, observe: impl FnMut(&P::Ann)) {
+        fault::on_scan();
+        self.sweep().for_each(observe);
+    }
+
+    /// Runs the policy's reclaim step and spaces the next automatic one.
+    pub(crate) fn scan(&self, local: &mut Local<P>) {
+        P::reclaim(self, local);
+        local.next_scan = local.retired.len() + P::scan_threshold(self);
+    }
+
+    /// Counts an allocation by slot `t`'s owner and advances the clock every
+    /// `epoch_freq` of them. Counted up and reset, rather than `allocs %
+    /// epoch_freq`: this runs once per allocation and the modulo is an
+    /// integer division on the hot path.
+    #[inline]
+    pub(crate) fn tick(&self, t: Tid) {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { self.own(t) };
+        local.allocs += 1;
+        if local.allocs >= self.cfg.epoch_freq {
+            local.allocs = 0;
+            self.clock.advance();
+        }
+    }
+
+    /// A protected-region `acquire`: the section's announcement is the
+    /// protection, so the hop is a load.
+    #[inline]
+    pub(crate) fn region_load(slot: &Slot<P>, src: &AtomicUsize) -> usize {
+        debug_assert!(
+            // SAFETY: `slot` is the caller's own (frame invariant).
+            unsafe { &*slot.local.get() }.depth > 0,
+            "acquire outside critical section"
+        );
+        // Ordering: Acquire — pairs with the Release store/CAS that
+        // published the pointee, making its initialized contents visible to
+        // the dereferencing caller. Protection against reclamation comes
+        // from the section's announcement fence, not from this load.
+        src.load(Ordering::Acquire)
+    }
+
+    /// Bounded retire-side backpressure (the `max_garbage` escape hatch):
+    /// sleep in short rounds until `relieved` or the round budget runs out.
+    /// Only ever called with `depth == 0` — sleeping inside the caller's
+    /// own section would pin the very garbage being waited on.
+    #[cold]
+    pub(crate) fn throttle(&self, mut relieved: impl FnMut() -> bool) {
+        for _ in 0..THROTTLE_ROUNDS {
+            std::thread::sleep(THROTTLE_SLEEP);
+            if relieved() {
+                return;
+            }
+        }
+    }
+}
+
+unsafe impl<P: Protection> AcquireRetire for Engine<P> {
+    type Guard = P::Guard;
+
+    const PROTECTS_REGIONS: bool = P::PROTECTS_REGIONS;
+    const PROTECTS_SECTION_READS: bool = P::PROTECTS_SECTION_READS;
+
+    fn new(clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self {
+        let slots: Box<[_]> = (0..MAX_THREADS)
+            .map(|_| {
+                CachePadded::new(Slot {
+                    ann: P::ann(),
+                    local: UnsafeCell::new(Local::new(&config)),
+                })
+            })
+            .collect();
+        Engine {
+            clock,
+            cfg: config,
+            shared: P::Shared::default(),
+            slots: slots.try_into().ok().expect("MAX_THREADS slots collected"),
+            exit_hook: OnceLock::new(),
+        }
+    }
+
+    fn default_config() -> SmrConfig {
+        P::default_config()
+    }
+
+    fn scheme_name() -> &'static str {
+        P::NAME
+    }
+
+    #[inline]
+    fn begin_critical_section(&self, t: Tid) {
+        let slot = self.slot(t);
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { &mut *slot.local.get() };
+        local.depth += 1;
+        if local.depth == 1 {
+            P::enter(self, &slot.ann, local);
+            beat(t);
+            fault::on_section_entry(t);
+            sanitize::section_enter(self.id(), t, P::PROTECTS_SECTION_READS);
+        }
+    }
+
+    #[inline]
+    fn end_critical_section(&self, t: Tid) {
+        // Scoped: the hook below may re-enter `retire`/`eject`, which take
+        // their own `&mut Local` — the borrow must be dead by then.
+        let outermost = {
+            let slot = self.slot(t);
+            // SAFETY: `t` is the calling thread's slot (proper use).
+            let local = unsafe { &mut *slot.local.get() };
+            debug_assert!(local.depth > 0, "end_critical_section without begin");
+            local.depth -= 1;
+            let outermost = local.depth == 0;
+            if outermost {
+                P::leave(self, &slot.ann, local);
+            }
+            outermost
+        };
+        if outermost {
+            beat(t);
+            sanitize::section_exit(self.id(), t);
+            // Section fully exited: anything the hook retires from here is
+            // stamped, counted or announced against as a fresh retire,
+            // which only widens protection.
+            if let Some(h) = self.exit_hook.get() {
+                h.invoke(t);
+            }
+        }
+    }
+
+    fn set_exit_hook(&self, hook: ExitHook) {
+        let _ = self.exit_hook.set(hook);
+    }
+
+    #[inline]
+    fn birth_epoch(&self, t: Tid) -> u64 {
+        P::birth(self, t)
+    }
+
+    #[inline]
+    fn acquire(&self, t: Tid, src: &AtomicUsize) -> (usize, Self::Guard) {
+        P::acquire(self, t, self.slot(t), src)
+    }
+
+    #[inline]
+    fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, Self::Guard)> {
+        P::try_acquire(self, t, self.slot(t), src)
+    }
+
+    #[inline]
+    fn release(&self, t: Tid, guard: Self::Guard) {
+        P::release(self, t, self.slot(t), guard)
+    }
+
+    fn retire(&self, t: Tid, r: Retired) {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { self.own(t) };
+        local.retired.push((r, P::stamp(self)));
+        // Scan only once a full threshold of retires has accumulated since
+        // the last scan (see `Local::next_scan`), never on every retire.
+        if local.retired.len() >= P::scan_threshold(self).max(local.next_scan) {
+            self.scan(local);
+        }
+        // Escape hatch: with a watermark set, the scheme decides what being
+        // over it means and what to do so a stalled reader elsewhere caps
+        // this thread's garbage instead of pinning an ever-growing list.
+        if let Some(cap) = self.cfg.max_garbage {
+            P::over_watermark(self, local, cap);
+        }
+    }
+
+    #[inline]
+    fn eject(&self, t: Tid) -> Option<Retired> {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        unsafe { self.own(t) }.ready.pop_front()
+    }
+
+    #[inline]
+    fn has_ready(&self, t: Tid) -> bool {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        !unsafe { self.own(t) }.ready.is_empty()
+    }
+
+    fn quiescent(&self) -> bool {
+        self.sweep().all(|ann| P::idle(self, ann))
+    }
+
+    fn flush(&self, t: Tid) {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        self.scan(unsafe { self.own(t) });
+    }
+
+    unsafe fn drain_all(&self) -> Vec<Retired> {
+        P::recall(self);
+        let mut out = Vec::new();
+        for slot in self.slots.iter() {
+            // SAFETY: exclusive access to every slot is the caller's
+            // contract.
+            let local = &mut *slot.local.get();
+            out.extend(local.retired.drain(..).map(|(r, _)| r));
+            out.extend(local.ready.drain(..));
+        }
+        out
+    }
+
+    unsafe fn reclaim_slot(&self, dead: Tid, into: Tid) {
+        debug_assert_ne!(dead, into, "cannot reclaim a slot into itself");
+        // SAFETY: exclusive access to the dead slot's local state is the
+        // caller's contract (the owner terminated; the abandon/join edge
+        // published its writes). The borrow ends before `into`'s begins.
+        // The slot is left as new; only its deferred entries are kept.
+        let Local { retired, ready, .. } = std::mem::replace(self.own(dead), Local::new(&self.cfg));
+        // SAFETY: `into` is the calling thread's own slot.
+        let local = self.own(into);
+        // Scanners that now find the dead announcement withdrawn may eject
+        // entries it pinned; that is sound precisely because the owner is
+        // dead: no post-fence read of its section, and no read through one
+        // of its validated hazards, can ever execute again. The policies'
+        // Release (or stronger) on the withdrawal also keeps the list
+        // takeover above from sinking below it.
+        P::force_close(self, &self.slot(dead).ann, local);
+        // Migrate the orphaned deferred state into the caller's slot so its
+        // scans (rather than the slot's eventual next owner) drain it.
+        local.retired.extend(retired);
+        local.ready.extend(ready);
+        self.scan(local);
+    }
+}
+
+impl<P: Protection> Drop for Engine<P> {
+    fn drop(&mut self) {
+        // Frees what a policy parked outside the slots; the retired records
+        // themselves are dropped (owning domains drain before dropping us).
+        // SAFETY: `&mut self` is `drain_all`'s exclusivity.
+        unsafe { P::recall(self) }
+    }
+}
+
+impl<P: Protection> fmt::Debug for Engine<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct(P::NAME)
+            .field("epoch", &self.clock.load())
+            .field("cfg", &self.cfg)
+            .finish_non_exhaustive()
+    }
+}

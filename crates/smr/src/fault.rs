@@ -1,4 +1,4 @@
-//! Adversarial fault injection for the SMR engines.
+//! Adversarial fault injection for the SMR schemes.
 //!
 //! Robustness papers (Hyaline, Stamp-it, IBR) all measure the same failure
 //! modes: a reader that stalls inside a critical section, a thread that dies
@@ -8,9 +8,9 @@
 //! asymptotic claim.
 //!
 //! A [`FaultPlan`] describes one fault scenario. [`arm`] installs it
-//! process-wide and returns a [`FaultScope`] that disarms on drop. The four
-//! engines call the two checkpoint hooks — [`on_section_entry`] at every
-//! outermost section entry and [`on_scan`] at every scan/distribute head —
+//! process-wide and returns a [`FaultScope`] that disarms on drop. The engine
+//! frame calls the two checkpoint hooks — `on_section_entry` at every
+//! outermost section entry and `on_scan` at every scan/distribute head —
 //! each of which is a single `#[inline]` relaxed load of an `AtomicBool`
 //! plus a never-taken branch while disarmed, so the hot path pays nothing
 //! measurable when no fault is armed.
@@ -180,11 +180,11 @@ pub fn scans_delayed() -> u64 {
     exempt(|| SCANS_DELAYED.load(Ordering::Relaxed))
 }
 
-/// Engine checkpoint: called by every engine after announcing an outermost
+/// Engine checkpoint: called by the frame after announcing an outermost
 /// critical-section entry. While disarmed this is one relaxed load and a
 /// never-taken branch.
 #[inline]
-pub fn on_section_entry(t: Tid) {
+pub(crate) fn on_section_entry(t: Tid) {
     if armed() {
         section_entry_slow(t);
     }
@@ -218,7 +218,7 @@ fn section_entry_slow(t: Tid) {
 /// Engine checkpoint: called at the head of every scan / distribute. While
 /// disarmed this is one relaxed load and a never-taken branch.
 #[inline]
-pub fn on_scan() {
+pub(crate) fn on_scan() {
     if armed() {
         scan_slow();
     }

@@ -1,43 +1,10 @@
-//! Hyaline-1 behind the generalized acquire-retire interface.
-//!
-//! Hyaline is a protected-region scheme without a global epoch scan: retired
-//! nodes are grouped into *batches*; a finished batch is pushed onto the
-//! in-flight list of every slot currently inside a critical section, and the
-//! batch's reference counter is set to the number of lists it joined. When an
-//! operation ends its critical section it detaches its list and decrements
-//! each batch it finds; whoever brings a batch's counter to zero claims the
-//! batch's nodes (here: moves them to its ready queue for `eject`, since in
-//! the generalized interface the deferred action belongs to the caller).
-//!
-//! Protocol details (per slot):
-//!
-//! * `head == INVALID` — the slot is not in a critical section; retirers
-//!   skip it.
-//! * `head == 0` — inside a critical section, list empty.
-//! * otherwise `head` points to a `LinkNode` chain.
-//!
-//! Entering stores `0`; leaving swaps in `INVALID` and walks whatever chain
-//! it got. A retirer CAS-pushes onto every non-`INVALID` head, then adds the
-//! number of successful pushes to the batch counter (which leavers may have
-//! already driven negative — the counter is signed, and the unique
-//! transition to exactly zero hands out reclamation responsibility).
-//!
-//! Safety: if a reader is inside a critical section when an object is
-//! retired, the batch containing it is pushed to the reader's slot (its head
-//! is not `INVALID`), so the object cannot be ejected until the reader
-//! leaves and decrements the batch. Readers that enter after the retire
-//! cannot reach the object, because retirement follows unlinking.
+//! Hyaline-1's protection policy and the [`Hyaline`] alias.
 
-use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
-use crate::util::{announce_usize, CachePadded};
-use crate::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
-use crate::{THROTTLE_ROUNDS, THROTTLE_SLEEP};
-
-use crate::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use crate::engine::{Engine, Local, Protection, Slot};
+use crate::registry::Tid;
+use crate::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use crate::util::announce_usize;
+use crate::Retired;
 
 /// Slot-head sentinel: the slot's thread is not in a critical section.
 const INVALID: usize = usize::MAX;
@@ -45,7 +12,7 @@ const INVALID: usize = usize::MAX;
 struct Batch {
     /// pushes − leaves; reclamation goes to whoever makes this exactly zero.
     refs: AtomicIsize,
-    items: Vec<Retired>,
+    items: Vec<(Retired, ())>,
 }
 
 struct LinkNode {
@@ -54,19 +21,53 @@ struct LinkNode {
     next: usize,
 }
 
-struct Local {
-    /// The batch currently being filled by this thread's retires.
-    current: Vec<Retired>,
-    ready: VecDeque<Retired>,
-    depth: u32,
-}
+/// Hyaline-1's protection rule: a sealed batch takes one reference per
+/// section active at that moment, and goes to whoever drops the last.
+///
+/// On the frame, the slot's announcement is its hand-off list head, the
+/// retired list is the unsealed batch, and the instance-wide `shared` word
+/// counts retired items distributed into batches but not yet claimed — the
+/// garbage gauge the `max_garbage` escape hatch throttles on. Hyaline-1 has
+/// no scan to bound garbage with: a reader stalled inside a section holds a
+/// reference on *every* batch distributed while it is active, so without
+/// the hatch this count grows without bound under a stalled reader.
+//
+// Safety invariants: a slot's head is CAS-pushed by any thread but only
+// detached (swapped to INVALID) by the owner, or on its behalf once it is
+// dead; every pushed `LinkNode` is therefore walked and freed exactly once.
+// A `Batch` is freed by the unique thread that moves its counter to zero.
+#[derive(Debug)]
+pub struct Batches;
 
-struct Slot {
-    head: AtomicUsize,
-    local: UnsafeCell<Local>,
-}
-
-/// Hyaline-1 acquire-retire instance.
+/// Hyaline-1 behind the generalized acquire-retire interface.
+///
+/// Hyaline is a protected-region scheme without a global epoch scan: retired
+/// nodes are grouped into *batches*; a finished batch is pushed onto the
+/// in-flight list of every slot currently inside a critical section, and the
+/// batch's reference counter is set to the number of lists it joined. When an
+/// operation ends its critical section it detaches its list and decrements
+/// each batch it finds; whoever brings a batch's counter to zero claims the
+/// batch's nodes (here: moves them to its ready queue for `eject`, since in
+/// the generalized interface the deferred action belongs to the caller).
+///
+/// Protocol details (per slot):
+///
+/// * `head == INVALID` — the slot is not in a critical section; retirers
+///   skip it.
+/// * `head == 0` — inside a critical section, list empty.
+/// * otherwise `head` points to a `LinkNode` chain.
+///
+/// Entering stores `0`; leaving swaps in `INVALID` and walks whatever chain
+/// it got. A retirer CAS-pushes onto every non-`INVALID` head, then adds the
+/// number of successful pushes to the batch counter (which leavers may have
+/// already driven negative — the counter is signed, and the unique
+/// transition to exactly zero hands out reclamation responsibility).
+///
+/// Safety: if a reader is inside a critical section when an object is
+/// retired, the batch containing it is pushed to the reader's slot (its head
+/// is not `INVALID`), so the object cannot be ejected until the reader
+/// leaves and decrements the batch. Readers that enter after the retire
+/// cannot reach the object, because retirement follows unlinking.
 ///
 /// # Examples
 ///
@@ -84,107 +85,129 @@ struct Slot {
 /// assert_eq!(value, 0x1000);
 /// hy.end_critical_section(t);
 /// ```
-//
-// Safety invariants: `Slot::local` is only accessed by the owning thread (or
-// under `drain_all`/`Drop` exclusivity). `Slot::head` is CAS-pushed by any
-// thread but only detached (swapped to INVALID) by the owner; every pushed
-// `LinkNode` is therefore walked and freed exactly once. A `Batch` is freed
-// by the unique thread that moves its counter to zero.
-pub struct Hyaline {
-    cfg: SmrConfig,
-    slots: Box<[CachePadded<Slot>]>,
-    exit_hook: OnceLock<ExitHook>,
-    /// Retired items distributed into batches but not yet claimed, instance-
-    /// wide — the garbage gauge the `max_garbage` escape hatch throttles on.
-    /// Hyaline-1 has no scan to bound garbage with: a reader stalled inside
-    /// a section holds a reference on *every* batch distributed while it is
-    /// active, so without the hatch this count grows without bound under a
-    /// stalled reader.
-    outstanding: AtomicUsize,
+pub type Hyaline = Engine<Batches>;
+
+/// Takes a zeroed batch home: its items are ready for `eject`.
+///
+/// # Safety
+///
+/// The caller moved `batch`'s counter to exactly zero.
+unsafe fn claim(eng: &Hyaline, batch: *mut Batch, local: &mut Local<Batches>) {
+    let batch = Box::from_raw(batch);
+    // Ordering: Relaxed — a throttle/diagnostic gauge; no protection
+    // decision reads it.
+    eng.shared.fetch_sub(batch.items.len(), Ordering::Relaxed);
+    local.ready.extend(batch.items.into_iter().map(|(r, ())| r));
 }
 
-unsafe impl Send for Hyaline {}
-unsafe impl Sync for Hyaline {}
+impl Protection for Batches {
+    const NAME: &'static str = "Hyaline";
+    const PROTECTS_REGIONS: bool = true;
+    /// Retired batches take a reference per *active* section at retire
+    /// time and are only freed when every such section has departed, so a
+    /// section protects every word it observed from a live location,
+    /// whatever the pointee's birth epoch.
+    const PROTECTS_SECTION_READS: bool = true;
 
-impl Hyaline {
-    #[inline]
-    fn local(&self, t: Tid) -> *mut Local {
-        self.slots[t.index()].local.get()
+    /// The hand-off list head (see the module docs' protocol).
+    type Ann = AtomicUsize;
+    type Guard = ();
+    type Stamp = ();
+    type Local = ();
+    type Shared = AtomicUsize;
+
+    fn ann() -> AtomicUsize {
+        AtomicUsize::new(INVALID)
     }
 
-    /// Walks a detached slot list, decrementing batch counters and claiming
-    /// zeroed batches into `local.ready`.
-    unsafe fn process_list(&self, mut head: usize, local: &mut Local) {
+    fn local(_: &crate::SmrConfig) {}
+
+    #[inline]
+    fn enter(_: &Hyaline, head: &AtomicUsize, _: &mut Local<Self>) {
+        // The slot must be visibly active before any protected read of the
+        // section: Hyaline's one fence per operation, paid inside
+        // `announce_usize`. Pairs with the fence of the `sweep` in
+        // `reclaim` (miss our active head ⇒ we fenced later ⇒ our reads
+        // see your unlinks).
+        announce_usize(head, 0);
+    }
+
+    /// Detaches the hand-off list, decrements every batch on it and claims
+    /// the zeroed ones. A dead owner's list is force-closed the same way,
+    /// processed *as the caller*: decrements land exactly as if the dead
+    /// thread had left normally.
+    #[inline]
+    fn leave(eng: &Hyaline, head: &AtomicUsize, local: &mut Local<Self>) {
+        // Ordering: AcqRel — Acquire pairs with the retirers' Release push
+        // CASes so the detached link nodes' contents are visible before we
+        // walk them; Release keeps the section's protected reads from
+        // sinking past the detach (the batch decrements that may free them
+        // come after), and publishes a force-close's takeover against the
+        // CAS of a concurrent distributor that loses to `INVALID`.
+        let mut head = head.swap(INVALID, Ordering::AcqRel);
         while head != 0 && head != INVALID {
-            let node = Box::from_raw(head as *mut LinkNode);
-            let batch = node.batch;
+            // SAFETY: a detached list is ours alone; each node was leaked
+            // by exactly one successful push.
+            let node = unsafe { Box::from_raw(head as *mut LinkNode) };
             head = node.next;
-            drop(node);
             // Ordering: AcqRel — Release publishes this thread's finished
             // section (its protected reads precede the decrement); Acquire
             // on the zero transition synchronizes with every other
             // decrementer's Release, so the claimer of the batch sees all
             // sections done (and the retirer's item writes) before reusing
             // the nodes.
-            if (*batch).refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let batch = Box::from_raw(batch);
-                // Ordering: Relaxed — a throttle/diagnostic gauge; no
-                // protection decision reads it.
-                self.outstanding
-                    .fetch_sub(batch.items.len(), Ordering::Relaxed);
-                local.ready.extend(batch.items);
+            // SAFETY: the batch outlives its counter reaching zero.
+            if unsafe { &*node.batch }.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // SAFETY: we made the unique transition to zero.
+                unsafe { claim(eng, node.batch, local) };
             }
         }
     }
 
-    /// Bounded retire-side backpressure (the `max_garbage` escape hatch):
-    /// sleep in short rounds while the instance-wide unclaimed count stays
-    /// over the watermark. Hyaline has no scan to force progress with — the
-    /// count only falls when a pushed-to section leaves — so this is pure
-    /// backpressure, bounded by the round budget for liveness. Only ever
-    /// called with `depth == 0`: sleeping inside the caller's own section
-    /// would pin the very batches being waited on.
-    #[cold]
-    fn throttle(&self, cap: usize) {
-        for _ in 0..THROTTLE_ROUNDS {
-            std::thread::sleep(THROTTLE_SLEEP);
-            // Ordering: Relaxed — backpressure heuristic; staleness merely
-            // costs one more bounded round.
-            if self.outstanding.load(Ordering::Relaxed) < cap {
-                return;
-            }
-        }
+    fn idle(_: &Hyaline, head: &AtomicUsize) -> bool {
+        // Ordering: Relaxed — the sweep's fence pairing carries the
+        // visibility argument; `INVALID` means "not in a section".
+        head.load(Ordering::Relaxed) == INVALID
     }
 
-    /// Seals the current batch and distributes it to all active slots.
-    fn distribute(&self, local: &mut Local) {
-        if local.current.is_empty() {
+    #[inline]
+    fn acquire(_: &Hyaline, _: Tid, slot: &Slot<Self>, src: &AtomicUsize) -> (usize, ()) {
+        (Engine::region_load(slot, src), ())
+    }
+
+    fn stamp(_: &Hyaline) {}
+
+    fn scan_threshold(eng: &Hyaline) -> usize {
+        eng.cfg.batch_size
+    }
+
+    /// Seals the unsealed batch and distributes it to all active slots.
+    fn reclaim(eng: &Hyaline, local: &mut Local<Self>) {
+        if local.retired.is_empty() {
             return;
         }
         crate::fault::on_scan();
-        let items = std::mem::take(&mut local.current);
-        // Ordering: Relaxed — throttle gauge (see `outstanding`); counted
+        let items = std::mem::take(&mut local.retired);
+        // Ordering: Relaxed — throttle gauge (see `Batches`); counted
         // before the pushes so a racing claimer can only *under*-read,
         // never see the decrement before the increment.
-        self.outstanding.fetch_add(items.len(), Ordering::Relaxed);
+        eng.shared.fetch_add(items.len(), Ordering::Relaxed);
         let batch = Box::into_raw(Box::new(Batch {
             refs: AtomicIsize::new(0),
             items,
         }));
-        // Ordering: fence(SeqCst) — pairs with the fence in
-        // `begin_critical_section`: a reader whose active head we miss below
-        // fenced after us, so its protected reads observe the unlinks that
-        // preceded this distribution and it cannot reach the batch's
-        // objects.
-        fence(Ordering::SeqCst);
         let mut pushes: isize = 0;
-        for slot in self.slots.iter().take(registered_high_water_mark()) {
+        // The sweep's fence pairs with the one in `enter`: a reader whose
+        // active head we miss below fenced after us, so its protected reads
+        // observe the unlinks that preceded this distribution and it cannot
+        // reach the batch's objects.
+        for head in eng.sweep() {
             let mut node: Option<Box<LinkNode>> = None;
             loop {
                 // Ordering: Relaxed — ordered by the fence pairing above
                 // (first iteration) and by the failed CAS below (retries);
                 // the push CAS re-validates the value either way.
-                let h = slot.head.load(Ordering::Relaxed);
+                let h = head.load(Ordering::Relaxed);
                 if h == INVALID {
                     break; // not in a critical section; skip this slot
                 }
@@ -195,23 +218,17 @@ impl Hyaline {
                 let raw = Box::into_raw(n);
                 // Ordering: Release on success — publishes the link node's
                 // contents (batch pointer, next) to the slot owner, whose
-                // detaching Acquire swap in `end_critical_section` pairs
-                // with it. Acquire on failure — the reloaded head is pushed
-                // onto next iteration, so it needs the same edge the
-                // initial load got from the fence.
-                match slot.head.compare_exchange(
-                    h,
-                    raw as usize,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                ) {
+                // detaching Acquire swap in `leave` pairs with it. Acquire
+                // on failure — the reloaded head is pushed onto next
+                // iteration, so it needs the same edge the initial load got
+                // from the fence.
+                match head.compare_exchange(h, raw as usize, Ordering::Release, Ordering::Acquire) {
                     Ok(_) => {
                         pushes += 1;
                         break;
                     }
-                    Err(_) => {
-                        node = Some(unsafe { Box::from_raw(raw) });
-                    }
+                    // SAFETY: the push failed, so `raw` is still ours.
+                    Err(_) => node = Some(unsafe { Box::from_raw(raw) }),
                 }
             }
         }
@@ -222,254 +239,44 @@ impl Hyaline {
         // Ordering: AcqRel — Release publishes the batch items to racing
         // decrementers; Acquire on the zero case synchronizes with every
         // leaver's Release decrement so their sections are over before we
-        // reclaim (see `process_list`).
+        // reclaim (see `leave`).
+        // SAFETY: the batch outlives its counter reaching zero.
         let old = unsafe { &*batch }.refs.fetch_add(pushes, Ordering::AcqRel);
         if old + pushes == 0 {
-            let batch = unsafe { Box::from_raw(batch) };
-            // Ordering: Relaxed — throttle gauge, see `process_list`.
-            self.outstanding
-                .fetch_sub(batch.items.len(), Ordering::Relaxed);
-            local.ready.extend(batch.items);
-        }
-    }
-}
-
-unsafe impl AcquireRetire for Hyaline {
-    type Guard = ();
-
-    /// Retired batches take a reference per *active* section at retire
-    /// time and are only freed when every such section has departed, so a
-    /// section protects every word it observed from a live location,
-    /// whatever the pointee's birth epoch.
-    const PROTECTS_SECTION_READS: bool = true;
-
-    fn new(_clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    head: AtomicUsize::new(INVALID),
-                    local: UnsafeCell::new(Local {
-                        current: Vec::new(),
-                        ready: VecDeque::new(),
-                        depth: 0,
-                    }),
-                })
-            })
-            .collect();
-        Hyaline {
-            cfg: config,
-            slots,
-            exit_hook: OnceLock::new(),
-            outstanding: AtomicUsize::new(0),
+            // SAFETY: we made the unique transition to zero.
+            unsafe { claim(eng, batch, local) };
         }
     }
 
-    fn scheme_name() -> &'static str {
-        "Hyaline"
-    }
-
-    #[inline]
-    fn begin_critical_section(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        local.depth += 1;
-        if local.depth == 1 {
-            // The slot must be visibly active before any protected read of
-            // the section: Hyaline's one fence per operation, paid inside
-            // `announce_usize`. Pairs with the fence in `distribute` (miss
-            // our active head ⇒ we fenced later ⇒ our reads see your
-            // unlinks).
-            announce_usize(&self.slots[t.index()].head, 0);
-            beat(t);
-            crate::fault::on_section_entry(t);
-            // Sanitizer shadow: Hyaline sections protect every read
-            // (PROTECTS_SECTION_READS) — batches retired during the section
-            // count it — so no per-acquire tokens are needed.
-            crate::sanitize::section_enter(self as *const Self as usize, t, true);
+    /// Bounded retire-side backpressure while the instance-wide unclaimed
+    /// count stays over the watermark. Hyaline has no scan to force
+    /// progress with — the count only falls when a pushed-to section
+    /// leaves — so this is pure backpressure, outside any section of the
+    /// caller's (which would pin the very batches being waited on).
+    fn over_watermark(eng: &Hyaline, local: &mut Local<Self>, cap: usize) {
+        // Ordering: Relaxed — the trigger and the recheck are heuristics;
+        // staleness merely costs one more bounded round.
+        let under = || eng.shared.load(Ordering::Relaxed) < cap;
+        if local.depth == 0 && !under() {
+            eng.throttle(under);
         }
     }
 
-    #[inline]
-    fn end_critical_section(&self, t: Tid) {
-        // Scoped: the hook below may re-enter `retire`/`eject`, which take
-        // their own `&mut Local` — the borrow must be dead by then.
-        let outermost = {
-            let local = unsafe { &mut *self.local(t) };
-            debug_assert!(local.depth > 0, "end_critical_section without begin");
-            local.depth -= 1;
-            if local.depth == 0 {
-                // Ordering: AcqRel — Acquire pairs with the retirers' Release
-                // push CASes so the detached link nodes' contents are visible
-                // before we walk them; Release keeps the section's protected
-                // reads from sinking past the detach (the batch decrements
-                // that may free them come after).
-                let head = self.slots[t.index()].head.swap(INVALID, Ordering::AcqRel);
-                unsafe { self.process_list(head, local) };
-                true
-            } else {
-                false
-            }
-        };
-        if outermost {
-            beat(t);
-            crate::sanitize::section_exit(self as *const Self as usize, t);
-            // After `process_list`: hook-issued retires form batches that
-            // count only the sections still active now — every section that
-            // already left (including this one) is done reading.
-            if let Some(h) = self.exit_hook.get() {
-                h.invoke(t);
-            }
+    /// Force-leaves every slot: walks and frees any remaining lists so
+    /// every batch's counter reaches zero exactly once and its items land
+    /// in some slot's ready queue.
+    unsafe fn recall(eng: &Hyaline) {
+        for slot in eng.slots.iter() {
+            Self::leave(eng, &slot.ann, &mut *slot.local.get());
         }
-    }
-
-    fn set_exit_hook(&self, hook: ExitHook) {
-        let _ = self.exit_hook.set(hook);
-    }
-
-    #[inline]
-    fn birth_epoch(&self, _t: Tid) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn acquire(&self, t: Tid, src: &AtomicUsize) -> (usize, Self::Guard) {
-        debug_assert!(
-            unsafe { &*self.local(t) }.depth > 0,
-            "acquire outside critical section"
-        );
-        // Ordering: Acquire — pairs with the Release publication of the
-        // pointee; protection against reclamation comes from the active
-        // slot head announced (and fenced) at section entry.
-        (src.load(Ordering::Acquire), ())
-    }
-
-    #[inline]
-    fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, Self::Guard)> {
-        Some(self.acquire(t, src))
-    }
-
-    #[inline]
-    fn release(&self, _t: Tid, _guard: Self::Guard) {}
-
-    fn retire(&self, t: Tid, r: Retired) {
-        let local = unsafe { &mut *self.local(t) };
-        local.current.push(r);
-        if local.current.len() >= self.cfg.batch_size {
-            self.distribute(local);
-        }
-        // Escape hatch: over the instance-wide unclaimed watermark and
-        // outside any section, apply bounded backpressure — see `throttle`.
-        if let Some(cap) = self.cfg.max_garbage {
-            // Ordering: Relaxed — watermark trigger is a heuristic; the
-            // throttle loop re-reads under its own bounded rounds.
-            if local.depth == 0 && self.outstanding.load(Ordering::Relaxed) >= cap {
-                self.throttle(cap);
-            }
-        }
-    }
-
-    #[inline]
-    fn eject(&self, t: Tid) -> Option<Retired> {
-        let local = unsafe { &mut *self.local(t) };
-        local.ready.pop_front()
-    }
-
-    #[inline]
-    fn has_ready(&self, t: Tid) -> bool {
-        !unsafe { &*self.local(t) }.ready.is_empty()
-    }
-
-    fn quiescent(&self) -> bool {
-        // Ordering: fence(SeqCst) — pairs with the fence in
-        // `begin_critical_section`, as in `distribute`: an active head we
-        // miss below went live after this fence, so that section's
-        // protected reads observe the unlinks preceding this call and it
-        // cannot reach what the caller hands back.
-        fence(Ordering::SeqCst);
-        self.slots
-            .iter()
-            .take(registered_high_water_mark())
-            // Ordering: Relaxed — the fence pairing above carries the
-            // visibility argument; `INVALID` means "not in a section".
-            .all(|slot| slot.head.load(Ordering::Relaxed) == INVALID)
-    }
-
-    fn flush(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        self.distribute(local);
-    }
-
-    unsafe fn drain_all(&self) -> Vec<Retired> {
-        let mut out = Vec::new();
-        // Force-leave every slot: walk and free any remaining lists so every
-        // batch's counter eventually reaches zero exactly once.
-        for slot in self.slots.iter() {
-            let local = &mut *slot.local.get();
-            let head = slot.head.swap(INVALID, Ordering::SeqCst);
-            self.process_list(head, local);
-        }
-        for slot in self.slots.iter() {
-            let local = &mut *slot.local.get();
-            out.append(&mut local.current);
-            out.extend(local.ready.drain(..));
-        }
-        out
-    }
-
-    unsafe fn reclaim_slot(&self, dead: Tid, into: Tid) {
-        debug_assert_ne!(dead, into, "cannot reclaim a slot into itself");
-        // Force-leave the dead section: detach its handoff list and process
-        // it *as the caller* — decrements land exactly as if the dead
-        // thread had left normally, and zeroed batches are claimed into the
-        // caller's ready queue. Sound because the owner is dead: its
-        // section's reads are over (they will never execute again).
-        // Ordering: AcqRel — acquires the distributors' link publications
-        // so the caller walks fully-initialized batch nodes, and releases
-        // the takeover against the CAS of a concurrent distributor that
-        // loses to `INVALID`.
-        let head = self.slots[dead.index()]
-            .head
-            .swap(INVALID, Ordering::AcqRel);
-        let (current, ready) = {
-            let dead_local = &mut *self.local(dead);
-            dead_local.depth = 0;
-            (
-                std::mem::take(&mut dead_local.current),
-                std::mem::take(&mut dead_local.ready),
-            )
-        };
-        let local = &mut *self.local(into);
-        self.process_list(head, local);
-        // Migrate the dead thread's unsealed batch and unclaimed ready
-        // items; distributing the former lets every *other* live section be
-        // counted normally.
-        local.current.extend(current);
-        local.ready.extend(ready);
-        self.distribute(local);
-    }
-}
-
-impl Drop for Hyaline {
-    fn drop(&mut self) {
-        // Free internal link nodes and batches; the retired records they
-        // carry are dropped (owning domains drain before dropping us).
-        unsafe {
-            let _ = self.drain_all();
-        }
-    }
-}
-
-impl fmt::Debug for Hyaline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Hyaline")
-            .field("batch_size", &self.cfg.batch_size)
-            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::current_tid;
+    use crate::{current_tid, AcquireRetire, GlobalEpoch, SmrConfig};
+    use std::sync::Arc;
 
     fn new_hyaline(batch: usize) -> Hyaline {
         let cfg = SmrConfig {

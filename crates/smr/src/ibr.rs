@@ -1,68 +1,41 @@
-//! Interval-based reclamation (2GEIBR) behind the generalized acquire-retire
-//! interface — the paper's Figure 4.
-//!
-//! Every managed object carries a *birth epoch* assigned at allocation; a
-//! retired object's lifetime is the interval `[birth, retire_epoch]`. A
-//! thread announces the two-epoch interval `[begin, end]` spanning its
-//! critical section: `begin` is fixed on entry, `end` grows as the thread
-//! observes epoch advances during `acquire` (the "2GE" — two global epochs —
-//! variant). A retired object may be ejected once its lifetime interval
-//! intersects no announced interval.
-//!
-//! Compared to EBR, IBR bounds garbage by *interval intersection* instead of
-//! a global minimum: a stalled thread only protects objects born before its
-//! announced `end`, not everything retired since it went quiet.
+//! IBR's protection policy (2GEIBR, paper Fig. 4) and the [`Ibr`] alias.
 
-use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
-use crate::util::{announce_u64, CachePadded};
-use crate::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
-
-use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use crate::engine::{eject_unless, Engine, Local, Protection, Slot};
+use crate::registry::{registered_high_water_mark, Tid};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::util::announce_u64;
+use crate::SmrConfig;
 
 const EMPTY: u64 = u64::MAX;
 
-struct Local {
-    /// Retired entries tagged with their retirement epoch (birth epochs ride
-    /// inside [`Retired`]).
-    retired: Vec<(Retired, u64)>,
-    ready: VecDeque<Retired>,
-    allocs: u64,
-    depth: u32,
-    /// Last epoch this thread observed (Fig. 4's `prev_epoch`).
-    prev_epoch: u64,
-    /// Retired-list length at which the next automatic scan fires; spaced a
-    /// full `eject_threshold` past the survivors of the previous scan so a
-    /// pinned list cannot degenerate to a scan per retire (see the EBR
-    /// engine's `Local::next_scan`).
-    next_scan: usize,
+/// The announced interval `[begin, end]`: `begin` is fixed at section
+/// entry, `end` grows during the section.
+#[derive(Debug)]
+pub struct Interval {
+    begin: AtomicU64,
+    end: AtomicU64,
 }
 
-impl Local {
-    const fn new() -> Self {
-        Local {
-            retired: Vec::new(),
-            ready: VecDeque::new(),
-            allocs: 0,
-            depth: 0,
-            prev_epoch: EMPTY,
-            next_scan: 0,
-        }
-    }
-}
+/// IBR's protection rule: announce the interval of epochs a section spans;
+/// an entry may go once its lifetime `[birth, retire_epoch]` intersects no
+/// announced interval.
+#[derive(Debug)]
+pub struct Intervals;
 
-struct Slot {
-    /// Start of the announced interval (fixed at section entry).
-    begin_ann: AtomicU64,
-    /// End of the announced interval (grows during the section).
-    end_ann: AtomicU64,
-    local: UnsafeCell<Local>,
-}
-
-/// Interval-based reclamation (2GEIBR) instance.
+/// Interval-based reclamation (2GEIBR) behind the generalized acquire-retire
+/// interface — the paper's Figure 4.
+///
+/// Every managed object carries a *birth epoch* assigned at allocation; a
+/// retired object's lifetime is the interval `[birth, retire_epoch]`. A
+/// thread announces the two-epoch interval `[begin, end]` spanning its
+/// critical section: `begin` is fixed on entry, `end` grows as the thread
+/// observes epoch advances during `acquire` (the "2GE" — two global epochs —
+/// variant). A retired object may be ejected once its lifetime interval
+/// intersects no announced interval.
+///
+/// Compared to EBR, IBR bounds garbage by *interval intersection* instead of
+/// a global minimum: a stalled thread only protects objects born before its
+/// announced `end`, not everything retired since it went quiet.
 ///
 /// # Examples
 ///
@@ -82,94 +55,22 @@ struct Slot {
 /// ibr.end_critical_section(t);
 /// ibr.retire(t, Retired::new(0x1000, birth));
 /// ```
-//
-// Safety invariant: as for `Ebr` — `Slot::local` is only touched by the
-// owning thread (or under `drain_all` exclusivity); announcements are shared.
-pub struct Ibr {
-    clock: Arc<GlobalEpoch>,
-    cfg: SmrConfig,
-    slots: Box<[CachePadded<Slot>]>,
-    exit_hook: OnceLock<ExitHook>,
-}
+pub type Ibr = Engine<Intervals>;
 
-unsafe impl Send for Ibr {}
-unsafe impl Sync for Ibr {}
+impl Protection for Intervals {
+    const NAME: &'static str = "IBR";
+    const PROTECTS_REGIONS: bool = true;
+    /// Interval protection only covers objects born ≤ the announced `end`,
+    /// and only `acquire` extends it.
+    const PROTECTS_SECTION_READS: bool = false;
 
-impl Ibr {
-    #[inline]
-    fn local(&self, t: Tid) -> *mut Local {
-        self.slots[t.index()].local.get()
-    }
-
-    fn scan(&self, local: &mut Local) {
-        crate::fault::on_scan();
-        // Ordering: fence(SeqCst) — pairs with the fence in
-        // `begin_critical_section` (and the one in `acquire`'s extension
-        // path): a reader whose announcement we miss fenced after us and
-        // therefore observes every unlink preceding this scan.
-        fence(Ordering::SeqCst);
-        // Collect announced intervals. Read order matters: `begin` before
-        // `end`. If the slot transitions between critical sections while we
-        // read, pairing an older (smaller) `begin` with a newer (larger)
-        // `end` yields a superset interval — conservative. Reading in the
-        // opposite order could fabricate an empty interval and free
-        // something the new section protects.
-        let hwm = registered_high_water_mark();
-        let mut intervals = Vec::with_capacity(hwm);
-        for slot in self.slots.iter().take(hwm) {
-            // Ordering: Acquire on `begin` — pins the read order: the
-            // `end` load below cannot be hoisted above it (see the comment
-            // above on why that order is load-bearing). Visibility of the
-            // announcements themselves comes from the fence pairing.
-            let lo = slot.begin_ann.load(Ordering::Acquire);
-            // Ordering: Relaxed — ordered after the Acquire load above. A
-            // stale (smaller) `end` is safe: the reader only trusts a
-            // pointer read *after* publishing the extended `end` and
-            // fencing (see `acquire`), so if we miss the extension, our
-            // fence preceded the reader's and its re-read observes the
-            // unlink instead of the retired object.
-            let hi = slot.end_ann.load(Ordering::Relaxed);
-            if lo != EMPTY {
-                intervals.push((lo, hi.max(lo)));
-            }
-        }
-        // Allocation-free on the retired list: retain survivors in place.
-        let Local { retired, ready, .. } = local;
-        retired.retain(|&(r, retire_epoch)| {
-            // Lifetime [r.birth, retire_epoch] intersects any announcement
-            // [lo, hi]? Then the entry must stay.
-            let protected = intervals
-                .iter()
-                .any(|&(lo, hi)| lo <= retire_epoch && r.birth <= hi);
-            if !protected {
-                ready.push_back(r);
-            }
-            protected
-        });
-        local.next_scan = local.retired.len() + self.cfg.eject_threshold;
-    }
-}
-
-unsafe impl AcquireRetire for Ibr {
+    type Ann = Interval;
     type Guard = ();
-
-    fn new(clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    begin_ann: AtomicU64::new(EMPTY),
-                    end_ann: AtomicU64::new(EMPTY),
-                    local: UnsafeCell::new(Local::new()),
-                })
-            })
-            .collect();
-        Ibr {
-            clock,
-            cfg: config,
-            slots,
-            exit_hook: OnceLock::new(),
-        }
-    }
+    /// The epoch at retirement (birth epochs ride inside `Retired`).
+    type Stamp = u64;
+    /// Last epoch this thread observed (Fig. 4's `prev_epoch`).
+    type Local = u64;
+    type Shared = ();
 
     fn default_config() -> SmrConfig {
         SmrConfig {
@@ -178,110 +79,74 @@ unsafe impl AcquireRetire for Ibr {
         }
     }
 
-    fn scheme_name() -> &'static str {
-        "IBR"
-    }
-
-    #[inline]
-    fn begin_critical_section(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        local.depth += 1;
-        if local.depth == 1 {
-            let e = self.clock.load();
-            local.prev_epoch = e;
-            let slot = &self.slots[t.index()];
-            // The interval announcement must be globally visible before any
-            // protected read of the section; the single announcement fence
-            // (in `announce_u64`, after *both* stores) is IBR's
-            // per-operation cost and pairs with the fence at the head of
-            // `scan` (miss our announcement ⇒ we fenced later ⇒ we see your
-            // unlinks).
-            // Ordering: Relaxed — ordered before any observer by the
-            // announcement fence that follows.
-            slot.begin_ann.store(e, Ordering::Relaxed);
-            announce_u64(&slot.end_ann, e);
-            beat(t);
-            crate::fault::on_section_entry(t);
-            // Sanitizer shadow: IBR protects regions but NOT arbitrary
-            // section reads (PROTECTS_SECTION_READS = false) — coverage
-            // comes from the per-acquire interval tokens below.
-            crate::sanitize::section_enter(self as *const Self as usize, t, false);
+    fn ann() -> Interval {
+        Interval {
+            begin: AtomicU64::new(EMPTY),
+            end: AtomicU64::new(EMPTY),
         }
     }
 
-    #[inline]
-    fn end_critical_section(&self, t: Tid) {
-        // Scoped: the hook below may re-enter `retire`/`eject`, which take
-        // their own `&mut Local` — the borrow must be dead by then.
-        let outermost = {
-            let local = unsafe { &mut *self.local(t) };
-            debug_assert!(local.depth > 0, "end_critical_section without begin");
-            local.depth -= 1;
-            if local.depth == 0 {
-                local.prev_epoch = EMPTY;
-                true
-            } else {
-                false
-            }
-        };
-        if outermost {
-            let slot = &self.slots[t.index()];
-            // `begin` first: a scan that tears this store sequence sees
-            // either [EMPTY, ..] (ignored) or [old_begin, old_end]
-            // (conservative).
-            // Ordering: Release on both — the section's protected reads are
-            // sequenced before and cannot sink past the un-announcement,
-            // and Release-Release store order preserves the `begin`-first
-            // requirement above.
-            slot.begin_ann.store(EMPTY, Ordering::Release);
-            slot.end_ann.store(EMPTY, Ordering::Release);
-            beat(t);
-            // Releases every interval token the section's acquires minted.
-            crate::sanitize::section_exit(self as *const Self as usize, t);
-            // Retires issued by the hook are stamped with the post-section
-            // epoch — a later lifetime upper bound only delays ejection.
-            if let Some(h) = self.exit_hook.get() {
-                h.invoke(t);
-            }
-        }
-    }
-
-    fn set_exit_hook(&self, hook: ExitHook) {
-        let _ = self.exit_hook.set(hook);
+    fn local(_: &SmrConfig) -> u64 {
+        EMPTY
     }
 
     #[inline]
-    fn birth_epoch(&self, t: Tid) -> u64 {
-        let local = unsafe { &mut *self.local(t) };
-        // Count-and-reset instead of `% epoch_freq`: no integer division on
-        // the per-allocation path.
-        local.allocs += 1;
-        if local.allocs >= self.cfg.epoch_freq {
-            local.allocs = 0;
-            self.clock.advance();
-        }
-        self.clock.load()
+    fn enter(eng: &Engine<Self>, ann: &Interval, local: &mut Local<Self>) {
+        let e = eng.clock.load();
+        local.own = e;
+        // The interval announcement must be globally visible before any
+        // protected read of the section; the single announcement fence
+        // (in `announce_u64`, after *both* stores) is IBR's per-operation
+        // cost and pairs with the fence at the head of the frame's `sweep`
+        // (miss our announcement ⇒ we fenced later ⇒ we see your unlinks).
+        // Ordering: Relaxed — ordered before any observer by the
+        // announcement fence that follows.
+        ann.begin.store(e, Ordering::Relaxed);
+        announce_u64(&ann.end, e);
+    }
+
+    /// Also how a dead owner's interval is force-closed, where the Release
+    /// stores keep the retired-list takeover from sinking below the
+    /// un-announcement a concurrent scan may act on.
+    #[inline]
+    fn leave(_: &Engine<Self>, ann: &Interval, local: &mut Local<Self>) {
+        local.own = EMPTY;
+        // `begin` first: a scan that tears this store sequence sees either
+        // [EMPTY, ..] (ignored) or [old_begin, old_end] (conservative).
+        // Ordering: Release on both — the section's protected reads are
+        // sequenced before and cannot sink past the un-announcement, and
+        // Release-Release store order preserves the `begin`-first
+        // requirement above.
+        ann.begin.store(EMPTY, Ordering::Release);
+        ann.end.store(EMPTY, Ordering::Release);
+    }
+
+    fn idle(_: &Engine<Self>, ann: &Interval) -> bool {
+        // Ordering: Relaxed — an empty `begin` is the whole check; the
+        // sweep's fence pairing carries the visibility argument.
+        ann.begin.load(Ordering::Relaxed) == EMPTY
     }
 
     #[inline]
-    fn acquire(&self, t: Tid, src: &AtomicUsize) -> (usize, Self::Guard) {
-        let local = unsafe { &mut *self.local(t) };
+    fn acquire(eng: &Engine<Self>, t: Tid, slot: &Slot<Self>, src: &AtomicUsize) -> (usize, ()) {
+        // SAFETY: `slot` is the calling thread's own (frame invariant).
+        let local = unsafe { &mut *slot.local.get() };
         debug_assert!(local.depth > 0, "acquire outside critical section");
         // Fig. 4: re-read until the epoch is stable across the pointer load,
         // bumping the announced interval's upper end on each change. The
-        // returned pointer was read in an epoch ≤ end_ann, so objects it
+        // returned pointer was read in an epoch ≤ `end`, so objects it
         // leads to (born ≤ that epoch) are covered by the interval.
         loop {
             // Ordering: Acquire — pairs with the Release publication of the
             // pointee so its contents are visible; reclamation protection
             // comes from the announced interval, not this load.
             let ptr = src.load(Ordering::Acquire);
-            let cur = self.clock.load();
-            if local.prev_epoch == cur {
+            let cur = eng.clock.load();
+            if local.own == cur {
                 // The announced interval now covers the pointee until the
                 // section ends — mint a matching sanitizer token.
                 crate::sanitize::on_protect(
-                    self as *const Self as usize,
+                    eng.id(),
                     t,
                     ptr,
                     crate::sanitize::TokenLife::UntilSectionExit,
@@ -289,128 +154,81 @@ unsafe impl AcquireRetire for Ibr {
                 );
                 return (ptr, ());
             }
-            local.prev_epoch = cur;
+            local.own = cur;
             // The widened interval must be visible before the re-read above
             // can be trusted (announce-then-revalidate): `announce_u64`
-            // fences after the store; pairs with `scan`'s fence. Epoch
+            // fences after the store; pairs with the sweep's fence. Epoch
             // changes are rare (every `epoch_freq` allocations), so this
             // fence is off the common path.
-            announce_u64(&self.slots[t.index()].end_ann, cur);
+            announce_u64(&slot.ann.end, cur);
         }
     }
 
     #[inline]
-    fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, Self::Guard)> {
-        Some(self.acquire(t, src))
+    fn birth(eng: &Engine<Self>, t: Tid) -> u64 {
+        eng.tick(t);
+        eng.clock.load()
     }
 
     #[inline]
-    fn release(&self, _t: Tid, _guard: Self::Guard) {}
+    fn stamp(eng: &Engine<Self>) -> u64 {
+        eng.clock.load()
+    }
 
-    fn retire(&self, t: Tid, r: Retired) {
-        let local = unsafe { &mut *self.local(t) };
-        local.retired.push((r, self.clock.load()));
-        // Threshold-spaced scans: see `Local::next_scan`.
-        if local.retired.len() >= self.cfg.eject_threshold.max(local.next_scan) {
-            self.scan(local);
-        }
-        // Escape hatch: interval tightening. IBR's garbage under a stalled
-        // reader is structurally bounded — only objects born at or before
-        // the stalled interval's `end` are pinned — so over the watermark we
-        // advance the clock immediately: subsequently allocated objects are
-        // born strictly after every already-announced `end` and their
-        // retirement can never be pinned by the staller, then rescan to
-        // shed whatever the tightened bound released.
-        if let Some(cap) = self.cfg.max_garbage {
-            if local.retired.len() >= cap {
-                self.clock.advance();
-                self.scan(local);
+    fn reclaim(eng: &Engine<Self>, local: &mut Local<Self>) {
+        // Collect announced intervals. Read order matters: `begin` before
+        // `end`. If the slot transitions between critical sections while we
+        // read, pairing an older (smaller) `begin` with a newer (larger)
+        // `end` yields a superset interval — conservative. Reading in the
+        // opposite order could fabricate an empty interval and free
+        // something the new section protects.
+        let mut intervals = Vec::with_capacity(registered_high_water_mark());
+        eng.survey(|ann| {
+            // Ordering: Acquire on `begin` — pins the read order: the
+            // `end` load below cannot be hoisted above it (see the comment
+            // above on why that order is load-bearing). Visibility of the
+            // announcements themselves comes from the fence pairing.
+            let lo = ann.begin.load(Ordering::Acquire);
+            // Ordering: Relaxed — ordered after the Acquire load above. A
+            // stale (smaller) `end` is safe: the reader only trusts a
+            // pointer read *after* publishing the extended `end` and
+            // fencing (see `acquire`), so if we miss the extension, our
+            // fence preceded the reader's and its re-read observes the
+            // unlink instead of the retired object.
+            let hi = ann.end.load(Ordering::Relaxed);
+            if lo != EMPTY {
+                intervals.push((lo, hi.max(lo)));
             }
+        });
+        // Lifetime [r.birth, retire_epoch] intersects any announcement
+        // [lo, hi]? Then the entry must stay.
+        eject_unless(&mut local.retired, &mut local.ready, |r, retire_epoch| {
+            intervals
+                .iter()
+                .any(|&(lo, hi)| lo <= retire_epoch && r.birth <= hi)
+        });
+    }
+
+    /// Interval tightening. IBR's garbage under a stalled reader is
+    /// structurally bounded — only objects born at or before the stalled
+    /// interval's `end` are pinned — so over the watermark we advance the
+    /// clock immediately: subsequently allocated objects are born strictly
+    /// after every already-announced `end` and their retirement can never
+    /// be pinned by the staller, then rescan to shed whatever the tightened
+    /// bound released.
+    fn over_watermark(eng: &Engine<Self>, local: &mut Local<Self>, cap: usize) {
+        if local.retired.len() >= cap {
+            eng.clock.advance();
+            eng.scan(local);
         }
-    }
-
-    #[inline]
-    fn eject(&self, t: Tid) -> Option<Retired> {
-        let local = unsafe { &mut *self.local(t) };
-        local.ready.pop_front()
-    }
-
-    #[inline]
-    fn has_ready(&self, t: Tid) -> bool {
-        !unsafe { &*self.local(t) }.ready.is_empty()
-    }
-
-    fn quiescent(&self) -> bool {
-        // Ordering: fence(SeqCst) — pairs as in `scan`: a section whose
-        // interval we miss below fenced after us and revalidates against
-        // live locations, none of which still name what the caller hands
-        // back.
-        fence(Ordering::SeqCst);
-        self.slots
-            .iter()
-            .take(registered_high_water_mark())
-            // Ordering: Relaxed — an empty `begin` is the whole check; the
-            // fence pairing above carries the visibility argument.
-            .all(|slot| slot.begin_ann.load(Ordering::Relaxed) == EMPTY)
-    }
-
-    fn flush(&self, t: Tid) {
-        let local = unsafe { &mut *self.local(t) };
-        self.scan(local);
-    }
-
-    unsafe fn drain_all(&self) -> Vec<Retired> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let local = &mut *slot.local.get();
-            out.extend(local.retired.drain(..).map(|(r, _)| r));
-            out.extend(local.ready.drain(..));
-        }
-        out
-    }
-
-    unsafe fn reclaim_slot(&self, dead: Tid, into: Tid) {
-        debug_assert_ne!(dead, into, "cannot reclaim a slot into itself");
-        let (retired, ready) = {
-            let dead_local = &mut *self.local(dead);
-            dead_local.depth = 0;
-            dead_local.allocs = 0;
-            dead_local.prev_epoch = EMPTY;
-            dead_local.next_scan = 0;
-            (
-                std::mem::take(&mut dead_local.retired),
-                std::mem::take(&mut dead_local.ready),
-            )
-        };
-        let slot = &self.slots[dead.index()];
-        // `begin` first, as in `end_critical_section`: a torn read sees
-        // either [EMPTY, ..] (ignored) or the old conservative interval.
-        // Sound because the owner is dead: no post-fence reads of its
-        // section can ever execute.
-        // Ordering: Release on both — mirrors `end_critical_section`: the
-        // retired-list takeover above must not sink below the
-        // un-announcement a concurrent scan may act on.
-        slot.begin_ann.store(EMPTY, Ordering::Release);
-        slot.end_ann.store(EMPTY, Ordering::Release);
-        let local = &mut *self.local(into);
-        local.retired.extend(retired);
-        local.ready.extend(ready);
-        self.scan(local);
-    }
-}
-
-impl fmt::Debug for Ibr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ibr")
-            .field("epoch", &self.clock.load())
-            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::current_tid;
+    use crate::{current_tid, AcquireRetire, GlobalEpoch, Retired};
+    use std::sync::Arc;
 
     fn new_ibr() -> Ibr {
         Ibr::new(Arc::new(GlobalEpoch::new()), Ibr::default_config())
@@ -482,8 +300,8 @@ mod tests {
         clock.advance();
         let (v, _) = ibr.acquire(t, &src);
         assert_eq!(v, 0xabc0);
-        assert_eq!(ibr.slots[t.index()].end_ann.load(Ordering::SeqCst), 2);
-        assert_eq!(ibr.slots[t.index()].begin_ann.load(Ordering::SeqCst), 0);
+        assert_eq!(ibr.slots[t.index()].ann.end.load(Ordering::SeqCst), 2);
+        assert_eq!(ibr.slots[t.index()].ann.begin.load(Ordering::SeqCst), 0);
         ibr.end_critical_section(t);
     }
 
@@ -498,16 +316,6 @@ mod tests {
         assert_eq!(ibr.eject(t), Some(r));
         assert_eq!(ibr.eject(t), Some(r));
         assert_eq!(ibr.eject(t), None);
-    }
-
-    #[test]
-    fn drain_all_recovers_everything() {
-        let ibr = new_ibr();
-        let t = current_tid();
-        ibr.begin_critical_section(t);
-        ibr.retire(t, Retired::new(0x4000, 0));
-        ibr.end_critical_section(t);
-        assert_eq!(unsafe { ibr.drain_all() }.len(), 1);
     }
 
     #[test]

@@ -41,12 +41,43 @@
 //!
 //! # Safety contract
 //!
-//! Implementations of [`AcquireRetire`] are `unsafe` to write: they promise
+//! An implementation of [`AcquireRetire`] is `unsafe` to write: it promises
 //! the linearizable acquire-retire specification (Definition 3.3 of the
 //! paper) under *proper executions* (Definition 3.2): every acquire happens
 //! inside a critical section, each guard is released at most once, a thread
 //! holds at most one `acquire`-guard at a time, and a thread never exits
 //! while inside a critical section or holding a guard.
+//!
+//! # Adding a scheme
+//!
+//! There is one implementation, [`Engine`], written once: per-thread slots,
+//! section nesting, heartbeats, the fault and sanitizer checkpoints, the
+//! exit hook, the retire list and its threshold-spaced scans, the
+//! fence-then-sweep skeleton, the ready queue, `drain_all` and
+//! `reclaim_slot`. The four schemes are aliases of `Engine<policy>`, and a
+//! policy is an implementation of the crate-private `Protection` trait
+//! (`src/engine.rs`) — one file of `src/` each. A fifth scheme is a fifth
+//! such file plus an alias; what it supplies, and what each item owes:
+//!
+//! | `Protection` item | the paper's line | safety obligation |
+//! |---|---|---|
+//! | `Ann`, `ann()` | Fig. 3 `ann[p]`; Fig. 4 `begin_ann`/`end_ann`; §3.2 announcement slots | a fresh announcement reads as `idle` |
+//! | `enter` | Fig. 3 `begin_critical_section`: `ann[p] ← cur_epoch` | published *and fenced* before any protected read of the section (`util::announce_*`) |
+//! | `leave` | Fig. 3 `end_critical_section`: `ann[p] ← empty` | `Release` or stronger — the section's reads may not sink below it |
+//! | `idle` | Fig. 3 `eject`: the `ann[q] = empty` arm | `true` only when the slot protects nothing |
+//! | `force_close` | — (dead-thread recovery) | withdraws *everything* the dead slot announced, `Release` or stronger; the default is `leave` on its behalf |
+//! | `acquire`, `try_acquire`, `release`, `Guard` | Fig. 2; Fig. 4 `acquire`'s revalidation loop; §3.2 announce-then-validate | the returned word stays protected until `release` (or section exit); an announcement written here is fenced before the re-read that trusts it |
+//! | `birth` | Fig. 4 `alloc`: `birth_epoch ← cur_epoch` | epoch schemes call `Engine::tick` so the clock keeps moving |
+//! | `Stamp`, `stamp` | Fig. 3 `retire`: `push(x, cur_epoch)` | read after the caller's unlink (`GlobalEpoch::load` is `SeqCst` for this) |
+//! | `reclaim` | Fig. 3 `eject`: `epoch < min(ann)`; Fig. 4's interval test; §3.2's `min(#retired, #announced)` | moves to `ready` only entries no announcement protects, and reads announcements only through `Engine::survey`/`sweep`, which pay the scan-side fence |
+//! | `scan_threshold` | §5.1 eject threshold; HP's amortization bound | — |
+//! | `over_watermark` | — ([`SmrConfig::max_garbage`]) | never waits inside the caller's own section |
+//! | `recall` | — (Hyaline's hand-off lists) | after it, every retired entry sits in some slot's `retired` or `ready` |
+//! | `NAME`, `default_config`, `PROTECTS_REGIONS`, `PROTECTS_SECTION_READS` | §5.1 tuning; §3's protected-region / protected-pointer split | the two consts must tell the truth: consumers skip `release`, or a re-`acquire`, on their word |
+//! | `Local`, `Shared` | scheme-private state (Fig. 4 `prev_epoch`; HP's free mask) | `Local` is owner-only, reached through the slot the frame hands over |
+//!
+//! `crates/smr/tests/conformance.rs` states the interface's rules once,
+//! generically, and runs them against every alias.
 //!
 //! # Fault tolerance
 //!
@@ -85,18 +116,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ebr;
+mod ebr;
+mod engine;
 pub mod fault;
-pub mod hp;
-pub mod hyaline;
-pub mod ibr;
+mod hp;
+mod hyaline;
+mod ibr;
 mod registry;
 pub mod sanitize;
 pub mod sync;
 pub mod util;
 
 pub use ebr::Ebr;
-pub use hp::Hp;
+pub use engine::Engine;
+pub use hp::{Hp, HpGuard};
 pub use hyaline::Hyaline;
 pub use ibr::Ibr;
 pub use registry::{
@@ -108,15 +141,6 @@ pub use registry::{
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::fmt::Debug;
 use std::sync::Arc;
-
-/// Rounds of scan-then-sleep the [`SmrConfig::max_garbage`] backpressure
-/// loop runs before giving up. Bounded so an over-watermark `retire` slows
-/// to a crawl but never blocks forever (the watermark is a *soft* cap:
-/// liveness is preserved even when the stalled reader never wakes).
-pub(crate) const THROTTLE_ROUNDS: u32 = 20;
-
-/// Sleep per backpressure round (see [`THROTTLE_ROUNDS`]).
-pub(crate) const THROTTLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// Low bits of a pointer word reserved for data-structure tags (marks).
 ///
@@ -206,7 +230,7 @@ impl GlobalEpoch {
         // readers acquire through. Checked: the `model_check` suite
         // explores all epoch-clock interleavings with this ordering and
         // finds no under-stamped retire; a locked RMW on x86-64 compiles
-        // identically at any ordering (see BENCH_hot_path.json).
+        // identically at any ordering.
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 }
@@ -227,9 +251,6 @@ pub struct SmrConfig {
     pub hp_slots: usize,
     /// Retired nodes per Hyaline batch.
     pub batch_size: usize,
-    /// Prefetch the pointee cache line before announcing (HP only) — the
-    /// paper's §5.1 optimization that hides the announcement fence latency.
-    pub prefetch: bool,
     /// Robustness escape hatch: a per-thread unreclaimed-garbage watermark
     /// (`None` = off, the default). When a thread's deferred garbage on one
     /// instance exceeds the watermark and it is *not* inside a critical
@@ -262,7 +283,6 @@ impl Default for SmrConfig {
             eject_threshold: 128,
             hp_slots: 16,
             batch_size: 32,
-            prefetch: true,
             max_garbage: None,
         }
     }
@@ -308,10 +328,10 @@ impl ExitHook {
 
     /// Invokes the hook for thread `t`.
     ///
-    /// Engines call this after their own outermost section-exit work, with
+    /// The frame calls this after its own outermost section-exit work, with
     /// no per-thread state borrowed — the hook may re-enter the instance.
     #[inline]
-    pub fn invoke(&self, t: Tid) {
+    pub(crate) fn invoke(&self, t: Tid) {
         // Safety: upheld by the `new` contract.
         unsafe { (self.call)(self.data, t) }
     }
@@ -406,17 +426,14 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// Installs an [`ExitHook`] invoked each time a thread leaves its
     /// outermost critical section on this instance, after the scheme's own
     /// exit work. At most one hook per instance; installation is one-shot
-    /// and later calls are silently ignored. The default implementation
-    /// discards the hook (valid: the hook is a pure optimization channel —
-    /// consumers must stay correct if it never fires).
+    /// and later calls are silently ignored. The hook is a pure
+    /// optimization channel: consumers must stay correct if it never fires.
     ///
     /// Callers of `end_critical_section` must guarantee the instance stays
     /// reachable until the call returns (the hook may run consumer code);
     /// every proper-use caller already does, since it entered the section
     /// through a live reference it still holds.
-    fn set_exit_hook(&self, hook: ExitHook) {
-        let _ = hook;
-    }
+    fn set_exit_hook(&self, hook: ExitHook);
 
     /// Hook invoked once per allocation of a managed object: advances the
     /// epoch according to `epoch_freq` and returns the object's birth epoch
@@ -450,12 +467,9 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
 
     /// Whether [`eject`](Self::eject) would currently return `Some` — a
     /// cheap thread-local peek that lets callers skip their eject loop's
-    /// setup entirely on the (overwhelmingly common) empty case. The
-    /// default conservatively answers `true`.
-    #[inline]
-    fn has_ready(&self, _t: Tid) -> bool {
-        true
-    }
+    /// setup entirely on the (overwhelmingly common) empty case. `true` is
+    /// always a safe answer.
+    fn has_ready(&self, t: Tid) -> bool;
 
     /// Whether *no* thread currently holds any protection on this instance:
     /// no critical section is active and (for hazard-pointer schemes) no
@@ -468,12 +482,9 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// same fence pairing that makes a scan with no announcements eject
     /// everything). The check pays a scan-grade `SeqCst` fence plus one
     /// announcement sweep, so callers should amortize it over a batch.
-    ///
-    /// The default conservatively answers `false` (always safe: callers
-    /// fall back to the retire path).
-    fn quiescent(&self) -> bool {
-        false
-    }
+    /// `false` is always a safe answer: callers fall back to the retire
+    /// path.
+    fn quiescent(&self) -> bool;
 
     /// Forces a scan so that everything ejectable becomes ready. Costlier
     /// than waiting for the amortized threshold; meant for tests, teardown
@@ -509,54 +520,14 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     unsafe fn reclaim_slot(&self, dead: Tid, into: Tid);
 }
 
-/// Convenience RAII guard for a critical section on one instance.
-///
-/// # Examples
-///
-/// ```
-/// use smr::{AcquireRetire, CriticalSection, Ebr, GlobalEpoch};
-/// use std::sync::Arc;
-///
-/// let ebr = Ebr::new(Arc::new(GlobalEpoch::new()), Ebr::default_config());
-/// let t = smr::current_tid();
-/// let _cs = CriticalSection::begin(&ebr, t);
-/// // ... acquire and read protected pointers ...
-/// ```
-pub struct CriticalSection<'a, S: AcquireRetire> {
-    scheme: &'a S,
-    t: Tid,
-}
-
-impl<'a, S: AcquireRetire> CriticalSection<'a, S> {
-    /// Begins a critical section ended when the guard drops.
-    pub fn begin(scheme: &'a S, t: Tid) -> Self {
-        scheme.begin_critical_section(t);
-        CriticalSection { scheme, t }
-    }
-}
-
-impl<S: AcquireRetire> Drop for CriticalSection<'_, S> {
-    fn drop(&mut self) {
-        self.scheme.end_critical_section(self.t);
-    }
-}
-
-impl<S: AcquireRetire> Debug for CriticalSection<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CriticalSection")
-            .field("tid", &self.t)
-            .finish()
-    }
-}
-
 /// An *owned* re-entrant critical-section guard over a shared scheme
 /// instance — the amortized-section facility for guard-centric operation
 /// APIs (§3.4: the per-section fence only pays off when amortized over many
 /// operations).
 ///
-/// Unlike [`CriticalSection`], which borrows the scheme, a `SectionGuard`
-/// clones the instance's `Arc`, so a data structure can hand one out without
-/// tying the guard's lifetime to a borrow of itself. Critical sections nest
+/// A `SectionGuard` clones the instance's `Arc` rather than borrowing the
+/// scheme, so a data structure can hand one out without tying the guard's
+/// lifetime to a borrow of itself. Critical sections nest
 /// (only the outermost `begin`/`end` pair touches the announcement), so
 /// operations invoked under a held guard may still open their own inner
 /// section safely — they just no longer pay the announcement fence.

@@ -92,7 +92,6 @@ fn tight<S: AcquireRetire>() -> SmrConfig {
     c.epoch_freq = 1;
     c.eject_threshold = 1;
     c.batch_size = 1;
-    c.prefetch = false;
     c.max_garbage = None;
     c
 }
