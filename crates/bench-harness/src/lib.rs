@@ -208,7 +208,7 @@ pub fn run_map<M: ConcurrentMap<u64, u64>>(
 /// set, and structures on *separate* domains may run concurrently on one
 /// scheme without polluting each other's samples. (Structures left on a
 /// scheme's global default domain still share that domain's counter —
-/// build them with the `new_in`/`with_buckets_in` constructors for
+/// build them with the `new_in`/`with_capacity_in` constructors for
 /// isolation.)
 pub fn run_map_for<M: ConcurrentMap<u64, u64>>(
     map: &M,
@@ -977,12 +977,12 @@ mod tests {
     #[test]
     fn run_adversarial_smoke() {
         use cdrc::{DomainRef, EbrScheme};
-        use lockfree::rc::RcMichaelHashMap;
+        use lockfree::rc::RcResizableHashMap;
 
         let spec = Workload::points(128, 100);
         // Stalled reader: the victim pins its section for 60ms mid-run.
-        let map: RcMichaelHashMap<u64, u64, EbrScheme> =
-            RcMichaelHashMap::with_buckets_in(16, DomainRef::new());
+        let map: RcResizableHashMap<u64, u64, EbrScheme> =
+            RcResizableHashMap::with_capacity_in(256, DomainRef::new());
         let out = run_adversarial(
             &map,
             FaultPlan::stalled_reader(Duration::from_millis(60)),
@@ -998,8 +998,8 @@ mod tests {
         assert_eq!(out.recovered, None, "stall kills no thread");
 
         // Dead thread in section: the victim's slot must be reclaimed.
-        let map: RcMichaelHashMap<u64, u64, EbrScheme> =
-            RcMichaelHashMap::with_buckets_in(16, DomainRef::new());
+        let map: RcResizableHashMap<u64, u64, EbrScheme> =
+            RcResizableHashMap::with_capacity_in(256, DomainRef::new());
         let out = run_adversarial(
             &map,
             FaultPlan::dead_thread_in_section(),

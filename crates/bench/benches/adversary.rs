@@ -1,7 +1,7 @@
 //! Adversarial fault-injection bench: the measured garbage-bound story.
 //!
 //! Every cell drives update-heavy writers against a reference-counted
-//! Michael hash map while one fault from `smr::fault` is active, sampling
+//! resizable hash map (sized for its keys) while one fault from `smr::fault` is active, sampling
 //! the domain's unreclaimed garbage over time:
 //!
 //! * `stall/<scheme>` — a victim reader pins a critical section for the
@@ -33,7 +33,8 @@ use std::time::Duration;
 use bench::settle_scheme;
 use bench_harness::{run_adversarial, AdversaryOutcome, Workload};
 use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
-use lockfree::rc::RcMichaelHashMap;
+use lockfree::rc::RcResizableHashMap;
+use lockfree::ConcurrentMap;
 use smr::fault::FaultPlan;
 
 /// Escape-hatch watermark (`SmrConfig::max_garbage`) for the hatched cells.
@@ -143,8 +144,17 @@ fn cell<S: Scheme>(
     if hatch {
         cfg.max_garbage = Some(CAP);
     }
-    let map: RcMichaelHashMap<u64, u64, S> =
-        RcMichaelHashMap::with_buckets_in(64, DomainRef::with_config(cfg));
+    // Sized for its key range, so the table never grows mid-cell (sized
+    // for the 4096 live keys it would sit exactly on the growth threshold).
+    // Sentinels are nodes of the map's domain, spliced in on a bucket's
+    // first touch: walk every bucket now (16 probes per bucket miss one
+    // with probability e^-16) so they sit in the harness's post-prefill
+    // baseline instead of reading as garbage.
+    let map: RcResizableHashMap<u64, u64, S> =
+        RcResizableHashMap::with_capacity_in(spec.key_range as usize, DomainRef::with_config(cfg));
+    for k in 0..16 * spec.key_range {
+        map.get(&k);
+    }
     let out = run_adversarial(&map, plan, spec, writers, total, fault_at, recover_at);
     drop(map);
     settle_scheme::<S>();

@@ -4,7 +4,8 @@
 //! Sections (select with `FIG13_ONLY=a,c`):
 //!
 //! * a — Harris-Michael list, N=1000, 10% updates
-//! * b — Michael hash table, N=100K (load factor 1), 10% updates
+//! * b — hash table (the resizable map sized for load factor 1, so it never
+//!   grows), N=100K, 10% updates
 //! * c — NM tree, N=100K, 10% updates
 //! * d — NM tree, N=100M in the paper, scaled by `FIG13D_SIZE`
 //!   (default 1M) — the cache-cold large-tree point
@@ -16,8 +17,8 @@
 use bench::{map_series, section_enabled, settle_scheme};
 use bench_harness::{print_header, Workload};
 use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
-use lockfree::manual::{HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
-use lockfree::rc::{RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree};
+use lockfree::manual::{HarrisMichaelList, NatarajanMittalTree, ResizableHashMap};
+use lockfree::rc::{RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap};
 use smr::{AcquireRetire, Ebr, Hp, Hyaline, Ibr};
 
 fn list_section(figure: &str, spec: &Workload) {
@@ -59,7 +60,7 @@ fn hash_section(figure: &str, spec: &Workload) {
             "hash",
             name,
             spec,
-            move || MichaelHashMap::<u64, u64, S>::with_buckets(buckets),
+            move || ResizableHashMap::<u64, u64, S>::with_capacity(buckets),
             || {},
         );
     }
@@ -69,7 +70,7 @@ fn hash_section(figure: &str, spec: &Workload) {
             "hash",
             name,
             spec,
-            move || RcMichaelHashMap::<u64, u64, S>::with_buckets(buckets),
+            move || RcResizableHashMap::<u64, u64, S>::with_capacity(buckets),
             settle_scheme::<S>,
         );
     }

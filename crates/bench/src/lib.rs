@@ -16,7 +16,7 @@ use lockfree::ConcurrentMap;
 /// samples are exact per structure and several structures — even on one
 /// scheme — may coexist without polluting each other's numbers. Bench
 /// binaries that want per-cell isolation down to the scan cadence can pass
-/// a `make` closure using the `new_in`/`with_buckets_in` constructors with
+/// a `make` closure using the `new_in`/`with_capacity_in` constructors with
 /// a fresh `cdrc::DomainRef` per cell.
 pub fn map_series<M, F, G>(
     figure: &str,

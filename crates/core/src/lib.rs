@@ -178,9 +178,9 @@
 //! assert_eq!(mine.allocated(), mine.freed());
 //! ```
 //!
-//! Share one domain between structures that should reclaim together (a hash
-//! table's buckets, or a group of small maps whose combined garbage should
-//! amortize one scan cadence); give independent structures independent
+//! Share one domain between structures that should reclaim together (a
+//! cache and its index, or a group of small maps whose combined garbage
+//! should amortize one scan cadence); give independent structures independent
 //! domains. Mixing is checked: installing a pointer into a location bound
 //! to a different domain panics, and snapshot operations assert (debug
 //! builds) that the guard covers the location's domain.

@@ -1072,9 +1072,16 @@ mod tests {
 
     #[test]
     fn swap_and_take_move_ownership() {
+        // On a private domain: a displaced pointer's drop is a deferred
+        // decrement, and the exact drop counts after one `process_deferred`
+        // hold only if no other thread has a section open on the domain —
+        // sibling tests hold sections on the global one.
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let slot: Asp<Probe> = AtomicSharedPtr::new(SharedPtr::new(Probe(Arc::clone(&drops))));
-        let displaced = slot.swap(SharedPtr::new(Probe(Arc::clone(&drops))));
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let settle = || d.process_deferred(smr::current_tid());
+        let probe = || SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
+        let slot: Asp<Probe> = AtomicSharedPtr::new_in(probe(), &d);
+        let displaced = slot.swap(probe());
         assert!(!displaced.is_null());
         drop(displaced);
         settle();

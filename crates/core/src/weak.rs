@@ -848,13 +848,18 @@ mod tests {
     fn weak_snapshot_survives_concurrent_expiry() {
         // Take a snapshot, then drop the last strong reference while the
         // snapshot is alive: reads must remain valid; expiry must be
-        // observable; promote must fail.
+        // observable; promote must fail. On a private domain: the exact
+        // drop count after one `process_deferred` below holds only if no
+        // other thread has a section open, and sibling tests hold sections
+        // on the global domain.
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let settle = || d.process_deferred(smr::current_tid());
         let drops = Arc::new(Std::new(0));
-        let strong: Sp<Probe> = SharedPtr::new(Probe(Arc::clone(&drops)));
-        let slot: Awp<Probe> = AtomicWeakPtr::null();
+        let strong: Sp<Probe> = SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
+        let slot: Awp<Probe> = AtomicWeakPtr::null_in(&d);
         slot.store(&strong.downgrade());
         {
-            let cs = Ebr::global_domain().weak_cs();
+            let cs = d.weak_cs();
             let snap = slot.get_snapshot(&cs);
             assert!(!snap.is_null());
             drop(strong);

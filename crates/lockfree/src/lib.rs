@@ -9,8 +9,10 @@
 //!   types of the [`cdrc`] crate, where a single pointer swing reclaims
 //!   whole unlinked subtrees (Fig. 1b).
 //!
-//! Structures: Harris-Michael linked list, Michael hash table,
-//! Natarajan-Mittal external BST (with the paper's sequential range query),
+//! Structures: Harris-Michael linked list, the resizable (split-ordered)
+//! hash map built over that list — sized for its keys it is the paper's
+//! fixed-bucket table, there is no separate one — Natarajan-Mittal external
+//! BST (with the paper's sequential range query),
 //! and the Ramalhete-Correia DoubleLink queue (whose `prev` edges become
 //! atomic *weak* pointers in the RC variant — Fig. 10). [`locked`] provides
 //! the lock-based `atomic<shared_ptr>/atomic<weak_ptr>` baseline standing in
@@ -21,6 +23,7 @@
 pub mod locked;
 pub mod manual;
 pub mod rc;
+pub(crate) mod split_order;
 
 use smr::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,7 +70,7 @@ pub trait ConcurrentMap<K, V>: Send + Sync {
     ///
     /// Guards are thread-bound (not `Send`) and must only be passed to
     /// operations on the structure that created them (or on structures
-    /// sharing its reclamation instance, e.g. a hash table's own buckets);
+    /// sharing its reclamation instance, see `with_shared`/`new_in`);
     /// debug builds assert this where it is not guaranteed by construction.
     type Guard;
 
@@ -124,7 +127,7 @@ pub trait ConcurrentMap<K, V>: Send + Sync {
     /// their own reclamation domain (`cdrc::DomainRef`): `new()` binds a
     /// structure to the scheme's global default domain, `new_in(domain)` to
     /// an explicit one. Structures that should reclaim — and be metered —
-    /// together (e.g. a hash table's buckets) share one domain by cloning
+    /// together (e.g. a cache and its index) share one domain by cloning
     /// the handle; unrelated structures get fresh domains and are fully
     /// isolated, even on the same scheme: separate epoch clocks, retired
     /// lists and counters, so one structure's open guard never pins the
@@ -167,17 +170,80 @@ pub trait ConcurrentQueue<V>: Send + Sync {
     }
 }
 
-/// One thread's allocation/free tallies, aligned to its own cache line.
-/// Both counters share the lane deliberately: they have the same single
-/// writer, so packing them costs nothing and halves the footprint. 64-byte
-/// alignment (one x86 line) rather than the scheme slots' 128: these lanes
-/// are written by one thread and only *read* cross-thread, so adjacent-line
-/// prefetch pulling a neighbour is harmless.
+/// One thread's pair of event tallies — an `up` count and the `down` count
+/// of events that each have a matching `up` which happened-before them —
+/// aligned to its own cache line. Both counters share the lane
+/// deliberately: they have the same single writer, so packing them costs
+/// nothing and halves the footprint. 64-byte alignment (one x86 line)
+/// rather than the scheme slots' 128: these lanes are written by one thread
+/// and only *read* cross-thread, so adjacent-line prefetch pulling a
+/// neighbour is harmless.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct StatLane {
-    allocs: AtomicU64,
-    frees: AtomicU64,
+struct Lane {
+    up: AtomicU64,
+    down: AtomicU64,
+}
+
+/// Per-thread single-writer [`Lane`]s indexed by [`Tid`], folded on read:
+/// the one counter shape behind [`NodeStats`] (allocs/frees) and the
+/// resizable tables' element count (inserts/removes). One instance costs a
+/// single 16 KiB allocation (`MAX_THREADS` 64-byte lanes).
+#[derive(Debug)]
+pub(crate) struct LanePairs {
+    lanes: Box<[Lane]>,
+}
+
+impl LanePairs {
+    pub(crate) fn new() -> Self {
+        LanePairs {
+            lanes: (0..MAX_THREADS).map(|_| Lane::default()).collect(),
+        }
+    }
+
+    /// Records one `up` event by thread `t`; returns the lane's new tally.
+    #[inline]
+    pub(crate) fn up(&self, t: Tid) -> u64 {
+        // Ordering: Relaxed load + store — single-writer lane (only thread
+        // `t` writes it), so the unfenced read-modify-write is race-free
+        // and needs no `lock` prefix; see `smr::util::ShardedCounter::add`.
+        let lane = &self.lanes[t.index()].up;
+        let n = lane.load(Ordering::Relaxed) + 1;
+        lane.store(n, Ordering::Relaxed);
+        n
+    }
+
+    /// Records one `down` event by thread `t`.
+    #[inline]
+    pub(crate) fn down(&self, t: Tid) {
+        // Ordering: as `up`.
+        let lane = &self.lanes[t.index()].down;
+        lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// Ups − downs.
+    pub(crate) fn net(&self) -> u64 {
+        // Ordering: Relaxed — monotone lanes; exact for events that
+        // happened-before this read (join / drop exclusivity), monotone
+        // under concurrency. Lanes past the registry high-water mark were
+        // never written.
+        //
+        // Fold order: sum every `down` lane *before* any `up` lane. Each
+        // down (a free, a remove) has a matching up (its alloc, its insert)
+        // that happened-before it, so a sample reading downs first can at
+        // worst miss concurrent downs (over-reporting the net); an
+        // interleaved or ups-first fold could count a down whose up it had
+        // not yet seen and under-report live garbage.
+        let hwm = registered_high_water_mark();
+        // Ordering: Relaxed — statistics lanes; the fold order above, not
+        // any acquire edge, is what keeps the estimate one-sided.
+        let fold = |pick: fn(&Lane) -> &AtomicU64| -> u64 {
+            let lanes = self.lanes.iter().take(hwm);
+            lanes.map(|lane| pick(lane).load(Ordering::Relaxed)).sum()
+        };
+        let down = fold(|lane| &lane.down);
+        fold(|lane| &lane.up).saturating_sub(down)
+    }
 }
 
 /// Allocation / free counters for the manual structures (the RC variants
@@ -187,11 +253,10 @@ struct StatLane {
 /// counters sit on every node allocation and free, and a shared `fetch_add`
 /// there bounces one cache line between all worker cores. Reads fold the
 /// lanes and are exact for all events that happened-before them (the bench
-/// sampler and teardown assertions both qualify). One structure's stats
-/// cost a single 16 KiB allocation (`MAX_THREADS` 64-byte lanes).
+/// sampler and teardown assertions both qualify).
 #[derive(Debug)]
 pub struct NodeStats {
-    lanes: Box<[StatLane]>,
+    lanes: LanePairs,
 }
 
 impl Default for NodeStats {
@@ -204,151 +269,25 @@ impl NodeStats {
     /// Fresh counters.
     pub fn new() -> Self {
         NodeStats {
-            lanes: (0..MAX_THREADS).map(|_| StatLane::default()).collect(),
+            lanes: LanePairs::new(),
         }
     }
 
     /// Records one allocation by thread `t`.
     #[inline]
     pub fn on_alloc(&self, t: Tid) {
-        // Ordering: Relaxed load + store — single-writer lane (only thread
-        // `t` writes it), so the unfenced read-modify-write is race-free
-        // and needs no `lock` prefix; see `smr::util::ShardedCounter::add`.
-        let lane = &self.lanes[t.index()].allocs;
-        lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.lanes.up(t);
     }
 
     /// Records one free by thread `t`.
     #[inline]
     pub fn on_free(&self, t: Tid) {
-        // Ordering: as `on_alloc`.
-        let lane = &self.lanes[t.index()].frees;
-        lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.lanes.down(t);
     }
 
-    /// Allocated − freed.
+    /// Allocated − freed; frees are folded first, so a concurrent sample
+    /// can only over-report in-flight nodes.
     pub fn in_flight(&self) -> u64 {
-        // Ordering: Relaxed — monotone lanes; exact for events that
-        // happened-before this read (join / drop exclusivity), monotone
-        // under concurrency. Lanes past the registry high-water mark were
-        // never written.
-        //
-        // Fold order: sum every `frees` lane *before* any `allocs` lane.
-        // Each free has a matching alloc that happened-before it, so a
-        // sample reading frees first can at worst miss concurrent frees
-        // (over-reporting in-flight nodes); an interleaved or allocs-first
-        // fold could count a free whose alloc it had not yet seen and
-        // under-report live garbage.
-        let hwm = registered_high_water_mark();
-        // Ordering: Relaxed — statistics lanes; the fold order above, not
-        // any acquire edge, is what keeps the estimate one-sided.
-        let f: u64 = self
-            .lanes
-            .iter()
-            .take(hwm)
-            .map(|lane| lane.frees.load(Ordering::Relaxed))
-            .sum();
-        let a: u64 = self
-            .lanes
-            .iter()
-            .take(hwm)
-            .map(|lane| lane.allocs.load(Ordering::Relaxed))
-            .sum();
-        a.saturating_sub(f)
-    }
-}
-
-/// Split-ordering arithmetic shared by the resizable tables (Shalev &
-/// Shavit): bucket sentinels carry even bit-reversed keys, regular nodes
-/// odd ones, so doubling the bucket mask splits every bucket's contiguous
-/// so-key range without moving a node.
-pub(crate) mod split_order {
-    /// Directory segments; segment `l` holds buckets `[2^l, 2^{l+1})`, so
-    /// a table tops out at 2^33 buckets — far past any in-memory key count.
-    pub(crate) const SPINE_LEVELS: usize = 33;
-
-    /// Split-order key of bucket `b`'s sentinel: even, low bits all zero.
-    #[inline]
-    pub(crate) fn so_dummy(b: u64) -> u64 {
-        b.reverse_bits()
-    }
-
-    /// Split-order key of a regular node with hash `h`: odd, so it sorts
-    /// strictly after every sentinel sharing its reversed prefix.
-    #[inline]
-    pub(crate) fn so_regular(h: u64) -> u64 {
-        h.reverse_bits() | 1
-    }
-}
-
-/// One thread's insert/remove tallies for the live-element estimate of the
-/// resizable tables, aligned like [`StatLane`] and with the same
-/// single-writer discipline.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct CountLane {
-    ins: AtomicU64,
-    dels: AtomicU64,
-}
-
-/// Approximate live-element counter driving the resizable tables' growth
-/// decisions: per-thread single-writer lanes (no shared `fetch_add` on the
-/// insert path), folded only on the growth-check cadence.
-#[derive(Debug)]
-pub(crate) struct ElementCount {
-    lanes: Box<[CountLane]>,
-}
-
-impl ElementCount {
-    /// How many successful inserts a lane absorbs between growth checks.
-    /// The live count can therefore lag by `MAX_THREADS * GROW_CHECK_EVERY`
-    /// in the worst case — bounded slack, spent on keeping the insert fast
-    /// path free of cross-thread folds.
-    const GROW_CHECK_EVERY: u64 = 64;
-
-    pub(crate) fn new() -> Self {
-        ElementCount {
-            lanes: (0..MAX_THREADS).map(|_| CountLane::default()).collect(),
-        }
-    }
-
-    /// Records one successful insert by thread `t`; returns `true` on the
-    /// lane's growth-check cadence (every [`Self::GROW_CHECK_EVERY`]th
-    /// insert), when the caller should fold the count and consider growing.
-    #[inline]
-    pub(crate) fn on_insert(&self, t: Tid) -> bool {
-        // Ordering: as `NodeStats::on_alloc` — single-writer lane.
-        let lane = &self.lanes[t.index()].ins;
-        let n = lane.load(Ordering::Relaxed) + 1;
-        lane.store(n, Ordering::Relaxed);
-        n.is_multiple_of(Self::GROW_CHECK_EVERY)
-    }
-
-    /// Records one successful remove by thread `t`.
-    #[inline]
-    pub(crate) fn on_remove(&self, t: Tid) {
-        let lane = &self.lanes[t.index()].dels;
-        lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// Inserts − removes. Deletes are folded first for the same
-    /// monotonicity reason as [`NodeStats::in_flight`].
-    pub(crate) fn live(&self) -> u64 {
-        let hwm = registered_high_water_mark();
-        // Ordering: Relaxed — statistics lanes, deletes folded first; same
-        // one-sided-estimate argument as `NodeStats::in_flight`.
-        let d: u64 = self
-            .lanes
-            .iter()
-            .take(hwm)
-            .map(|lane| lane.dels.load(Ordering::Relaxed))
-            .sum();
-        let i: u64 = self
-            .lanes
-            .iter()
-            .take(hwm)
-            .map(|lane| lane.ins.load(Ordering::Relaxed))
-            .sum();
-        i.saturating_sub(d)
+        self.lanes.net()
     }
 }

@@ -12,6 +12,7 @@
 //! ever dereferenced.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
+use std::cmp::Ordering as KeyOrder;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -21,12 +22,295 @@ use crate::{ConcurrentMap, NodeStats};
 
 const MARK: usize = 1;
 
+/// What the Harris-Michael search needs of a node: its successor edge (low
+/// bit set = this node is logically deleted) and the birth epoch its
+/// `retire` hands the scheme. The split-ordered map ([`super::resizable`])
+/// is one such list too and runs the same [`find`], [`link_at`] and
+/// [`remove_at`] from a bucket sentinel's edge.
+pub(super) trait Link {
+    fn next(&self) -> &AtomicUsize;
+    fn birth(&self) -> u64;
+}
+
+/// Where a [`find`] stopped: `prev_loc` is the edge holding `cur_w`. Owns
+/// the 0–2 guards protecting the node around that edge and the node at it;
+/// hand it to [`link_at`], [`remove_at`] or [`release`] to give them back.
+pub(super) struct Cursor<G> {
+    prev_loc: *const AtomicUsize,
+    prev_guard: Option<G>,
+    /// Unmarked word at `prev_loc` (0 = end of list).
+    pub(super) cur_w: usize,
+    cur_guard: Option<G>,
+    pub(super) found: bool,
+}
+
+/// Gives back the guards a search position holds.
+pub(super) fn release<S: AcquireRetire>(smr: &S, t: Tid, c: Cursor<S::Guard>) {
+    release_guards(smr, t, [c.prev_guard, c.cur_guard]);
+}
+
+fn release_guards<S: AcquireRetire, const N: usize>(
+    smr: &S,
+    t: Tid,
+    guards: [Option<S::Guard>; N],
+) {
+    // Not `.into_iter().flatten()`: the adaptor does not fold away under a
+    // region scheme (`Guard = ()`) and costs ~5 % per hop (traversal_parity).
+    for g in guards {
+        let Some(g) = g else { continue };
+        smr.release(t, g);
+    }
+}
+
+/// Michael's find: walks from the edge `head` to the first node that `cmp`
+/// (node against the target) does not order `Less`, unlinking — and
+/// retiring — marked nodes on the way. Restarts begin at `head` again, so
+/// it must be an edge that is never marked: the list head, or an immortal
+/// sentinel's `next`. Returns with 0–2 guards held, in the cursor.
+///
+/// # Safety
+///
+/// Every nonzero word reachable from `head` is the address of a live
+/// `Box<N>` that is freed only after being retired through `smr`, and `t`
+/// is inside a critical section of `smr` that stays open for as long as
+/// the returned cursor is used.
+// Always inlined into the caller's own `find`/`find_from` method, which is
+// where the loop lived before it was shared: out of line the cursor comes
+// back through memory on every operation (−4 … −7 % on the ledger's
+// `kv_cold_read` manual cells). Whether *that* method is inlined is left
+// to the compiler, as it was.
+#[inline(always)]
+pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
+    smr: &S,
+    t: Tid,
+    head: &AtomicUsize,
+    mut cmp: impl FnMut(&N) -> KeyOrder,
+) -> Cursor<S::Guard> {
+    'retry: loop {
+        let mut prev_loc: *const AtomicUsize = head;
+        let mut prev_guard: Option<S::Guard> = None;
+        let (mut cur_w, g) = smr
+            .try_acquire(t, head)
+            .expect("list traversal holds at most 3 guards");
+        let mut cur_guard = Some(g);
+        if cur_w & MARK != 0 {
+            // The start edge is never marked; a marked word here means we
+            // raced an unlink mid-publication — restart.
+            release_guards(smr, t, [cur_guard]);
+            continue 'retry;
+        }
+        loop {
+            let cur = untagged(cur_w);
+            if cur == 0 {
+                return Cursor {
+                    prev_loc,
+                    prev_guard,
+                    cur_w,
+                    cur_guard,
+                    found: false,
+                };
+            }
+            // Safety: `cur` is protected by cur_guard.
+            let node = unsafe { &*(cur as *const N) };
+            let (next_w, next_g) = smr
+                .try_acquire(t, node.next())
+                .expect("list traversal holds at most 3 guards");
+            let next_guard = Some(next_g);
+            // Validate that cur is still linked, unmarked, at prev_loc.
+            // Safety: prev_loc is `head` or an edge in a guarded node.
+            let edge = unsafe { &*prev_loc };
+            if edge.load(Ordering::SeqCst) != cur_w {
+                release_guards(smr, t, [prev_guard, cur_guard, next_guard]);
+                continue 'retry;
+            }
+            if next_w & MARK != 0 {
+                // cur is logically deleted: help unlink it.
+                let clean_next = next_w & !MARK;
+                if edge
+                    .compare_exchange(cur_w, clean_next, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    // We unlinked cur: retire it (the manual chore).
+                    smr.retire(t, Retired::new(cur, node.birth()));
+                    release_guards(smr, t, [cur_guard]);
+                    cur_w = clean_next;
+                    cur_guard = next_guard;
+                    continue;
+                }
+                release_guards(smr, t, [prev_guard, cur_guard, next_guard]);
+                continue 'retry;
+            }
+            // cur is protected and its key immutable after insert.
+            match cmp(node) {
+                KeyOrder::Less => {
+                    // Advance hand-over-hand: cur becomes prev.
+                    release_guards(smr, t, [prev_guard]);
+                    prev_guard = cur_guard;
+                    prev_loc = node.next();
+                    cur_w = next_w;
+                    cur_guard = next_guard;
+                }
+                order => {
+                    release_guards(smr, t, [next_guard]);
+                    return Cursor {
+                        prev_loc,
+                        prev_guard,
+                        cur_w,
+                        cur_guard,
+                        found: order == KeyOrder::Equal,
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// Links `node` in at the cursor (which did not find its key) and gives the
+/// cursor's guards back. `Ok` is the linked node's address; a lost race
+/// hands `node` back untouched: re-find.
+///
+/// # Safety
+///
+/// `c` came from [`find`]`::<N, S>` on this `smr` and `t`, inside the
+/// critical section that is still open.
+pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
+    smr: &S,
+    t: Tid,
+    c: Cursor<S::Guard>,
+    node: Box<N>,
+) -> Result<usize, Box<N>> {
+    node.next().store(c.cur_w, Ordering::SeqCst);
+    let addr = Box::into_raw(node);
+    // Safety: prev_loc protected per find's contract.
+    let linked = unsafe { &*c.prev_loc }.compare_exchange(
+        c.cur_w,
+        addr as usize,
+        Ordering::SeqCst,
+        Ordering::SeqCst,
+    );
+    release(smr, t, c);
+    match linked {
+        Ok(_) => Ok(addr as usize),
+        // Safety: never published, still ours.
+        Err(_) => Err(unsafe { Box::from_raw(addr) }),
+    }
+}
+
+/// Links the freshly allocated `node` where `locate` — a [`find`] for its
+/// key, re-run after every lost race — says it goes. `Ok` is its address
+/// once linked; if the key is already present the node is dropped, the
+/// allocation un-counted, and `Err` is the incumbent's address (protected
+/// no longer: only meaningful for nodes that are never retired).
+///
+/// # Safety
+///
+/// As [`link_at`], for every cursor `locate` returns.
+pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire>(
+    smr: &S,
+    stats: &NodeStats,
+    t: Tid,
+    mut node: Box<N>,
+    mut locate: impl FnMut(&N) -> Cursor<S::Guard>,
+) -> Result<usize, usize> {
+    loop {
+        let c = locate(&node);
+        if c.found {
+            let incumbent = untagged(c.cur_w);
+            release(smr, t, c);
+            stats.on_free(t);
+            return Err(incumbent); // never published: `node` drops here
+        }
+        // Safety: per this function's contract.
+        match unsafe { link_at(smr, t, c, node) } {
+            Ok(addr) => return Ok(addr),
+            Err(back) => node = back,
+        }
+    }
+}
+
+/// Deletes the node the cursor found and gives the cursor's guards back:
+/// marks its next word, then tries the physical unlink and, if that
+/// succeeds, retires it (a later [`find`] does both otherwise). `false` if
+/// a competing delete marked it first — re-find, which helps that delete
+/// along.
+///
+/// # Safety
+///
+/// As [`link_at`], and `c.found`.
+pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(
+    smr: &S,
+    t: Tid,
+    c: Cursor<S::Guard>,
+) -> bool {
+    let cur = untagged(c.cur_w);
+    // Safety: cur protected by the cursor's guard.
+    let node = unsafe { &*(cur as *const N) };
+    // Logically delete: mark cur's next word. A failed mark CAS hands back
+    // the witnessed word, so we retry in place (cur stays protected by the
+    // cursor) instead of re-finding — the word only changes when a
+    // successor is inserted or unlinked, or when a competing delete marks
+    // it (which ends our attempt).
+    let mut next_w = node.next().load(Ordering::SeqCst);
+    let marked = loop {
+        if next_w & MARK != 0 {
+            break false; // someone else is deleting it
+        }
+        match node.next().compare_exchange(
+            next_w,
+            next_w | MARK,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        ) {
+            Ok(_) => break true,
+            Err(w) => next_w = w,
+        }
+    };
+    // Physically unlink (best effort — find() helps otherwise).
+    // Safety: prev_loc protected per find's contract.
+    if marked
+        && unsafe { &*c.prev_loc }
+            .compare_exchange(c.cur_w, next_w, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    {
+        smr.retire(t, Retired::new(cur, node.birth()));
+    }
+    release(smr, t, c);
+    marked
+}
+
+/// Applies every ready eject: frees the node memory (the other manual
+/// chore), counting each against `stats`.
+///
+/// # Safety
+///
+/// Everything retired through `smr` was allocated as a `Box<N>` and
+/// retired exactly once, after being unlinked.
+pub(super) unsafe fn collect<N, S: AcquireRetire>(smr: &S, stats: &NodeStats, t: Tid) {
+    while let Some(r) = smr.eject(t) {
+        stats.on_free(t);
+        // Safety: per this function's contract.
+        unsafe { drop(Box::from_raw(r.addr as *mut N)) };
+    }
+}
+
 struct Node<K, V> {
     birth: u64,
     key: K,
     value: V,
     /// Next pointer; low bit set = this node is logically deleted.
     next: AtomicUsize,
+}
+
+impl<K, V> Link for Node<K, V> {
+    #[inline(always)]
+    fn next(&self) -> &AtomicUsize {
+        &self.next
+    }
+
+    #[inline(always)]
+    fn birth(&self) -> u64 {
+        self.birth
+    }
 }
 
 impl<K, V> super::OutgoingEdges for Node<K, V> {
@@ -37,8 +321,8 @@ impl<K, V> super::OutgoingEdges for Node<K, V> {
 
 /// A Harris-Michael ordered map under manual SMR scheme `S`.
 ///
-/// Multiple structures may share one scheme instance (and stats) — the
-/// Michael hash table does exactly that for its buckets.
+/// Multiple structures may share one scheme instance (and stats); see
+/// [`with_shared`](Self::with_shared).
 pub struct HarrisMichaelList<K, V, S: AcquireRetire> {
     head: AtomicUsize,
     smr: Arc<S>,
@@ -50,16 +334,6 @@ pub struct HarrisMichaelList<K, V, S: AcquireRetire> {
 // threads only via `V: Send + Sync`-bounded clones.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Send for HarrisMichaelList<K, V, S> {}
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Sync for HarrisMichaelList<K, V, S> {}
-
-/// Cursor produced by the find loop: `prev_loc` is the edge holding `cur_w`.
-struct Cursor<G> {
-    prev_loc: *const AtomicUsize,
-    prev_guard: Option<G>,
-    /// Unmarked word at `prev_loc` (0 = end of list).
-    cur_w: usize,
-    cur_guard: Option<G>,
-    found: bool,
-}
 
 impl<K, V, S> HarrisMichaelList<K, V, S>
 where
@@ -78,8 +352,11 @@ where
         )
     }
 
-    /// Creates an empty list sharing a scheme instance and stats (used by
-    /// the hash table so all buckets reclaim through one instance).
+    /// Creates an empty list sharing a scheme instance and stats, so that
+    /// several lists reclaim through one instance, are covered by one `pin`,
+    /// and are metered together. Whichever list ejects a retired node frees
+    /// it as its own node type, so only lists of the same `K` and `V` may
+    /// share; the last one to drop drains the instance.
     pub fn with_shared(smr: Arc<S>, stats: Arc<NodeStats>) -> Self {
         HarrisMichaelList {
             head: AtomicUsize::new(0),
@@ -89,228 +366,19 @@ where
         }
     }
 
+    /// [`find`] from the list head. Must be called inside a critical
+    /// section.
+    fn find(&self, t: Tid, key: &K) -> Cursor<S::Guard> {
+        // Safety: every node linked under `head` is a `Box<Node<K, V>>`
+        // retired through `self.smr` once unlinked.
+        unsafe { find(&*self.smr, t, &self.head, |n: &Node<K, V>| n.key.cmp(key)) }
+    }
+
     /// Applies every ready eject: frees the node memory.
     fn collect(&self, t: Tid) {
-        while let Some(r) = self.smr.eject(t) {
-            self.stats.on_free(t);
-            // Safety: ejected addresses were allocated by us as Node<K, V>
-            // and retired exactly once after being unlinked.
-            unsafe { drop(Box::from_raw(r.addr as *mut Node<K, V>)) };
-        }
-    }
-
-    fn release_cursor(&self, t: Tid, c: &mut Cursor<S::Guard>) {
-        if let Some(g) = c.prev_guard.take() {
-            self.smr.release(t, g);
-        }
-        if let Some(g) = c.cur_guard.take() {
-            self.smr.release(t, g);
-        }
-    }
-
-    /// Michael's find: positions the cursor at the first node with
-    /// `node.key >= key`, unlinking marked nodes along the way. Must be
-    /// called inside a critical section; returns with 0–2 guards held.
-    fn find(&self, t: Tid, key: &K) -> Cursor<S::Guard> {
-        'retry: loop {
-            let mut prev_loc: *const AtomicUsize = &self.head;
-            let mut prev_guard: Option<S::Guard> = None;
-            // Safety: `head` lives in `self`.
-            let (mut cur_w, g) = self
-                .smr
-                .try_acquire(t, unsafe { &*prev_loc })
-                .expect("list traversal holds at most 3 guards");
-            let mut cur_guard = Some(g);
-            if cur_w & MARK != 0 {
-                // Head edge is never marked; a marked word here means we
-                // raced an unlink mid-publication — restart.
-                self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                continue 'retry;
-            }
-            loop {
-                let cur = untagged(cur_w);
-                if cur == 0 {
-                    return Cursor {
-                        prev_loc,
-                        prev_guard,
-                        cur_w,
-                        cur_guard,
-                        found: false,
-                    };
-                }
-                let node = cur as *const Node<K, V>;
-                // Safety: `cur` is protected by cur_guard.
-                let next_field = unsafe { &(*node).next };
-                let (next_w, next_g) = self
-                    .smr
-                    .try_acquire(t, next_field)
-                    .expect("list traversal holds at most 3 guards");
-                let mut next_guard = Some(next_g);
-                // Validate that cur is still linked, unmarked, at prev_loc.
-                // Safety: prev_loc is &head or an edge in a guarded node.
-                if unsafe { (*prev_loc).load(Ordering::SeqCst) } != cur_w {
-                    self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                    self.release_guards(t, &mut next_guard, &mut None);
-                    continue 'retry;
-                }
-                if next_w & MARK != 0 {
-                    // cur is logically deleted: help unlink it.
-                    let clean_next = next_w & !MARK;
-                    // Safety: prev_loc as above.
-                    if unsafe {
-                        (*prev_loc)
-                            .compare_exchange(cur_w, clean_next, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                    } {
-                        // We unlinked cur: retire it (the manual chore).
-                        let birth = unsafe { (*node).birth };
-                        self.smr.retire(t, Retired::new(cur, birth));
-                        if let Some(g) = cur_guard.take() {
-                            self.smr.release(t, g);
-                        }
-                        cur_w = clean_next;
-                        cur_guard = next_guard.take();
-                        continue;
-                    }
-                    self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                    self.release_guards(t, &mut next_guard, &mut None);
-                    continue 'retry;
-                }
-                // Safety: cur protected; key is immutable after insert.
-                let ckey = unsafe { &(*node).key };
-                if ckey >= key {
-                    self.release_guards(t, &mut next_guard, &mut None);
-                    return Cursor {
-                        prev_loc,
-                        prev_guard,
-                        cur_w,
-                        cur_guard,
-                        found: ckey == key,
-                    };
-                }
-                // Advance hand-over-hand: cur becomes prev.
-                if let Some(g) = prev_guard.take() {
-                    self.smr.release(t, g);
-                }
-                prev_guard = cur_guard.take();
-                prev_loc = next_field as *const AtomicUsize;
-                cur_w = next_w;
-                cur_guard = next_guard.take();
-            }
-        }
-    }
-
-    fn release_guards(&self, t: Tid, a: &mut Option<S::Guard>, b: &mut Option<S::Guard>) {
-        if let Some(g) = a.take() {
-            self.smr.release(t, g);
-        }
-        if let Some(g) = b.take() {
-            self.smr.release(t, g);
-        }
-    }
-
-    fn insert_impl(&self, t: Tid, key: K, value: V) -> bool {
-        let birth = self.smr.birth_epoch(t);
-        self.stats.on_alloc(t);
-        let new_node = Box::into_raw(Box::new(Node {
-            birth,
-            key,
-            value,
-            next: AtomicUsize::new(0),
-        }));
-        loop {
-            // Safety: new_node is ours until published.
-            let key_ref = unsafe { &(*new_node).key };
-            let mut c = self.find(t, key_ref);
-            if c.found {
-                self.release_cursor(t, &mut c);
-                self.stats.on_free(t);
-                // Safety: never published.
-                unsafe { drop(Box::from_raw(new_node)) };
-                return false;
-            }
-            unsafe { (*new_node).next.store(c.cur_w, Ordering::SeqCst) };
-            // Safety: prev_loc protected per find's contract.
-            let ok = unsafe {
-                (*c.prev_loc)
-                    .compare_exchange(
-                        c.cur_w,
-                        new_node as usize,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
-            };
-            self.release_cursor(t, &mut c);
-            if ok {
-                return true;
-            }
-        }
-    }
-
-    fn remove_impl(&self, t: Tid, key: &K) -> bool {
-        loop {
-            let mut c = self.find(t, key);
-            if !c.found {
-                self.release_cursor(t, &mut c);
-                return false;
-            }
-            let cur = untagged(c.cur_w);
-            let node = cur as *const Node<K, V>;
-            // Logically delete: mark cur's next word. A failed mark CAS
-            // hands back the witnessed word, so we retry in place (cur
-            // stays protected by the cursor) instead of re-finding — the
-            // word only changes when a successor is inserted or unlinked,
-            // or when a competing delete marks it (which ends our attempt).
-            // Safety: cur protected by the cursor's guard.
-            let mut next_w = unsafe { (*node).next.load(Ordering::SeqCst) };
-            let marked = loop {
-                if next_w & MARK != 0 {
-                    break false; // someone else is deleting it
-                }
-                match unsafe {
-                    (*node).next.compare_exchange(
-                        next_w,
-                        next_w | MARK,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                } {
-                    Ok(_) => break true,
-                    Err(w) => next_w = w,
-                }
-            };
-            if !marked {
-                // Retry from find so it can help the competing delete.
-                self.release_cursor(t, &mut c);
-                continue;
-            }
-            // Physically unlink (best effort — find() helps otherwise).
-            // Safety: prev_loc protected per find's contract.
-            if unsafe {
-                (*c.prev_loc)
-                    .compare_exchange(c.cur_w, next_w, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            } {
-                let birth = unsafe { (*node).birth };
-                self.smr.retire(t, Retired::new(cur, birth));
-            }
-            self.release_cursor(t, &mut c);
-            return true;
-        }
-    }
-
-    fn get_impl(&self, t: Tid, key: &K) -> Option<V> {
-        let mut c = self.find(t, key);
-        let out = if c.found {
-            let node = untagged(c.cur_w) as *const Node<K, V>;
-            // Safety: protected by the cursor guard; value immutable.
-            Some(unsafe { (*node).value.clone() })
-        } else {
-            None
-        };
-        self.release_cursor(t, &mut c);
-        out
+        // Safety: only `Box<Node<K, V>>`s are retired through `self.smr`,
+        // each once, by the CAS that unlinked it.
+        unsafe { collect::<Node<K, V>, S>(&self.smr, &self.stats, t) };
     }
 
     /// Counts live (unmarked) nodes — test helper, not linearizable.
@@ -347,28 +415,53 @@ where
         smr::SectionGuard::enter(Arc::clone(&self.smr))
     }
 
-    fn insert_with(&self, k: K, v: V, guard: &Self::Guard) -> bool {
+    fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.insert_impl(t, k, v);
+        self.stats.on_alloc(t);
+        let node = Box::new(Node {
+            birth: self.smr.birth_epoch(t),
+            key,
+            value,
+            next: AtomicUsize::new(0),
+        });
+        // Safety: `find`'s cursors, in `guard`'s section over `self.smr`.
+        let linked = unsafe {
+            find_or_link(&*self.smr, &self.stats, t, node, |n| self.find(t, &n.key)).is_ok()
+        };
         self.collect(t);
-        r
+        linked
     }
 
-    fn remove_with(&self, k: &K, guard: &Self::Guard) -> bool {
+    fn remove_with(&self, key: &K, guard: &Self::Guard) -> bool {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.remove_impl(t, k);
+        let removed = loop {
+            let c = self.find(t, key);
+            if !c.found {
+                release(&*self.smr, t, c);
+                break false;
+            }
+            // Safety: `c` is this section's cursor over `self.smr`, found.
+            if unsafe { remove_at::<Node<K, V>, S>(&self.smr, t, c) } {
+                break true;
+            }
+            // Retry from find so it can help the competing delete.
+        };
         self.collect(t);
-        r
+        removed
     }
 
-    fn get_with(&self, k: &K, guard: &Self::Guard) -> Option<V> {
+    fn get_with(&self, key: &K, guard: &Self::Guard) -> Option<V> {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.get_impl(t, k);
+        let c = self.find(t, key);
+        let node = untagged(c.cur_w) as *const Node<K, V>;
+        // Safety: protected by the cursor guard; value immutable.
+        let out = c.found.then(|| unsafe { (*node).value.clone() });
+        release(&*self.smr, t, c);
         self.collect(t);
-        r
+        out
     }
 
     fn in_flight_nodes(&self) -> u64 {
@@ -507,5 +600,122 @@ mod tests {
             }
         }
         assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+    }
+
+    /// The helping path, deterministically: behind `head` hang keys 1, 2, 3
+    /// and a deleter of 2 has stalled right after its mark CAS (replayed
+    /// here by setting the mark by hand). One `walk` to key 3 must unlink
+    /// the victim and retire it exactly once; a second walk must find
+    /// nothing left to help.
+    fn walk_past_a_stalled_delete<S: AcquireRetire>(
+        smr: &S,
+        stats: &NodeStats,
+        head: &AtomicUsize,
+        walk: impl Fn(u64) -> bool,
+    ) {
+        let t = smr::current_tid();
+        let settle = || {
+            smr.flush(t);
+            // Safety: only `Node<u64, u64>`s are retired in these tests.
+            unsafe { collect::<Node<u64, u64>, S>(smr, stats, t) };
+        };
+        // Safety: single-threaded; nothing is freed before `settle`.
+        let node = |w: usize| unsafe { &*(untagged(w) as *const Node<u64, u64>) };
+        settle();
+        let nodes_before = stats.in_flight();
+        let first = node(head.load(Ordering::SeqCst));
+        let victim_w = first.next.load(Ordering::SeqCst);
+        let last_w = node(victim_w).next.load(Ordering::SeqCst);
+        assert_eq!((first.key, node(victim_w).key, node(last_w).key), (1, 2, 3));
+        node(victim_w).next.fetch_or(MARK, Ordering::SeqCst);
+
+        assert!(walk(3), "the walk gets past the marked node");
+        assert_eq!(first.next.load(Ordering::SeqCst), last_w, "victim unlinked");
+        let edges = || {
+            (
+                head.load(Ordering::SeqCst),
+                first.next.load(Ordering::SeqCst),
+            )
+        };
+        let after_first = edges();
+        assert!(walk(3) && !walk(2));
+        assert_eq!(edges(), after_first, "nothing left to CAS on a second walk");
+        settle();
+        assert_eq!(
+            stats.in_flight(),
+            nodes_before - 1,
+            "victim retired once and freed once; a second retire would free twice"
+        );
+    }
+
+    fn helping<S: AcquireRetire>() {
+        let smr = Arc::new(S::new(
+            Arc::new(smr::GlobalEpoch::new()),
+            S::default_config(),
+        ));
+        let stats = Arc::new(NodeStats::new());
+        let new_node = |key: u64| {
+            stats.on_alloc(smr::current_tid());
+            Box::new(Node {
+                birth: 0,
+                key,
+                value: key * 10,
+                next: AtomicUsize::new(0),
+            })
+        };
+
+        // From the list head, through the map interface.
+        let list: HarrisMichaelList<u64, u64, S> =
+            HarrisMichaelList::with_shared(Arc::clone(&smr), Arc::clone(&stats));
+        for k in [2, 3, 1] {
+            assert!(list.insert(k, k * 10));
+        }
+        walk_past_a_stalled_delete(&*smr, &stats, &list.head, |k| list.get(&k) == Some(k * 10));
+        assert_eq!(list.iter_count(), 2);
+
+        // From a sentinel's edge, as the split-ordered map starts its
+        // walks: the anchor is a `next` word inside a node that is never
+        // deleted, not a list head.
+        let sentinel = new_node(0);
+        let walk = |key: u64| {
+            let guard = smr::SectionGuard::enter(Arc::clone(&smr));
+            // Safety: everything behind `sentinel.next` is a node of this
+            // test, retired through `smr`; the section is open.
+            let c = unsafe {
+                find(&*smr, guard.tid(), &sentinel.next, |n: &Node<u64, u64>| {
+                    n.key.cmp(&key)
+                })
+            };
+            (c, guard)
+        };
+        for k in [2, 3, 1] {
+            let (c, guard) = walk(k);
+            assert!(!c.found);
+            // Safety: `c` is `guard`'s cursor.
+            assert!(unsafe { link_at(&*smr, guard.tid(), c, new_node(k)) }.is_ok());
+        }
+        walk_past_a_stalled_delete(&*smr, &stats, &sentinel.next, |k| {
+            let (c, guard) = walk(k);
+            let found = c.found;
+            release(&*smr, guard.tid(), c);
+            found
+        });
+        let chain = untagged(sentinel.next.load(Ordering::SeqCst));
+        drop(list);
+        // Safety: exclusive; the chain's nodes are linked, so not retired.
+        unsafe {
+            crate::manual::teardown::<Node<u64, u64>, S>([chain], &smr, &stats, smr::current_tid())
+        };
+        drop(sentinel);
+        stats.on_free(smr::current_tid());
+        assert_eq!(stats.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_walk_helps_a_stalled_delete_exactly_once() {
+        helping::<Ebr>();
+        helping::<Ibr>();
+        helping::<Hp>();
+        helping::<Hyaline>();
     }
 }

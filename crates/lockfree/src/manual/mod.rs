@@ -3,13 +3,11 @@
 //! node freed — the discipline the paper's automatic variants remove.
 
 pub mod dlqueue;
-pub mod hash;
 pub mod list;
 pub mod nmtree;
 pub mod resizable;
 
 pub use dlqueue::DoubleLinkQueue;
-pub use hash::MichaelHashMap;
 pub use list::HarrisMichaelList;
 pub use nmtree::NatarajanMittalTree;
 pub use resizable::ResizableHashMap;
@@ -54,8 +52,8 @@ pub(crate) unsafe fn teardown<N: OutgoingEdges, S: smr::AcquireRetire>(
         stats.on_free(t);
         drop(Box::from_raw(node));
     }
-    // Shared instances are drained by their last owner (the hash map drops
-    // its bucket lists first, then the final bucket drains once).
+    // Shared instances (`with_shared`) are drained by their last owner:
+    // until then another structure may still be retiring into this one.
     if std::sync::Arc::strong_count(smr) == 1 {
         for r in smr.drain_all() {
             stats.on_free(t);

@@ -3,28 +3,29 @@
 //! acquire-retire interface.
 //!
 //! Same algorithm as [`crate::rc::resizable`] — one Harris-Michael list
-//! sorted by bit-reversed hash, a lazily-doubled directory of sentinel
-//! shortcuts, growth by publishing a bigger mask — with the manual chores
-//! the RC variant deletes: every unlinking CAS must `retire` its victim,
-//! every ejected node must be freed, and traversal protection is
-//! hand-over-hand guard juggling instead of snapshot lifetimes.
+//! sorted by bit-reversed hash, a lazily-doubled `split_order::Directory`
+//! of sentinel shortcuts (`src/split_order.rs`), growth by
+//! publishing a bigger mask — over the manual list's search
+//! ([`super::list`]), which does the chores the RC variant deletes: every
+//! unlinking CAS must `retire` its victim, every ejected node must be
+//! freed, and traversal protection is hand-over-hand guard juggling
+//! instead of snapshot lifetimes.
 //!
 //! Sentinels are *immortal*: never marked, never retired, freed only at
 //! teardown. That is what makes the directory sound under manual SMR — a
 //! bucket shortcut read from the directory needs no guard at all, because
 //! the node it names cannot be reclaimed while the map exists.
 
-use smr::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use smr::sync::atomic::{AtomicUsize, Ordering};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use smr::{untagged, AcquireRetire, Retired, Tid};
+use smr::{untagged, AcquireRetire, Tid};
 
-use crate::split_order::{so_dummy, so_regular, SPINE_LEVELS};
-use crate::{ConcurrentMap, ElementCount, NodeStats};
-
-const MARK: usize = 1;
+use super::list::{collect, find, find_or_link, release, remove_at, Cursor, Link};
+use crate::split_order::{so_dummy, so_regular, Directory};
+use crate::{ConcurrentMap, NodeStats};
 
 struct Node<K, V> {
     birth: u64,
@@ -43,6 +44,18 @@ impl<K, V> Node<K, V> {
     }
 }
 
+impl<K, V> Link for Node<K, V> {
+    #[inline(always)]
+    fn next(&self) -> &AtomicUsize {
+        &self.next
+    }
+
+    #[inline(always)]
+    fn birth(&self) -> u64 {
+        self.birth
+    }
+}
+
 impl<K, V> super::OutgoingEdges for Node<K, V> {
     fn out_edges(&self, out: &mut Vec<usize>) {
         out.push(untagged(self.next.load(Ordering::SeqCst)));
@@ -53,17 +66,10 @@ impl<K, V> super::OutgoingEdges for Node<K, V> {
 /// `S` ("EBR", "IBR", "HP", "Hyaline" depending on `S`). Grows without
 /// stopping the world: no node is ever copied, no array ever retired.
 pub struct ResizableHashMap<K, V, S: AcquireRetire> {
-    /// Address of bucket 0's sentinel — the head of the entire list.
-    /// Installed at construction, never rewritten.
-    zero: AtomicUsize,
-    /// Segment `l` (once published) is a `Box<[AtomicUsize; 2^l]>` of
-    /// sentinel addresses (0 = bucket untouched), leaked to a raw pointer
-    /// and freed in `Drop`. Slots are CAS-installed at most once.
-    spine: [AtomicPtr<AtomicUsize>; SPINE_LEVELS],
-    /// `buckets - 1`; buckets is always a power of two. Grows monotonically
-    /// by `m -> 2m + 1`.
-    mask: AtomicU64,
-    count: ElementCount,
+    /// Slots hold sentinel addresses (0 = bucket untouched), CAS-installed
+    /// at most once; bucket 0's sentinel — the head of the entire list — is
+    /// installed at construction.
+    dir: Directory<AtomicUsize>,
     smr: Arc<S>,
     stats: Arc<NodeStats>,
     hasher: RandomState,
@@ -74,16 +80,6 @@ pub struct ResizableHashMap<K, V, S: AcquireRetire> {
 // immortality); values cross threads only via `V: Send + Sync` clones.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Send for ResizableHashMap<K, V, S> {}
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Sync for ResizableHashMap<K, V, S> {}
-
-/// Cursor produced by the find loop: `prev_loc` is the edge holding `cur_w`.
-struct Cursor<G> {
-    prev_loc: *const AtomicUsize,
-    prev_guard: Option<G>,
-    /// Unmarked word at `prev_loc` (0 = end of list).
-    cur_w: usize,
-    cur_guard: Option<G>,
-    found: bool,
-}
 
 impl<K, V, S> ResizableHashMap<K, V, S>
 where
@@ -98,7 +94,8 @@ where
 
     /// Creates a map pre-sized for `capacity` elements (rounded up to a
     /// power of two; sentinels still splice in lazily), with its own
-    /// scheme instance.
+    /// scheme instance. The table doubles once its element count exceeds
+    /// its bucket count, so one sized for its key range never grows.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_capacity_shared(
             capacity,
@@ -111,43 +108,29 @@ where
     }
 
     /// As [`with_capacity`](Self::with_capacity), sharing a scheme
-    /// instance and stats (mirrors
+    /// instance and stats with other maps of the same `K` and `V` (mirrors
     /// [`HarrisMichaelList::with_shared`](crate::manual::HarrisMichaelList::with_shared)).
     pub fn with_capacity_shared(capacity: usize, smr: Arc<S>, stats: Arc<NodeStats>) -> Self {
-        let buckets = capacity
-            .max(1)
-            .next_power_of_two()
-            .min(1usize << SPINE_LEVELS) as u64;
-        let t = smr::current_tid();
-        stats.on_alloc(t);
-        let zero = Box::into_raw(Box::new(Node::<K, V> {
-            birth: smr.birth_epoch(t),
-            so_key: so_dummy(0),
-            kv: None,
-            next: AtomicUsize::new(0),
-        }));
-        ResizableHashMap {
-            zero: AtomicUsize::new(zero as usize),
-            spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            mask: AtomicU64::new(buckets - 1),
-            count: ElementCount::new(),
+        let map = ResizableHashMap {
+            dir: Directory::with_capacity(capacity, AtomicUsize::new(0)),
             smr,
             stats,
             hasher: RandomState::new(),
             _marker: std::marker::PhantomData,
-        }
+        };
+        let zero = Box::into_raw(map.new_node(smr::current_tid(), so_dummy(0), None));
+        map.dir.zero().store(zero as usize, Ordering::SeqCst);
+        map
     }
 
     /// Current bucket count (monotone; grows under load).
     pub fn buckets(&self) -> u64 {
-        // Ordering: Relaxed — reporting read of a monotone routing mask; a
-        // stale value is just an older (still valid) size.
-        self.mask.load(Ordering::Relaxed) + 1
+        self.dir.buckets()
     }
 
     /// Approximate live element count (exact after joining workers).
     pub fn len(&self) -> u64 {
-        self.count.live()
+        self.dir.len()
     }
 
     /// Whether the map is (approximately) empty; see [`len`](Self::len).
@@ -157,373 +140,72 @@ where
 
     /// Applies every ready eject: frees the node memory.
     fn collect(&self, t: Tid) {
-        while let Some(r) = self.smr.eject(t) {
-            self.stats.on_free(t);
-            // Safety: ejected addresses were allocated by us as Node<K, V>
-            // and retired exactly once after being unlinked.
-            unsafe { drop(Box::from_raw(r.addr as *mut Node<K, V>)) };
-        }
+        // Safety: only `Box<Node<K, V>>`s are retired through `self.smr`,
+        // each once, by the CAS that unlinked it.
+        unsafe { collect::<Node<K, V>, S>(&self.smr, &self.stats, t) };
     }
 
-    /// The directory segment for `level`, publishing it first if needed.
-    fn segment(&self, level: usize) -> &[AtomicUsize] {
-        let slot = &self.spine[level];
-        let len = 1usize << level;
-        // Ordering: Acquire load / AcqRel CAS — the segment is a heap
-        // allocation published through this slot: the winner's Release
-        // makes the fresh slots visible, and every reader (including a
-        // losing CAS, via its Acquire failure ordering) acquires them
-        // before indexing into the segment.
-        let mut p = slot.load(Ordering::Acquire);
-        if p.is_null() {
-            let fresh: Box<[AtomicUsize]> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let raw = Box::into_raw(fresh) as *mut AtomicUsize;
-            match slot.compare_exchange(
-                std::ptr::null_mut(),
-                raw,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => p = raw,
-                Err(winner) => {
-                    // Safety: `raw` was never published.
-                    unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, len))) };
-                    p = winner;
-                }
-            }
-        }
-        // Safety: published segments are never replaced and outlive `&self`.
-        unsafe { std::slice::from_raw_parts(p, len) }
-    }
-
-    /// The directory slot holding bucket `b`'s sentinel address.
-    fn slot(&self, b: usize) -> &AtomicUsize {
-        if b == 0 {
-            return &self.zero;
-        }
-        let level = (usize::BITS - 1 - b.leading_zeros()) as usize;
-        &self.segment(level)[b - (1usize << level)]
+    fn new_node(&self, t: Tid, so_key: u64, kv: Option<(K, V)>) -> Box<Node<K, V>> {
+        self.stats.on_alloc(t);
+        Box::new(Node {
+            birth: self.smr.birth_epoch(t),
+            so_key,
+            kv,
+            next: AtomicUsize::new(0),
+        })
     }
 
     /// Returns bucket `b`'s sentinel address, splicing it (and any missing
     /// ancestors, recursively) into the list on first touch. Must be called
     /// inside a critical section.
     fn ensure_bucket(&self, t: Tid, b: usize) -> usize {
-        let w = self.slot(b).load(Ordering::SeqCst);
+        let slot = self.dir.slot(b, || AtomicUsize::new(0));
+        let w = slot.load(Ordering::SeqCst);
         if w != 0 {
             return w;
         }
         debug_assert!(b > 0, "bucket 0's sentinel is installed at construction");
-        let level = (usize::BITS - 1 - b.leading_zeros()) as usize;
-        let parent = self.ensure_bucket(t, b - (1usize << level));
-        let addr = self.splice_sentinel(t, parent, so_dummy(b as u64));
+        let parent = self.ensure_bucket(t, Directory::<AtomicUsize>::parent(b));
+        // Splice the sentinel in, or find the one a racing toucher did,
+        // walking from the parent's. Either way its address is usable
+        // unguarded forever, since sentinels are immortal.
+        let so_key = so_dummy(b as u64);
+        let sentinel = self.new_node(t, so_key, None);
+        // Safety: `find_from`'s cursors, in this section over `self.smr`.
+        let (Ok(addr) | Err(addr)) = unsafe {
+            find_or_link(&*self.smr, &self.stats, t, sentinel, |_| {
+                self.find_from(t, parent, so_key, None)
+            })
+        };
         // Losing this install race is harmless: the list admits exactly one
         // node per (even) so-key, so any competing install wrote `addr` too.
-        let _ = self
-            .slot(b)
-            .compare_exchange(0, addr, Ordering::SeqCst, Ordering::SeqCst);
+        let _ = slot.compare_exchange(0, addr, Ordering::SeqCst, Ordering::SeqCst);
         addr
     }
 
-    /// Inserts (or finds) the sentinel with `so_key`, walking from `start`
-    /// (an ancestor sentinel's address). Returns the sentinel's address —
-    /// usable unguarded forever, since sentinels are immortal.
-    fn splice_sentinel(&self, t: Tid, start: usize, so_key: u64) -> usize {
-        self.stats.on_alloc(t);
-        let node = Box::into_raw(Box::new(Node::<K, V> {
-            birth: self.smr.birth_epoch(t),
-            so_key,
-            kv: None,
-            next: AtomicUsize::new(0),
-        }));
-        loop {
-            let mut c = self.find_from(t, start, so_key, None);
-            if c.found {
-                let addr = untagged(c.cur_w);
-                self.release_cursor(t, &mut c);
-                self.stats.on_free(t);
-                // Safety: never published; the list's winner is reused.
-                unsafe { drop(Box::from_raw(node)) };
-                return addr;
-            }
-            // Safety: node is ours until published.
-            unsafe { (*node).next.store(c.cur_w, Ordering::SeqCst) };
-            // Safety: prev_loc protected per find_from's contract.
-            let ok = unsafe {
-                (*c.prev_loc)
-                    .compare_exchange(c.cur_w, node as usize, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            };
-            self.release_cursor(t, &mut c);
-            if ok {
-                return node as usize;
-            }
-        }
+    /// The sentinel to start `h`'s operation from under the current mask
+    /// (re-read each attempt: a concurrent grow between attempts may have
+    /// split the key's bucket).
+    fn bucket_for(&self, t: Tid, h: u64) -> usize {
+        self.ensure_bucket(t, self.dir.bucket_of(h))
     }
 
-    fn release_cursor(&self, t: Tid, c: &mut Cursor<S::Guard>) {
-        if let Some(g) = c.prev_guard.take() {
-            self.smr.release(t, g);
-        }
-        if let Some(g) = c.cur_guard.take() {
-            self.smr.release(t, g);
-        }
-    }
-
-    fn release_guards(&self, t: Tid, a: &mut Option<S::Guard>, b: &mut Option<S::Guard>) {
-        if let Some(g) = a.take() {
-            self.smr.release(t, g);
-        }
-        if let Some(g) = b.take() {
-            self.smr.release(t, g);
-        }
-    }
-
-    /// Michael's find from `start`'s next edge to the first node ≥
-    /// `(so_key, key)` in split order, unlinking marked nodes along the
-    /// way. Restarts are bucket-local: `start` is an immortal sentinel, so
-    /// its next edge is always a valid (guard-free) anchor. Must be called
-    /// inside a critical section; returns with 0–2 guards held.
+    /// The list module's Harris-Michael find from sentinel `start`'s edge
+    /// to the first node ≥ `(so_key, key)` in split order: so-key first,
+    /// then the real key (two distinct keys can share an odd so-key;
+    /// sentinels are `None` and sort before every regular node). Restarts
+    /// are bucket-local. Must be called inside a critical section.
     fn find_from(&self, t: Tid, start: usize, so_key: u64, key: Option<&K>) -> Cursor<S::Guard> {
-        let start_node = start as *const Node<K, V>;
-        'retry: loop {
-            // Safety: sentinels are never retired, so the start edge lives
-            // as long as the map — no guard needed (cf. `&self.head` in the
-            // plain list).
-            let mut prev_loc: *const AtomicUsize = unsafe { &(*start_node).next };
-            let mut prev_guard: Option<S::Guard> = None;
-            // Safety: `prev_loc` points into the immortal start sentinel.
-            let (mut cur_w, g) = self
-                .smr
-                .try_acquire(t, unsafe { &*prev_loc })
-                .expect("list traversal holds at most 3 guards");
-            let mut cur_guard = Some(g);
-            if cur_w & MARK != 0 {
-                // A sentinel's next edge is never marked (sentinels are not
-                // deleted); a marked word here is a transient publication
-                // race — restart.
-                self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                continue 'retry;
-            }
-            loop {
-                let cur = untagged(cur_w);
-                if cur == 0 {
-                    return Cursor {
-                        prev_loc,
-                        prev_guard,
-                        cur_w,
-                        cur_guard,
-                        found: false,
-                    };
-                }
-                let node = cur as *const Node<K, V>;
-                // Safety: `cur` is protected by cur_guard.
-                let next_field = unsafe { &(*node).next };
-                let (next_w, next_g) = self
-                    .smr
-                    .try_acquire(t, next_field)
-                    .expect("list traversal holds at most 3 guards");
-                let mut next_guard = Some(next_g);
-                // Validate that cur is still linked, unmarked, at prev_loc.
-                // Safety: prev_loc is a sentinel edge or one in a guarded
-                // node.
-                if unsafe { (*prev_loc).load(Ordering::SeqCst) } != cur_w {
-                    self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                    self.release_guards(t, &mut next_guard, &mut None);
-                    continue 'retry;
-                }
-                if next_w & MARK != 0 {
-                    // cur is logically deleted: help unlink it.
-                    let clean_next = next_w & !MARK;
-                    // Safety: prev_loc as above.
-                    if unsafe {
-                        (*prev_loc)
-                            .compare_exchange(cur_w, clean_next, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                    } {
-                        // We unlinked cur: retire it (the manual chore).
-                        let birth = unsafe { (*node).birth };
-                        self.smr.retire(t, Retired::new(cur, birth));
-                        if let Some(g) = cur_guard.take() {
-                            self.smr.release(t, g);
-                        }
-                        cur_w = clean_next;
-                        cur_guard = next_guard.take();
-                        continue;
-                    }
-                    self.release_guards(t, &mut prev_guard, &mut cur_guard);
-                    self.release_guards(t, &mut next_guard, &mut None);
-                    continue 'retry;
-                }
-                // Split-order comparison: so-key first, then the real key
-                // (two distinct keys can share an odd so-key; sentinels are
-                // `None` and sort before every regular node).
-                // Safety: cur protected; keys are immutable after insert.
-                let cnode = unsafe { &*node };
-                match (cnode.so_key, cnode.key()).cmp(&(so_key, key)) {
-                    std::cmp::Ordering::Less => {
-                        // Advance hand-over-hand: cur becomes prev.
-                        if let Some(g) = prev_guard.take() {
-                            self.smr.release(t, g);
-                        }
-                        prev_guard = cur_guard.take();
-                        prev_loc = next_field as *const AtomicUsize;
-                        cur_w = next_w;
-                        cur_guard = next_guard.take();
-                    }
-                    order => {
-                        self.release_guards(t, &mut next_guard, &mut None);
-                        return Cursor {
-                            prev_loc,
-                            prev_guard,
-                            cur_w,
-                            cur_guard,
-                            found: order == std::cmp::Ordering::Equal,
-                        };
-                    }
-                }
-            }
+        // Safety: sentinels are never retired, so `start`'s edge lives as
+        // long as the map and is never marked (cf. `&self.head` in the
+        // plain list); every node linked behind it is a `Box<Node<K, V>>`
+        // retired through `self.smr` once unlinked.
+        unsafe {
+            let head = &(*(start as *const Node<K, V>)).next;
+            find(&*self.smr, t, head, |n: &Node<K, V>| {
+                (n.so_key, n.key()).cmp(&(so_key, key))
+            })
         }
-    }
-
-    /// Doubles the mask if the live estimate exceeds the bucket count
-    /// (load factor ≈ 1). Called on the insert-count cadence only.
-    fn maybe_grow(&self) {
-        let live = self.count.live();
-        // Ordering: Relaxed — the mask is a routing hint, not a guard; the
-        // CAS below revalidates it and a stale read only delays growth.
-        let mask = self.mask.load(Ordering::Relaxed);
-        let buckets = mask + 1;
-        if live > buckets && buckets < (1u64 << SPINE_LEVELS) {
-            // Ordering: Relaxed — the mask is a routing hint; a stale mask
-            // routes to an ancestor sentinel, which is always correct.
-            let _ = self.mask.compare_exchange(
-                mask,
-                mask * 2 + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-        }
-    }
-
-    fn insert_impl(&self, t: Tid, key: K, value: V) -> bool {
-        let h = self.hasher.hash_one(&key);
-        let so = so_regular(h);
-        self.stats.on_alloc(t);
-        let new_node = Box::into_raw(Box::new(Node {
-            birth: self.smr.birth_epoch(t),
-            so_key: so,
-            kv: Some((key, value)),
-            next: AtomicUsize::new(0),
-        }));
-        loop {
-            // Re-read the mask each attempt: a concurrent grow between
-            // attempts may have split this key's bucket.
-            // Ordering: Relaxed — stale masks route to an ancestor
-            // sentinel, which reaches the same bucket via extra hops.
-            let start = self.ensure_bucket(t, (h & self.mask.load(Ordering::Relaxed)) as usize);
-            // Safety: new_node is ours until published.
-            let key_ref = unsafe { (*new_node).key() };
-            let mut c = self.find_from(t, start, so, key_ref);
-            if c.found {
-                self.release_cursor(t, &mut c);
-                self.stats.on_free(t);
-                // Safety: never published.
-                unsafe { drop(Box::from_raw(new_node)) };
-                return false;
-            }
-            unsafe { (*new_node).next.store(c.cur_w, Ordering::SeqCst) };
-            // Safety: prev_loc protected per find_from's contract.
-            let ok = unsafe {
-                (*c.prev_loc)
-                    .compare_exchange(
-                        c.cur_w,
-                        new_node as usize,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
-            };
-            self.release_cursor(t, &mut c);
-            if ok {
-                if self.count.on_insert(t) {
-                    self.maybe_grow();
-                }
-                return true;
-            }
-        }
-    }
-
-    fn remove_impl(&self, t: Tid, key: &K) -> bool {
-        let h = self.hasher.hash_one(key);
-        let so = so_regular(h);
-        loop {
-            // Ordering: Relaxed — stale masks route to an ancestor
-            // sentinel, which reaches the same bucket via extra hops.
-            let start = self.ensure_bucket(t, (h & self.mask.load(Ordering::Relaxed)) as usize);
-            let mut c = self.find_from(t, start, so, Some(key));
-            if !c.found {
-                self.release_cursor(t, &mut c);
-                return false;
-            }
-            let cur = untagged(c.cur_w);
-            let node = cur as *const Node<K, V>;
-            // Logically delete: mark cur's next word, retrying in place on
-            // the witnessed word (cur stays protected by the cursor).
-            // Safety: cur protected by the cursor's guard.
-            let mut next_w = unsafe { (*node).next.load(Ordering::SeqCst) };
-            let marked = loop {
-                if next_w & MARK != 0 {
-                    break false; // someone else is deleting it
-                }
-                match unsafe {
-                    (*node).next.compare_exchange(
-                        next_w,
-                        next_w | MARK,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                } {
-                    Ok(_) => break true,
-                    Err(w) => next_w = w,
-                }
-            };
-            if !marked {
-                // Retry from find so it can help the competing delete.
-                self.release_cursor(t, &mut c);
-                continue;
-            }
-            // Physically unlink (best effort — find helps otherwise).
-            // Safety: prev_loc protected per find_from's contract.
-            if unsafe {
-                (*c.prev_loc)
-                    .compare_exchange(c.cur_w, next_w, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            } {
-                let birth = unsafe { (*node).birth };
-                self.smr.retire(t, Retired::new(cur, birth));
-            }
-            self.release_cursor(t, &mut c);
-            self.count.on_remove(t);
-            return true;
-        }
-    }
-
-    fn get_impl(&self, t: Tid, key: &K) -> Option<V> {
-        let h = self.hasher.hash_one(key);
-        // Ordering: Relaxed — same ancestor-sentinel routing argument as
-        // the insert/remove paths.
-        let start = self.ensure_bucket(t, (h & self.mask.load(Ordering::Relaxed)) as usize);
-        let mut c = self.find_from(t, start, so_regular(h), Some(key));
-        let out = if c.found {
-            let node = untagged(c.cur_w) as *const Node<K, V>;
-            // Safety: protected by the cursor guard; value immutable.
-            Some(unsafe { (*node).kv.as_ref().unwrap().1.clone() })
-        } else {
-            None
-        };
-        self.release_cursor(t, &mut c);
-        out
     }
 }
 
@@ -539,28 +221,61 @@ where
         smr::SectionGuard::enter(Arc::clone(&self.smr))
     }
 
-    fn insert_with(&self, k: K, v: V, guard: &Self::Guard) -> bool {
+    fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.insert_impl(t, k, v);
+        let h = self.hasher.hash_one(&key);
+        let so = so_regular(h);
+        let node = self.new_node(t, so, Some((key, value)));
+        // Safety: `find_from`'s cursors, in `guard`'s section over
+        // `self.smr`.
+        let linked = unsafe {
+            find_or_link(&*self.smr, &self.stats, t, node, |n| {
+                self.find_from(t, self.bucket_for(t, h), so, n.key())
+            })
+            .is_ok()
+        };
+        if linked {
+            self.dir.on_insert(t);
+        }
         self.collect(t);
-        r
+        linked
     }
 
-    fn remove_with(&self, k: &K, guard: &Self::Guard) -> bool {
+    fn remove_with(&self, key: &K, guard: &Self::Guard) -> bool {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.remove_impl(t, k);
+        let h = self.hasher.hash_one(key);
+        let removed = loop {
+            let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
+            if !c.found {
+                release(&*self.smr, t, c);
+                break false;
+            }
+            // Safety: `c` is this section's cursor over `self.smr`, found.
+            if unsafe { remove_at::<Node<K, V>, S>(&self.smr, t, c) } {
+                self.dir.on_remove(t);
+                break true;
+            }
+            // Retry from find so it can help the competing delete.
+        };
         self.collect(t);
-        r
+        removed
     }
 
-    fn get_with(&self, k: &K, guard: &Self::Guard) -> Option<V> {
+    fn get_with(&self, key: &K, guard: &Self::Guard) -> Option<V> {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         let t = guard.tid();
-        let r = self.get_impl(t, k);
+        let h = self.hasher.hash_one(key);
+        let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
+        let node = untagged(c.cur_w) as *const Node<K, V>;
+        // Safety: protected by the cursor guard; value immutable.
+        let out = c
+            .found
+            .then(|| unsafe { (*node).kv.as_ref().unwrap().1.clone() });
+        release(&*self.smr, t, c);
         self.collect(t);
-        r
+        out
     }
 
     fn in_flight_nodes(&self) -> u64 {
@@ -584,32 +299,19 @@ impl<K, V, S: AcquireRetire> Drop for ResizableHashMap<K, V, S> {
         let t = smr::current_tid();
         // The zero sentinel heads the entire list, so one root reaches
         // every node — sentinels, live nodes and marked-but-linked ones.
-        // Directory slots hold plain addresses (no ownership): only their
-        // segment allocations need freeing.
-        let head = untagged(self.zero.load(Ordering::SeqCst));
+        // Directory slots hold plain addresses (no ownership): the
+        // directory frees its own segments.
+        let head = self.dir.zero().load(Ordering::SeqCst);
         // Safety: exclusive access; linked nodes are never retired.
         unsafe { super::teardown::<Node<K, V>, S>([head], &self.smr, &self.stats, t) };
-        for (level, slot) in self.spine.iter().enumerate() {
-            // Ordering: Acquire — pairs with the publishing CAS in
-            // `segment`; Drop's exclusivity covers mutation, not the
-            // visibility of another thread's published allocation.
-            let p = slot.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            let len = 1usize << level;
-            // Safety: exclusive access; published from a Box<[AtomicUsize]>.
-            unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, len))) };
-        }
     }
 }
 
 impl<K, V, S: AcquireRetire> std::fmt::Debug for ResizableHashMap<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Ordering: Relaxed — diagnostic snapshot only.
         f.debug_struct("ResizableHashMap")
             .field("scheme", &S::scheme_name())
-            .field("buckets", &(self.mask.load(Ordering::Relaxed) + 1))
+            .field("buckets", &self.dir.buckets())
             .finish_non_exhaustive()
     }
 }
@@ -619,7 +321,7 @@ mod tests {
     use super::*;
     use smr::{Ebr, Hp, Hyaline, Ibr};
 
-    fn smoke<S: AcquireRetire>() {
+    fn smoke_on<S: AcquireRetire>() {
         let m: ResizableHashMap<u64, u64, S> = ResizableHashMap::new();
         assert!(m.insert(5, 50));
         assert!(m.insert(3, 30));
@@ -634,10 +336,10 @@ mod tests {
 
     #[test]
     fn smoke_all_schemes() {
-        smoke::<Ebr>();
-        smoke::<Ibr>();
-        smoke::<Hp>();
-        smoke::<Hyaline>();
+        smoke_on::<Ebr>();
+        smoke_on::<Ibr>();
+        smoke_on::<Hp>();
+        smoke_on::<Hyaline>();
     }
 
     #[test]
@@ -703,5 +405,44 @@ mod tests {
             }
         }
         assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+    }
+
+    // Built `with_capacity`, the way the benches and the ledger build their
+    // tables.
+
+    #[test]
+    fn smoke() {
+        let m: ResizableHashMap<u64, String, Ebr> = ResizableHashMap::with_capacity(16);
+        assert!(m.insert(1, "one".into()));
+        assert!(m.insert(17, "seventeen".into())); // same bucket candidate
+        assert!(!m.insert(1, "uno".into()));
+        assert_eq!(m.get(&1).as_deref(), Some("one"));
+        assert!(m.remove(&1));
+        assert_eq!(m.get(&1), None);
+        assert_eq!(m.get(&17).as_deref(), Some("seventeen"));
+        assert_eq!(m.buckets(), 16);
+    }
+
+    #[test]
+    fn concurrent_hp() {
+        let m: Arc<ResizableHashMap<u64, u64, Hp>> = Arc::new(ResizableHashMap::with_capacity(64));
+        let hs: Vec<_> = (0..8)
+            .map(|i| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for j in 0..500u64 {
+                        let k = i * 1000 + j;
+                        assert!(m.insert(k, k));
+                        assert_eq!(m.get(&k), Some(k));
+                        if j % 2 == 1 {
+                            assert!(m.remove(&k));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
     }
 }

@@ -431,4 +431,85 @@ mod tests {
             h.join().unwrap();
         }
     }
+
+    type TestNode<S> = Node<u64, u64, S>;
+
+    /// The helping path, deterministically: behind `head` hang keys 1, 2, 3
+    /// and a deleter of 2 has stalled right after its mark CAS (replayed
+    /// here by setting the mark by hand). One `walk` to key 3 must unlink
+    /// the victim, whose displaced reference is released exactly once; a
+    /// second walk must find nothing left to help.
+    fn walk_past_a_stalled_delete<S: Scheme>(
+        domain: &DomainRef<S>,
+        head: &AtomicSharedPtr<TestNode<S>, S>,
+        walk: impl Fn(u64) -> bool,
+    ) {
+        let settle = || domain.process_deferred(smr::current_tid());
+        settle();
+        let nodes_before = domain.allocated() - domain.freed();
+        let first = head.load();
+        let first = first.as_ref().unwrap();
+        let victim = first.next.load();
+        let last = victim.as_ref().unwrap().next.load_tagged();
+        assert_eq!((first.key, victim.as_ref().unwrap().key), (1, 2));
+        victim.as_ref().unwrap().next.fetch_or_tag(MARK);
+        drop(victim);
+
+        assert!(walk(3), "the walk gets past the marked node");
+        assert_eq!(first.next.load_tagged(), last, "victim unlinked");
+        let edges = || (head.load_tagged(), first.next.load_tagged());
+        let after_first = edges();
+        assert!(walk(3) && !walk(2));
+        assert_eq!(edges(), after_first, "nothing left to CAS on a second walk");
+        settle();
+        assert_eq!(
+            domain.allocated() - domain.freed(),
+            nodes_before - 1,
+            "the victim, and only the victim, was released"
+        );
+    }
+
+    fn helping<S: Scheme>() {
+        let domain: DomainRef<S> = DomainRef::new();
+        let new_node = |key: u64| {
+            let next = AtomicSharedPtr::null_in(&domain);
+            let value = key * 10;
+            SharedPtr::new_graph_in(Node { key, value, next }, &domain)
+        };
+
+        // From the list head, through the map interface.
+        let list: RcHarrisMichaelList<u64, u64, S> = RcHarrisMichaelList::new_in(domain.clone());
+        for k in [2, 3, 1] {
+            assert!(list.insert(k, k * 10));
+        }
+        walk_past_a_stalled_delete(&domain, &list.head, |k| list.get(&k) == Some(k * 10));
+
+        // From a sentinel's edge, as the split-ordered map starts its
+        // walks: the anchor is a `next` word inside a node that is never
+        // deleted, not a list head.
+        let sentinel = new_node(0);
+        let anchor = &sentinel.as_ref().unwrap().next;
+        for k in [2, 3, 1] {
+            let cs = domain.cs();
+            let c = find(anchor, &cs, |n: &TestNode<S>| n.key.cmp(&k));
+            assert!(!c.found);
+            assert!(link_at(anchor, &c, new_node(k)).is_ok());
+        }
+        walk_past_a_stalled_delete(&domain, anchor, |k| {
+            let cs = domain.cs();
+            let c = find(anchor, &cs, |n: &TestNode<S>| n.key.cmp(&k));
+            c.found
+        });
+        drop((list, sentinel));
+        domain.process_deferred(smr::current_tid());
+        assert_eq!(domain.allocated(), domain.freed());
+    }
+
+    #[test]
+    fn a_walk_helps_a_stalled_delete_exactly_once() {
+        helping::<EbrScheme>();
+        helping::<IbrScheme>();
+        helping::<HpScheme>();
+        helping::<HyalineScheme>();
+    }
 }

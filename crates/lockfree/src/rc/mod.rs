@@ -6,13 +6,11 @@
 //! automatically, once no snapshot or in-flight protection refers to them.
 
 pub mod dlqueue;
-pub mod hash;
 pub mod list;
 pub mod nmtree;
 pub mod resizable;
 
 pub use dlqueue::RcDoubleLinkQueue;
-pub use hash::RcMichaelHashMap;
 pub use list::RcHarrisMichaelList;
 pub use nmtree::RcNatarajanMittalTree;
 pub use resizable::RcResizableHashMap;

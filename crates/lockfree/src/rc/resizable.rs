@@ -31,15 +31,10 @@
 //!
 //! # The lazily-doubled directory
 //!
-//! Bucket pointers live in a `zero` slot plus `SPINE_LEVELS` lazily
-//! allocated segments, segment `l` holding buckets `[2^l, 2^{l+1})`. The
-//! directory only ever grows and established slots are never rewritten, so
-//! readers touch it with plain `Acquire` loads — no migration epoch, no
-//! array retirement. A thread observing a *stale* (smaller) mask simply
-//! starts its list walk at an ancestor sentinel: correct, just a few hops
-//! longer.
+//! Bucket pointers live in a `split_order::Directory` of strong,
+//! CAS-installed-once references to sentinels — the same directory the
+//! manual table keeps addresses in (`src/split_order.rs`).
 
-use smr::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
@@ -50,8 +45,8 @@ use cdrc::{
 };
 
 use super::list::{find, link_at, remove_at, Cursor, Link};
-use crate::split_order::{so_dummy, so_regular, SPINE_LEVELS};
-use crate::{ConcurrentMap, ElementCount};
+use crate::split_order::{so_dummy, so_regular, Directory};
+use crate::ConcurrentMap;
 
 struct Node<K, V, S: Scheme> {
     so_key: u64,
@@ -94,18 +89,10 @@ type Slot<K, V, S> = AtomicSharedPtr<Node<K, V, S>, S>;
 /// split-ordered policy. No operation ever blocks on a resize; there is no
 /// resize *phase* at all.
 pub struct RcResizableHashMap<K, V, S: Scheme> {
-    /// Bucket 0's sentinel — the head of the entire list. Installed at
-    /// construction and never rewritten, it anchors teardown: nulling it
-    /// (plus the other directory slots) releases the whole chain.
-    zero: AtomicSharedPtr<Node<K, V, S>, S>,
-    /// Segment `l` (once published) is a `Box<[AtomicSharedPtr; 2^l]>`
-    /// leaked to a raw pointer; slots start null and are CAS-installed at
-    /// most once. Freed in `Drop`.
-    spine: [AtomicPtr<Slot<K, V, S>>; SPINE_LEVELS],
-    /// `buckets - 1`; buckets is always a power of two. Grows by
-    /// `m -> 2m + 1`, monotonically.
-    mask: AtomicU64,
-    count: ElementCount,
+    /// Bucket 0's slot holds the sentinel that heads the entire list,
+    /// installed at construction; it anchors teardown: nulling it (plus the
+    /// other directory slots) releases the whole chain.
+    dir: Directory<Slot<K, V, S>>,
     hasher: RandomState,
     domain: DomainRef<S>,
     _marker: PhantomData<(K, V)>,
@@ -136,23 +123,9 @@ where
 
     /// As [`with_capacity`](Self::with_capacity), bound to `domain`.
     pub fn with_capacity_in(capacity: usize, domain: DomainRef<S>) -> Self {
-        let buckets = capacity
-            .max(1)
-            .next_power_of_two()
-            .min(1usize << SPINE_LEVELS) as u64;
-        let zero_sentinel = SharedPtr::new_graph_in(
-            Node {
-                so_key: so_dummy(0),
-                kv: None,
-                next: AtomicSharedPtr::null_in(&domain),
-            },
-            &domain,
-        );
+        let zero = AtomicSharedPtr::new_in(Self::new_node(&domain, so_dummy(0), None), &domain);
         RcResizableHashMap {
-            zero: AtomicSharedPtr::new_in(zero_sentinel, &domain),
-            spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            mask: AtomicU64::new(buckets - 1),
-            count: ElementCount::new(),
+            dir: Directory::with_capacity(capacity, zero),
             hasher: RandomState::new(),
             domain,
             _marker: PhantomData,
@@ -164,17 +137,24 @@ where
         &self.domain
     }
 
+    fn new_node(
+        domain: &DomainRef<S>,
+        so_key: u64,
+        kv: Option<(K, V)>,
+    ) -> SharedPtr<Node<K, V, S>, S> {
+        let next = AtomicSharedPtr::null_in(domain);
+        SharedPtr::new_graph_in(Node { so_key, kv, next }, domain)
+    }
+
     /// Current bucket count (monotone; grows under load).
     pub fn buckets(&self) -> u64 {
-        // Ordering: Relaxed — reporting read of a monotone routing mask; a
-        // stale value is just an older (still valid) size.
-        self.mask.load(Ordering::Relaxed) + 1
+        self.dir.buckets()
     }
 
     /// Approximate live element count (exact once concurrent operations
     /// have happened-before the call, e.g. after joining workers).
     pub fn len(&self) -> u64 {
-        self.count.live()
+        self.dir.len()
     }
 
     /// Whether the map is (approximately) empty; see [`len`](Self::len).
@@ -182,68 +162,18 @@ where
         self.len() == 0
     }
 
-    /// The directory segment for `level`, publishing it first if no thread
-    /// has touched any bucket in `[2^level, 2^{level+1})` yet.
-    fn segment(&self, level: usize) -> &[AtomicSharedPtr<Node<K, V, S>, S>] {
-        let slot = &self.spine[level];
-        let len = 1usize << level;
-        // Ordering: Acquire load / AcqRel CAS — the segment is a heap
-        // allocation published through this slot: the winner's Release
-        // makes the fresh slots visible, and every reader (including a
-        // losing CAS, via its Acquire failure ordering) acquires them
-        // before indexing into the segment.
-        let mut p = slot.load(Ordering::Acquire);
-        if p.is_null() {
-            let fresh: Box<[Slot<K, V, S>]> = (0..len)
-                .map(|_| AtomicSharedPtr::null_in(&self.domain))
-                .collect();
-            let raw = Box::into_raw(fresh) as *mut Slot<K, V, S>;
-            // Ordering: AcqRel / Acquire — see the publication comment on
-            // the slot load above.
-            match slot.compare_exchange(
-                std::ptr::null_mut(),
-                raw,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => p = raw,
-                Err(winner) => {
-                    // Safety: `raw` was never published; rebuild the boxed
-                    // slice (all slots still null) and drop it.
-                    unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, len))) };
-                    p = winner;
-                }
-            }
-        }
-        // Safety: published segments are never replaced and outlive `&self`
-        // (freed only in `Drop`, which has exclusive access).
-        unsafe { std::slice::from_raw_parts(p, len) }
-    }
-
-    /// The directory slot holding bucket `b`'s sentinel pointer.
-    fn slot(&self, b: usize) -> &AtomicSharedPtr<Node<K, V, S>, S> {
-        if b == 0 {
-            return &self.zero;
-        }
-        let level = (usize::BITS - 1 - b.leading_zeros()) as usize;
-        &self.segment(level)[b - (1usize << level)]
-    }
-
     /// Returns bucket `b`'s sentinel, splicing it (and, recursively, any
     /// missing ancestors) into the list on first touch.
     ///
-    /// The parent of `b` is `b` with its most significant set bit cleared —
-    /// the bucket whose so-key range contains `b`'s until the split.
-    /// Recursion depth is the popcount of `b` (≤ [`SPINE_LEVELS`]).
+    /// Recursion depth is the popcount of `b`.
     fn ensure_bucket<'g>(&self, b: usize, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, Node<K, V, S>, S> {
-        let slot = self.slot(b);
+        let slot = self.dir.slot(b, || AtomicSharedPtr::null_in(&self.domain));
         let snap = slot.get_snapshot(cs);
         if !snap.is_null() {
             return snap;
         }
         debug_assert!(b > 0, "bucket 0's sentinel is installed at construction");
-        let level = (usize::BITS - 1 - b.leading_zeros()) as usize;
-        let parent = self.ensure_bucket(b - (1usize << level), cs);
+        let parent = self.ensure_bucket(Directory::<Slot<K, V, S>>::parent(b), cs);
         let sentinel = self.splice_sentinel(&parent, so_dummy(b as u64), cs);
         // Losing this install race is harmless: the list admits exactly one
         // node per (even) so-key, so the winner published the same node.
@@ -259,14 +189,7 @@ where
         so_key: u64,
         cs: &'g CsGuard<S>,
     ) -> SharedPtr<Node<K, V, S>, S> {
-        let mut sentinel: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
-            Node {
-                so_key,
-                kv: None,
-                next: AtomicSharedPtr::null_in(&self.domain),
-            },
-            &self.domain,
-        );
+        let mut sentinel = Self::new_node(&self.domain, so_key, None);
         loop {
             let c = Self::find_from(start, so_key, None, cs);
             if c.found {
@@ -304,34 +227,9 @@ where
         })
     }
 
-    /// Doubles the mask if the live estimate exceeds the bucket count
-    /// (load factor ≈ 1). Called on the insert-count cadence only.
-    fn maybe_grow(&self) {
-        let live = self.count.live();
-        // Ordering: Relaxed — the mask is a routing hint, not a guard; the
-        // CAS below revalidates it and a stale read only delays growth.
-        let mask = self.mask.load(Ordering::Relaxed);
-        let buckets = mask + 1;
-        if live > buckets && buckets < (1u64 << SPINE_LEVELS) {
-            // Ordering: Relaxed — the mask is a routing hint, not a guard:
-            // an operation using the old mask lands on an ancestor sentinel
-            // and walks a few extra hops, which is always correct. Losing
-            // the CAS means another thread already grew past `mask`.
-            let _ = self.mask.compare_exchange(
-                mask,
-                mask * 2 + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-        }
-    }
-
     /// The sentinel to start `h`'s operation from under the current mask.
     fn bucket_for<'g>(&self, h: u64, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, Node<K, V, S>, S> {
-        // Ordering: Relaxed — stale masks route to an ancestor sentinel,
-        // which reaches the same bucket through a few extra hops.
-        let b = (h & self.mask.load(Ordering::Relaxed)) as usize;
-        self.ensure_bucket(b, cs)
+        self.ensure_bucket(self.dir.bucket_of(h), cs)
     }
 }
 
@@ -351,14 +249,7 @@ where
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
         let h = self.hasher.hash_one(&k);
         let so = so_regular(h);
-        let mut new_node: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
-            Node {
-                so_key: so,
-                kv: Some((k, v)),
-                next: AtomicSharedPtr::null_in(&self.domain),
-            },
-            &self.domain,
-        );
+        let mut new_node = Self::new_node(&self.domain, so, Some((k, v)));
         loop {
             // Re-read the mask each attempt: a concurrent grow between
             // attempts may have split this key's bucket.
@@ -369,9 +260,7 @@ where
             }
             match link_at(Self::head(&start), &c, new_node) {
                 Ok(()) => {
-                    if self.count.on_insert(smr::current_tid()) {
-                        self.maybe_grow();
-                    }
+                    self.dir.on_insert(smr::current_tid());
                     return true;
                 }
                 Err(back) => new_node = back,
@@ -390,7 +279,7 @@ where
                 return false;
             }
             if remove_at(Self::head(&start), cs, &c) {
-                self.count.on_remove(smr::current_tid());
+                self.dir.on_remove(smr::current_tid());
                 return true;
             }
         }
@@ -428,25 +317,10 @@ impl<K, V, S: Scheme> Drop for RcResizableHashMap<K, V, S> {
         // dropping its reference cascades down the chain (immediate
         // recursive destruction via `pop_edges`); the other slots hold
         // additional strong references to sentinels and must be released
-        // too, then their segment allocations freed. Finally flush the
+        // too (the directory then frees its segments). Finally flush the
         // domain so a private-domain map leaves `allocated() == freed()`.
-        self.zero.store(SharedPtr::null());
-        for (level, slot) in self.spine.iter().enumerate() {
-            // Ordering: Acquire — pairs with the publishing CAS in
-            // `segment`; Drop's exclusivity covers mutation, not the
-            // visibility of another thread's published allocation.
-            let p = slot.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            let len = 1usize << level;
-            // Safety: exclusive access in Drop; the segment was published
-            // from a `Box<[AtomicSharedPtr; len]>` and never replaced.
-            let seg = unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, len)) };
-            for s in seg.iter() {
-                s.store(SharedPtr::null());
-            }
-            drop(seg);
+        for slot in self.dir.slots() {
+            slot.store(SharedPtr::null());
         }
         self.domain.process_deferred(smr::current_tid());
     }
@@ -454,9 +328,8 @@ impl<K, V, S: Scheme> Drop for RcResizableHashMap<K, V, S> {
 
 impl<K, V, S: Scheme> std::fmt::Debug for RcResizableHashMap<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Ordering: Relaxed — diagnostic snapshot only.
         f.debug_struct("RcResizableHashMap")
-            .field("buckets", &(self.mask.load(Ordering::Relaxed) + 1))
+            .field("buckets", &self.dir.buckets())
             .finish_non_exhaustive()
     }
 }
@@ -467,7 +340,7 @@ mod tests {
     use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme};
     use std::sync::Arc;
 
-    fn smoke<S: Scheme>() {
+    fn smoke_on<S: Scheme>() {
         let m: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::new();
         assert!(m.insert(5, 50));
         assert!(m.insert(3, 30));
@@ -482,10 +355,10 @@ mod tests {
 
     #[test]
     fn smoke_all_schemes() {
-        smoke::<EbrScheme>();
-        smoke::<IbrScheme>();
-        smoke::<HpScheme>();
-        smoke::<HyalineScheme>();
+        smoke_on::<EbrScheme>();
+        smoke_on::<IbrScheme>();
+        smoke_on::<HpScheme>();
+        smoke_on::<HyalineScheme>();
     }
 
     #[test]
@@ -555,5 +428,64 @@ mod tests {
     fn with_capacity_rounds_up() {
         let m: RcResizableHashMap<u64, u64, EbrScheme> = RcResizableHashMap::with_capacity(100);
         assert_eq!(m.buckets(), 128);
+    }
+
+    // Built `with_capacity(_in)`, the way the benches and the ledger build
+    // their tables.
+
+    #[test]
+    fn smoke() {
+        let m: RcResizableHashMap<u64, String, EbrScheme> = RcResizableHashMap::with_capacity(16);
+        assert!(m.insert(1, "one".into()));
+        assert!(!m.insert(1, "uno".into()));
+        assert_eq!(m.get(&1).as_deref(), Some("one"));
+        assert!(m.remove(&1));
+        assert_eq!(m.get(&1), None);
+        assert_eq!(m.buckets(), 16);
+    }
+
+    #[test]
+    fn buckets_share_the_tables_domain() {
+        let domain: DomainRef<EbrScheme> = DomainRef::new();
+        let m: RcResizableHashMap<u64, u64, EbrScheme> =
+            RcResizableHashMap::with_capacity_in(8, domain.clone());
+        for k in 0..100u64 {
+            assert!(m.insert(k, k));
+        }
+        domain.process_deferred(smr::current_tid());
+        // Sentinels are nodes of the same domain: one per touched bucket.
+        let sentinels = m.dir.slots().filter(|s| !s.load_tagged().is_null()).count();
+        assert!(sentinels >= 1, "bucket 0's sentinel always exists");
+        assert_eq!(
+            m.in_flight_nodes(),
+            100 + sentinels as u64,
+            "all buckets meter one domain"
+        );
+        drop(m);
+        assert_eq!(domain.allocated(), domain.freed());
+    }
+
+    #[test]
+    fn concurrent_hp() {
+        let m: Arc<RcResizableHashMap<u64, u64, HpScheme>> =
+            Arc::new(RcResizableHashMap::with_capacity(64));
+        let hs: Vec<_> = (0..8)
+            .map(|i| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for j in 0..400u64 {
+                        let k = i * 1000 + j;
+                        assert!(m.insert(k, k));
+                        assert_eq!(m.get(&k), Some(k));
+                        if j % 2 == 1 {
+                            assert!(m.remove(&k));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
     }
 }

@@ -176,6 +176,22 @@ impl Protection for Intervals {
     }
 
     fn reclaim(eng: &Engine<Self>, local: &mut Local<Self>) {
+        // Interval tightening, IBR's `max_garbage` arm. Garbage under a
+        // stalled reader is structurally bounded — only objects born at or
+        // before the stalled interval's `end` are pinned — so a scan that
+        // starts over the watermark first advances the clock: objects
+        // allocated from here on are born strictly after every
+        // already-announced `end` and their retirement can never be pinned
+        // by the staller. It rides the frame's scans, so a reader pinning
+        // a watermark's worth of entries costs one scan per
+        // `scan_threshold` retires, not one per retire.
+        if eng
+            .cfg
+            .max_garbage
+            .is_some_and(|cap| local.retired.len() >= cap)
+        {
+            eng.clock.advance();
+        }
         // Collect announced intervals. Read order matters: `begin` before
         // `end`. If the slot transitions between critical sections while we
         // read, pairing an older (smaller) `begin` with a newer (larger)
@@ -207,20 +223,6 @@ impl Protection for Intervals {
                 .iter()
                 .any(|&(lo, hi)| lo <= retire_epoch && r.birth <= hi)
         });
-    }
-
-    /// Interval tightening. IBR's garbage under a stalled reader is
-    /// structurally bounded — only objects born at or before the stalled
-    /// interval's `end` are pinned — so over the watermark we advance the
-    /// clock immediately: subsequently allocated objects are born strictly
-    /// after every already-announced `end` and their retirement can never
-    /// be pinned by the staller, then rescan to shed whatever the tightened
-    /// bound released.
-    fn over_watermark(eng: &Engine<Self>, local: &mut Local<Self>, cap: usize) {
-        if local.retired.len() >= cap {
-            eng.clock.advance();
-            eng.scan(local);
-        }
     }
 }
 

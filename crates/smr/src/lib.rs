@@ -87,8 +87,8 @@
 //! construction for [`Hp`] (hazard-slot count) and effectively for
 //! [`Hyaline`] (departing-operation refcounts); [`Ebr`] and [`Ibr`] are
 //! unbounded by construction, and [`SmrConfig::max_garbage`] arms a *soft*
-//! watermark that throttles retire-side progress (EBR), tightens the clock
-//! and scan cadence (IBR), or gates on an outstanding-garbage gauge
+//! watermark that throttles retire-side progress (EBR), advances the clock
+//! ahead of each scan (IBR), or gates on an outstanding-garbage gauge
 //! (Hyaline) to rate-limit growth while preserving liveness. A dead thread
 //! is recovered by [`reclaim_orphaned_slot`] once its death is established
 //! out-of-band (e.g. by joining it): registered orphan reapers force-close
@@ -261,11 +261,12 @@ pub struct SmrConfig {
     ///   scans and briefly sleeps for up to a fixed number of rounds, so
     ///   over-watermark garbage production slows to a crawl (a *soft* cap —
     ///   liveness is preserved by giving up after the round limit).
-    /// * **IBR** — interval tightening: the retiring thread advances the
-    ///   epoch clock immediately, so subsequently allocated objects are born
-    ///   outside every currently announced interval and their retirement is
-    ///   never pinned by an already-stalled reader (shrinks the constant in
-    ///   IBR's structural bound).
+    /// * **IBR** — interval tightening: a scan that starts over the
+    ///   watermark advances the epoch clock first, so subsequently allocated
+    ///   objects are born outside every currently announced interval and
+    ///   their retirement is never pinned by an already-stalled reader
+    ///   (shrinks the constant in IBR's structural bound). Inside sections
+    ///   too, at the scans' own cadence: one per `eject_threshold` retires.
     /// * **Hyaline** — the same bounded backpressure as EBR, keyed off an
     ///   instance-wide count of distributed-but-unclaimed retirements
     ///   (Hyaline-1's garbage under a stalled reader is otherwise unbounded:

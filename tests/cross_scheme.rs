@@ -6,9 +6,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
-use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
+use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, NatarajanMittalTree, ResizableHashMap};
 use lockfree::rc::{
-    RcDoubleLinkQueue, RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree,
+    RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap,
 };
 use lockfree::{ConcurrentMap, ConcurrentQueue};
 use smr::AcquireRetire;
@@ -102,12 +102,12 @@ scheme_matrix!(rc_list_model, {
 });
 
 scheme_matrix!(manual_hash_model, {
-    let map: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_buckets(16);
+    let map: ResizableHashMap<u64, u64, S> = ResizableHashMap::with_capacity(16);
     model_check(&map, 13, 256, 3000);
 });
 
 scheme_matrix!(rc_hash_model, {
-    let map: RcMichaelHashMap<u64, u64, S> = RcMichaelHashMap::with_buckets(16);
+    let map: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::with_capacity(16);
     model_check(&map, 14, 256, 3000);
 });
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
 use lockfree::rc::{
-    RcDoubleLinkQueue, RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree,
+    RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap,
 };
 use lockfree::{ConcurrentMap, ConcurrentQueue};
 
@@ -167,8 +167,8 @@ fn epochs_do_not_cross_advance_all_schemes() {
 fn concurrent_churn_two_structures<S: Scheme>() {
     let da: DomainRef<S> = DomainRef::new();
     let db: DomainRef<S> = DomainRef::new();
-    let a: Arc<RcMichaelHashMap<u64, u64, S>> =
-        Arc::new(RcMichaelHashMap::with_buckets_in(32, da.clone()));
+    let a: Arc<RcResizableHashMap<u64, u64, S>> =
+        Arc::new(RcResizableHashMap::with_capacity_in(32, da.clone()));
     let b: Arc<RcNatarajanMittalTree<u64, u64, S>> =
         Arc::new(RcNatarajanMittalTree::new_in(db.clone()));
 

@@ -9,9 +9,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
-use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
+use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, NatarajanMittalTree, ResizableHashMap};
 use lockfree::rc::{
-    RcDoubleLinkQueue, RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree,
+    RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap,
 };
 use lockfree::{ConcurrentMap, ConcurrentQueue};
 use smr::AcquireRetire;
@@ -107,8 +107,8 @@ scheme_matrix!(rc_list_batched, {
 });
 
 scheme_matrix!(rc_hash_batched, {
-    let a: RcMichaelHashMap<u64, u64, S> = RcMichaelHashMap::with_buckets(16);
-    let b: RcMichaelHashMap<u64, u64, S> = RcMichaelHashMap::with_buckets(16);
+    let a: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::with_capacity(16);
+    let b: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::with_capacity(16);
     batched_matches_guard_free(&a, &b, 22, 256, 2500);
 });
 
@@ -125,8 +125,8 @@ scheme_matrix!(manual_list_batched, {
 });
 
 scheme_matrix!(manual_hash_batched, {
-    let a: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_buckets(16);
-    let b: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_buckets(16);
+    let a: ResizableHashMap<u64, u64, S> = ResizableHashMap::with_capacity(16);
+    let b: ResizableHashMap<u64, u64, S> = ResizableHashMap::with_capacity(16);
     batched_matches_guard_free(&a, &b, 25, 256, 2500);
 });
 

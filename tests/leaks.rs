@@ -12,7 +12,7 @@ use cdrc::{
     Scheme, SharedPtr,
 };
 use lockfree::rc::{
-    RcDoubleLinkQueue, RcHarrisMichaelList, RcMichaelHashMap, RcNatarajanMittalTree,
+    RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap,
 };
 use lockfree::{ConcurrentMap, ConcurrentQueue};
 
@@ -101,7 +101,7 @@ fn rc_tree_balances_all_schemes() {
 
 #[test]
 fn rc_hash_balances() {
-    map_balances::<EbrScheme, _>(|| RcMichaelHashMap::<u64, u64, EbrScheme>::with_buckets(64));
+    map_balances::<EbrScheme, _>(|| RcResizableHashMap::<u64, u64, EbrScheme>::with_capacity(64));
 }
 
 #[test]
