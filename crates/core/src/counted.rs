@@ -12,15 +12,21 @@
 //! (disposed) when the strong count hits zero.
 //!
 //! Every block also records **which reclamation domain allocated it** (a
-//! type-erased `*const Domain<S>`) and owns one `Arc` reference on that
-//! domain, released when the block is freed. That is what lets the
-//! single-word owned pointer types ([`SharedPtr`](crate::SharedPtr),
-//! [`WeakPtr`](crate::WeakPtr)) find their domain without carrying a handle:
-//! while a block is alive, its domain is alive.
+//! type-erased `*const Domain<S>`) and is a *passive reference* on that
+//! domain under the pin rule (`domain.rs` module docs): counted on the
+//! allocating thread's `allocs` lane and, when freed, on the freeing
+//! thread's `frees` lane — never on a shared word. A domain whose folded
+//! `live` count is nonzero cannot be torn down, so while a block is alive
+//! its domain is alive: that is what lets the single-word owned pointer
+//! types ([`SharedPtr`](crate::SharedPtr), [`WeakPtr`](crate::WeakPtr))
+//! find their domain without carrying a handle. The header grants no right
+//! to *run* domain code, though: a handle-free drop first takes the calling
+//! thread's pin from the header's domain pointer (one RMW at the outermost
+//! level, a thread-local bump under a guard), because its cascade may free
+//! the very block that was keeping the domain alive.
 
 use std::mem::MaybeUninit;
 use std::ptr;
-use std::sync::Arc;
 
 use smr::AcquireRetire;
 use sticky::{Counter, StickyCounter};
@@ -34,11 +40,6 @@ pub(crate) struct Vtable {
     pub dispose: unsafe fn(*mut Header),
     /// Frees the whole control block; the payload must already be disposed.
     pub dealloc: unsafe fn(*mut Header),
-    /// Releases the block's owning reference on its domain (an
-    /// `Arc::decrement_strong_count`); no-op for a null domain pointer.
-    /// Callers capture `Header::domain` *before* `dealloc` and invoke this
-    /// afterwards — the block must not outlive its own domain reference.
-    pub release_domain: unsafe fn(*const ()),
     /// Extracts the payload's outgoing graph edges into an [`EdgeSink`],
     /// nulling the payload's pointer fields so the `dispose` that follows
     /// cannot re-relinquish them. `None` for payloads without a
@@ -57,8 +58,8 @@ pub(crate) struct Header {
     pub birth: u64,
     /// The `Domain<S>` this block was allocated under, erased to `()` (the
     /// scheme type is restored by the pointer types, whose `S` parameter is
-    /// pinned at allocation). Points into a live `Arc` allocation: the block
-    /// holds one strong count on it until [`Vtable::release_domain`] runs.
+    /// pinned at allocation). Stays valid for as long as the block does:
+    /// the block is a passive reference on that domain.
     pub domain: *const (),
     pub vtable: &'static Vtable,
 }
@@ -92,21 +93,12 @@ unsafe fn dealloc_impl<T>(h: *mut Header) {
     drop(Box::from_raw(h as *mut Counted<T>));
 }
 
-unsafe fn release_domain_impl<S: AcquireRetire>(domain: *const ()) {
-    if !domain.is_null() {
-        // The pointer originated from `Arc::as_ptr` in `DomainRef::allocate`
-        // and the block's own count kept the Arc alive until here.
-        Arc::decrement_strong_count(domain as *const Domain<S>);
-    }
-}
+struct VtableOf<T>(std::marker::PhantomData<T>);
 
-struct VtableOf<T, S>(std::marker::PhantomData<(T, fn(S))>);
-
-impl<T, S: AcquireRetire> VtableOf<T, S> {
+impl<T> VtableOf<T> {
     const VTABLE: Vtable = Vtable {
         dispose: dispose_impl::<T>,
         dealloc: dealloc_impl::<T>,
-        release_domain: release_domain_impl::<S>,
         pop_edges: None,
     };
 }
@@ -244,7 +236,6 @@ impl<T: GraphNode<S>, S: Scheme> GraphVtableOf<T, S> {
     const VTABLE: Vtable = Vtable {
         dispose: dispose_impl::<T>,
         dealloc: dealloc_impl::<T>,
-        release_domain: release_domain_impl::<S>,
         pop_edges: Some(pop_edges_impl::<T, S>),
     };
 }
@@ -252,20 +243,16 @@ impl<T: GraphNode<S>, S: Scheme> GraphVtableOf<T, S> {
 impl<T> Counted<T> {
     /// Allocates a control block with strong count 1 and weak count 1 (the
     /// strong side's +1 on the weak count), recording `domain` as its
-    /// owner. The caller has already taken the block's strong count on the
-    /// domain's `Arc` (or passes null for domain-less test blocks).
-    pub(crate) fn allocate<S: AcquireRetire>(
-        value: T,
-        birth: u64,
-        domain: *const (),
-    ) -> *mut Counted<T> {
+    /// owner. The caller has already counted the block on the domain's
+    /// `allocs` lane (or passes null for domain-less test blocks).
+    pub(crate) fn allocate(value: T, birth: u64, domain: *const ()) -> *mut Counted<T> {
         let p = Box::into_raw(Box::new(Counted {
             header: Header {
                 strong: StickyCounter::new(1),
                 weak: StickyCounter::new(1),
                 birth,
                 domain,
-                vtable: &VtableOf::<T, S>::VTABLE,
+                vtable: &VtableOf::<T>::VTABLE,
             },
             value: MaybeUninit::new(value),
         }));
@@ -386,11 +373,11 @@ pub(crate) unsafe fn domain_ptr_of<S: AcquireRetire>(addr: usize) -> *const Doma
 mod tests {
     use super::*;
     use crate::sync::atomic::{AtomicUsize, Ordering};
-    use smr::Ebr;
+    use std::sync::Arc;
 
     fn alloc_unowned<T>(value: T, birth: u64) -> *mut Counted<T> {
-        // Domain-less blocks: release_domain is a no-op on null.
-        Counted::allocate::<Ebr>(value, birth, ptr::null())
+        // Domain-less blocks: never freed through a `Domain`.
+        Counted::allocate(value, birth, ptr::null())
     }
 
     #[test]
@@ -406,11 +393,8 @@ mod tests {
             // Payload was read out (Copy); dispose is a no-op drop for u64
             // but keeps the dispose-before-free lifecycle uniform (the
             // sanitizer enforces it).
-            let release = (*h).vtable.release_domain;
-            let domain = (*h).domain;
             ((*h).vtable.dispose)(h);
             ((*h).vtable.dealloc)(h);
-            release(domain); // no-op for the null domain
         }
     }
 

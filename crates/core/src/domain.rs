@@ -13,27 +13,78 @@
 //! isolated: neither's open critical sections, epoch advancement or
 //! allocation counters affect the other.
 //!
-//! Domain lifetime is reference-counted three ways: user handles
-//! ([`DomainRef`] clones), the guards ([`CsGuard`], [`WeakCsGuard`]) and
-//! atomic pointer locations, and *every control block allocated under the
-//! domain* (released when the block is freed). The domain is therefore alive
-//! whenever anything that could still reach it exists. A `SharedPtr` or
-//! `WeakPtr` may even outlive the last handle: when such a pointer's final
-//! drop leaves the domain with no references besides its own blocks', the
-//! drop flushes the deferred work itself (the orphan-teardown check in
-//! `DomainHold`), so the blocks and the domain are reclaimed rather than
-//! leaked. The remaining caveat: discarding the last handle while deferred
-//! garbage is pinned by a concurrent section — with no later pointer drop
-//! to trigger the orphan check — leaks those blocks; flush with
+//! # Domain lifetime: the pin rule
+//!
+//! A domain's core (this struct: three engine instances, the per-thread
+//! [`DomainLocal`] lanes, the counters) is torn down by exactly one thread,
+//! and only when nothing can reach it any more. Two kinds of reference keep
+//! it reachable, and they are counted in two different places so that a
+//! node's lifetime never touches a shared count:
+//!
+//! * A **pin** is the right to *run domain code*: retire, flush, collect,
+//!   destruct, free. Pins are counted on one shared *liveness word*
+//!   (`Domain::pins`: a pin count in the low half, an acquisition stamp in
+//!   the high half, all-ones = DEAD). Every [`DomainRef`] handle is one
+//!   pin. A thread that needs to run domain code without a handle in reach
+//!   — a guard, a pointer's handle-free drop, a location's drop — takes the
+//!   *thread's* pin: the outermost one is one RMW on the liveness word,
+//!   every nested one is a bump of `DomainLocal::depth`. A [`CsGuard`]
+//!   raises the depth for its whole lifetime (its own section-exit flush
+//!   included), so the operations under it — displaced drops, failed-insert
+//!   destructs, edge creation and disposal, the batch flush — perform no
+//!   shared-count RMW and no lane fold at all.
+//! * **Passive references** are control blocks and atomic pointer
+//!   locations. They keep the core *alive* but grant no right to tear it
+//!   down, so they are counted on single-writer per-thread lanes: blocks on
+//!   `allocs`/`frees`, locations on `DomainLocal::{locs_made,
+//!   locs_dropped}`. `live = blocks + locations`. A location stores its
+//!   domain pointer uncounted on the liveness word, yet *is* counted on a
+//!   lane — so a standalone location keeps its domain from dying, and
+//!   guard-free `load`/`store`/CAS through a borrowed `&location` need no
+//!   pin of their own: the borrow is a live passive reference for the call.
+//!
+//! Every *decrement* of `live` (a block's free, a location's drop) that
+//! could be the last happens under a pin, and a pin's release is where
+//! teardown is decided (`Domain::release`): a releaser that finds itself
+//! the **sole** pin knows every other pinner's lane writes happened-before
+//! its Acquire load of the word, folds `live`, and then
+//!
+//! * `live == 0`: CASes the word to DEAD and frees the core. The CAS
+//!   expects the exact word it loaded, stamp included, so it fails if
+//!   anyone pinned in between — even if that pinner already released and
+//!   left the count where it was.
+//! * `live > 0`: no handle and no guard is left to run collection, so it
+//!   runs the *orphan flush* ([`Domain::process_deferred`]) once, re-checks,
+//!   and otherwise CASes its pin away, leaving an orphaned-but-live core at
+//!   count 0. The next handle-free drop re-pins it from its live block
+//!   (a live block proves `live > 0`, hence not DEAD) and repeats the
+//!   check on its own release. This is the one orphan-flush site.
+//!
+//! Invariants: DEAD is reached only by a sole pin that read `live == 0`
+//! with the stamp unchanged; folds read the subtrahend lanes first and with
+//! Acquire (see [`Domain::in_flight`]), so a fold racing a pin-free writer
+//! can only over-report; a pointer may outlive every handle and reclaims
+//! the domain on its last drop. The scheme-global default domains are held
+//! by a static handle forever, so their count never returns to one and the
+//! slow path is never entered for them. The memory itself is owned by an
+//! `Arc`: one anchor strong count, dropped by the DEAD winner, plus `Weak`s
+//! for the dead-thread reaper and the thread-exit hook, which must
+//! `try_pin` (and give up on DEAD) before touching anything.
+//!
+//! The remaining caveat is unchanged: discarding the last handle while
+//! deferred garbage is pinned by a concurrent section — with no later
+//! pointer drop to re-run the check — leaks those blocks; flush with
 //! [`Domain::process_deferred`] first (the `lockfree` structures do this in
 //! their `Drop`).
 
-use crate::sync::atomic::AtomicUsize;
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::exempt;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::ptr::NonNull;
+use std::sync::{Arc, Weak};
 
 use smr::util::{CachePadded, ShardedCounter};
 use smr::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig, Tid, MAX_THREADS};
@@ -59,8 +110,11 @@ macro_rules! impl_scheme {
     ($ty:ty) => {
         impl Scheme for $ty {
             fn global_domain() -> &'static DomainRef<Self> {
+                // Held by this static forever: the default domain's pin
+                // count never returns to one, so it is never torn down and
+                // never takes the sole-pin slow path.
                 static DOMAIN: std::sync::OnceLock<DomainRef<$ty>> = std::sync::OnceLock::new();
-                DOMAIN.get_or_init(DomainRef::new_default)
+                DOMAIN.get_or_init(DomainRef::new)
             }
         }
     };
@@ -73,10 +127,11 @@ impl_scheme!(smr::Hyaline);
 
 /// An owning handle on a reclamation [`Domain`] for scheme `S`.
 ///
-/// Clones are cheap (`Arc`) and all refer to the same domain; the handle
-/// [`Deref`]s to [`Domain`] for the metric and maintenance API. A domain's
-/// identity *is* its allocation — compare handles with
-/// [`ptr_eq`](DomainRef::ptr_eq).
+/// Each handle is one *pin* on the domain's liveness word (see the module
+/// docs): clones cost one shared RMW, like an `Arc`, and all refer to the
+/// same domain; the handle [`Deref`]s to [`Domain`] for the metric and
+/// maintenance API. A domain's identity *is* its allocation — compare
+/// handles with [`ptr_eq`](DomainRef::ptr_eq).
 ///
 /// # Examples
 ///
@@ -91,32 +146,28 @@ impl_scheme!(smr::Hyaline);
 /// assert!(a.ptr_eq(&a.clone()));
 /// assert_eq!(a.in_flight(), 0);
 /// ```
-pub struct DomainRef<S: AcquireRetire>(Arc<Domain<S>>);
+// `repr(transparent)` over the core's address: an atomic location stores
+// the same word uncounted and lends it out as a `&DomainRef` for as long as
+// the location itself is borrowed (`DomainRef::passive`).
+#[repr(transparent)]
+pub struct DomainRef<S: AcquireRetire>(NonNull<Domain<S>>);
+
+// Safety: a handle is a counted reference to a `Domain`, which is
+// `Send + Sync`; the count lives on an atomic word.
+unsafe impl<S: AcquireRetire> Send for DomainRef<S> {}
+unsafe impl<S: AcquireRetire> Sync for DomainRef<S> {}
 
 impl<S: AcquireRetire> Clone for DomainRef<S> {
     fn clone(&self) -> Self {
-        DomainRef(Arc::clone(&self.0))
+        self.pin();
+        DomainRef(self.0)
     }
 }
 
 impl<S: AcquireRetire> Drop for DomainRef<S> {
     fn drop(&mut self) {
-        // Orphan teardown, handle-side twin of the check in
-        // `DomainHold::drop`: if every reference remaining after this one is
-        // a control block's own, no handle or guard survives to flush this
-        // thread's pending decrement batch or collect what it retires —
-        // batch entries pin their blocks and blocks pin the domain, so the
-        // whole domain would leak. The default domain's static handle makes
-        // it exempt; drops inside an apply cascade are covered by the
-        // outermost flush loop. Both reads are racy in exactly the benign
-        // directions described in `DomainHold::drop`.
-        let t = smr::current_tid();
-        if !self.0.is_default && !self.0.applying(t) {
-            let sc = Arc::strong_count(&self.0) as u64;
-            if sc - 1 == self.0.in_flight() {
-                self.0.process_deferred(t);
-            }
-        }
+        // Safety: this handle is one pin.
+        unsafe { Domain::release(self.0) };
     }
 }
 
@@ -124,7 +175,9 @@ impl<S: AcquireRetire> Deref for DomainRef<S> {
     type Target = Domain<S>;
     #[inline]
     fn deref(&self) -> &Domain<S> {
-        &self.0
+        // Safety: a `&DomainRef` is a pin or a borrowed passive reference;
+        // either keeps the core from being freed for the borrow.
+        unsafe { self.0.as_ref() }
     }
 }
 
@@ -136,7 +189,7 @@ impl<S: AcquireRetire> Default for DomainRef<S> {
 
 impl<S: AcquireRetire> fmt::Debug for DomainRef<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("DomainRef").field(&*self.0).finish()
+        f.debug_tuple("DomainRef").field(&**self).finish()
     }
 }
 
@@ -149,15 +202,13 @@ impl<S: AcquireRetire> DomainRef<S> {
 
     /// Creates a fresh domain with explicit scheme tuning.
     pub fn with_config(cfg: SmrConfig) -> Self {
-        let d = DomainRef(Arc::new(Domain::with_config(cfg, false)));
-        d.register_reaper();
-        d
-    }
-
-    /// The process-wide default domain for [`Scheme::global_domain`]: held
-    /// by a static forever, so the orphan-teardown check can skip it.
-    pub(crate) fn new_default() -> Self {
-        let d = DomainRef(Arc::new(Domain::with_config(S::default_config(), true)));
+        let core = Arc::new_cyclic(|weak| Domain::with_config(cfg, weak.clone()));
+        // The anchor: the one strong count on the core's memory, given back
+        // by whichever release turns the word DEAD. The word starts at one
+        // pin — this handle's.
+        let anchor = Arc::into_raw(core).cast_mut();
+        // Safety: `Arc::into_raw` never returns null.
+        let d = DomainRef(unsafe { NonNull::new_unchecked(anchor) });
         d.register_reaper();
         d
     }
@@ -165,22 +216,27 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// Registers this domain with the registry's dead-thread reaper so that
     /// [`smr::reclaim_orphaned_slot`] recovers the domain's per-thread state
     /// (announcements on all three instances, retired lists, pending
-    /// decrement batches) for a thread that died without unregistering. The
-    /// closure holds only a weak handle — it never keeps the domain alive,
-    /// and returns `false` (pruning itself) once the domain is gone.
+    /// decrement batches, a stranded pin) for a thread that died without
+    /// unregistering. The closure holds only a weak handle — it never keeps
+    /// the domain alive, and returns `false` (pruning itself) once the
+    /// domain is gone.
     fn register_reaper(&self) {
-        let weak = Arc::downgrade(&self.0);
-        smr::register_orphan_reaper(Box::new(move |dead| match weak.upgrade() {
+        let weak = self.weak_self.clone();
+        smr::register_orphan_reaper(Box::new(move |dead| {
+            let Some(core) = weak.upgrade() else {
+                return false;
+            };
+            // The upgrade keeps the memory; only a pin keeps the domain.
+            let Some(_pin) = core.try_pin_thread(smr::current_tid()) else {
+                return false;
+            };
             // Safety: reapers run only from inside
             // `smr::reclaim_orphaned_slot`, whose (unsafe) caller vouches
             // that `dead`'s owner terminated and that its death
             // happened-before this call — exactly the contract
             // `Domain::reclaim_orphaned_slot` requires.
-            Some(d) => {
-                unsafe { d.reclaim_orphaned_slot(dead) };
-                true
-            }
-            None => false,
+            unsafe { core.reclaim_orphaned_slot(dead) };
+            true
         }));
     }
 
@@ -189,27 +245,38 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// domain provides no protection here even when the scheme type matches.
     #[inline]
     pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        self.0 == other.0
     }
 
-    /// The domain's address, used for identity checks against the domain
-    /// pointer recorded in control-block headers.
+    /// The core's address: what locations store and what the identity
+    /// checks compare against the domain pointer in control-block headers.
     #[inline]
-    pub(crate) fn as_raw(&self) -> *const Domain<S> {
-        Arc::as_ptr(&self.0)
+    pub(crate) fn as_raw(&self) -> NonNull<Domain<S>> {
+        self.0
+    }
+
+    /// Views a location's uncounted domain word as a handle for as long as
+    /// the location is borrowed.
+    ///
+    /// Sound because everything reachable through `&DomainRef` — cloning
+    /// (the pin count may rise from zero on a live core), opening a
+    /// section, allocating, the metric API — needs the core *alive*, not
+    /// pinned, and the location is a counted passive reference. The view is
+    /// never dropped as a handle.
+    #[inline]
+    pub(crate) fn passive(word: &NonNull<Domain<S>>) -> &DomainRef<S> {
+        // Safety: `DomainRef` is `repr(transparent)` over this exact type.
+        unsafe { &*(word as *const NonNull<Domain<S>> as *const DomainRef<S>) }
     }
 
     /// Allocates a control block under this domain. The block records the
-    /// domain and owns one `Arc` reference on it (released when the block is
-    /// freed), so single-word pointers can resolve their domain from the
-    /// header for as long as the block lives.
+    /// domain and counts as one passive reference on the allocating
+    /// thread's lane until it is freed, so single-word pointers can resolve
+    /// their domain from the header for as long as the block lives.
     pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Counted<T> {
         let birth = self.strong_ar.birth_epoch(t);
         self.allocs.add(t, 1);
-        let ptr = Arc::as_ptr(&self.0);
-        // Safety: `ptr` comes from a live Arc we hold.
-        unsafe { Arc::increment_strong_count(ptr) };
-        Counted::allocate::<S>(value, birth, ptr as *const ())
+        Counted::allocate(value, birth, self.0.as_ptr() as *const ())
     }
 
     /// As [`allocate`](Self::allocate), but with the graph-aware vtable so
@@ -221,19 +288,19 @@ impl<S: AcquireRetire> DomainRef<S> {
     {
         let birth = self.strong_ar.birth_epoch(t);
         self.allocs.add(t, 1);
-        let ptr = Arc::as_ptr(&self.0);
-        // Safety: `ptr` comes from a live Arc we hold.
-        unsafe { Arc::increment_strong_count(ptr) };
-        Counted::allocate_graph::<S>(value, birth, ptr as *const ())
+        Counted::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
     }
 
     /// Begins a *strong* critical section: read protection for atomic
     /// shared pointers and snapshots. See [`CsGuard`].
     pub fn cs(&self) -> CsGuard<S> {
         let t = smr::current_tid();
+        // The guard is one unit of the thread's pin depth, given back in
+        // its `Drop`.
+        self.pin_enter(t);
         self.strong_ar.begin_critical_section(t);
         CsGuard {
-            domain: self.clone(),
+            domain: self.0,
             t,
             _not_send: PhantomData,
         }
@@ -245,24 +312,21 @@ impl<S: AcquireRetire> DomainRef<S> {
     pub fn weak_cs(&self) -> WeakCsGuard<S> {
         let inner = self.cs();
         let t = inner.t;
-        self.weak_ar.begin_critical_section(t);
-        self.dispose_ar.begin_critical_section(t);
+        self.begin_weak_sections(t);
         WeakCsGuard { inner }
     }
 }
 
-/// Rebuilds an owning [`DomainRef`] from the domain pointer recorded in a
-/// live control block's header.
+/// The domain a live control block was allocated under.
 ///
 /// # Safety
 ///
 /// `addr` must be a live control block allocated under scheme `S` via
-/// [`DomainRef::allocate`] (so its domain pointer is non-null and the
-/// block's own reference keeps the `Arc` alive across this call).
-pub(crate) unsafe fn domain_ref_of<S: AcquireRetire>(addr: usize) -> DomainRef<S> {
-    let ptr = crate::counted::domain_ptr_of::<S>(addr);
-    Arc::increment_strong_count(ptr);
-    DomainRef(Arc::from_raw(ptr))
+/// [`DomainRef::allocate`] (so its domain pointer is non-null, and the
+/// block — a passive reference — keeps the core alive across the call).
+#[inline]
+pub(crate) unsafe fn domain_of<S: AcquireRetire>(addr: usize) -> NonNull<Domain<S>> {
+    NonNull::new_unchecked(crate::counted::domain_ptr_of::<S>(addr) as *mut Domain<S>)
 }
 
 /// Panics if a non-null block was not allocated under `domain`.
@@ -277,79 +341,57 @@ pub(crate) fn check_same_domain<S: AcquireRetire>(addr: usize, domain: &DomainRe
         // borrows they hold).
         let owner = unsafe { crate::counted::domain_ptr_of::<S>(addr) };
         assert!(
-            std::ptr::eq(owner, domain.as_raw()),
+            std::ptr::eq(owner, domain.as_raw().as_ptr()),
             "cross-domain pointer: this location is bound to a different reclamation domain \
              than the one the pointer was allocated in"
         );
     }
 }
 
-/// A temporary strong count on a domain, held across deferred-operation
-/// cascades entered from header-resolved (handle-free) paths such as
-/// `SharedPtr::drop`: the cascade may free the very block whose domain
-/// reference was keeping the domain alive, and this hold keeps the domain's
-/// teardown from running re-entrantly inside its own methods.
-pub(crate) struct DomainHold<S: AcquireRetire> {
-    ptr: *const Domain<S>,
+/// One unit of the calling thread's pin depth on a domain, given back on
+/// drop. Held across every handle-free entry into domain code —
+/// `SharedPtr::drop`, `WeakPtr::drop`, a location's drop — whose cascade
+/// may free the very block or location that was keeping the core alive.
+/// Nested inside a guard or another `Pin` it is a thread-local counter
+/// bump; only the outermost one touches the liveness word.
+pub(crate) struct Pin<S: AcquireRetire> {
+    domain: NonNull<Domain<S>>,
+    t: Tid,
 }
 
-impl<S: AcquireRetire> DomainHold<S> {
-    /// # Safety
-    ///
-    /// `ptr` must come from a control-block header whose block is still
-    /// alive (i.e. it points into a live `Arc<Domain<S>>` allocation).
+impl<S: AcquireRetire> Drop for Pin<S> {
     #[inline]
-    pub(crate) unsafe fn new(ptr: *const Domain<S>) -> Self {
-        Arc::increment_strong_count(ptr);
-        DomainHold { ptr }
-    }
-
-    /// The held domain.
-    #[inline]
-    pub(crate) fn domain(&self) -> &Domain<S> {
-        // Safety: we hold a strong count on the Arc.
-        unsafe { &*self.ptr }
-    }
-}
-
-impl<S: AcquireRetire> Drop for DomainHold<S> {
     fn drop(&mut self) {
-        // Safety: we own one strong count, so borrowing the Arc here is
-        // sound; `ManuallyDrop` keeps the borrow from consuming it.
-        unsafe {
-            let arc = std::mem::ManuallyDrop::new(Arc::from_raw(self.ptr));
-            // Orphan teardown: holds exist only on paths that just deferred
-            // (or applied) an operation from a handle-free pointer. If —
-            // apart from this hold — every remaining reference on the
-            // domain is a control block's own, then no handle or guard
-            // exists to ever run collection again, and whatever we just
-            // deferred would leak together with the domain. Flush it now.
-            //
-            // The scheme-global default domain is exempt outright (its
-            // static handle exists forever, so it can never be orphaned) —
-            // which also keeps this check off the default hot path. Holds
-            // created *inside* a collection cascade skip too: the outermost
-            // flush loops to a fixpoint and covers them, so a deep chain
-            // tears down with one flush instead of one per node. Both
-            // counter reads are racy: a spurious flush is merely redundant
-            // work, and a mismatch implies some other thread holds a live
-            // reference and is responsible for its own collection.
-            let t = smr::current_tid();
-            if !arc.is_default && !arc.applying(t) {
-                let sc = Arc::strong_count(&arc) as u64;
-                if sc - 1 == arc.in_flight() {
-                    arc.process_deferred(t);
-                }
-            }
-            // Balances the increment in `new`. If this is the last
-            // reference anywhere, the domain tears down here — outside all
-            // of its own methods.
-            Arc::decrement_strong_count(self.ptr);
-        }
+        // Safety: this value is one unit of the thread's depth.
+        unsafe { Domain::pin_exit(self.domain, self.t) };
     }
 }
+
+/// Liveness-word layout: pin count in the low half, acquisition stamp in
+/// the high half (it wraps; a sole-pin check would need 2³² pins to land
+/// inside its window to be fooled), all-ones for a torn-down core.
+const PIN: u64 = 1;
+const PIN_MASK: u64 = (1 << 32) - 1;
+const STAMP: u64 = 1 << 32;
+const DEAD: u64 = u64::MAX;
 
 struct DomainLocal {
+    /// How many guards and [`Pin`]s this thread holds on the domain. While
+    /// nonzero the thread owns exactly one pin on the liveness word, taken
+    /// by the `0 → 1` transition and released by `1 → 0`.
+    depth: Cell<u32>,
+    /// Atomic pointer locations this thread created / dropped under the
+    /// domain: the location half of `live`. Single-writer lanes like
+    /// `allocs`/`frees`, read by other threads only in a sole-pin fold.
+    locs_made: AtomicU64,
+    locs_dropped: AtomicU64,
+    /// Whether this thread's weak or dispose ready queue can hold anything
+    /// (sticky; inherited with the slot): set when the thread retires into
+    /// either instance, opens a section on them — leaving one is where
+    /// Hyaline hands a *reader* the batches it was the last to release —
+    /// or adopts a dead slot's lists. Until then both queues are provably
+    /// empty and `collect` does not peek them.
+    weak_used: Cell<bool>,
     /// True while this thread is applying ejected deferred operations —
     /// nested `collect` calls become no-ops, flattening what would otherwise
     /// be unbounded recursive destruction (§3.2: `eject` must not recurse).
@@ -462,9 +504,13 @@ pub struct Domain<S: AcquireRetire> {
     /// Control-block free count, sharded likewise.
     frees: ShardedCounter,
     locals: Box<[CachePadded<DomainLocal>]>,
-    /// Whether this is a scheme's process-global default domain (held by a
-    /// static forever): exempts it from the orphan-teardown check.
-    is_default: bool,
+    /// The liveness word (module docs): pin count, acquisition stamp, DEAD.
+    /// On a line of its own — everything else in this struct is read-only
+    /// after construction and shared by every operation.
+    pins: CachePadded<AtomicU64>,
+    /// The core's own allocation, for the two hooks that must not keep the
+    /// domain alive (dead-thread reaper, thread-exit flush).
+    weak_self: Weak<Domain<S>>,
 }
 
 // Safety: `locals` entries are only touched by the thread whose Tid indexes
@@ -476,7 +522,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// Creates a domain with explicit scheme tuning. (Use [`DomainRef`] to
     /// obtain an owned, usable handle — a bare `Domain` value only exposes
     /// the metric and maintenance API.)
-    pub(crate) fn with_config(cfg: SmrConfig, is_default: bool) -> Self {
+    fn with_config(cfg: SmrConfig, weak_self: Weak<Self>) -> Self {
         let clock = Arc::new(GlobalEpoch::new());
         Domain {
             strong_ar: S::new(Arc::clone(&clock), cfg.clone()),
@@ -488,6 +534,10 @@ impl<S: AcquireRetire> Domain<S> {
             locals: (0..MAX_THREADS)
                 .map(|_| {
                     CachePadded::new(DomainLocal {
+                        depth: Cell::new(0),
+                        locs_made: AtomicU64::new(0),
+                        locs_dropped: AtomicU64::new(0),
+                        weak_used: Cell::new(false),
                         applying: Cell::new(false),
                         pending_strong: Batch::new(),
                         pending_weak: Batch::new(),
@@ -496,8 +546,253 @@ impl<S: AcquireRetire> Domain<S> {
                     })
                 })
                 .collect(),
-            is_default,
+            pins: CachePadded::new(AtomicU64::new(PIN)),
+            weak_self,
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The pin rule (module docs)
+    // ------------------------------------------------------------------
+
+    /// Takes one pin on the liveness word.
+    ///
+    /// Callers prove the core is not DEAD: they hold a handle (a pin), or a
+    /// live block or location (`live > 0`, which no sole-pin fold can read
+    /// as zero — the reference's lane increment happened-before any
+    /// decrement that could cancel it).
+    #[inline]
+    fn pin(&self) {
+        // Ordering: Relaxed — like `Arc::clone`: the caller's existing
+        // reference already orders everything it is about to touch; the
+        // RMW only has to land in the word's modification order, where it
+        // both raises the count and moves the stamp, failing any sole-pin
+        // CAS that loaded the word before it.
+        self.pins.fetch_add(PIN + STAMP, Ordering::Relaxed);
+    }
+
+    /// As [`pin`](Self::pin) for callers that hold only the core's memory
+    /// (a `Weak` upgrade): fails once the word is DEAD.
+    fn try_pin(&self) -> bool {
+        // Ordering: Relaxed — as in `pin`; the loop re-reads on failure.
+        let mut w = self.pins.load(Ordering::Relaxed);
+        loop {
+            if w == DEAD {
+                return false;
+            }
+            // Ordering: Relaxed / Relaxed — as in `pin`.
+            match self.pins.compare_exchange_weak(
+                w,
+                w.wrapping_add(PIN + STAMP),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(cur) => w = cur,
+            }
+        }
+    }
+
+    /// Gives up one pin, and decides teardown if it was the last.
+    ///
+    /// Takes the core by address, not by reference: it may be freed before
+    /// this returns — here, or by another thread the moment the pin is
+    /// gone.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns one pin on `this` and forfeits it.
+    unsafe fn release(this: NonNull<Self>) {
+        // Used up to the CAS that gives the pin away and not after.
+        let core = this.as_ref();
+        let mut flushed = false;
+        loop {
+            // Ordering: Acquire — pairs with the Release half of every
+            // other release: a releaser that finds itself sole has every
+            // earlier pinner's lane writes (and everything else they did
+            // to the core) happen-before its fold and its teardown.
+            let w = core.pins.load(Ordering::Acquire);
+            debug_assert!(w != DEAD && w & PIN_MASK != 0, "release without a pin");
+            if w & PIN_MASK > 1 {
+                // Ordering: Release on success — publishes this thread's
+                // lane writes to whoever ends up sole. Relaxed on failure —
+                // the loop reloads. A CAS, not a `fetch_sub`: two releases
+                // racing at count 2 must not both leave, and the one that
+                // stays must still *hold* its pin while it folds.
+                if core
+                    .pins
+                    .compare_exchange_weak(w, w - PIN, Ordering::Release, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return;
+                }
+                continue;
+            }
+            // Sole pin. Nobody else may run domain code or decrement `live`
+            // for as long as the word stays exactly `w`; the CASes below
+            // fail if it did not.
+            if core.live() == 0 {
+                // Ordering: AcqRel on success — Acquire re-reads the same
+                // store the load above read; Release orders this thread's
+                // own last uses of the core before a `try_pin` can observe
+                // DEAD. Relaxed on failure — someone pinned; start over.
+                if core
+                    .pins
+                    .compare_exchange(w, DEAD, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    // The anchor is still held, so the upgrade succeeds.
+                    let anchor = core.weak_self.upgrade().expect("anchor held until DEAD");
+                    // Safety: gives back the strong count leaked by
+                    // `DomainRef::with_config`; DEAD is entered once.
+                    unsafe { Arc::decrement_strong_count(Arc::as_ptr(&anchor)) };
+                    // Unless a hook holds a `Weak` upgrade this very
+                    // moment, the core is dropped and freed here.
+                    drop(anchor);
+                    return;
+                }
+                continue;
+            }
+            // Orphan flush, the one site: only passive references remain,
+            // so no handle or guard will ever run collection again — batch
+            // entries pin their blocks and blocks keep the core, so what
+            // this thread deferred would leak with the domain. Flush once,
+            // then look again: the flush may have freed the last block.
+            // Inside an apply cascade the outermost flush loop already
+            // covers whatever is pending.
+            let t = smr::current_tid();
+            if !flushed && !core.applying(t) {
+                flushed = true;
+                let _pin = core.pin_thread(t);
+                core.process_deferred(t);
+                continue;
+            }
+            // Ordering: Release / Relaxed — as the decrement above. Leaves
+            // an orphaned-but-live core at count 0; the next handle-free
+            // drop re-pins it from its live block.
+            if core
+                .pins
+                .compare_exchange(w, w - PIN, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+        }
+    }
+
+    /// Passive references on the core: blocks + locations. Exact when the
+    /// caller is the sole pin; otherwise it can only over-report, because
+    /// the subtrahend lanes are read first and with Acquire (a decrement
+    /// that is seen brings its increment with it) — see
+    /// [`in_flight`](Self::in_flight).
+    fn live(&self) -> u64 {
+        let lanes = || self.locals.iter().take(smr::registered_high_water_mark());
+        exempt(|| {
+            let freed = self.frees.sum();
+            // Ordering: Acquire — pairs with the Release store in
+            // `location_dropped`: a drop this fold counts happened-after
+            // the location's creation, so the `locs_made` read below sees
+            // it.
+            let dropped: u64 = lanes()
+                .map(|l| l.locs_dropped.load(Ordering::Acquire))
+                .sum();
+            // Ordering: Relaxed — addend lanes; ordered by the Acquire
+            // reads above and, for pinned writers, by the liveness word.
+            let made: u64 = lanes().map(|l| l.locs_made.load(Ordering::Relaxed)).sum();
+            (self.allocs.sum() + made).saturating_sub(freed + dropped)
+        })
+    }
+
+    /// Counts a new atomic pointer location on the calling thread's lane.
+    #[inline]
+    pub(crate) fn location_made(&self, t: Tid) {
+        let lane = &self.locals[t.index()].locs_made;
+        // Ordering: Relaxed load + Relaxed store — single-writer lane, as
+        // `ShardedCounter::add`; an increment needs no ordering of its own
+        // (see `live`). Exempt from the model like the block lanes.
+        exempt(|| lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed));
+    }
+
+    /// Counts a location's drop. Must be the location's last use of the
+    /// core apart from the caller's own [`Pin`].
+    #[inline]
+    pub(crate) fn location_dropped(&self, t: Tid) {
+        let lane = &self.locals[t.index()].locs_dropped;
+        // Ordering: Relaxed load (single writer) + Release store — pairs
+        // with the Acquire read in `live`.
+        exempt(|| lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Release));
+    }
+
+    /// Raises the calling thread's pin depth; at the outermost level
+    /// `outermost` takes the thread's pin on the liveness word, and its
+    /// refusal leaves the depth where it was.
+    #[inline]
+    fn pin_enter_with(&self, t: Tid, outermost: impl FnOnce(&Self) -> bool) -> bool {
+        let depth = &self.locals[t.index()].depth;
+        let n = depth.get();
+        if n == 0 && !outermost(self) {
+            return false;
+        }
+        depth.set(n + 1);
+        true
+    }
+
+    /// As [`pin_enter_with`](Self::pin_enter_with) for callers that may
+    /// [`pin`](Self::pin) unconditionally.
+    #[inline]
+    fn pin_enter(&self, t: Tid) {
+        self.pin_enter_with(t, |core| {
+            core.pin();
+            true
+        });
+    }
+
+    /// Lowers the calling thread's pin depth, releasing the thread's pin
+    /// at the outermost level. By address, like [`release`](Self::release).
+    ///
+    /// # Safety
+    ///
+    /// The caller owns one unit of thread `t`'s depth on `this` — from
+    /// [`pin_enter`](Self::pin_enter) on the calling thread — and forfeits
+    /// it.
+    #[inline]
+    unsafe fn pin_exit(this: NonNull<Self>, t: Tid) {
+        let depth = &this.as_ref().locals[t.index()].depth;
+        let n = depth.get() - 1;
+        depth.set(n);
+        if n == 0 {
+            Self::release(this);
+        }
+    }
+
+    /// Pins the core for the calling thread for the returned value's
+    /// lifetime. See [`pin`](Self::pin) for what the caller must hold.
+    #[inline]
+    pub(crate) fn pin_thread(&self, t: Tid) -> Pin<S> {
+        self.pin_enter(t);
+        Pin {
+            domain: NonNull::from(self),
+            t,
+        }
+    }
+
+    /// As [`pin_thread`](Self::pin_thread) from a `Weak` upgrade.
+    fn try_pin_thread(&self, t: Tid) -> Option<Pin<S>> {
+        self.pin_enter_with(t, Self::try_pin).then(|| Pin {
+            domain: NonNull::from(self),
+            t,
+        })
+    }
+
+    /// `(pin count, acquisition stamp)` of the liveness word, for the
+    /// tests — here and in `lockfree` — that assert what does and does not
+    /// touch it. Not API.
+    #[doc(hidden)]
+    pub fn pin_word(&self) -> (u64, u64) {
+        // Ordering: Relaxed — a diagnostic sample; the tests read it on
+        // the thread that moved the word, or after joining the one that did.
+        let w = self.pins.load(Ordering::Relaxed);
+        (w & PIN_MASK, w >> 32)
     }
 
     /// Whether thread `t` is currently inside this domain's collection
@@ -620,22 +915,19 @@ impl<S: AcquireRetire> Domain<S> {
         }
     }
 
-    /// Frees a control block whose weak count has reached zero, releasing
-    /// the block's owning reference on this domain last.
+    /// Frees a control block whose weak count has reached zero, and with
+    /// it one passive reference on this domain.
     ///
     /// # Safety
     ///
     /// The weak count of `addr` is zero and nobody else will free it. The
-    /// caller must hold its own reference on this domain (a handle, a
-    /// guard, or a [`DomainHold`]) — the block's reference released here may
-    /// otherwise be the domain's last.
+    /// caller must hold the core some other way — a handle, a guard, a
+    /// [`Pin`], or a borrowed location — since the block may have been the
+    /// last thing keeping it alive.
     pub(crate) unsafe fn free_block(&self, t: Tid, addr: usize) {
         let h = as_header(addr);
         self.frees.add(t, 1);
-        let release = (*h).vtable.release_domain;
-        let domain = (*h).domain;
         ((*h).vtable.dealloc)(h);
-        release(domain);
     }
 
     /// Destroys the managed object and drops the strong side's weak
@@ -752,6 +1044,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// One weak reference to `addr` is transferred to the domain.
     pub(crate) unsafe fn delayed_weak_decrement(&self, t: Tid, addr: usize) {
         smr::sanitize::on_retire(addr, smr::sanitize::Channel::Weak);
+        self.locals[t.index()].weak_used.set(true);
         let birth = (*as_header(addr)).birth;
         self.weak_ar.retire(t, Retired::new(addr, birth));
         self.collect(t);
@@ -765,6 +1058,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// transferred to the domain.
     pub(crate) unsafe fn delayed_dispose(&self, t: Tid, addr: usize) {
         smr::sanitize::on_retire(addr, smr::sanitize::Channel::Dispose);
+        self.locals[t.index()].weak_used.set(true);
         let birth = (*as_header(addr)).birth;
         self.dispose_ar.retire(t, Retired::new(addr, birth));
         self.collect(t);
@@ -820,6 +1114,9 @@ impl<S: AcquireRetire> Domain<S> {
             },
         );
         let local = &self.locals[t.index()];
+        if weak {
+            local.weak_used.set(true);
+        }
         if !local.flush_registered.get() {
             if !self.register_thread_flush() {
                 // The thread is already unregistering: nothing would ever
@@ -923,32 +1220,33 @@ impl<S: AcquireRetire> Domain<S> {
         // Thread-unregister trigger. Captures a weak handle: the callback
         // must not keep the domain alive, and a dead domain has (provably)
         // nothing left to flush — batch entries pin their blocks, and every
-        // block pins the domain.
-        let weak = {
-            // Safety: a `Domain` only ever lives inside the `Arc` created
-            // by `DomainRef`, so `self` is the Arc's data pointer; the
-            // temporary strong count makes `from_raw` sound and is given
-            // back when `arc` drops.
-            unsafe {
-                let ptr = self as *const Self;
-                Arc::increment_strong_count(ptr);
-                let arc = Arc::from_raw(ptr);
-                Arc::downgrade(&arc)
-            }
-        };
+        // block keeps the core from going DEAD.
+        let weak = self.weak_self.clone();
         smr::on_thread_exit(Box::new(move |t| {
-            if let Some(d) = weak.upgrade() {
-                d.flush_batches(t);
-                // The slot is about to be recycled: its next owner is a
-                // different thread that must register its own callback.
-                d.locals[t.index()].flush_registered.set(false);
-            }
+            let Some(core) = weak.upgrade() else { return };
+            let Some(_pin) = core.try_pin_thread(t) else {
+                return;
+            };
+            core.flush_batches(t);
+            // The slot is about to be recycled: its next owner is a
+            // different thread that must register its own callback.
+            core.locals[t.index()].flush_registered.set(false);
         }))
     }
 
     // ------------------------------------------------------------------
     // Applying ejected deferred operations
     // ------------------------------------------------------------------
+
+    /// Opens the weak and dispose sections of a full critical section.
+    /// Leaving them can land other threads' retires in this thread's ready
+    /// queues, so from here on `collect` peeks those as well.
+    #[inline]
+    fn begin_weak_sections(&self, t: Tid) {
+        self.locals[t.index()].weak_used.set(true);
+        self.weak_ar.begin_critical_section(t);
+        self.dispose_ar.begin_critical_section(t);
+    }
 
     /// Applies every ready ejected operation on all three instances.
     ///
@@ -957,22 +1255,26 @@ impl<S: AcquireRetire> Domain<S> {
     /// channel has ready ejects, bounding both recursion depth and the
     /// amount of ready-but-unapplied garbage.
     pub(crate) fn collect(&self, t: Tid) {
-        self.collect_counted(t);
-    }
-
-    /// As [`collect`](Self::collect) but reports how many deferred
-    /// operations were applied (0 when re-entered).
-    fn collect_counted(&self, t: Tid) -> usize {
         // Fast path: nothing is ready on any instance — the overwhelmingly
         // common case for the per-retire calls (ready queues only fill when
-        // a threshold scan runs). Three thread-local peeks instead of the
-        // re-entrancy bookkeeping and triple eject loop below.
-        if !self.strong_ar.has_ready(t)
-            && !self.weak_ar.has_ready(t)
-            && !self.dispose_ar.has_ready(t)
+        // a threshold scan runs or a section is left). One thread-local
+        // peek for a thread that never touched the weak or dispose instance
+        // (maps, lists, the tree: those two ready queues cannot hold
+        // anything), three otherwise — instead of the re-entrancy
+        // bookkeeping and triple eject loop of `apply_ready`.
+        let local = &self.locals[t.index()];
+        if self.strong_ar.has_ready(t)
+            || (local.weak_used.get()
+                && (self.weak_ar.has_ready(t) || self.dispose_ar.has_ready(t)))
         {
-            return 0;
+            self.apply_ready(t);
         }
+    }
+
+    /// The slow half of [`collect`](Self::collect): ejects from all three
+    /// instances unconditionally and reports how many rounds applied
+    /// anything (0 when re-entered).
+    fn apply_ready(&self, t: Tid) -> usize {
         let local = &self.locals[t.index()];
         if local.applying.get() {
             return 0;
@@ -1029,7 +1331,7 @@ impl<S: AcquireRetire> Domain<S> {
             self.strong_ar.flush(t);
             self.weak_ar.flush(t);
             self.dispose_ar.flush(t);
-            if self.collect_counted(t) == 0 && !self.has_pending_batch(t) {
+            if self.apply_ready(t) == 0 && !self.has_pending_batch(t) {
                 break;
             }
         }
@@ -1146,23 +1448,32 @@ impl<S: AcquireRetire> Domain<S> {
                 }
             }
         }
-        // Reset slot-local flags for the slot's next owner: the unregister
-        // callback that would have cleared `flush_registered` never ran, and
-        // the owner may have died mid-collection with `applying` set.
+        // Reset slot-local state for the slot's next owner: the unregister
+        // callback that would have cleared `flush_registered` never ran,
+        // the owner may have died mid-collection with `applying` set, and
+        // a guard it died holding left its depth raised — and with it the
+        // thread's pin on the liveness word, given back here (the caller's
+        // own reference keeps the count above zero).
         local.flush_registered.set(false);
         local.applying.set(false);
+        if local.depth.replace(0) > 0 {
+            // Safety: a raised depth is one pin, and its owner is dead.
+            Self::release(NonNull::from(self));
+        }
+        // The adopted retired lists may hold weak-instance entries.
+        self.locals[t.index()].weak_used.set(true);
         self.collect(t);
     }
 }
 
 impl<S: AcquireRetire> Drop for Domain<S> {
     fn drop(&mut self) {
-        // Exclusive access (`&mut self`): the last reference — handle,
-        // guard, or block — is gone. Blocks hold references (and batched
-        // decrement entries pin their blocks), so at this point no block
-        // allocated under this domain exists and the drains are
-        // belt-and-braces no-ops; they still run so a future scheme that
-        // retires domain-less records cannot leak them.
+        // Exclusive access (`&mut self`): the word is DEAD — a sole pin
+        // read `live == 0` — and the last `Weak` upgrade is gone. Batched
+        // and retired entries pin their blocks, so no block allocated under
+        // this domain exists and the drains are belt-and-braces no-ops;
+        // they still run so a future scheme that retires domain-less
+        // records cannot leak them.
         let t = smr::current_tid();
         // Safety: exclusive access; drains pending batches on every slot
         // before applying the retired lists.
@@ -1206,15 +1517,16 @@ impl<S: AcquireRetire> fmt::Debug for Domain<S> {
 /// open one internally for their own duration; holding a guard across an
 /// operation sequence amortizes the scheme's per-section fence.
 ///
-/// The guard owns a handle on its domain, so it may outlive the
-/// [`DomainRef`] it was opened from. It only protects operations on
+/// The guard holds one unit of its thread's pin on the domain (module
+/// docs), so it may outlive the [`DomainRef`] it was opened from, and
+/// everything done under it finds the thread already pinned. It only protects operations on
 /// locations bound to *that same domain* — [`covers`](CsGuard::covers)
 /// checks identity, and the snapshot operations assert it in debug builds.
 ///
 /// Not `Send`: the guard encapsulates per-thread announcements.
 pub struct CsGuard<S: AcquireRetire> {
-    pub(crate) domain: DomainRef<S>,
-    pub(crate) t: Tid,
+    domain: NonNull<Domain<S>>,
+    t: Tid,
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -1222,7 +1534,8 @@ impl<S: AcquireRetire> CsGuard<S> {
     /// The domain this section protects.
     #[inline]
     pub fn domain(&self) -> &Domain<S> {
-        &self.domain
+        // Safety: the guard's share of the thread's pin keeps the core.
+        unsafe { self.domain.as_ref() }
     }
 
     /// Whether this guard's section protects reads of locations bound to
@@ -1232,7 +1545,7 @@ impl<S: AcquireRetire> CsGuard<S> {
     /// caller-provided guard assert this in debug builds.
     #[inline]
     pub fn covers(&self, domain: &DomainRef<S>) -> bool {
-        self.domain.ptr_eq(domain)
+        self.domain == domain.as_raw()
     }
 
     #[inline]
@@ -1243,7 +1556,8 @@ impl<S: AcquireRetire> CsGuard<S> {
 
 impl<S: AcquireRetire> Drop for CsGuard<S> {
     fn drop(&mut self) {
-        self.domain.strong_ar.end_critical_section(self.t);
+        let d = self.domain();
+        d.strong_ar.end_critical_section(self.t);
         // Leaving a section is where region schemes (Hyaline in particular)
         // ready new ejects; apply them now — unless this drop runs during a
         // panic unwind, where applying ejects executes user destructors and
@@ -1251,8 +1565,13 @@ impl<S: AcquireRetire> Drop for CsGuard<S> {
         // still exited above (never pinning other threads' garbage); the
         // skipped work runs at the next natural flush point.
         if !std::thread::panicking() {
-            self.domain.collect(self.t);
+            d.collect(self.t);
         }
+        // Last: the exit-hook flush and the collection above ran at the
+        // guard's own depth.
+        // Safety: the guard is one unit of its (creating, `!Send`) thread's
+        // depth.
+        unsafe { Domain::pin_exit(self.domain, self.t) };
     }
 }
 
@@ -1267,15 +1586,15 @@ impl<S: AcquireRetire> fmt::Debug for CsGuard<S> {
 ///
 /// Required for [`AtomicWeakPtr`](crate::AtomicWeakPtr) operations and
 /// [`WeakSnapshotPtr`](crate::WeakSnapshotPtr) lifetimes; usable anywhere a
-/// strong [`CsGuard`] is accepted via [`as_cs`](WeakCsGuard::as_cs).
+/// strong [`CsGuard`] is accepted via [`OpGuard::strong_cs`].
 pub struct WeakCsGuard<S: AcquireRetire> {
     inner: CsGuard<S>,
 }
 
 impl<S: AcquireRetire> WeakCsGuard<S> {
-    /// The strong section view, for APIs that only need strong protection.
+    /// The strong section view ([`OpGuard::strong_cs`] outside the crate).
     #[inline]
-    pub fn as_cs(&self) -> &CsGuard<S> {
+    pub(crate) fn as_cs(&self) -> &CsGuard<S> {
         &self.inner
     }
 
@@ -1299,11 +1618,9 @@ impl<S: AcquireRetire> WeakCsGuard<S> {
 
 impl<S: AcquireRetire> Drop for WeakCsGuard<S> {
     fn drop(&mut self) {
-        self.inner.domain.weak_ar.end_critical_section(self.inner.t);
-        self.inner
-            .domain
-            .dispose_ar
-            .end_critical_section(self.inner.t);
+        let d = self.inner.domain();
+        d.weak_ar.end_critical_section(self.inner.t);
+        d.dispose_ar.end_critical_section(self.inner.t);
         // `inner` drops afterwards, ending the strong section and running
         // collection.
     }
@@ -1399,8 +1716,7 @@ pub(crate) fn with_full_cs<S: AcquireRetire, R>(
         }
     }
     domain.strong_ar.begin_critical_section(t);
-    domain.weak_ar.begin_critical_section(t);
-    domain.dispose_ar.begin_critical_section(t);
+    domain.begin_weak_sections(t);
     let _end = End(domain, t);
     f()
 }
@@ -1487,5 +1803,229 @@ mod tests {
             !d.has_pending_batch(worker_t),
             "exit callback did not flush the dead slot's batch"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The pin rule: the core is freed exactly when the last reference of
+    // any kind goes, whichever kind that is and whichever thread drops it.
+    // A `Weak` on the core's allocation is the probe: it stops upgrading
+    // when the DEAD winner gives the anchor count back.
+    // ------------------------------------------------------------------
+
+    type D = DomainRef<EbrScheme>;
+
+    /// Serializes the tests below: one of them runs the process-wide
+    /// reaper chain, which briefly upgrades and pins *every* live domain —
+    /// visible to a sibling as a stamp it did not expect or a probe that
+    /// upgrades a moment too long.
+    fn pin_tests() -> std::sync::MutexGuard<'static, ()> {
+        static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        M.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn probed() -> (D, Weak<Domain<EbrScheme>>) {
+        let d: D = DomainRef::new();
+        let probe = d.weak_self.clone();
+        (d, probe)
+    }
+
+    fn alive(probe: &Weak<Domain<EbrScheme>>) -> bool {
+        probe.upgrade().is_some()
+    }
+
+    #[test]
+    fn core_is_freed_by_the_pointer_that_outlives_the_handle() {
+        let _serial = pin_tests();
+        let (d, probe) = probed();
+        let p = SharedPtr::new_in(7u64, &d);
+        let w = p.downgrade();
+        drop(d);
+        assert!(alive(&probe), "a live block keeps the core");
+        let pins = probe.upgrade().expect("core alive").pin_word().0;
+        assert_eq!(pins, 0, "orphaned: no pin is left");
+        drop(p);
+        assert!(alive(&probe), "the weak reference still holds the block");
+        drop(w);
+        assert!(!alive(&probe), "last passive reference gone: core freed");
+    }
+
+    #[test]
+    fn core_is_freed_by_the_handle_that_outlives_the_pointer() {
+        let _serial = pin_tests();
+        let (d, probe) = probed();
+        let p = SharedPtr::new_in(7u64, &d);
+        let q = p.clone();
+        drop(p);
+        drop(q);
+        assert!(alive(&probe), "the handle is a pin");
+        let d2 = d.clone();
+        drop(d);
+        assert!(alive(&probe));
+        drop(d2);
+        assert!(!alive(&probe), "last pin with nothing live: core freed");
+    }
+
+    #[test]
+    fn core_is_freed_by_a_standalone_location() {
+        let _serial = pin_tests();
+        let (d, probe) = probed();
+        let slot: AtomicSharedPtr<u64, EbrScheme> = AtomicSharedPtr::null_in(&d);
+        drop(d);
+        assert!(alive(&probe), "a location is a counted passive reference");
+        // Guard-free operations through the borrowed location need no pin
+        // and no handle; its domain view allocates and opens sections.
+        slot.store(SharedPtr::new_in(1, slot.domain()));
+        slot.store(SharedPtr::new_in(2, slot.domain()));
+        assert_eq!(slot.load().as_ref(), Some(&2));
+        {
+            let cs = slot.domain().cs();
+            assert_eq!(slot.get_snapshot(&cs).as_ref(), Some(&2));
+        }
+        assert!(alive(&probe));
+        drop(slot);
+        assert!(!alive(&probe), "the location's drop tears the domain down");
+    }
+
+    #[test]
+    fn core_is_freed_when_another_thread_does_the_last_drop() {
+        let _serial = pin_tests();
+        // Pointer last, on another thread.
+        let (d, probe) = probed();
+        let p = SharedPtr::new_in(7u64, &d);
+        drop(d);
+        std::thread::spawn(move || drop(p)).join().unwrap();
+        assert!(!alive(&probe));
+        // Handle last, on another thread.
+        let (d, probe) = probed();
+        let p = SharedPtr::new_in(7u64, &d);
+        let d2 = d.clone();
+        drop(d);
+        drop(p);
+        // The zeroing drop deferred the disposal on *this* thread's list,
+        // which an orphan flush on another thread cannot reach.
+        d2.process_deferred(smr::current_tid());
+        assert!(alive(&probe));
+        std::thread::spawn(move || drop(d2)).join().unwrap();
+        assert!(!alive(&probe));
+        // Guard last: it holds the thread's pin past the handle.
+        let (d, probe) = probed();
+        let cs = d.cs();
+        drop(d);
+        assert!(alive(&probe));
+        drop(cs);
+        assert!(!alive(&probe));
+    }
+
+    #[test]
+    fn nothing_under_a_guard_touches_the_liveness_word() {
+        let _serial = pin_tests();
+        let (d, _probe) = probed();
+        let slot: AtomicSharedPtr<u64, EbrScheme> = AtomicSharedPtr::null_in(&d);
+        let (pins0, stamp0) = d.pin_word();
+        let cs = d.cs();
+        assert_eq!(d.pin_word(), (pins0 + 1, stamp0 + 1), "the guard's pin");
+        for i in 0..1_000u64 {
+            // Edge creation, allocation, displaced drops, a failed CAS's
+            // destruct, a nested guard, a zeroing drop, edge disposal.
+            let edge: AtomicSharedPtr<u64, EbrScheme> = AtomicSharedPtr::null_in(&d);
+            slot.store(SharedPtr::new_in(i, &d));
+            let displaced = slot.swap(SharedPtr::new_in(i, &d));
+            drop(displaced);
+            let stale = crate::TaggedPtr::null();
+            drop(slot.compare_exchange_owned(stale, SharedPtr::new_in(i, &d)));
+            let inner = d.cs();
+            drop(slot.get_snapshot(&inner).to_shared());
+            drop(inner);
+            drop(edge);
+        }
+        assert_eq!(d.pin_word(), (pins0 + 1, stamp0 + 1));
+        drop(cs);
+        assert_eq!(d.pin_word(), (pins0, stamp0 + 1), "no other pin was taken");
+    }
+
+    #[test]
+    fn reclaiming_a_dead_slot_gives_back_its_pin() {
+        let _serial = pin_tests();
+        let (d, probe) = probed();
+        let dead = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::mem::forget(d.cs());
+                smr::abandon_current_slot()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(d.pin_word().0, 2, "handle + the dead thread's pin");
+        // Safety: the victim was joined.
+        assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
+        assert_eq!(d.pin_word().0, 1, "the stranded pin was released");
+        assert_eq!(d.locals[dead.index()].depth.get(), 0);
+        drop(d);
+        assert!(
+            !alive(&probe),
+            "the dead thread's guard no longer leaks the core"
+        );
+    }
+
+    /// A thread that only *reads* under a full section still ends up owning
+    /// deferred work: under Hyaline the retirer hands its batch to every
+    /// active section and the last leaver takes it home. That thread never
+    /// retired into the weak or dispose instance itself, and its collection
+    /// must apply what it claimed all the same.
+    fn reader_only_thread_applies_what_it_claims<S: Scheme>() {
+        use std::sync::mpsc::channel;
+        let d: DomainRef<S> = DomainRef::new();
+        let slot: crate::AtomicWeakPtr<u64, S> = crate::AtomicWeakPtr::null_in(&d);
+        let p = SharedPtr::new_in(1u64, &d);
+        slot.store_strong(&p);
+        let (entered_tx, entered_rx) = channel();
+        let (leave_tx, leave_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            let d = &d;
+            s.spawn(move || {
+                let cs = d.weak_cs();
+                entered_tx.send(()).unwrap();
+                leave_rx.recv().unwrap();
+                // Leaving the section is all the reader does: whatever it
+                // takes home, its guard's own collection applies.
+                drop(cs);
+            });
+            entered_rx.recv().unwrap();
+            // Displace the weak reference and zero the strong count while
+            // the reader's section is open: both deferrals wait on it.
+            slot.store_owned(crate::WeakPtr::null());
+            drop(p);
+            d.process_deferred(smr::current_tid());
+            leave_tx.send(()).unwrap();
+        });
+        d.process_deferred(smr::current_tid());
+        assert_eq!(
+            d.in_flight(),
+            0,
+            "{}: deferred work stranded on the reader",
+            S::scheme_name()
+        );
+    }
+
+    #[test]
+    fn reader_only_thread_applies_what_it_claims_all_schemes() {
+        reader_only_thread_applies_what_it_claims::<EbrScheme>();
+        reader_only_thread_applies_what_it_claims::<crate::IbrScheme>();
+        reader_only_thread_applies_what_it_claims::<crate::HpScheme>();
+        reader_only_thread_applies_what_it_claims::<crate::HyalineScheme>();
+    }
+
+    #[test]
+    fn location_and_header_sizes() {
+        let loc = std::mem::size_of::<AtomicSharedPtr<u64, EbrScheme>>();
+        let weak_loc = std::mem::size_of::<crate::AtomicWeakPtr<u64, EbrScheme>>();
+        let header = std::mem::size_of::<crate::counted::Header>();
+        println!("AtomicSharedPtr {loc} B, AtomicWeakPtr {weak_loc} B, Header {header} B");
+        assert!(
+            loc <= 16 && weak_loc <= 16,
+            "a location is a word and a domain"
+        );
+        assert!(header <= 40, "the header grew past the parent's 40 bytes");
+        assert_eq!(std::mem::size_of::<SharedPtr<u64, EbrScheme>>(), 8);
     }
 }

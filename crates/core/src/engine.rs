@@ -40,6 +40,7 @@
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::marker::PhantomData;
+use std::ptr::NonNull;
 
 use smr::{untagged, AcquireRetire, Tid};
 
@@ -257,17 +258,25 @@ impl<S: Scheme> RefKind<S> for WeakKind {
 /// One shared mutable pointer word bound to a domain, speaking kind `K`'s
 /// reference-accounting protocol. [`AtomicSharedPtr`](crate::AtomicSharedPtr)
 /// and [`AtomicWeakPtr`](crate::AtomicWeakPtr) are typed shells around this.
+///
+/// The location is a *passive reference* on its domain (`domain.rs` module
+/// docs): its domain word is not a pin, but the location is counted on a
+/// per-thread lane from `new_owned` to `Drop`, which keeps the core alive —
+/// and so valid behind `domain` — for every `&self` call in between.
 pub(crate) struct RcWord<S: Scheme, K: RefKind<S>> {
     word: AtomicUsize,
-    domain: DomainRef<S>,
+    domain: NonNull<Domain<S>>,
     _kind: PhantomData<fn(K) -> K>,
 }
 
 impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
     /// Creates a location holding `word`, whose (untagged) address the
     /// location takes ownership of one `K`-reference to. The caller has
-    /// already validated the domain.
-    pub(crate) fn new_owned(word: usize, domain: DomainRef<S>) -> Self {
+    /// already validated the domain, which it keeps alive across the call
+    /// (a handle, or the live block `word` names).
+    pub(crate) fn new_owned(word: usize, domain: NonNull<Domain<S>>) -> Self {
+        // Safety: alive per the above.
+        unsafe { domain.as_ref() }.location_made(smr::current_tid());
         RcWord {
             word: AtomicUsize::new(word),
             domain,
@@ -292,10 +301,11 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
         std::mem::replace(self.word.get_mut(), 0)
     }
 
-    /// The domain this location is bound to.
+    /// The domain this location is bound to, as a handle borrowed for as
+    /// long as the location is.
     #[inline]
     pub(crate) fn domain(&self) -> &DomainRef<S> {
-        &self.domain
+        DomainRef::passive(&self.domain)
     }
 
     /// An unprotected read of the raw word, for comparisons only.
@@ -310,7 +320,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
     /// Protected load-and-increment (Fig. 8): returns the untagged address
     /// carrying one fresh caller-owned `K`-reference (0 for null).
     pub(crate) fn load_owning(&self) -> usize {
-        let d = &*self.domain;
+        let d = &**self.domain();
         let t = smr::current_tid();
         K::with_cs(d, t, || {
             // Safety: this location owns a `K`-reference to whatever it
@@ -332,7 +342,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
         if old_addr != 0 {
             let t = smr::current_tid();
             // Safety: the location owned a `K`-reference to `old_addr`.
-            unsafe { K::retire(&self.domain, t, old_addr) };
+            unsafe { K::retire(self.domain(), t, old_addr) };
         }
     }
 
@@ -351,7 +361,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
 
     /// The shared install swap.
     fn install(&self, new: usize) -> usize {
-        check_same_domain(untagged(new), &self.domain);
+        check_same_domain(untagged(new), self.domain());
         // The reference being installed must target a live block — storing
         // a disposed or freed pointer publishes a dangling reference.
         smr::sanitize::on_install(new);
@@ -397,7 +407,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
     ) -> Result<usize, usize> {
         debug_assert_eq!(new_tag & !smr::TAG_MASK, 0);
         debug_assert_eq!(new_addr & smr::TAG_MASK, 0);
-        check_same_domain(new_addr, &self.domain);
+        check_same_domain(new_addr, self.domain());
         if new_addr != 0 {
             // Safety: the caller's borrow guarantees liveness.
             K::incr(new_addr);
@@ -410,7 +420,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
                     // Safety: we own the pre-increment and forfeit it; it
                     // was never visible to readers, so a direct decrement
                     // is sound.
-                    K::rollback(&self.domain, t, new_addr);
+                    K::rollback(self.domain(), t, new_addr);
                 }
                 Err(w)
             }
@@ -432,7 +442,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
         new: usize,
         weak_cas: bool,
     ) -> Result<usize, usize> {
-        check_same_domain(untagged(new), &self.domain);
+        check_same_domain(untagged(new), self.domain());
         self.cex(expected, new, weak_cas)
     }
 
@@ -500,14 +510,21 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
 
 impl<S: Scheme, K: RefKind<S>> Drop for RcWord<S, K> {
     fn drop(&mut self) {
+        let t = smr::current_tid();
+        // Safety: the location itself keeps the core alive up to
+        // `location_dropped`. The pin covers what comes after — this may be
+        // the last passive reference, and the pin's release is where that
+        // is noticed. Inside a destruct cascade or under a guard it is a
+        // thread-local bump.
+        let d: &Domain<S> = unsafe { self.domain.as_ref() };
+        let _pin = d.pin_thread(t);
         let addr = untagged(*self.word.get_mut());
         if addr != 0 {
-            let t = smr::current_tid();
             // Safety: the location owns a `K`-reference. Deferral (not a
             // direct decrement) matters: a concurrent reader that loaded
             // this pointer before we were unlinked may still be protected.
-            // `self.domain` is alive throughout (field drop runs after us).
-            unsafe { K::retire(&self.domain, t, addr) };
+            unsafe { K::retire(d, t, addr) };
         }
+        d.location_dropped(t);
     }
 }

@@ -41,9 +41,12 @@
 //! creation: the `_in` constructors take an explicit [`DomainRef`], the
 //! plain constructors default to [`Scheme::global_domain`]. A `SharedPtr`
 //! stays a single word — its domain is recorded in the control-block header
-//! (which also keeps the domain alive for as long as the block exists). An
-//! `AtomicSharedPtr` carries its own handle, because operations must know
-//! which domain to open a critical section on *before* reading the word.
+//! (and the block, a passive reference, keeps the domain alive for as long
+//! as it exists). An `AtomicSharedPtr` carries its domain's address beside
+//! its word — two words in all — because operations must know which domain
+//! to open a critical section on *before* reading the word; the location is
+//! a passive reference too, counted on a per-thread lane rather than on the
+//! domain's shared liveness word (see the pin rule in `domain.rs`).
 //! Mixing domains is a logic error: the install-family operations panic if
 //! the pointer being installed was allocated under a different domain, and
 //! snapshot operations assert (debug builds) that the supplied guard covers
@@ -58,9 +61,7 @@ use sticky::Counter;
 
 use crate::cas::CompareExchangeErr;
 use crate::counted::{self, as_counted, as_header, PtrMarker};
-use crate::domain::{
-    check_same_domain, domain_ref_of, CsGuard, DomainHold, DomainRef, OpGuard, Scheme, StrongRef,
-};
+use crate::domain::{check_same_domain, domain_of, CsGuard, DomainRef, OpGuard, Scheme, StrongRef};
 use crate::engine::{Held, Hold, RcWord, StrongKind, DISPLACED};
 use crate::tagged::TaggedPtr;
 use crate::weak::WeakPtr;
@@ -269,9 +270,10 @@ impl<T, S: Scheme> Drop for SharedPtr<T, S> {
         let block = self.block();
         if block != 0 {
             // Safety: we own one strong reference and forfeit it. Domain
-            // resolution runs under a hold, because the dispose cascade may
-            // free the very block whose reference was keeping the domain
-            // alive.
+            // code runs under the thread's pin, taken from the block's
+            // header while the block is provably alive, because the
+            // cascade may free the very block that was keeping the domain
+            // alive. Under a guard the pin is a thread-local bump.
             unsafe {
                 if self.addr & DISPLACED != 0 {
                     // Displaced-class: this reference was location-owned
@@ -280,12 +282,16 @@ impl<T, S: Scheme> Drop for SharedPtr<T, S> {
                     // decrement must go through the deferred machinery
                     // exactly as the location's retire would have (batched,
                     // like every displaced decrement).
-                    let hold = DomainHold::new(counted::domain_ptr_of::<S>(block));
+                    let d = domain_of::<S>(block).as_ref();
                     let t = smr::current_tid();
-                    hold.domain().batch_decrement(t, block);
+                    let _pin = d.pin_thread(t);
+                    d.batch_decrement(t, block);
                 } else if (*as_header(block)).strong.decrement() {
-                    let hold = DomainHold::new(counted::domain_ptr_of::<S>(block));
+                    // The block outlives its zero: the strong side's weak
+                    // reference is still ours.
+                    let d = domain_of::<S>(block).as_ref();
                     let t = smr::current_tid();
+                    let _pin = d.pin_thread(t);
                     if (*as_header(block)).weak.load() == 1
                         && (*as_header(block)).vtable.pop_edges.is_some()
                     {
@@ -296,9 +302,9 @@ impl<T, S: Scheme> Drop for SharedPtr<T, S> {
                         // payloads stay on the deferred path — their edges
                         // relinquish from inside `Drop`, and disposing here
                         // would recurse one stack frame per chain level.
-                        hold.domain().destruct(t, block);
+                        d.destruct(t, block);
                     } else {
-                        hold.domain().delayed_dispose(t, block);
+                        d.delayed_dispose(t, block);
                     }
                 }
             }
@@ -360,9 +366,9 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// for a null pointer).
     pub fn new(ptr: SharedPtr<T, S>) -> Self {
         let domain = match ptr.block() {
-            0 => S::global_domain().clone(),
+            0 => S::global_domain().as_raw(),
             // Safety: `ptr` owns a strong reference, so the block is alive.
-            addr => unsafe { domain_ref_of::<S>(addr) },
+            addr => unsafe { domain_of::<S>(addr) },
         };
         AtomicSharedPtr {
             inner: RcWord::new_owned(ptr.into_addr(), domain),
@@ -380,7 +386,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     pub fn new_in(ptr: SharedPtr<T, S>, domain: &DomainRef<S>) -> Self {
         check_same_domain(ptr.block(), domain);
         AtomicSharedPtr {
-            inner: RcWord::new_owned(ptr.into_addr(), domain.clone()),
+            inner: RcWord::new_owned(ptr.into_addr(), domain.as_raw()),
             _marker: PhantomData,
         }
     }
@@ -393,12 +399,13 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// Creates a null location bound to an explicit domain.
     pub fn null_in(domain: &DomainRef<S>) -> Self {
         AtomicSharedPtr {
-            inner: RcWord::new_owned(0, domain.clone()),
+            inner: RcWord::new_owned(0, domain.as_raw()),
             _marker: PhantomData,
         }
     }
 
-    /// The domain this location is bound to.
+    /// The domain this location is bound to, as a handle borrowed from the
+    /// location (clone it for an owning one).
     pub fn domain(&self) -> &DomainRef<S> {
         self.inner.domain()
     }

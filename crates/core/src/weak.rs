@@ -27,9 +27,10 @@
 //!
 //! Domain binding mirrors the strong types: a [`WeakPtr`] is a single word
 //! whose domain lives in the control-block header; an [`AtomicWeakPtr`]
-//! carries its own [`DomainRef`] because it must open critical sections
-//! before reading its word, and its install-family operations panic on
-//! cross-domain pointers.
+//! carries its domain's address beside its word because it must open
+//! critical sections before reading the word (a passive reference, counted
+//! on a per-thread lane — see the pin rule in `domain.rs`), and its
+//! install-family operations panic on cross-domain pointers.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::fmt;
@@ -40,9 +41,7 @@ use sticky::Counter;
 
 use crate::cas::CompareExchangeErr;
 use crate::counted::{self, as_header, PtrMarker};
-use crate::domain::{
-    check_same_domain, domain_ref_of, DomainHold, DomainRef, Scheme, StrongRef, WeakCsGuard,
-};
+use crate::domain::{check_same_domain, domain_of, DomainRef, Scheme, StrongRef, WeakCsGuard};
 use crate::engine::{Held, Hold, RcWord, WeakKind, DISPLACED};
 use crate::strong::SharedPtr;
 use crate::tagged::TaggedPtr;
@@ -189,22 +188,25 @@ impl<T, S: Scheme> Drop for WeakPtr<T, S> {
     fn drop(&mut self) {
         let block = self.block();
         if block != 0 {
-            // Safety: we own one weak reference and forfeit it. Domain
-            // resolution runs under a hold, because freeing the block
-            // releases the reference that may have been keeping the domain
-            // alive.
+            // Safety: we own one weak reference and forfeit it. Domain code
+            // runs under the thread's pin (see `SharedPtr::drop`), because
+            // the block freed here may have been keeping the domain alive.
             unsafe {
                 if self.addr & DISPLACED != 0 {
                     // Displaced-class: was location-owned when handed out;
                     // defer exactly as the location's retire would have
                     // (batched, like every displaced decrement).
-                    let hold = DomainHold::new(counted::domain_ptr_of::<S>(block));
+                    let d = domain_of::<S>(block).as_ref();
                     let t = smr::current_tid();
-                    hold.domain().batch_weak_decrement(t, block);
+                    let _pin = d.pin_thread(t);
+                    d.batch_weak_decrement(t, block);
                 } else if (*as_header(block)).weak.decrement() {
-                    let hold = DomainHold::new(counted::domain_ptr_of::<S>(block));
+                    // At zero the block is ours alone to free, and until
+                    // `free_block` counts it freed it keeps the domain.
+                    let d = domain_of::<S>(block).as_ref();
                     let t = smr::current_tid();
-                    hold.domain().free_block(t, block);
+                    let _pin = d.pin_thread(t);
+                    d.free_block(t, block);
                 }
             }
         }
@@ -259,9 +261,9 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
     /// for a null pointer).
     pub fn new(ptr: WeakPtr<T, S>) -> Self {
         let domain = match ptr.block() {
-            0 => S::global_domain().clone(),
+            0 => S::global_domain().as_raw(),
             // Safety: `ptr` owns a weak reference, so the block is alive.
-            addr => unsafe { domain_ref_of::<S>(addr) },
+            addr => unsafe { domain_of::<S>(addr) },
         };
         AtomicWeakPtr {
             inner: RcWord::new_owned(ptr.into_addr(), domain),
@@ -277,12 +279,13 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
     /// Creates a null location bound to an explicit domain.
     pub fn null_in(domain: &DomainRef<S>) -> Self {
         AtomicWeakPtr {
-            inner: RcWord::new_owned(0, domain.clone()),
+            inner: RcWord::new_owned(0, domain.as_raw()),
             _marker: PhantomData,
         }
     }
 
-    /// The domain this location is bound to.
+    /// The domain this location is bound to, as a handle borrowed from the
+    /// location (clone it for an owning one).
     pub fn domain(&self) -> &DomainRef<S> {
         self.inner.domain()
     }

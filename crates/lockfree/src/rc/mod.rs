@@ -14,3 +14,69 @@ pub use dlqueue::RcDoubleLinkQueue;
 pub use list::RcHarrisMichaelList;
 pub use nmtree::RcNatarajanMittalTree;
 pub use resizable::RcResizableHashMap;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ConcurrentMap, ConcurrentQueue};
+    use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
+
+    /// "No shared count under a guard", asserted: whatever a batch of
+    /// structure operations allocates, displaces, fails to insert,
+    /// destructs, flushes or collects, the domain's liveness word moves by
+    /// the guard's own pin and nothing else.
+    fn no_shared_count_under_a_guard<S: Scheme>() {
+        let d: DomainRef<S> = DomainRef::new();
+        let map: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::new_in(d.clone());
+        let queue: RcDoubleLinkQueue<u64, S> = RcDoubleLinkQueue::new_in(d.clone());
+        let (pins, stamp) = d.pin_word();
+
+        let guard = map.pin();
+        assert_eq!(d.pin_word(), (pins + 1, stamp + 1), "the guard's own pin");
+        let (mut inserted, mut refused, mut removed) = (0, 0, 0);
+        for i in 0..10_000u64 {
+            let k = (i / 3) % 257;
+            match i % 3 {
+                0 | 1 => match map.insert_with(k, i, &guard) {
+                    true => inserted += 1,
+                    false => refused += 1,
+                },
+                _ => removed += usize::from(map.remove_with(&k, &guard)),
+            }
+        }
+        assert!(inserted > 1_000 && refused > 1_000 && removed > 1_000);
+        assert_eq!(
+            d.pin_word(),
+            (pins + 1, stamp + 1),
+            "{}: a map operation under the guard touched the liveness word",
+            S::scheme_name()
+        );
+        drop(guard);
+        assert_eq!(d.pin_word(), (pins, stamp + 1));
+
+        let guard = queue.pin();
+        for i in 0..10_000u64 {
+            queue.enqueue_with(i, &guard);
+            if i % 2 == 1 {
+                assert!(queue.dequeue_with(&guard).is_some());
+                assert!(queue.dequeue_with(&guard).is_some());
+            }
+        }
+        assert_eq!(
+            d.pin_word(),
+            (pins + 1, stamp + 2),
+            "{}: a queue operation under the guard touched the liveness word",
+            S::scheme_name()
+        );
+        drop(guard);
+        assert_eq!(d.pin_word(), (pins, stamp + 2));
+    }
+
+    #[test]
+    fn no_shared_count_under_a_guard_all_schemes() {
+        no_shared_count_under_a_guard::<EbrScheme>();
+        no_shared_count_under_a_guard::<IbrScheme>();
+        no_shared_count_under_a_guard::<HpScheme>();
+        no_shared_count_under_a_guard::<HyalineScheme>();
+    }
+}

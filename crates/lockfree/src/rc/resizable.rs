@@ -353,6 +353,19 @@ mod tests {
         assert_eq!(m.get(&3), Some(30));
     }
 
+    /// `kv_cold_read` is bound by node size: the map node is what it was
+    /// with a handle in every edge (an `AtomicSharedPtr` is still a word
+    /// and a domain), 48 bytes behind the 40-byte header.
+    #[test]
+    fn node_is_no_larger_than_with_counted_edges() {
+        let node = std::mem::size_of::<Node<u64, u64, EbrScheme>>();
+        println!(
+            "map node {node} B (parent: 48 B); with the 40 B header a {} B block",
+            node + 40
+        );
+        assert!(node <= 48);
+    }
+
     #[test]
     fn smoke_all_schemes() {
         smoke_on::<EbrScheme>();

@@ -36,10 +36,9 @@ pub struct Owned {
     /// for `try_acquire` (lowest first), bit [`RESERVED`] for `acquire`.
     free: u64,
     /// Scratch multiset of current announcements, reused across scans so the
-    /// scan path stops allocating once warm.
+    /// scan path stops allocating once warm. A scan rebuilds it, then spends
+    /// it: each retired copy it keeps takes one announcement off the count.
     announced: HashMap<usize, usize>,
-    /// Scratch per-address kept-copy counts, reused likewise.
-    kept_counts: HashMap<usize, usize>,
 }
 
 /// HP's protection rule: announce each pointer before trusting it; a scan
@@ -163,7 +162,6 @@ impl Protection for Hazards {
         Owned {
             free: ((1 << cfg.hp_slots) - 1) | (1 << RESERVED),
             announced: HashMap::new(),
-            kept_counts: HashMap::new(),
         }
     }
 
@@ -250,11 +248,7 @@ impl Protection for Hazards {
     }
 
     fn reclaim(eng: &Hp, local: &mut Local<Self>) {
-        let Owned {
-            announced,
-            kept_counts,
-            ..
-        } = &mut local.own;
+        let announced = &mut local.own.announced;
         // Count current announcements per address (a multiset: the same
         // address may be announced by several guards at once).
         announced.clear();
@@ -269,18 +263,21 @@ impl Protection for Hazards {
             }
         });
         // Keep at most `announced[addr]` copies of each retired address;
-        // eject the surplus (§3.2's multi-retire accounting).
-        kept_counts.clear();
-        eject_unless(&mut local.retired, &mut local.ready, |r, ()| {
-            let budget = announced.get(&r.addr).copied().unwrap_or(0);
-            let kept_so_far = kept_counts.entry(r.addr).or_insert(0);
-            if *kept_so_far < budget {
-                *kept_so_far += 1;
-                true
-            } else {
-                false
-            }
-        });
+        // eject the surplus (§3.2's multi-retire accounting). The multiset
+        // is rebuilt every scan, so its counts are the budget, spent in
+        // place: one lookup per retired entry, none for an unannounced one
+        // beyond the miss.
+        eject_unless(
+            &mut local.retired,
+            &mut local.ready,
+            |r, ()| match announced.get_mut(&r.addr) {
+                Some(budget) if *budget > 0 => {
+                    *budget -= 1;
+                    true
+                }
+                _ => false,
+            },
+        );
     }
 
     // No `over_watermark` arm: HP's garbage is bounded by construction — a
@@ -380,6 +377,35 @@ mod tests {
         hp.release(t, g);
         hp.flush(t);
         assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+    }
+
+    #[test]
+    fn multi_retire_keeps_min_of_retired_and_announced() {
+        // k = 3 retires, j = 2 announcements: min(k, j) = 2 copies stay,
+        // and the budget is per address — an unrelated announcement buys
+        // nothing.
+        let hp = new_hp();
+        let t = current_tid();
+        let src = AtomicUsize::new(0x3000);
+        let other = AtomicUsize::new(0x5000);
+        let (_, g1) = hp.try_acquire(t, &src).unwrap();
+        let (_, g2) = hp.try_acquire(t, &src).unwrap();
+        let (_, g3) = hp.try_acquire(t, &other).unwrap();
+        for _ in 0..3 {
+            hp.retire(t, Retired::new(0x3000, 0));
+        }
+        hp.flush(t);
+        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), None, "two copies pinned by two announcements");
+        hp.release(t, g1);
+        hp.flush(t);
+        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), None, "one announcement left");
+        hp.release(t, g2);
+        hp.release(t, g3);
+        hp.flush(t);
+        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), None, "ejected more often than retired");
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl<T> DerefMut for CachePadded<T> {
 /// concurrent increments, which is all a statistics counter needs. Lanes of
 /// exited threads keep their contributions (slots are recycled, not reset),
 /// so totals survive thread churn.
+///
+/// A *pair* of counters read as a difference (`cdrc`'s allocated − freed)
+/// gets one guarantee more: lanes are stored with Release and summed with
+/// Acquire, so a reader that sums the subtrahend first sees, for every
+/// decrement it counts, the increment that preceded it — the difference
+/// can be stale only upwards.
 #[derive(Debug)]
 pub struct ShardedCounter {
     lanes: Box<[CachePadded<AtomicU64>]>,
@@ -74,32 +80,34 @@ impl ShardedCounter {
     /// Adds `n` to the calling thread's lane.
     #[inline]
     pub fn add(&self, t: Tid, n: u64) {
-        // Ordering: Relaxed load + Relaxed store — the lane is written only
+        // Ordering: Relaxed load + Release store — the lane is written only
         // by its owning thread, so the unfenced read-modify-write is
-        // race-free (no `lock add` needed, unlike `fetch_add`); readers
-        // need only monotone per-lane values, and cross-thread visibility
-        // for exact totals comes from an external happens-before edge
-        // (thread join / test mutex).
+        // race-free (no `lock add` needed, unlike `fetch_add`). Release
+        // (a plain store on x86) pairs with the Acquire in `sum`: whoever
+        // reads this count also sees what its owner did before — in
+        // particular the event on a sibling counter that this one answers.
+        // Exact totals still come from an external happens-before edge
+        // (thread join / test mutex / the `cdrc` liveness word).
         // Statistics, not protocol: exempt from model checking (a modeled
         // per-lane counter array would dwarf the protocol state space).
         exempt(|| {
             let lane = &self.lanes[t.index()];
-            lane.store(lane.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            lane.store(lane.load(Ordering::Relaxed) + n, Ordering::Release);
         });
     }
 
     /// Folds all lanes ever used into a total.
     pub fn sum(&self) -> u64 {
-        // Ordering: Relaxed — each lane is monotone, so any interleaving of
-        // lane reads yields a value between "all increments that happened-
-        // before this call" and "all increments so far"; that is the
-        // documented (and sufficient) contract for a statistics counter.
+        // Ordering: Acquire — pairs with the Release store in `add` (see
+        // there). Each lane is monotone, so any interleaving of lane reads
+        // yields a value between "all increments that happened-before this
+        // call" and "all increments so far".
         // Lanes at index >= the registry high-water mark were never written.
         exempt(|| {
             self.lanes
                 .iter()
                 .take(registered_high_water_mark())
-                .map(|lane| lane.load(Ordering::Relaxed))
+                .map(|lane| lane.load(Ordering::Acquire))
                 .sum()
         })
     }

@@ -61,6 +61,34 @@ fn multi_retire_multi_eject<S: AcquireRetire>() {
     assert_eq!(s.eject(t), None, "ejected more often than retired");
 }
 
+/// `k = 3` retires of one address under `j = 2` guards on it: a scan may
+/// hand back at most the `k − j` surplus (exactly that under a
+/// pointer-protecting scheme — the multiset rule; nothing under a region
+/// scheme, whose section pins all three), and once the guards and the
+/// section are gone every copy comes back exactly once.
+fn multi_retire_under_fewer_guards<S: AcquireRetire>() {
+    let (s, t) = (fresh::<S>(), current_tid());
+    let r = object(&s, t, 0x3000);
+    let src = AtomicUsize::new(r.addr);
+    s.begin_critical_section(t);
+    let (_, g1) = s.try_acquire(t, &src).expect("no guard is held");
+    let (_, g2) = s.try_acquire(t, &src).expect("one guard is held");
+    for _ in 0..3 {
+        s.retire(t, r);
+    }
+    let early = drain(&s, t);
+    if S::PROTECTS_REGIONS {
+        assert_eq!(early, 0, "the open section pins every copy");
+    } else {
+        assert_eq!(early, 1, "min(3 retired, 2 announced) copies stay");
+    }
+    s.release(t, g1);
+    s.release(t, g2);
+    s.end_critical_section(t);
+    assert_eq!(early + drain(&s, t), 3, "each copy exactly once");
+    assert_eq!(s.eject(t), None, "ejected more often than retired");
+}
+
 fn has_ready_agrees_with_eject<S: AcquireRetire>() {
     let (s, t) = (fresh::<S>(), current_tid());
     assert!(!s.has_ready(t));
@@ -252,6 +280,7 @@ macro_rules! conformance {
             conformance!(@tests $S:
                 acquire_round_trips_the_word,
                 multi_retire_multi_eject,
+                multi_retire_under_fewer_guards,
                 has_ready_agrees_with_eject,
                 own_protection_blocks_ejection_until_released,
                 cross_thread_reader_blocks_ejection_until_it_leaves,

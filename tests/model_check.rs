@@ -1069,3 +1069,263 @@ fn sticky_relaxed_decrement_is_unsound() {
         "unexpected violation: {v}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// The domain liveness word: pin, sole-pin release, DEAD
+// ---------------------------------------------------------------------------
+
+const PIN: u64 = 1;
+const PIN_MASK: u64 = (1 << 32) - 1;
+const STAMP: u64 = 1 << 32;
+const DEAD: u64 = u64::MAX;
+
+/// `cdrc::Domain::{pin, release, live, free_block}` distilled to the word
+/// and the lanes, operation for operation and ordering for ordering (see
+/// "Domain lifetime: the pin rule" in `crates/core/src/domain.rs`). Domain
+/// code is a `touch`, which asserts the core has not been freed; freeing
+/// the core bumps an exempt counter the scenarios check afterwards.
+/// `stamped: false` seeds the bug the acquisition stamp exists to prevent.
+struct PinModel {
+    word: AtomicU64,
+    allocs: AtomicU64,
+    /// One `frees` lane per block-dropping thread (single writer each).
+    frees: [AtomicU64; 2],
+    stamped: bool,
+    core_frees: AtomicUsize,
+    sole_checkers: AtomicUsize,
+}
+
+impl PinModel {
+    fn new(pins: u64, blocks: u64, stamped: bool) -> Arc<Self> {
+        Arc::new(PinModel {
+            word: AtomicU64::new(pins * PIN),
+            allocs: AtomicU64::new(blocks),
+            frees: [AtomicU64::new(0), AtomicU64::new(0)],
+            stamped,
+            core_frees: AtomicUsize::new(0),
+            sole_checkers: AtomicUsize::new(0),
+        })
+    }
+
+    /// Any use of the core: domain code, a lane, the word itself.
+    fn touch(&self) {
+        let gone = exempt(|| self.core_frees.load(Ordering::Relaxed));
+        assert_eq!(gone, 0, "core touched after it was freed");
+    }
+
+    fn core_frees(&self) -> usize {
+        exempt(|| self.core_frees.load(Ordering::Relaxed))
+    }
+
+    fn pin(&self) {
+        self.touch();
+        let unit = if self.stamped { PIN + STAMP } else { PIN };
+        // Ordering: Relaxed — mirrors `Domain::pin`.
+        self.word.fetch_add(unit, Ordering::Relaxed);
+    }
+
+    fn live(&self) -> u64 {
+        // Ordering: Acquire on the subtrahend lanes, read first; Relaxed on
+        // the addend — mirrors `Domain::live`.
+        let freed: u64 = self.frees.iter().map(|l| l.load(Ordering::Acquire)).sum();
+        self.allocs.load(Ordering::Relaxed) - freed
+    }
+
+    /// Frees one block on `lane`; the caller holds a pin.
+    fn free_block(&self, lane: usize) {
+        self.touch();
+        let l = &self.frees[lane];
+        // Ordering: Relaxed load + Release store — single-writer lane.
+        l.store(l.load(Ordering::Relaxed) + 1, Ordering::Release);
+    }
+
+    fn release(&self) {
+        let (mut flushed, mut checked) = (false, false);
+        loop {
+            self.touch();
+            // Ordering: Acquire — mirrors the load in `Domain::release`.
+            let w = self.word.load(Ordering::Acquire);
+            assert!(w != DEAD && w & PIN_MASK != 0, "release without a pin");
+            if w & PIN_MASK > 1 {
+                // Ordering: Release / Relaxed — mirrors the decrement CAS.
+                if self
+                    .word
+                    .compare_exchange_weak(w, w - PIN, Ordering::Release, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return;
+                }
+                continue;
+            }
+            if !checked {
+                checked = true;
+                exempt(|| self.sole_checkers.fetch_add(1, Ordering::Relaxed));
+            }
+            if self.live() == 0 {
+                // Ordering: AcqRel / Relaxed — mirrors the DEAD CAS.
+                if self
+                    .word
+                    .compare_exchange(w, DEAD, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    exempt(|| self.core_frees.fetch_add(1, Ordering::Relaxed));
+                    return;
+                }
+                continue;
+            }
+            if !flushed {
+                // The orphan flush: domain code under a nested thread pin.
+                flushed = true;
+                self.pin();
+                self.touch();
+                self.release();
+                continue;
+            }
+            // Ordering: Release / Relaxed — mirrors the orphaning CAS.
+            if self
+                .word
+                .compare_exchange(w, w - PIN, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+        }
+    }
+
+    /// A handle-free drop of the last reference to a block: re-pin from
+    /// the (live) block, free it, release.
+    fn drop_block(&self, lane: usize) {
+        self.pin();
+        self.free_block(lane);
+        self.release();
+    }
+}
+
+/// (a) The last handle's drop races another thread's header-resolved drop
+/// of the last block. Whoever ends up sole with `live == 0` frees the core:
+/// exactly once, and nothing touches it afterwards.
+#[test]
+fn pin_word_last_handle_vs_last_block_frees_core_once() {
+    let _s = serial();
+    let report = try_check(cfg(2), || {
+        let m = PinModel::new(1, 1, true);
+        let dropper = {
+            let m = Arc::clone(&m);
+            mthread::spawn(move || m.drop_block(0))
+        };
+        m.release();
+        dropper.join().unwrap();
+        assert_eq!(m.core_frees(), 1, "core freed {} times", m.core_frees());
+    })
+    .expect("handle drop ∥ last-block drop must free the core exactly once");
+    assert!(report.iterations > 1, "litmus explored only one schedule");
+}
+
+/// (b) Two releases race at count 2: the decrement is a CAS, so exactly one
+/// of them stays to find itself sole and perform the check — tearing the
+/// core down when nothing is left, orphaning it (count 0, not DEAD) when a
+/// block is.
+#[test]
+fn pin_word_two_releases_one_sole_check() {
+    let _s = serial();
+    for blocks in [0, 1] {
+        let report = try_check(cfg(2), move || {
+            let m = PinModel::new(2, blocks, true);
+            let other = {
+                let m = Arc::clone(&m);
+                mthread::spawn(move || m.release())
+            };
+            m.release();
+            other.join().unwrap();
+            let checkers = exempt(|| m.sole_checkers.load(Ordering::Relaxed));
+            assert_eq!(
+                checkers, 1,
+                "{checkers} releases performed the sole-pin check"
+            );
+            if blocks == 0 {
+                assert_eq!(m.core_frees(), 1, "nothing left: the core must be freed");
+            } else {
+                assert_eq!(m.core_frees(), 0, "a live block keeps the core");
+                let w = m.word.load(Ordering::SeqCst);
+                assert_eq!(w & PIN_MASK, 0, "orphaned core must sit at count 0");
+            }
+        })
+        .expect("two racing releases must elect exactly one sole-pin checker");
+        assert!(report.iterations > 1, "litmus explored only one schedule");
+    }
+}
+
+/// (c) A sole-pin release folds `live > 0`, and before its CAS two other
+/// threads each re-pin from a live block, free it and release — the count
+/// is back where the fold saw it, `live` is not. The CAS expects the whole
+/// word, stamp included, so it fails and the releaser re-folds; without the
+/// stamp it would walk away from a core nobody will ever free.
+fn pin_word_repin_vs_stale_fold(stamped: bool) -> Result<Report, Violation> {
+    try_check(cfg(2), move || {
+        let m = PinModel::new(1, 2, stamped);
+        let droppers: Vec<_> = (0..2)
+            .map(|lane| {
+                let m = Arc::clone(&m);
+                mthread::spawn(move || m.drop_block(lane))
+            })
+            .collect();
+        m.release();
+        for d in droppers {
+            d.join().unwrap();
+        }
+        assert_eq!(m.core_frees(), 1, "core freed {} times", m.core_frees());
+    })
+}
+
+#[test]
+fn pin_word_stamp_fails_the_stale_sole_pin_cas() {
+    let _s = serial();
+    let report = pin_word_repin_vs_stale_fold(true)
+        .expect("with the stamp, a stale sole-pin CAS must fail in every schedule");
+    assert!(report.iterations > 1, "litmus explored only one schedule");
+}
+
+/// The seeded negative: pins that do not move a stamp let the stale CAS
+/// land, and the core leaks. This is why a pin is `PIN + STAMP`.
+#[test]
+fn pin_word_without_stamp_is_unsound() {
+    let _s = serial();
+    let v = pin_word_repin_vs_stale_fold(false)
+        .expect_err("an unstamped pin word must be caught leaking the core");
+    assert!(
+        v.message.contains("core freed 0 times"),
+        "unexpected violation: {v}"
+    );
+}
+
+/// The same race as (a) through the real stack: the last `DomainRef` drops
+/// while another thread drops the last `SharedPtr` (a graph leaf, so the
+/// block is destructed and freed inside that drop). Either release may be
+/// the one that tears the domain down; the payload is dropped exactly once
+/// in every schedule and nothing runs on the freed core (a double free or a
+/// stale pin would abort the process).
+#[test]
+fn domain_last_handle_vs_last_pointer_tears_down_once() {
+    struct Leaf(Arc<AtomicUsize>);
+    impl Drop for Leaf {
+        fn drop(&mut self) {
+            exempt(|| self.0.fetch_add(1, Ordering::Relaxed));
+        }
+    }
+    impl cdrc::GraphNode<cdrc::EbrScheme> for Leaf {
+        fn pop_edges(&mut self, _: &mut cdrc::EdgeCollector<'_, cdrc::EbrScheme>) {}
+    }
+    let _s = serial();
+    let report = try_check(cfg(2), || {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d: DomainRef<cdrc::EbrScheme> = DomainRef::with_config(tight::<Ebr>());
+        let p = SharedPtr::new_graph_in(Leaf(Arc::clone(&drops)), &d);
+        let dropper = mthread::spawn(move || drop(p));
+        drop(d);
+        dropper.join().unwrap();
+        let n = exempt(|| drops.load(Ordering::Relaxed));
+        assert_eq!(n, 1, "payload dropped {n} times");
+    })
+    .expect("last handle ∥ last pointer must tear the domain down exactly once");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
