@@ -4,13 +4,11 @@ use std::fmt;
 
 use crate::tagged::TaggedPtr;
 
-/// The error of an owned-desired compare-exchange
-/// ([`AtomicSharedPtr::compare_exchange_owned`] and friends): the witnessed
-/// current word plus the untouched `desired` pointer, handed back so the
-/// caller can retry without reallocating or paying a count round-trip.
-///
-/// [`AtomicSharedPtr::compare_exchange_owned`]:
-///     crate::AtomicSharedPtr::compare_exchange_owned
+/// The error of a compare-exchange
+/// ([`AtomicRcPtr::compare_exchange`](crate::AtomicRcPtr::compare_exchange)):
+/// the witnessed current word plus the untouched `desired` pointer, handed
+/// back so the caller can retry without reallocating or paying a count
+/// round-trip.
 pub struct CompareExchangeErr<P, T> {
     /// The word the location actually held at the failed CAS — the retry
     /// loop's next `expected`, no re-load needed.

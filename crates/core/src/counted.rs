@@ -32,7 +32,8 @@ use smr::AcquireRetire;
 use sticky::{Counter, StickyCounter};
 
 use crate::domain::{Domain, Scheme};
-use crate::engine::DISPLACED;
+use crate::engine::{RefKind, DISPLACED};
+use crate::ptr::{AtomicRcPtr, RcPtr};
 
 /// Type-erased destruction hooks for a control block.
 pub(crate) struct Vtable {
@@ -72,6 +73,10 @@ pub(crate) struct Counted<T> {
     /// time — rather than again when the allocation is freed.
     pub value: MaybeUninit<T>,
 }
+
+// Header erasure — every `*mut Counted<T>` read as a `*mut Header` — rests
+// on the header sitting first.
+const _: () = assert!(std::mem::offset_of!(Counted<u64>, header) == 0);
 
 unsafe fn dispose_impl<T>(h: *mut Header) {
     smr::sanitize::on_dispose(h as usize);
@@ -115,13 +120,12 @@ impl<T> VtableOf<T> {
 /// decrement may be applied immediately under the parent's dispose rights;
 /// deferred edges are displaced-class references (a concurrent reader of
 /// the location they were displaced from may still be protected), which
-/// must go through the domain's deferred machinery.
+/// must go through the domain's deferred machinery. Each class is indexed
+/// by the edge kind's count channel (`Strong`, `Weak`).
 #[derive(Default)]
 pub(crate) struct EdgeSink {
-    pub strong_direct: Vec<usize>,
-    pub strong_deferred: Vec<usize>,
-    pub weak_direct: Vec<usize>,
-    pub weak_deferred: Vec<usize>,
+    pub direct: [Vec<usize>; 2],
+    pub deferred: [Vec<usize>; 2],
 }
 
 /// A payload type that can enumerate its outgoing reference-counted edges,
@@ -134,15 +138,16 @@ pub(crate) struct EdgeSink {
 /// # Contract
 ///
 /// `pop_edges` must *move every reference-counted edge the payload owns*
-/// into the collector — each [`SharedPtr`](crate::SharedPtr),
-/// [`AtomicSharedPtr`](crate::AtomicSharedPtr),
-/// [`WeakPtr`](crate::WeakPtr) and [`AtomicWeakPtr`](crate::AtomicWeakPtr)
-/// field — using the collector's `take_*` methods, which null the field in
-/// place. Missing an edge is safe but forfeits the optimization for it (the
-/// payload's `Drop` then relinquishes it through the deferred path);
-/// relinquishing an edge by any other means from inside `pop_edges` is
-/// **not** allowed. The method is called at most once per object, after its
-/// strong count reached zero and before its payload is dropped.
+/// into the collector — each [`SharedPtr`](crate::SharedPtr) and
+/// [`WeakPtr`](crate::WeakPtr) field with [`EdgeCollector::take`], each
+/// [`AtomicSharedPtr`](crate::AtomicSharedPtr) and
+/// [`AtomicWeakPtr`](crate::AtomicWeakPtr) field with
+/// [`EdgeCollector::take_atomic`], which null the field in place. Missing
+/// an edge is safe but forfeits the optimization for it (the payload's
+/// `Drop` then relinquishes it through the deferred path); relinquishing an
+/// edge by any other means from inside `pop_edges` is **not** allowed. The
+/// method is called at most once per object, after its strong count reached
+/// zero and before its payload is dropped.
 ///
 /// Implementing the trait has no effect unless the object is allocated
 /// through a graph-aware constructor ([`SharedPtr::new_graph`],
@@ -171,49 +176,28 @@ impl<'a, S: Scheme> EdgeCollector<'a, S> {
         }
     }
 
-    /// Takes the strong edge out of an owned shared-pointer field, leaving
+    /// Takes the edge out of an owned pointer field of either kind, leaving
     /// the field null.
-    pub fn take_shared<T>(&mut self, ptr: &mut crate::SharedPtr<T, S>) {
+    pub fn take<T, K: RefKind>(&mut self, ptr: &mut RcPtr<T, S, K>) {
         let word = ptr.extract_word();
         let addr = word & !DISPLACED;
         if addr != 0 {
-            if word & DISPLACED != 0 {
-                self.sink.strong_deferred.push(addr);
+            let class = if word & DISPLACED != 0 {
+                &mut self.sink.deferred
             } else {
-                self.sink.strong_direct.push(addr);
-            }
+                &mut self.sink.direct
+            };
+            class[K::CHANNEL as usize].push(addr);
         }
     }
 
-    /// Takes the strong edge out of an atomic shared-pointer field, leaving
-    /// the field null. Any tag bits are discarded with the dead location.
-    pub fn take_atomic<T>(&mut self, ptr: &mut crate::AtomicSharedPtr<T, S>) {
+    /// Takes the edge out of an atomic pointer field of either kind,
+    /// leaving the field null. Any tag bits are discarded with the dead
+    /// location.
+    pub fn take_atomic<T, K: RefKind>(&mut self, ptr: &mut AtomicRcPtr<T, S, K>) {
         let addr = smr::untagged(ptr.extract_word());
         if addr != 0 {
-            self.sink.strong_direct.push(addr);
-        }
-    }
-
-    /// Takes the weak edge out of an owned weak-pointer field, leaving the
-    /// field null.
-    pub fn take_weak<T>(&mut self, ptr: &mut crate::WeakPtr<T, S>) {
-        let word = ptr.extract_word();
-        let addr = word & !DISPLACED;
-        if addr != 0 {
-            if word & DISPLACED != 0 {
-                self.sink.weak_deferred.push(addr);
-            } else {
-                self.sink.weak_direct.push(addr);
-            }
-        }
-    }
-
-    /// Takes the weak edge out of an atomic weak-pointer field, leaving the
-    /// field null. Any tag bits are discarded with the dead location.
-    pub fn take_atomic_weak<T>(&mut self, ptr: &mut crate::AtomicWeakPtr<T, S>) {
-        let addr = smr::untagged(ptr.extract_word());
-        if addr != 0 {
-            self.sink.weak_direct.push(addr);
+            self.sink.direct[K::CHANNEL as usize].push(addr);
         }
     }
 }
@@ -288,8 +272,8 @@ impl<T> Counted<T> {
 
 /// Ownership marker shared by the pointer types: owns a `T` (for drop
 /// check / auto-trait purposes) while staying `Send`/`Sync`-neutral in the
-/// scheme parameter `S`.
-pub(crate) type PtrMarker<T, S> = std::marker::PhantomData<(Box<T>, fn(S))>;
+/// scheme and kind parameters.
+pub(crate) type PtrMarker<T, S, K> = std::marker::PhantomData<(Box<T>, fn(S), fn(K))>;
 
 /// Views an erased header address as a typed control block pointer.
 #[inline]
@@ -307,9 +291,9 @@ pub(crate) fn as_header(addr: usize) -> *mut Header {
 // Header-only count operations.
 //
 // These touch nothing but the control block itself, so — unlike the
-// deferred-operation primitives on `Domain` — they need no domain handle.
-// Keeping them free functions means `SharedPtr::clone`, `WeakPtr::upgrade`
-// and friends never resolve a domain at all.
+// deferred-operation primitives on `Domain` — they need no domain handle:
+// `WeakPtr::upgrade` and friends never resolve a domain at all. (The plain
+// per-kind increment is `RefKind::incr`.)
 // ---------------------------------------------------------------------
 
 /// Strong increment-if-not-zero (Fig. 8's `increment`).
@@ -321,30 +305,6 @@ pub(crate) fn as_header(addr: usize) -> *mut Header {
 #[inline]
 pub(crate) unsafe fn increment(addr: usize) -> bool {
     (*as_header(addr)).strong.increment_if_not_zero()
-}
-
-/// Strong increment on an address known to have a nonzero count (e.g. read
-/// from a location holding a strong reference, under protection).
-///
-/// # Safety
-///
-/// As [`increment`], plus the nonzero guarantee.
-#[inline]
-pub(crate) unsafe fn increment_alive(addr: usize) {
-    let ok = increment(addr);
-    debug_assert!(ok, "increment of an expired object: protection bug");
-}
-
-/// Weak increment (never needs to check: a zero weak count means the block
-/// is already freed, which the caller's reference excludes).
-///
-/// # Safety
-///
-/// The control block must be alive.
-#[inline]
-pub(crate) unsafe fn weak_increment(addr: usize) {
-    let ok = (*as_header(addr)).weak.increment_if_not_zero();
-    debug_assert!(ok, "weak increment of a freed block: protection bug");
 }
 
 /// Whether the object's strong count is zero (Fig. 8's `expired`).

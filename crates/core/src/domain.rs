@@ -2,6 +2,32 @@
 //! decrements, weak decrements, disposals — §4.4 of the paper) sharing one
 //! epoch clock, plus the deferred-operation primitives of Figure 8.
 //!
+//! # The channel table
+//!
+//! The three instances are one table, `Domain::ar`, indexed by
+//! [`Channel`], and everything that touches an instance names its channel:
+//!
+//! | channel | defers | applying an ejected entry ([`Domain::apply`]) |
+//! |---------|--------|-----------------------------------------------|
+//! | `Strong` | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire on `Dispose` |
+//! | `Weak` | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
+//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner) | `destruct` |
+//!
+//! [`Domain::retire`] defers one operation at once; [`Domain::batch`]
+//! buffers a `Strong`/`Weak` one per thread until the next flush point;
+//! [`Domain::settle`] is the one place a taken batch is either applied on
+//! the spot (nothing is reading) or issued to its instance. Sections open
+//! and close in [`Domain::enter`] / [`Domain::leave`] — strong instance
+//! only, or all three when `full` — which both guard types and the internal
+//! [`Domain::with_cs`] share.
+//!
+//! `DomainLocal::weak_used` gates the `Weak`/`Dispose` half of `collect`'s
+//! ready peek. It is set exactly where something can land in those two
+//! instances' queues for a thread: `issue` (any retire into either, batched
+//! or not), `enter` with `full` (leaving a full section is where Hyaline
+//! hands a *reader* the batches it was the last to release), and
+//! `reclaim_orphaned_slot` (the adopted lists may hold such entries).
+//!
 //! # Domain handles
 //!
 //! A [`Domain`] is owned through [`DomainRef`], a cheap-to-clone
@@ -77,20 +103,28 @@
 //! [`Domain::process_deferred`] first (the `lockfree` structures do this in
 //! their `Drop`).
 
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::exempt;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::{Arc, Weak};
 
+use smr::sanitize::Channel;
 use smr::util::{CachePadded, ShardedCounter};
 use smr::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig, Tid, MAX_THREADS};
 use sticky::Counter;
 
 use crate::counted::{as_header, Counted, EdgeSink, GraphNode};
+use crate::engine::{RefKind, StrongKind, WeakKind};
+
+/// The channel table's index set, in table order.
+const CHANNELS: [Channel; 3] = [Channel::Strong, Channel::Weak, Channel::Dispose];
+/// The channels whose deferrals are batched per thread (`DomainLocal::pending`).
+const BATCHED: [Channel; 2] = [Channel::Strong, Channel::Weak];
 
 /// An SMR scheme usable as the engine of the reference-counting library.
 ///
@@ -274,7 +308,7 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// thread's lane until it is freed, so single-word pointers can resolve
     /// their domain from the header for as long as the block lives.
     pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Counted<T> {
-        let birth = self.strong_ar.birth_epoch(t);
+        let birth = self.ar(Channel::Strong).birth_epoch(t);
         self.allocs.add(t, 1);
         Counted::allocate(value, birth, self.0.as_ptr() as *const ())
     }
@@ -286,34 +320,41 @@ impl<S: AcquireRetire> DomainRef<S> {
         S: Scheme,
         T: GraphNode<S>,
     {
-        let birth = self.strong_ar.birth_epoch(t);
+        let birth = self.ar(Channel::Strong).birth_epoch(t);
         self.allocs.add(t, 1);
         Counted::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
     }
 
     /// Begins a *strong* critical section: read protection for atomic
     /// shared pointers and snapshots. See [`CsGuard`].
+    #[inline]
     pub fn cs(&self) -> CsGuard<S> {
-        let t = smr::current_tid();
-        // The guard is one unit of the thread's pin depth, given back in
-        // its `Drop`.
-        self.pin_enter(t);
-        self.strong_ar.begin_critical_section(t);
-        CsGuard {
-            domain: self.0,
-            t,
-            _not_send: PhantomData,
-        }
+        self.guard(false)
     }
 
     /// Begins a *full* critical section additionally covering the weak and
     /// dispose instances — required for every `AtomicWeakPtr` operation and
     /// weak snapshot lifetime. See [`WeakCsGuard`].
     pub fn weak_cs(&self) -> WeakCsGuard<S> {
-        let inner = self.cs();
-        let t = inner.t;
-        self.begin_weak_sections(t);
-        WeakCsGuard { inner }
+        WeakCsGuard {
+            inner: ManuallyDrop::new(self.guard(true)),
+        }
+    }
+
+    /// Opens either guard type's section; [`CsGuard::close`] with the same
+    /// `full` ends it.
+    #[inline]
+    fn guard(&self, full: bool) -> CsGuard<S> {
+        let t = smr::current_tid();
+        // The guard is one unit of the thread's pin depth, given back when
+        // it closes.
+        self.pin_enter(t);
+        self.enter(t, full);
+        CsGuard {
+            domain: self.0,
+            t,
+            _not_send: PhantomData,
+        }
     }
 }
 
@@ -386,23 +427,20 @@ struct DomainLocal {
     locs_made: AtomicU64,
     locs_dropped: AtomicU64,
     /// Whether this thread's weak or dispose ready queue can hold anything
-    /// (sticky; inherited with the slot): set when the thread retires into
-    /// either instance, opens a section on them — leaving one is where
-    /// Hyaline hands a *reader* the batches it was the last to release —
-    /// or adopts a dead slot's lists. Until then both queues are provably
-    /// empty and `collect` does not peek them.
+    /// (sticky; inherited with the slot); the module docs list the three
+    /// places that set it. Until then both queues are provably empty and
+    /// `collect` does not peek them.
     weak_used: Cell<bool>,
     /// True while this thread is applying ejected deferred operations —
     /// nested `collect` calls become no-ops, flattening what would otherwise
     /// be unbounded recursive destruction (§3.2: `eject` must not recurse).
     applying: Cell<bool>,
-    /// Batched displaced-pointer strong decrements: each entry owes the
-    /// domain one deferred strong decrement, retired in bulk at the next
-    /// flush point (section exit, capacity overflow, `process_deferred`,
-    /// thread unregister) instead of one retire + collect per store.
-    pending_strong: Batch,
-    /// Batched displaced weak decrements; same protocol.
-    pending_weak: Batch,
+    /// Batched displaced-pointer decrements, one buffer per [`BATCHED`]
+    /// channel: each entry owes the domain one deferred decrement of that
+    /// channel's count, retired in bulk at the next flush point (section
+    /// exit, capacity overflow, `process_deferred`, thread unregister)
+    /// instead of one retire + collect per store.
+    pending: [Batch; 2],
     /// Whether this thread has registered its unregister-time flush
     /// callback with this domain. Reset by the callback itself so a
     /// recycled slot's next owner re-registers.
@@ -493,9 +531,8 @@ impl Batch {
 /// structure is bound to exactly one domain ([`Scheme::global_domain`] by
 /// default, or an explicit handle via the `_in` constructors).
 pub struct Domain<S: AcquireRetire> {
-    pub(crate) strong_ar: S,
-    pub(crate) weak_ar: S,
-    pub(crate) dispose_ar: S,
+    /// The channel table (module docs), indexed by [`Channel`].
+    ar: [S; 3],
     clock: Arc<GlobalEpoch>,
     /// Control-block allocation count, sharded per thread: a shared
     /// `fetch_add` on the allocation path serializes every allocating core
@@ -525,9 +562,7 @@ impl<S: AcquireRetire> Domain<S> {
     fn with_config(cfg: SmrConfig, weak_self: Weak<Self>) -> Self {
         let clock = Arc::new(GlobalEpoch::new());
         Domain {
-            strong_ar: S::new(Arc::clone(&clock), cfg.clone()),
-            weak_ar: S::new(Arc::clone(&clock), cfg.clone()),
-            dispose_ar: S::new(Arc::clone(&clock), cfg),
+            ar: CHANNELS.map(|_| S::new(Arc::clone(&clock), cfg.clone())),
             clock,
             allocs: ShardedCounter::new(),
             frees: ShardedCounter::new(),
@@ -539,8 +574,7 @@ impl<S: AcquireRetire> Domain<S> {
                         locs_dropped: AtomicU64::new(0),
                         weak_used: Cell::new(false),
                         applying: Cell::new(false),
-                        pending_strong: Batch::new(),
-                        pending_weak: Batch::new(),
+                        pending: BATCHED.map(|_| Batch::new()),
                         flush_registered: Cell::new(false),
                         destruct_scratch: Cell::new(None),
                     })
@@ -851,67 +885,52 @@ impl<S: AcquireRetire> Domain<S> {
     /// [`reclaim_orphaned_slot`](Self::reclaim_orphaned_slot) force-closes
     /// it.
     pub fn quiescent(&self) -> bool {
-        self.strong_ar.quiescent() && self.weak_ar.quiescent() && self.dispose_ar.quiescent()
+        self.ar.iter().all(S::quiescent)
     }
 
     // ------------------------------------------------------------------
-    // Figure 8 primitives. `addr` is always an untagged control-block
-    // address. All `unsafe fn`s require: `addr` points to a live control
-    // block allocated under this domain and the caller upholds the
-    // reference-count ownership rules stated on each. (The header-only
-    // count operations — increment, weak increment, expired — live in
-    // `counted` as free functions; they need no domain.)
+    // Figure 8 primitives, per channel. `addr` is always an untagged
+    // control-block address. All `unsafe fn`s require: `addr` points to a
+    // live control block allocated under this domain and the caller upholds
+    // the reference-count ownership rules stated on each. (The header-only
+    // count operations — increment, expired — live in `engine`/`counted`;
+    // they need no domain.)
     // ------------------------------------------------------------------
 
-    /// Direct strong decrement of a reference the caller owns.
-    ///
-    /// If it zeroes the count, the object is destructed *immediately* when
-    /// no weak observer can exist (weak count is exactly the strong side's
-    /// own +1 — stable, since a zero strong count is sticky and weak
-    /// references can only be minted from strong ones or other weak ones);
-    /// otherwise disposal is deferred through the dispose instance so weak
-    /// snapshots stay readable (§4.4).
-    ///
-    /// The immediate path is sound because a zero strong count proves every
-    /// location-owned reference has had its deferred decrement *applied*,
-    /// each application ordered after the end of all critical sections that
-    /// could have read that location — so no count-free strong snapshot of
-    /// the object can still be live, and the weak gate excludes weak
-    /// snapshots.
+    /// The instance serving `ch`. With a constant channel this is the field
+    /// access it looks like.
+    #[inline(always)]
+    pub(crate) fn ar(&self, ch: Channel) -> &S {
+        &self.ar[ch as usize]
+    }
+
+    /// Direct decrement of one `K`-reference the caller owns; at zero, what
+    /// the kind says zero obliges ([`RefKind::zeroed`]).
     ///
     /// # Safety
     ///
-    /// Caller owns one strong reference to `addr` and forfeits it.
-    pub(crate) unsafe fn decrement(&self, t: Tid, addr: usize) {
-        smr::sanitize::on_decrement(addr, smr::sanitize::Channel::Strong);
-        let h = as_header(addr);
-        if (*h).strong.decrement() {
-            if (*h).weak.load() == 1 {
-                // No weak observers (the 1 is the strong side's own), so
-                // this call holds full dispose rights: destruct right now
-                // instead of a second round-trip through `dispose_ar`.
-                // Graph payloads tear down on the iterative worklist; a
-                // non-graph payload's `Drop` may drop child pointers, but
-                // those defer (the `SharedPtr` zero branch and the
-                // worklist both gate on the edge trait), so the recursion
-                // depth stays constant either way.
-                self.destruct(t, addr);
-            } else {
-                self.delayed_dispose(t, addr);
-            }
+    /// Caller owns one `K`-reference to `addr` and forfeits it.
+    pub(crate) unsafe fn decrement<K: RefKind>(&self, t: Tid, addr: usize) {
+        smr::sanitize::on_decrement(addr, K::CHANNEL);
+        if K::count(addr).decrement() {
+            K::zeroed(self, t, addr, false);
         }
     }
 
-    /// Direct weak decrement of a reference the caller owns. Frees the
-    /// control block when the weak count reaches zero.
+    /// Applies one deferred operation of channel `ch` — what an eject, a
+    /// quiescent batch or an exclusive drain hands back.
     ///
     /// # Safety
     ///
-    /// Caller owns one weak reference to `addr` and forfeits it.
-    pub(crate) unsafe fn weak_decrement(&self, t: Tid, addr: usize) {
-        smr::sanitize::on_decrement(addr, smr::sanitize::Channel::Weak);
-        if (*as_header(addr)).weak.decrement() {
-            self.free_block(t, addr);
+    /// The entry carries what its channel defers (module docs): one strong
+    /// reference, one weak reference, or — `Dispose` — the disposal
+    /// responsibility for an object whose strong count is zero, with no
+    /// critical section that could hold a snapshot of it still open.
+    unsafe fn apply(&self, ch: Channel, t: Tid, addr: usize) {
+        match ch {
+            Channel::Strong => self.decrement::<StrongKind>(t, addr),
+            Channel::Weak => self.decrement::<WeakKind>(t, addr),
+            Channel::Dispose => self.destruct(t, addr),
         }
     }
 
@@ -931,22 +950,10 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Destroys the managed object and drops the strong side's weak
-    /// reference (Fig. 8's `dispose`), destructing the reachable
-    /// zero-count subgraph along the way.
-    ///
-    /// # Safety
-    ///
-    /// The strong count of `addr` is zero, nobody else will dispose it, and
-    /// the caller holds dispose rights: no critical section that could hold
-    /// a snapshot of the object (strong or weak) is still open. The
-    /// dispose-instance eject path guarantees exactly this.
-    pub(crate) unsafe fn dispose(&self, t: Tid, addr: usize) {
-        self.destruct(t, addr);
-    }
-
-    /// Immediate iterative destruction (worklist, never recursion) of the
-    /// zero-strong-count subgraph rooted at `addr` — the CIRC-style fast
-    /// path that replaces one deferral round-trip per edge.
+    /// reference (Fig. 8's `dispose`): immediate iterative destruction
+    /// (worklist, never recursion) of the zero-strong-count subgraph rooted
+    /// at `addr` — the CIRC-style fast path that replaces one deferral
+    /// round-trip per edge.
     ///
     /// For each node: the graph vtable hook (if any) moves the node's
     /// outgoing edges out of the payload, the payload is disposed, and the
@@ -961,8 +968,10 @@ impl<S: AcquireRetire> Domain<S> {
     ///
     /// # Safety
     ///
-    /// As [`dispose`](Self::dispose): strong count of `addr` is zero and
-    /// the caller holds dispose rights for it.
+    /// The strong count of `addr` is zero, nobody else will dispose it, and
+    /// the caller holds dispose rights: no critical section that could hold
+    /// a snapshot of the object (strong or weak) is still open. The
+    /// dispose-instance eject path guarantees exactly this.
     pub(crate) unsafe fn destruct(&self, t: Tid, addr: usize) {
         let h = as_header(addr);
         if (*h).vtable.pop_edges.is_none() {
@@ -970,7 +979,7 @@ impl<S: AcquireRetire> Domain<S> {
             // edges — if any — relinquish themselves through the deferred
             // machinery from inside the payload's own `Drop`).
             ((*h).vtable.dispose)(h);
-            self.weak_decrement(t, addr);
+            self.decrement::<WeakKind>(t, addr);
             return;
         }
         // Steady-state allocation-free: reuse this thread's scratch
@@ -990,213 +999,154 @@ impl<S: AcquireRetire> Domain<S> {
                 pop(h, &mut *sink as *mut EdgeSink);
             }
             ((*h).vtable.dispose)(h);
-            smr::sanitize::on_decrement(a, smr::sanitize::Channel::Weak);
-            if (*h).weak.decrement() {
-                self.free_block(t, a);
-            }
-            for e in sink.strong_direct.drain(..) {
+            self.decrement::<WeakKind>(t, a);
+            for e in sink.direct[Channel::Strong as usize].drain(..) {
                 let eh = as_header(e);
-                smr::sanitize::on_decrement(e, smr::sanitize::Channel::Strong);
+                smr::sanitize::on_decrement(e, Channel::Strong);
                 if (*eh).strong.decrement() {
-                    // Only graph children join the worklist; a non-graph
-                    // child's `Drop` relinquishes its own edges and could
-                    // recurse, so it takes the deferred path.
+                    // `StrongKind::zeroed` for an owned edge, with the
+                    // worklist standing in for the recursion: only graph
+                    // children join it; a non-graph child's `Drop`
+                    // relinquishes its own edges and could recurse, so it
+                    // takes the deferred path.
                     if (*eh).weak.load() == 1 && (*eh).vtable.pop_edges.is_some() {
                         worklist.push(e);
                     } else {
-                        self.delayed_dispose(t, e);
+                        self.retire(Channel::Dispose, t, e);
                     }
                 }
             }
-            for e in sink.weak_direct.drain(..) {
-                smr::sanitize::on_decrement(e, smr::sanitize::Channel::Weak);
-                if (*as_header(e)).weak.decrement() {
-                    self.free_block(t, e);
+            for e in sink.direct[Channel::Weak as usize].drain(..) {
+                self.decrement::<WeakKind>(t, e);
+            }
+            for ch in BATCHED {
+                for e in sink.deferred[ch as usize].drain(..) {
+                    self.batch(ch, t, e);
                 }
-            }
-            for e in sink.strong_deferred.drain(..) {
-                self.batch_decrement(t, e);
-            }
-            for e in sink.weak_deferred.drain(..) {
-                self.batch_weak_decrement(t, e);
             }
         }
         local.destruct_scratch.set(Some(scratch));
     }
 
-    /// Defers a strong decrement of a location-owned reference (the object
-    /// was just unlinked from a shared location).
-    ///
-    /// # Safety
-    ///
-    /// One strong reference to `addr` is transferred to the domain.
-    pub(crate) unsafe fn delayed_decrement(&self, t: Tid, addr: usize) {
-        smr::sanitize::on_retire(addr, smr::sanitize::Channel::Strong);
-        let birth = (*as_header(addr)).birth;
-        self.strong_ar.retire(t, Retired::new(addr, birth));
-        self.collect(t);
+    /// Hands one record to `ch`'s instance — the single entry into the
+    /// table's retired lists, and so the one retire-side place that marks
+    /// the weak and dispose queues as possibly non-empty.
+    fn issue(&self, ch: Channel, t: Tid, r: Retired) {
+        if ch != Channel::Strong {
+            self.locals[t.index()].weak_used.set(true);
+        }
+        self.ar(ch).retire(t, r);
     }
 
-    /// Defers a weak decrement of a location-owned weak reference.
+    /// Defers one `ch` operation on `addr` (module docs: a decrement of a
+    /// reference a location owned, or a disposal).
     ///
     /// # Safety
     ///
-    /// One weak reference to `addr` is transferred to the domain.
-    pub(crate) unsafe fn delayed_weak_decrement(&self, t: Tid, addr: usize) {
-        smr::sanitize::on_retire(addr, smr::sanitize::Channel::Weak);
-        self.locals[t.index()].weak_used.set(true);
-        let birth = (*as_header(addr)).birth;
-        self.weak_ar.retire(t, Retired::new(addr, birth));
-        self.collect(t);
-    }
-
-    /// Defers destruction of an object whose strong count just hit zero.
-    ///
-    /// # Safety
-    ///
-    /// The strong count of `addr` is zero; disposal responsibility is
+    /// What `ch` defers — one strong reference, one weak reference, or the
+    /// disposal responsibility for a zero-strong-count object — is
     /// transferred to the domain.
-    pub(crate) unsafe fn delayed_dispose(&self, t: Tid, addr: usize) {
-        smr::sanitize::on_retire(addr, smr::sanitize::Channel::Dispose);
-        self.locals[t.index()].weak_used.set(true);
-        let birth = (*as_header(addr)).birth;
-        self.dispose_ar.retire(t, Retired::new(addr, birth));
+    pub(crate) unsafe fn retire(&self, ch: Channel, t: Tid, addr: usize) {
+        smr::sanitize::on_retire(addr, ch);
+        self.issue(ch, t, Retired::new(addr, (*as_header(addr)).birth));
         self.collect(t);
-    }
-
-    /// Reads an object's birth epoch (diagnostics / future schemes).
-    ///
-    /// # Safety
-    ///
-    /// The control block must be alive.
-    #[allow(dead_code)]
-    pub(crate) unsafe fn birth_of(&self, addr: usize) -> u64 {
-        (*as_header(addr)).birth
     }
 
     // ------------------------------------------------------------------
     // Per-thread decrement batching
     // ------------------------------------------------------------------
 
-    /// Batched flavour of [`delayed_decrement`](Self::delayed_decrement):
-    /// the retire is accumulated in a per-thread buffer and issued at the
-    /// next flush point. Deferring the retire to flush time only *widens*
-    /// protection: the later retire stamp classifies strictly more readers
-    /// as concurrent, so every section that could reach the reference at
-    /// unlink time is still waited out.
+    /// Batched flavour of [`retire`](Self::retire) for the two count
+    /// channels: the retire is accumulated in a per-thread buffer and issued
+    /// at the next flush point. Deferring the retire to flush time only
+    /// *widens* protection: the later retire stamp classifies strictly more
+    /// readers as concurrent, so every section that could reach the
+    /// reference at unlink time is still waited out.
     ///
     /// # Safety
     ///
-    /// One strong reference to `addr` is transferred to the domain.
-    pub(crate) unsafe fn batch_decrement(&self, t: Tid, addr: usize) {
-        self.batch_push(t, addr, false);
-    }
-
-    /// Batched flavour of
-    /// [`delayed_weak_decrement`](Self::delayed_weak_decrement).
-    ///
-    /// # Safety
-    ///
-    /// One weak reference to `addr` is transferred to the domain.
-    pub(crate) unsafe fn batch_weak_decrement(&self, t: Tid, addr: usize) {
-        self.batch_push(t, addr, true);
-    }
-
-    unsafe fn batch_push(&self, t: Tid, addr: usize, weak: bool) {
+    /// One `ch`-counted reference to `addr` is transferred to the domain.
+    pub(crate) unsafe fn batch(&self, ch: Channel, t: Tid, addr: usize) {
         // The batch entry *is* a retire whose engine-level issue is merely
         // deferred to the flush; ownership transfers to the domain here.
-        smr::sanitize::on_retire(
-            addr,
-            if weak {
-                smr::sanitize::Channel::Weak
-            } else {
-                smr::sanitize::Channel::Strong
-            },
-        );
-        let local = &self.locals[t.index()];
-        if weak {
-            local.weak_used.set(true);
-        }
-        if !local.flush_registered.get() {
-            if !self.register_thread_flush() {
-                // The thread is already unregistering: nothing would ever
-                // flush a batch entry, so apply the deferral synchronously.
-                if weak {
-                    self.delayed_weak_decrement(t, addr);
-                } else {
-                    self.delayed_decrement(t, addr);
-                }
-                return;
-            }
-            local.flush_registered.set(true);
-        }
+        smr::sanitize::on_retire(addr, ch);
         // Read the birth epoch now, while the displacing operation still has
         // the block's header warm; the flush only copies records.
         let r = Retired::new(addr, (*as_header(addr)).birth);
-        let buf = if weak {
-            &local.pending_weak
-        } else {
-            &local.pending_strong
-        };
+        let local = &self.locals[t.index()];
+        if !local.flush_registered.get() {
+            if !self.register_thread_flush() {
+                // The thread is already unregistering: nothing would ever
+                // flush a batch entry, so issue the deferral synchronously.
+                self.issue(ch, t, r);
+                return self.collect(t);
+            }
+            local.flush_registered.set(true);
+        }
         // Safety: `t` is the calling thread's slot.
-        if buf.push(r) {
+        if local.pending[ch as usize].push(r) {
             self.flush_batches(t);
         }
+    }
+
+    /// Takes slot `from`'s pending batch and either applies it on the spot
+    /// or issues it to the instances under slot `t`; `false` if it was
+    /// empty. The one apply-if-quiescent-else-retire arm: the owner's flush,
+    /// the adoption of a dead slot and the exclusive drain all come here.
+    ///
+    /// Quiescent fast path: every batched entry was displaced from its
+    /// shared location *before* it was pushed, so if no section is active on
+    /// either count instance now, no reader can still hold an uncounted
+    /// snapshot of it — the whole batch may be applied directly, skipping
+    /// the retire/scan/eject round-trip entirely. (A section that opens
+    /// after the check revalidates against the live locations, none of
+    /// which still name these references.) Both sweeps must pass: strong
+    /// snapshots are taken under `Strong` sections and weak ones under
+    /// `Weak`, but guard flavours may hold both.
+    ///
+    /// # Safety
+    ///
+    /// `t` is the calling thread's slot, and the caller is `from`'s owner
+    /// thread or has exclusive access to it (its owner is dead, or nobody
+    /// else is using the domain).
+    unsafe fn settle(&self, t: Tid, from: &DomainLocal) -> bool {
+        if from.pending.iter().all(Batch::is_empty) {
+            return false;
+        }
+        // Both copies first: applying an entry can batch new ones, which
+        // land at index 0 of the now-empty buffers.
+        let taken = [from.pending[0].take(), from.pending[1].take()];
+        let quiescent = BATCHED.iter().all(|&ch| self.ar(ch).quiescent());
+        for (ch, (entries, n)) in BATCHED.into_iter().zip(&taken) {
+            for r in &entries[..*n] {
+                if quiescent {
+                    // Safety: each entry owes one `ch` reference
+                    // transferred at `batch`; quiescence grants the apply
+                    // rights the eject path would.
+                    self.apply(ch, t, r.addr);
+                } else {
+                    // The block is alive: its count still includes the
+                    // reference the entry owes.
+                    self.issue(ch, t, *r);
+                }
+            }
+        }
+        true
     }
 
     /// Retires every batched decrement of the calling thread, repeating
     /// until the buffers stay empty (applying a batch can destruct objects
     /// whose displaced edges batch new decrements).
     pub(crate) fn flush_batches(&self, t: Tid) {
-        let local = &self.locals[t.index()];
-        loop {
-            // Safety: `t` is the calling thread's slot.
-            let (strong, ns) = unsafe { local.pending_strong.take() };
-            let (weak, nw) = unsafe { local.pending_weak.take() };
-            if ns == 0 && nw == 0 {
-                break;
-            }
-            // Quiescent fast path: every batched entry was displaced from
-            // its shared location *before* it was pushed, so if no section
-            // is active on either instance now, no reader can still hold an
-            // uncounted snapshot of it — the whole batch may be applied on
-            // the spot, skipping the retire/scan/eject round-trip entirely.
-            // (A section that opens after the check revalidates against the
-            // live locations, none of which still name these references.)
-            // Both sweeps must pass: strong snapshots are taken under
-            // `strong_ar` sections and weak ones under `weak_ar`, but guard
-            // flavours may hold both.
-            if self.strong_ar.quiescent() && self.weak_ar.quiescent() {
-                for r in &strong[..ns] {
-                    // Safety: each entry owes one strong reference
-                    // transferred at `batch_decrement`; quiescence grants
-                    // the apply rights the eject path would.
-                    unsafe { self.decrement(t, r.addr) };
-                }
-                for r in &weak[..nw] {
-                    // Safety: as above, for one weak reference.
-                    unsafe { self.weak_decrement(t, r.addr) };
-                }
-            } else {
-                for r in &strong[..ns] {
-                    // Safety: each entry owes one strong reference
-                    // transferred at `batch_decrement`; the block is alive
-                    // (its count still includes that reference).
-                    self.strong_ar.retire(t, *r);
-                }
-                for r in &weak[..nw] {
-                    // Safety: as above, for one weak reference.
-                    self.weak_ar.retire(t, *r);
-                }
-            }
+        // Safety: `t` is the calling thread's slot.
+        while unsafe { self.settle(t, &self.locals[t.index()]) } {
             self.collect(t);
         }
     }
 
     /// Whether the calling thread has batched decrements not yet retired.
     fn has_pending_batch(&self, t: Tid) -> bool {
-        let local = &self.locals[t.index()];
-        !local.pending_strong.is_empty() || !local.pending_weak.is_empty()
+        self.locals[t.index()].pending.iter().any(|b| !b.is_empty())
     }
 
     /// Installs the two flush triggers for the calling thread: the
@@ -1205,14 +1155,14 @@ impl<S: AcquireRetire> Domain<S> {
     /// `false` when the thread is already unregistering and can no longer
     /// defer work.
     fn register_thread_flush(&self) -> bool {
-        // Section-exit trigger. Every guard flavour and internal section
-        // helper ends the *strong* section last, so hooking only `strong_ar`
-        // flushes once per outermost section of any flavour. The hook holds
-        // a raw pointer to `self`; it only fires inside
-        // `end_critical_section`, whose callers by contract keep the
-        // instance (and thus the whole domain) reachable until it returns.
+        // Section-exit trigger. `leave` ends the *strong* section last, so
+        // hooking only that instance flushes once per outermost section of
+        // either flavour. The hook holds a raw pointer to `self`; it only
+        // fires inside `end_critical_section`, whose callers by contract
+        // keep the instance (and thus the whole domain) reachable until it
+        // returns.
         unsafe {
-            self.strong_ar.set_exit_hook(ExitHook::new(
+            self.ar(Channel::Strong).set_exit_hook(ExitHook::new(
                 self as *const Self as *const (),
                 exit_flush::<S>,
             ));
@@ -1235,18 +1185,67 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     // ------------------------------------------------------------------
-    // Applying ejected deferred operations
+    // Sections
     // ------------------------------------------------------------------
 
-    /// Opens the weak and dispose sections of a full critical section.
-    /// Leaving them can land other threads' retires in this thread's ready
-    /// queues, so from here on `collect` peeks those as well.
+    /// Opens thread `t`'s section: on the strong instance, and with `full`
+    /// on the weak and dispose instances too. Leaving those can land other
+    /// threads' retires in this thread's ready queues, so from here on
+    /// `collect` peeks them as well.
     #[inline]
-    fn begin_weak_sections(&self, t: Tid) {
-        self.locals[t.index()].weak_used.set(true);
-        self.weak_ar.begin_critical_section(t);
-        self.dispose_ar.begin_critical_section(t);
+    fn enter(&self, t: Tid, full: bool) {
+        self.ar(Channel::Strong).begin_critical_section(t);
+        if full {
+            self.locals[t.index()].weak_used.set(true);
+            self.ar(Channel::Weak).begin_critical_section(t);
+            self.ar(Channel::Dispose).begin_critical_section(t);
+        }
     }
+
+    /// Closes what [`enter`](Self::enter) opened, the strong section last
+    /// so the exit-hook flush keeps its "once per outermost section of
+    /// either flavour" contract, then applies what became ready: leaving a
+    /// section is where region schemes (Hyaline in particular) ready new
+    /// ejects.
+    ///
+    /// Panic-safe: a section can end while the thread is unwinding (the
+    /// RAII guards close it on purpose, so the announcement never pins
+    /// other threads' garbage). Applying ejects executes user destructors
+    /// and a second panic would abort the process, so collection is skipped
+    /// then and runs at the next natural flush point.
+    #[inline]
+    fn leave(&self, t: Tid, full: bool) {
+        if full {
+            self.ar(Channel::Dispose).end_critical_section(t);
+            self.ar(Channel::Weak).end_critical_section(t);
+        }
+        self.ar(Channel::Strong).end_critical_section(t);
+        if !std::thread::panicking() {
+            self.collect(t);
+        }
+    }
+
+    /// Runs `f` inside a temporary section of thread `t` — what an
+    /// operation invoked without a guard opens for its own duration. The
+    /// section is closed by a drop guard, so a panic in `f` unwinds with the
+    /// announcement closed. No pin: the caller's borrowed location keeps
+    /// the core alive.
+    #[inline]
+    pub(crate) fn with_cs<R>(&self, t: Tid, full: bool, f: impl FnOnce() -> R) -> R {
+        struct End<'a, S: AcquireRetire>(&'a Domain<S>, Tid, bool);
+        impl<S: AcquireRetire> Drop for End<'_, S> {
+            fn drop(&mut self) {
+                self.0.leave(self.1, self.2);
+            }
+        }
+        self.enter(t, full);
+        let _end = End(self, t, full);
+        f()
+    }
+
+    // ------------------------------------------------------------------
+    // Applying ejected deferred operations
+    // ------------------------------------------------------------------
 
     /// Applies every ready ejected operation on all three instances.
     ///
@@ -1261,11 +1260,11 @@ impl<S: AcquireRetire> Domain<S> {
         // peek for a thread that never touched the weak or dispose instance
         // (maps, lists, the tree: those two ready queues cannot hold
         // anything), three otherwise — instead of the re-entrancy
-        // bookkeeping and triple eject loop of `apply_ready`.
+        // bookkeeping and eject loop of `apply_ready`.
         let local = &self.locals[t.index()];
-        if self.strong_ar.has_ready(t)
+        if self.ar(Channel::Strong).has_ready(t)
             || (local.weak_used.get()
-                && (self.weak_ar.has_ready(t) || self.dispose_ar.has_ready(t)))
+                && (self.ar(Channel::Weak).has_ready(t) || self.ar(Channel::Dispose).has_ready(t)))
         {
             self.apply_ready(t);
         }
@@ -1292,22 +1291,14 @@ impl<S: AcquireRetire> Domain<S> {
         let mut applied = 0;
         loop {
             let mut any = false;
-            while let Some(r) = self.strong_ar.eject(t) {
-                any = true;
-                // Safety: an ejected strong retire carries exactly one
-                // strong reference transferred at `delayed_decrement`.
-                unsafe { self.decrement(t, r.addr) };
-            }
-            while let Some(r) = self.weak_ar.eject(t) {
-                any = true;
-                // Safety: carries one weak reference.
-                unsafe { self.weak_decrement(t, r.addr) };
-            }
-            while let Some(r) = self.dispose_ar.eject(t) {
-                any = true;
-                // Safety: carries the disposal responsibility for an object
-                // whose strong count is zero.
-                unsafe { self.dispose(t, r.addr) };
+            for ch in CHANNELS {
+                while let Some(r) = self.ar(ch).eject(t) {
+                    any = true;
+                    // Safety: an ejected record carries what its channel
+                    // defers, transferred at `retire`/`batch`, and the
+                    // eject grants the apply rights.
+                    unsafe { self.apply(ch, t, r.addr) };
+                }
             }
             if !any {
                 break;
@@ -1328,9 +1319,9 @@ impl<S: AcquireRetire> Domain<S> {
     pub fn process_deferred(&self, t: Tid) {
         loop {
             self.flush_batches(t);
-            self.strong_ar.flush(t);
-            self.weak_ar.flush(t);
-            self.dispose_ar.flush(t);
+            for ar in &self.ar {
+                ar.flush(t);
+            }
             if self.apply_ready(t) == 0 && !self.has_pending_batch(t) {
                 break;
             }
@@ -1348,36 +1339,21 @@ impl<S: AcquireRetire> Domain<S> {
         loop {
             // Exclusive access: pending decrement batches on *every* slot
             // (including slots of exited threads whose flush callback
-            // never ran) can be applied directly. `take` copies the entries
-            // out first — applying a decrement can batch new entries onto
-            // the calling thread's own (now empty) buffer.
+            // never ran) are settled from here. Whatever a stranded
+            // announcement makes `settle` issue instead of apply, the drain
+            // below takes straight back out.
             let mut batched = false;
             for local in self.locals.iter() {
-                let (strong, ns) = local.pending_strong.take();
-                let (weak, nw) = local.pending_weak.take();
-                for r in &strong[..ns] {
-                    batched = true;
-                    self.decrement(t, r.addr);
-                }
-                for r in &weak[..nw] {
-                    batched = true;
-                    self.weak_decrement(t, r.addr);
-                }
+                batched |= self.settle(t, local);
             }
-            let strong: Vec<Retired> = self.strong_ar.drain_all();
-            let weak: Vec<Retired> = self.weak_ar.drain_all();
-            let disp: Vec<Retired> = self.dispose_ar.drain_all();
-            if !batched && strong.is_empty() && weak.is_empty() && disp.is_empty() {
+            let drained = CHANNELS.map(|ch| self.ar(ch).drain_all());
+            if !batched && drained.iter().all(Vec::is_empty) {
                 break;
             }
-            for r in strong {
-                self.decrement(t, r.addr);
-            }
-            for r in weak {
-                self.weak_decrement(t, r.addr);
-            }
-            for r in disp {
-                self.dispose(t, r.addr);
+            for (ch, records) in CHANNELS.into_iter().zip(drained) {
+                for r in records {
+                    self.apply(ch, t, r.addr);
+                }
             }
             // Applying may have retired more (possibly on other slots via
             // recycled Tids); loop until nothing is left anywhere.
@@ -1387,17 +1363,11 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Recovers the per-thread state a dead thread stranded in this domain:
     /// force-closes its announcements on all three instances (migrating its
-    /// retired lists into the calling thread's), drains its orphaned pending
-    /// decrement batches — the `on_thread_exit` flush that would normally
-    /// retire them never ran — and resets its slot-local flags so the slot's
-    /// next owner starts clean.
-    ///
-    /// Batch entries are applied directly when both snapshot-bearing
-    /// instances are quiescent (the same re-validation as `flush_batches`:
-    /// every entry was displaced from its location before the owner died, so
-    /// with no open section anywhere no reader can still hold an uncounted
-    /// snapshot); otherwise they are retired through the ordinary deferred
-    /// machinery under the *calling* thread's slot.
+    /// retired lists into the calling thread's), settles its orphaned
+    /// pending decrement batches under the *calling* thread's slot — the
+    /// `on_thread_exit` flush that would normally retire them never ran —
+    /// and resets its slot-local flags so the slot's next owner starts
+    /// clean.
     ///
     /// Normally invoked through the registry reaper chain
     /// ([`smr::reclaim_orphaned_slot`]) rather than directly.
@@ -1417,37 +1387,17 @@ impl<S: AcquireRetire> Domain<S> {
             "a thread cannot reclaim its own slot"
         );
         // Force-close the dead thread's sections and adopt its retired
-        // lists. Instance order does not matter: the owner is dead, so no
+        // lists — which may hold weak- and dispose-instance entries.
+        // Instance order does not matter: the owner is dead, so no
         // scheme-level invariant links the three announcements any more.
-        self.strong_ar.reclaim_slot(dead, t);
-        self.weak_ar.reclaim_slot(dead, t);
-        self.dispose_ar.reclaim_slot(dead, t);
-        // Drain the orphaned decrement batches. Exclusive access to the dead
-        // slot's cells follows from the safety contract.
-        let local = &self.locals[dead.index()];
-        let (strong, ns) = local.pending_strong.take();
-        let (weak, nw) = local.pending_weak.take();
-        if ns != 0 || nw != 0 {
-            if self.strong_ar.quiescent() && self.weak_ar.quiescent() {
-                for r in &strong[..ns] {
-                    // Safety: each entry owes one strong reference
-                    // transferred at `batch_decrement`; quiescence grants
-                    // apply rights as in `flush_batches`.
-                    self.decrement(t, r.addr);
-                }
-                for r in &weak[..nw] {
-                    // Safety: as above, for one weak reference.
-                    self.weak_decrement(t, r.addr);
-                }
-            } else {
-                for r in &strong[..ns] {
-                    self.strong_ar.retire(t, *r);
-                }
-                for r in &weak[..nw] {
-                    self.weak_ar.retire(t, *r);
-                }
-            }
+        for ar in &self.ar {
+            ar.reclaim_slot(dead, t);
         }
+        self.locals[t.index()].weak_used.set(true);
+        // Exclusive access to the dead slot's cells follows from the safety
+        // contract.
+        let local = &self.locals[dead.index()];
+        self.settle(t, local);
         // Reset slot-local state for the slot's next owner: the unregister
         // callback that would have cleared `flush_registered` never ran,
         // the owner may have died mid-collection with `applying` set, and
@@ -1460,8 +1410,6 @@ impl<S: AcquireRetire> Domain<S> {
             // Safety: a raised depth is one pin, and its owner is dead.
             Self::release(NonNull::from(self));
         }
-        // The adopted retired lists may hold weak-instance entries.
-        self.locals[t.index()].weak_used.set(true);
         self.collect(t);
     }
 }
@@ -1552,26 +1500,23 @@ impl<S: AcquireRetire> CsGuard<S> {
     pub(crate) fn tid(&self) -> Tid {
         self.t
     }
+
+    /// Ends the section [`DomainRef::guard`] opened with the same `full`:
+    /// both guard types' drop.
+    #[inline]
+    fn close(&self, full: bool) {
+        self.domain().leave(self.t, full);
+        // Last: the exit-hook flush and the collection above ran at the
+        // guard's own depth.
+        // Safety: the guard is one unit of its (creating, `!Send`) thread's
+        // depth, and closes once.
+        unsafe { Domain::pin_exit(self.domain, self.t) };
+    }
 }
 
 impl<S: AcquireRetire> Drop for CsGuard<S> {
     fn drop(&mut self) {
-        let d = self.domain();
-        d.strong_ar.end_critical_section(self.t);
-        // Leaving a section is where region schemes (Hyaline in particular)
-        // ready new ejects; apply them now — unless this drop runs during a
-        // panic unwind, where applying ejects executes user destructors and
-        // a second panic would abort the process. The section itself is
-        // still exited above (never pinning other threads' garbage); the
-        // skipped work runs at the next natural flush point.
-        if !std::thread::panicking() {
-            d.collect(self.t);
-        }
-        // Last: the exit-hook flush and the collection above ran at the
-        // guard's own depth.
-        // Safety: the guard is one unit of its (creating, `!Send`) thread's
-        // depth.
-        unsafe { Domain::pin_exit(self.domain, self.t) };
+        self.close(false);
     }
 }
 
@@ -1588,7 +1533,15 @@ impl<S: AcquireRetire> fmt::Debug for CsGuard<S> {
 /// [`WeakSnapshotPtr`](crate::WeakSnapshotPtr) lifetimes; usable anywhere a
 /// strong [`CsGuard`] is accepted via [`OpGuard::strong_cs`].
 pub struct WeakCsGuard<S: AcquireRetire> {
-    inner: CsGuard<S>,
+    /// Opened with `full`, so never dropped as a strong-only guard: this
+    /// type's own drop closes all three sections.
+    inner: ManuallyDrop<CsGuard<S>>,
+}
+
+impl<S: AcquireRetire> Drop for WeakCsGuard<S> {
+    fn drop(&mut self) {
+        self.inner.close(true);
+    }
 }
 
 impl<S: AcquireRetire> WeakCsGuard<S> {
@@ -1613,16 +1566,6 @@ impl<S: AcquireRetire> WeakCsGuard<S> {
     #[inline]
     pub(crate) fn tid(&self) -> Tid {
         self.inner.t
-    }
-}
-
-impl<S: AcquireRetire> Drop for WeakCsGuard<S> {
-    fn drop(&mut self) {
-        let d = self.inner.domain();
-        d.weak_ar.end_critical_section(self.inner.t);
-        d.dispose_ar.end_critical_section(self.inner.t);
-        // `inner` drops afterwards, ending the strong section and running
-        // collection.
     }
 }
 
@@ -1666,61 +1609,6 @@ impl<S: AcquireRetire> OpGuard<S> for WeakCsGuard<S> {
     }
 }
 
-/// Internal helper: runs `f` inside a temporary strong critical section.
-///
-/// Panic-safe: the section is ended by a drop guard, so a panic in `f`
-/// unwinds with the announcement closed rather than pinning the epoch (and
-/// thus all other threads' garbage) forever. Collection is skipped while
-/// unwinding — see [`CsGuard`]'s `Drop` for why — and runs at the next
-/// natural flush point instead.
-#[inline]
-pub(crate) fn with_strong_cs<S: AcquireRetire, R>(
-    domain: &Domain<S>,
-    t: Tid,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct End<'a, S: AcquireRetire>(&'a Domain<S>, Tid);
-    impl<S: AcquireRetire> Drop for End<'_, S> {
-        fn drop(&mut self) {
-            self.0.strong_ar.end_critical_section(self.1);
-            if !std::thread::panicking() {
-                self.0.collect(self.1);
-            }
-        }
-    }
-    domain.strong_ar.begin_critical_section(t);
-    let _end = End(domain, t);
-    f()
-}
-
-/// Internal helper: runs `f` inside a temporary full critical section.
-///
-/// Panic-safe on the same pattern as [`with_strong_cs`]; the strong section
-/// ends last so the exit-hook flush (skipped while unwinding) keeps its
-/// "once per outermost section of any flavour" contract.
-#[inline]
-pub(crate) fn with_full_cs<S: AcquireRetire, R>(
-    domain: &Domain<S>,
-    t: Tid,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct End<'a, S: AcquireRetire>(&'a Domain<S>, Tid);
-    impl<S: AcquireRetire> Drop for End<'_, S> {
-        fn drop(&mut self) {
-            self.0.dispose_ar.end_critical_section(self.1);
-            self.0.weak_ar.end_critical_section(self.1);
-            self.0.strong_ar.end_critical_section(self.1);
-            if !std::thread::panicking() {
-                self.0.collect(self.1);
-            }
-        }
-    }
-    domain.strong_ar.begin_critical_section(t);
-    domain.begin_weak_sections(t);
-    let _end = End(domain, t);
-    f()
-}
-
 /// Marker: a borrowed handle that guarantees the referent's strong count is
 /// at least one for the duration of the borrow, enabling plain fetch-add
 /// increments (no increment-if-not-zero needed).
@@ -1730,46 +1618,6 @@ pub(crate) fn with_full_cs<S: AcquireRetire, R>(
 pub trait StrongRef<T> {
     /// The untagged control-block address, or 0 for null.
     fn addr(&self) -> usize;
-}
-
-pub(crate) fn _assert_traits() {
-    fn is_send_sync<X: Send + Sync>() {}
-    is_send_sync::<Domain<smr::Ebr>>();
-    is_send_sync::<DomainRef<smr::Ebr>>();
-}
-
-/// Shared helper for the atomic pointer types: the word is loaded and
-/// protected via `acquire` on the given instance, then the strong/weak count
-/// incremented and protection released — Fig. 8's `load_and_increment` and
-/// `weak_load_and_increment`.
-///
-/// Returns the untagged address (0 for null).
-///
-/// # Safety
-///
-/// `word` must be a location managed under the domain's counting protocol
-/// for the chosen instance: while it stores a non-null address, it owns a
-/// (strong / weak, matching `inc`) reference to it whose decrement is
-/// deferred through that same instance.
-pub(crate) unsafe fn load_and_increment<S: AcquireRetire>(
-    ar: &S,
-    t: Tid,
-    word: &AtomicUsize,
-    inc: impl FnOnce(usize),
-) -> usize {
-    let (w, guard) = ar.acquire(t, word);
-    let addr = smr::untagged(w);
-    if addr != 0 {
-        inc(addr);
-    }
-    ar.release(t, guard);
-    addr
-}
-
-/// Asserts at compile time that header erasure is sound for any `T`.
-#[allow(dead_code)]
-fn _header_prefix_is_stable<T>(c: *mut Counted<T>) -> *mut crate::counted::Header {
-    c as *mut crate::counted::Header
 }
 
 #[cfg(test)]
@@ -1932,7 +1780,7 @@ mod tests {
             let displaced = slot.swap(SharedPtr::new_in(i, &d));
             drop(displaced);
             let stale = crate::TaggedPtr::null();
-            drop(slot.compare_exchange_owned(stale, SharedPtr::new_in(i, &d)));
+            drop(slot.compare_exchange(stale, SharedPtr::new_in(i, &d), 0));
             let inner = d.cs();
             drop(slot.get_snapshot(&inner).to_shared());
             drop(inner);
@@ -1977,7 +1825,7 @@ mod tests {
         let d: DomainRef<S> = DomainRef::new();
         let slot: crate::AtomicWeakPtr<u64, S> = crate::AtomicWeakPtr::null_in(&d);
         let p = SharedPtr::new_in(1u64, &d);
-        slot.store_strong(&p);
+        slot.store(p.downgrade());
         let (entered_tx, entered_rx) = channel();
         let (leave_tx, leave_rx) = channel::<()>();
         std::thread::scope(|s| {
@@ -1993,7 +1841,7 @@ mod tests {
             entered_rx.recv().unwrap();
             // Displace the weak reference and zero the strong count while
             // the reader's section is open: both deferrals wait on it.
-            slot.store_owned(crate::WeakPtr::null());
+            slot.store(crate::WeakPtr::null());
             drop(p);
             d.process_deferred(smr::current_tid());
             leave_tx.send(()).unwrap();
@@ -2013,6 +1861,101 @@ mod tests {
         reader_only_thread_applies_what_it_claims::<crate::IbrScheme>();
         reader_only_thread_applies_what_it_claims::<crate::HpScheme>();
         reader_only_thread_applies_what_it_claims::<crate::HyalineScheme>();
+    }
+
+    /// Who settles a pending batch: its owner's flush, the thread adopting
+    /// a dead slot, or the exclusive drain.
+    #[derive(Clone, Copy, Debug)]
+    enum Settler {
+        Owner,
+        Adopter,
+        Drain,
+    }
+
+    /// Loads the same mixed batch — `N` displaced strong and `N` displaced
+    /// weak references, nothing else left alive — and has `who` settle it,
+    /// with or without a section stranded open by a dead thread (so both
+    /// halves of `settle` run: apply on the spot, or issue to the
+    /// instances). Returns `(allocated, freed)` once everything is settled.
+    fn settle_batch<S: Scheme>(who: Settler, stranded: bool) -> (u64, u64) {
+        const N: u64 = 8;
+        let _serial = pin_tests();
+        let d: DomainRef<S> = DomainRef::new();
+        let t = smr::current_tid();
+        let die = |f: &(dyn Fn() + Sync)| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    f();
+                    smr::abandon_current_slot()
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        let section = stranded.then(|| die(&|| std::mem::forget(d.weak_cs())));
+        let load = || {
+            let strong: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
+            let weak: crate::AtomicWeakPtr<u64, S> = crate::AtomicWeakPtr::null_in(&d);
+            for i in 0..N {
+                let p = SharedPtr::new_in(i, &d);
+                weak.store(p.downgrade());
+                strong.store(p);
+            }
+            // The locations' drops batch the last two references.
+            drop((strong, weak));
+            let pending = &d.locals[smr::current_tid().index()].pending;
+            assert!(pending.iter().all(|b| b.len.get() == N as usize));
+        };
+        match who {
+            Settler::Owner => {
+                load();
+                d.flush_batches(t);
+            }
+            Settler::Adopter => {
+                let dead = die(&load);
+                assert!(!d.locals[t.index()].weak_used.get());
+                // Safety: the loader was joined.
+                assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
+            }
+            Settler::Drain => {
+                load();
+                // Safety: every other thread that used the domain is dead.
+                unsafe { d.drain_and_apply_all(t) };
+            }
+        }
+        assert!(!d.has_pending_batch(t));
+        // Whoever settled it now has weak- or dispose-instance entries to
+        // its name — issued weak decrements, or the disposals the applied
+        // strong ones deferred (each object still had a weak observer) —
+        // and must peek those queues from here on. The PR 16 regression:
+        // the adopter's copy of the arm did not say so.
+        assert!(d.locals[t.index()].weak_used.get(), "{who:?}");
+        if let Some(dead) = section {
+            // Safety: joined.
+            assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
+        }
+        d.process_deferred(t);
+        (d.allocated(), d.freed())
+    }
+
+    #[test]
+    fn a_batch_settles_alike_whoever_settles_it_all_schemes() {
+        fn run<S: Scheme>() {
+            for stranded in [false, true] {
+                for who in [Settler::Owner, Settler::Adopter, Settler::Drain] {
+                    assert_eq!(
+                        settle_batch::<S>(who, stranded),
+                        (8, 8),
+                        "{} {who:?} stranded={stranded}",
+                        S::scheme_name()
+                    );
+                }
+            }
+        }
+        run::<EbrScheme>();
+        run::<crate::IbrScheme>();
+        run::<crate::HpScheme>();
+        run::<crate::HyalineScheme>();
     }
 
     #[test]

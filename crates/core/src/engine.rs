@@ -1,27 +1,40 @@
-//! The private generic engine behind [`AtomicSharedPtr`] and
-//! [`AtomicWeakPtr`]: one word-level implementation of the
-//! load / witness / install / retire protocol, instantiated twice through
-//! [`RefKind`] (strong vs weak reference accounting).
+//! What a reference *kind* is, and the untyped engine generic over it.
+//!
+//! # A kind is …
+//!
+//! … the answer to three questions about one reference to a control block
+//! (§4.4, Fig. 8–9: weak pointers are the strong protocol run again on a
+//! second count and a second acquire-retire instance):
+//!
+//! * **which count it holds** — [`RefKind::count`]: `strong` or `weak` in
+//!   the block's header;
+//! * **which instance defers giving it up** — [`RefKind::CHANNEL`], an index
+//!   into the domain's channel table (`domain.rs`), plus the instance a
+//!   count-free snapshot's guard is taken on ([`RefKind::GUARD`]) and the
+//!   section a protected load needs ([`RefKind::FULL`]);
+//! * **what taking that count to zero obliges** — [`RefKind::zeroed`]:
+//!   dispose the payload (strong) or free the block (weak).
+//!
+//! [`StrongKind`] and [`WeakKind`] are the two answers, given here and
+//! nowhere else. Everything above this module is generic over the kind:
+//! one owned pointer, one atomic location, one snapshot (`ptr.rs`), one
+//! retire / batch / apply path indexed by channel (`domain.rs`), one edge
+//! collector (`counted.rs`). The `strong.rs` / `weak.rs` modules hold only
+//! what the paper makes different.
 //!
 //! Everything here is *untyped* — words, addresses, tag bits. The pointer
-//! modules wrap these primitives in `SharedPtr` / `WeakPtr` /
-//! `SnapshotPtr` values and own all payload typing; this module owns the
-//! concurrency protocol:
+//! modules add the payload type; this module owns the concurrency protocol:
 //!
 //! * every install path checks the incoming block against the location's
 //!   domain ([`check_same_domain`]);
-//! * displaced references are either retired through the kind's
-//!   acquire-retire instance (store) or handed to the caller as
-//!   *displaced-class* ownership (swap / successful CAS) — see
-//!   [`DISPLACED`];
+//! * displaced references are either retired through the kind's instance
+//!   (store) or handed to the caller as *displaced-class* ownership (swap /
+//!   successful CAS) — see [`DISPLACED`];
 //! * failed CASes return the witnessed current word so retry loops never
 //!   re-read the location;
-//! * pre-increment / rollback sequencing for borrowed-desired CASes follows
-//!   the paper's Fig. 9 ordering (the location must own its reference the
-//!   moment the CAS lands).
-//!
-//! [`AtomicSharedPtr`]: crate::AtomicSharedPtr
-//! [`AtomicWeakPtr`]: crate::AtomicWeakPtr
+//! * a CAS moves the caller's own reference in: the location owns its
+//!   reference the moment the CAS lands (§3.4 / Fig. 9 ordering), and a
+//!   failed attempt leaves the caller's reference where it was.
 //!
 //! # Displaced-class references
 //!
@@ -29,11 +42,10 @@
 //! the domain's deferred machinery: a concurrent reader that already loaded
 //! the word may still be mid-`load_and_increment` (or holding a count-free
 //! snapshot), and only the acquire-retire deferral orders the decrement
-//! after every such reader. The bool-returning API enforced this by retiring
-//! displaced references internally. The witness API instead *hands the
-//! displaced value back* — so the owned pointer types record, in an unused
-//! low bit of their single word ([`DISPLACED`]), that this particular
-//! reference is location-class: its `Drop` defers the decrement exactly as
+//! after every such reader. Swap and a successful CAS *hand the displaced
+//! value back* — so the owned pointer records, in an unused low bit of its
+//! single word ([`DISPLACED`]), that this particular reference is
+//! location-class: its drop ([`relinquish`]) defers the decrement exactly as
 //! the location would have, while every other operation (clone, deref,
 //! re-install into a location) is unaffected. Transferring the reference
 //! back into an atomic location erases the bit — locations always retire.
@@ -42,20 +54,179 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::marker::PhantomData;
 use std::ptr::NonNull;
 
+use smr::sanitize::Channel;
 use smr::{untagged, AcquireRetire, Tid};
+use sticky::{Counter, StickyCounter};
 
-use crate::counted;
-use crate::domain::{
-    check_same_domain, load_and_increment, with_full_cs, with_strong_cs, CsGuard, Domain,
-    DomainRef, Scheme,
-};
+use crate::counted::{self, as_header};
+use crate::domain::{check_same_domain, domain_of, CsGuard, Domain, DomainRef, Scheme};
 
-/// Low bit set in the *owned pointer types'* private word (never in an
-/// atomic location's word) to mark a displaced-class reference: one whose
+/// Low bit set in the *owned pointer's* private word (never in an atomic
+/// location's word) to mark a displaced-class reference: one whose
 /// relinquish must be deferred because it was location-owned when handed
 /// out. Distinct namespace from [`smr::TAG_MASK`]: owned pointers store
 /// untagged block addresses, so bit 0 is free.
 pub(crate) const DISPLACED: usize = 0b1;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::StrongKind {}
+    impl Sealed for super::WeakKind {}
+}
+
+/// One flavour of reference — [`StrongKind`] or [`WeakKind`] — as the
+/// pointer family's third type parameter. Sealed; see the `engine` module
+/// docs for what the items answer.
+pub trait RefKind: sealed::Sealed + 'static {
+    /// The channel (count, and instance deferring its decrement).
+    #[doc(hidden)]
+    const CHANNEL: Channel;
+    /// The instance a count-free snapshot of this kind holds its guard on.
+    #[doc(hidden)]
+    const GUARD: Channel;
+    /// Whether this kind's protected loads need the full section (all three
+    /// instances) rather than the strong-only one.
+    #[doc(hidden)]
+    const FULL: bool;
+
+    /// The header count a reference of this kind holds.
+    ///
+    /// # Safety
+    ///
+    /// `addr` is a control block that stays allocated for `'a`.
+    #[doc(hidden)]
+    unsafe fn count<'a>(addr: usize) -> &'a StickyCounter;
+
+    /// Takes one reference of this kind on a live block (header-only).
+    ///
+    /// # Safety
+    ///
+    /// The caller holds a borrow on `addr` (directly or via protection)
+    /// under which this kind's count is nonzero.
+    #[doc(hidden)]
+    #[inline(always)]
+    unsafe fn incr(addr: usize) {
+        let ok = Self::count(addr).increment_if_not_zero();
+        debug_assert!(ok, "increment of a zero count: protection bug");
+    }
+
+    /// What a decrement that took this kind's count to zero obliges.
+    /// `owned` says the decrement was an owned pointer's drop rather than a
+    /// deferred operation being applied.
+    ///
+    /// # Safety
+    ///
+    /// The caller's decrement of `addr`'s count returned zero, and the
+    /// caller holds the domain some other way than through the block.
+    #[doc(hidden)]
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, owned: bool);
+}
+
+/// Strong references: counted in `strong`, deferred through the strong
+/// instance; at zero the payload is disposed.
+#[derive(Debug)]
+pub struct StrongKind;
+
+impl RefKind for StrongKind {
+    const CHANNEL: Channel = Channel::Strong;
+    const GUARD: Channel = Channel::Strong;
+    const FULL: bool = false;
+
+    #[inline(always)]
+    unsafe fn count<'a>(addr: usize) -> &'a StickyCounter {
+        &(*as_header(addr)).strong
+    }
+
+    /// Destructs *immediately* when no weak observer can exist (the weak
+    /// count is exactly the strong side's own +1 — stable, since a zero
+    /// strong count is sticky and weak references can only be minted from
+    /// strong ones or other weak ones); otherwise disposal is deferred
+    /// through the dispose instance so weak snapshots stay readable (§4.4).
+    ///
+    /// The immediate path is sound because a zero strong count proves every
+    /// location-owned reference has had its deferred decrement *applied*,
+    /// each application ordered after the end of all critical sections that
+    /// could have read that location — so no count-free strong snapshot of
+    /// the object can still be live, and the weak gate excludes weak
+    /// snapshots.
+    ///
+    /// An owned drop additionally needs the payload to enumerate its edges:
+    /// a non-graph payload's `Drop` relinquishes its child pointers itself,
+    /// and disposing here would recurse one stack frame per chain level.
+    /// Applied from the deferred machinery the recursion is bounded — those
+    /// nested drops are owned ones and take this gate — so it destructs
+    /// either way instead of a second round-trip through the dispose
+    /// instance.
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, owned: bool) {
+        let h = as_header(addr);
+        if (*h).weak.load() == 1 && (!owned || (*h).vtable.pop_edges.is_some()) {
+            d.destruct(t, addr);
+        } else {
+            d.retire(Channel::Dispose, t, addr);
+        }
+    }
+}
+
+/// Weak references: counted in `weak`, deferred through the weak instance;
+/// at zero the control block is freed.
+#[derive(Debug)]
+pub struct WeakKind;
+
+impl RefKind for WeakKind {
+    const CHANNEL: Channel = Channel::Weak;
+    const GUARD: Channel = Channel::Dispose;
+    const FULL: bool = true;
+
+    #[inline(always)]
+    unsafe fn count<'a>(addr: usize) -> &'a StickyCounter {
+        &(*as_header(addr)).weak
+    }
+
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, _owned: bool) {
+        d.free_block(t, addr);
+    }
+}
+
+/// The owned-relinquish rule: gives up the one `K`-reference an owned
+/// pointer's `word` (block address plus the [`DISPLACED`] bit) holds.
+///
+/// Caller-class references decrement *directly* — the reference is
+/// caller-owned, so the decrement cannot race with a protected increment.
+/// Displaced-class ones were location-owned when handed out, so a
+/// concurrent reader that loaded the old word may still be mid-increment on
+/// them: the decrement goes through the deferred machinery exactly as the
+/// location's retire would have (batched, like every displaced decrement).
+///
+/// Domain code runs under the thread's pin, taken from the block's header
+/// while the block is provably alive, because the cascade may free the very
+/// block that was keeping the domain alive. Under a guard the pin is a
+/// thread-local bump; a decrement that does not reach zero takes none.
+///
+/// # Safety
+///
+/// The caller owns one `K`-reference to `word`'s (non-null) block,
+/// allocated under scheme `S`, and forfeits it.
+pub(crate) unsafe fn relinquish<S: Scheme, K: RefKind>(word: usize) {
+    let block = word & !DISPLACED;
+    let pinned = || {
+        let d: &Domain<S> = domain_of::<S>(block).as_ref();
+        let t = smr::current_tid();
+        (d, t, d.pin_thread(t))
+    };
+    if word & DISPLACED != 0 {
+        let (d, t, _pin) = pinned();
+        d.batch(K::CHANNEL, t, block);
+    } else {
+        smr::sanitize::on_decrement(block, K::CHANNEL);
+        // At zero the block outlives the decrement (strong: the strong
+        // side's weak reference is still ours; weak: it is ours alone to
+        // free), and until it is counted freed it keeps the domain.
+        if K::count(block).decrement() {
+            let (d, t, _pin) = pinned();
+            K::zeroed(d, t, block, true);
+        }
+    }
+}
 
 /// What keeps a snapshot's pointee alive, i.e. what its drop gives back.
 #[derive(Clone, Copy)]
@@ -84,19 +255,25 @@ impl<G> Hold<G> {
     }
 }
 
-/// The untyped core of a snapshot (strong, or weak with `DISPOSE`: its
-/// guard is then on the dispose instance). Owns the drop; the typed shells
-/// add the payload type and nothing else.
-pub(crate) struct Held<'g, S: Scheme, const DISPOSE: bool> {
+/// The untyped core of a kind-`K` snapshot (a guard it holds is on the
+/// `K::GUARD` instance). Owns the drop; the typed shell adds the payload
+/// type and nothing else.
+pub(crate) struct Held<'g, S: Scheme, K: RefKind> {
     pub(crate) word: usize,
     hold: Hold<S::Guard>,
     cs: &'g CsGuard<S>,
+    _kind: PhantomData<fn(K) -> K>,
 }
 
-impl<'g, S: Scheme, const DISPOSE: bool> Held<'g, S, DISPOSE> {
+impl<'g, S: Scheme, K: RefKind> Held<'g, S, K> {
     #[inline(always)]
     pub(crate) fn new(word: usize, hold: Hold<S::Guard>, cs: &'g CsGuard<S>) -> Self {
-        Held { word, hold, cs }
+        Held {
+            word,
+            hold,
+            cs,
+            _kind: PhantomData,
+        }
     }
 
     /// Whether the snapshot holds no reference count of its own.
@@ -128,12 +305,12 @@ impl<'g, S: Scheme, const DISPOSE: bool> Held<'g, S, DISPOSE> {
     }
 }
 
-impl<S: Scheme, const DISPOSE: bool> Drop for Held<'_, S, DISPOSE> {
+impl<S: Scheme, K: RefKind> Drop for Held<'_, S, K> {
     #[inline(always)]
     fn drop(&mut self) {
         // One test and one by-value call, no more: see `give_back`.
         if !matches!(self.hold, Hold::Section) {
-            give_back::<S, DISPOSE>(self.cs, self.word, self.hold);
+            give_back::<S, K>(self.cs, self.word, self.hold);
         }
     }
 }
@@ -148,128 +325,36 @@ impl<S: Scheme, const DISPOSE: bool> Drop for Held<'_, S, DISPOSE> {
 /// away and a drop is nothing; under hazard pointers a hop pays this call
 /// and keeps its snapshots in registers.
 #[inline(never)]
-fn give_back<S: Scheme, const DISPOSE: bool>(cs: &CsGuard<S>, word: usize, hold: Hold<S::Guard>) {
+fn give_back<S: Scheme, K: RefKind>(cs: &CsGuard<S>, word: usize, hold: Hold<S::Guard>) {
     let (d, t) = (cs.domain(), cs.tid());
     match hold {
         Hold::Section => {}
-        Hold::Guard(g) if DISPOSE => d.dispose_ar.release(t, g),
-        Hold::Guard(g) => d.strong_ar.release(t, g),
-        // Safety: an owning snapshot holds one strong reference to its
-        // (non-null) block; the guard it borrowed keeps the domain alive.
-        Hold::Owned if untagged(word) != 0 => unsafe { d.decrement(t, untagged(word)) },
+        Hold::Guard(g) => d.ar(K::GUARD).release(t, g),
+        // Safety: an owning snapshot of either kind holds one *strong*
+        // reference to its (non-null) block; the guard it borrowed keeps
+        // the domain alive.
+        Hold::Owned if untagged(word) != 0 => unsafe {
+            d.decrement::<StrongKind>(t, untagged(word))
+        },
         Hold::Owned => {}
     }
 }
 
-/// How one flavour of reference (strong or weak) plugs into the engine.
-pub(crate) trait RefKind<S: Scheme> {
-    /// The acquire-retire instance deferring this kind's decrements.
-    fn ar(d: &Domain<S>) -> &S;
-
-    /// Takes one reference of this kind on a live block (header-only).
-    ///
-    /// # Safety
-    ///
-    /// `addr` must be a live control block the caller holds a borrow on
-    /// (directly or via protection); for the strong kind the strong count
-    /// must additionally be nonzero.
-    unsafe fn incr(addr: usize);
-
-    /// Defers relinquishing one location-class reference.
-    ///
-    /// # Safety
-    ///
-    /// One reference of this kind to `addr` is transferred to the domain.
-    unsafe fn retire(d: &Domain<S>, t: Tid, addr: usize);
-
-    /// Relinquishes one caller-owned reference directly (the CAS-failure
-    /// rollback of a pre-increment that never became visible).
-    ///
-    /// # Safety
-    ///
-    /// The caller owns one reference of this kind to `addr` and forfeits it.
-    unsafe fn rollback(d: &Domain<S>, t: Tid, addr: usize);
-
-    /// Runs `f` inside the critical-section flavour this kind's protected
-    /// loads require (strong: strong-only section; weak: full section).
-    fn with_cs<R>(d: &Domain<S>, t: Tid, f: impl FnOnce() -> R) -> R;
-}
-
-/// Strong references: counted in `strong`, deferred through `strong_ar`.
-pub(crate) struct StrongKind;
-
-impl<S: Scheme> RefKind<S> for StrongKind {
-    #[inline]
-    fn ar(d: &Domain<S>) -> &S {
-        &d.strong_ar
-    }
-
-    #[inline]
-    unsafe fn incr(addr: usize) {
-        counted::increment_alive(addr);
-    }
-
-    #[inline]
-    unsafe fn retire(d: &Domain<S>, t: Tid, addr: usize) {
-        d.batch_decrement(t, addr);
-    }
-
-    #[inline]
-    unsafe fn rollback(d: &Domain<S>, t: Tid, addr: usize) {
-        d.decrement(t, addr);
-    }
-
-    #[inline]
-    fn with_cs<R>(d: &Domain<S>, t: Tid, f: impl FnOnce() -> R) -> R {
-        with_strong_cs(d, t, f)
-    }
-}
-
-/// Weak references: counted in `weak`, deferred through `weak_ar`.
-pub(crate) struct WeakKind;
-
-impl<S: Scheme> RefKind<S> for WeakKind {
-    #[inline]
-    fn ar(d: &Domain<S>) -> &S {
-        &d.weak_ar
-    }
-
-    #[inline]
-    unsafe fn incr(addr: usize) {
-        counted::weak_increment(addr);
-    }
-
-    #[inline]
-    unsafe fn retire(d: &Domain<S>, t: Tid, addr: usize) {
-        d.batch_weak_decrement(t, addr);
-    }
-
-    #[inline]
-    unsafe fn rollback(d: &Domain<S>, t: Tid, addr: usize) {
-        d.weak_decrement(t, addr);
-    }
-
-    #[inline]
-    fn with_cs<R>(d: &Domain<S>, t: Tid, f: impl FnOnce() -> R) -> R {
-        with_full_cs(d, t, f)
-    }
-}
-
 /// One shared mutable pointer word bound to a domain, speaking kind `K`'s
-/// reference-accounting protocol. [`AtomicSharedPtr`](crate::AtomicSharedPtr)
-/// and [`AtomicWeakPtr`](crate::AtomicWeakPtr) are typed shells around this.
+/// reference-accounting protocol; [`AtomicRcPtr`](crate::AtomicRcPtr) is the
+/// typed shell around this.
 ///
 /// The location is a *passive reference* on its domain (`domain.rs` module
 /// docs): its domain word is not a pin, but the location is counted on a
 /// per-thread lane from `new_owned` to `Drop`, which keeps the core alive —
 /// and so valid behind `domain` — for every `&self` call in between.
-pub(crate) struct RcWord<S: Scheme, K: RefKind<S>> {
+pub(crate) struct RcWord<S: Scheme, K: RefKind> {
     word: AtomicUsize,
     domain: NonNull<Domain<S>>,
     _kind: PhantomData<fn(K) -> K>,
 }
 
-impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
+impl<S: Scheme, K: RefKind> RcWord<S, K> {
     /// Creates a location holding `word`, whose (untagged) address the
     /// location takes ownership of one `K`-reference to. The caller has
     /// already validated the domain, which it keeps alive across the call
@@ -317,16 +402,26 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
         self.word.load(Ordering::Relaxed)
     }
 
-    /// Protected load-and-increment (Fig. 8): returns the untagged address
-    /// carrying one fresh caller-owned `K`-reference (0 for null).
+    /// Protected load-and-increment (Fig. 8's `load_and_increment` /
+    /// `weak_load_and_increment`): the word is loaded and protected via
+    /// `acquire` on `K`'s instance, the count incremented and protection
+    /// released. Returns the untagged address carrying one fresh
+    /// caller-owned `K`-reference (0 for null).
     pub(crate) fn load_owning(&self) -> usize {
-        let d = &**self.domain();
+        let d: &Domain<S> = self.domain();
         let t = smr::current_tid();
-        K::with_cs(d, t, || {
-            // Safety: this location owns a `K`-reference to whatever it
-            // stores, with decrements deferred via `K`'s instance, so the
-            // acquire-protected increment targets a live block.
-            unsafe { load_and_increment(K::ar(d), t, &self.word, |a| K::incr(a)) }
+        d.with_cs(t, K::FULL, || {
+            let ar = d.ar(K::CHANNEL);
+            let (w, guard) = ar.acquire(t, &self.word);
+            let addr = untagged(w);
+            if addr != 0 {
+                // Safety: this location owns a `K`-reference to whatever it
+                // stores, with decrements deferred via `K`'s instance, so
+                // the acquire-protected increment targets a live block.
+                unsafe { K::incr(addr) };
+            }
+            ar.release(t, guard);
+            addr
         })
     }
 
@@ -336,31 +431,24 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
     /// # Panics
     ///
     /// Panics if `new`'s address is non-null and from a foreign domain.
-    pub(crate) fn store_owned(&self, new: usize) {
-        let old = self.install(new);
-        let old_addr = untagged(old);
+    pub(crate) fn store(&self, new: usize) {
+        let old_addr = untagged(self.swap(new));
         if old_addr != 0 {
             let t = smr::current_tid();
             // Safety: the location owned a `K`-reference to `old_addr`.
-            unsafe { K::retire(self.domain(), t, old_addr) };
+            unsafe { self.domain().batch(K::CHANNEL, t, old_addr) };
         }
     }
 
-    /// Installs `new` as [`store_owned`](Self::store_owned) but returns the
-    /// displaced word raw: ownership of the displaced `K`-reference
-    /// transfers to the caller, who must treat it as displaced-class
-    /// (relinquish via retire, i.e. wrap it with the owned pointer types'
-    /// displaced constructors).
+    /// Installs `new` as [`store`](Self::store) but returns the displaced
+    /// word raw: ownership of the displaced `K`-reference transfers to the
+    /// caller, who must treat it as displaced-class (relinquish via retire,
+    /// i.e. wrap it with the owned pointer's displaced constructor).
     ///
     /// # Panics
     ///
     /// Panics if `new`'s address is non-null and from a foreign domain.
-    pub(crate) fn swap_owned(&self, new: usize) -> usize {
-        self.install(new)
-    }
-
-    /// The shared install swap.
-    fn install(&self, new: usize) -> usize {
+    pub(crate) fn swap(&self, new: usize) -> usize {
         check_same_domain(untagged(new), self.domain());
         // The reference being installed must target a live block — storing
         // a disposed or freed pointer publishes a dangling reference.
@@ -381,81 +469,24 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
         self.word.swap(new, Ordering::SeqCst)
     }
 
-    /// CAS installing a *new* `K`-reference to `new_addr` (borrowed-desired
-    /// protocol): pre-increments so the location owns its reference the
-    /// moment the CAS lands (§3.4 / Fig. 9 ordering), rolls the increment
-    /// back on failure.
-    ///
-    /// On success returns the displaced word — ownership of the displaced
-    /// `K`-reference transfers to the caller (displaced-class). On failure
-    /// returns the witnessed current word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_addr` is non-null and from a foreign domain.
-    ///
-    /// # Safety
-    ///
-    /// `new_addr` must be 0 or a live control block the caller holds a
-    /// `K`-compatible borrow on for the duration of the call.
-    pub(crate) unsafe fn cas_borrowed(
-        &self,
-        expected: usize,
-        new_addr: usize,
-        new_tag: usize,
-        weak_cas: bool,
-    ) -> Result<usize, usize> {
-        debug_assert_eq!(new_tag & !smr::TAG_MASK, 0);
-        debug_assert_eq!(new_addr & smr::TAG_MASK, 0);
-        check_same_domain(new_addr, self.domain());
-        if new_addr != 0 {
-            // Safety: the caller's borrow guarantees liveness.
-            K::incr(new_addr);
-        }
-        match self.cex(expected, new_addr | new_tag, weak_cas) {
-            Ok(old) => Ok(old),
-            Err(w) => {
-                if new_addr != 0 {
-                    let t = smr::current_tid();
-                    // Safety: we own the pre-increment and forfeit it; it
-                    // was never visible to readers, so a direct decrement
-                    // is sound.
-                    K::rollback(self.domain(), t, new_addr);
-                }
-                Err(w)
-            }
-        }
-    }
-
-    /// CAS transferring the *caller's own* `K`-reference (owned-desired
-    /// protocol): no count traffic at all. On success the caller's
-    /// reference now belongs to the location (the caller must forget its
-    /// handle) and the displaced word comes back displaced-class; on
-    /// failure the caller keeps its reference and receives the witness.
+    /// CAS transferring the *caller's own* `K`-reference: no count traffic
+    /// at all. On success the caller's reference now belongs to the
+    /// location (the caller must forget its handle) and the displaced word
+    /// comes back displaced-class; on failure the caller keeps its
+    /// reference and receives the witnessed current word.
     ///
     /// # Panics
     ///
     /// Panics if `new`'s address is non-null and from a foreign domain.
-    pub(crate) fn cas_owned(
-        &self,
-        expected: usize,
-        new: usize,
-        weak_cas: bool,
-    ) -> Result<usize, usize> {
+    pub(crate) fn cas(&self, expected: usize, new: usize, weak_cas: bool) -> Result<usize, usize> {
         check_same_domain(untagged(new), self.domain());
-        self.cex(expected, new, weak_cas)
-    }
-
-    /// The shared compare-exchange.
-    #[inline]
-    fn cex(&self, expected: usize, new: usize, weak_cas: bool) -> Result<usize, usize> {
-        // Liveness holds whether or not the CAS lands: the caller's borrow
-        // or pre-increment keeps `new` alive for the duration of the call.
+        // Liveness holds whether or not the CAS lands: the caller's own
+        // reference keeps `new` alive for the duration of the call.
         smr::sanitize::on_install(new);
         // Ordering: SeqCst on success — publishes the new occupant (and its
         // reference), acquires the displaced occupant's header for the
         // deferred decrement, and keeps this unlink in the SC order before
-        // the retire stamp that follows, exactly as in `install`: the epoch
+        // the retire stamp that follows, exactly as in `swap`: the epoch
         // eject rules need the chain unlink ≤ stamp ≤ reader's clock read ≤
         // its announcement fence, and `unlink_acqrel_swap_is_unsound`
         // (model_check) shows AcqRel breaking it — a freshly-announced
@@ -508,7 +539,7 @@ impl<S: Scheme, K: RefKind<S>> RcWord<S, K> {
     }
 }
 
-impl<S: Scheme, K: RefKind<S>> Drop for RcWord<S, K> {
+impl<S: Scheme, K: RefKind> Drop for RcWord<S, K> {
     fn drop(&mut self) {
         let t = smr::current_tid();
         // Safety: the location itself keeps the core alive up to
@@ -523,7 +554,7 @@ impl<S: Scheme, K: RefKind<S>> Drop for RcWord<S, K> {
             // Safety: the location owns a `K`-reference. Deferral (not a
             // direct decrement) matters: a concurrent reader that loaded
             // this pointer before we were unlinked may still be protected.
-            unsafe { K::retire(d, t, addr) };
+            unsafe { d.batch(K::CHANNEL, t, addr) };
         }
         d.location_dropped(t);
     }

@@ -16,14 +16,16 @@
 //!
 //! ## Pointer types
 //!
-//! | type | counts | concurrent mutation | dereference |
-//! |------|--------|---------------------|-------------|
-//! | [`SharedPtr`] | strong | no (owned) | yes |
-//! | [`AtomicSharedPtr`] | holds strong | yes | via load/snapshot |
-//! | [`SnapshotPtr`] | none (fast path) | n/a (thread-local) | yes |
-//! | [`WeakPtr`] | weak | no (owned) | via upgrade |
-//! | [`AtomicWeakPtr`] | holds weak | yes | via load/snapshot |
-//! | [`WeakSnapshotPtr`] | none (fast path) | n/a (thread-local) | yes |
+//! Three generic types, parameterized by the payload `T`, the scheme `S`
+//! and the reference kind `K` ([`StrongKind`] or [`WeakKind`]: which count
+//! a reference holds, which acquire-retire instance defers giving it up,
+//! what reaching zero obliges). The six paper names are aliases:
+//!
+//! | generic | strong | weak | counts | concurrent mutation | dereference |
+//! |---------|--------|------|--------|---------------------|-------------|
+//! | [`RcPtr`] | [`SharedPtr`] | [`WeakPtr`] | one of `K`'s | no (owned) | strong: yes; weak: via upgrade |
+//! | [`AtomicRcPtr`] | [`AtomicSharedPtr`] | [`AtomicWeakPtr`] | holds one of `K`'s | yes | via load/snapshot |
+//! | [`Snapshot`] | [`SnapshotPtr`] | [`WeakSnapshotPtr`] | none (fast path) | n/a (thread-local) | yes |
 //!
 //! Reads through snapshots do **not** touch reference counts in the common
 //! case, which is what closes the performance gap to manual reclamation
@@ -32,43 +34,36 @@
 //!
 //! ### Mutation: the RMW family
 //!
-//! Both atomics expose the same read-modify-write surface, shaped like
-//! [`std::sync::atomic`]:
+//! One read-modify-write surface, shaped like [`std::sync::atomic`],
+//! defined once on [`AtomicRcPtr`] for both kinds, and **by value**: an
+//! installed pointer is moved in, so the caller's reference becomes the
+//! location's with no count traffic. A caller that only holds a borrow
+//! writes the increment at the call site ([`SnapshotPtr::to_shared`],
+//! [`RcPtr::from_strong`]).
 //!
-//! * **store** (`store`, `store_tagged`, `store_from`/`store_strong`) —
-//!   installs a value, retiring the displaced reference internally.
-//! * **swap / take** (`swap`, `swap_tagged`, `take`) — installs a value and
-//!   returns the displaced occupant as an *owned* pointer, with no
-//!   reference-count traffic in either direction (take = swap-with-null).
-//! * **compare-exchange** (`compare_exchange`, `_tagged`, `_weak`,
-//!   `_owned`, and guard-threaded `_with` on the strong side) — returns
-//!   `Result<displaced, witness>`: success hands back the displaced
-//!   occupant as owned; failure hands back the *witnessed* current word so
-//!   retry loops never pay a second protected load. The `_owned` variants
-//!   move `desired` in (no count round-trip; failure returns it via
-//!   [`CompareExchangeErr`]), and
-//!   [`AtomicSharedPtr::compare_exchange_with`] returns the failure witness
-//!   as a protected [`SnapshotPtr`] that dereferences immediately.
-//! * **tag transitions** (`fetch_or_tag`, `try_set_tag`) — mutate only the
-//!   low tag bits; `try_set_tag` is witness-returning too, so tag-state
-//!   machines compose with the CAS loops.
+//! | operation | on | gives back |
+//! |-----------|----|------------|
+//! | [`store`](AtomicRcPtr::store) | both kinds | nothing: the displaced reference is retired internally |
+//! | [`swap`](AtomicRcPtr::swap), [`take`](AtomicRcPtr::take) | both kinds | the displaced occupant as an *owned* pointer (take = swap-with-null) |
+//! | [`compare_exchange`](AtomicRcPtr::compare_exchange), [`compare_exchange_weak`](AtomicRcPtr::compare_exchange_weak) `(expected, desired, new_tag)` | both kinds | `Ok(displaced)`, owned; `Err(`[`CompareExchangeErr`]`)`: the *witnessed* current word, so retry loops never pay a second protected load, and `desired`, untouched |
+//! | [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with) `(guard, expected, &borrow)` | strong | as `compare_exchange(expected, from_strong(&borrow), 0)`, with the failure witness a protected [`SnapshotPtr`] that dereferences immediately |
+//! | [`fetch_or_tag`](AtomicRcPtr::fetch_or_tag), [`try_set_tag`](AtomicRcPtr::try_set_tag) | both kinds | the previous word / `Result<installed, witness>`: only the low tag bits change, so tag-state machines compose with the CAS loops |
 //!
 //! A displaced pointer handed back by swap or a successful CAS remembers
 //! that it was location-owned: its drop defers the decrement through the
 //! domain (a concurrent reader may still be mid-`load` on the old word),
-//! which makes returning ownership exactly as cheap as the old
-//! retire-internally behaviour.
+//! which makes returning ownership exactly as cheap as retiring it
+//! internally.
 //!
 //! ```
-//! use cdrc::{AtomicSharedPtr, SharedPtr, EbrScheme, Scheme};
+//! use cdrc::{AtomicSharedPtr, SharedPtr, EbrScheme};
 //!
 //! let slot: AtomicSharedPtr<u64, EbrScheme> = AtomicSharedPtr::new(SharedPtr::new(1));
-//! let cs = EbrScheme::global_domain().cs();
 //! let mut desired = SharedPtr::new(2);
 //! let mut expected = slot.load_tagged();
 //! let displaced = loop {
 //!     // The witness loop: a failed CAS feeds the next attempt directly.
-//!     match slot.compare_exchange_owned(expected, desired) {
+//!     match slot.compare_exchange(expected, desired, 0) {
 //!         Ok(displaced) => break displaced,
 //!         Err(e) => {
 //!             expected = e.current; // no re-load
@@ -77,7 +72,6 @@
 //!     }
 //! };
 //! assert_eq!(displaced.as_ref(), Some(&1));
-//! drop(cs);
 //! ```
 //!
 //! ## Critical sections
@@ -106,7 +100,7 @@
 //!
 //! let strong: SharedPtr<u64, EbrScheme> = SharedPtr::new(3);
 //! let slot: AtomicWeakPtr<u64, EbrScheme> = AtomicWeakPtr::null();
-//! slot.store(&strong.downgrade());
+//! slot.store(strong.downgrade());
 //! let cs = Ebr::global_domain().weak_cs();
 //! let snap = slot.get_snapshot(&cs);
 //! assert_eq!(snap.as_ref(), Some(&3));
@@ -237,6 +231,7 @@ mod cas;
 mod counted;
 mod domain;
 mod engine;
+mod ptr;
 mod strong;
 mod tagged;
 mod weak;
@@ -250,6 +245,8 @@ pub use smr::sync;
 pub use cas::CompareExchangeErr;
 pub use counted::{EdgeCollector, GraphNode};
 pub use domain::{CsGuard, Domain, DomainRef, OpGuard, Scheme, StrongRef, WeakCsGuard};
+pub use engine::{RefKind, StrongKind, WeakKind};
+pub use ptr::{AtomicRcPtr, RcPtr, Snapshot};
 pub use strong::{AtomicSharedPtr, SharedPtr, SnapshotPtr};
 pub use tagged::TaggedPtr;
 pub use weak::{AtomicWeakPtr, WeakPtr, WeakSnapshotPtr};
@@ -275,6 +272,7 @@ mod tests {
         send_sync::<WeakPtr<u64, EbrScheme>>();
         send_sync::<AtomicWeakPtr<u64, EbrScheme>>();
         send_sync::<Domain<EbrScheme>>();
+        send_sync::<DomainRef<EbrScheme>>();
     }
 
     #[test]

@@ -1,88 +1,45 @@
-//! Strong reference-counted pointer types: [`SharedPtr`],
-//! [`AtomicSharedPtr`] and [`SnapshotPtr`] (§3.4 of the paper).
-//!
-//! The division of labour mirrors the CDRC C++ library:
+//! The strong kind: [`SharedPtr`], [`AtomicSharedPtr`] and [`SnapshotPtr`]
+//! (§3.4 of the paper) as the generic family of `ptr.rs` at
+//! `K = StrongKind`, plus what only a strong reference can do.
 //!
 //! * [`SharedPtr`] — an owned strong reference, like `Arc` but collected
 //!   through the domain's deferred machinery; safe to send between threads.
+//!   Strong-only: allocation (`new*`), dereference
+//!   ([`as_ref`](SharedPtr::as_ref)), [`downgrade`](SharedPtr::downgrade),
+//!   [`strong_count`](SharedPtr::strong_count).
 //! * [`AtomicSharedPtr`] — a mutable shared location holding a strong
-//!   reference (plus low-order tag bits), supporting load / store / swap /
-//!   compare-exchange under arbitrary races.
+//!   reference (plus low-order tag bits). Strong-only:
+//!   [`get_snapshot`](AtomicSharedPtr::get_snapshot) under a strong
+//!   [`CsGuard`], and the guard-threaded
+//!   [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with),
+//!   whose failure witness is a protected [`SnapshotPtr`] that can be
+//!   dereferenced immediately.
 //! * [`SnapshotPtr`] — a short-lived protected view obtained from an
 //!   [`AtomicSharedPtr`] **without touching the reference count** in the
 //!   common case (Fig. 5): the fast path protects the pointer with
 //!   `try_acquire`; only when the scheme runs out of protection resources
-//!   does it fall back to an increment. Snapshots are confined to a
-//!   critical section ([`CsGuard`]) and to their creating thread.
-//!
-//! # Mutation: witnesses and displaced values
-//!
-//! The mutation surface is *witness-returning*, shaped like
-//! [`std::sync::atomic`] and CIRC's `AtomicRc`: every compare-exchange
-//! returns `Result<displaced, witness>` — on success the **displaced**
-//! occupant comes back as an owned [`SharedPtr`] (drop it, inspect it, or
-//! reinstall it elsewhere), on failure the **witnessed** current word comes
-//! back so retry loops never pay a second protected load. The
-//! guard-threaded [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with)
-//! variants return the failure witness as a protected [`SnapshotPtr`] that
-//! can be dereferenced immediately. [`swap`](AtomicSharedPtr::swap) /
-//! [`take`](AtomicSharedPtr::take) round out the RMW family.
-//!
-//! Handing the displaced value out is free: the returned pointer remembers
-//! (in a private bit) that it was location-owned, so its drop defers the
-//! decrement through the domain exactly as the location's retire would have
-//! — concurrent readers mid-`load` stay safe, and the caller pays no count
-//! round-trip. The word-level protocol shared with the weak types lives in
-//! the private `engine` module.
-//!
-//! # Domains
-//!
-//! Every pointer is bound to one reclamation [`Domain`](crate::Domain) at
-//! creation: the `_in` constructors take an explicit [`DomainRef`], the
-//! plain constructors default to [`Scheme::global_domain`]. A `SharedPtr`
-//! stays a single word — its domain is recorded in the control-block header
-//! (and the block, a passive reference, keeps the domain alive for as long
-//! as it exists). An `AtomicSharedPtr` carries its domain's address beside
-//! its word — two words in all — because operations must know which domain
-//! to open a critical section on *before* reading the word; the location is
-//! a passive reference too, counted on a per-thread lane rather than on the
-//! domain's shared liveness word (see the pin rule in `domain.rs`).
-//! Mixing domains is a logic error: the install-family operations panic if
-//! the pointer being installed was allocated under a different domain, and
-//! snapshot operations assert (debug builds) that the supplied guard covers
-//! this location's domain.
+//!   does it fall back to an increment. While one is alive the object's
+//!   strong count cannot reach zero, so it is a [`StrongRef`]. Snapshots
+//!   are confined to a critical section ([`CsGuard`]) and to their creating
+//!   thread.
 
 use crate::sync::atomic::AtomicUsize;
 use std::fmt;
-use std::marker::PhantomData;
 
 use smr::untagged;
 use sticky::Counter;
 
 use crate::cas::CompareExchangeErr;
-use crate::counted::{self, as_counted, as_header, PtrMarker};
-use crate::domain::{check_same_domain, domain_of, CsGuard, DomainRef, OpGuard, Scheme, StrongRef};
-use crate::engine::{Held, Hold, RcWord, StrongKind, DISPLACED};
+use crate::counted::{as_counted, as_header};
+use crate::domain::{check_same_domain, CsGuard, DomainRef, OpGuard, Scheme, StrongRef};
+use crate::engine::{Hold, RefKind, StrongKind};
+use crate::ptr::{AtomicRcPtr, RcPtr, Snapshot};
 use crate::tagged::TaggedPtr;
 use crate::weak::WeakPtr;
 
 /// An owned strong reference to a `T` managed by a reclamation domain of
 /// scheme `S` ([`Scheme::global_domain`] unless created with
-/// [`new_in`](SharedPtr::new_in)).
-///
-/// Dropping a `SharedPtr` decrements the strong count *directly* (the
-/// reference is caller-owned, so the decrement cannot race with a protected
-/// increment — see DESIGN.md); destruction of the object itself is always
-/// deferred through the dispose instance of the block's own domain, which
-/// the pointer resolves from the control-block header — a `SharedPtr` is a
-/// single word regardless of which domain manages it.
-///
-/// The exception is a pointer obtained as the *displaced* result of a
-/// [`swap`](AtomicSharedPtr::swap) or successful compare-exchange: that
-/// reference was location-owned when it was handed out, so its drop defers
-/// the decrement through the domain (as the location's retire would have) —
-/// invisible to the caller beyond being exactly as cheap as the old
-/// retire-internally behaviour.
+/// [`new_in`](SharedPtr::new_in)); see [`RcPtr`] for how it drops.
 ///
 /// # Examples
 ///
@@ -93,17 +50,7 @@ use crate::weak::WeakPtr;
 /// let q = p.clone();
 /// assert_eq!(q.as_ref().map(String::as_str), Some("hello"));
 /// ```
-pub struct SharedPtr<T, S: Scheme> {
-    /// Untagged block address, except that [`DISPLACED`] may be set on
-    /// pointers whose drop must defer (see the module docs).
-    addr: usize,
-    _marker: PtrMarker<T, S>,
-}
-
-// Safety: like `Arc` — a SharedPtr hands out `&T` and can be dropped from
-// any thread, so both bounds require `T: Send + Sync`.
-unsafe impl<T: Send + Sync, S: Scheme> Send for SharedPtr<T, S> {}
-unsafe impl<T: Send + Sync, S: Scheme> Sync for SharedPtr<T, S> {}
+pub type SharedPtr<T, S> = RcPtr<T, S, StrongKind>;
 
 impl<T, S: Scheme> SharedPtr<T, S> {
     /// Allocates a new managed object holding `value` (strong count 1)
@@ -115,12 +62,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
     /// Allocates a new managed object holding `value` (strong count 1)
     /// under an explicit domain.
     pub fn new_in(value: T, domain: &DomainRef<S>) -> Self {
-        let t = smr::current_tid();
-        let ptr = domain.allocate(t, value);
-        SharedPtr {
-            addr: ptr as usize,
-            _marker: PhantomData,
-        }
+        Self::from_addr(domain.allocate(smr::current_tid(), value) as usize)
     }
 
     /// As [`new`](Self::new), for payloads that enumerate their outgoing
@@ -140,69 +82,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
     where
         T: crate::GraphNode<S>,
     {
-        let t = smr::current_tid();
-        let ptr = domain.allocate_graph(t, value);
-        SharedPtr {
-            addr: ptr as usize,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The null pointer.
-    pub fn null() -> Self {
-        SharedPtr {
-            addr: 0,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adopts ownership of one caller-class strong reference at `addr`
-    /// (0 = null).
-    pub(crate) fn from_addr(addr: usize) -> Self {
-        debug_assert_eq!(addr & smr::TAG_MASK, 0);
-        SharedPtr {
-            addr,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adopts ownership of one *displaced-class* strong reference: it was
-    /// location-owned when handed out, so the eventual drop must defer the
-    /// decrement (readers that loaded the old word may still be protected).
-    pub(crate) fn from_displaced(addr: usize) -> Self {
-        debug_assert_eq!(addr & smr::TAG_MASK, 0);
-        SharedPtr {
-            addr: if addr == 0 { 0 } else { addr | DISPLACED },
-            _marker: PhantomData,
-        }
-    }
-
-    /// The untagged block address (0 = null), flag bits stripped.
-    #[inline]
-    fn block(&self) -> usize {
-        self.addr & !DISPLACED
-    }
-
-    /// Releases ownership without decrementing; returns the block address.
-    /// (Install paths: the reference becomes location-owned, which erases
-    /// the displaced/caller class distinction — locations always retire.)
-    pub(crate) fn into_addr(self) -> usize {
-        let addr = self.block();
-        std::mem::forget(self);
-        addr
-    }
-
-    /// Takes the raw word (block address plus the displaced-class bit) out
-    /// of this pointer, leaving it null — the edge-collection path of
-    /// immediate recursive destruction, where the class decides whether the
-    /// edge's decrement may be applied directly.
-    pub(crate) fn extract_word(&mut self) -> usize {
-        std::mem::replace(&mut self.addr, 0)
-    }
-
-    /// Whether this is the null pointer.
-    pub fn is_null(&self) -> bool {
-        self.block() == 0
+        Self::from_addr(domain.allocate_graph(smr::current_tid(), value) as usize)
     }
 
     /// Borrows the managed value, or `None` for null.
@@ -216,24 +96,6 @@ impl<T, S: Scheme> SharedPtr<T, S> {
             // Safety: we own a strong reference, so the payload is alive.
             unsafe { Some(&*(*as_counted::<T>(block)).value.as_ptr()) }
         }
-    }
-
-    /// Whether two pointers manage the same object.
-    pub fn ptr_eq(&self, other: &Self) -> bool {
-        self.block() == other.block()
-    }
-
-    /// Creates a strong reference from any borrow that guarantees liveness
-    /// (a [`SnapshotPtr`] or another `SharedPtr`), incrementing the count.
-    #[inline(always)]
-    pub fn from_strong<R: StrongRef<T>>(r: &R) -> Self {
-        let addr = r.addr();
-        if addr != 0 {
-            // Safety: `r` guarantees a nonzero strong count for the borrow.
-            // Header-only: no domain resolution needed.
-            unsafe { counted::increment_alive(addr) };
-        }
-        SharedPtr::from_addr(addr)
     }
 
     /// Creates a weak reference to the same object.
@@ -259,65 +121,6 @@ impl<T, S: Scheme> StrongRef<T> for SharedPtr<T, S> {
     }
 }
 
-impl<T, S: Scheme> Clone for SharedPtr<T, S> {
-    fn clone(&self) -> Self {
-        SharedPtr::from_strong(self)
-    }
-}
-
-impl<T, S: Scheme> Drop for SharedPtr<T, S> {
-    fn drop(&mut self) {
-        let block = self.block();
-        if block != 0 {
-            // Safety: we own one strong reference and forfeit it. Domain
-            // code runs under the thread's pin, taken from the block's
-            // header while the block is provably alive, because the
-            // cascade may free the very block that was keeping the domain
-            // alive. Under a guard the pin is a thread-local bump.
-            unsafe {
-                if self.addr & DISPLACED != 0 {
-                    // Displaced-class: this reference was location-owned
-                    // when handed out, so a concurrent reader that loaded
-                    // the old word may still be mid-increment on it — the
-                    // decrement must go through the deferred machinery
-                    // exactly as the location's retire would have (batched,
-                    // like every displaced decrement).
-                    let d = domain_of::<S>(block).as_ref();
-                    let t = smr::current_tid();
-                    let _pin = d.pin_thread(t);
-                    d.batch_decrement(t, block);
-                } else if (*as_header(block)).strong.decrement() {
-                    // The block outlives its zero: the strong side's weak
-                    // reference is still ours.
-                    let d = domain_of::<S>(block).as_ref();
-                    let t = smr::current_tid();
-                    let _pin = d.pin_thread(t);
-                    if (*as_header(block)).weak.load() == 1
-                        && (*as_header(block)).vtable.pop_edges.is_some()
-                    {
-                        // No weak observer can exist (and none can appear:
-                        // the zero strong count is sticky), and the payload
-                        // enumerates its edges: destruct the reachable
-                        // subgraph right now, iteratively. Non-graph
-                        // payloads stay on the deferred path — their edges
-                        // relinquish from inside `Drop`, and disposing here
-                        // would recurse one stack frame per chain level.
-                        d.destruct(t, block);
-                    } else {
-                        d.delayed_dispose(t, block);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T, S: Scheme> Default for SharedPtr<T, S> {
-    fn default() -> Self {
-        Self::null()
-    }
-}
-
 impl<T: fmt::Debug, S: Scheme> fmt::Debug for SharedPtr<T, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_ref() {
@@ -328,18 +131,9 @@ impl<T: fmt::Debug, S: Scheme> fmt::Debug for SharedPtr<T, S> {
 }
 
 /// A mutable shared location holding a strong reference plus tag bits,
-/// bound to one reclamation domain of scheme `S`.
-///
-/// All operations are lock-free (given a lock-free scheme). Racy operations
-/// open the needed critical sections internally — on *this location's*
-/// domain; hold a [`CsGuard`] from the same domain across a sequence of
-/// operations to pay the scheme's per-section fence once (performance only —
-/// correctness never depends on the caller's guard for these methods, since
-/// sections nest).
-///
-/// The compare-exchange family returns `Result<displaced, witness>`; see
-/// the crate-level "RMW family" docs and
-/// [`compare_exchange`](AtomicSharedPtr::compare_exchange).
+/// bound to one reclamation domain of scheme `S`; see [`AtomicRcPtr`] for
+/// the operations it shares with [`AtomicWeakPtr`](crate::AtomicWeakPtr)
+/// and the crate-level "RMW family" table.
 ///
 /// # Examples
 ///
@@ -352,30 +146,9 @@ impl<T: fmt::Debug, S: Scheme> fmt::Debug for SharedPtr<T, S> {
 /// assert!(displaced.ptr_eq(&one));
 /// assert_eq!(slot.load().as_ref(), Some(&2));
 /// ```
-pub struct AtomicSharedPtr<T, S: Scheme> {
-    inner: RcWord<S, StrongKind>,
-    _marker: PtrMarker<T, S>,
-}
-
-unsafe impl<T: Send + Sync, S: Scheme> Send for AtomicSharedPtr<T, S> {}
-unsafe impl<T: Send + Sync, S: Scheme> Sync for AtomicSharedPtr<T, S> {}
+pub type AtomicSharedPtr<T, S> = AtomicRcPtr<T, S, StrongKind>;
 
 impl<T, S: Scheme> AtomicSharedPtr<T, S> {
-    /// Creates a location holding `ptr` (tag 0), consuming its reference.
-    /// The location binds to the pointer's own domain (or the global domain
-    /// for a null pointer).
-    pub fn new(ptr: SharedPtr<T, S>) -> Self {
-        let domain = match ptr.block() {
-            0 => S::global_domain().as_raw(),
-            // Safety: `ptr` owns a strong reference, so the block is alive.
-            addr => unsafe { domain_of::<S>(addr) },
-        };
-        AtomicSharedPtr {
-            inner: RcWord::new_owned(ptr.into_addr(), domain),
-            _marker: PhantomData,
-        }
-    }
-
     /// Creates a location holding `ptr` (tag 0) bound to an explicit
     /// domain, consuming the reference.
     ///
@@ -385,41 +158,7 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// domain.
     pub fn new_in(ptr: SharedPtr<T, S>, domain: &DomainRef<S>) -> Self {
         check_same_domain(ptr.block(), domain);
-        AtomicSharedPtr {
-            inner: RcWord::new_owned(ptr.into_addr(), domain.as_raw()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Creates a null location bound to the scheme's global domain.
-    pub fn null() -> Self {
-        Self::null_in(S::global_domain())
-    }
-
-    /// Creates a null location bound to an explicit domain.
-    pub fn null_in(domain: &DomainRef<S>) -> Self {
-        AtomicSharedPtr {
-            inner: RcWord::new_owned(0, domain.as_raw()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// The domain this location is bound to, as a handle borrowed from the
-    /// location (clone it for an owning one).
-    pub fn domain(&self) -> &DomainRef<S> {
-        self.inner.domain()
-    }
-
-    /// An unprotected read of the raw word — for tag checks and CAS
-    /// `expected` values only; the result must never be dereferenced.
-    #[inline]
-    pub fn load_tagged(&self) -> TaggedPtr<T> {
-        TaggedPtr::from_word(self.inner.load_raw())
-    }
-
-    /// Loads the pointer and takes a strong reference to it (tag ignored).
-    pub fn load(&self) -> SharedPtr<T, S> {
-        SharedPtr::from_addr(self.inner.load_owning())
+        Self::bound(ptr, domain.as_raw())
     }
 
     /// Takes a protected snapshot without incrementing the count in the
@@ -430,11 +169,12 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     #[inline(always)]
     pub fn get_snapshot<'g>(&self, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, T, S> {
         debug_assert!(
-            cs.covers(self.inner.domain()),
+            cs.covers(self.domain()),
             "guard from a different reclamation domain used on this location"
         );
-        let src = self.inner.word();
-        let (word, hold) = match cs.domain().strong_ar.try_acquire(cs.tid(), src) {
+        let src = self.word();
+        let ar = cs.domain().ar(StrongKind::GUARD);
+        let (word, hold) = match ar.try_acquire(cs.tid(), src) {
             Some((w, g)) => (w, Hold::of::<S>(g)),
             None => (snapshot_owning(cs, src), Hold::Owned),
         };
@@ -442,8 +182,8 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     }
 
     /// Wraps a word this location held while `cs`'s section was active into
-    /// a protected snapshot — the failure-witness path of the `_with` CAS
-    /// family.
+    /// a protected snapshot — the failure-witness path of
+    /// [`compare_exchange_with`](Self::compare_exchange_with).
     ///
     /// Schemes whose active section alone protects every word read from a
     /// live location ([`smr::AcquireRetire::PROTECTS_SECTION_READS`]: EBR,
@@ -464,232 +204,25 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
         }
     }
 
-    /// Stores `desired` (with tag 0), consuming its reference; the previous
-    /// pointer's reference is retired (deferred decrement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `desired` is non-null and was allocated under a different
-    /// domain than this location's.
-    pub fn store(&self, desired: SharedPtr<T, S>) {
-        self.store_tagged(desired, 0);
-    }
-
-    /// Stores a new strong reference to the object behind any strong borrow
-    /// (with tag 0) — e.g. `prev.next.store_from(&tail_snapshot)` as in the
-    /// paper's doubly-linked queue (Fig. 10, line 18).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is non-null and from a different domain.
-    #[inline(always)]
-    pub fn store_from<R: StrongRef<T>>(&self, r: &R) {
-        let addr = r.addr();
-        check_same_domain(addr, self.inner.domain());
-        if addr != 0 {
-            // Safety: the strong borrow keeps the object alive.
-            unsafe { counted::increment_alive(addr) };
-        }
-        self.inner.store_owned(addr);
-    }
-
-    /// As [`store`](Self::store) with explicit tag bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `tag` exceeds [`smr::TAG_MASK`], and
-    /// (always) if `desired` is from a different domain.
-    pub fn store_tagged(&self, desired: SharedPtr<T, S>, tag: usize) {
-        debug_assert_eq!(tag & !smr::TAG_MASK, 0);
-        self.inner.store_owned(desired.into_addr() | tag);
-    }
-
-    /// Atomically replaces the occupant with `desired` (tag 0), returning
-    /// the displaced pointer as owned. No reference count is touched: the
-    /// caller's reference moves into the location and the location's moves
-    /// out (displaced-class — its eventual drop defers, see the module
-    /// docs). The displaced tag bits are discarded; use
-    /// [`swap_tagged`](Self::swap_tagged) to observe them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `desired` is non-null and from a different domain.
-    pub fn swap(&self, desired: SharedPtr<T, S>) -> SharedPtr<T, S> {
-        self.swap_tagged(desired, 0).0
-    }
-
-    /// As [`swap`](Self::swap) with explicit new tag bits; returns the
-    /// displaced pointer together with the tag bits it was stored under.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
-    /// (always) if `desired` is from a different domain.
-    pub fn swap_tagged(
-        &self,
-        desired: SharedPtr<T, S>,
-        new_tag: usize,
-    ) -> (SharedPtr<T, S>, usize) {
-        debug_assert_eq!(new_tag & !smr::TAG_MASK, 0);
-        let old = self.inner.swap_owned(desired.into_addr() | new_tag);
-        (
-            SharedPtr::from_displaced(untagged(old)),
-            old & smr::TAG_MASK,
-        )
-    }
-
-    /// Swap-with-null: empties the location and returns the displaced
-    /// pointer (take semantics). Equivalent to `swap(SharedPtr::null())`.
-    pub fn take(&self) -> SharedPtr<T, S> {
-        self.swap(SharedPtr::null())
-    }
-
-    /// Atomically replaces the word if it equals `expected`, installing a
-    /// new strong reference to `desired` with tag `new_tag`; `desired`
-    /// itself is only borrowed.
-    ///
-    /// On success, returns the **displaced** pointer as owned (drop it,
-    /// keep it, reinstall it — the location's old reference is yours). On
-    /// failure, returns the **witnessed** current word, ready to be the
-    /// next attempt's `expected` without re-loading the location. Spurious
-    /// failure does not occur.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
-    /// (always) if `desired` is non-null and from a different domain.
-    #[inline(always)]
-    pub fn compare_exchange_tagged<R: StrongRef<T>>(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: &R,
-        new_tag: usize,
-    ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
-        // Safety: `desired` is a strong borrow, guaranteeing liveness and a
-        // nonzero count for the pre-increment.
-        unsafe { self.cas_addr(expected, desired.addr(), new_tag, false) }
-            .map_err(TaggedPtr::from_word)
-    }
-
-    /// The borrowed-desired CAS behind the `compare_exchange` family, past
-    /// the inlined shells that read `desired.addr()`.
-    ///
-    /// # Safety
-    ///
-    /// `new_addr` is 0 or a block the caller holds a strong borrow on.
-    unsafe fn cas_addr(
-        &self,
-        expected: TaggedPtr<T>,
-        new_addr: usize,
-        new_tag: usize,
-        weak_cas: bool,
-    ) -> Result<SharedPtr<T, S>, usize> {
-        self.inner
-            .cas_borrowed(expected.word(), new_addr, new_tag, weak_cas)
-            .map(|old| SharedPtr::from_displaced(untagged(old)))
-    }
-
-    /// As [`compare_exchange_tagged`](Self::compare_exchange_tagged) with
-    /// tag 0 on the new value.
-    #[inline(always)]
-    pub fn compare_exchange<R: StrongRef<T>>(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: &R,
-    ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
-        self.compare_exchange_tagged(expected, desired, 0)
-    }
-
-    /// As [`compare_exchange`](Self::compare_exchange), but may fail
-    /// spuriously (the witness then equals `expected`) — cheaper on
-    /// LL/SC architectures inside a retry loop that re-attempts anyway.
-    #[inline(always)]
-    pub fn compare_exchange_weak<R: StrongRef<T>>(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: &R,
-    ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
-        self.compare_exchange_weak_tagged(expected, desired, 0)
-    }
-
-    /// As [`compare_exchange_tagged`](Self::compare_exchange_tagged), but
-    /// may fail spuriously.
-    ///
-    /// # Panics
-    ///
-    /// As [`compare_exchange_tagged`](Self::compare_exchange_tagged).
-    #[inline(always)]
-    pub fn compare_exchange_weak_tagged<R: StrongRef<T>>(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: &R,
-        new_tag: usize,
-    ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
-        // Safety: as in `compare_exchange_tagged`.
-        unsafe { self.cas_addr(expected, desired.addr(), new_tag, true) }
-            .map_err(TaggedPtr::from_word)
-    }
-
-    /// By-value compare-exchange: on success the **moved** `desired`
-    /// installs with *no reference-count traffic at all* (its reference
-    /// transfers to the location) and the displaced pointer comes back
-    /// owned; on failure the error returns both the witnessed current word
-    /// and `desired` itself, untouched, so the retry loop neither
-    /// reallocates nor pays a count round-trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `desired` is non-null and from a different domain.
-    pub fn compare_exchange_owned(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: SharedPtr<T, S>,
-    ) -> Result<SharedPtr<T, S>, CompareExchangeErr<SharedPtr<T, S>, T>> {
-        self.compare_exchange_tagged_owned(expected, desired, 0)
-    }
-
-    /// As [`compare_exchange_owned`](Self::compare_exchange_owned) with
-    /// explicit tag bits on the new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
-    /// (always) if `desired` is non-null and from a different domain.
-    pub fn compare_exchange_tagged_owned(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: SharedPtr<T, S>,
-        new_tag: usize,
-    ) -> Result<SharedPtr<T, S>, CompareExchangeErr<SharedPtr<T, S>, T>> {
-        debug_assert_eq!(new_tag & !smr::TAG_MASK, 0);
-        match self
-            .inner
-            .cas_owned(expected.word(), desired.block() | new_tag, false)
-        {
-            Ok(old) => {
-                std::mem::forget(desired);
-                Ok(SharedPtr::from_displaced(untagged(old)))
-            }
-            Err(w) => Err(CompareExchangeErr {
-                current: TaggedPtr::from_word(w),
-                desired,
-            }),
-        }
-    }
-
-    /// Guard-threaded compare-exchange: as
-    /// [`compare_exchange`](Self::compare_exchange), but the failure
-    /// witness comes back as a *protected* [`SnapshotPtr`] that can be
-    /// dereferenced immediately — retry loops read the current value
-    /// without any further load. Accepts either guard flavour via
-    /// [`OpGuard`]; the guard must cover this location's domain (asserted
-    /// in debug builds).
+    /// Guard-threaded compare-exchange installing (under tag 0) a new
+    /// strong reference to the object behind a *borrow*: exactly
+    /// `compare_exchange(expected, SharedPtr::from_strong(desired), 0)` —
+    /// the reference is taken before the CAS and given back directly if it
+    /// fails — but the failure witness comes back as a *protected*
+    /// [`SnapshotPtr`] that can be dereferenced immediately, so retry loops
+    /// read the current value without any further load. Accepts either
+    /// guard flavour via [`OpGuard`]; the guard must cover this location's
+    /// domain (asserted in debug builds).
     ///
     /// Under EBR and Hyaline the returned snapshot is exactly the
     /// witnessed word, protected for free by the active section; IBR and
     /// HP must revalidate against the live location, so their snapshot may
     /// observe a value newer than the one that failed the comparison (see
     /// [`smr::AcquireRetire::PROTECTS_SECTION_READS`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `desired` is non-null and from a different domain.
     #[inline(always)]
     pub fn compare_exchange_with<'g, R: StrongRef<T>, G: OpGuard<S>>(
         &self,
@@ -697,70 +230,44 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
         expected: TaggedPtr<T>,
         desired: &R,
     ) -> Result<SharedPtr<T, S>, SnapshotPtr<'g, T, S>> {
-        self.compare_exchange_tagged_with(guard, expected, desired, 0)
-    }
-
-    /// As [`compare_exchange_with`](Self::compare_exchange_with) with
-    /// explicit tag bits on the new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `new_tag` exceeds [`smr::TAG_MASK`], and
-    /// (always) if `desired` is non-null and from a different domain.
-    #[inline(always)]
-    pub fn compare_exchange_tagged_with<'g, R: StrongRef<T>, G: OpGuard<S>>(
-        &self,
-        guard: &'g G,
-        expected: TaggedPtr<T>,
-        desired: &R,
-        new_tag: usize,
-    ) -> Result<SharedPtr<T, S>, SnapshotPtr<'g, T, S>> {
         let cs = guard.strong_cs();
         debug_assert!(
-            cs.covers(self.inner.domain()),
+            cs.covers(self.domain()),
             "guard from a different reclamation domain used on this location"
         );
-        // Safety: as in `compare_exchange_tagged`.
-        unsafe { self.cas_addr(expected, desired.addr(), new_tag, false) }
-            .map_err(|w| self.protect_witness(cs, w))
+        self.cas_out_of_line(expected, SharedPtr::from_strong(desired))
+            .map_err(|w| self.protect_witness(cs, w.word()))
     }
 
-    /// Atomically ORs `tag_bits` into the word unconditionally, returning
-    /// the previous word (Natarajan-Mittal edge tagging). No reference
-    /// counts change: the location keeps the same pointer.
-    pub fn fetch_or_tag(&self, tag_bits: usize) -> TaggedPtr<T> {
-        TaggedPtr::from_word(self.inner.fetch_or_tag(tag_bits))
-    }
-
-    /// Atomically ORs tag bits into the word if it still equals `expected`
-    /// (e.g. Harris-style delete marking). No reference counts change: the
-    /// location keeps the same pointer.
+    /// The by-value CAS behind [`compare_exchange_with`]'s inlined shell,
+    /// out of line on purpose: both arguments and the two-word result
+    /// travel in registers, so the shell costs its caller an increment, a
+    /// call and a test. Inlined, the CAS, the domain check and both
+    /// relinquish arms land between the blocks of every traversal that can
+    /// help an unlink — its rare arm — and the hop, though the same
+    /// instructions, measured 3–9 % slower on the benchmark's list under
+    /// hazard pointers.
     ///
-    /// On success returns the word as installed (`expected | tag_bits`),
-    /// handy for continuing a tag-state machine; on failure returns the
-    /// witnessed current word.
-    pub fn try_set_tag(
+    /// [`compare_exchange_with`]: Self::compare_exchange_with
+    #[inline(never)]
+    fn cas_out_of_line(
         &self,
         expected: TaggedPtr<T>,
-        tag_bits: usize,
-    ) -> Result<TaggedPtr<T>, TaggedPtr<T>> {
-        self.inner
-            .try_set_tag(expected.word(), tag_bits)
-            .map(TaggedPtr::from_word)
-            .map_err(TaggedPtr::from_word)
+        desired: SharedPtr<T, S>,
+    ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
+        self.compare_exchange(expected, desired, 0)
+            .map_err(|e| e.current)
     }
 
-    /// Takes the raw word out of a dead location (`&mut` access), leaving
-    /// it null; ownership of the displaced reference transfers to the
-    /// caller. Edge-collection path of immediate recursive destruction.
-    pub(crate) fn extract_word(&mut self) -> usize {
-        self.inner.take_word()
-    }
-}
-
-impl<T, S: Scheme> Default for AtomicSharedPtr<T, S> {
-    fn default() -> Self {
-        Self::null()
+    // Kept for the frozen benchmark only (`ledger/src/ladder.rs:170`), which
+    // no other caller may join; the next `benchmark` PR deletes it.
+    #[doc(hidden)]
+    pub fn compare_exchange_owned(
+        &self,
+        expected: TaggedPtr<T>,
+        desired: SharedPtr<T, S>,
+    ) -> Result<SharedPtr<T, S>, CompareExchangeErr<SharedPtr<T, S>, T>> {
+        self.compare_exchange(expected, desired, 0)
     }
 }
 
@@ -770,42 +277,13 @@ impl<T, S: Scheme> From<SharedPtr<T, S>> for AtomicSharedPtr<T, S> {
     }
 }
 
-impl<T, S: Scheme> fmt::Debug for AtomicSharedPtr<T, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AtomicSharedPtr")
-            .field("tagged", &self.load_tagged())
-            .finish()
-    }
-}
-
-/// A protected view of an [`AtomicSharedPtr`]'s pointee, valid within the
-/// critical section that created it (§3.4: snapshot lifetimes must be
-/// contained in a critical section — enforced here by borrowing the guard).
+/// A protected view of an [`AtomicSharedPtr`]'s pointee; see [`Snapshot`]
+/// for the cost model and the no-escape invariant.
 ///
 /// While a snapshot is alive, the object's strong count cannot reach zero,
 /// so dereferencing is safe even though the snapshot usually holds **no**
-/// reference of its own. Not `Send`: protection is thread-local.
-///
-/// # Cost: fast arms inline, slow arms out of line and by value
-///
-/// Under a region scheme taking a snapshot is a load and dropping one is
-/// nothing (Fig. 13a) — if a traversal's snapshots live in registers. So
-/// the fast arms (`try_acquire` hit, accessors, dropping a snapshot that
-/// holds nothing) are `#[inline(always)]`, and the slow arms (`try_acquire`
-/// miss → one owned reference; giving back a hazard slot or that
-/// reference) are free functions taking the *word* by value.
-///
-/// **No-escape invariant:** no `&SnapshotPtr` or `&mut SnapshotPtr`
-/// reaches a function that is not inlined, on any path, unwind cleanup
-/// included — one escaped address pins the snapshot, and every snapshot it
-/// is rotated with, to the stack: a store and a reload per hop on the
-/// pointer-chasing dependency chain. This crate's `&R: StrongRef`
-/// parameters are read (`r.addr()`) in inlined shells; structure code
-/// should likewise chase the word and rotate the snapshot, never lend it.
-pub struct SnapshotPtr<'g, T, S: Scheme> {
-    inner: Held<'g, S, false>,
-    _marker: PhantomData<Box<T>>,
-}
+/// reference of its own.
+pub type SnapshotPtr<'g, T, S> = Snapshot<'g, T, S, StrongKind>;
 
 /// Slow arm of [`AtomicSharedPtr::get_snapshot`], out of protection
 /// resources: protects `src` with the reserved `acquire` slot just long
@@ -813,64 +291,29 @@ pub struct SnapshotPtr<'g, T, S: Scheme> {
 #[cold]
 #[inline(never)]
 fn snapshot_owning<S: Scheme>(cs: &CsGuard<S>, src: &AtomicUsize) -> usize {
-    let (d, t) = (cs.domain(), cs.tid());
-    let (w, g) = d.strong_ar.acquire(t, src);
+    let (ar, t) = (cs.domain().ar(StrongKind::GUARD), cs.tid());
+    let (w, g) = ar.acquire(t, src);
     let addr = untagged(w);
     if addr != 0 {
         // Safety: the location holds a strong reference and the acquire
         // blocks its deferred decrement.
-        unsafe { counted::increment_alive(addr) };
+        unsafe { StrongKind::incr(addr) };
     }
-    d.strong_ar.release(t, g);
+    ar.release(t, g);
     w
 }
 
 impl<'g, T, S: Scheme> SnapshotPtr<'g, T, S> {
-    #[inline(always)]
-    fn from_parts(word: usize, hold: Hold<S::Guard>, cs: &'g CsGuard<S>) -> Self {
-        SnapshotPtr {
-            inner: Held::new(word, hold, cs),
-            _marker: PhantomData,
-        }
-    }
-
     /// A null snapshot (no protection needed).
     #[inline(always)]
     pub fn null(cs: &'g CsGuard<S>) -> Self {
         Self::from_parts(0, Hold::Section, cs)
     }
 
-    /// The word as loaded, including tag bits.
-    #[inline(always)]
-    pub fn tagged(&self) -> TaggedPtr<T> {
-        TaggedPtr::from_word(self.inner.word)
-    }
-
     /// The tag bits observed at load time.
     #[inline(always)]
     pub fn tag(&self) -> usize {
         self.tagged().tag()
-    }
-
-    /// Whether the snapshot observed null.
-    #[inline(always)]
-    pub fn is_null(&self) -> bool {
-        untagged(self.inner.word) == 0
-    }
-
-    /// Borrows the managed value, or `None` for null.
-    #[inline(always)]
-    #[cfg_attr(feature = "sanitize", track_caller)]
-    pub fn as_ref(&self) -> Option<&T> {
-        // Safety: snapshots of a `T` location name `T` blocks.
-        unsafe { self.inner.payload() }
-    }
-
-    /// Whether this snapshot took the fast (protected, count-free) path —
-    /// exposed for tests and the snapshot ablation benchmark.
-    #[inline(always)]
-    pub fn used_fast_path(&self) -> bool {
-        self.inner.count_free()
     }
 
     /// This snapshot with its witnessed tag bits replaced (protection is on
@@ -880,7 +323,7 @@ impl<'g, T, S: Scheme> SnapshotPtr<'g, T, S> {
     #[inline(always)]
     pub fn with_tag(mut self, tag: usize) -> Self {
         debug_assert_eq!(tag & !smr::TAG_MASK, 0);
-        self.inner.word = untagged(self.inner.word) | tag;
+        self.inner.word = self.block() | tag;
         self
     }
 
@@ -894,16 +337,7 @@ impl<'g, T, S: Scheme> SnapshotPtr<'g, T, S> {
 impl<T, S: Scheme> StrongRef<T> for SnapshotPtr<'_, T, S> {
     #[inline(always)]
     fn addr(&self) -> usize {
-        untagged(self.inner.word)
-    }
-}
-
-impl<T: fmt::Debug, S: Scheme> fmt::Debug for SnapshotPtr<'_, T, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.as_ref() {
-            Some(v) => f.debug_tuple("SnapshotPtr").field(v).finish(),
-            None => f.write_str("SnapshotPtr(null)"),
-        }
+        self.block()
     }
 }
 
@@ -992,7 +426,9 @@ mod tests {
         let one = slot.load();
         let two = Sp::new(2);
         let cur = slot.load_tagged();
-        let displaced = slot.compare_exchange(cur, &two).expect("CAS succeeds");
+        let displaced = slot
+            .compare_exchange(cur, two.clone(), 0)
+            .expect("CAS succeeds");
         assert!(
             displaced.ptr_eq(&one),
             "displaced value is the old occupant"
@@ -1000,12 +436,13 @@ mod tests {
         assert_eq!(displaced.as_ref(), Some(&1));
         assert_eq!(slot.load().as_ref(), Some(&2));
         drop(displaced);
-        // Stale expected now fails, must not leak the pre-increment, and the
-        // witness names the current occupant.
-        let w = slot
-            .compare_exchange(cur, &two)
+        // Stale expected now fails, must not leak the reference it was
+        // handed, and the witness names the current occupant.
+        let e = slot
+            .compare_exchange(cur, two.clone(), 0)
             .expect_err("stale expected");
-        assert_eq!(w.addr(), TaggedPtr::from_strong(&two).addr());
+        assert_eq!(e.current.addr(), TaggedPtr::from_strong(&two).addr());
+        drop(e);
         assert_eq!(two.strong_count(), 2, "slot + local");
         drop(slot);
         drop(two);
@@ -1019,14 +456,14 @@ mod tests {
         let cur = slot.load_tagged();
         let two = Sp::new(2);
         let keeper = two.clone(); // count 2
-        let displaced = slot.compare_exchange_owned(cur, two).expect("CAS succeeds");
+        let displaced = slot.compare_exchange(cur, two, 0).expect("CAS succeeds");
         assert_eq!(displaced.as_ref(), Some(&1));
         assert_eq!(keeper.strong_count(), 2, "slot took the moved reference");
         drop(displaced);
         // Failure hands `desired` back untouched.
         let three = Sp::new(3);
         let err = slot
-            .compare_exchange_owned(cur, three)
+            .compare_exchange(cur, three, 0)
             .expect_err("stale expected");
         assert_eq!(err.current.addr(), keeper.addr());
         assert_eq!(err.desired.as_ref(), Some(&3));
@@ -1064,12 +501,12 @@ mod tests {
         let two = Sp::new(2);
         let mut cur = slot.load_tagged();
         loop {
-            match slot.compare_exchange_weak(cur, &two) {
+            match slot.compare_exchange_weak(cur, two.clone(), 0) {
                 Ok(displaced) => {
                     assert_eq!(displaced.as_ref(), Some(&1));
                     break;
                 }
-                Err(w) => cur = w,
+                Err(e) => cur = e.current,
             }
         }
         assert_eq!(slot.load().as_ref(), Some(&2));
@@ -1104,20 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_tagged_reports_displaced_tag() {
-        let slot: Asp<u32> = AtomicSharedPtr::new(SharedPtr::new(4));
-        let cur = slot.load_tagged();
-        slot.try_set_tag(cur, 0b10).expect("tag lands");
-        let (displaced, tag) = slot.swap_tagged(SharedPtr::new(5), 0b1);
-        assert_eq!(tag, 0b10, "displaced tag observed");
-        assert_eq!(displaced.as_ref(), Some(&4));
-        assert_eq!(slot.load_tagged().tag(), 0b1, "new tag installed");
-        drop(displaced);
-        drop(slot);
-        settle();
-    }
-
-    #[test]
     fn tag_manipulation() {
         let slot: Asp<u32> = AtomicSharedPtr::new(SharedPtr::new(9));
         let cur = slot.load_tagged();
@@ -1141,12 +564,12 @@ mod tests {
     }
 
     #[test]
-    fn store_tagged_and_cas_with_tags() {
+    fn compare_exchange_installs_the_new_tag() {
         let slot: Asp<u32> = AtomicSharedPtr::new(SharedPtr::new(1));
         let nxt = Sp::new(2);
         let exp = slot.load_tagged();
         let displaced = slot
-            .compare_exchange_tagged(exp, &nxt, 0b10)
+            .compare_exchange(exp, nxt.clone(), 0b10)
             .expect("CAS succeeds");
         assert_eq!(displaced.as_ref(), Some(&1));
         drop(displaced);

@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 
 use cdrc::{
     AtomicSharedPtr, AtomicWeakPtr, DomainRef, EdgeCollector, GraphNode, OpGuard, Scheme,
-    SharedPtr, WeakCsGuard,
+    SharedPtr, WeakCsGuard, WeakPtr,
 };
 
 use crate::ConcurrentQueue;
@@ -25,7 +25,7 @@ struct Node<V, S: Scheme> {
 impl<V, S: Scheme> GraphNode<S> for Node<V, S> {
     fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
         out.take_atomic(&mut self.next);
-        out.take_atomic_weak(&mut self.prev);
+        out.take_atomic(&mut self.prev);
     }
 }
 
@@ -100,14 +100,18 @@ where
         let new_node: SharedPtr<Node<V, S>, S> = Self::alloc_node(&self.domain, Some(v));
         let mut ltail = self.tail.get_snapshot(guard.strong_cs());
         loop {
-            new_node.as_ref().unwrap().prev.store_strong(&ltail);
+            new_node
+                .as_ref()
+                .unwrap()
+                .prev
+                .store(WeakPtr::from_strong(&ltail));
             // Help the previous enqueue set its next pointer (the prev
             // fixup: reading a possibly-expired node is exactly what the
             // weak snapshot makes safe).
             let lprev = ltail.as_ref().unwrap().prev.get_snapshot(guard);
             if let Some(prev_node) = lprev.as_ref() {
                 if prev_node.next.load_tagged().is_null() {
-                    prev_node.next.store_from(&ltail);
+                    prev_node.next.store(ltail.to_shared());
                 }
             }
             match self
@@ -115,7 +119,7 @@ where
                 .compare_exchange_with(guard, ltail.tagged(), &new_node)
             {
                 Ok(displaced) => {
-                    ltail.as_ref().unwrap().next.store_from(&new_node);
+                    ltail.as_ref().unwrap().next.store(new_node);
                     drop(displaced); // the tail's old reference to ltail
                     return;
                 }

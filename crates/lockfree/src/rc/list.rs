@@ -92,7 +92,7 @@ pub(super) fn find<'g, N: Link<S>, S: Scheme>(
                 // cur is logically deleted: splice it out. Dropping the
                 // displaced reference reclaims cur (and anything only it
                 // references) automatically.
-                match edge.compare_exchange_tagged_with(cs, cur.tagged(), &next, 0) {
+                match edge.compare_exchange_with(cs, cur.tagged(), &next) {
                     Ok(unlinked) => {
                         drop(unlinked);
                         cur = next.with_tag(0);
@@ -132,9 +132,9 @@ pub(super) fn link_at<N: Link<S>, S: Scheme>(
     node.as_ref()
         .expect("linking a null node")
         .next()
-        .store_from(&c.cur);
+        .store(c.cur.to_shared());
     edge_of(head, &c.prev)
-        .compare_exchange_tagged_owned(c.cur.tagged(), node, 0)
+        .compare_exchange(c.cur.tagged(), node, 0)
         .map(drop)
         .map_err(|e| e.desired)
 }
@@ -157,12 +157,8 @@ pub(super) fn remove_at<N: Link<S>, S: Scheme>(
                 // The displaced reference to cur drops here — that is the
                 // entire reclamation path.
                 let next = node.next().get_snapshot(cs);
-                let unlinked = edge_of(head, &c.prev).compare_exchange_tagged_with(
-                    cs,
-                    c.cur.tagged(),
-                    &next,
-                    0,
-                );
+                let unlinked =
+                    edge_of(head, &c.prev).compare_exchange_with(cs, c.cur.tagged(), &next);
                 drop(unlinked);
                 return true;
             }

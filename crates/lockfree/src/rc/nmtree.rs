@@ -185,9 +185,9 @@ where
         // the spliced-out chain; dropping it reclaims every chain node and
         // flagged leaf — the paper's Fig. 1b, with the ownership now
         // explicit in the return value.
-        match ancestor.child_edge(key).compare_exchange_tagged(
+        match ancestor.child_edge(key).compare_exchange(
             s.successor,
-            &sibling,
+            sibling.to_shared(),
             sib_w.tag() & FLAG,
         ) {
             Ok(chain) => {
@@ -227,7 +227,7 @@ where
             // Move our reference to the replacement subtree in (no count
             // round-trip); the displaced edge reference to the old leaf is
             // balanced by the one new_internal's child edge holds.
-            match edge.compare_exchange_tagged_owned(s.leaf.tagged().with_tag(0), new_internal, 0) {
+            match edge.compare_exchange(s.leaf.tagged().with_tag(0), new_internal, 0) {
                 Ok(displaced_leaf) => {
                     drop(displaced_leaf);
                     return true;

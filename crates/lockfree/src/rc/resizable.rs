@@ -177,7 +177,7 @@ where
         let sentinel = self.splice_sentinel(&parent, so_dummy(b as u64), cs);
         // Losing this install race is harmless: the list admits exactly one
         // node per (even) so-key, so the winner published the same node.
-        let _ = slot.compare_exchange(TaggedPtr::null(), &sentinel);
+        let _ = slot.compare_exchange(TaggedPtr::null(), sentinel, 0);
         slot.get_snapshot(cs)
     }
 

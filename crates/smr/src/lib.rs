@@ -387,7 +387,7 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// [`release`](Self::release) does nothing, so a consumer may drop such
     /// a guard without releasing it (`cdrc` does, which is what makes a
     /// snapshot under a region scheme a bare word).
-    const PROTECTS_REGIONS: bool = true;
+    const PROTECTS_REGIONS: bool;
 
     /// Whether an *active critical section alone* protects every pointer
     /// read from a live location during the section — including objects
@@ -404,15 +404,13 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// a concurrent scan is free to reclaim. False for HP (no region
     /// protection at all). Consumers with a previously-observed word must
     /// re-acquire from the live location unless this is true.
-    const PROTECTS_SECTION_READS: bool = false;
+    const PROTECTS_SECTION_READS: bool;
 
     /// Creates an instance backed by `clock` with tuning `config`.
     fn new(clock: Arc<GlobalEpoch>, config: SmrConfig) -> Self;
 
     /// The scheme's preferred tuning (paper §5.1 values).
-    fn default_config() -> SmrConfig {
-        SmrConfig::default()
-    }
+    fn default_config() -> SmrConfig;
 
     /// Short human-readable scheme name (for benchmark tables).
     fn scheme_name() -> &'static str;

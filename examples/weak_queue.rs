@@ -61,7 +61,7 @@ fn weak_api_demo() {
     });
     // A registry slot that must not keep the sensor alive:
     let registry: AtomicWeakPtr<Sensor, S> = AtomicWeakPtr::null();
-    registry.store(&live.downgrade());
+    registry.store(live.downgrade());
 
     // While the sensor is alive, loads upgrade fine.
     let w = registry.load();

@@ -1,5 +1,10 @@
 //! The witness-returning CAS contract, across all four schemes:
 //!
+//! * one *location contract* — store/load, swap/take, by-value CAS, tags,
+//!   cross-domain refusal, displaced-drop deferral, balance — run for both
+//!   reference kinds (`location_contract::<K, S>`);
+//! * the guard-threaded borrowed CAS is the by-value CAS plus an increment
+//!   at the call site (same counts after a failed and a successful attempt);
 //! * a successful compare-exchange returns the *exact* displaced pointer;
 //! * a failure witness names a concurrent writer's install;
 //! * tag-only transitions (`try_set_tag` / `fetch_or_tag`) interoperate
@@ -11,17 +16,218 @@
 
 use proptest::prelude::*;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cdrc::{
-    AtomicSharedPtr, DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme, SharedPtr,
-    TaggedPtr,
+    AtomicRcPtr, AtomicSharedPtr, DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, RcPtr,
+    RefKind, Scheme, SharedPtr, StrongKind, TaggedPtr, WeakKind,
 };
 
 /// Drains a domain after multi-threaded use (worker threads joined): their
 /// retired lists live in per-slot state only `drain_and_apply_all` reaches.
+///
+/// Joined *by handle*: a thread scope's implicit join returns once the
+/// closures have, which is before the threads' TLS destructors — `cdrc`'s
+/// thread-exit batch flush among them — have run, and that flush racing
+/// this drain applies a batch twice.
 fn drain<S: Scheme>(d: &DomainRef<S>) {
     // Safety: callers join every worker thread first, and each test owns
     // its private domains, so nobody else is using them.
     unsafe { d.drain_and_apply_all(smr::current_tid()) };
+}
+
+/// What every atomic location promises, whichever count its references
+/// hold. `K`-references are minted from strong keepers (`from_strong`), and
+/// the keepers' strong counts are the probe: they move with a strong
+/// location's references and must never move with a weak one's.
+fn location_contract<K: RefKind, S: Scheme>() {
+    let d: DomainRef<S> = DomainRef::new();
+    let foreign_domain: DomainRef<S> = DomainRef::new();
+    let t = smr::current_tid();
+    {
+        let a: SharedPtr<u64, S> = SharedPtr::new_in(1, &d);
+        let b: SharedPtr<u64, S> = SharedPtr::new_in(2, &d);
+        let kind = |p: &SharedPtr<u64, S>| RcPtr::<u64, S, K>::from_strong(p);
+        let (ka, kb) = (kind(&a), kind(&b));
+        // Settled first: a displaced pointer dropped earlier is a deferred
+        // decrement, applied at some later flush point.
+        let counts = || {
+            d.process_deferred(t);
+            (a.strong_count(), b.strong_count())
+        };
+        let word = |p: &SharedPtr<u64, S>| TaggedPtr::from_strong(p);
+
+        let slot: AtomicRcPtr<u64, S, K> = AtomicRcPtr::null_in(&d);
+        assert!(slot.domain().ptr_eq(&d));
+        assert!(slot.load().is_null() && slot.load_tagged().is_null());
+
+        // Store / load round trip.
+        slot.store(kind(&a));
+        assert_eq!(slot.load_tagged(), word(&a));
+        assert!(slot.load().ptr_eq(&ka));
+
+        // Swap and take move ownership: no count changes hands.
+        let incoming = kind(&b);
+        let held = counts();
+        let displaced = slot.swap(incoming);
+        assert!(displaced.ptr_eq(&ka), "swap returns the old occupant");
+        let taken = slot.take();
+        assert!(taken.ptr_eq(&kb), "take returns the occupant");
+        assert!(slot.load_tagged().is_null(), "take empties the slot");
+        assert!(slot.take().is_null(), "second take observes null");
+        assert_eq!(counts(), held, "swap/take touched a count");
+        slot.store(displaced); // a displaced pointer reinstalls like any other
+        drop(taken);
+
+        // CAS success: the moved `desired` installs under the new tag and
+        // the displaced value comes back, again without count traffic.
+        let stale = slot.load_tagged();
+        let desired = kind(&b);
+        let held = counts();
+        let displaced = slot
+            .compare_exchange(stale, desired, 0b10)
+            .map_err(drop)
+            .expect("CAS from the current word succeeds");
+        assert!(displaced.ptr_eq(&ka), "success returns the displaced value");
+        assert_eq!(slot.load_tagged(), word(&b).with_tag(0b10), "new tag");
+        assert_eq!(counts(), held, "by-value CAS touched a count");
+        drop(displaced);
+
+        // CAS failure: the witness is the current word and `desired` comes
+        // back untouched; both feed the retry. The weak form converges too.
+        let desired = kind(&a);
+        let held = counts();
+        let e = slot
+            .compare_exchange(stale, desired, 0)
+            .map(drop)
+            .expect_err("stale expected fails");
+        assert_eq!(e.current, slot.load_tagged(), "witness is the current word");
+        assert!(e.desired.ptr_eq(&ka), "desired handed back");
+        assert_eq!(counts(), held, "failed CAS touched a count");
+        let (mut expected, mut desired) = (stale, e.desired);
+        let displaced = loop {
+            match slot.compare_exchange_weak(expected, desired, 0) {
+                Ok(displaced) => break displaced,
+                Err(e) => (expected, desired) = (e.current, e.desired),
+            }
+        };
+        assert!(displaced.ptr_eq(&kb), "witness-seeded retry lands");
+        drop(displaced);
+
+        // Tag transitions leave the pointer and every count alone.
+        let held = counts();
+        let cur = slot.load_tagged();
+        let marked = slot.try_set_tag(cur, 0b1).expect("mark lands");
+        assert_eq!(marked, cur.with_tag(0b1));
+        assert_eq!(slot.try_set_tag(cur, 0b10), Err(marked), "stale: witness");
+        assert_eq!(slot.fetch_or_tag(0b100), marked, "previous word");
+        assert_eq!(slot.load_tagged(), word(&a).with_tag(0b101));
+        assert!(slot.load().ptr_eq(&ka), "a tagged word still loads");
+        drop(slot.load());
+        assert_eq!(counts(), held, "a tag transition touched a count");
+
+        // Every install path refuses a pointer from another domain, and
+        // the refused reference is not leaked.
+        let stranger: SharedPtr<u64, S> = SharedPtr::new_in(9, &foreign_domain);
+        let refused = |install: &dyn Fn(RcPtr<u64, S, K>)| {
+            let err = catch_unwind(AssertUnwindSafe(|| install(kind(&stranger))))
+                .expect_err("cross-domain install must panic");
+            let msg = err.downcast_ref::<&str>().expect("panic message");
+            assert!(msg.contains("cross-domain"), "{msg}");
+        };
+        refused(&|p| slot.store(p));
+        refused(&|p| drop(slot.swap(p)));
+        refused(&|p| drop(slot.compare_exchange(slot.load_tagged(), p, 0)));
+        assert!(slot.load().ptr_eq(&ka), "a refused install changes nothing");
+        drop(stranger);
+
+        // A displaced pointer's drop is deferred while a section is open —
+        // a reader that loaded the old word may still be mid-increment — and
+        // applied once it closes. Seen through the last reference to a
+        // block: the free waits for the section.
+        let c: SharedPtr<u64, S> = SharedPtr::new_in(3, &d);
+        slot.store(kind(&c));
+        drop(c);
+        d.process_deferred(t);
+        let cs = d.weak_cs();
+        let displaced = slot.take();
+        let freed = d.freed();
+        drop(displaced);
+        assert_eq!(d.freed(), freed, "displaced drop applied under a section");
+        drop(cs);
+        d.process_deferred(t);
+        assert_eq!(d.freed(), freed + 1, "displaced drop never applied");
+    }
+    d.process_deferred(t);
+    foreign_domain.process_deferred(t);
+    assert_eq!(d.allocated(), d.freed(), "clean teardown");
+    assert_eq!(foreign_domain.allocated(), foreign_domain.freed());
+}
+
+#[test]
+fn location_contract_strong_all_schemes() {
+    location_contract::<StrongKind, EbrScheme>();
+    location_contract::<StrongKind, IbrScheme>();
+    location_contract::<StrongKind, HpScheme>();
+    location_contract::<StrongKind, HyalineScheme>();
+}
+
+#[test]
+fn location_contract_weak_all_schemes() {
+    location_contract::<WeakKind, EbrScheme>();
+    location_contract::<WeakKind, IbrScheme>();
+    location_contract::<WeakKind, HpScheme>();
+    location_contract::<WeakKind, HyalineScheme>();
+}
+
+/// `compare_exchange_with(g, e, &snap)` is `compare_exchange(e,
+/// snap.to_shared(), 0)` with a dereferenceable witness: after a failed and
+/// after a successful attempt both leave the same strong counts on the
+/// displaced and on the installed object.
+fn borrowed_cas_is_by_value_cas<S: Scheme>() {
+    let d: DomainRef<S> = DomainRef::new();
+    let t = smr::current_tid();
+    let run = |by_value: bool| {
+        let old: SharedPtr<u64, S> = SharedPtr::new_in(1, &d);
+        let new: SharedPtr<u64, S> = SharedPtr::new_in(2, &d);
+        let slot = AtomicSharedPtr::new_in(old.clone(), &d);
+        let source = AtomicSharedPtr::new_in(new.clone(), &d);
+        let counts = || (old.strong_count(), new.strong_count());
+        let observed = {
+            let cs = d.cs();
+            let snap = source.get_snapshot(&cs);
+            let attempt = |expected: TaggedPtr<u64>| {
+                if by_value {
+                    let r = slot.compare_exchange(expected, snap.to_shared(), 0);
+                    r.map(drop).map_err(drop)
+                } else {
+                    let r = slot.compare_exchange_with(&cs, expected, &snap);
+                    r.map(drop).map_err(drop)
+                }
+            };
+            attempt(TaggedPtr::null()).expect_err("null expected, full slot");
+            let failed = counts();
+            attempt(slot.load_tagged()).expect("current expected");
+            [failed, counts()]
+        };
+        // old: keeper + the displaced reference, its drop deferred by the
+        // open section; new: keeper + `source` (+ `slot` once installed).
+        assert_eq!(observed, [(2, 2), (2, 3)]);
+        drop((slot, source));
+        d.process_deferred(t);
+        observed
+    };
+    assert_eq!(run(false), run(true), "{}", S::scheme_name());
+    d.process_deferred(t);
+    assert_eq!(d.allocated(), d.freed());
+}
+
+#[test]
+fn borrowed_cas_is_by_value_cas_all_schemes() {
+    borrowed_cas_is_by_value_cas::<EbrScheme>();
+    borrowed_cas_is_by_value_cas::<IbrScheme>();
+    borrowed_cas_is_by_value_cas::<HpScheme>();
+    borrowed_cas_is_by_value_cas::<HyalineScheme>();
 }
 
 /// Success returns the exact displaced pointer; failure returns a witness
@@ -34,7 +240,9 @@ fn displaced_and_witness<S: Scheme>() {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(first.clone(), &d);
         let second: SharedPtr<u64, S> = SharedPtr::new_in(2, &d);
         let cur = slot.load_tagged();
-        let displaced = slot.compare_exchange(cur, &second).expect("CAS succeeds");
+        let displaced = slot
+            .compare_exchange(cur, second.clone(), 0)
+            .expect("CAS succeeds");
         assert!(
             displaced.ptr_eq(&first),
             "displaced pointer is the exact old occupant"
@@ -43,10 +251,12 @@ fn displaced_and_witness<S: Scheme>() {
         drop(displaced);
         // Stale retry: the witness is the installed `second`, and feeding
         // it back as `expected` succeeds without any re-load.
-        let w = slot.compare_exchange(cur, &first).expect_err("stale");
-        assert_eq!(w.addr(), TaggedPtr::from_strong(&second).addr());
+        let e = slot
+            .compare_exchange(cur, first.clone(), 0)
+            .expect_err("stale");
+        assert_eq!(e.current.addr(), TaggedPtr::from_strong(&second).addr());
         let displaced = slot
-            .compare_exchange(w, &first)
+            .compare_exchange(e.current, e.desired, 0)
             .expect("witness-seeded retry");
         assert!(displaced.ptr_eq(&second));
         drop(displaced);
@@ -78,17 +288,20 @@ fn witness_matches_concurrent_install<S: Scheme>() {
             let slot = &slot;
             let theirs = &theirs;
             s.spawn(move || {
-                slot.store_from(theirs);
-            });
+                slot.store(theirs.clone());
+            })
+            .join()
+            .unwrap();
         });
         // ...so our stale CAS must fail, and the witness must be exactly
         // that install.
         let mine: SharedPtr<u64, S> = SharedPtr::new_in(7, &d);
         let w = slot
-            .compare_exchange(stale, &mine)
-            .expect_err("the writer moved the slot");
+            .compare_exchange(stale, mine, 0)
+            .expect_err("the writer moved the slot")
+            .current;
         assert_eq!(w.addr(), their_word.addr(), "witness names the install");
-        drop((slot, theirs, mine));
+        drop((slot, theirs));
     }
     drain(&d);
     assert_eq!(d.allocated(), d.freed());
@@ -118,8 +331,9 @@ fn tag_transitions_interop<S: Scheme>() {
         // the marked word, which seeds a successful tag upgrade.
         let desired: SharedPtr<u64, S> = SharedPtr::new_in(6, &d);
         let w = slot
-            .compare_exchange(cur, &desired)
-            .expect_err("marked word defeats unmarked expected");
+            .compare_exchange(cur, desired.clone(), 0)
+            .expect_err("marked word defeats unmarked expected")
+            .current;
         assert_eq!(w, marked, "witness carries the mark");
         let both = slot.try_set_tag(w, 0b10).expect("tag upgrade via witness");
         assert_eq!(both.tag(), 0b11);
@@ -128,7 +342,7 @@ fn tag_transitions_interop<S: Scheme>() {
         let prev = slot.fetch_or_tag(0b100);
         assert_eq!(prev, both);
         let displaced = slot
-            .compare_exchange_tagged(prev.with_tag(0b111), &desired, 0)
+            .compare_exchange(prev.with_tag(0b111), desired.clone(), 0)
             .expect("witnessed marked word swings out");
         assert_eq!(displaced.as_ref(), Some(&5));
         drop(displaced);
@@ -154,17 +368,20 @@ fn swap_take_teardown<S: Scheme>() {
     {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(99, &d), &d);
         std::thread::scope(|s| {
-            for i in 0..4u64 {
-                let slot = &slot;
-                let d = &d;
-                s.spawn(move || {
-                    let mut mine: SharedPtr<u64, S> = SharedPtr::new_in(i, d);
-                    for _ in 0..1_000 {
-                        mine = slot.swap(mine);
-                        assert!(!mine.is_null(), "swap storm never sees null");
-                    }
-                });
-            }
+            let workers: Vec<_> = (0..4u64)
+                .map(|i| {
+                    let slot = &slot;
+                    let d = &d;
+                    s.spawn(move || {
+                        let mut mine: SharedPtr<u64, S> = SharedPtr::new_in(i, d);
+                        for _ in 0..1_000 {
+                            mine = slot.swap(mine);
+                            assert!(!mine.is_null(), "swap storm never sees null");
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().for_each(|w| w.join().unwrap());
         });
         let taken = slot.take();
         assert!(!taken.is_null());
@@ -195,17 +412,17 @@ fn weak_cas_converges<S: Scheme>() {
     let t = smr::current_tid();
     {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(0, &d), &d);
-        let desired: SharedPtr<u64, S> = SharedPtr::new_in(1, &d);
+        let mut desired: SharedPtr<u64, S> = SharedPtr::new_in(1, &d);
         let mut cur = slot.load_tagged();
         let displaced = loop {
-            match slot.compare_exchange_weak(cur, &desired) {
+            match slot.compare_exchange_weak(cur, desired, 0) {
                 Ok(old) => break old,
-                Err(w) => cur = w,
+                Err(e) => (cur, desired) = (e.current, e.desired),
             }
         };
         assert_eq!(displaced.as_ref(), Some(&0));
         drop(displaced);
-        drop((slot, desired));
+        drop(slot);
     }
     d.process_deferred(t);
     assert_eq!(d.allocated(), d.freed());
@@ -265,24 +482,25 @@ fn with_witness_under_swap_pressure<S: Scheme>() {
     {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(0, &d), &d);
         std::thread::scope(|s| {
+            let mut workers = Vec::new();
             // Two swappers churn the slot, retiring displaced nodes as fast
             // as possible (each drop is a deferred decrement feeding the
             // scheme's scan).
             for w in 0..2u64 {
                 let slot = &slot;
                 let d = &d;
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     for i in 0..3_000u64 {
                         drop(slot.swap(SharedPtr::new_in(w * 1_000_000 + i, d)));
                     }
-                });
+                }));
             }
             // Two witnesses-chasers CAS with stale expectations and read
             // every witness they are handed.
             for _ in 0..2 {
                 let slot = &slot;
                 let d = &d;
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     let mine: SharedPtr<u64, S> = SharedPtr::new_in(7_777_777, d);
                     let cs = d.cs();
                     let mut expected = TaggedPtr::null();
@@ -303,8 +521,9 @@ fn with_witness_under_swap_pressure<S: Scheme>() {
                             }
                         }
                     }
-                });
+                }));
             }
+            workers.into_iter().for_each(|w| w.join().unwrap());
         });
         drop(slot);
     }
@@ -356,12 +575,13 @@ fn apply_witness<S: Scheme>(
     match op {
         SlotOp::Store(v) => slot.store(SharedPtr::new_in(v, d)),
         SlotOp::CasFromStale(v) => {
-            let desired = SharedPtr::new_in(v, d);
+            let mut desired = SharedPtr::new_in(v, d);
             let mut expected = TaggedPtr::null().with_tag(0b111); // never current
             loop {
-                match slot.compare_exchange_tagged(expected, &desired, 0) {
+                match slot.compare_exchange(expected, desired, 0) {
                     Ok(_) => break,
-                    Err(w) => expected = w, // the witness, not a re-load
+                    // The witness, not a re-load.
+                    Err(e) => (expected, desired) = (e.current, e.desired),
                 }
             }
         }
@@ -391,12 +611,13 @@ fn apply_reload<S: Scheme>(
     match op {
         SlotOp::Store(v) => slot.store(SharedPtr::new_in(v, d)),
         SlotOp::CasFromStale(v) => {
-            let desired = SharedPtr::new_in(v, d);
+            let mut desired = SharedPtr::new_in(v, d);
             let mut expected = TaggedPtr::null().with_tag(0b111);
             loop {
-                match slot.compare_exchange_tagged(expected, &desired, 0) {
+                match slot.compare_exchange(expected, desired, 0) {
                     Ok(_) => break,
-                    Err(_) => expected = slot.load_tagged(), // the old way
+                    // The old way.
+                    Err(e) => (expected, desired) = (slot.load_tagged(), e.desired),
                 }
             }
         }

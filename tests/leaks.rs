@@ -142,7 +142,7 @@ fn snapshot_slow_arm_balances<S: Scheme>() {
     for v in (0..n).rev() {
         let next = AtomicSharedPtr::new_in(head.take(), &d);
         let node = SharedPtr::new_in(Link { v, next }, &d);
-        observers[v].store_strong(&node);
+        observers[v].store(node.downgrade());
         head.store(node);
     }
     let fast = |i: usize| S::PROTECTS_REGIONS || i < slots;
@@ -225,7 +225,7 @@ fn weak_cycle_is_collected_not_leaked() {
             prev: cdrc::AtomicWeakPtr::null(),
         });
         a.as_ref().unwrap().next.store(b.clone());
-        b.as_ref().unwrap().prev.store(&a.downgrade());
+        b.as_ref().unwrap().prev.store(a.downgrade());
         drop(a);
         drop(b);
     });

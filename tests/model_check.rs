@@ -264,10 +264,11 @@ fn rc_word_protocol<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation
             // schedule branching): the stale expected must fail and name the
             // current holder; retrying with the witness must succeed.
             let w = slot
-                .compare_exchange(stale, &two)
-                .expect_err("stale CAS must fail with a witness");
+                .compare_exchange(stale, two.clone(), 0)
+                .expect_err("stale CAS must fail with a witness")
+                .current;
             let displaced = slot
-                .compare_exchange(w, &two)
+                .compare_exchange(w, two.clone(), 0)
                 .expect("witness-seeded retry must succeed");
             drop(displaced);
             drop(two);
@@ -613,16 +614,18 @@ fn tag_rmw_protocol<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation
             };
 
             let two = SharedPtr::new_in(2, &d);
-            match slot.compare_exchange(stale, &two) {
+            match slot.compare_exchange(stale, two.clone(), 0) {
                 // CAS won the race: the marker tags the *new* occupant.
                 Ok(displaced) => drop(displaced),
                 // The mark beat us: the witness must carry the same address
                 // with the mark bit — nothing else touches the word.
-                Err(w) => {
+                Err(e) => {
+                    let w = e.current;
+                    drop(e);
                     assert_eq!(w.addr(), one_addr, "witness names a foreign occupant");
                     assert_eq!(w.tag(), 1, "failed CAS witness lost the observed mark");
                     let displaced = slot
-                        .compare_exchange(w, &two)
+                        .compare_exchange(w, two.clone(), 0)
                         .expect("witness-seeded retry must succeed");
                     drop(displaced);
                 }
@@ -706,7 +709,7 @@ fn rc_unlink_litmus(swap_order: Ordering) -> Result<Report, Violation> {
 
         // Installer models allocate-then-install: tick the clock (the birth
         // epoch), initialize the payload, publish with Release — what
-        // `store_owned` does on the way in.
+        // `store` does on the way in.
         let installer = {
             let clock = Arc::clone(&clock);
             let slot = Arc::clone(&slot);

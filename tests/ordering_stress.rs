@@ -63,12 +63,12 @@ fn slot_storm<S: Scheme>() {
                         let slot = &slots[(w as usize + i as usize) % SLOTS];
                         if i % 3 == 0 {
                             // CAS against whatever is there; losing is fine —
-                            // the pre-increment rollback path must balance.
+                            // the reference handed back must balance.
                             let cur = slot.load_tagged();
                             let new: SharedPtr<u64, S> = SharedPtr::new(w * 1_000_000 + i);
                             // Drop the displaced value on success (deferred
                             // relinquish) and discard the witness on loss.
-                            let _ = slot.compare_exchange(cur, &new).map(drop);
+                            drop(slot.compare_exchange(cur, new, 0));
                         } else {
                             slot.store(SharedPtr::new(w * 1_000_000 + i));
                         }

@@ -77,14 +77,14 @@ fn panic_under_weak_guard<S: Scheme>() {
     let err = catch_unwind(AssertUnwindSafe(|| {
         let guard = d.weak_cs();
         let v = SharedPtr::new_in(7u64, &d);
-        weak.store(&v.downgrade());
+        weak.store(v.downgrade());
         strong.store(v);
         let _ = &guard;
         panic!("injected panic under WeakCsGuard");
     }));
     assert!(err.is_err());
     strong.store(SharedPtr::null());
-    weak.store(&cdrc::WeakPtr::null());
+    weak.store(cdrc::WeakPtr::null());
     drop((strong, weak));
     drain(&d);
     assert_eq!(

@@ -358,6 +358,46 @@ fn foreign_domain_guard_hyaline() {
     foreign_domain_guard::<cdrc::HyalineScheme>();
 }
 
+/// A forged second drop of an owned reference (a `ptr::read` twin of a
+/// pointer that was already dropped): the one decrement that reaches the
+/// header straight from a pointer's `Drop`, without passing through the
+/// domain. The hook sits in the owned-relinquish rule, before the header is
+/// touched; the diagnostic names the hook's site inside `cdrc`, since drop
+/// glue has no caller to track. Strong: the twin's decrement finds the
+/// payload disposed (a weak holder keeps the block allocated).
+#[test]
+fn forged_second_drop_of_a_shared_ptr_is_caught() {
+    let d = DomainRef::<cdrc::EbrScheme>::new();
+    let p = SharedPtr::<u64, _>::new_in(7, &d);
+    let _keeper = p.downgrade();
+    let twin = unsafe { std::ptr::read(&p) };
+    drop(p);
+    d.process_deferred(current_tid());
+    let msg = panic_msg(|| drop(twin));
+    assert!(
+        msg.contains("strong decrement applied to a disposed block"),
+        "{msg}"
+    );
+    assert!(msg.contains("dispose at"), "trail missing:\n{msg}");
+}
+
+/// As above for a weak reference: the twin's decrement finds the block
+/// freed.
+#[test]
+fn forged_second_drop_of_a_weak_ptr_is_caught() {
+    let d = DomainRef::<cdrc::EbrScheme>::new();
+    let w = SharedPtr::<u64, _>::new_in(7, &d).downgrade();
+    let twin = unsafe { std::ptr::read(&w) };
+    drop(w);
+    d.process_deferred(current_tid());
+    assert_eq!(d.allocated(), d.freed());
+    let msg = panic_msg(|| drop(twin));
+    assert!(
+        msg.contains("count decrement applied to a freed block"),
+        "{msg}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Protection-leak detection
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ fn weak_snapshot_reads_stay_valid<S: Scheme>() {
     for _ in 0..30 {
         let slot: Arc<AtomicWeakPtr<String, S>> = Arc::new(AtomicWeakPtr::null());
         let strong: SharedPtr<String, S> = SharedPtr::new("payload".to_string());
-        slot.store(&strong.downgrade());
+        slot.store(strong.downgrade());
         let stop = Arc::new(AtomicBool::new(false));
         let reader = {
             let slot = Arc::clone(&slot);
@@ -104,7 +104,7 @@ fn weak_snapshot_null_only_if_location_unchanged() {
     let keeper: Arc<AtomicSharedPtr<u64, EbrScheme>> = Arc::new(AtomicSharedPtr::null());
     let strong: SharedPtr<u64, EbrScheme> = SharedPtr::new(0);
     keeper.store(strong.clone());
-    slot.store(&strong.downgrade());
+    slot.store(strong.downgrade());
     drop(strong);
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -115,7 +115,7 @@ fn weak_snapshot_null_only_if_location_unchanged() {
             let mut i = 1u64;
             while !stop.load(Ordering::Relaxed) {
                 let fresh: SharedPtr<u64, EbrScheme> = SharedPtr::new(i);
-                slot.store(&fresh.downgrade());
+                slot.store(fresh.downgrade());
                 keeper.store(fresh); // keeps the newest alive
                 i += 1;
             }
@@ -161,17 +161,23 @@ fn atomic_weak_cas_chain() {
     let wb = b.downgrade();
     // null -> a -> b chain of CASes.
     assert!(slot
-        .compare_exchange(cdrc::TaggedPtr::null(), &wa)
+        .compare_exchange(cdrc::TaggedPtr::null(), wa.clone(), 0)
         .expect("install into empty slot")
         .is_null());
     let cur = slot.load_tagged();
-    let displaced = slot.compare_exchange(cur, &wb).expect("a -> b");
+    let displaced = slot.compare_exchange(cur, wb.clone(), 0).expect("a -> b");
     assert!(displaced.ptr_eq(&wa), "displaced weak is the old occupant");
     drop(displaced);
-    let w = slot
-        .compare_exchange(cur, &wa)
+    let e = slot
+        .compare_exchange(cur, wa.clone(), 0)
         .expect_err("stale expected must fail");
-    assert_eq!(w, slot.load_tagged(), "witness names the current occupant");
+    assert_eq!(
+        e.current,
+        slot.load_tagged(),
+        "witness names the current occupant"
+    );
+    assert!(e.desired.ptr_eq(&wa), "desired comes back untouched");
+    drop(e);
     assert_eq!(slot.load().upgrade().map(|p| *p.as_ref().unwrap()), Some(2));
     drop((a, b, wa, wb, slot));
     settle::<IbrScheme>();
