@@ -4,12 +4,14 @@
 //! P threads hammer one shared counter with upgrade/downgrade pairs while
 //! one thread performs linearizable loads. The CAS loop degrades as P grows
 //! (O(P) amortized per upgrade); the sticky counter stays flat.
+//!
+//! Exits nonzero if any cell is non-positive or non-finite.
 
 use smr::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::Instant;
 
-use bench_harness::{bench_millis, print_header, thread_counts, Row};
+use bench::{bench_window, finish, print_header, thread_counts, Row};
 use sticky::{CasCounter, Counter, StickyCounter};
 
 fn run<C: Counter>(threads: usize) -> f64 {
@@ -17,7 +19,7 @@ fn run<C: Counter>(threads: usize) -> f64 {
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|s| {
+    let elapsed = std::thread::scope(|s| {
         for i in 0..threads {
             let c = &c;
             let stop = &stop;
@@ -41,42 +43,34 @@ fn run<C: Counter>(threads: usize) -> f64 {
             });
         }
         barrier.wait();
-        std::thread::sleep(Duration::from_millis(bench_millis()));
+        let started = Instant::now();
+        std::thread::sleep(bench_window());
         stop.store(true, Ordering::Relaxed);
+        // The measured window, not the configured one: `sleep` overshoots.
+        started.elapsed()
     });
-    ops.load(Ordering::Relaxed) as f64 / (bench_millis() as f64 / 1e3) / 1e6
+    ops.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64() / 1e6
 }
 
 fn main() {
     print_header();
-    for &threads in &thread_counts() {
-        let mops = run::<StickyCounter>(threads);
-        println!(
-            "{}",
-            Row {
+    let mut ok = true;
+    for threads in thread_counts() {
+        for (scheme, mops) in [
+            ("sticky (wait-free)", run::<StickyCounter>(threads)),
+            ("CAS loop", run::<CasCounter>(threads)),
+        ] {
+            ok &= Row {
                 figure: "ablation_counter".into(),
                 structure: "counter".into(),
-                scheme: "sticky (wait-free)".into(),
+                scheme: scheme.into(),
                 threads,
                 mops,
                 extra_nodes_avg: 0,
                 extra_nodes_peak: 0,
             }
-            .csv()
-        );
-        let mops = run::<CasCounter>(threads);
-        println!(
-            "{}",
-            Row {
-                figure: "ablation_counter".into(),
-                structure: "counter".into(),
-                scheme: "CAS loop".into(),
-                threads,
-                mops,
-                extra_nodes_avg: 0,
-                extra_nodes_peak: 0,
-            }
-            .csv()
-        );
+            .print();
+        }
     }
+    finish("ablation_counter", ok);
 }

@@ -6,13 +6,19 @@
 //! acquire + increment slow path — the mechanism behind RC (HP)'s collapse
 //! in Fig. 11. Protected-region schemes (EBR here as the contrast) never
 //! fall back.
+//!
+//! Exits nonzero if any cell is non-positive or non-finite, or if a probe
+//! took the other path than the one this ablation exists to show: HP's must
+//! be slow-path at `held >= 16`, EBR's fast-path at every `held`.
 
 use std::time::Instant;
 
-use bench_harness::{bench_millis, print_header, Row};
+use bench::{bench_window, finish, print_header, Row};
 use cdrc::{AtomicSharedPtr, Scheme, SharedPtr};
 
-fn run<S: Scheme>(scheme: &str, held: usize) {
+/// Prints the cell; returns whether it is a measurement and whether the
+/// last probe used the fast path.
+fn run<S: Scheme>(scheme: &str, held: usize) -> (bool, bool) {
     let slots: Vec<AtomicSharedPtr<u64, S>> = (0..held + 1)
         .map(|i| AtomicSharedPtr::new(SharedPtr::new(i as u64)))
         .collect();
@@ -22,10 +28,11 @@ fn run<S: Scheme>(scheme: &str, held: usize) {
     let pinned: Vec<_> = slots[..held].iter().map(|s| s.get_snapshot(&cs)).collect();
     let fast = pinned.iter().filter(|s| s.used_fast_path()).count();
     let target = &slots[held];
-    let deadline = Instant::now() + std::time::Duration::from_millis(bench_millis());
+    let window = bench_window();
+    let started = Instant::now();
     let mut ops = 0u64;
     let mut last_fast = true;
-    while Instant::now() < deadline {
+    while started.elapsed() < window {
         for _ in 0..256 {
             let snap = target.get_snapshot(&cs);
             last_fast = snap.used_fast_path();
@@ -33,34 +40,45 @@ fn run<S: Scheme>(scheme: &str, held: usize) {
             ops += 1;
         }
     }
-    let mops = ops as f64 / (bench_millis() as f64 / 1e3) / 1e6;
-    println!(
-        "{}",
-        Row {
-            figure: "ablation_snapshot".into(),
-            structure: "atomic_shared_ptr".into(),
-            scheme: format!("{scheme} held={held} pinned_fast={fast} probe_fast={last_fast}"),
-            threads: 1,
-            mops,
-            extra_nodes_avg: 0,
-            extra_nodes_peak: 0,
-        }
-        .csv()
-    );
+    // The measured window, not the configured one: the inner loop overshoots.
+    let mops = ops as f64 / started.elapsed().as_secs_f64() / 1e6;
+    let ok = Row {
+        figure: "ablation_snapshot".into(),
+        structure: "atomic_shared_ptr".into(),
+        scheme: format!("{scheme} held={held} pinned_fast={fast} probe_fast={last_fast}"),
+        threads: 1,
+        mops,
+        extra_nodes_avg: 0,
+        extra_nodes_peak: 0,
+    }
+    .print();
     drop(pinned);
     drop(cs);
     drop(slots);
     domain.process_deferred(smr::current_tid());
+    (ok, last_fast)
 }
 
 fn main() {
     print_header();
+    let mut ok = true;
     // HP has 16 try_acquire slots by default: at held=16 the probe must take
     // the slow path; EBR never does.
     for held in [0usize, 8, 15, 16, 32] {
-        run::<cdrc::HpScheme>("RC (HP)", held);
+        let (cell, probe_fast) = run::<cdrc::HpScheme>("RC (HP)", held);
+        if held >= 16 && probe_fast {
+            eprintln!("ablation_snapshot: RC (HP) held={held}: probe took the fast path");
+            ok = false;
+        }
+        ok &= cell;
     }
     for held in [0usize, 16, 32] {
-        run::<cdrc::EbrScheme>("RC (EBR)", held);
+        let (cell, probe_fast) = run::<cdrc::EbrScheme>("RC (EBR)", held);
+        if !probe_fast {
+            eprintln!("ablation_snapshot: RC (EBR) held={held}: probe took the slow path");
+            ok = false;
+        }
+        ok &= cell;
     }
+    finish("ablation_snapshot", ok);
 }

@@ -22,16 +22,13 @@
 //! hatched stall peak exceeds its computed bound, any recovery fails or
 //! leaves more than the bound behind, or the unbounded baseline fails to
 //! out-garbage the hatched run (which would mean the fault never bit).
-//! `ADVERSARY_SMOKE=1` shortens every window.
 //!
 //! Environment: `ADVERSARY_MS` (per cell, default 1500), `BENCH_JSON`
-//! (append one JSON line per cell), `ADVERSARY_THREADS` (default 4),
-//! `ADVERSARY_SMOKE`.
+//! (append one JSON line per cell), `ADVERSARY_THREADS` (default 4).
 
 use std::time::Duration;
 
-use bench::settle_scheme;
-use bench_harness::{run_adversarial, AdversaryOutcome, Workload};
+use bench::{emit_json, run_adversarial, settle_scheme, AdversaryOutcome, Workload};
 use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
 use lockfree::rc::RcResizableHashMap;
 use lockfree::ConcurrentMap;
@@ -39,19 +36,6 @@ use smr::fault::FaultPlan;
 
 /// Escape-hatch watermark (`SmrConfig::max_garbage`) for the hatched cells.
 const CAP: usize = 512;
-
-fn emit_json(line: String) {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
 
 fn adversary_millis() -> u64 {
     std::env::var("ADVERSARY_MS")
@@ -148,7 +132,7 @@ fn cell<S: Scheme>(
     // for the 4096 live keys it would sit exactly on the growth threshold).
     // Sentinels are nodes of the map's domain, spliced in on a bucket's
     // first touch: walk every bucket now (16 probes per bucket miss one
-    // with probability e^-16) so they sit in the harness's post-prefill
+    // with probability e^-16) so they sit in the driver's post-prefill
     // baseline instead of reading as garbage.
     let map: RcResizableHashMap<u64, u64, S> =
         RcResizableHashMap::with_capacity_in(spec.key_range as usize, DomainRef::with_config(cfg));

@@ -18,12 +18,12 @@
 //!
 //! Doubles as a CI smoke with the usual contract: after printing its cells
 //! the process exits nonzero if any cell is non-positive/non-finite or a
-//! domain failed to reclaim every node. `TEARDOWN_SMOKE=1` shrinks the
-//! structures (50k nodes) for the smoke matrix; `TEARDOWN_NODES` overrides
-//! the node count outright.
+//! domain failed to reclaim every node. `TEARDOWN_NODES` sets the node
+//! count (default 1M; CI runs 50k).
 
 use std::time::Instant;
 
+use bench::emit_json;
 use cdrc::{
     AtomicSharedPtr, DomainRef, EbrScheme, EdgeCollector, GraphNode, HpScheme, HyalineScheme,
     IbrScheme, Scheme, SharedPtr,
@@ -64,30 +64,11 @@ struct DeferredTree<S: Scheme> {
     right: AtomicSharedPtr<DeferredTree<S>, S>,
 }
 
-fn emit_json(line: String) {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
-
 fn node_count() -> usize {
-    if let Ok(v) = std::env::var("TEARDOWN_NODES") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    if std::env::var("TEARDOWN_SMOKE").is_ok() {
-        50_000
-    } else {
-        1_000_000
-    }
+    std::env::var("TEARDOWN_NODES")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map_or(1_000_000, |n| n.max(1))
 }
 
 /// Drops `root`, drives the domain until every node is reclaimed, and

@@ -819,8 +819,8 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// `(pin count, acquisition stamp)` of the liveness word, for the
-    /// tests — here and in `lockfree` — that assert what does and does not
-    /// touch it. Not API.
+    /// tests — here, in `lockfree` and in `bench` — that assert what does
+    /// and does not touch it. Not API.
     #[doc(hidden)]
     pub fn pin_word(&self) -> (u64, u64) {
         // Ordering: Relaxed — a diagnostic sample; the tests read it on

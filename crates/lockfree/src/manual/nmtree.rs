@@ -700,10 +700,8 @@ mod tests {
 
     #[test]
     fn contended_deletes_same_key_range() {
-        // Known flake (ROADMAP item 1): every thread's key stream derives
-        // from one seed, so a failing run can be replayed with `TEST_SEED`.
-        // (A null dereference aborts without a message; the seed is then
-        // the default below unless `TEST_SEED` was set.)
+        // Every thread's key stream derives from one seed, so a failing
+        // run can be replayed with `TEST_SEED` (default 7).
         let seed = std::env::var("TEST_SEED")
             .ok()
             .and_then(|s| s.parse::<u64>().ok())

@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SNAPSHOT=scripts/api_surface.txt
-CRATES=(crates/core/src crates/smr/src crates/sticky/src crates/lockfree/src crates/bench-harness/src)
+CRATES=(crates/core/src crates/smr/src crates/sticky/src crates/lockfree/src)
 
 generate() {
     # One line per public item: "<file>: <declaration>", with bodies,

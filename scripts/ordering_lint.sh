@@ -16,7 +16,7 @@
 #    with the fence-discipline audit and now cross-checked by the
 #    model-check suite; see README "Memory-ordering policy"). Test modules
 #    are exempt — tests assert behaviour, they do not carry protocol
-#    invariants. bench-harness stays exempt too: it is measurement
+#    invariants. crates/bench stays exempt too: it is measurement
 #    scaffolding, not protocol code.
 #
 # Usage: scripts/ordering_lint.sh   (exits nonzero listing offending lines)

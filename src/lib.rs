@@ -3,8 +3,8 @@
 //! Re-exports the workspace crates so examples and integration tests can use
 //! a single dependency. See the [`cdrc`] crate for the reference-counted
 //! pointer library (the paper's primary contribution), [`smr`] for the
-//! manual reclamation substrate, [`lockfree`] for the evaluation data
-//! structures and [`bench_harness`] for workload drivers.
+//! manual reclamation substrate and [`lockfree`] for the evaluation data
+//! structures.
 //!
 //! ```
 //! use cdrc_suite::cdrc::{EbrScheme, Scheme, SharedPtr};
@@ -21,7 +21,6 @@
 //! EbrScheme::global_domain().process_deferred(t);
 //! ```
 
-pub use bench_harness;
 pub use cdrc;
 pub use lockfree;
 pub use smr;
