@@ -5,23 +5,18 @@
 //!
 //! Exits nonzero if any cell is non-positive or non-finite.
 
-use std::sync::Arc;
-
 use bench::{
     bench_window, finish, prefill, print_header, run_map_for, thread_counts, Row, Workload,
 };
 use lockfree::manual::HarrisMichaelList;
-use lockfree::NodeStats;
-use smr::{AcquireRetire, Ebr, GlobalEpoch, Ibr, SmrConfig};
+use smr::{AcquireRetire, Ebr, Ibr, SmrConfig};
 
 fn series<S: AcquireRetire>(scheme: &str, freq: u64, spec: &Workload, threads: usize) -> bool {
     let cfg = SmrConfig {
         epoch_freq: freq,
         ..S::default_config()
     };
-    let smr = Arc::new(S::new(Arc::new(GlobalEpoch::new()), cfg));
-    let list: HarrisMichaelList<u64, u64, S> =
-        HarrisMichaelList::with_shared(smr, Arc::new(NodeStats::new()));
+    let list: HarrisMichaelList<u64, u64, S> = HarrisMichaelList::with_config(cfg);
     prefill(&list, spec);
     let (mops, avg, peak) = run_map_for(&list, spec, threads, bench_window());
     Row {

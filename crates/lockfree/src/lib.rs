@@ -14,13 +14,10 @@
 //! fixed-bucket table, there is no separate one — Natarajan-Mittal external
 //! BST (with the paper's sequential range query),
 //! and the Ramalhete-Correia DoubleLink queue (whose `prev` edges become
-//! atomic *weak* pointers in the RC variant — Fig. 10). [`locked`] provides
-//! the lock-based `atomic<shared_ptr>/atomic<weak_ptr>` baseline standing in
-//! for the commercial `just::thread` library.
+//! atomic *weak* pointers in the RC variant — Fig. 10).
 
 #![warn(missing_docs)]
 
-pub mod locked;
 pub mod manual;
 pub(crate) mod nm;
 pub mod rc;
@@ -30,7 +27,8 @@ use smr::sync::atomic::{AtomicU64, Ordering};
 
 use smr::{registered_high_water_mark, Tid, MAX_THREADS};
 
-/// The uniform map interface the benchmark harness drives.
+/// The uniform map interface the repo benchmark (`ledger/`) and the bench
+/// driver (`crates/bench`) drive.
 ///
 /// Implementations are linearizable for point operations; `range` may be
 /// sequentially (non-linearizably) collected, as in the paper (§5.1,
@@ -62,17 +60,18 @@ use smr::{registered_high_water_mark, Tid, MAX_THREADS};
 ///
 /// Critical sections nest, so both call styles may be mixed freely on one
 /// structure, even within a held guard. Holding a guard *too* long delays
-/// reclamation (the announcement pins the scheme's epoch); the benchmark
-/// harness re-pins every 64 operations, matching the paper's methodology.
+/// reclamation (the announcement pins the scheme's epoch); the repo
+/// benchmark and the bench driver (`bench::GUARD_BATCH`) re-pin every 64
+/// operations, matching the paper's methodology.
 pub trait ConcurrentMap<K, V>: Send + Sync {
     /// RAII token holding this thread's critical section(s) open across a
     /// batch of operations. Dropping it ends the section and lets deferred
     /// reclamation of the batch's garbage proceed.
     ///
     /// Guards are thread-bound (not `Send`) and must only be passed to
-    /// operations on the structure that created them (or on structures
-    /// sharing its reclamation instance, see `with_shared`/`new_in`);
-    /// debug builds assert this where it is not guaranteed by construction.
+    /// operations on the structure that created them (or, for the RC
+    /// variants, on structures sharing its domain, see `new_in`); debug
+    /// builds assert this where it is not guaranteed by construction.
     type Guard;
 
     /// Opens an operation guard for the current thread.
@@ -134,7 +133,8 @@ pub trait ConcurrentMap<K, V>: Send + Sync {
     /// lists and counters, so one structure's open guard never pins the
     /// other's garbage. Note that structures sharing one domain (including
     /// everything bound to the global default) deliberately share this
-    /// counter. Manual structures meter their own private [`NodeStats`].
+    /// counter. A manual structure owns its scheme instance and meters its
+    /// own nodes.
     fn in_flight_nodes(&self) -> u64;
 }
 
@@ -187,9 +187,10 @@ struct Lane {
 }
 
 /// Per-thread single-writer [`Lane`]s indexed by [`Tid`], folded on read:
-/// the one counter shape behind [`NodeStats`] (allocs/frees) and the
-/// resizable tables' element count (inserts/removes). One instance costs a
-/// single 16 KiB allocation (`MAX_THREADS` 64-byte lanes).
+/// the one counter shape behind the manual structures' node counts
+/// (allocs/frees) and the resizable tables' element count
+/// (inserts/removes). One instance costs a single 16 KiB allocation
+/// (`MAX_THREADS` 64-byte lanes).
 #[derive(Debug)]
 pub(crate) struct LanePairs {
     lanes: Box<[Lane]>,
@@ -244,52 +245,6 @@ impl LanePairs {
         };
         let down = fold(|lane| &lane.down);
         fold(|lane| &lane.up).saturating_sub(down)
-    }
-}
-
-/// Allocation / free counters for the manual structures (the RC variants
-/// read their domain's counters instead).
-///
-/// Sharded into per-thread cache-line lanes indexed by [`Tid`]: the
-/// counters sit on every node allocation and free, and a shared `fetch_add`
-/// there bounces one cache line between all worker cores. Reads fold the
-/// lanes and are exact for all events that happened-before them (the bench
-/// sampler and teardown assertions both qualify).
-#[derive(Debug)]
-pub struct NodeStats {
-    lanes: LanePairs,
-}
-
-impl Default for NodeStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NodeStats {
-    /// Fresh counters.
-    pub fn new() -> Self {
-        NodeStats {
-            lanes: LanePairs::new(),
-        }
-    }
-
-    /// Records one allocation by thread `t`.
-    #[inline]
-    pub fn on_alloc(&self, t: Tid) {
-        self.lanes.up(t);
-    }
-
-    /// Records one free by thread `t`.
-    #[inline]
-    pub fn on_free(&self, t: Tid) {
-        self.lanes.down(t);
-    }
-
-    /// Allocated − freed; frees are folded first, so a concurrent sample
-    /// can only over-report in-flight nodes.
-    pub fn in_flight(&self) -> u64 {
-        self.lanes.net()
     }
 }
 

@@ -4,23 +4,23 @@
 //! Ramalhete and Correia's queue keeps `prev` back-pointers so enqueuers can
 //! repair lagging `next` pointers; their published implementation relies on
 //! a *customized* hazard-pointer scheme in which announcing a node also
-//! protects its neighbours, which no general-purpose interface offers. As
-//! documented in DESIGN.md, this manual baseline keeps the DoubleLink node
-//! layout (value + prev + next, one tail CAS plus one next store per
-//! enqueue) but performs the next-pointer publication eagerly by the CAS
-//! winner instead of dereferencing possibly-reclaimed `prev` nodes; dequeues
-//! that observe a not-yet-published `next` report "empty", linearizing the
-//! lagging enqueue at its publication. The automatic variant
+//! protects its neighbours, which no general-purpose interface offers. This
+//! manual baseline therefore substitutes eager publication for that
+//! helping: it keeps the DoubleLink node layout (value + prev + next, one
+//! tail CAS plus one next store per enqueue), but the tail CAS winner
+//! publishes the next pointer itself instead of later enqueuers
+//! dereferencing possibly-reclaimed `prev` nodes; dequeues that observe a
+//! not-yet-published `next` report "empty", linearizing the lagging enqueue
+//! at its publication. The automatic variant
 //! ([`crate::rc::RcDoubleLinkQueue`]) implements the helping exactly as the
 //! paper's Fig. 10, where weak pointers make it safe.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
-use std::marker::PhantomData;
-use std::sync::Arc;
 
-use smr::{AcquireRetire, Retired, Tid};
+use smr::{AcquireRetire, Tid};
 
-use crate::{ConcurrentQueue, NodeStats};
+use super::{ManualNode, Reclaimer};
+use crate::ConcurrentQueue;
 
 struct Node<V> {
     birth: u64,
@@ -31,7 +31,22 @@ struct Node<V> {
     next: AtomicUsize,
 }
 
-impl<V> super::OutgoingEdges for Node<V> {
+impl<V> Node<V> {
+    fn new(birth: u64, value: Option<V>) -> Self {
+        Node {
+            birth,
+            value,
+            prev: AtomicUsize::new(0),
+            next: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<V> ManualNode for Node<V> {
+    fn birth(&self) -> u64 {
+        self.birth
+    }
+
     fn out_edges(&self, out: &mut Vec<usize>) {
         // `prev` is a back edge — not owned, never reported.
         out.push(self.next.load(Ordering::SeqCst));
@@ -42,9 +57,7 @@ impl<V> super::OutgoingEdges for Node<V> {
 pub struct DoubleLinkQueue<V, S: AcquireRetire> {
     head: AtomicUsize,
     tail: AtomicUsize,
-    smr: Arc<S>,
-    stats: Arc<NodeStats>,
-    _marker: super::NodeMarker<Node<V>, S>,
+    reclaimer: Reclaimer<Node<V>, S>,
 }
 
 unsafe impl<V: Send + Sync, S: AcquireRetire> Send for DoubleLinkQueue<V, S> {}
@@ -57,32 +70,13 @@ where
 {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let smr = Arc::new(S::new(
-            Arc::new(smr::GlobalEpoch::new()),
-            S::default_config(),
-        ));
-        let stats = Arc::new(NodeStats::new());
-        stats.on_alloc(smr::current_tid());
-        let sentinel = Box::into_raw(Box::new(Node::<V> {
-            birth: 0,
-            value: None,
-            prev: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-        }));
+        let reclaimer = Reclaimer::new(S::default_config());
+        let sentinel = reclaimer.alloc(smr::current_tid(), |birth| Node::new(birth, None));
+        let sentinel = Box::into_raw(sentinel) as usize;
         DoubleLinkQueue {
-            head: AtomicUsize::new(sentinel as usize),
-            tail: AtomicUsize::new(sentinel as usize),
-            smr,
-            stats,
-            _marker: PhantomData,
-        }
-    }
-
-    fn collect(&self, t: Tid) {
-        while let Some(r) = self.smr.eject(t) {
-            self.stats.on_free(t);
-            // Safety: ejected addresses are our nodes, retired once.
-            unsafe { drop(Box::from_raw(r.addr as *mut Node<V>)) };
+            head: AtomicUsize::new(sentinel),
+            tail: AtomicUsize::new(sentinel),
+            reclaimer,
         }
     }
 
@@ -97,27 +91,20 @@ where
     fn protect_witness(&self, t: Tid, w: usize, src: &AtomicUsize) -> (usize, S::Guard) {
         if S::PROTECTS_SECTION_READS {
             let local = AtomicUsize::new(w);
-            self.smr
+            self.reclaimer
                 .try_acquire(t, &local)
                 .expect("section-read schemes never exhaust guards")
         } else {
-            self.smr
+            self.reclaimer
                 .try_acquire(t, src)
                 .expect("queue ops hold at most 2 guards")
         }
     }
 
     fn enqueue_impl(&self, t: Tid, v: V) {
-        let birth = self.smr.birth_epoch(t);
-        self.stats.on_alloc(t);
-        let node = Box::into_raw(Box::new(Node {
-            birth,
-            value: Some(v),
-            prev: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-        }));
+        let node = Box::into_raw(self.reclaimer.alloc(t, |birth| Node::new(birth, Some(v))));
         let (mut ltail, mut g) = self
-            .smr
+            .reclaimer
             .try_acquire(t, &self.tail)
             .expect("queue ops hold at most 2 guards");
         loop {
@@ -140,14 +127,14 @@ where
                             .next
                             .store(node as usize, Ordering::SeqCst)
                     };
-                    self.smr.release(t, g);
+                    self.reclaimer.release(t, g);
                     return;
                 }
                 // The witness is the new tail; under EBR/Hyaline it is
                 // already protected (no re-read), under IBR/HP the retry
                 // re-acquires from the live word.
                 Err(w) => {
-                    self.smr.release(t, g);
+                    self.reclaimer.release(t, g);
                     (ltail, g) = self.protect_witness(t, w, &self.tail);
                 }
             }
@@ -156,7 +143,7 @@ where
 
     fn dequeue_impl(&self, t: Tid) -> Option<V> {
         let (mut lhead, mut hg) = self
-            .smr
+            .reclaimer
             .try_acquire(t, &self.head)
             .expect("queue ops hold at most 2 guards");
         loop {
@@ -165,12 +152,12 @@ where
             // or carried over from a CAS witness under a region scheme).
             let next_field = unsafe { &(*head_node).next };
             let (lnext, ng) = self
-                .smr
+                .reclaimer
                 .try_acquire(t, next_field)
                 .expect("queue ops hold at most 2 guards");
             if lnext == 0 {
-                self.smr.release(t, ng);
-                self.smr.release(t, hg);
+                self.reclaimer.release(t, ng);
+                self.reclaimer.release(t, hg);
                 return None;
             }
             match self
@@ -181,17 +168,17 @@ where
                     // Safety: lnext protected by ng; its value slot is
                     // written once at enqueue.
                     let v = unsafe { (*(lnext as *const Node<V>)).value.clone() };
-                    let birth = unsafe { (*head_node).birth };
-                    self.smr.retire(t, Retired::new(lhead, birth));
-                    self.smr.release(t, ng);
-                    self.smr.release(t, hg);
+                    // Safety: our CAS unlinked lhead; hg protects it.
+                    unsafe { self.reclaimer.retire(t, lhead) };
+                    self.reclaimer.release(t, ng);
+                    self.reclaimer.release(t, hg);
                     return v;
                 }
                 // The witness is the new head; EBR/Hyaline retry on it
                 // directly, IBR/HP re-acquire from the live word.
                 Err(w) => {
-                    self.smr.release(t, ng);
-                    self.smr.release(t, hg);
+                    self.reclaimer.release(t, ng);
+                    self.reclaimer.release(t, hg);
                     (lhead, hg) = self.protect_witness(t, w, &self.head);
                 }
             }
@@ -207,21 +194,19 @@ where
     type Guard = smr::SectionGuard<S>;
 
     fn pin(&self) -> Self::Guard {
-        smr::SectionGuard::enter(Arc::clone(&self.smr))
+        self.reclaimer.pin()
     }
 
     fn enqueue_with(&self, v: V, guard: &Self::Guard) {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         self.enqueue_impl(t, v);
-        self.collect(t);
+        self.reclaimer.collect(t);
     }
 
     fn dequeue_with(&self, guard: &Self::Guard) -> Option<V> {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         let r = self.dequeue_impl(t);
-        self.collect(t);
+        self.reclaimer.collect(t);
         r
     }
 }
@@ -239,9 +224,8 @@ where
 impl<V, S: AcquireRetire> Drop for DoubleLinkQueue<V, S> {
     fn drop(&mut self) {
         // Safety: exclusive access; linked nodes are not retired.
-        let t = smr::current_tid();
         let head = self.head.load(Ordering::SeqCst);
-        unsafe { super::teardown::<Node<V>, S>([head], &self.smr, &self.stats, t) };
+        unsafe { self.reclaimer.teardown([head]) };
     }
 }
 
@@ -257,6 +241,7 @@ impl<V, S: AcquireRetire> std::fmt::Debug for DoubleLinkQueue<V, S> {
 mod tests {
     use super::*;
     use smr::{Ebr, Hp, Hyaline, Ibr};
+    use std::sync::Arc;
 
     fn fifo<S: AcquireRetire>() {
         let q: DoubleLinkQueue<u64, S> = DoubleLinkQueue::new();
@@ -316,10 +301,10 @@ mod tests {
 
     #[test]
     fn no_leaks_after_drop() {
-        let stats;
+        let nodes;
         {
             let q: DoubleLinkQueue<u64, Hyaline> = DoubleLinkQueue::new();
-            stats = Arc::clone(&q.stats);
+            nodes = Arc::clone(&q.reclaimer.nodes);
             for i in 0..1000 {
                 q.enqueue(i);
             }
@@ -327,6 +312,6 @@ mod tests {
                 q.dequeue();
             }
         }
-        assert_eq!(stats.in_flight(), 0);
+        assert_eq!(nodes.net(), 0);
     }
 }

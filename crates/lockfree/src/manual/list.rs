@@ -13,23 +13,20 @@
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
 use std::cmp::Ordering as KeyOrder;
-use std::marker::PhantomData;
-use std::sync::Arc;
 
-use smr::{untagged, AcquireRetire, Retired, Tid};
+use smr::{untagged, AcquireRetire, SmrConfig, Tid};
 
-use crate::{ConcurrentMap, NodeStats};
+use super::{ManualNode, Reclaimer};
+use crate::ConcurrentMap;
 
 const MARK: usize = 1;
 
 /// What the Harris-Michael search needs of a node: its successor edge (low
-/// bit set = this node is logically deleted) and the birth epoch its
-/// `retire` hands the scheme. The split-ordered map ([`super::resizable`])
-/// is one such list too and runs the same [`find`], [`link_at`] and
-/// [`remove_at`] from a bucket sentinel's edge.
-pub(super) trait Link {
+/// bit set = this node is logically deleted). The split-ordered map
+/// ([`super::resizable`]) is one such list too and runs the same [`find`],
+/// [`link_at`] and [`remove_at`] from a bucket sentinel's edge.
+pub(super) trait Link: ManualNode {
     fn next(&self) -> &AtomicUsize;
-    fn birth(&self) -> u64;
 }
 
 /// Where a [`find`] stopped: `prev_loc` is the edge holding `cur_w`. Owns
@@ -45,20 +42,24 @@ pub(super) struct Cursor<G> {
 }
 
 /// Gives back the guards a search position holds.
-pub(super) fn release<S: AcquireRetire>(smr: &S, t: Tid, c: Cursor<S::Guard>) {
-    release_guards(smr, t, [c.prev_guard, c.cur_guard]);
+pub(super) fn release<N: ManualNode, S: AcquireRetire>(
+    r: &Reclaimer<N, S>,
+    t: Tid,
+    c: Cursor<S::Guard>,
+) {
+    release_guards(r, t, [c.prev_guard, c.cur_guard]);
 }
 
-fn release_guards<S: AcquireRetire, const N: usize>(
-    smr: &S,
+fn release_guards<N: ManualNode, S: AcquireRetire, const G: usize>(
+    r: &Reclaimer<N, S>,
     t: Tid,
-    guards: [Option<S::Guard>; N],
+    guards: [Option<S::Guard>; G],
 ) {
     // Not `.into_iter().flatten()`: the adaptor does not fold away under a
     // region scheme (`Guard = ()`) and costs ~5 % per hop (traversal_parity).
     for g in guards {
         let Some(g) = g else { continue };
-        smr.release(t, g);
+        r.release(t, g);
     }
 }
 
@@ -71,9 +72,9 @@ fn release_guards<S: AcquireRetire, const N: usize>(
 /// # Safety
 ///
 /// Every nonzero word reachable from `head` is the address of a live
-/// `Box<N>` that is freed only after being retired through `smr`, and `t`
-/// is inside a critical section of `smr` that stays open for as long as
-/// the returned cursor is used.
+/// `Box<N>` that is freed only after being retired through `r`, and `t`
+/// is inside a critical section of `r` that stays open for as long as the
+/// returned cursor is used.
 // Always inlined into the caller's own `find`/`find_from` method, which is
 // where the loop lived before it was shared: out of line the cursor comes
 // back through memory on every operation (−4 … −7 % on the ledger's
@@ -81,7 +82,7 @@ fn release_guards<S: AcquireRetire, const N: usize>(
 // to the compiler, as it was.
 #[inline(always)]
 pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
-    smr: &S,
+    r: &Reclaimer<N, S>,
     t: Tid,
     head: &AtomicUsize,
     mut cmp: impl FnMut(&N) -> KeyOrder,
@@ -89,14 +90,14 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
     'retry: loop {
         let mut prev_loc: *const AtomicUsize = head;
         let mut prev_guard: Option<S::Guard> = None;
-        let (mut cur_w, g) = smr
+        let (mut cur_w, g) = r
             .try_acquire(t, head)
             .expect("list traversal holds at most 3 guards");
         let mut cur_guard = Some(g);
         if cur_w & MARK != 0 {
             // The start edge is never marked; a marked word here means we
             // raced an unlink mid-publication — restart.
-            release_guards(smr, t, [cur_guard]);
+            release_guards(r, t, [cur_guard]);
             continue 'retry;
         }
         loop {
@@ -112,7 +113,7 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
             }
             // Safety: `cur` is protected by cur_guard.
             let node = unsafe { &*(cur as *const N) };
-            let (next_w, next_g) = smr
+            let (next_w, next_g) = r
                 .try_acquire(t, node.next())
                 .expect("list traversal holds at most 3 guards");
             let next_guard = Some(next_g);
@@ -120,7 +121,7 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
             // Safety: prev_loc is `head` or an edge in a guarded node.
             let edge = unsafe { &*prev_loc };
             if edge.load(Ordering::SeqCst) != cur_w {
-                release_guards(smr, t, [prev_guard, cur_guard, next_guard]);
+                release_guards(r, t, [prev_guard, cur_guard, next_guard]);
                 continue 'retry;
             }
             if next_w & MARK != 0 {
@@ -131,27 +132,28 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
                     .is_ok()
                 {
                     // We unlinked cur: retire it (the manual chore).
-                    smr.retire(t, Retired::new(cur, node.birth()));
-                    release_guards(smr, t, [cur_guard]);
+                    // Safety: our CAS unlinked it; cur_guard protects it.
+                    unsafe { r.retire(t, cur) };
+                    release_guards(r, t, [cur_guard]);
                     cur_w = clean_next;
                     cur_guard = next_guard;
                     continue;
                 }
-                release_guards(smr, t, [prev_guard, cur_guard, next_guard]);
+                release_guards(r, t, [prev_guard, cur_guard, next_guard]);
                 continue 'retry;
             }
             // cur is protected and its key immutable after insert.
             match cmp(node) {
                 KeyOrder::Less => {
                     // Advance hand-over-hand: cur becomes prev.
-                    release_guards(smr, t, [prev_guard]);
+                    release_guards(r, t, [prev_guard]);
                     prev_guard = cur_guard;
                     prev_loc = node.next();
                     cur_w = next_w;
                     cur_guard = next_guard;
                 }
                 order => {
-                    release_guards(smr, t, [next_guard]);
+                    release_guards(r, t, [next_guard]);
                     return Cursor {
                         prev_loc,
                         prev_guard,
@@ -171,10 +173,10 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
 ///
 /// # Safety
 ///
-/// `c` came from [`find`]`::<N, S>` on this `smr` and `t`, inside the
-/// critical section that is still open.
+/// `c` came from [`find`] on this `r` and `t`, inside the critical
+/// section that is still open.
 pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
-    smr: &S,
+    r: &Reclaimer<N, S>,
     t: Tid,
     c: Cursor<S::Guard>,
     node: Box<N>,
@@ -188,7 +190,7 @@ pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
         Ordering::SeqCst,
         Ordering::SeqCst,
     );
-    release(smr, t, c);
+    release(r, t, c);
     match linked {
         Ok(_) => Ok(addr as usize),
         // Safety: never published, still ours.
@@ -198,16 +200,15 @@ pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
 
 /// Links the freshly allocated `node` where `locate` — a [`find`] for its
 /// key, re-run after every lost race — says it goes. `Ok` is its address
-/// once linked; if the key is already present the node is dropped, the
-/// allocation un-counted, and `Err` is the incumbent's address (protected
-/// no longer: only meaningful for nodes that are never retired).
+/// once linked; if the key is already present the node is discarded and
+/// `Err` is the incumbent's address (protected no longer: only meaningful
+/// for nodes that are never retired).
 ///
 /// # Safety
 ///
 /// As [`link_at`], for every cursor `locate` returns.
 pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire>(
-    smr: &S,
-    stats: &NodeStats,
+    r: &Reclaimer<N, S>,
     t: Tid,
     mut node: Box<N>,
     mut locate: impl FnMut(&N) -> Cursor<S::Guard>,
@@ -216,12 +217,12 @@ pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire>(
         let c = locate(&node);
         if c.found {
             let incumbent = untagged(c.cur_w);
-            release(smr, t, c);
-            stats.on_free(t);
-            return Err(incumbent); // never published: `node` drops here
+            release(r, t, c);
+            r.discard(t, node); // never published
+            return Err(incumbent);
         }
         // Safety: per this function's contract.
-        match unsafe { link_at(smr, t, c, node) } {
+        match unsafe { link_at(r, t, c, node) } {
             Ok(addr) => return Ok(addr),
             Err(back) => node = back,
         }
@@ -238,7 +239,7 @@ pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire>(
 ///
 /// As [`link_at`], and `c.found`.
 pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(
-    smr: &S,
+    r: &Reclaimer<N, S>,
     t: Tid,
     c: Cursor<S::Guard>,
 ) -> bool {
@@ -272,25 +273,11 @@ pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(
             .compare_exchange(c.cur_w, next_w, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     {
-        smr.retire(t, Retired::new(cur, node.birth()));
+        // Safety: our CAS unlinked it; the cursor still protects it.
+        unsafe { r.retire(t, cur) };
     }
-    release(smr, t, c);
+    release(r, t, c);
     marked
-}
-
-/// Applies every ready eject: frees the node memory (the other manual
-/// chore), counting each against `stats`.
-///
-/// # Safety
-///
-/// Everything retired through `smr` was allocated as a `Box<N>` and
-/// retired exactly once, after being unlinked.
-pub(super) unsafe fn collect<N, S: AcquireRetire>(smr: &S, stats: &NodeStats, t: Tid) {
-    while let Some(r) = smr.eject(t) {
-        stats.on_free(t);
-        // Safety: per this function's contract.
-        unsafe { drop(Box::from_raw(r.addr as *mut N)) };
-    }
 }
 
 struct Node<K, V> {
@@ -306,28 +293,24 @@ impl<K, V> Link for Node<K, V> {
     fn next(&self) -> &AtomicUsize {
         &self.next
     }
+}
 
+impl<K, V> ManualNode for Node<K, V> {
     #[inline(always)]
     fn birth(&self) -> u64 {
         self.birth
     }
-}
 
-impl<K, V> super::OutgoingEdges for Node<K, V> {
     fn out_edges(&self, out: &mut Vec<usize>) {
         out.push(untagged(self.next.load(Ordering::SeqCst)));
     }
 }
 
-/// A Harris-Michael ordered map under manual SMR scheme `S`.
-///
-/// Multiple structures may share one scheme instance (and stats); see
-/// [`with_shared`](Self::with_shared).
+/// A Harris-Michael ordered map under manual SMR scheme `S`, which owns
+/// its scheme instance.
 pub struct HarrisMichaelList<K, V, S: AcquireRetire> {
     head: AtomicUsize,
-    smr: Arc<S>,
-    stats: Arc<NodeStats>,
-    _marker: super::NodeMarker<Node<K, V>, S>,
+    reclaimer: Reclaimer<Node<K, V>, S>,
 }
 
 // Safety: nodes are only dereferenced under scheme protection; values cross
@@ -343,26 +326,14 @@ where
 {
     /// Creates an empty list with its own scheme instance.
     pub fn new() -> Self {
-        Self::with_shared(
-            Arc::new(S::new(
-                Arc::new(smr::GlobalEpoch::new()),
-                S::default_config(),
-            )),
-            Arc::new(NodeStats::new()),
-        )
+        Self::with_config(S::default_config())
     }
 
-    /// Creates an empty list sharing a scheme instance and stats, so that
-    /// several lists reclaim through one instance, are covered by one `pin`,
-    /// and are metered together. Whichever list ejects a retired node frees
-    /// it as its own node type, so only lists of the same `K` and `V` may
-    /// share; the last one to drop drains the instance.
-    pub fn with_shared(smr: Arc<S>, stats: Arc<NodeStats>) -> Self {
+    /// As [`new`](Self::new), with the scheme instance configured by `cfg`.
+    pub fn with_config(cfg: SmrConfig) -> Self {
         HarrisMichaelList {
             head: AtomicUsize::new(0),
-            smr,
-            stats,
-            _marker: PhantomData,
+            reclaimer: Reclaimer::new(cfg),
         }
     }
 
@@ -370,22 +341,15 @@ where
     /// section.
     fn find(&self, t: Tid, key: &K) -> Cursor<S::Guard> {
         // Safety: every node linked under `head` is a `Box<Node<K, V>>`
-        // retired through `self.smr` once unlinked.
-        unsafe { find(&*self.smr, t, &self.head, |n: &Node<K, V>| n.key.cmp(key)) }
-    }
-
-    /// Applies every ready eject: frees the node memory.
-    fn collect(&self, t: Tid) {
-        // Safety: only `Box<Node<K, V>>`s are retired through `self.smr`,
-        // each once, by the CAS that unlinked it.
-        unsafe { collect::<Node<K, V>, S>(&self.smr, &self.stats, t) };
+        // retired through `self.reclaimer` once unlinked.
+        unsafe { find(&self.reclaimer, t, &self.head, |n| n.key.cmp(key)) }
     }
 
     /// Counts live (unmarked) nodes — test helper, not linearizable.
     pub fn iter_count(&self) -> usize {
         // RAII section (not bare begin/end): a panic while traversing must
         // not strand the announcement open and pin reclamation forever.
-        let guard = smr::SectionGuard::enter(Arc::clone(&self.smr));
+        let guard = self.reclaimer.pin();
         let t = guard.tid();
         let mut n = 0;
         let mut w = self.head.load(Ordering::SeqCst);
@@ -398,7 +362,7 @@ where
             w = next & !MARK;
         }
         drop(guard);
-        self.collect(t);
+        self.reclaimer.collect(t);
         n
     }
 }
@@ -412,60 +376,57 @@ where
     type Guard = smr::SectionGuard<S>;
 
     fn pin(&self) -> Self::Guard {
-        smr::SectionGuard::enter(Arc::clone(&self.smr))
+        self.reclaimer.pin()
     }
 
     fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
-        self.stats.on_alloc(t);
-        let node = Box::new(Node {
-            birth: self.smr.birth_epoch(t),
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
+        let node = r.alloc(t, |birth| Node {
+            birth,
             key,
             value,
             next: AtomicUsize::new(0),
         });
-        // Safety: `find`'s cursors, in `guard`'s section over `self.smr`.
-        let linked = unsafe {
-            find_or_link(&*self.smr, &self.stats, t, node, |n| self.find(t, &n.key)).is_ok()
-        };
-        self.collect(t);
+        // Safety: `find`'s cursors, in `guard`'s section over `r`.
+        let linked = unsafe { find_or_link(r, t, node, |n| self.find(t, &n.key)).is_ok() };
+        r.collect(t);
         linked
     }
 
     fn remove_with(&self, key: &K, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
         let removed = loop {
             let c = self.find(t, key);
             if !c.found {
-                release(&*self.smr, t, c);
+                release(r, t, c);
                 break false;
             }
-            // Safety: `c` is this section's cursor over `self.smr`, found.
-            if unsafe { remove_at::<Node<K, V>, S>(&self.smr, t, c) } {
+            // Safety: `c` is this section's cursor over `r`, found.
+            if unsafe { remove_at(r, t, c) } {
                 break true;
             }
             // Retry from find so it can help the competing delete.
         };
-        self.collect(t);
+        r.collect(t);
         removed
     }
 
     fn get_with(&self, key: &K, guard: &Self::Guard) -> Option<V> {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
         let c = self.find(t, key);
         let node = untagged(c.cur_w) as *const Node<K, V>;
         // Safety: protected by the cursor guard; value immutable.
         let out = c.found.then(|| unsafe { (*node).value.clone() });
-        release(&*self.smr, t, c);
-        self.collect(t);
+        release(r, t, c);
+        r.collect(t);
         out
     }
 
     fn in_flight_nodes(&self) -> u64 {
-        self.stats.in_flight()
+        self.reclaimer.in_flight()
     }
 }
 
@@ -482,11 +443,10 @@ where
 
 impl<K, V, S: AcquireRetire> Drop for HarrisMichaelList<K, V, S> {
     fn drop(&mut self) {
-        let t = smr::current_tid();
         // Free reachable nodes (marked-but-linked included), then retired
         // ones. Safety: exclusive access; linked nodes are not retired.
         let head = untagged(self.head.load(Ordering::SeqCst));
-        unsafe { super::teardown::<Node<K, V>, S>([head], &self.smr, &self.stats, t) };
+        unsafe { self.reclaimer.teardown([head]) };
     }
 }
 
@@ -502,6 +462,7 @@ impl<K, V, S: AcquireRetire> std::fmt::Debug for HarrisMichaelList<K, V, S> {
 mod tests {
     use super::*;
     use smr::{Ebr, Hp, Hyaline, Ibr};
+    use std::sync::Arc;
 
     fn smoke<S: AcquireRetire>() {
         let list: HarrisMichaelList<u64, u64, S> = HarrisMichaelList::new();
@@ -583,15 +544,10 @@ mod tests {
 
     #[test]
     fn no_leaks_after_drop() {
-        let stats = Arc::new(NodeStats::new());
+        let nodes;
         {
-            let list: HarrisMichaelList<u64, u64, Ebr> = HarrisMichaelList::with_shared(
-                Arc::new(Ebr::new(
-                    Arc::new(smr::GlobalEpoch::new()),
-                    Ebr::default_config(),
-                )),
-                Arc::clone(&stats),
-            );
+            let list: HarrisMichaelList<u64, u64, Ebr> = HarrisMichaelList::new();
+            nodes = Arc::clone(&list.reclaimer.nodes);
             for k in 0..500u64 {
                 list.insert(k, k);
             }
@@ -599,8 +555,10 @@ mod tests {
                 list.remove(&k);
             }
         }
-        assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+        assert_eq!(nodes.net(), 0, "every node freed at drop");
     }
+
+    type TestReclaimer<S> = Reclaimer<Node<u64, u64>, S>;
 
     /// The helping path, deterministically: behind `head` hang keys 1, 2, 3
     /// and a deleter of 2 has stalled right after its mark CAS (replayed
@@ -608,21 +566,19 @@ mod tests {
     /// the victim and retire it exactly once; a second walk must find
     /// nothing left to help.
     fn walk_past_a_stalled_delete<S: AcquireRetire>(
-        smr: &S,
-        stats: &NodeStats,
+        r: &TestReclaimer<S>,
         head: &AtomicUsize,
         walk: impl Fn(u64) -> bool,
     ) {
         let t = smr::current_tid();
         let settle = || {
-            smr.flush(t);
-            // Safety: only `Node<u64, u64>`s are retired in these tests.
-            unsafe { collect::<Node<u64, u64>, S>(smr, stats, t) };
+            r.smr.flush(t);
+            r.collect(t);
         };
         // Safety: single-threaded; nothing is freed before `settle`.
         let node = |w: usize| unsafe { &*(untagged(w) as *const Node<u64, u64>) };
         settle();
-        let nodes_before = stats.in_flight();
+        let nodes_before = r.in_flight();
         let first = node(head.load(Ordering::SeqCst));
         let victim_w = first.next.load(Ordering::SeqCst);
         let last_w = node(victim_w).next.load(Ordering::SeqCst);
@@ -642,73 +598,61 @@ mod tests {
         assert_eq!(edges(), after_first, "nothing left to CAS on a second walk");
         settle();
         assert_eq!(
-            stats.in_flight(),
+            r.in_flight(),
             nodes_before - 1,
             "victim retired once and freed once; a second retire would free twice"
         );
     }
 
     fn helping<S: AcquireRetire>() {
-        let smr = Arc::new(S::new(
-            Arc::new(smr::GlobalEpoch::new()),
-            S::default_config(),
-        ));
-        let stats = Arc::new(NodeStats::new());
+        // From the list head, through the map interface.
+        let list: HarrisMichaelList<u64, u64, S> = HarrisMichaelList::new();
+        for k in [2, 3, 1] {
+            assert!(list.insert(k, k * 10));
+        }
+        walk_past_a_stalled_delete(&list.reclaimer, &list.head, |k| {
+            list.get(&k) == Some(k * 10)
+        });
+        assert_eq!(list.iter_count(), 2);
+
+        // From a sentinel's edge, as the split-ordered map starts its
+        // walks: the anchor is a `next` word inside a node that is never
+        // deleted, not a list head. The free functions run on a reclaimer
+        // of their own.
+        let r: TestReclaimer<S> = Reclaimer::new(S::default_config());
         let new_node = |key: u64| {
-            stats.on_alloc(smr::current_tid());
-            Box::new(Node {
-                birth: 0,
+            r.alloc(smr::current_tid(), |birth| Node {
+                birth,
                 key,
                 value: key * 10,
                 next: AtomicUsize::new(0),
             })
         };
-
-        // From the list head, through the map interface.
-        let list: HarrisMichaelList<u64, u64, S> =
-            HarrisMichaelList::with_shared(Arc::clone(&smr), Arc::clone(&stats));
-        for k in [2, 3, 1] {
-            assert!(list.insert(k, k * 10));
-        }
-        walk_past_a_stalled_delete(&*smr, &stats, &list.head, |k| list.get(&k) == Some(k * 10));
-        assert_eq!(list.iter_count(), 2);
-
-        // From a sentinel's edge, as the split-ordered map starts its
-        // walks: the anchor is a `next` word inside a node that is never
-        // deleted, not a list head.
         let sentinel = new_node(0);
         let walk = |key: u64| {
-            let guard = smr::SectionGuard::enter(Arc::clone(&smr));
+            let guard = r.pin();
             // Safety: everything behind `sentinel.next` is a node of this
-            // test, retired through `smr`; the section is open.
-            let c = unsafe {
-                find(&*smr, guard.tid(), &sentinel.next, |n: &Node<u64, u64>| {
-                    n.key.cmp(&key)
-                })
-            };
+            // test, retired through `r`; the section is open.
+            let c = unsafe { find(&r, guard.tid(), &sentinel.next, |n| n.key.cmp(&key)) };
             (c, guard)
         };
         for k in [2, 3, 1] {
             let (c, guard) = walk(k);
             assert!(!c.found);
             // Safety: `c` is `guard`'s cursor.
-            assert!(unsafe { link_at(&*smr, guard.tid(), c, new_node(k)) }.is_ok());
+            assert!(unsafe { link_at(&r, guard.tid(), c, new_node(k)) }.is_ok());
         }
-        walk_past_a_stalled_delete(&*smr, &stats, &sentinel.next, |k| {
+        walk_past_a_stalled_delete(&r, &sentinel.next, |k| {
             let (c, guard) = walk(k);
             let found = c.found;
-            release(&*smr, guard.tid(), c);
+            release(&r, guard.tid(), c);
             found
         });
         let chain = untagged(sentinel.next.load(Ordering::SeqCst));
-        drop(list);
         // Safety: exclusive; the chain's nodes are linked, so not retired.
-        unsafe {
-            crate::manual::teardown::<Node<u64, u64>, S>([chain], &smr, &stats, smr::current_tid())
-        };
-        drop(sentinel);
-        stats.on_free(smr::current_tid());
-        assert_eq!(stats.in_flight(), 0);
+        unsafe { r.teardown([chain]) };
+        r.discard(smr::current_tid(), sentinel);
+        assert_eq!(r.in_flight(), 0);
     }
 
     #[test]

@@ -20,13 +20,12 @@
 //! "modified, correct HP variant" the paper mentions (§5.1).
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
-use std::marker::PhantomData;
-use std::sync::Arc;
 
-use smr::{AcquireRetire, Retired, Tid};
+use smr::{AcquireRetire, Tid};
 
+use super::{ManualNode, Reclaimer};
 use crate::nm::{NmKey, FLAG, TAG};
-use crate::{ConcurrentMap, NodeStats};
+use crate::ConcurrentMap;
 
 const BITS: usize = FLAG | TAG;
 
@@ -54,7 +53,11 @@ struct Node<K, V> {
     right: AtomicUsize,
 }
 
-impl<K, V> super::OutgoingEdges for Node<K, V> {
+impl<K, V> ManualNode for Node<K, V> {
+    fn birth(&self) -> u64 {
+        self.birth
+    }
+
     fn out_edges(&self, out: &mut Vec<usize>) {
         // Ordering: Relaxed — edge harvest runs at destruction time, when
         // the reclaimer has exclusive access to the node; the words can no
@@ -65,14 +68,21 @@ impl<K, V> super::OutgoingEdges for Node<K, V> {
 }
 
 impl<K, V> Node<K, V> {
-    fn leaf(birth: u64, key: NmKey<K>, value: Option<V>) -> Box<Self> {
-        Box::new(Node {
+    fn internal(birth: u64, key: NmKey<K>, left: usize, right: usize) -> Self {
+        Node {
             birth,
             key,
+            value: None,
+            left: AtomicUsize::new(left),
+            right: AtomicUsize::new(right),
+        }
+    }
+
+    fn leaf(birth: u64, key: NmKey<K>, value: Option<V>) -> Self {
+        Node {
             value,
-            left: AtomicUsize::new(0),
-            right: AtomicUsize::new(0),
-        })
+            ..Self::internal(birth, key, 0, 0)
+        }
     }
 }
 
@@ -95,9 +105,7 @@ pub struct NatarajanMittalTree<K, V, S: AcquireRetire> {
     /// never unlinked.
     root: *mut Node<K, V>,
     s_node: *mut Node<K, V>,
-    smr: Arc<S>,
-    stats: Arc<NodeStats>,
-    _marker: super::NodeMarker<Node<K, V>, S>,
+    reclaimer: Reclaimer<Node<K, V>, S>,
 }
 
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Send
@@ -117,49 +125,21 @@ where
 {
     /// Creates an empty tree with its own scheme instance.
     pub fn new() -> Self {
-        let smr = Arc::new(S::new(
-            Arc::new(smr::GlobalEpoch::new()),
-            S::default_config(),
-        ));
-        let stats = Arc::new(NodeStats::new());
+        let reclaimer = Reclaimer::new(S::default_config());
         // Initial shape (paper [21]): R(∞₂){ S(∞₁){ leaf ∞₀, leaf ∞₁ },
         // leaf ∞₂ }. Real keys all route left of S.
+        // Sentinels are never retired, so their birth epoch goes unread.
         let t = smr::current_tid();
-        for _ in 0..5 {
-            stats.on_alloc(t);
-        }
-        let l0 = Box::into_raw(Node::<K, V>::leaf(0, NmKey::Inf0, None));
-        let l1 = Box::into_raw(Node::<K, V>::leaf(0, NmKey::Inf1, None));
-        let l2 = Box::into_raw(Node::<K, V>::leaf(0, NmKey::Inf2, None));
-        let s_node = Box::into_raw(Box::new(Node {
-            birth: 0,
-            key: NmKey::Inf1,
-            value: None,
-            left: AtomicUsize::new(l0 as usize),
-            right: AtomicUsize::new(l1 as usize),
-        }));
-        let root = Box::into_raw(Box::new(Node {
-            birth: 0,
-            key: NmKey::Inf2,
-            value: None,
-            left: AtomicUsize::new(s_node as usize),
-            right: AtomicUsize::new(l2 as usize),
-        }));
+        let new = |n: Node<K, V>| Box::into_raw(reclaimer.alloc(t, |_| n)) as usize;
+        let l0 = new(Node::leaf(0, NmKey::Inf0, None));
+        let l1 = new(Node::leaf(0, NmKey::Inf1, None));
+        let l2 = new(Node::leaf(0, NmKey::Inf2, None));
+        let s_node = new(Node::internal(0, NmKey::Inf1, l0, l1));
+        let root = new(Node::internal(0, NmKey::Inf2, s_node, l2));
         NatarajanMittalTree {
-            root,
-            s_node,
-            smr,
-            stats,
-            _marker: PhantomData,
-        }
-    }
-
-    fn collect(&self, t: Tid) {
-        while let Some(r) = self.smr.eject(t) {
-            self.stats.on_free(t);
-            // Safety: ejected addresses were allocated here as Node<K, V>
-            // and retired exactly once after being unlinked.
-            unsafe { drop(Box::from_raw(r.addr as *mut Node<K, V>)) };
+            root: root as *mut _,
+            s_node: s_node as *mut _,
+            reclaimer,
         }
     }
 
@@ -189,7 +169,7 @@ where
         .into_iter()
         .flatten()
         {
-            self.smr.release(t, g);
+            self.reclaimer.release(t, g);
         }
     }
 
@@ -208,7 +188,7 @@ where
         // Safety: sentinels are never unlinked; S's edges are valid.
         let edge = unsafe { self.child_edge(s.parent, key) };
         let (mut child_w, g) = self
-            .smr
+            .reclaimer
             .try_acquire(t, unsafe { &*edge })
             .expect("seek holds at most 4 guards");
         let mut child_guard = Some(g);
@@ -227,7 +207,7 @@ where
                 // (its guard moves along), cur becomes the successor (plain
                 // word — only ever CAS-compared).
                 if let Some(g) = s.ancestor_guard.take() {
-                    self.smr.release(t, g);
+                    self.reclaimer.release(t, g);
                 }
                 s.ancestor = s.parent;
                 s.ancestor_guard = s.parent_guard.take();
@@ -235,14 +215,14 @@ where
             }
             // cur becomes the parent.
             if let Some(g) = s.parent_guard.take() {
-                self.smr.release(t, g);
+                self.reclaimer.release(t, g);
             }
             s.parent = cur;
             s.parent_guard = child_guard.take();
             // Descend. Safety: cur protected by parent_guard now.
             let edge = unsafe { self.child_edge(cur, key) };
             let (w, g) = self
-                .smr
+                .reclaimer
                 .try_acquire(t, unsafe { &*edge })
                 .expect("seek holds at most 4 guards");
             child_w = w;
@@ -293,22 +273,17 @@ where
                 let lw = (*node).left.load(Ordering::SeqCst);
                 let rw = (*node).right.load(Ordering::SeqCst);
                 let next = if flagged(lw) && addr(lw) != sibling {
-                    self.retire_node(t, addr(lw));
+                    self.reclaimer.retire(t, addr(lw));
                     addr(rw)
                 } else {
-                    self.retire_node(t, addr(rw));
+                    self.reclaimer.retire(t, addr(rw));
                     addr(lw)
                 };
-                self.retire_node(t, n);
+                self.reclaimer.retire(t, n);
                 n = next;
             }
             true
         }
-    }
-
-    unsafe fn retire_node(&self, t: Tid, node: usize) {
-        let birth = (*(node as *const Node<K, V>)).birth;
-        self.smr.retire(t, Retired::new(node, birth));
     }
 
     fn leaf_key_matches(&self, leaf: usize, key: &NmKey<K>) -> bool {
@@ -330,22 +305,18 @@ where
             // contention is the uncommon case.
             // Safety: leaf protected; keys immutable.
             let leaf_key = unsafe { (*(s.leaf as *const Node<K, V>)).key.clone() };
-            let birth = self.smr.birth_epoch(t);
-            self.stats.on_alloc(t);
-            self.stats.on_alloc(t);
-            let new_leaf = Box::into_raw(Node::leaf(birth, nmkey.clone(), Some(value.clone())));
+            let new_leaf = Box::into_raw(self.reclaimer.alloc(t, |birth| {
+                Node::leaf(birth, nmkey.clone(), Some(value.clone()))
+            }));
             let (ikey, l, r) = if nmkey < leaf_key {
                 (leaf_key, new_leaf as usize, s.leaf)
             } else {
                 (nmkey.clone(), s.leaf, new_leaf as usize)
             };
-            let new_internal: *mut Node<K, V> = Box::into_raw(Box::new(Node {
-                birth,
-                key: ikey,
-                value: None,
-                left: AtomicUsize::new(l),
-                right: AtomicUsize::new(r),
-            }));
+            let new_internal = Box::into_raw(
+                self.reclaimer
+                    .alloc(t, |birth| Node::internal(birth, ikey, l, r)),
+            );
             // Safety: parent protected by the seek record.
             let edge = unsafe { self.child_edge(s.parent, &nmkey) };
             let witness = unsafe {
@@ -367,11 +338,9 @@ where
                     // delete on this leaf needs help before retrying.
                     // Safety: never published, exclusively ours.
                     unsafe {
-                        drop(Box::from_raw(new_internal));
-                        drop(Box::from_raw(new_leaf));
+                        self.reclaimer.discard(t, Box::from_raw(new_internal));
+                        self.reclaimer.discard(t, Box::from_raw(new_leaf));
                     }
-                    self.stats.on_free(t);
-                    self.stats.on_free(t);
                     if addr(w) == s.leaf && (flagged(w) || tagged(w)) {
                         self.cleanup(t, &nmkey, &s);
                     }
@@ -413,7 +382,7 @@ where
                         if self.cleanup(t, &nmkey, &s) {
                             self.release_seek(t, &mut s);
                             if let Some(g) = target_guard.take() {
-                                self.smr.release(t, g);
+                                self.reclaimer.release(t, g);
                             }
                             return true;
                         }
@@ -432,14 +401,14 @@ where
                     // A helper finished our removal.
                     self.release_seek(t, &mut s);
                     if let Some(g) = target_guard.take() {
-                        self.smr.release(t, g);
+                        self.reclaimer.release(t, g);
                     }
                     return true;
                 }
                 if self.cleanup(t, &nmkey, &s) {
                     self.release_seek(t, &mut s);
                     if let Some(g) = target_guard.take() {
-                        self.smr.release(t, g);
+                        self.reclaimer.release(t, g);
                     }
                     return true;
                 }
@@ -509,38 +478,34 @@ where
     type Guard = smr::SectionGuard<S>;
 
     fn pin(&self) -> Self::Guard {
-        smr::SectionGuard::enter(Arc::clone(&self.smr))
+        self.reclaimer.pin()
     }
 
     fn insert_with(&self, k: K, v: V, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         let r = self.insert_impl(t, k, v);
-        self.collect(t);
+        self.reclaimer.collect(t);
         r
     }
 
     fn remove_with(&self, k: &K, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         let r = self.remove_impl(t, k);
-        self.collect(t);
+        self.reclaimer.collect(t);
         r
     }
 
     fn get_with(&self, k: &K, guard: &Self::Guard) -> Option<V> {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         let r = self.get_impl(t, k);
-        self.collect(t);
+        self.reclaimer.collect(t);
         r
     }
 
     fn range_with(&self, from: &K, to: &K, limit: usize, guard: &Self::Guard) -> Option<usize> {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let t = self.reclaimer.tid(guard);
         let r = self.range_impl(from, to, limit);
-        self.collect(t);
+        self.reclaimer.collect(t);
         r
     }
 
@@ -549,7 +514,7 @@ where
     }
 
     fn in_flight_nodes(&self) -> u64 {
-        self.stats.in_flight()
+        self.reclaimer.in_flight()
     }
 }
 
@@ -569,10 +534,7 @@ impl<K, V, S: AcquireRetire> Drop for NatarajanMittalTree<K, V, S> {
         // Free everything reachable (flag/tag bits notwithstanding), then
         // whatever is parked in retired lists; the sets are disjoint since
         // retired nodes are unlinked first. Safety: exclusive access.
-        let t = smr::current_tid();
-        unsafe {
-            super::teardown::<Node<K, V>, S>([self.root as usize], &self.smr, &self.stats, t)
-        };
+        unsafe { self.reclaimer.teardown([self.root as usize]) };
     }
 }
 
@@ -588,6 +550,7 @@ impl<K, V, S: AcquireRetire> std::fmt::Debug for NatarajanMittalTree<K, V, S> {
 mod tests {
     use super::*;
     use smr::{Ebr, Hp, Hyaline, Ibr};
+    use std::sync::Arc;
 
     fn smoke<S: AcquireRetire>() {
         let tree: NatarajanMittalTree<u64, u64, S> = NatarajanMittalTree::new();
@@ -717,10 +680,10 @@ mod tests {
 
     #[test]
     fn no_leaks_after_drop() {
-        let stats;
+        let nodes;
         {
             let tree: NatarajanMittalTree<u64, u64, Ebr> = NatarajanMittalTree::new();
-            stats = Arc::clone(&tree.stats);
+            nodes = Arc::clone(&tree.reclaimer.nodes);
             for k in 0..300u64 {
                 tree.insert(k, k);
             }
@@ -728,6 +691,6 @@ mod tests {
                 tree.remove(&k);
             }
         }
-        assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+        assert_eq!(nodes.net(), 0, "every node freed at drop");
     }
 }

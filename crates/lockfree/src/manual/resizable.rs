@@ -19,13 +19,13 @@
 use smr::sync::atomic::{AtomicUsize, Ordering};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
-use std::sync::Arc;
 
 use smr::{untagged, AcquireRetire, Tid};
 
-use super::list::{collect, find, find_or_link, release, remove_at, Cursor, Link};
+use super::list::{find, find_or_link, release, remove_at, Cursor, Link};
+use super::{ManualNode, Reclaimer};
 use crate::split_order::{so_dummy, so_regular, Directory};
-use crate::{ConcurrentMap, NodeStats};
+use crate::ConcurrentMap;
 
 struct Node<K, V> {
     birth: u64,
@@ -49,14 +49,14 @@ impl<K, V> Link for Node<K, V> {
     fn next(&self) -> &AtomicUsize {
         &self.next
     }
+}
 
+impl<K, V> ManualNode for Node<K, V> {
     #[inline(always)]
     fn birth(&self) -> u64 {
         self.birth
     }
-}
 
-impl<K, V> super::OutgoingEdges for Node<K, V> {
     fn out_edges(&self, out: &mut Vec<usize>) {
         out.push(untagged(self.next.load(Ordering::SeqCst)));
     }
@@ -70,10 +70,8 @@ pub struct ResizableHashMap<K, V, S: AcquireRetire> {
     /// at most once; bucket 0's sentinel — the head of the entire list — is
     /// installed at construction.
     dir: Directory<AtomicUsize>,
-    smr: Arc<S>,
-    stats: Arc<NodeStats>,
+    reclaimer: Reclaimer<Node<K, V>, S>,
     hasher: RandomState,
-    _marker: super::NodeMarker<Node<K, V>, S>,
 }
 
 // Safety: nodes are only dereferenced under scheme protection (or sentinel
@@ -97,26 +95,10 @@ where
     /// scheme instance. The table doubles once its element count exceeds
     /// its bucket count, so one sized for its key range never grows.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_shared(
-            capacity,
-            Arc::new(S::new(
-                Arc::new(smr::GlobalEpoch::new()),
-                S::default_config(),
-            )),
-            Arc::new(NodeStats::new()),
-        )
-    }
-
-    /// As [`with_capacity`](Self::with_capacity), sharing a scheme
-    /// instance and stats with other maps of the same `K` and `V` (mirrors
-    /// [`HarrisMichaelList::with_shared`](crate::manual::HarrisMichaelList::with_shared)).
-    pub fn with_capacity_shared(capacity: usize, smr: Arc<S>, stats: Arc<NodeStats>) -> Self {
         let map = ResizableHashMap {
             dir: Directory::with_capacity(capacity, AtomicUsize::new(0)),
-            smr,
-            stats,
+            reclaimer: Reclaimer::new(S::default_config()),
             hasher: RandomState::new(),
-            _marker: std::marker::PhantomData,
         };
         let zero = Box::into_raw(map.new_node(smr::current_tid(), so_dummy(0), None));
         map.dir.zero().store(zero as usize, Ordering::SeqCst);
@@ -138,17 +120,9 @@ where
         self.len() == 0
     }
 
-    /// Applies every ready eject: frees the node memory.
-    fn collect(&self, t: Tid) {
-        // Safety: only `Box<Node<K, V>>`s are retired through `self.smr`,
-        // each once, by the CAS that unlinked it.
-        unsafe { collect::<Node<K, V>, S>(&self.smr, &self.stats, t) };
-    }
-
     fn new_node(&self, t: Tid, so_key: u64, kv: Option<(K, V)>) -> Box<Node<K, V>> {
-        self.stats.on_alloc(t);
-        Box::new(Node {
-            birth: self.smr.birth_epoch(t),
+        self.reclaimer.alloc(t, |birth| Node {
+            birth,
             so_key,
             kv,
             next: AtomicUsize::new(0),
@@ -171,9 +145,9 @@ where
         // unguarded forever, since sentinels are immortal.
         let so_key = so_dummy(b as u64);
         let sentinel = self.new_node(t, so_key, None);
-        // Safety: `find_from`'s cursors, in this section over `self.smr`.
+        // Safety: `find_from`'s cursors, in this section over the reclaimer.
         let (Ok(addr) | Err(addr)) = unsafe {
-            find_or_link(&*self.smr, &self.stats, t, sentinel, |_| {
+            find_or_link(&self.reclaimer, t, sentinel, |_| {
                 self.find_from(t, parent, so_key, None)
             })
         };
@@ -199,10 +173,10 @@ where
         // Safety: sentinels are never retired, so `start`'s edge lives as
         // long as the map and is never marked (cf. `&self.head` in the
         // plain list); every node linked behind it is a `Box<Node<K, V>>`
-        // retired through `self.smr` once unlinked.
+        // retired through `self.reclaimer` once unlinked.
         unsafe {
             let head = &(*(start as *const Node<K, V>)).next;
-            find(&*self.smr, t, head, |n: &Node<K, V>| {
+            find(&self.reclaimer, t, head, |n| {
                 (n.so_key, n.key()).cmp(&(so_key, key))
             })
         }
@@ -218,19 +192,18 @@ where
     type Guard = smr::SectionGuard<S>;
 
     fn pin(&self) -> Self::Guard {
-        smr::SectionGuard::enter(Arc::clone(&self.smr))
+        self.reclaimer.pin()
     }
 
     fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
         let h = self.hasher.hash_one(&key);
         let so = so_regular(h);
         let node = self.new_node(t, so, Some((key, value)));
-        // Safety: `find_from`'s cursors, in `guard`'s section over
-        // `self.smr`.
+        // Safety: `find_from`'s cursors, in `guard`'s section over `r`.
         let linked = unsafe {
-            find_or_link(&*self.smr, &self.stats, t, node, |n| {
+            find_or_link(r, t, node, |n| {
                 self.find_from(t, self.bucket_for(t, h), so, n.key())
             })
             .is_ok()
@@ -238,34 +211,34 @@ where
         if linked {
             self.dir.on_insert(t);
         }
-        self.collect(t);
+        r.collect(t);
         linked
     }
 
     fn remove_with(&self, key: &K, guard: &Self::Guard) -> bool {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
         let h = self.hasher.hash_one(key);
         let removed = loop {
             let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
             if !c.found {
-                release(&*self.smr, t, c);
+                release(r, t, c);
                 break false;
             }
-            // Safety: `c` is this section's cursor over `self.smr`, found.
-            if unsafe { remove_at::<Node<K, V>, S>(&self.smr, t, c) } {
+            // Safety: `c` is this section's cursor over `r`, found.
+            if unsafe { remove_at(r, t, c) } {
                 self.dir.on_remove(t);
                 break true;
             }
             // Retry from find so it can help the competing delete.
         };
-        self.collect(t);
+        r.collect(t);
         removed
     }
 
     fn get_with(&self, key: &K, guard: &Self::Guard) -> Option<V> {
-        debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
-        let t = guard.tid();
+        let r = &self.reclaimer;
+        let t = r.tid(guard);
         let h = self.hasher.hash_one(key);
         let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
         let node = untagged(c.cur_w) as *const Node<K, V>;
@@ -273,13 +246,13 @@ where
         let out = c
             .found
             .then(|| unsafe { (*node).kv.as_ref().unwrap().1.clone() });
-        release(&*self.smr, t, c);
-        self.collect(t);
+        release(r, t, c);
+        r.collect(t);
         out
     }
 
     fn in_flight_nodes(&self) -> u64 {
-        self.stats.in_flight()
+        self.reclaimer.in_flight()
     }
 }
 
@@ -296,14 +269,13 @@ where
 
 impl<K, V, S: AcquireRetire> Drop for ResizableHashMap<K, V, S> {
     fn drop(&mut self) {
-        let t = smr::current_tid();
         // The zero sentinel heads the entire list, so one root reaches
         // every node — sentinels, live nodes and marked-but-linked ones.
         // Directory slots hold plain addresses (no ownership): the
         // directory frees its own segments.
         let head = self.dir.zero().load(Ordering::SeqCst);
         // Safety: exclusive access; linked nodes are never retired.
-        unsafe { super::teardown::<Node<K, V>, S>([head], &self.smr, &self.stats, t) };
+        unsafe { self.reclaimer.teardown([head]) };
     }
 }
 
@@ -320,6 +292,7 @@ impl<K, V, S: AcquireRetire> std::fmt::Debug for ResizableHashMap<K, V, S> {
 mod tests {
     use super::*;
     use smr::{Ebr, Hp, Hyaline, Ibr};
+    use std::sync::Arc;
 
     fn smoke_on<S: AcquireRetire>() {
         let m: ResizableHashMap<u64, u64, S> = ResizableHashMap::new();
@@ -385,26 +358,37 @@ mod tests {
         }
     }
 
+    /// `threads` workers each insert 1000 keys and remove every other one;
+    /// once the map drops, every node — sentinels, live, and retired in
+    /// any worker's slot — must be freed.
+    fn no_leaks_after_churn(threads: u64) {
+        let m: Arc<ResizableHashMap<u64, u64, Ebr>> = Arc::new(ResizableHashMap::new());
+        let nodes = Arc::clone(&m.reclaimer.nodes);
+        let hs: Vec<_> = (0..threads)
+            .map(|i| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for j in 0..1000 {
+                        let k = i * 10_000 + j;
+                        m.insert(k, k);
+                        if j % 2 == 0 {
+                            m.remove(&k);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        drop(m);
+        assert_eq!(nodes.net(), 0, "every node freed at drop");
+    }
+
     #[test]
     fn no_leaks_after_drop() {
-        let stats = Arc::new(NodeStats::new());
-        {
-            let m: ResizableHashMap<u64, u64, Ebr> = ResizableHashMap::with_capacity_shared(
-                1,
-                Arc::new(Ebr::new(
-                    Arc::new(smr::GlobalEpoch::new()),
-                    Ebr::default_config(),
-                )),
-                Arc::clone(&stats),
-            );
-            for k in 0..1000u64 {
-                m.insert(k, k);
-            }
-            for k in 0..500u64 {
-                m.remove(&k);
-            }
-        }
-        assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+        no_leaks_after_churn(1);
+        no_leaks_after_churn(4);
     }
 
     // Built `with_capacity`, the way the benches and the ledger build their

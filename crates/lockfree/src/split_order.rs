@@ -70,7 +70,7 @@ impl ElementCount {
     }
 
     /// Inserts − removes; removes are folded first, so the estimate only
-    /// errs high (see [`crate::NodeStats::in_flight`]).
+    /// errs high (see `LanePairs::net`).
     fn live(&self) -> u64 {
         self.lanes.net()
     }

@@ -567,9 +567,9 @@ impl<S: AcquireRetire> SectionGuard<S> {
     /// Whether this guard's section protects reads against `instance` —
     /// pointer equality on the `Arc`, i.e. both refer to the same scheme
     /// *instance*, which for the manual structures is their reclamation
-    /// domain (each structure, or group sharing via `with_shared`, owns
-    /// one). Structure operations taking a caller-provided guard assert
-    /// this in debug builds: a guard over a *different* instance provides
+    /// domain (each structure owns one). Structure operations taking a
+    /// caller-provided guard assert this in debug builds: a guard over a
+    /// *different* instance provides
     /// no protection at all, even when the scheme type matches — the
     /// reference-counted structures make the same identity check on their
     /// `cdrc::DomainRef` (`CsGuard::covers`).

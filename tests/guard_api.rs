@@ -243,7 +243,6 @@ fn queue_batched_matches_model() {
     drive(&RcDoubleLinkQueue::<u64, HpScheme>::new());
     drive(&RcDoubleLinkQueue::<u64, EbrScheme>::new());
     drive(&DoubleLinkQueue::<u64, smr::Ebr>::new());
-    drive(&lockfree::locked::LockedDoubleLinkQueue::<u64>::new());
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
 use lockfree::manual::ResizableHashMap;
 use lockfree::rc::RcResizableHashMap;
-use lockfree::{ConcurrentMap, NodeStats};
+use lockfree::ConcurrentMap;
 use smr::AcquireRetire;
 
 /// Inserts/removes racing growth: every worker churns its own key range
@@ -105,26 +105,45 @@ fn rc_domain_balances_after_concurrent_churn_and_drop() {
     );
 }
 
+/// Live `Tracked` values; only `manual_stats_balance_after_concurrent_churn_and_drop`
+/// creates them, so the count is exact for that test.
+static TRACKED_LIVE: std::sync::atomic::AtomicIsize = std::sync::atomic::AtomicIsize::new(0);
+
+/// A map value that counts its live instances: a node that is never freed
+/// never drops its value, so a non-zero count after drop is a leak.
+struct Tracked(u64);
+
+impl Tracked {
+    fn new(v: u64) -> Self {
+        TRACKED_LIVE.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Tracked(v)
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Tracked::new(self.0)
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        TRACKED_LIVE.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
 #[test]
 fn manual_stats_balance_after_concurrent_churn_and_drop() {
-    let stats = Arc::new(NodeStats::new());
     {
-        let map: Arc<ResizableHashMap<u64, u64, smr::Ebr>> =
-            Arc::new(ResizableHashMap::with_capacity_shared(
-                1,
-                Arc::new(smr::Ebr::new(
-                    Arc::new(smr::GlobalEpoch::new()),
-                    smr::Ebr::default_config(),
-                )),
-                Arc::clone(&stats),
-            ));
+        let map: Arc<ResizableHashMap<u64, Tracked, smr::Ebr>> =
+            Arc::new(ResizableHashMap::with_capacity(1));
         let hs: Vec<_> = (0..4u64)
             .map(|i| {
                 let map = Arc::clone(&map);
                 std::thread::spawn(move || {
                     for j in 0..1000 {
                         let k = i * 10_000 + j;
-                        map.insert(k, k);
+                        map.insert(k, Tracked::new(k));
                         if j % 2 == 0 {
                             map.remove(&k);
                         }
@@ -135,8 +154,13 @@ fn manual_stats_balance_after_concurrent_churn_and_drop() {
         for h in hs {
             h.join().unwrap();
         }
+        assert!(TRACKED_LIVE.load(std::sync::atomic::Ordering::SeqCst) > 0);
     }
-    assert_eq!(stats.in_flight(), 0, "every node freed at drop");
+    assert_eq!(
+        TRACKED_LIVE.load(std::sync::atomic::Ordering::SeqCst),
+        0,
+        "every node freed at drop"
+    );
 }
 
 #[derive(Debug, Clone, Copy)]
