@@ -11,7 +11,7 @@
 //! |---------|--------|-----------------------------------------------|
 //! | `Strong` | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire on `Dispose` |
 //! | `Weak` | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
-//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner) | `destruct` |
+//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; any object under hazard pointers while something may be reading) | `destruct` |
 //!
 //! [`Domain::retire`] defers one operation at once; [`Domain::batch`]
 //! buffers a `Strong`/`Weak` one per thread until the next flush point;
@@ -21,12 +21,38 @@
 //! only, or all three when `full` — which [`CsGuard`] of either kind and the
 //! internal [`Domain::with_cs`] share.
 //!
+//! What may be destructed on the spot, and whose out-edges may be
+//! decremented on the spot, depends on who took the count to zero
+//! (`Rights`): an owner's drop, a region scheme's eject, or a settle or
+//! drain with nothing reading. Under hazard pointers only the last allows
+//! either (`StrongKind::zeroed`, [`Domain::destruct`]).
+//!
 //! `DomainLocal::weak_used` gates the `Weak`/`Dispose` half of `collect`'s
 //! ready peek. It is set exactly where something can land in those two
 //! instances' queues for a thread: `issue` (any retire into either, batched
 //! or not), `enter` with `full` (leaving a full section is where Hyaline
 //! hands a *reader* the batches it was the last to release), and
 //! `reclaim_orphaned_slot` (the adopted lists may hold such entries).
+//!
+//! # When a retired list is scanned
+//!
+//! A list is scanned when it has grown by a threshold since its last scan,
+//! and by `flush`. A list that stops growing would otherwise keep what it
+//! holds, and in a chain (the weak queue) each entry holds every node
+//! behind it, since a node is destructed only after its predecessor. Two
+//! flush points cover that:
+//!
+//! * `Dispose`, at every outermost section exit of a thread with
+//!   `weak_used` set, under a region scheme (`exit_flush`); maps, lists and
+//!   the tree never set the flag and run nothing here;
+//! * every list the settling thread has issued onto since, when `settle`'s
+//!   sweep finds every section closed. A thread that seeded a structure
+//!   under one guard and then went idle does not keep its decrements.
+//!
+//! One case remains: a thread that *exits* while another thread is inside
+//! a section settles its batch by issuing it, and nobody scans its lists
+//! until the slot's next owner does, or an exclusive drain
+//! ([`Domain::drain_and_apply_all`]) takes them.
 //!
 //! # Domain handles
 //!
@@ -118,7 +144,7 @@ use smr::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig, Tid, MAX_THR
 use sticky::Counter;
 
 use crate::counted::{as_header, Counted, EdgeSink, GraphNode};
-use crate::engine::{RefKind, StrongKind, WeakKind};
+use crate::engine::{RefKind, Rights, StrongKind, WeakKind};
 
 /// The channel table's index set, in table order.
 const CHANNELS: [Channel; 3] = [Channel::Strong, Channel::Weak, Channel::Dispose];
@@ -428,6 +454,10 @@ struct DomainLocal {
     /// places that set it. Until then both queues are provably empty and
     /// `collect` does not peek them.
     weak_used: Cell<bool>,
+    /// Per channel: whether this thread has issued onto that instance
+    /// since `settle`'s quiescent arm last flushed the list. Set in `issue`;
+    /// that arm flushes only the lists whose flag is set.
+    issued: [Cell<bool>; 3],
     /// True while this thread is applying ejected deferred operations —
     /// nested `collect` calls become no-ops, flattening what would otherwise
     /// be unbounded recursive destruction (§3.2: `eject` must not recurse).
@@ -570,6 +600,7 @@ impl<S: AcquireRetire> Domain<S> {
                         locs_made: AtomicU64::new(0),
                         locs_dropped: AtomicU64::new(0),
                         weak_used: Cell::new(false),
+                        issued: CHANNELS.map(|_| Cell::new(false)),
                         applying: Cell::new(false),
                         pending: BATCHED.map(|_| Batch::new()),
                         flush_registered: Cell::new(false),
@@ -902,32 +933,35 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Direct decrement of one `K`-reference the caller owns; at zero, what
-    /// the kind says zero obliges ([`RefKind::zeroed`]).
+    /// the kind says zero obliges ([`RefKind::zeroed`]) given `by`.
     ///
     /// # Safety
     ///
-    /// Caller owns one `K`-reference to `addr` and forfeits it.
-    pub(crate) unsafe fn decrement<K: RefKind>(&self, t: Tid, addr: usize) {
+    /// Caller owns one `K`-reference to `addr` and forfeits it, and `by`
+    /// is true of it.
+    pub(crate) unsafe fn decrement<K: RefKind>(&self, t: Tid, addr: usize, by: Rights) {
         smr::sanitize::on_decrement(addr, K::CHANNEL);
         if K::count(addr).decrement() {
-            K::zeroed(self, t, addr, false);
+            K::zeroed(self, t, addr, by);
         }
     }
 
-    /// Applies one deferred operation of channel `ch` — what an eject, a
-    /// quiescent batch or an exclusive drain hands back.
+    /// Applies one deferred operation of channel `ch` — what an eject
+    /// ([`Rights::Eject`]), a quiescent batch or an exclusive drain hands
+    /// back.
     ///
     /// # Safety
     ///
     /// The entry carries what its channel defers (module docs): one strong
     /// reference, one weak reference, or — `Dispose` — the disposal
     /// responsibility for an object whose strong count is zero, with no
-    /// critical section that could hold a snapshot of it still open.
-    unsafe fn apply(&self, ch: Channel, t: Tid, addr: usize) {
+    /// critical section that could hold a snapshot of it still open. `by`
+    /// is true of it.
+    unsafe fn apply(&self, ch: Channel, t: Tid, addr: usize, by: Rights) {
         match ch {
-            Channel::Strong => self.decrement::<StrongKind>(t, addr),
-            Channel::Weak => self.decrement::<WeakKind>(t, addr),
-            Channel::Dispose => self.destruct(t, addr),
+            Channel::Strong => self.decrement::<StrongKind>(t, addr, by),
+            Channel::Weak => self.decrement::<WeakKind>(t, addr, by),
+            Channel::Dispose => self.destruct(t, addr, by),
         }
     }
 
@@ -947,38 +981,43 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Destroys the managed object and drops the strong side's weak
-    /// reference (Fig. 8's `dispose`): immediate iterative destruction
-    /// (worklist, never recursion) of the zero-strong-count subgraph rooted
-    /// at `addr` — the CIRC-style fast path that replaces one deferral
-    /// round-trip per edge.
+    /// reference (Fig. 8's `dispose`). When `by` reaches the object's
+    /// edges ([`Rights::to_edges`]: a region scheme's eject, or nothing
+    /// reading) this is immediate iterative destruction (worklist, never
+    /// recursion) of the zero-strong-count subgraph rooted at `addr` — the
+    /// CIRC-style fast path that replaces one deferral round-trip per edge.
     ///
     /// For each node: the graph vtable hook (if any) moves the node's
     /// outgoing edges out of the payload, the payload is disposed, and the
     /// strong side's weak reference dropped. *Direct* edges (references the
-    /// dead node itself owned) are decremented on the spot — the node's
-    /// dispose rights extend to them, because reaching them through the
-    /// node required a section that provably ended. A child that zeroes
-    /// with no weak observer joins the worklist; one with weak observers
-    /// takes the deferred-dispose path. *Deferred* (displaced-class) edges
-    /// go through the decrement batch as always — readers of the location
-    /// they were displaced from may still be protected.
+    /// dead node itself owned) are decremented on the spot when `by`
+    /// reaches them: reaching them through the node required a section
+    /// that provably ended. A child that zeroes with no weak observer joins
+    /// the worklist; one with weak observers takes the deferred-dispose
+    /// path. Otherwise direct edges are batched like *deferred*
+    /// (displaced-class) edges always are. An owner may still read an edge
+    /// it loaded through the node before its drop, and a hazard-pointer
+    /// reader may have walked hand over hand past the node: a hazard on the
+    /// edge protects it only from a decrement the scheme defers.
     ///
     /// # Safety
     ///
     /// The strong count of `addr` is zero, nobody else will dispose it, and
     /// the caller holds dispose rights: no critical section that could hold
     /// a snapshot of the object (strong or weak) is still open. The
-    /// dispose-instance eject path guarantees exactly this.
-    pub(crate) unsafe fn destruct(&self, t: Tid, addr: usize) {
+    /// dispose-instance eject path guarantees exactly this. `by` is true of
+    /// the zeroing.
+    pub(crate) unsafe fn destruct(&self, t: Tid, addr: usize, by: Rights) {
         let h = as_header(addr);
         if (*h).vtable.pop_edges.is_none() {
             // Leaf fast path (also taken by non-graph payloads, whose
             // edges — if any — relinquish themselves through the deferred
             // machinery from inside the payload's own `Drop`).
             ((*h).vtable.dispose)(h);
-            self.decrement::<WeakKind>(t, addr);
+            self.decrement::<WeakKind>(t, addr, by);
             return;
         }
+        let to_edges = by.to_edges::<S>();
         // Steady-state allocation-free: reuse this thread's scratch
         // buffers; a nested destruct (bounded depth) finds `None` and
         // allocates its own.
@@ -996,28 +1035,31 @@ impl<S: AcquireRetire> Domain<S> {
                 pop(h, &mut *sink as *mut EdgeSink);
             }
             ((*h).vtable.dispose)(h);
-            self.decrement::<WeakKind>(t, a);
-            for e in sink.direct[Channel::Strong as usize].drain(..) {
-                let eh = as_header(e);
-                smr::sanitize::on_decrement(e, Channel::Strong);
-                if (*eh).strong.decrement() {
-                    // `StrongKind::zeroed` for an owned edge, with the
-                    // worklist standing in for the recursion: only graph
-                    // children join it; a non-graph child's `Drop`
-                    // relinquishes its own edges and could recurse, so it
-                    // takes the deferred path.
-                    if (*eh).weak.load() == 1 && (*eh).vtable.pop_edges.is_some() {
-                        worklist.push(e);
-                    } else {
-                        self.retire(Channel::Dispose, t, e);
+            self.decrement::<WeakKind>(t, a, by);
+            if to_edges {
+                for e in sink.direct[Channel::Strong as usize].drain(..) {
+                    let eh = as_header(e);
+                    smr::sanitize::on_decrement(e, Channel::Strong);
+                    if (*eh).strong.decrement() {
+                        // `StrongKind::zeroed` for an owned edge, with the
+                        // worklist standing in for the recursion: only
+                        // graph children join it; a non-graph child's
+                        // `Drop` relinquishes its own edges and could
+                        // recurse, so it takes the deferred path.
+                        if (*eh).weak.load() == 1 && (*eh).vtable.pop_edges.is_some() {
+                            worklist.push(e);
+                        } else {
+                            self.retire(Channel::Dispose, t, e);
+                        }
                     }
                 }
-            }
-            for e in sink.direct[Channel::Weak as usize].drain(..) {
-                self.decrement::<WeakKind>(t, e);
+                for e in sink.direct[Channel::Weak as usize].drain(..) {
+                    self.decrement::<WeakKind>(t, e, by);
+                }
             }
             for ch in BATCHED {
-                for e in sink.deferred[ch as usize].drain(..) {
+                let i = ch as usize;
+                for e in sink.direct[i].drain(..).chain(sink.deferred[i].drain(..)) {
                     self.batch(ch, t, e);
                 }
             }
@@ -1029,9 +1071,11 @@ impl<S: AcquireRetire> Domain<S> {
     /// table's retired lists, and so the one retire-side place that marks
     /// the weak and dispose queues as possibly non-empty.
     fn issue(&self, ch: Channel, t: Tid, r: Retired) {
+        let local = &self.locals[t.index()];
         if ch != Channel::Strong {
-            self.locals[t.index()].weak_used.set(true);
+            local.weak_used.set(true);
         }
+        local.issued[ch as usize].set(true);
         self.ar(ch).retire(t, r);
     }
 
@@ -1099,7 +1143,18 @@ impl<S: AcquireRetire> Domain<S> {
     /// after the check revalidates against the live locations, none of
     /// which still name these references.) Both sweeps must pass: strong
     /// snapshots are taken under `Strong` sections and weak ones under
-    /// `Weak`, but guard flavours may hold both.
+    /// `Weak`, but guard flavours may hold both. Under hazard pointers a
+    /// weak snapshot is a hazard on `Dispose`, so the apply counts as
+    /// [`Rights::Unread`] there only if that instance is quiescent too.
+    ///
+    /// The quiescent arm also scans each of `t`'s retired lists that it has
+    /// issued onto since the last such scan. A list that gets fewer than a
+    /// threshold of retires is otherwise never scanned again: a thread that
+    /// seeded a structure under one long guard and then went idle would
+    /// keep its issued decrements forever, and with them every node behind
+    /// the first one they name. A thread whose settles keep finding
+    /// quiescence applies its batches directly and issues nothing, so it
+    /// pays for no scans here.
     ///
     /// # Safety
     ///
@@ -1114,17 +1169,30 @@ impl<S: AcquireRetire> Domain<S> {
         // land at index 0 of the now-empty buffers.
         let taken = [from.pending[0].take(), from.pending[1].take()];
         let quiescent = BATCHED.iter().all(|&ch| self.ar(ch).quiescent());
+        let by = if quiescent && (S::PROTECTS_REGIONS || self.ar(Channel::Dispose).quiescent()) {
+            Rights::Unread
+        } else {
+            Rights::Eject
+        };
         for (ch, (entries, n)) in BATCHED.into_iter().zip(&taken) {
             for r in &entries[..*n] {
                 if quiescent {
                     // Safety: each entry owes one `ch` reference
                     // transferred at `batch`; quiescence grants the apply
-                    // rights the eject path would.
-                    self.apply(ch, t, r.addr);
+                    // rights the eject path would, and `by` says whether
+                    // it grants more.
+                    self.apply(ch, t, r.addr, by);
                 } else {
                     // The block is alive: its count still includes the
                     // reference the entry owes.
                     self.issue(ch, t, *r);
+                }
+            }
+        }
+        if quiescent {
+            for ch in CHANNELS {
+                if self.locals[t.index()].issued[ch as usize].replace(false) {
+                    self.ar(ch).flush(t);
                 }
             }
         }
@@ -1171,13 +1239,18 @@ impl<S: AcquireRetire> Domain<S> {
         let weak = self.weak_self.clone();
         smr::on_thread_exit(Box::new(move |t| {
             let Some(core) = weak.upgrade() else { return };
+            // The slot is about to be recycled: its next owner is a
+            // different thread that must register its own callback. (The
+            // upgrade keeps the memory, and the slot is ours.)
+            core.locals[t.index()].flush_registered.set(false);
+            // A thread that flushed before it left takes no pin here.
+            if !core.has_pending_batch(t) {
+                return;
+            }
             let Some(_pin) = core.try_pin_thread(t) else {
                 return;
             };
             core.flush_batches(t);
-            // The slot is about to be recycled: its next owner is a
-            // different thread that must register its own callback.
-            core.locals[t.index()].flush_registered.set(false);
         }))
     }
 
@@ -1294,7 +1367,7 @@ impl<S: AcquireRetire> Domain<S> {
                     // Safety: an ejected record carries what its channel
                     // defers, transferred at `retire`/`batch`, and the
                     // eject grants the apply rights.
-                    unsafe { self.apply(ch, t, r.addr) };
+                    unsafe { self.apply(ch, t, r.addr, Rights::Eject) };
                 }
             }
             if !any {
@@ -1314,6 +1387,12 @@ impl<S: AcquireRetire> Domain<S> {
     /// concurrent use is safe, but entries protected by other threads'
     /// critical sections or guards necessarily remain deferred.
     pub fn process_deferred(&self, t: Tid) {
+        // Under the thread's pin, as a guard runs its collection: a
+        // destruct cascade drops one location per edge, and each drop
+        // outside a pin would take and give back the shared liveness word.
+        // Safety of the pin: every caller reaches `&Domain` through a
+        // handle, a guard, a live location or an already pinned thread.
+        let _pin = self.pin_thread(t);
         loop {
             self.flush_batches(t);
             for ar in &self.ar {
@@ -1349,7 +1428,7 @@ impl<S: AcquireRetire> Domain<S> {
             }
             for (ch, records) in CHANNELS.into_iter().zip(drained) {
                 for r in records {
-                    self.apply(ch, t, r.addr);
+                    self.apply(ch, t, r.addr, Rights::Unread);
                 }
             }
             // Applying may have retired more (possibly on other slots via
@@ -1426,9 +1505,16 @@ impl<S: AcquireRetire> Drop for Domain<S> {
     }
 }
 
-/// Section-exit trampoline: flushes the exiting thread's decrement batch.
-/// `data` is the domain the hook was installed for; see
+/// Section-exit trampoline: flushes the exiting thread's decrement batch,
+/// then, under a region scheme and once the thread has used the weak side,
+/// scans its dispose list (the caller's `leave` applies what the scan
+/// readies). `data` is the domain the hook was installed for; see
 /// [`Domain::register_thread_flush`] for why it is still alive here.
+///
+/// A dispose entry waits for a scan, and a thread whose list never reaches
+/// the threshold is scanned nowhere else. In a chain, each entry holds every
+/// node behind it: a node is destructed only after its predecessor, whose
+/// destruct gives up the `next` reference to it.
 unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
     // A section can end while the thread is unwinding from a panic (the
     // RAII guards close it on purpose). Flushing would run user destructors
@@ -1440,6 +1526,14 @@ unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
     let d = &*(data as *const Domain<S>);
     if d.has_pending_batch(t) {
         d.flush_batches(t);
+    }
+    // Every exit, not only after an issue: an entry the scan finds still
+    // protected must be looked at again, and no later retire may come. Only
+    // threads that used the weak side pay. Hazard pointers destruct nothing
+    // on the spot, so there the chain moves at the pace of the strong scans
+    // whatever this one does.
+    if S::PROTECTS_REGIONS && d.locals[t.index()].weak_used.get() {
+        d.ar(Channel::Dispose).flush(t);
     }
 }
 
@@ -1840,6 +1934,63 @@ mod tests {
         reader_only_thread_applies_what_it_claims::<crate::IbrScheme>();
         reader_only_thread_applies_what_it_claims::<crate::HpScheme>();
         reader_only_thread_applies_what_it_claims::<crate::HyalineScheme>();
+    }
+
+    /// A dispose entry that its first scan finds protected is scanned again
+    /// at the thread's next section exit, though nothing else is retired in
+    /// between: in the weak queue one such entry parks every node behind
+    /// it. (HP runs no exit scan; there every node takes the scan rounds.)
+    fn a_protected_dispose_entry_is_rescanned_at_the_next_exit<S: Scheme>() {
+        use crate::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        use std::sync::mpsc::channel;
+        struct Flag(Arc<AtomicBool>);
+        impl Drop for Flag {
+            fn drop(&mut self) {
+                self.0.store(true, SeqCst);
+            }
+        }
+        let d: DomainRef<S> = DomainRef::new();
+        let disposed = Arc::new(AtomicBool::new(false));
+        // A displaced store installs the section-exit hook.
+        let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
+        slot.store(SharedPtr::new_in(1, &d));
+        slot.store(SharedPtr::null());
+        let p = SharedPtr::new_in(Flag(Arc::clone(&disposed)), &d);
+        let observer = p.downgrade();
+        let (entered_tx, entered_rx) = channel();
+        let (leave_tx, leave_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            let d = &d;
+            s.spawn(move || {
+                let cs = d.weak_cs();
+                entered_tx.send(()).unwrap();
+                leave_rx.recv().unwrap();
+                drop(cs);
+            });
+            entered_rx.recv().unwrap();
+            // The weak observer sends the strong zero to `Dispose`; the
+            // exit scan finds the other section still open.
+            drop(d.weak_cs());
+            drop(p);
+            drop(d.weak_cs());
+            assert!(!disposed.load(SeqCst));
+            leave_tx.send(()).unwrap();
+        });
+        drop(d.weak_cs());
+        assert!(
+            disposed.load(SeqCst),
+            "{}: the dispose entry waited for a later retire",
+            S::scheme_name()
+        );
+        drop(observer);
+        d.process_deferred(smr::current_tid());
+    }
+
+    #[test]
+    fn a_protected_dispose_entry_is_rescanned_at_the_next_exit_region_schemes() {
+        a_protected_dispose_entry_is_rescanned_at_the_next_exit::<EbrScheme>();
+        a_protected_dispose_entry_is_rescanned_at_the_next_exit::<crate::IbrScheme>();
+        a_protected_dispose_entry_is_rescanned_at_the_next_exit::<crate::HyalineScheme>();
     }
 
     /// Who settles a pending batch: its owner's flush, the thread adopting

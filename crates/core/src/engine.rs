@@ -111,15 +111,58 @@ pub trait RefKind: sealed::Sealed + 'static {
     }
 
     /// What a decrement that took this kind's count to zero obliges.
-    /// `owned` says the decrement was an owned pointer's drop rather than a
-    /// deferred operation being applied.
+    /// `by` says who decremented, and so what is known about readers.
     ///
     /// # Safety
     ///
     /// The caller's decrement of `addr`'s count returned zero, and the
     /// caller holds the domain some other way than through the block.
     #[doc(hidden)]
-    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, owned: bool);
+    #[allow(private_interfaces)] // sealed: only this crate implements or calls it
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, by: Rights);
+}
+
+/// Who takes a strong count to zero, and so what is known about the threads
+/// that may still read the object or, through it, its out-edges.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rights {
+    /// An owned pointer's drop. No location names the object any more, but
+    /// the owner may have read its out-edges in a section that is still
+    /// open.
+    Owner,
+    /// A deferred operation the scheme handed back (an eject). Under a
+    /// region scheme no section that reached the object, or an edge
+    /// through it, is still open. Hazard pointers are per pointer: an eject
+    /// proves only that nobody protects the one address it names.
+    Eject,
+    /// A deferred operation applied while nothing can read the domain:
+    /// every instance was quiescent, or the caller holds the domain
+    /// exclusively.
+    Unread,
+}
+
+impl Rights {
+    /// Whether an object these rights zeroed may be destructed on the spot
+    /// rather than retired on `Dispose`. A hazard-pointer reader may hold a
+    /// weak snapshot (a hazard on the dispose instance) that no weak count
+    /// records, so only the region schemes, or nothing reading, allow it.
+    #[inline]
+    pub(crate) fn destruct_now<S: AcquireRetire>(self) -> bool {
+        S::PROTECTS_REGIONS || self == Rights::Unread
+    }
+
+    /// Whether a destructed object's direct out-edges may be decremented
+    /// on the spot. Otherwise they are batched, as Fig. 8's `dispose`
+    /// defers them with `delayed_decrement`, and wait out every reader the
+    /// scheme sees.
+    #[inline]
+    pub(crate) fn to_edges<S: AcquireRetire>(self) -> bool {
+        match self {
+            Rights::Owner => false,
+            Rights::Eject => S::PROTECTS_REGIONS,
+            Rights::Unread => true,
+        }
+    }
 }
 
 /// Strong references: counted in `strong`, deferred through the strong
@@ -137,18 +180,26 @@ impl RefKind for StrongKind {
         &(*as_header(addr)).strong
     }
 
-    /// Destructs *immediately* when no weak observer can exist (the weak
-    /// count is exactly the strong side's own +1 — stable, since a zero
-    /// strong count is sticky and weak references can only be minted from
-    /// strong ones or other weak ones); otherwise disposal is deferred
-    /// through the dispose instance so weak snapshots stay readable (§4.4).
+    /// Destructs *immediately* when the scheme protects regions (or nothing
+    /// can be reading, `Rights::Unread`) and no weak observer can exist:
+    /// the weak count is exactly the strong side's own +1, which is stable,
+    /// since a zero strong count is sticky and weak references can only be
+    /// minted from strong ones or other weak ones. Otherwise disposal is
+    /// deferred through the dispose instance so snapshots stay readable
+    /// (§4.4).
     ///
-    /// The immediate path is sound because a zero strong count proves every
-    /// location-owned reference has had its deferred decrement *applied*,
-    /// each application ordered after the end of all critical sections that
-    /// could have read that location — so no count-free strong snapshot of
-    /// the object can still be live, and the weak gate excludes weak
-    /// snapshots.
+    /// The immediate path is sound under a region scheme because a zero
+    /// strong count proves every location-owned reference has had its
+    /// deferred decrement *applied*, each application ordered after the end
+    /// of all critical sections that could have read that location. So no
+    /// count-free snapshot of the object can still be live. A weak snapshot
+    /// holds the reader's section open on the weak instance too, so the
+    /// weak decrement of any location it was taken from is still pending,
+    /// and the weak gate sees it. Hazard pointers protect one address on one
+    /// instance, not a region: a weak snapshot is a hazard on the dispose
+    /// instance that a weak decrement applied through the weak instance
+    /// never sees, so under HP the gate proves nothing and the object
+    /// always takes the dispose round.
     ///
     /// An owned drop additionally needs the payload to enumerate its edges:
     /// a non-graph payload's `Drop` relinquishes its child pointers itself,
@@ -157,10 +208,14 @@ impl RefKind for StrongKind {
     /// nested drops are owned ones and take this gate — so it destructs
     /// either way instead of a second round-trip through the dispose
     /// instance.
-    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, owned: bool) {
+    #[allow(private_interfaces)]
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, by: Rights) {
         let h = as_header(addr);
-        if (*h).weak.load() == 1 && (!owned || (*h).vtable.pop_edges.is_some()) {
-            d.destruct(t, addr);
+        if by.destruct_now::<S>()
+            && (*h).weak.load() == 1
+            && (by != Rights::Owner || (*h).vtable.pop_edges.is_some())
+        {
+            d.destruct(t, addr, by);
         } else {
             d.retire(Channel::Dispose, t, addr);
         }
@@ -182,7 +237,8 @@ impl RefKind for WeakKind {
         &(*as_header(addr)).weak
     }
 
-    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, _owned: bool) {
+    #[allow(private_interfaces)]
+    unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, _by: Rights) {
         d.free_block(t, addr);
     }
 }
@@ -223,7 +279,7 @@ pub(crate) unsafe fn relinquish<S: Scheme, K: RefKind>(word: usize) {
         // free), and until it is counted freed it keeps the domain.
         if K::count(block).decrement() {
             let (d, t, _pin) = pinned();
-            K::zeroed(d, t, block, true);
+            K::zeroed(d, t, block, Rights::Owner);
         }
     }
 }
@@ -334,7 +390,7 @@ fn give_back<S: Scheme, K: RefKind>(cs: &CsGuard<S>, word: usize, hold: Hold<S::
         // reference to its (non-null) block; the guard it borrowed keeps
         // the domain alive.
         Hold::Owned if untagged(word) != 0 => unsafe {
-            d.decrement::<StrongKind>(t, untagged(word))
+            d.decrement::<StrongKind>(t, untagged(word), Rights::Owner)
         },
         Hold::Owned => {}
     }

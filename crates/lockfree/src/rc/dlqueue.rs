@@ -6,6 +6,31 @@
 //! would otherwise create. The enqueue helping step reads `tail.prev`
 //! through a weak snapshot, which is safe even if that node's strong count
 //! has already reached zero (§4.1's `weak_snapshot_ptr` guarantee).
+//!
+//! # One deviation from Fig. 10: an old tail drops its `prev`
+//!
+//! After the winning enqueuer's tail CAS and its `ltail.next` store, it
+//! stores null into `ltail.prev`. Fig. 10 reads `prev` in one place only:
+//! the helping step, as `tail.prev` of the tail an enqueuer loaded. Once
+//! `ltail` is no longer the tail, that read can come only from a stale
+//! enqueuer, and it has nothing left to help. The winner's own helping
+//! step ran before its CAS: it read `ltail.prev` and made sure that node's
+//! `next` is set. A stale enqueuer that reads the null `prev` skips the
+//! step, and its tail CAS fails because the tail has moved. One that read
+//! `prev` before the clear holds a weak snapshot, which stays readable
+//! (§4.1), and finds that `next` already set.
+//!
+//! What the clear buys is reclamation while the queue runs. The queue is a
+//! chain: a node's `next` holds its successor strongly, so a node reaches
+//! strong zero only once its predecessor is destructed. With every `prev`
+//! kept, each node has a weak observer (its successor's `prev`) at its
+//! strong zero and takes the dispose round, and the chain moves one node
+//! per dispose scan. With the clear, only the tail's predecessor still has
+//! one. Under a region scheme every other node is destructed on the spot,
+//! and destructing a node gives up its `next`, so the cascade reaches the
+//! head in one pass. Under hazard pointers every node takes the dispose
+//! round (`StrongKind::zeroed`), and the chain moves at the pace of the
+//! scans.
 
 use std::marker::PhantomData;
 
@@ -119,7 +144,12 @@ where
                 .compare_exchange_with(guard, ltail.tagged(), &new_node)
             {
                 Ok(displaced) => {
-                    ltail.as_ref().unwrap().next.store(new_node);
+                    let old_tail = ltail.as_ref().unwrap();
+                    old_tail.next.store(new_node);
+                    // No longer the tail: nobody helps through its `prev`
+                    // again (module docs), and clearing it lets its
+                    // predecessor be destructed on the spot.
+                    old_tail.prev.store(WeakPtr::null());
                     drop(displaced); // the tail's old reference to ltail
                     return;
                 }
@@ -181,7 +211,7 @@ impl<V, S: Scheme> std::fmt::Debug for RcDoubleLinkQueue<V, S> {
 mod tests {
     use super::*;
     use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     fn fifo<S: Scheme>() {
         let q: RcDoubleLinkQueue<u64, S> = RcDoubleLinkQueue::new();
@@ -241,5 +271,58 @@ mod tests {
     fn concurrent_pop_push_conserves_elements() {
         pop_push::<HpScheme>(); // the paper powers Fig. 12 with RCHP
         pop_push::<EbrScheme>();
+    }
+
+    /// The queue reclaims while it runs. The test thread seeds it under one
+    /// guard and then stays idle; two churners run dequeue/enqueue pairs
+    /// under 32-pair guards and never call `process_deferred`. After every
+    /// guard, what is in flight is the live queue plus at most a threshold
+    /// of deferred entries on each of a few lists.
+    fn reclaims_while_running<S: Scheme>() {
+        const SEED: u64 = 1_024;
+        const BOUND: u64 = SEED + 8 * 128;
+        let q: Arc<RcDoubleLinkQueue<u64, S>> =
+            Arc::new(RcDoubleLinkQueue::new_in(DomainRef::new()));
+        let guard = q.pin();
+        for v in 0..SEED {
+            q.enqueue_with(v, &guard);
+        }
+        drop(guard);
+        // In step: a churner that idles while the other runs holds its
+        // retired lists, and with them the chain, until its next scan.
+        let step = Arc::new(Barrier::new(2));
+        let churners: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, step) = (Arc::clone(&q), Arc::clone(&step));
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        let guard = q.pin();
+                        for _ in 0..32 {
+                            let v = q
+                                .dequeue_with(&guard)
+                                .expect("a seeded queue never empties");
+                            q.enqueue_with(v, &guard);
+                        }
+                        drop(guard);
+                        step.wait();
+                        let n = q.domain().in_flight();
+                        assert!(n <= BOUND, "{}: {n} blocks in flight", S::scheme_name());
+                    }
+                })
+            })
+            .collect();
+        for c in churners {
+            c.join().unwrap();
+        }
+    }
+
+    // Not HP: there every node takes the dispose round and its `next` the
+    // strong batch (`StrongKind::zeroed`), so the chain moves at the pace of
+    // the scans and tens of thousands of nodes can be in flight.
+    #[test]
+    fn reclaims_while_running_region_schemes() {
+        reclaims_while_running::<EbrScheme>();
+        reclaims_while_running::<IbrScheme>();
+        reclaims_while_running::<HyalineScheme>();
     }
 }

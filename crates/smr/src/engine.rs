@@ -156,7 +156,11 @@ pub struct Local<P: Protection> {
     /// amortized even when an open section — often the retiring thread's
     /// own — pins every entry: without the spacing, a pinned list ≥
     /// threshold degenerates to one whole-slot-array scan plus list rebuild
-    /// *per retire*.
+    /// *per retire*. The other side of the spacing: a list that gets fewer
+    /// retires than that after a scan is scanned again only by `flush`, so
+    /// a thread that stops retiring keeps what it holds until its owner
+    /// flushes (the `cdrc` domain does at quiescent settles and, for the
+    /// dispose list, at section exit).
     next_scan: usize,
     /// The policy's own owner-only state.
     pub(crate) own: P::Local,

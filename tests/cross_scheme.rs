@@ -2,10 +2,14 @@
 //! driven through the shared `ConcurrentMap`/`ConcurrentQueue` interfaces
 //! against sequential models and under concurrency.
 
+use smr::sync::atomic::{AtomicBool, Ordering};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cdrc::{EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
+use cdrc::{
+    AtomicSharedPtr, DomainRef, EbrScheme, EdgeCollector, GraphNode, HpScheme, HyalineScheme,
+    IbrScheme, Scheme, SharedPtr,
+};
 use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, NatarajanMittalTree, ResizableHashMap};
 use lockfree::rc::{
     RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree, RcResizableHashMap,
@@ -170,6 +174,80 @@ scheme_matrix!(manual_queue_conserves, {
 
 scheme_matrix!(rc_queue_conserves, {
     queue_conservation(Arc::new(RcDoubleLinkQueue::<u64, S>::new()));
+});
+
+/// A graph node whose payload drop raises a flag.
+struct Link<S: Scheme> {
+    name: &'static str,
+    dropped: Arc<AtomicBool>,
+    next: AtomicSharedPtr<Link<S>, S>,
+}
+
+impl<S: Scheme> GraphNode<S> for Link<S> {
+    fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
+        out.take_atomic(&mut self.next);
+    }
+}
+
+impl<S: Scheme> Drop for Link<S> {
+    fn drop(&mut self) {
+        self.dropped.store(true, Ordering::SeqCst);
+    }
+}
+
+/// An edge read through a node stays readable after the node dies. A
+/// thread snapshots P through T's `next` and stops protecting T; then T's
+/// last reference goes, either unlinked from `root` (`via_root`: the
+/// hand-over-hand walk) or dropped by its owner. Destructing T gives up its
+/// reference to P, and that decrement must be deferred past the snapshot:
+/// a hazard on P protects it only from a decrement the scheme defers, and
+/// an owner may read through T in the section it is still in. P's drop
+/// flag is exact without the sanitizer; the read after it is what the
+/// sanitizer catches.
+fn edge_outlives_its_dead_parent<S: Scheme>(via_root: bool) {
+    let d: DomainRef<S> = DomainRef::new();
+    let tid = smr::current_tid();
+    let link = |name, next| {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let node = Link {
+            name,
+            dropped: Arc::clone(&dropped),
+            next,
+        };
+        (SharedPtr::new_graph_in(node, &d), dropped)
+    };
+    let (p, p_dropped) = link("p", AtomicSharedPtr::null_in(&d));
+    let (t, _) = link("t", AtomicSharedPtr::new_in(p, &d));
+    let root = AtomicSharedPtr::new_in(SharedPtr::null(), &d);
+    {
+        let cs = d.cs();
+        let p_snap = if via_root {
+            root.store(t);
+            let t_snap = root.get_snapshot(&cs);
+            let p_snap = t_snap.as_ref().unwrap().next.get_snapshot(&cs);
+            drop(t_snap);
+            root.store(SharedPtr::null());
+            p_snap
+        } else {
+            let p_snap = t.as_ref().unwrap().next.get_snapshot(&cs);
+            drop(t);
+            p_snap
+        };
+        d.process_deferred(tid);
+        assert!(
+            !p_dropped.load(Ordering::SeqCst),
+            "{} (via_root = {via_root}): disposed under a snapshot",
+            S::scheme_name()
+        );
+        assert_eq!(p_snap.as_ref().map(|l| l.name), Some("p"));
+    }
+    d.process_deferred(tid);
+    assert_eq!(d.allocated(), d.freed());
+}
+
+scheme_matrix!(rc_edge_outlives_its_dead_parent, {
+    edge_outlives_its_dead_parent::<S>(true);
+    edge_outlives_its_dead_parent::<S>(false);
 });
 
 #[test]

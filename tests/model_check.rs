@@ -32,13 +32,18 @@
 //! checker catches it. The weak-upgrade and tag-RMW scenarios drive the
 //! remaining RcWord paths — weak snapshot/promotion racing the final strong
 //! drop, and tag RMWs racing a CAS with witness discipline — through the
-//! same full-stack exploration, now with the relaxed counters modeled.
+//! same full-stack exploration, now with the relaxed counters modeled. The
+//! queue scenario takes the same exploration up to a structure: the weak
+//! queue's enqueue with an old tail's `prev` cleared, racing a second
+//! enqueue that then dequeues.
 
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use cdrc::{AtomicSharedPtr, AtomicWeakPtr, DomainRef, SharedPtr, StrongRef};
 use interleave::thread as mthread;
 use interleave::{try_check, Config, Report, Violation};
+use lockfree::rc::RcDoubleLinkQueue;
+use lockfree::ConcurrentQueue;
 use smr::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use smr::sync::exempt;
 use smr::{current_tid, AcquireRetire, Ebr, GlobalEpoch, Hp, Hyaline, Ibr, Retired, SmrConfig};
@@ -1331,4 +1336,86 @@ fn domain_last_handle_vs_last_pointer_tears_down_once() {
     })
     .expect("last handle ∥ last pointer must tear the domain down exactly once");
     assert!(report.iterations > 1, "explored only one schedule");
+}
+
+// ---------------------------------------------------------------------------
+// The weak queue's cleared `prev`: Fig. 10 with an old tail dropping its
+// `prev` (`lockfree::rc::dlqueue` module docs)
+// ---------------------------------------------------------------------------
+
+/// Two enqueuers on a one-element `RcDoubleLinkQueue`, one of which then
+/// dequeues while the other may still be mid-enqueue. In the schedules
+/// where one enqueuer loads the tail and the other then completes, the
+/// first reads that old tail's `prev` after the winner cleared it, finds
+/// nothing to help, and retries from the witness. Across every
+/// interleaving: the seeded element comes out first, the dequeue after the
+/// dequeuer's own enqueue returned is not empty, the rest drains as the two
+/// new elements, and the domain balances once the queue is dropped and the
+/// threads' lists are drained.
+///
+/// Two threads and preemption bound 1: a third thread (a separate
+/// dequeuer) made the checker report the scenario nondeterministic on
+/// replay, and bound 2 runs for more than ten minutes. The yield after the
+/// spawn keeps the interleaving that needs the helping step (the enqueuer
+/// suspended between its tail CAS and its `next` store) within bound 1.
+fn queue_cleared_prev<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation> {
+    try_check(cfg(1), || {
+        let d: DomainRef<S> = DomainRef::with_config(S::default_config());
+        let t = current_tid();
+        {
+            let q = Arc::new(RcDoubleLinkQueue::<u64, S>::new_in(d.clone()));
+            q.enqueue(1);
+            let enqueuer = {
+                let (q, d) = (Arc::clone(&q), d.clone());
+                mthread::spawn(move || {
+                    q.enqueue(2);
+                    d.process_deferred(current_tid());
+                })
+            };
+            // A free schedule point: the enqueuer may start first, so one
+            // preemption can suspend it between its tail CAS and its `next`
+            // store while this thread enqueues and dequeues.
+            mthread::yield_now();
+            q.enqueue(3);
+            assert_eq!(
+                q.dequeue(),
+                Some(1),
+                "the seeded element must come out first"
+            );
+            let second = q.dequeue();
+            assert!(
+                second.is_some(),
+                "{}: empty after this thread's own enqueue returned",
+                S::scheme_name()
+            );
+            enqueuer.join().unwrap();
+            let mut rest: Vec<u64> = second.into_iter().collect();
+            rest.extend(std::iter::from_fn(|| q.dequeue()));
+            rest.sort_unstable();
+            assert_eq!(rest, [2, 3], "{}: lost or duplicated", S::scheme_name());
+        }
+        // The enqueuer may exit while the dequeuer is mid-section, which
+        // strands its retired lists on its slot; nobody else is left to use
+        // the domain, so drain them.
+        d.process_deferred(t);
+        unsafe { d.drain_and_apply_all(t) };
+        assert_eq!(
+            d.allocated(),
+            d.freed(),
+            "{}: domain ledger unbalanced after the queue's drop",
+            S::scheme_name()
+        );
+    })
+}
+
+#[test]
+fn ebr_queue_cleared_prev_is_linearizable_and_balances() {
+    let _s = serial();
+    queue_cleared_prev::<cdrc::EbrScheme>().expect("weak queue violation under EBR");
+}
+
+#[test]
+fn hp_queue_cleared_prev_is_linearizable_and_balances() {
+    let _s = serial();
+    queue_cleared_prev::<cdrc::HpScheme>().expect("weak queue violation under HP");
 }

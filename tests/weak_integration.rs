@@ -5,8 +5,8 @@ use smr::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdrc::{
-    AtomicSharedPtr, AtomicWeakPtr, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme,
-    SharedPtr,
+    AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme,
+    Scheme, SharedPtr, WeakPtr,
 };
 
 fn settle<S: Scheme>() {
@@ -93,6 +93,49 @@ fn weak_snapshot_expiry_all_schemes() {
     weak_snapshot_reads_stay_valid::<IbrScheme>();
     weak_snapshot_reads_stay_valid::<HpScheme>();
     weak_snapshot_reads_stay_valid::<HyalineScheme>();
+}
+
+/// The weak gate: a weak snapshot stays readable after the weak location
+/// it came from is cleared and the object's last strong reference is given
+/// up. Clearing the location takes the weak count back to the strong
+/// side's own +1 once its decrement is applied, which under hazard
+/// pointers happens through the weak instance: it never sees the
+/// snapshot's hazard on the dispose instance. So the gate cannot tell that
+/// the snapshot exists, and a strong zero must not destruct on the spot.
+/// The `freed()` check is exact without the sanitizer; the read after it
+/// is what the sanitizer catches.
+fn weak_snapshot_outlives_its_cleared_location<S: Scheme>() {
+    let d: DomainRef<S> = DomainRef::new();
+    let t = smr::current_tid();
+    let strong: AtomicSharedPtr<String, S> =
+        AtomicSharedPtr::new_in(SharedPtr::new_in("payload".to_string(), &d), &d);
+    let weak: AtomicWeakPtr<String, S> = AtomicWeakPtr::null_in(&d);
+    weak.store(strong.load().downgrade());
+    {
+        let cs = d.weak_cs();
+        let snap = weak.get_snapshot(&cs);
+        weak.store(WeakPtr::null());
+        d.process_deferred(t);
+        strong.store(SharedPtr::null());
+        d.process_deferred(t);
+        assert_eq!(
+            d.freed(),
+            0,
+            "{}: freed under a weak snapshot",
+            S::scheme_name()
+        );
+        assert_eq!(snap.as_ref().map(String::as_str), Some("payload"));
+    }
+    d.process_deferred(t);
+    assert_eq!(d.allocated(), d.freed());
+}
+
+#[test]
+fn weak_snapshot_outlives_its_cleared_location_all_schemes() {
+    weak_snapshot_outlives_its_cleared_location::<EbrScheme>();
+    weak_snapshot_outlives_its_cleared_location::<IbrScheme>();
+    weak_snapshot_outlives_its_cleared_location::<HpScheme>();
+    weak_snapshot_outlives_its_cleared_location::<HyalineScheme>();
 }
 
 #[test]
