@@ -11,21 +11,21 @@
 //! |---------|--------|-----------------------------------------------|
 //! | `Strong` | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire on `Dispose` |
 //! | `Weak` | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
-//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; any object under hazard pointers while something may be reading) | `destruct` |
+//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; any object under hazard pointers outside an exclusive drain) | `destruct` |
 //!
 //! [`Domain::retire`] defers one operation at once; [`Domain::batch`]
 //! buffers a `Strong`/`Weak` one per thread until the next flush point;
 //! [`Domain::settle`] is the one place a taken batch is either applied on
-//! the spot (nothing is reading) or issued to its instance. Sections open
+//! the spot (no section is open) or issued to its instance. Sections open
 //! and close in [`Domain::enter`] / [`Domain::leave`] — strong instance
 //! only, or all three when `full` — which [`CsGuard`] of either kind and the
 //! internal [`Domain::with_cs`] share.
 //!
 //! What may be destructed on the spot, and whose out-edges may be
 //! decremented on the spot, depends on who took the count to zero
-//! (`Rights`): an owner's drop, a region scheme's eject, or a settle or
-//! drain with nothing reading. Under hazard pointers only the last allows
-//! either (`StrongKind::zeroed`, [`Domain::destruct`]).
+//! (`Rights`): an owner's drop, an eject (or a quiescent settle, which
+//! grants the same), or an exclusive drain. Under hazard pointers only the
+//! drain allows either (`StrongKind::zeroed`, [`Domain::destruct`]).
 //!
 //! `DomainLocal::weak_used` gates the `Weak`/`Dispose` half of `collect`'s
 //! ready peek. It is set exactly where something can land in those two
@@ -45,9 +45,12 @@
 //! * `Dispose`, at every outermost section exit of a thread with
 //!   `weak_used` set, under a region scheme (`exit_flush`); maps, lists and
 //!   the tree never set the flag and run nothing here;
-//! * every list the settling thread has issued onto since, when `settle`'s
-//!   sweep finds every section closed. A thread that seeded a structure
-//!   under one guard and then went idle does not keep its decrements.
+//! * all three lists of the settling thread, when `settle`'s sweep finds
+//!   every section closed. A thread that seeded a structure under one guard
+//!   and then went idle does not keep its decrements.
+//!
+//! A flush of an empty list returns at once, so neither point sweeps the
+//! announcements for a thread with nothing retired.
 //!
 //! One case remains: a thread that *exits* while another thread is inside
 //! a section settles its batch by issuing it, and nobody scans its lists
@@ -454,10 +457,6 @@ struct DomainLocal {
     /// places that set it. Until then both queues are provably empty and
     /// `collect` does not peek them.
     weak_used: Cell<bool>,
-    /// Per channel: whether this thread has issued onto that instance
-    /// since `settle`'s quiescent arm last flushed the list. Set in `issue`;
-    /// that arm flushes only the lists whose flag is set.
-    issued: [Cell<bool>; 3],
     /// True while this thread is applying ejected deferred operations —
     /// nested `collect` calls become no-ops, flattening what would otherwise
     /// be unbounded recursive destruction (§3.2: `eject` must not recurse).
@@ -600,7 +599,6 @@ impl<S: AcquireRetire> Domain<S> {
                         locs_made: AtomicU64::new(0),
                         locs_dropped: AtomicU64::new(0),
                         weak_used: Cell::new(false),
-                        issued: CHANNELS.map(|_| Cell::new(false)),
                         applying: Cell::new(false),
                         pending: BATCHED.map(|_| Batch::new()),
                         flush_registered: Cell::new(false),
@@ -982,10 +980,11 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Destroys the managed object and drops the strong side's weak
     /// reference (Fig. 8's `dispose`). When `by` reaches the object's
-    /// edges ([`Rights::to_edges`]: a region scheme's eject, or nothing
-    /// reading) this is immediate iterative destruction (worklist, never
-    /// recursion) of the zero-strong-count subgraph rooted at `addr` — the
-    /// CIRC-style fast path that replaces one deferral round-trip per edge.
+    /// edges ([`Rights::to_edges`]: a region scheme's eject, or an
+    /// exclusive drain) this is immediate iterative destruction (worklist,
+    /// never recursion) of the zero-strong-count subgraph rooted at `addr` —
+    /// the CIRC-style fast path that replaces one deferral round-trip per
+    /// edge.
     ///
     /// For each node: the graph vtable hook (if any) moves the node's
     /// outgoing edges out of the payload, the payload is disposed, and the
@@ -1071,11 +1070,9 @@ impl<S: AcquireRetire> Domain<S> {
     /// table's retired lists, and so the one retire-side place that marks
     /// the weak and dispose queues as possibly non-empty.
     fn issue(&self, ch: Channel, t: Tid, r: Retired) {
-        let local = &self.locals[t.index()];
         if ch != Channel::Strong {
-            local.weak_used.set(true);
+            self.locals[t.index()].weak_used.set(true);
         }
-        local.issued[ch as usize].set(true);
         self.ar(ch).retire(t, r);
     }
 
@@ -1143,18 +1140,22 @@ impl<S: AcquireRetire> Domain<S> {
     /// after the check revalidates against the live locations, none of
     /// which still name these references.) Both sweeps must pass: strong
     /// snapshots are taken under `Strong` sections and weak ones under
-    /// `Weak`, but guard flavours may hold both. Under hazard pointers a
-    /// weak snapshot is a hazard on `Dispose`, so the apply counts as
-    /// [`Rights::Unread`] there only if that instance is quiescent too.
+    /// `Weak`, but guard flavours may hold both.
     ///
-    /// The quiescent arm also scans each of `t`'s retired lists that it has
-    /// issued onto since the last such scan. A list that gets fewer than a
-    /// threshold of retires is otherwise never scanned again: a thread that
-    /// seeded a structure under one long guard and then went idle would
-    /// keep its issued decrements forever, and with them every node behind
-    /// the first one they name. A thread whose settles keep finding
-    /// quiescence applies its batches directly and issues nothing, so it
-    /// pays for no scans here.
+    /// The apply has an eject's rights ([`Rights::Eject`]), never more.
+    /// The sweep reads one announcement at a time, and under hazard
+    /// pointers a reader walking hand over hand can publish its next
+    /// hazard in a word already read and clear its last one in a word not
+    /// yet read: the sweep sees nothing, yet that reader still holds a
+    /// snapshot. The batch's own entries are safe (they were unlinked
+    /// first), but what they reach is not, so nothing here destructs or
+    /// decrements past them on the spot under HP.
+    ///
+    /// The quiescent arm also scans all three of `t`'s retired lists. A
+    /// list that gets fewer than a threshold of retires is otherwise never
+    /// scanned again: a thread that seeded a structure under one long guard
+    /// and then went idle would keep its issued decrements forever, and
+    /// with them every node behind the first one they name.
     ///
     /// # Safety
     ///
@@ -1169,19 +1170,13 @@ impl<S: AcquireRetire> Domain<S> {
         // land at index 0 of the now-empty buffers.
         let taken = [from.pending[0].take(), from.pending[1].take()];
         let quiescent = BATCHED.iter().all(|&ch| self.ar(ch).quiescent());
-        let by = if quiescent && (S::PROTECTS_REGIONS || self.ar(Channel::Dispose).quiescent()) {
-            Rights::Unread
-        } else {
-            Rights::Eject
-        };
         for (ch, (entries, n)) in BATCHED.into_iter().zip(&taken) {
             for r in &entries[..*n] {
                 if quiescent {
                     // Safety: each entry owes one `ch` reference
                     // transferred at `batch`; quiescence grants the apply
-                    // rights the eject path would, and `by` says whether
-                    // it grants more.
-                    self.apply(ch, t, r.addr, by);
+                    // rights the eject path would.
+                    self.apply(ch, t, r.addr, Rights::Eject);
                 } else {
                     // The block is alive: its count still includes the
                     // reference the entry owes.
@@ -1190,10 +1185,8 @@ impl<S: AcquireRetire> Domain<S> {
             }
         }
         if quiescent {
-            for ch in CHANNELS {
-                if self.locals[t.index()].issued[ch as usize].replace(false) {
-                    self.ar(ch).flush(t);
-                }
+            for ar in &self.ar {
+                ar.flush(t);
             }
         }
         true
@@ -1239,18 +1232,13 @@ impl<S: AcquireRetire> Domain<S> {
         let weak = self.weak_self.clone();
         smr::on_thread_exit(Box::new(move |t| {
             let Some(core) = weak.upgrade() else { return };
-            // The slot is about to be recycled: its next owner is a
-            // different thread that must register its own callback. (The
-            // upgrade keeps the memory, and the slot is ours.)
-            core.locals[t.index()].flush_registered.set(false);
-            // A thread that flushed before it left takes no pin here.
-            if !core.has_pending_batch(t) {
-                return;
-            }
             let Some(_pin) = core.try_pin_thread(t) else {
                 return;
             };
             core.flush_batches(t);
+            // The slot is about to be recycled: its next owner is a
+            // different thread that must register its own callback.
+            core.locals[t.index()].flush_registered.set(false);
         }))
     }
 
@@ -1529,9 +1517,9 @@ unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
     }
     // Every exit, not only after an issue: an entry the scan finds still
     // protected must be looked at again, and no later retire may come. Only
-    // threads that used the weak side pay. Hazard pointers destruct nothing
-    // on the spot, so there the chain moves at the pace of the strong scans
-    // whatever this one does.
+    // threads that used the weak side pay, and an empty list costs no
+    // sweep. Hazard pointers destruct nothing on the spot, so there the
+    // chain moves at the pace of the strong scans whatever this one does.
     if S::PROTECTS_REGIONS && d.locals[t.index()].weak_used.get() {
         d.ar(Channel::Dispose).flush(t);
     }

@@ -130,14 +130,15 @@ pub(crate) enum Rights {
     /// the owner may have read its out-edges in a section that is still
     /// open.
     Owner,
-    /// A deferred operation the scheme handed back (an eject). Under a
-    /// region scheme no section that reached the object, or an edge
-    /// through it, is still open. Hazard pointers are per pointer: an eject
-    /// proves only that nobody protects the one address it names.
+    /// A deferred operation the scheme handed back (an eject), or one a
+    /// settle applied after its sweep found the count instances quiescent.
+    /// Under a region scheme no section that reached the object, or an
+    /// edge through it, is still open. Hazard pointers are per pointer:
+    /// either proves only that nobody protects the one address it names
+    /// (a reader walking hand over hand can slip past a sweep).
     Eject,
-    /// A deferred operation applied while nothing can read the domain:
-    /// every instance was quiescent, or the caller holds the domain
-    /// exclusively.
+    /// A deferred operation applied while the caller holds the domain
+    /// exclusively ([`Domain::drain_and_apply_all`]): nothing can read it.
     Unread,
 }
 
@@ -145,7 +146,8 @@ impl Rights {
     /// Whether an object these rights zeroed may be destructed on the spot
     /// rather than retired on `Dispose`. A hazard-pointer reader may hold a
     /// weak snapshot (a hazard on the dispose instance) that no weak count
-    /// records, so only the region schemes, or nothing reading, allow it.
+    /// records, so only the region schemes, or an exclusive drain, allow
+    /// it.
     #[inline]
     pub(crate) fn destruct_now<S: AcquireRetire>(self) -> bool {
         S::PROTECTS_REGIONS || self == Rights::Unread
@@ -180,9 +182,9 @@ impl RefKind for StrongKind {
         &(*as_header(addr)).strong
     }
 
-    /// Destructs *immediately* when the scheme protects regions (or nothing
-    /// can be reading, `Rights::Unread`) and no weak observer can exist:
-    /// the weak count is exactly the strong side's own +1, which is stable,
+    /// Destructs *immediately* when the scheme protects regions (or an
+    /// exclusive drain applies it, `Rights::Unread`) and no weak observer
+    /// can exist: the weak count is exactly the strong side's own +1, which is stable,
     /// since a zero strong count is sticky and weak references can only be
     /// minted from strong ones or other weak ones. Otherwise disposal is
     /// deferred through the dispose instance so snapshots stay readable
@@ -199,7 +201,7 @@ impl RefKind for StrongKind {
     /// instance, not a region: a weak snapshot is a hazard on the dispose
     /// instance that a weak decrement applied through the weak instance
     /// never sees, so under HP the gate proves nothing and the object
-    /// always takes the dispose round.
+    /// takes the dispose round outside an exclusive drain.
     ///
     /// An owned drop additionally needs the payload to enumerate its edges:
     /// a non-graph payload's `Drop` relinquishes its child pointers itself,

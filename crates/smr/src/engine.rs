@@ -465,7 +465,11 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
 
     fn flush(&self, t: Tid) {
         // SAFETY: `t` is the calling thread's slot (proper use).
-        self.scan(unsafe { self.own(t) });
+        let local = unsafe { self.own(t) };
+        // Nothing to classify: skip the sweep (and its fault checkpoint).
+        if !local.retired.is_empty() {
+            self.scan(local);
+        }
     }
 
     unsafe fn drain_all(&self) -> Vec<Retired> {

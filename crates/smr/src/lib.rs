@@ -485,9 +485,12 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// path.
     fn quiescent(&self) -> bool;
 
-    /// Forces a scan so that everything ejectable becomes ready. Costlier
-    /// than waiting for the amortized threshold; meant for tests, teardown
-    /// and benchmark phase changes.
+    /// Forces a scan so that everything ejectable becomes ready; a no-op
+    /// when `t`'s retired list is empty. A scan of a non-empty list sweeps
+    /// every announcement, so callers flush where a list may otherwise
+    /// never reach the amortized threshold: teardown, benchmark phase
+    /// changes, and (in `cdrc`) a quiescent settle or a weak-using
+    /// thread's section exit.
     fn flush(&self, t: Tid);
 
     /// Takes *every* retired record out of the instance, protected or not.
