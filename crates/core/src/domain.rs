@@ -11,7 +11,7 @@
 //! |---------|--------|-----------------------------------------------|
 //! | `Strong` | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire on `Dispose` |
 //! | `Weak` | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
-//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; any object under hazard pointers outside an exclusive drain) | `destruct` |
+//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; under hazard pointers, an owner's drop, or an object a hazard snapshot names) | `destruct`; under hazard pointers, after a snapshot that decides its edges |
 //!
 //! [`Domain::retire`] defers one operation at once; [`Domain::batch`]
 //! buffers a `Strong`/`Weak` one per thread until the next flush point;
@@ -24,8 +24,11 @@
 //! What may be destructed on the spot, and whose out-edges may be
 //! decremented on the spot, depends on who took the count to zero
 //! (`Rights`): an owner's drop, an eject (or a quiescent settle, which
-//! grants the same), or an exclusive drain. Under hazard pointers only the
-//! drain allows either (`StrongKind::zeroed`, [`Domain::destruct`]).
+//! grants the same), or an exclusive drain. Under hazard pointers an
+//! eject's zero waits for a hazard snapshot of all three instances taken
+//! after it (`Domain::cascade`): what the snapshot does not name is
+//! destructed, and its edges the snapshot does not name decremented, on
+//! the spot (`Rights::Seen`; the argument is in `engine.rs`).
 //!
 //! `DomainLocal::weak_used` gates the `Weak`/`Dispose` half of `collect`'s
 //! ready peek. It is set exactly where something can land in those two
@@ -43,8 +46,8 @@
 //! flush points cover that:
 //!
 //! * `Dispose`, at every outermost section exit of a thread with
-//!   `weak_used` set, under a region scheme (`exit_flush`); maps, lists and
-//!   the tree never set the flag and run nothing here;
+//!   `weak_used` set (`exit_flush`); maps, lists and the tree never set the
+//!   flag and run nothing here;
 //! * all three lists of the settling thread, when `settle`'s sweep finds
 //!   every section closed. A thread that seeded a structure under one guard
 //!   and then went idle does not keep its decrements.
@@ -52,10 +55,10 @@
 //! A flush of an empty list returns at once, so neither point sweeps the
 //! announcements for a thread with nothing retired.
 //!
-//! One case remains: a thread that *exits* while another thread is inside
-//! a section settles its batch by issuing it, and nobody scans its lists
-//! until the slot's next owner does, or an exclusive drain
-//! ([`Domain::drain_and_apply_all`]) takes them.
+//! A thread that *exits* while another thread's section still protects
+//! some of its entries settles its batch by issuing it and then hands its
+//! lists to the live threads (`AcquireRetire::hand_off`): the next
+//! outermost section exit or flush of any thread adopts and scans them.
 //!
 //! # Domain handles
 //!
@@ -471,6 +474,13 @@ struct DomainLocal {
     /// callback with this domain. Reset by the callback itself so a
     /// recycled slot's next owner re-registers.
     flush_registered: Cell<bool>,
+    /// Hazard pointers: objects whose strong count this thread took to
+    /// zero and that wait for a hazard snapshot (`Rights` in `engine.rs`),
+    /// tagged [`DISPOSED`] when a dispose round already proved them
+    /// unread. Filled by `await_snapshot`, emptied by `cascade`.
+    zeroed: Cell<Vec<usize>>,
+    /// Hazard pointers: the buffer a snapshot is read into, reused.
+    sigma: Cell<Vec<usize>>,
     /// Reusable worklist + edge sink for `destruct`, so steady-state
     /// reclamation of graph nodes is allocation-free. `None` while a
     /// destruct on this thread is using it; the bounded-depth nested
@@ -486,6 +496,11 @@ struct DestructScratch {
     worklist: Vec<usize>,
     sink: EdgeSink,
 }
+
+/// Tag on a `DomainLocal::zeroed` entry whose dispose round already ran:
+/// the dispose instance's scan proved no weak snapshot reads it, so it is
+/// destructed whatever the snapshot says, which only decides its edges.
+const DISPOSED: usize = 0b1;
 
 /// Per-thread batch capacity: overflowing a buffer forces a flush, bounding
 /// how much unreclaimed memory a thread that never reaches a natural flush
@@ -602,6 +617,8 @@ impl<S: AcquireRetire> Domain<S> {
                         applying: Cell::new(false),
                         pending: BATCHED.map(|_| Batch::new()),
                         flush_registered: Cell::new(false),
+                        zeroed: Cell::new(Vec::new()),
+                        sigma: Cell::new(Vec::new()),
                         destruct_scratch: Cell::new(None),
                     })
                 })
@@ -946,7 +963,8 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Applies one deferred operation of channel `ch` — what an eject
     /// ([`Rights::Eject`]), a quiescent batch or an exclusive drain hands
-    /// back.
+    /// back. (Under hazard pointers `apply_ready` parks a dispose eject for
+    /// the snapshot instead.)
     ///
     /// # Safety
     ///
@@ -980,24 +998,27 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Destroys the managed object and drops the strong side's weak
     /// reference (Fig. 8's `dispose`). When `by` reaches the object's
-    /// edges ([`Rights::to_edges`]: a region scheme's eject, or an
-    /// exclusive drain) this is immediate iterative destruction (worklist,
-    /// never recursion) of the zero-strong-count subgraph rooted at `addr` —
-    /// the CIRC-style fast path that replaces one deferral round-trip per
-    /// edge.
+    /// edges ([`Rights::reaches`]: a region scheme's eject, an exclusive
+    /// drain, or under hazard pointers an edge a snapshot taken after the
+    /// object's zero does not name) this is immediate iterative destruction
+    /// (worklist, never recursion) of the zero-strong-count subgraph rooted
+    /// at `addr` — the CIRC-style fast path that replaces one deferral
+    /// round-trip per edge.
     ///
     /// For each node: the graph vtable hook (if any) moves the node's
     /// outgoing edges out of the payload, the payload is disposed, and the
     /// strong side's weak reference dropped. *Direct* edges (references the
     /// dead node itself owned) are decremented on the spot when `by`
     /// reaches them: reaching them through the node required a section
-    /// that provably ended. A child that zeroes with no weak observer joins
-    /// the worklist; one with weak observers takes the deferred-dispose
-    /// path. Otherwise direct edges are batched like *deferred*
-    /// (displaced-class) edges always are. An owner may still read an edge
-    /// it loaded through the node before its drop, and a hazard-pointer
-    /// reader may have walked hand over hand past the node: a hazard on the
-    /// edge protects it only from a decrement the scheme defers.
+    /// that provably ended, or a hazard the snapshot would show. A child
+    /// that zeroes with no weak observer joins the worklist; one with weak
+    /// observers takes the deferred-dispose path; under hazard pointers it
+    /// waits for the next snapshot. Otherwise direct edges are batched like
+    /// *deferred* (displaced-class) edges always are. An owner may still
+    /// read an edge it loaded through the node before its drop, and a
+    /// hazard-pointer reader may have walked hand over hand past the node:
+    /// a hazard on the edge protects it only from a decrement the scheme
+    /// defers.
     ///
     /// # Safety
     ///
@@ -1016,7 +1037,6 @@ impl<S: AcquireRetire> Domain<S> {
             self.decrement::<WeakKind>(t, addr, by);
             return;
         }
-        let to_edges = by.to_edges::<S>();
         // Steady-state allocation-free: reuse this thread's scratch
         // buffers; a nested destruct (bounded depth) finds `None` and
         // allocates its own.
@@ -1035,30 +1055,38 @@ impl<S: AcquireRetire> Domain<S> {
             }
             ((*h).vtable.dispose)(h);
             self.decrement::<WeakKind>(t, a, by);
-            if to_edges {
-                for e in sink.direct[Channel::Strong as usize].drain(..) {
-                    let eh = as_header(e);
-                    smr::sanitize::on_decrement(e, Channel::Strong);
-                    if (*eh).strong.decrement() {
-                        // `StrongKind::zeroed` for an owned edge, with the
-                        // worklist standing in for the recursion: only
-                        // graph children join it; a non-graph child's
-                        // `Drop` relinquishes its own edges and could
-                        // recurse, so it takes the deferred path.
-                        if (*eh).weak.load() == 1 && (*eh).vtable.pop_edges.is_some() {
-                            worklist.push(e);
-                        } else {
-                            self.retire(Channel::Dispose, t, e);
-                        }
+            for e in sink.direct[Channel::Strong as usize].drain(..) {
+                if !by.reaches::<S>(e) {
+                    self.batch(Channel::Strong, t, e);
+                    continue;
+                }
+                let eh = as_header(e);
+                smr::sanitize::on_decrement(e, Channel::Strong);
+                if (*eh).strong.decrement() {
+                    // `StrongKind::zeroed` for an owned edge, with the
+                    // worklist standing in for the recursion: only graph
+                    // children join it; a non-graph child's `Drop`
+                    // relinquishes its own edges and could recurse, so it
+                    // takes the deferred path. Under hazard pointers the
+                    // child waits for the next snapshot instead.
+                    if by.awaits_snapshot::<S>() {
+                        self.await_snapshot(t, e);
+                    } else if (*eh).weak.load() == 1 && (*eh).vtable.pop_edges.is_some() {
+                        worklist.push(e);
+                    } else {
+                        self.retire(Channel::Dispose, t, e);
                     }
                 }
-                for e in sink.direct[Channel::Weak as usize].drain(..) {
+            }
+            for e in sink.direct[Channel::Weak as usize].drain(..) {
+                if by.reaches::<S>(e) {
                     self.decrement::<WeakKind>(t, e, by);
+                } else {
+                    self.batch(Channel::Weak, t, e);
                 }
             }
             for ch in BATCHED {
-                let i = ch as usize;
-                for e in sink.direct[i].drain(..).chain(sink.deferred[i].drain(..)) {
+                for e in sink.deferred[ch as usize].drain(..) {
                     self.batch(ch, t, e);
                 }
             }
@@ -1074,6 +1102,65 @@ impl<S: AcquireRetire> Domain<S> {
             self.locals[t.index()].weak_used.set(true);
         }
         self.ar(ch).retire(t, r);
+    }
+
+    /// Hazard pointers: parks an object whose strong count this thread
+    /// just took to zero until the next snapshot decides it (`cascade`).
+    ///
+    /// # Safety
+    ///
+    /// The disposal responsibility for `addr` (strong count zero) is
+    /// transferred, and the caller runs `apply_ready` before it is done:
+    /// an eject inside its loop, or a quiescent settle.
+    pub(crate) unsafe fn await_snapshot(&self, t: Tid, addr: usize) {
+        let local = &self.locals[t.index()];
+        let mut zeroed = local.zeroed.take();
+        zeroed.push(addr);
+        local.zeroed.set(zeroed);
+    }
+
+    /// Hazard pointers: destructs what `await_snapshot` parked, one
+    /// snapshot per level (`Rights` in `engine.rs`). An object the
+    /// snapshot does not name is destructed with [`Rights::Seen`], and
+    /// what that zeroes is the next level; one it names takes the dispose
+    /// round. Without a snapshot everything takes today's path: a dispose
+    /// round for what was zeroed, a destruct that batches its edges for
+    /// what a dispose round returned. Returns whether anything was parked.
+    fn cascade(&self, t: Tid) -> bool {
+        let local = &self.locals[t.index()];
+        let mut level = local.zeroed.take();
+        if level.is_empty() {
+            local.zeroed.set(level);
+            return false;
+        }
+        let mut sigma = local.sigma.take();
+        while !level.is_empty() {
+            let seen = S::hazard_snapshot(&self.ar, &mut sigma);
+            sigma.sort_unstable();
+            for &entry in &level {
+                let addr = entry & !DISPOSED;
+                // Safety: each entry carries a disposal responsibility
+                // (`await_snapshot`). `Seen` holds for an entry the
+                // snapshot, taken after its zero, does not name; one the
+                // dispose round returned is unread whatever it names.
+                unsafe {
+                    if seen && sigma.binary_search(&addr).is_err() {
+                        self.destruct(t, addr, Rights::Seen(&sigma));
+                    } else if entry & DISPOSED != 0 {
+                        self.destruct(t, addr, Rights::Eject);
+                    } else {
+                        self.retire(Channel::Dispose, t, addr);
+                    }
+                }
+            }
+            // What these destructs zeroed is the next level; the spent
+            // buffer goes back to collect the one after.
+            level.clear();
+            level = local.zeroed.replace(level);
+        }
+        local.zeroed.set(level);
+        local.sigma.set(sigma);
+        true
     }
 
     /// Defers one `ch` operation on `addr` (module docs: a decrement of a
@@ -1143,13 +1230,12 @@ impl<S: AcquireRetire> Domain<S> {
     /// `Weak`, but guard flavours may hold both.
     ///
     /// The apply has an eject's rights ([`Rights::Eject`]), never more.
-    /// The sweep reads one announcement at a time, and under hazard
-    /// pointers a reader walking hand over hand can publish its next
-    /// hazard in a word already read and clear its last one in a word not
-    /// yet read: the sweep sees nothing, yet that reader still holds a
-    /// snapshot. The batch's own entries are safe (they were unlinked
-    /// first), but what they reach is not, so nothing here destructs or
-    /// decrements past them on the spot under HP.
+    /// Under a region scheme that is everything. Under hazard pointers each
+    /// entry's own address is unannounced, which is all an eject proves
+    /// too, and what the batch zeroes waits for a hazard snapshot taken
+    /// after the zero (`Rights`): quiescence before the zero proves nothing
+    /// about another location that names the object and is unlinked, and
+    /// applied elsewhere, after the check.
     ///
     /// The quiescent arm also scans all three of `t`'s retired lists. A
     /// list that gets fewer than a threshold of retires is otherwise never
@@ -1187,6 +1273,12 @@ impl<S: AcquireRetire> Domain<S> {
         if quiescent {
             for ar in &self.ar {
                 ar.flush(t);
+            }
+            // Hazard pointers: what the batch zeroed waits for a snapshot,
+            // which the apply loop takes (unless this thread is inside it
+            // already, and then its next round does).
+            if !S::PROTECTS_REGIONS {
+                self.apply_ready(t);
             }
         }
         true
@@ -1232,10 +1324,20 @@ impl<S: AcquireRetire> Domain<S> {
         let weak = self.weak_self.clone();
         smr::on_thread_exit(Box::new(move |t| {
             let Some(core) = weak.upgrade() else { return };
-            let Some(_pin) = core.try_pin_thread(t) else {
-                return;
-            };
-            core.flush_batches(t);
+            {
+                let Some(_pin) = core.try_pin_thread(t) else {
+                    return;
+                };
+                core.flush_batches(t);
+            }
+            // What another thread's section still protects goes to the
+            // live threads: the slot's next owner may be a long time
+            // coming. Engine code only, after the pin: an entry left on
+            // the lists names a block, so the core cannot be torn down
+            // under it, and the upgrade keeps the memory.
+            for ar in &core.ar {
+                ar.hand_off(t);
+            }
             // The slot is about to be recycled: its next owner is a
             // different thread that must register its own callback.
             core.locals[t.index()].flush_registered.set(false);
@@ -1352,11 +1454,21 @@ impl<S: AcquireRetire> Domain<S> {
             for ch in CHANNELS {
                 while let Some(r) = self.ar(ch).eject(t) {
                     any = true;
+                    if !S::PROTECTS_REGIONS && ch == Channel::Dispose {
+                        // Safety: the entry carries a disposal; its edges
+                        // wait for this round's snapshot.
+                        unsafe { self.await_snapshot(t, r.addr | DISPOSED) };
+                        continue;
+                    }
                     // Safety: an ejected record carries what its channel
                     // defers, transferred at `retire`/`batch`, and the
                     // eject grants the apply rights.
                     unsafe { self.apply(ch, t, r.addr, Rights::Eject) };
                 }
+            }
+            // Hazard pointers: what the ejects zeroed, after the ejects.
+            if !S::PROTECTS_REGIONS {
+                any |= self.cascade(t);
             }
             if !any {
                 break;
@@ -1494,9 +1606,9 @@ impl<S: AcquireRetire> Drop for Domain<S> {
 }
 
 /// Section-exit trampoline: flushes the exiting thread's decrement batch,
-/// then, under a region scheme and once the thread has used the weak side,
-/// scans its dispose list (the caller's `leave` applies what the scan
-/// readies). `data` is the domain the hook was installed for; see
+/// then, once the thread has used the weak side, scans its dispose list
+/// (the caller's `leave` applies what the scan readies). `data` is the
+/// domain the hook was installed for; see
 /// [`Domain::register_thread_flush`] for why it is still alive here.
 ///
 /// A dispose entry waits for a scan, and a thread whose list never reaches
@@ -1516,11 +1628,11 @@ unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
         d.flush_batches(t);
     }
     // Every exit, not only after an issue: an entry the scan finds still
-    // protected must be looked at again, and no later retire may come. Only
+    // protected must be looked at again, and no later retire may come (the
+    // tail's predecessor, say, which holds every node behind it). Only
     // threads that used the weak side pay, and an empty list costs no
-    // sweep. Hazard pointers destruct nothing on the spot, so there the
-    // chain moves at the pace of the strong scans whatever this one does.
-    if S::PROTECTS_REGIONS && d.locals[t.index()].weak_used.get() {
+    // sweep.
+    if d.locals[t.index()].weak_used.get() {
         d.ar(Channel::Dispose).flush(t);
     }
 }
@@ -2046,8 +2158,13 @@ mod tests {
         // its name — issued weak decrements, or the disposals the applied
         // strong ones deferred (each object still had a weak observer) —
         // and must peek those queues from here on. The PR 16 regression:
-        // the adopter's copy of the arm did not say so.
-        assert!(d.locals[t.index()].weak_used.get(), "{who:?}");
+        // the adopter's copy of the arm did not say so. Under hazard
+        // pointers a quiescent settle destructs what it zeroes past a
+        // snapshot and applies the weak decrements, so nothing lands there
+        // unless the adopter's lists came along.
+        if S::PROTECTS_REGIONS || matches!(who, Settler::Adopter) {
+            assert!(d.locals[t.index()].weak_used.get(), "{who:?}");
+        }
         if let Some(dead) = section {
             // Safety: joined.
             assert!(unsafe { smr::reclaim_orphaned_slot(dead) });

@@ -124,44 +124,98 @@ pub trait RefKind: sealed::Sealed + 'static {
 
 /// Who takes a strong count to zero, and so what is known about the threads
 /// that may still read the object or, through it, its out-edges.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Rights {
+///
+/// # Hazard pointers: destructing past a snapshot
+///
+/// Under HP an eject proves only that nobody protects the one address it
+/// names, so an object an eject zeroes is not destructed there. It waits
+/// for a hazard snapshot Σ ([`AcquireRetire::hazard_snapshot`]) that the
+/// domain takes *after* the zero, and what Σ does not name is destructed
+/// on the spot with [`Rights::Seen`]: its direct edges that Σ does not name
+/// are decremented on the spot too, and an edge that reaches zero waits
+/// for the next snapshot. What Σ names takes the deferred path, as before.
+/// Why this is sound, for X zeroed before Σ's fence and not in Σ:
+///
+/// * No reader can use a hazard on X. Every location that named X owned a
+///   count on it, so each was unlinked before X's zero. A reader that
+///   published X after Σ's fence validates against a location that no
+///   longer names X and retries. One that published it before still held
+///   it at Σ's instant (then X ∈ Σ) or had let it go. A strong hazard on
+///   X is gone even sooner: the decrement of the location it was
+///   validated through was applied past a scan or a snapshot that saw it.
+/// * No weak snapshot of X is readable. One taken before Σ's fence holds
+///   a hazard on the dispose instance, and Σ reads each thread's slots on
+///   all three instances at one instant, so the weak instance's hazard it
+///   moved from or the dispose one it moved to is there. One taken after
+///   finds the strong count zero, because it reads the count after its own
+///   announcement fence, and is null.
+/// * An edge Y of X that Σ does not name is read by nobody through X. A
+///   reader that reached Y through X published Y while it still held X,
+///   that is, before X's zero and so before Σ's fence. It cleared X after
+///   publishing Y, so if Σ does not show X it shows Y, or the reader let Y
+///   go too. Every other path to Y is a count on Y: the decrement on the
+///   spot reaches zero only once all of them are gone. Readers are
+///   independent here (snapshots do not cross threads), which is why an
+///   instant per thread is enough.
+///
+/// The snapshot must come after the zero. One taken before it can miss a
+/// reader that reaches X through another location, or through an owned
+/// reference it made from a snapshot, walks on to an edge of X and lets go
+/// of X, all before the decrement that zeroes X: the zero proves those
+/// paths gone only from the moment it happens. So a chain is freed one
+/// snapshot per link, and one snapshot per round when nothing links what a
+/// round zeroes (the weak queue breaks its chain under HP for this).
+///
+/// [`AcquireRetire::hazard_snapshot`]: smr::AcquireRetire::hazard_snapshot
+#[derive(Clone, Copy)]
+pub(crate) enum Rights<'s> {
     /// An owned pointer's drop. No location names the object any more, but
     /// the owner may have read its out-edges in a section that is still
     /// open.
     Owner,
     /// A deferred operation the scheme handed back (an eject), or one a
-    /// settle applied after its sweep found the count instances quiescent.
-    /// Under a region scheme no section that reached the object, or an
-    /// edge through it, is still open. Hazard pointers are per pointer:
-    /// either proves only that nobody protects the one address it names
-    /// (a reader walking hand over hand can slip past a sweep).
+    /// settle applied after it found the count instances quiescent. Under
+    /// a region scheme no section that reached the object, or an edge
+    /// through it, is still open. Under hazard pointers an object this
+    /// zeroes waits for a snapshot (above).
     Eject,
+    /// Hazard pointers: the object's strong count reached zero before the
+    /// sorted hazard snapshot Σ given here was taken, and Σ does not name
+    /// it (above).
+    Seen(&'s [usize]),
     /// A deferred operation applied while the caller holds the domain
     /// exclusively ([`Domain::drain_and_apply_all`]): nothing can read it.
     Unread,
 }
 
-impl Rights {
+impl Rights<'_> {
     /// Whether an object these rights zeroed may be destructed on the spot
-    /// rather than retired on `Dispose`. A hazard-pointer reader may hold a
-    /// weak snapshot (a hazard on the dispose instance) that no weak count
+    /// rather than retired on `Dispose` (or, under hazard pointers, handed
+    /// to the next snapshot). A hazard-pointer reader may hold a weak
+    /// snapshot (a hazard on the dispose instance) that no weak count
     /// records, so only the region schemes, or an exclusive drain, allow
-    /// it.
+    /// it without a snapshot.
     #[inline]
     pub(crate) fn destruct_now<S: AcquireRetire>(self) -> bool {
-        S::PROTECTS_REGIONS || self == Rights::Unread
+        S::PROTECTS_REGIONS || matches!(self, Rights::Unread)
     }
 
-    /// Whether a destructed object's direct out-edges may be decremented
-    /// on the spot. Otherwise they are batched, as Fig. 8's `dispose`
-    /// defers them with `delayed_decrement`, and wait out every reader the
-    /// scheme sees.
+    /// Whether an object these rights zeroed waits for a hazard snapshot.
     #[inline]
-    pub(crate) fn to_edges<S: AcquireRetire>(self) -> bool {
+    pub(crate) fn awaits_snapshot<S: AcquireRetire>(self) -> bool {
+        !S::PROTECTS_REGIONS && matches!(self, Rights::Eject | Rights::Seen(_))
+    }
+
+    /// Whether a destructed object's direct out-edge `e` may be decremented
+    /// on the spot. Otherwise it is batched, as Fig. 8's `dispose` defers
+    /// it with `delayed_decrement`, and waits out every reader the scheme
+    /// sees.
+    #[inline]
+    pub(crate) fn reaches<S: AcquireRetire>(self, e: usize) -> bool {
         match self {
             Rights::Owner => false,
             Rights::Eject => S::PROTECTS_REGIONS,
+            Rights::Seen(sigma) => sigma.binary_search(&e).is_err(),
             Rights::Unread => true,
         }
     }
@@ -186,9 +240,11 @@ impl RefKind for StrongKind {
     /// exclusive drain applies it, `Rights::Unread`) and no weak observer
     /// can exist: the weak count is exactly the strong side's own +1, which is stable,
     /// since a zero strong count is sticky and weak references can only be
-    /// minted from strong ones or other weak ones. Otherwise disposal is
-    /// deferred through the dispose instance so snapshots stay readable
-    /// (§4.4).
+    /// minted from strong ones or other weak ones. Under hazard pointers
+    /// an eject's zero waits for a hazard snapshot taken after it
+    /// (`Rights`), which decides whatever the weak count is. Otherwise
+    /// disposal is deferred through the dispose instance so snapshots stay
+    /// readable (§4.4).
     ///
     /// The immediate path is sound under a region scheme because a zero
     /// strong count proves every location-owned reference has had its
@@ -200,8 +256,9 @@ impl RefKind for StrongKind {
     /// and the weak gate sees it. Hazard pointers protect one address on one
     /// instance, not a region: a weak snapshot is a hazard on the dispose
     /// instance that a weak decrement applied through the weak instance
-    /// never sees, so under HP the gate proves nothing and the object
-    /// takes the dispose round outside an exclusive drain.
+    /// never sees, so under HP the weak count proves nothing. The snapshot
+    /// covers the dispose instance too, and a weak snapshot taken after it
+    /// finds the strong count zero.
     ///
     /// An owned drop additionally needs the payload to enumerate its edges:
     /// a non-graph payload's `Drop` relinquishes its child pointers itself,
@@ -215,9 +272,11 @@ impl RefKind for StrongKind {
         let h = as_header(addr);
         if by.destruct_now::<S>()
             && (*h).weak.load() == 1
-            && (by != Rights::Owner || (*h).vtable.pop_edges.is_some())
+            && (!matches!(by, Rights::Owner) || (*h).vtable.pop_edges.is_some())
         {
             d.destruct(t, addr, by);
+        } else if by.awaits_snapshot::<S>() {
+            d.await_snapshot(t, addr);
         } else {
             d.retire(Channel::Dispose, t, addr);
         }

@@ -28,9 +28,29 @@
 //! per dispose scan. With the clear, only the tail's predecessor still has
 //! one. Under a region scheme every other node is destructed on the spot,
 //! and destructing a node gives up its `next`, so the cascade reaches the
-//! head in one pass. Under hazard pointers every node takes the dispose
-//! round (`StrongKind::zeroed`), and the chain moves at the pace of the
-//! scans.
+//! head in one pass.
+//!
+//! # Under hazard pointers: an old head drops its `next` too
+//!
+//! Under hazard pointers a node is destructed on the spot only past a
+//! hazard snapshot taken *after* its strong zero (`cdrc`'s `Rights`), and
+//! a snapshot reads every thread's announcements. A chain in which each
+//! node's zero waits for its predecessor's destruct would cost one
+//! snapshot per node. So under HP the dequeuer whose head CAS wins stores
+//! null into the old head's `next`. Each dequeued node then reaches zero
+//! through the two decrements its dequeuers batched (its head reference
+//! and its predecessor's `next`), both handed back by scans, and a round
+//! frees everything it zeroes past one snapshot.
+//!
+//! Fig. 10 reads `next` in the dequeue (of the head it loaded) and in the
+//! helping step (of `tail.prev`). A stale dequeuer that reads the cleared
+//! `next` of a node that is no longer the head is told so by one more look
+//! at the head, and retries from there; an empty `next` on the current
+//! head still means an empty queue, since the head only moves forward. A
+//! helper whose `prev` names an old head finds its `next` empty and
+//! stores the tail into it: the old head is out of the queue, so this
+//! links nothing anyone can reach, and the node gives the reference back
+//! when it is destructed. Under a region scheme none of this runs.
 
 use std::marker::PhantomData;
 
@@ -165,6 +185,16 @@ where
         loop {
             let lnext = lhead.as_ref().unwrap().next.get_snapshot(guard);
             let Some(next_node) = lnext.as_ref() else {
+                // Under hazard pointers an old head's `next` is cleared
+                // (module docs), so an empty `next` means an empty queue
+                // only while `lhead` is still the head.
+                if !S::PROTECTS_REGIONS {
+                    let now = self.head.get_snapshot(guard);
+                    if now.tagged() != lhead.tagged() {
+                        lhead = now;
+                        continue;
+                    }
+                }
                 return None; // queue is empty
             };
             match self
@@ -172,6 +202,12 @@ where
                 .compare_exchange_with(guard, lhead.tagged(), &lnext)
             {
                 Ok(displaced) => {
+                    if !S::PROTECTS_REGIONS {
+                        // No longer the head: its `next` reference goes
+                        // back now, so it does not chain its successor's
+                        // reclamation to its own (module docs).
+                        lhead.as_ref().unwrap().next.store(SharedPtr::null());
+                    }
                     drop(displaced); // the head's old reference — reclaims it
                     return next_node.value.clone();
                 }
@@ -316,13 +352,11 @@ mod tests {
         }
     }
 
-    // Not HP: there every node takes the dispose round and its `next` the
-    // strong batch (`StrongKind::zeroed`), so the chain moves at the pace of
-    // the scans and tens of thousands of nodes can be in flight.
     #[test]
-    fn reclaims_while_running_region_schemes() {
+    fn reclaims_while_running_all_schemes() {
         reclaims_while_running::<EbrScheme>();
         reclaims_while_running::<IbrScheme>();
+        reclaims_while_running::<HpScheme>();
         reclaims_while_running::<HyalineScheme>();
     }
 }

@@ -89,10 +89,10 @@ impl Protection for Epochs {
         ann.store(EMPTY, Ordering::Release);
     }
 
-    fn idle(_: &Engine<Self>, ann: &AtomicU64) -> bool {
+    fn quiescent(eng: &Engine<Self>) -> bool {
         // Ordering: Relaxed — safety rests on the sweep's fence pairing,
         // exactly as in `reclaim`.
-        ann.load(Ordering::Relaxed) == EMPTY
+        eng.sweep().all(|ann| ann.load(Ordering::Relaxed) == EMPTY)
     }
 
     #[inline]

@@ -13,14 +13,15 @@
 //! lists what a policy owes.
 
 use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
-use crate::sync::atomic::{fence, AtomicUsize, Ordering};
+use crate::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use crate::sync::exempt;
 use crate::util::CachePadded;
 use crate::{fault, sanitize, AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Rounds of sleep-then-recheck the [`SmrConfig::max_garbage`] backpressure
 /// loop runs before giving up. Bounded so an over-watermark `retire` slows
@@ -77,8 +78,17 @@ pub trait Protection: Sized + 'static {
     /// Outermost section exit: withdraw it; the section's reads must not
     /// sink below.
     fn leave(eng: &Engine<Self>, ann: &Self::Ann, local: &mut Local<Self>);
-    /// Whether `ann` protects nothing right now.
-    fn idle(eng: &Engine<Self>, ann: &Self::Ann) -> bool;
+    /// [`AcquireRetire::quiescent`]: whether no announcement of `eng`
+    /// protects anything. Region schemes [`Engine::sweep`] and test each
+    /// announcement; HP takes a snapshot.
+    fn quiescent(eng: &Engine<Self>) -> bool;
+    /// [`AcquireRetire::hazard_snapshot`]; only the pointer scheme has one.
+    fn snapshot(_engines: &[Engine<Self>], _out: &mut Vec<usize>) -> bool {
+        unreachable!(
+            "{} protects regions and takes no hazard snapshot",
+            Self::NAME
+        )
+    }
     /// Withdraws a *dead* owner's announcement, claiming whatever that
     /// frees into `into`. A region scheme leaves on the dead thread's
     /// behalf, which is the default.
@@ -204,10 +214,20 @@ pub struct Engine<P: Protection> {
     pub(crate) shared: P::Shared,
     pub(crate) slots: Box<[CachePadded<Slot<P>>; MAX_THREADS]>,
     exit_hook: OnceLock<ExitHook>,
+    /// What exiting threads handed off ([`AcquireRetire::hand_off`]): their
+    /// retired entries with stamps, and their ready ones. The next
+    /// outermost section exit of any thread adopts them.
+    orphans: Mutex<Orphans<P>>,
+    /// Whether `orphans` may hold anything; a hint read on every outermost
+    /// section exit, so a stale `false` only delays the adoption.
+    orphaned: AtomicBool,
 }
 
-// SAFETY: `clock`, `cfg`, `shared`, `exit_hook` and every `Slot::ann` are
-// `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the frame
+/// The lists a thread handed off on its way out.
+type Orphans<P> = (Vec<(Retired, <P as Protection>::Stamp)>, Vec<Retired>);
+
+// SAFETY: `clock`, `cfg`, `shared`, `exit_hook`, the hand-off box and
+// every `Slot::ann` are `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the frame
 // invariant above gives each `Local` a single accessing thread at a time,
 // and `Local` is `Send` (its policy parts by bound), so handing a slot from
 // an exited thread to its successor is sound.
@@ -286,6 +306,32 @@ impl<P: Protection> Engine<P> {
         local.next_scan = local.retired.len() + P::scan_threshold(self);
     }
 
+    /// The hand-off box, whoever panicked while holding it.
+    fn orphans(&self) -> MutexGuard<'_, Orphans<P>> {
+        self.orphans.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes what exiting threads handed off into slot `t`'s lists and
+    /// scans them there.
+    #[cold]
+    fn adopt(&self, t: Tid) {
+        let (retired, ready) = {
+            let mut box_ = self.orphans();
+            // The box is emptied under its lock, so clearing the hint here
+            // cannot hide a later hand-off: that one sets it again after
+            // pushing.
+            // Ordering: Relaxed — the lock orders the entries; the hint
+            // carries no data.
+            exempt(|| self.orphaned.store(false, Ordering::Relaxed));
+            std::mem::take(&mut *box_)
+        };
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { self.own(t) };
+        local.retired.extend(retired);
+        local.ready.extend(ready);
+        self.scan(local);
+    }
+
     /// Counts an allocation by slot `t`'s owner and advances the clock every
     /// `epoch_freq` of them. Counted up and reset, rather than `allocs %
     /// epoch_freq`: this runs once per allocation and the modulo is an
@@ -353,6 +399,8 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
             shared: P::Shared::default(),
             slots: slots.try_into().ok().expect("MAX_THREADS slots collected"),
             exit_hook: OnceLock::new(),
+            orphans: Mutex::new((Vec::new(), Vec::new())),
+            orphaned: AtomicBool::new(false),
         }
     }
 
@@ -395,6 +443,12 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
             outermost
         };
         if outermost {
+            // Ordering: Relaxed — a hint, not a protocol word: the entries
+            // travel under the box's lock, and a missed hint waits for the
+            // next exit.
+            if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
+                self.adopt(t);
+            }
             beat(t);
             sanitize::section_exit(self.id(), t);
             // Section fully exited: anything the hook retires from here is
@@ -460,10 +514,18 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     }
 
     fn quiescent(&self) -> bool {
-        self.sweep().all(|ann| P::idle(self, ann))
+        P::quiescent(self)
+    }
+
+    fn hazard_snapshot(instances: &[Self], out: &mut Vec<usize>) -> bool {
+        P::snapshot(instances, out)
     }
 
     fn flush(&self, t: Tid) {
+        // Ordering: Relaxed — a hint, as at section exit.
+        if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
+            return self.adopt(t);
+        }
         // SAFETY: `t` is the calling thread's slot (proper use).
         let local = unsafe { self.own(t) };
         // Nothing to classify: skip the sweep (and its fault checkpoint).
@@ -472,9 +534,27 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         }
     }
 
+    fn hand_off(&self, t: Tid) {
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { self.own(t) };
+        // No scan here: the adopter scans anyway, and an exiting thread
+        // should be quick about it.
+        if local.retired.is_empty() && local.ready.is_empty() {
+            return;
+        }
+        let mut box_ = self.orphans();
+        box_.0.append(&mut local.retired);
+        box_.1.extend(local.ready.drain(..));
+        // Ordering: Relaxed — as in `adopt`.
+        exempt(|| self.orphaned.store(true, Ordering::Relaxed));
+    }
+
     unsafe fn drain_all(&self) -> Vec<Retired> {
         P::recall(self);
         let mut out = Vec::new();
+        let (retired, ready) = std::mem::take(&mut *self.orphans());
+        out.extend(retired.into_iter().map(|(r, _)| r));
+        out.extend(ready);
         for slot in self.slots.iter() {
             // SAFETY: exclusive access to every slot is the caller's
             // contract.

@@ -2,7 +2,7 @@
 
 use crate::engine::{eject_unless, Engine, Local, Protection, Slot};
 use crate::registry::{registered_high_water_mark, Tid};
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::{fence, AtomicUsize, Ordering};
 use crate::util::{announce_usize, prefetch_read};
 use crate::{sanitize, untagged, SmrConfig};
 
@@ -20,13 +20,98 @@ pub struct HpGuard {
 /// a guard needs the configuration.
 const RESERVED: usize = 32;
 
-/// One thread's announcement words: untagged addresses, 0 = empty;
-/// `0..hp_slots` and [`RESERVED`] in use.
-type Words = [AtomicUsize; RESERVED + 1];
+/// How many double collects a snapshot tries before it gives up.
+const COLLECTS: usize = 3;
 
-/// The words a scan must read.
-fn in_use(words: &Words, hp_slots: usize) -> impl Iterator<Item = &AtomicUsize> {
-    words[..hp_slots].iter().chain([&words[RESERVED]])
+/// The low bits of a slot's version word: which announcement words are
+/// held, bit `i` for word `i`.
+const HELD: usize = (1 << (RESERVED + 1)) - 1;
+
+/// One step of a version word's change count, above the [`HELD`] bits.
+const CHANGE: usize = HELD + 1;
+
+/// One thread's announcements on one instance.
+#[derive(Debug)]
+pub struct Words {
+    /// A change count (above [`HELD`]) that the owner moves on before every
+    /// store to `hazards`, so a collect that reads it twice unchanged read
+    /// the hazards of one state, and the words held once that store is
+    /// made (the [`HELD`] bits), so a collect reads only those. First, so
+    /// that it shares a cache line with the words taken first.
+    version: AtomicUsize,
+    /// Untagged addresses, 0 = empty; `0..hp_slots` and [`RESERVED`] in
+    /// use.
+    hazards: [AtomicUsize; RESERVED + 1],
+}
+
+impl Words {
+    /// Moves the version on, ahead of the hazard store that follows, and
+    /// records the words `held` once that store is made. A plain owner
+    /// store: only the owner (or the reaper of a dead owner) writes it.
+    /// The hazard store that follows must carry it (a Release store, or a
+    /// Release fence first): a collect that reads that hazard and then
+    /// fences (Acquire) reads this version or a later one on its second
+    /// pass.
+    #[inline(always)]
+    fn bump(&self, held: u64) {
+        // Ordering: Relaxed load — the owner reads its own last store.
+        // Release store — a collect that reads this version (Acquire) sees
+        // every earlier hazard store.
+        let v = self.version.load(Ordering::Relaxed);
+        let next = (v & !HELD).wrapping_add(CHANGE) | held as usize;
+        self.version.store(next, Ordering::Release);
+    }
+
+    /// Feeds every nonzero hazard among the words `version` says are held
+    /// to `out`.
+    fn held(&self, version: usize, mut out: impl FnMut(usize)) {
+        let mut held = version & HELD;
+        while held != 0 {
+            let i = held.trailing_zeros() as usize;
+            held &= held - 1;
+            // Ordering: Relaxed — ordered by the fence pairing of the scan
+            // or snapshot reading it, as in `reclaim`.
+            let a = self.hazards[i].load(Ordering::Relaxed);
+            if a != 0 {
+                out(a);
+            }
+        }
+    }
+}
+
+/// Reads thread `i`'s announcements on every instance of `engines` into
+/// `out` as they stood at one instant: versions, hazards, versions again,
+/// at most [`COLLECTS`] times. A thread's hazards only ever protect its
+/// own reads (snapshots do not cross threads), so each thread needs its
+/// own instant, not one shared by all: a collect of one thread's few words
+/// is short, and a busy neighbour does not send it round again.
+fn collect_thread(engines: &[Hp], i: usize, out: &mut Vec<usize>) -> bool {
+    let words = || engines.iter().map(|e| &e.slots[i].ann);
+    for _ in 0..COLLECTS {
+        let mark = out.len();
+        // Change counts only grow, so two sums are equal exactly when none
+        // moved (a count wraps only after 2^31 changes, far more than a
+        // collect lasts).
+        let mut before = 0usize;
+        for w in words() {
+            // Ordering: Acquire — a version read here brings every hazard
+            // store its owner made before moving it past that value.
+            let v = w.version.load(Ordering::Acquire);
+            before = before.wrapping_add(v >> (RESERVED + 1));
+            w.held(v, |a| out.push(a));
+        }
+        fence(Ordering::Acquire);
+        // Ordering: Relaxed — ordered after the hazard loads by the fence
+        // just above.
+        let after = words().fold(0usize, |sum, w| {
+            sum.wrapping_add(w.version.load(Ordering::Relaxed) >> (RESERVED + 1))
+        });
+        if after == before {
+            return true;
+        }
+        out.truncate(mark);
+    }
+    false
 }
 
 /// The owner-only state HP adds to a slot.
@@ -35,6 +120,8 @@ pub struct Owned {
     /// Bit `i` set = announcement word `i` is unheld: bits `0..hp_slots`
     /// for `try_acquire` (lowest first), bit [`RESERVED`] for `acquire`.
     free: u64,
+    /// The words in use: `free` with nothing held.
+    words: u64,
     /// Scratch multiset of current announcements, reused across scans so the
     /// scan path stops allocating once warm. A scan rebuilds it, then spends
     /// it: each retired copy it keeps takes one announcement off the count.
@@ -63,6 +150,17 @@ pub struct Hazards;
 /// currently announced and keeps `min(#retired, #announced)` copies in the
 /// retired list, ejecting the surplus. Critical sections are no-ops.
 ///
+/// Each slot also carries a version word that its owner moves on before
+/// every store to a hazard. A scan reads each word once, which proves only
+/// that nobody protects the addresses it ejects. A hazard *snapshot*
+/// ([`hazard_snapshot`](crate::AcquireRetire::hazard_snapshot), and
+/// [`quiescent`](crate::AcquireRetire::quiescent)) is a double collect per
+/// thread, over that thread's slot on every instance: versions, hazards,
+/// versions. If no version moved, the hazards read held at one instant, so
+/// a reader that moved from one word to another during the collect is
+/// caught in one of them. If a version moved, it tries that thread again,
+/// at most three times in all, and then reports no snapshot.
+///
 /// # Examples
 ///
 /// ```
@@ -82,11 +180,11 @@ pub struct Hazards;
 /// ```
 pub type Hp = Engine<Hazards>;
 
-/// Announce-validate loop on word `index` of `t`'s own `words`; returns the
-/// validated word.
+/// Announce-validate loop on word `index` of `t`'s own `words`, with the
+/// words `held` (that one included); returns the validated word.
 #[inline]
-fn protect(eng: &Hp, t: Tid, words: &Words, index: usize, src: &AtomicUsize) -> usize {
-    let ann = &words[index];
+fn protect(eng: &Hp, t: Tid, words: &Words, index: usize, held: u64, src: &AtomicUsize) -> usize {
+    let ann = &words.hazards[index];
     // Ordering: Acquire — pairs with the Release publication of the
     // pointee; this first read is only a candidate until validated.
     let mut v = src.load(Ordering::Acquire);
@@ -102,6 +200,7 @@ fn protect(eng: &Hp, t: Tid, words: &Words, index: usize, src: &AtomicUsize) -> 
             // is belt-and-braces (free on x86-64, a plain `mov`) so no
             // prior access can sink below the un-announcement even if a
             // caller violates the single-use guard discipline.
+            words.bump(held);
             ann.store(0, Ordering::Release);
             // Null candidate: the word now protects nothing — drop any
             // stale sanitizer token held under this key.
@@ -119,6 +218,10 @@ fn protect(eng: &Hp, t: Tid, words: &Words, index: usize, src: &AtomicUsize) -> 
         // observes that scanner's pre-fence unlinks and validation fails
         // instead of trusting a retired pointer (announce-then-revalidate,
         // as in oliver-giersch/reclaim).
+        words.bump(held);
+        // Ordering: fence(Release) — the announcement store below is
+        // Relaxed in its portable form, and must carry the version (`bump`).
+        fence(Ordering::Release);
         announce_usize(ann, a);
         // Ordering: Acquire — same publication pairing as the first read;
         // ordered after the announcement by the fence above.
@@ -153,14 +256,19 @@ impl Protection for Hazards {
     type Shared = ();
 
     fn ann() -> Words {
-        std::array::from_fn(|_| AtomicUsize::new(0))
+        Words {
+            hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
+            version: AtomicUsize::new(0),
+        }
     }
 
     /// The state of a slot holding no guard.
     fn local(cfg: &SmrConfig) -> Owned {
         assert!(cfg.hp_slots <= RESERVED, "hp_slots is capped at 32");
+        let words = ((1 << cfg.hp_slots) - 1) | (1 << RESERVED);
         Owned {
-            free: ((1 << cfg.hp_slots) - 1) | (1 << RESERVED),
+            free: words,
+            words,
             announced: HashMap::new(),
         }
     }
@@ -175,15 +283,46 @@ impl Protection for Hazards {
     #[inline]
     fn leave(_: &Engine<Self>, _: &Words, _: &mut Local<Self>) {}
 
-    fn idle(eng: &Engine<Self>, words: &Words) -> bool {
-        // Ordering: Relaxed — the sweep's fence pairing carries the
-        // visibility argument, exactly as in `reclaim`.
-        in_use(words, eng.cfg.hp_slots).all(|ann| ann.load(Ordering::Relaxed) == 0)
+    /// No hazard in any thread's double collect (`collect_thread`), which
+    /// stops at the first thread holding one. One sweep that reads each
+    /// word once would not do: a reader walking hand over hand slips past
+    /// it.
+    fn quiescent(eng: &Hp) -> bool {
+        let engines = std::slice::from_ref(eng);
+        let mut held = Vec::new();
+        let hwm = eng.sweep().count();
+        (0..hwm).all(|i| collect_thread(engines, i, &mut held) && held.is_empty())
+    }
+
+    /// The double collect: after the scan fence, each thread's versions,
+    /// hazards and versions again on every instance (`collect_thread`). A
+    /// reader that moved a hazard moved its version first, so equal sums
+    /// mean the hazards read are one state of that thread: a reader
+    /// walking hand over hand, publishing its next hazard in a word
+    /// already read and clearing its last one in a word not yet read,
+    /// moves the version and sends the collect round again.
+    fn snapshot(engines: &[Hp], out: &mut Vec<usize>) -> bool {
+        out.clear();
+        let Some(first) = engines.first() else {
+            return true;
+        };
+        // The scan fence (`Engine::sweep`), once: every collect reads after
+        // it.
+        let hwm = first.sweep().count();
+        if !(0..hwm).all(|i| collect_thread(engines, i, out)) {
+            return false;
+        }
+        if sanitize::hazard_snapshots_blind() {
+            out.clear();
+        }
+        true
     }
 
     /// Clears every hazard the dead thread left published.
     unsafe fn force_close(_: &Engine<Self>, words: &Words, _: &mut Local<Self>) {
-        for ann in words {
+        // The reaper stands in for the dead owner, version included.
+        words.bump(0);
+        for ann in &words.hazards {
             // Ordering: Release — the takeover of the dead thread's retired
             // lists must not sink below the un-announcement a concurrent
             // scan may act on.
@@ -200,8 +339,12 @@ impl Protection for Hazards {
             "acquire while a previous acquire is still active (Definition 3.2)"
         );
         own.free &= !(1 << RESERVED);
+        let held = own.words & !own.free;
         let index = RESERVED as u8;
-        (protect(eng, t, &slot.ann, RESERVED, src), HpGuard { index })
+        (
+            protect(eng, t, &slot.ann, RESERVED, held, src),
+            HpGuard { index },
+        )
     }
 
     #[inline]
@@ -220,22 +363,24 @@ impl Protection for Hazards {
         }
         let index = avail.trailing_zeros();
         own.free &= !(1 << index);
-        let v = protect(eng, t, &slot.ann, index as usize, src);
+        let held = own.words & !own.free;
+        let v = protect(eng, t, &slot.ann, index as usize, held, src);
         Some((v, HpGuard { index: index as u8 }))
     }
 
     #[inline]
     fn release(eng: &Hp, t: Tid, slot: &Slot<Self>, guard: HpGuard) {
         let index = guard.index as usize;
-        // Ordering: Release — the guard holder's reads of the pointee are
-        // sequenced before this clear and cannot sink past it, so a scanner
-        // that observes the empty word knows those reads are done.
-        slot.ann[index].store(0, Ordering::Release);
-        sanitize::on_unprotect(eng.id(), t, index);
         // SAFETY: `slot` is the calling thread's own (frame invariant).
         let own = unsafe { &mut (*slot.local.get()).own };
         debug_assert!(own.free & (1 << index) == 0, "double release of a guard");
         own.free |= 1 << index;
+        slot.ann.bump(own.words & !own.free);
+        // Ordering: Release — the guard holder's reads of the pointee are
+        // sequenced before this clear and cannot sink past it, so a scanner
+        // that observes the empty word knows those reads are done.
+        slot.ann.hazards[index].store(0, Ordering::Release);
+        sanitize::on_unprotect(eng.id(), t, index);
     }
 
     fn stamp(_: &Hp) {}
@@ -253,14 +398,13 @@ impl Protection for Hazards {
         // address may be announced by several guards at once).
         announced.clear();
         eng.survey(|words| {
-            for ann in in_use(words, eng.cfg.hp_slots) {
-                // Ordering: Relaxed — ordered by the sweep's fence pairing;
-                // a stale nonzero value only pins an object longer.
-                let a = ann.load(Ordering::Relaxed);
-                if a != 0 {
-                    *announced.entry(a).or_insert(0) += 1;
-                }
-            }
+            // Ordering: Acquire — the held bits of the version read here
+            // cover every word published before the sweep's fence (its
+            // owner moved them before the store); the hazard loads are
+            // ordered by the fence pairing, and a stale nonzero value only
+            // pins an object longer.
+            let version = words.version.load(Ordering::Acquire);
+            words.held(version, |a| *announced.entry(a).or_insert(0) += 1);
         });
         // Keep at most `announced[addr]` copies of each retired address;
         // eject the surplus (§3.2's multi-retire accounting). The multiset
@@ -319,11 +463,12 @@ mod tests {
 
     #[test]
     fn adjacent_slots_share_no_cache_line() {
-        // Everything a hop touches — announcement words and the free mask —
-        // must sit in 128-byte lines no other thread's slot reaches into.
+        // Everything a hop touches — announcement words, their version and
+        // the free mask — must sit in 128-byte lines no other thread's slot
+        // reaches into.
         let hp = new_hp();
         let lines = |s: &CachePadded<Slot<Hazards>>| {
-            let first = s.ann.as_ptr() as usize;
+            let first = &s.ann as *const Words as usize;
             let local = s.local.get() as usize;
             let lo = first.min(local) / 128;
             let hi = (first + std::mem::size_of_val(&s.ann))
@@ -334,6 +479,54 @@ mod tests {
             let (a, b) = (lines(&pair[0]), lines(&pair[1]));
             assert!(a.end() < b.start(), "slots overlap: {a:?} vs {b:?}");
         }
+    }
+
+    #[test]
+    fn snapshot_covers_every_instance_and_every_change_moves_a_version() {
+        let hps = [new_hp(), new_hp()];
+        let t = current_tid();
+        let version =
+            |hp: &Hp| hp.slots[t.index()].ann.version.load(Ordering::SeqCst) >> (RESERVED + 1);
+        let (a, b) = (AtomicUsize::new(0x1000), AtomicUsize::new(0x2000));
+        let mut held = Vec::new();
+        assert!(Hp::hazard_snapshot(&hps, &mut held));
+        assert!(held.is_empty() && hps[0].quiescent());
+        let before = version(&hps[0]);
+        let (_, ga) = hps[0].try_acquire(t, &a).unwrap();
+        let (_, gb) = hps[1].acquire(t, &b);
+        assert_eq!(version(&hps[0]), before + 1, "a publish moves the version");
+        assert!(Hp::hazard_snapshot(&hps, &mut held));
+        held.sort_unstable();
+        assert_eq!(held, [0x1000, 0x2000], "one snapshot spans both instances");
+        assert!(!hps[0].quiescent() && !hps[1].quiescent());
+        hps[0].release(t, ga);
+        assert_eq!(version(&hps[0]), before + 2, "a clear moves the version");
+        assert!(hps[0].quiescent());
+        hps[1].release(t, gb);
+        assert!(Hp::hazard_snapshot(&hps, &mut held));
+        assert!(held.is_empty());
+    }
+
+    #[test]
+    fn a_handed_off_entry_is_adopted_at_the_next_section_exit() {
+        let hp = Arc::new(new_hp());
+        let src = AtomicUsize::new(0x7000);
+        let t = current_tid();
+        let (_, g) = hp.try_acquire(t, &src).unwrap();
+        let leaver = {
+            let hp = Arc::clone(&hp);
+            std::thread::spawn(move || {
+                let me = current_tid();
+                hp.retire(me, Retired::new(0x7000, 0));
+                hp.hand_off(me);
+            })
+        };
+        leaver.join().unwrap();
+        assert_eq!(hp.eject(t), None);
+        hp.release(t, g);
+        hp.begin_critical_section(t);
+        hp.end_critical_section(t);
+        assert_eq!(hp.eject(t), Some(Retired::new(0x7000, 0)));
     }
 
     #[test]
@@ -418,7 +611,7 @@ mod tests {
         let (v, g) = hp.acquire(t, &src);
         assert_eq!(v, 0x4000);
         assert_eq!(
-            hp.slots[t.index()].ann[RESERVED].load(Ordering::SeqCst),
+            hp.slots[t.index()].ann.hazards[RESERVED].load(Ordering::SeqCst),
             0x4000
         );
         hp.release(t, g);
@@ -432,7 +625,7 @@ mod tests {
         let (v, g) = hp.try_acquire(t, &src).unwrap();
         assert_eq!(v, 0x5000 | 1, "value keeps its tag");
         assert_eq!(
-            hp.slots[t.index()].ann[g.index as usize].load(Ordering::SeqCst),
+            hp.slots[t.index()].ann.hazards[g.index as usize].load(Ordering::SeqCst),
             0x5000,
             "announcement is untagged"
         );

@@ -164,10 +164,11 @@ impl Protection for Batches {
         }
     }
 
-    fn idle(_: &Hyaline, head: &AtomicUsize) -> bool {
+    fn quiescent(eng: &Hyaline) -> bool {
         // Ordering: Relaxed — the sweep's fence pairing carries the
         // visibility argument; `INVALID` means "not in a section".
-        head.load(Ordering::Relaxed) == INVALID
+        eng.sweep()
+            .all(|head| head.load(Ordering::Relaxed) == INVALID)
     }
 
     #[inline]

@@ -121,10 +121,11 @@ impl Protection for Intervals {
         ann.end.store(EMPTY, Ordering::Release);
     }
 
-    fn idle(_: &Engine<Self>, ann: &Interval) -> bool {
+    fn quiescent(eng: &Engine<Self>) -> bool {
         // Ordering: Relaxed — an empty `begin` is the whole check; the
         // sweep's fence pairing carries the visibility argument.
-        ann.begin.load(Ordering::Relaxed) == EMPTY
+        eng.sweep()
+            .all(|ann| ann.begin.load(Ordering::Relaxed) == EMPTY)
     }
 
     #[inline]

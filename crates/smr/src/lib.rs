@@ -61,10 +61,11 @@
 //!
 //! | `Protection` item | the paper's line | safety obligation |
 //! |---|---|---|
-//! | `Ann`, `ann()` | Fig. 3 `ann[p]`; Fig. 4 `begin_ann`/`end_ann`; §3.2 announcement slots | a fresh announcement reads as `idle` |
+//! | `Ann`, `ann()` | Fig. 3 `ann[p]`; Fig. 4 `begin_ann`/`end_ann`; §3.2 announcement slots | a fresh announcement protects nothing |
 //! | `enter` | Fig. 3 `begin_critical_section`: `ann[p] ← cur_epoch` | published *and fenced* before any protected read of the section (`util::announce_*`) |
 //! | `leave` | Fig. 3 `end_critical_section`: `ann[p] ← empty` | `Release` or stronger — the section's reads may not sink below it |
-//! | `idle` | Fig. 3 `eject`: the `ann[q] = empty` arm | `true` only when the slot protects nothing |
+//! | `quiescent` | Fig. 3 `eject`: the `ann[q] = empty` arm, over every slot | `true` only when no slot protects anything (HP: a double collect, not one sweep) |
+//! | `snapshot` | — (HP only: `hazard_snapshot`) | the hazards each thread held at one instant after the scan fence, or `false`; region policies keep the panicking default |
 //! | `force_close` | — (dead-thread recovery) | withdraws *everything* the dead slot announced, `Release` or stronger; the default is `leave` on its behalf |
 //! | `acquire`, `try_acquire`, `release`, `Guard` | Fig. 2; Fig. 4 `acquire`'s revalidation loop; §3.2 announce-then-validate | the returned word stays protected until `release` (or section exit); an announcement written here is fenced before the re-read that trusts it |
 //! | `birth` | Fig. 4 `alloc`: `birth_epoch ← cur_epoch` | epoch schemes call `Engine::tick` so the clock keeps moving |
@@ -485,13 +486,41 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// path.
     fn quiescent(&self) -> bool;
 
+    /// Hazard-pointer schemes (`!PROTECTS_REGIONS`) only: after a
+    /// scan-grade `SeqCst` fence, fills `out` with every address each
+    /// thread's announcements on `instances` held at one instant (an
+    /// instant per thread; the order is unspecified, duplicates are
+    /// possible), and returns `true`. Returns `false` when some thread's
+    /// announcements kept changing and no such instant was caught; then
+    /// `out` means nothing, and callers fall back to the retire path.
+    ///
+    /// A reader that publishes a hazard before that fence and still holds
+    /// it at its instant is in `out`, and so is a hazard it published
+    /// before clearing one that was. A reader that publishes after the
+    /// fence validates against locations that already show everything the
+    /// caller did before the call. Region schemes have no per-pointer
+    /// announcement and never call it (their policy's default panics).
+    fn hazard_snapshot(instances: &[Self], out: &mut Vec<usize>) -> bool
+    where
+        Self: Sized;
+
     /// Forces a scan so that everything ejectable becomes ready; a no-op
-    /// when `t`'s retired list is empty. A scan of a non-empty list sweeps
+    /// when `t`'s retired list is empty and nothing was handed off
+    /// ([`hand_off`](Self::hand_off)). A scan of a non-empty list sweeps
     /// every announcement, so callers flush where a list may otherwise
     /// never reach the amortized threshold: teardown, benchmark phase
     /// changes, and (in `cdrc`) a quiescent settle or a weak-using
     /// thread's section exit.
     fn flush(&self, t: Tid);
+
+    /// Hands what thread `t` still holds retired (or ready) to the
+    /// instance's other threads: the entries go to a shared box, and the
+    /// next outermost section exit or [`flush`](Self::flush) of any thread
+    /// adopts them into its own lists and scans them. For a thread that is
+    /// about to exit, outside every section: another thread's section may
+    /// still pin its entries, and otherwise nobody scans them until the
+    /// slot's next owner does.
+    fn hand_off(&self, t: Tid);
 
     /// Takes *every* retired record out of the instance, protected or not.
     ///

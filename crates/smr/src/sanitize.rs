@@ -59,6 +59,7 @@ pub enum TokenLife {
 mod imp {
     use super::{Channel, TokenLife};
     use crate::registry::{try_tid, Tid, MAX_THREADS};
+    use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::untagged;
     use std::collections::HashMap;
     use std::panic::Location;
@@ -596,6 +597,24 @@ mod imp {
         *lock(shadow(dead)) = ThreadShadow::default();
     }
 
+    /// The seeded bug behind the sanitizer's snapshot negative: while on,
+    /// every hazard snapshot comes back empty, as if the "not in the
+    /// snapshot" test that guards an eager destruct were gone. Test-only;
+    /// process-wide.
+    pub fn blind_hazard_snapshots(on: bool) {
+        // Ordering: Relaxed — a test switch, flipped between phases of a
+        // single-threaded test.
+        BLIND.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether [`blind_hazard_snapshots`] is on.
+    pub(crate) fn hazard_snapshots_blind() -> bool {
+        // Ordering: Relaxed — as in `blind_hazard_snapshots`.
+        BLIND.load(Ordering::Relaxed)
+    }
+
+    static BLIND: AtomicBool = AtomicBool::new(false);
+
     /// Drains the leak reports accumulated by [`on_thread_unregister`].
     /// Tests (and CI harnesses) call this after joining worker threads to
     /// turn logged leaks into failures.
@@ -613,6 +632,12 @@ mod imp {
 
     use super::{Channel, TokenLife};
     use crate::registry::Tid;
+
+    /// Snapshots are never blinded (sanitizer compiled out).
+    #[inline(always)]
+    pub(crate) const fn hazard_snapshots_blind() -> bool {
+        false
+    }
 
     /// Whether the sanitizer is compiled in. `false` in this half.
     #[inline(always)]

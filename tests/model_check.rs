@@ -35,7 +35,10 @@
 //! same full-stack exploration, now with the relaxed counters modeled. The
 //! queue scenario takes the same exploration up to a structure: the weak
 //! queue's enqueue with an old tail's `prev` cleared, racing a second
-//! enqueue that then dequeues.
+//! enqueue that then dequeues. The hazard-snapshot scenarios race HP's
+//! double collect against a reader moving its hazards (hand over hand, and
+//! ABA on one word), and HP's destruct past a snapshot against a weak
+//! snapshot and against a reader that came through another location.
 
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
@@ -1418,4 +1421,246 @@ fn ebr_queue_cleared_prev_is_linearizable_and_balances() {
 fn hp_queue_cleared_prev_is_linearizable_and_balances() {
     let _s = serial();
     queue_cleared_prev::<cdrc::HpScheme>().expect("weak queue violation under HP");
+}
+
+// ---------------------------------------------------------------------------
+// Hazard snapshots: the double collect, and destructing past a snapshot
+// (`cdrc::engine::Rights`)
+// ---------------------------------------------------------------------------
+
+/// HP tuning for the snapshot scenarios: three words per slot so a
+/// collect stays short. The scans stay amortized: every snapshot and scan
+/// reads every slot, and `process_deferred` flushes what the scenarios
+/// need.
+fn tight_hp() -> SmrConfig {
+    SmrConfig {
+        hp_slots: 2,
+        ..Hp::default_config()
+    }
+}
+
+/// Takes one snapshot of `hp` and, if it caught an instant, checks it
+/// names A or B: the reader it races holds one of them at every moment.
+fn snapshot_names_a_or_b(hp: &Hp) {
+    let mut held = Vec::new();
+    if Hp::hazard_snapshot(std::slice::from_ref(hp), &mut held) {
+        assert!(
+            held.contains(&OBJ_A) || held.contains(&OBJ_B),
+            "a snapshot missed a reader that held A or B throughout: {held:?}"
+        );
+    }
+}
+
+/// A hand-over-hand reader: it holds A in word 1, publishes B
+/// in word 0 (which a collect may already have read) and clears word 1
+/// (which it may not have read yet). One read of each word would see
+/// nothing; the double collect must see the version move and go round
+/// again, or give up.
+fn hp_snapshot_vs_hand_over_hand() -> Result<Report, Violation> {
+    try_check(cfg(2), || {
+        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp()));
+        let t = current_tid();
+        let (none, a, b) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(OBJ_A),
+            AtomicUsize::new(OBJ_B),
+        );
+        // Word 0 is taken first so that A lands in word 1.
+        let (_, g0) = hp.try_acquire(t, &none).unwrap();
+        let (_, ga) = hp.try_acquire(t, &a).unwrap();
+        hp.release(t, g0);
+        let taker = {
+            let hp = Arc::clone(&hp);
+            mthread::spawn(move || snapshot_names_a_or_b(&hp))
+        };
+        let (_, gb) = hp.try_acquire(t, &b).unwrap();
+        hp.release(t, ga);
+        taker.join().unwrap();
+        hp.release(t, gb);
+    })
+}
+
+#[test]
+fn hp_snapshot_catches_a_hand_over_hand_reader() {
+    let _s = serial();
+    let report =
+        hp_snapshot_vs_hand_over_hand().expect("a hazard snapshot missed a hand-over-hand reader");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
+
+/// ABA on one hazard word: word 0 holds A, is cleared while B covers the
+/// reader in word 1, and holds A again before word 1 is cleared. Word 0
+/// reads A both before and after; only the version says it changed.
+fn hp_snapshot_vs_aba() -> Result<Report, Violation> {
+    try_check(cfg(2), || {
+        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp()));
+        let t = current_tid();
+        let (a, b) = (AtomicUsize::new(OBJ_A), AtomicUsize::new(OBJ_B));
+        let (_, ga) = hp.try_acquire(t, &a).unwrap();
+        let taker = {
+            let hp = Arc::clone(&hp);
+            mthread::spawn(move || snapshot_names_a_or_b(&hp))
+        };
+        let (_, gb) = hp.try_acquire(t, &b).unwrap();
+        hp.release(t, ga);
+        let (_, ga) = hp.try_acquire(t, &a).unwrap();
+        hp.release(t, gb);
+        taker.join().unwrap();
+        hp.release(t, ga);
+    })
+}
+
+#[test]
+fn hp_snapshot_sees_aba_on_one_word() {
+    let _s = serial();
+    let report = hp_snapshot_vs_aba().expect("a hazard snapshot was fooled by ABA");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
+
+/// A payload that flags its own drop, so a reader can tell "disposed while
+/// I held it" from the outside, without reading freed memory.
+struct Flagged {
+    next: AtomicSharedPtr<Flagged, cdrc::HpScheme>,
+    dropped: Arc<AtomicBool>,
+}
+
+impl Drop for Flagged {
+    fn drop(&mut self) {
+        exempt(|| self.dropped.store(true, Ordering::Relaxed));
+    }
+}
+
+impl cdrc::GraphNode<cdrc::HpScheme> for Flagged {
+    fn pop_edges(&mut self, out: &mut cdrc::EdgeCollector<'_, cdrc::HpScheme>) {
+        out.take_atomic(&mut self.next);
+    }
+}
+
+/// A fresh `Flagged` node over `next`, and its drop flag.
+fn flagged(
+    d: &DomainRef<cdrc::HpScheme>,
+    next: SharedPtr<Flagged, cdrc::HpScheme>,
+) -> (SharedPtr<Flagged, cdrc::HpScheme>, Arc<AtomicBool>) {
+    let dropped = Arc::new(AtomicBool::new(false));
+    let node = Flagged {
+        next: AtomicSharedPtr::new_in(next, d),
+        dropped: Arc::clone(&dropped),
+    };
+    (SharedPtr::new_graph_in(node, d), dropped)
+}
+
+/// Asserts the drop flag of what a reader still holds is down.
+fn still_alive(dropped: &AtomicBool, what: &str) {
+    let gone = exempt(|| dropped.load(Ordering::Relaxed));
+    assert!(!gone, "HP: {what} was disposed under a reader's snapshot");
+}
+
+/// Drains and checks the domain balances once every thread is done.
+fn hp_balances(d: &DomainRef<cdrc::HpScheme>) {
+    let t = current_tid();
+    d.process_deferred(t);
+    unsafe { d.drain_and_apply_all(t) };
+    assert_eq!(d.allocated(), d.freed(), "HP: domain ledger unbalanced");
+}
+
+/// The weak gate: a reader holds a weak snapshot of X (a hazard on the
+/// dispose instance only) while the main thread clears the weak location
+/// and then X's only strong location. The weak decrement goes through the
+/// weak instance, which never sees that hazard, so X's weak count can fall
+/// to the strong side's own before its strong zero. A snapshot taken after
+/// that zero covers the dispose instance too and names X.
+///
+/// The two cdrc-level scenarios switch threads only at their yields
+/// (preemption bound 0): the full stack under bound 1 runs for minutes,
+/// and the races inside the snapshot itself are explored at bound 2 above.
+/// The yields give the schedule that matters, the reader holding its
+/// snapshot across everything the main thread reclaims, and every other
+/// order of the two threads' steps.
+fn hp_weak_gate() -> Result<Report, Violation> {
+    try_check(cfg(0), || {
+        let d: DomainRef<cdrc::HpScheme> = DomainRef::with_config(tight_hp());
+        let t = current_tid();
+        {
+            let (x, x_dropped) = flagged(&d, SharedPtr::null());
+            let weak = Arc::new(AtomicWeakPtr::new(x.downgrade()));
+            let strong = AtomicSharedPtr::new_in(x, &d);
+            let reader = {
+                let (d, weak) = (d.clone(), Arc::clone(&weak));
+                mthread::spawn(move || {
+                    {
+                        let cs = d.weak_cs();
+                        let snap = weak.get_snapshot(&cs);
+                        if !snap.is_null() {
+                            mthread::yield_now();
+                            still_alive(&x_dropped, "a weak snapshot's object");
+                        }
+                    }
+                    // Nothing to drain: the reader retires nothing.
+                })
+            };
+            mthread::yield_now();
+            weak.store(cdrc::WeakPtr::null());
+            strong.store(SharedPtr::null());
+            d.process_deferred(t);
+            reader.join().unwrap();
+        }
+        hp_balances(&d);
+    })
+}
+
+#[test]
+fn hp_weak_snapshot_outlives_its_cleared_location() {
+    let _s = serial();
+    let report = hp_weak_gate().expect("HP destructed an object under a weak snapshot");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
+
+/// A reader reaches Y through a second live location, walks on to Y's
+/// edge W and lets go of Y, while the main thread unlinks both X (whose
+/// `next` is Y) and that location. Whichever decrement zeroes Y, the
+/// snapshot that lets W be decremented on the spot must come after Y's
+/// zero: one taken at X's zero can predate the reader's hazard on W.
+fn hp_reader_through_another_edge() -> Result<Report, Violation> {
+    try_check(cfg(0), || {
+        let d: DomainRef<cdrc::HpScheme> = DomainRef::with_config(tight_hp());
+        let t = current_tid();
+        {
+            let (w, w_dropped) = flagged(&d, SharedPtr::null());
+            let (y, _) = flagged(&d, w);
+            let (x, _) = flagged(&d, y.clone());
+            let root = AtomicSharedPtr::new_in(x, &d);
+            let side = Arc::new(AtomicSharedPtr::new_in(y, &d));
+            let reader = {
+                let (d, side) = (d.clone(), Arc::clone(&side));
+                mthread::spawn(move || {
+                    {
+                        let cs = d.cs();
+                        let y = side.get_snapshot(&cs);
+                        let w = y.as_ref().map(|y| y.next.get_snapshot(&cs));
+                        // Hand over hand: W is published, Y let go.
+                        drop(y);
+                        mthread::yield_now();
+                        if w.is_some_and(|w| !w.is_null()) {
+                            still_alive(&w_dropped, "an edge read through a live location");
+                        }
+                    }
+                    // Nothing to drain: the reader retires nothing.
+                })
+            };
+            mthread::yield_now();
+            root.store(SharedPtr::null());
+            side.store(SharedPtr::null());
+            d.process_deferred(t);
+            reader.join().unwrap();
+        }
+        hp_balances(&d);
+    })
+}
+
+#[test]
+fn hp_edge_read_through_another_location_stays_alive() {
+    let _s = serial();
+    let report =
+        hp_reader_through_another_edge().expect("HP destructed an edge under a reader's snapshot");
+    assert!(report.iterations > 1, "explored only one schedule");
 }

@@ -11,6 +11,7 @@ use cdrc::{DomainRef, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme};
 use lockfree::manual::ResizableHashMap;
 use lockfree::rc::RcResizableHashMap;
 use lockfree::ConcurrentMap;
+use smr::sync::atomic::{AtomicIsize, Ordering};
 use smr::AcquireRetire;
 
 /// Inserts/removes racing growth: every worker churns its own key range
@@ -106,8 +107,9 @@ fn rc_domain_balances_after_concurrent_churn_and_drop() {
 }
 
 /// Live `Tracked` values; only `manual_stats_balance_after_concurrent_churn_and_drop`
-/// creates them, so the count is exact for that test.
-static TRACKED_LIVE: std::sync::atomic::AtomicIsize = std::sync::atomic::AtomicIsize::new(0);
+/// creates them, so the count is exact for that test. Test bookkeeping on
+/// the `smr::sync` facade, like every atomic in the suite.
+static TRACKED_LIVE: AtomicIsize = AtomicIsize::new(0);
 
 /// A map value that counts its live instances: a node that is never freed
 /// never drops its value, so a non-zero count after drop is a leak.
@@ -115,7 +117,7 @@ struct Tracked(u64);
 
 impl Tracked {
     fn new(v: u64) -> Self {
-        TRACKED_LIVE.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        TRACKED_LIVE.fetch_add(1, Ordering::SeqCst);
         Tracked(v)
     }
 }
@@ -128,7 +130,7 @@ impl Clone for Tracked {
 
 impl Drop for Tracked {
     fn drop(&mut self) {
-        TRACKED_LIVE.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        TRACKED_LIVE.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -154,10 +156,10 @@ fn manual_stats_balance_after_concurrent_churn_and_drop() {
         for h in hs {
             h.join().unwrap();
         }
-        assert!(TRACKED_LIVE.load(std::sync::atomic::Ordering::SeqCst) > 0);
+        assert!(TRACKED_LIVE.load(Ordering::SeqCst) > 0);
     }
     assert_eq!(
-        TRACKED_LIVE.load(std::sync::atomic::Ordering::SeqCst),
+        TRACKED_LIVE.load(Ordering::SeqCst),
         0,
         "every node freed at drop"
     );

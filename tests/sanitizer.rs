@@ -467,3 +467,51 @@ fn thread_exit_with_leaked_protections_is_reported() {
         "missing leaked-token report: {reports:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Seeded bug: HP's cascade without its "not in the snapshot" test
+// ---------------------------------------------------------------------------
+
+struct Link {
+    next: AtomicSharedPtr<Link, cdrc::HpScheme>,
+}
+
+impl cdrc::GraphNode<cdrc::HpScheme> for Link {
+    fn pop_edges(&mut self, out: &mut cdrc::EdgeCollector<'_, cdrc::HpScheme>) {
+        out.take_atomic(&mut self.next);
+    }
+}
+
+/// A reader walks hand over hand from T to P and lets go of T; then T's
+/// last reference goes. HP destructs T past a hazard snapshot, and P's
+/// hazard in that snapshot is what keeps P's decrement deferred. With
+/// every snapshot blinded the test is gone: the cascade frees P under the
+/// reader, and the reader's next read of it is a use after free.
+#[test]
+fn hp_cascade_without_the_snapshot_test_is_caught() {
+    let d: DomainRef<cdrc::HpScheme> = DomainRef::new();
+    let t = current_tid();
+    let link = |next| {
+        let next = AtomicSharedPtr::new_in(next, &d);
+        SharedPtr::new_graph_in(Link { next }, &d)
+    };
+    let root = AtomicSharedPtr::new_in(link(link(SharedPtr::null())), &d);
+    let cs = d.cs();
+    let t_snap = root.get_snapshot(&cs);
+    let p_snap = t_snap.as_ref().unwrap().next.get_snapshot(&cs);
+    drop(t_snap);
+    root.store(SharedPtr::null());
+    sanitize::blind_hazard_snapshots(true);
+    d.process_deferred(t);
+    sanitize::blind_hazard_snapshots(false);
+    expect_caught(
+        || {
+            let _ = p_snap.as_ref();
+        },
+        &["use after free"],
+    );
+    drop(p_snap);
+    drop(cs);
+    d.process_deferred(t);
+    assert_eq!(d.allocated(), d.freed());
+}

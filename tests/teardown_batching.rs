@@ -300,6 +300,58 @@ fn batch_flushes_at_thread_unregister_all_schemes() {
     flush_at_thread_unregister::<HyalineScheme>();
 }
 
+/// A thread that exits mid-run does not strand its lists. Thread A drops
+/// a chain while B's section protects the chain's head, then exits: its
+/// unregister callback can issue the decrement but not apply it, and
+/// before the hand-off the entry waited on A's slot for its next owner.
+/// Now the live threads adopt it, so after B's next guard only what B
+/// itself keeps alive (nothing) is left.
+fn exit_hands_off_what_a_section_pins<S: Scheme>() {
+    const N: usize = 1_000;
+    let d: DomainRef<S> = DomainRef::new();
+    let root = Arc::new(AtomicSharedPtr::new_in(build_graph_chain(&d, N), &d));
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (gone_tx, gone_rx) = std::sync::mpsc::channel::<()>();
+    let b = {
+        let (d, root) = (d.clone(), Arc::clone(&root));
+        std::thread::spawn(move || {
+            {
+                let cs = d.cs();
+                let head = root.get_snapshot(&cs);
+                held_tx.send(()).unwrap();
+                gone_rx.recv().unwrap();
+                assert!(head.as_ref().is_some());
+            }
+            drop(d.cs());
+            d.in_flight()
+        })
+    };
+    held_rx.recv().unwrap();
+    {
+        let root = Arc::clone(&root);
+        std::thread::spawn(move || root.store(SharedPtr::null()))
+            .join()
+            .unwrap();
+    }
+    gone_tx.send(()).unwrap();
+    let left = b.join().unwrap();
+    assert_eq!(
+        left,
+        0,
+        "{}: the exited thread's lists stranded",
+        S::scheme_name()
+    );
+    settle(&d);
+}
+
+#[test]
+fn exit_hands_off_what_a_section_pins_all_schemes() {
+    exit_hands_off_what_a_section_pins::<EbrScheme>();
+    exit_hands_off_what_a_section_pins::<IbrScheme>();
+    exit_hands_off_what_a_section_pins::<HpScheme>();
+    exit_hands_off_what_a_section_pins::<HyalineScheme>();
+}
+
 /// Dropping the last user handle while batched decrements are pending:
 /// the orphan-teardown path must flush them, observable purely through
 /// payload drops (no domain handle survives to ask).
