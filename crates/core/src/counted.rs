@@ -6,6 +6,25 @@
 //! treat every control block as a [`Header`] regardless of the payload type;
 //! the per-type vtable restores typing at disposal/deallocation time.
 //!
+//! The header is as small as the scheme allows (§4.2 gives a control block
+//! two counts; a birth epoch is IBR's own concern). On x86-64:
+//!
+//! | bytes | field | EBR, HP, Hyaline | IBR |
+//! |-------|-------|------------------|-----|
+//! | 0..4 | `strong` (32-bit sticky count) | ✓ | ✓ |
+//! | 4..8 | `weak` (32-bit sticky count) | ✓ | ✓ |
+//! | 8..16 | `domain` | ✓ | ✓ |
+//! | 16..24 | `vtable` | ✓ | ✓ |
+//! | 24..32 | `birth` | — (`()`, no bytes) | ✓ |
+//! | | header total | 24 B | 32 B |
+//!
+//! The payload starts right after, so the fields a payload declares first
+//! (the `lockfree::rc` nodes put the words a traversal reads there) sit in
+//! the block's first bytes. The birth is the header's *last* field: every
+//! scheme-independent reader (counts, domain, vtable) sees the same offsets
+//! through [`as_header`], and only domain code, which knows the scheme,
+//! reads a birth ([`birth_of`]).
+//!
 //! Counter convention (§4.2): the weak count stores
 //! `#weak refs + (1 if #strong refs > 0 else 0)`, so the control block is
 //! freed exactly when the weak count hits zero, and the payload is destroyed
@@ -50,37 +69,56 @@ pub(crate) struct Vtable {
     pub pop_edges: Option<unsafe fn(*mut Header, *mut EdgeSink)>,
 }
 
-/// The type-erased prefix of every control block.
+/// The type-erased prefix of every control block: 24 bytes, plus the
+/// scheme's stored birth `B` ([`AcquireRetire::Birth`]: `u64` under IBR,
+/// `()` elsewhere) — the module docs give the table.
+///
+/// `Header` alone (`B = ()`) is the scheme-independent view every block
+/// can be read through: `birth` is last, so the other offsets never move.
 #[repr(C)]
-pub(crate) struct Header {
+pub(crate) struct Header<B = ()> {
+    /// The strong count; at zero the payload is disposed.
     pub strong: StickyCounter,
+    /// The weak count plus the strong side's one; at zero the block is
+    /// freed. Sticky although no reader needs its sticky zero (a weak
+    /// count is only raised by a holder of a reference that keeps it
+    /// nonzero): one counter type keeps one count path for both kinds
+    /// (`RefKind::count`), and its zero CAS is off the common path, where
+    /// `Domain::destruct` frees a block whose weak count it reads as 1
+    /// without any RMW.
     pub weak: StickyCounter,
-    /// Birth epoch recorded by the owning domain's scheme at allocation.
-    pub birth: u64,
     /// The `Domain<S>` this block was allocated under, erased to `()` (the
     /// scheme type is restored by the pointer types, whose `S` parameter is
     /// pinned at allocation). Stays valid for as long as the block does:
     /// the block is a passive reference on that domain.
     pub domain: *const (),
     pub vtable: &'static Vtable,
+    /// Birth epoch recorded by the owning domain's scheme at allocation,
+    /// in the scheme's stored form.
+    pub birth: B,
 }
 
 /// A managed object: header followed by the payload in one allocation.
 #[repr(C)]
-pub(crate) struct Counted<T> {
-    pub header: Header,
+pub(crate) struct Counted<T, B = ()> {
+    pub header: Header<B>,
     /// `MaybeUninit` so the payload's drop runs exactly once — at dispose
     /// time — rather than again when the allocation is freed.
     pub value: MaybeUninit<T>,
 }
 
-// Header erasure — every `*mut Counted<T>` read as a `*mut Header` — rests
-// on the header sitting first.
-const _: () = assert!(std::mem::offset_of!(Counted<u64>, header) == 0);
+/// The block type scheme `S` allocates for payload `T`.
+pub(crate) type Block<T, S> = Counted<T, <S as AcquireRetire>::Birth>;
 
-unsafe fn dispose_impl<T>(h: *mut Header) {
+// Header erasure — every `*mut Counted<T, B>` read as a `*mut Header` —
+// rests on the header sitting first and the birth sitting last in it.
+const _: () = assert!(std::mem::offset_of!(Counted<u64, u64>, header) == 0);
+const _: () =
+    assert!(std::mem::offset_of!(Header<u64>, vtable) == std::mem::offset_of!(Header, vtable));
+
+unsafe fn dispose_impl<T, B>(h: *mut Header) {
     smr::sanitize::on_dispose(h as usize);
-    let counted = h as *mut Counted<T>;
+    let counted = h as *mut Counted<T, B>;
     ptr::drop_in_place((*counted).value.as_mut_ptr());
     // Poison the disposed payload so a latent dangling read that slips past
     // the shadow-state checks still fails loudly instead of observing stale
@@ -93,17 +131,17 @@ unsafe fn dispose_impl<T>(h: *mut Header) {
     );
 }
 
-unsafe fn dealloc_impl<T>(h: *mut Header) {
+unsafe fn dealloc_impl<T, B>(h: *mut Header) {
     smr::sanitize::on_free(h as usize);
-    drop(Box::from_raw(h as *mut Counted<T>));
+    drop(Box::from_raw(h as *mut Counted<T, B>));
 }
 
-struct VtableOf<T>(std::marker::PhantomData<T>);
+struct VtableOf<T, B>(std::marker::PhantomData<(T, B)>);
 
-impl<T> VtableOf<T> {
+impl<T, B> VtableOf<T, B> {
     const VTABLE: Vtable = Vtable {
-        dispose: dispose_impl::<T>,
-        dealloc: dealloc_impl::<T>,
+        dispose: dispose_impl::<T, B>,
+        dealloc: dealloc_impl::<T, B>,
         pop_edges: None,
     };
 }
@@ -209,7 +247,7 @@ impl<S: Scheme> std::fmt::Debug for EdgeCollector<'_, S> {
 }
 
 unsafe fn pop_edges_impl<T: GraphNode<S>, S: Scheme>(h: *mut Header, sink: *mut EdgeSink) {
-    let counted = h as *mut Counted<T>;
+    let counted = h as *mut Block<T, S>;
     let mut out = EdgeCollector::<S>::new(&mut *sink);
     T::pop_edges((*counted).value.assume_init_mut(), &mut out);
 }
@@ -218,50 +256,43 @@ struct GraphVtableOf<T, S>(std::marker::PhantomData<(T, fn(S))>);
 
 impl<T: GraphNode<S>, S: Scheme> GraphVtableOf<T, S> {
     const VTABLE: Vtable = Vtable {
-        dispose: dispose_impl::<T>,
-        dealloc: dealloc_impl::<T>,
+        dispose: dispose_impl::<T, S::Birth>,
+        dealloc: dealloc_impl::<T, S::Birth>,
         pop_edges: Some(pop_edges_impl::<T, S>),
     };
 }
 
-impl<T> Counted<T> {
+impl<T, B> Counted<T, B> {
     /// Allocates a control block with strong count 1 and weak count 1 (the
     /// strong side's +1 on the weak count), recording `domain` as its
     /// owner. The caller has already counted the block on the domain's
     /// `allocs` lane (or passes null for domain-less test blocks).
-    pub(crate) fn allocate(value: T, birth: u64, domain: *const ()) -> *mut Counted<T> {
-        let p = Box::into_raw(Box::new(Counted {
-            header: Header {
-                strong: StickyCounter::new(1),
-                weak: StickyCounter::new(1),
-                birth,
-                domain,
-                vtable: &VtableOf::<T>::VTABLE,
-            },
-            value: MaybeUninit::new(value),
-        }));
-        smr::sanitize::on_alloc(p as usize);
-        p
+    pub(crate) fn allocate(value: T, birth: B, domain: *const ()) -> *mut Self {
+        Self::boxed(value, birth, domain, &VtableOf::<T, B>::VTABLE)
     }
 
     /// As [`allocate`](Self::allocate), but with the graph-aware vtable:
     /// the block's `pop_edges` hook enumerates the payload's outgoing edges
     /// at destruction, enabling immediate recursive destruction.
-    pub(crate) fn allocate_graph<S: Scheme>(
+    pub(crate) fn allocate_graph<S: Scheme<Birth = B>>(
         value: T,
-        birth: u64,
+        birth: B,
         domain: *const (),
-    ) -> *mut Counted<T>
+    ) -> *mut Self
     where
         T: GraphNode<S>,
     {
+        Self::boxed(value, birth, domain, &GraphVtableOf::<T, S>::VTABLE)
+    }
+
+    fn boxed(value: T, birth: B, domain: *const (), vtable: &'static Vtable) -> *mut Self {
         let p = Box::into_raw(Box::new(Counted {
             header: Header {
                 strong: StickyCounter::new(1),
                 weak: StickyCounter::new(1),
-                birth,
                 domain,
-                vtable: &GraphVtableOf::<T, S>::VTABLE,
+                vtable,
+                birth,
             },
             value: MaybeUninit::new(value),
         }));
@@ -275,16 +306,28 @@ impl<T> Counted<T> {
 /// scheme and kind parameters.
 pub(crate) type PtrMarker<T, S, K> = std::marker::PhantomData<(Box<T>, fn(S), fn(K))>;
 
-/// Views an erased header address as a typed control block pointer.
+/// Views an erased header address as a typed control block pointer of
+/// scheme `S`.
 #[inline]
-pub(crate) fn as_counted<T>(addr: usize) -> *mut Counted<T> {
-    addr as *mut Counted<T>
+pub(crate) fn as_counted<T, S: AcquireRetire>(addr: usize) -> *mut Block<T, S> {
+    addr as *mut Block<T, S>
 }
 
-/// Views an erased address as a header pointer.
+/// Views an erased address as a header pointer: the scheme-independent
+/// view (counts, domain, vtable).
 #[inline]
 pub(crate) fn as_header(addr: usize) -> *mut Header {
     addr as *mut Header
+}
+
+/// The stored birth of a block allocated under scheme `S`.
+///
+/// # Safety
+///
+/// The block is alive and was allocated under `S`.
+#[inline]
+pub(crate) unsafe fn birth_of<S: AcquireRetire>(addr: usize) -> S::Birth {
+    (*(addr as *const Header<S::Birth>)).birth
 }
 
 // ---------------------------------------------------------------------
@@ -335,7 +378,7 @@ mod tests {
     use crate::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn alloc_unowned<T>(value: T, birth: u64) -> *mut Counted<T> {
+    fn alloc_unowned<T>(value: T, birth: u64) -> *mut Counted<T, u64> {
         // Domain-less blocks: never freed through a `Domain`.
         Counted::allocate(value, birth, ptr::null())
     }
@@ -346,7 +389,7 @@ mod tests {
         let p = alloc_unowned(42u64, 7);
         let h = p as *mut Header;
         unsafe {
-            assert_eq!((*h).birth, 7);
+            assert_eq!((*(p as *mut Header<u64>)).birth, 7);
             assert_eq!((*h).strong.load(), 1);
             assert_eq!((*h).weak.load(), 1);
             assert_eq!((*p).value.assume_init_read(), 42);
@@ -381,6 +424,7 @@ mod tests {
     #[test]
     fn alignment_supports_tag_bits() {
         assert!(std::mem::align_of::<Counted<u8>>() >= 8);
+        assert!(std::mem::align_of::<Counted<u8, u64>>() >= 8);
         let p = alloc_unowned(1u8, 0);
         assert_eq!(p as usize & smr::TAG_MASK, 0);
         unsafe {

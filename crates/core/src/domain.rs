@@ -146,10 +146,10 @@ use std::sync::{Arc, Weak};
 
 use smr::sanitize::Channel;
 use smr::util::{CachePadded, ShardedCounter};
-use smr::{AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig, Tid, MAX_THREADS};
+use smr::{AcquireRetire, ExitHook, GlobalEpoch, SmrConfig, Tid, MAX_THREADS};
 use sticky::Counter;
 
-use crate::counted::{as_header, Counted, EdgeSink, GraphNode};
+use crate::counted::{as_header, birth_of, Block, EdgeSink, GraphNode};
 use crate::engine::{RefKind, Rights, StrongKind, WeakKind};
 
 /// The channel table's index set, in table order.
@@ -338,22 +338,22 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// domain and counts as one passive reference on the allocating
     /// thread's lane until it is freed, so single-word pointers can resolve
     /// their domain from the header for as long as the block lives.
-    pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Counted<T> {
-        let birth = self.ar(Channel::Strong).birth_epoch(t);
+    pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Block<T, S> {
+        let birth = self.ar(Channel::Strong).birth(t);
         self.allocs.add(t, 1);
-        Counted::allocate(value, birth, self.0.as_ptr() as *const ())
+        Block::<T, S>::allocate(value, birth, self.0.as_ptr() as *const ())
     }
 
     /// As [`allocate`](Self::allocate), but with the graph-aware vtable so
     /// the destruct machinery can enumerate the payload's outgoing edges.
-    pub(crate) fn allocate_graph<T>(&self, t: Tid, value: T) -> *mut Counted<T>
+    pub(crate) fn allocate_graph<T>(&self, t: Tid, value: T) -> *mut Block<T, S>
     where
         S: Scheme,
         T: GraphNode<S>,
     {
-        let birth = self.ar(Channel::Strong).birth_epoch(t);
+        let birth = self.ar(Channel::Strong).birth(t);
         self.allocs.add(t, 1);
-        Counted::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
+        Block::<T, S>::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
     }
 
     /// Begins a *strong* critical section: read protection for atomic
@@ -445,7 +445,8 @@ const PIN_MASK: u64 = (1 << 32) - 1;
 const STAMP: u64 = 1 << 32;
 const DEAD: u64 = u64::MAX;
 
-struct DomainLocal {
+/// One thread's state in a domain whose scheme stores births of type `B`.
+struct DomainLocal<B> {
     /// How many guards and [`Pin`]s this thread holds on the domain. While
     /// nonzero the thread owns exactly one pin on the liveness word, taken
     /// by the `0 → 1` transition and released by `1 → 0`.
@@ -469,7 +470,7 @@ struct DomainLocal {
     /// channel's count, retired in bulk at the next flush point (section
     /// exit, capacity overflow, `process_deferred`, thread unregister)
     /// instead of one retire + collect per store.
-    pending: [Batch; 2],
+    pending: [Batch<B>; 2],
     /// Whether this thread has registered its unregister-time flush
     /// callback with this domain. Reset by the callback itself so a
     /// recycled slot's next owner re-registers.
@@ -507,23 +508,26 @@ const DISPOSED: usize = 0b1;
 /// point can strand.
 const BATCH_CAP: usize = 64;
 
+/// One batched decrement: the block and its stored birth, which the
+/// scheme keeps only under IBR — 8 bytes elsewhere, 16 there.
+type Entry<B> = (usize, B);
+
 /// A fixed-capacity decrement buffer: an inline array instead of a `Vec`, so
 /// the batching hot path (one push per displaced pointer) never allocates
 /// and a flush never frees — the `Vec` version paid a realloc ladder on
 /// every fill cycle, which ate the batching win.
-struct Batch {
+struct Batch<B> {
     /// Entries below `len`. Owner-thread access only (or exclusive access
     /// during `drain_and_apply_all`), like every other `DomainLocal` field.
-    entries: UnsafeCell<[Retired; BATCH_CAP]>,
+    entries: UnsafeCell<[Entry<B>; BATCH_CAP]>,
     len: Cell<usize>,
 }
 
-impl Batch {
+impl<B: Copy + Default> Batch<B> {
     fn new() -> Self {
         Batch {
             // Placeholder padding, never read: only `entries[..len]` is.
-            // (A struct literal because `Retired::new` rejects null.)
-            entries: UnsafeCell::new([Retired { addr: 0, birth: 0 }; BATCH_CAP]),
+            entries: UnsafeCell::new([(0, B::default()); BATCH_CAP]),
             len: Cell::new(0),
         }
     }
@@ -534,7 +538,7 @@ impl Batch {
     ///
     /// Caller must be the slot's owner thread (the `DomainLocal` access
     /// contract); the buffer must not be full.
-    unsafe fn push(&self, r: Retired) -> bool {
+    unsafe fn push(&self, r: Entry<B>) -> bool {
         let n = self.len.get();
         debug_assert!(n < BATCH_CAP);
         (*self.entries.get())[n] = r;
@@ -549,7 +553,7 @@ impl Batch {
     /// # Safety
     ///
     /// As [`push`](Self::push): owner thread or exclusive access.
-    unsafe fn take(&self) -> ([Retired; BATCH_CAP], usize) {
+    unsafe fn take(&self) -> ([Entry<B>; BATCH_CAP], usize) {
         let n = self.len.get();
         let copy = *self.entries.get();
         self.len.set(0);
@@ -581,7 +585,7 @@ pub struct Domain<S: AcquireRetire> {
     allocs: ShardedCounter,
     /// Control-block free count, sharded likewise.
     frees: ShardedCounter,
-    locals: Box<[CachePadded<DomainLocal>]>,
+    locals: Box<[CachePadded<DomainLocal<S::Birth>>]>,
     /// The liveness word (module docs): pin count, acquisition stamp, DEAD.
     /// On a line of its own — everything else in this struct is read-only
     /// after construction and shared by every operation.
@@ -1034,7 +1038,7 @@ impl<S: AcquireRetire> Domain<S> {
             // edges — if any — relinquish themselves through the deferred
             // machinery from inside the payload's own `Drop`).
             ((*h).vtable.dispose)(h);
-            self.decrement::<WeakKind>(t, addr, by);
+            self.drop_strong_side(t, addr, by);
             return;
         }
         // Steady-state allocation-free: reuse this thread's scratch
@@ -1054,7 +1058,7 @@ impl<S: AcquireRetire> Domain<S> {
                 pop(h, &mut *sink as *mut EdgeSink);
             }
             ((*h).vtable.dispose)(h);
-            self.decrement::<WeakKind>(t, a, by);
+            self.drop_strong_side(t, a, by);
             for e in sink.direct[Channel::Strong as usize].drain(..) {
                 if !by.reaches::<S>(e) {
                     self.batch(Channel::Strong, t, e);
@@ -1094,14 +1098,46 @@ impl<S: AcquireRetire> Domain<S> {
         local.destruct_scratch.set(Some(scratch));
     }
 
-    /// Hands one record to `ch`'s instance — the single entry into the
+    /// Drops the strong side's weak reference of an object
+    /// [`destruct`](Self::destruct) has just disposed, freeing the block if
+    /// no other weak reference is left — without an RMW when the count
+    /// reads 1.
+    ///
+    /// Why a plain read is enough: the strong count is stuck at zero, so
+    /// no strong reference is left to mint a weak one (`downgrade`, a weak
+    /// store), and a count of 1 is the strong side's own +1, so no weak
+    /// reference exists to clone or store either. No weak snapshot can
+    /// upgrade: `destruct`'s rights say no section or hazard that could
+    /// hold one is still open. So nothing can raise the count again, and
+    /// this thread's reference is the last. The read is at least Acquire
+    /// and every count operation is an RMW, so it reads the end of a
+    /// release sequence headed by every earlier weak decrement: their
+    /// owners' accesses to the block happen before the free. Any other
+    /// value takes the decrement, whose sticky zero picks one freer. The
+    /// sanitizer sees a decrement either way.
+    ///
+    /// # Safety
+    ///
+    /// `destruct`'s, for `addr`, after its dispose; the caller forfeits
+    /// the strong side's weak reference.
+    #[inline]
+    unsafe fn drop_strong_side(&self, t: Tid, addr: usize, by: Rights) {
+        if (*as_header(addr)).weak.load() == 1 {
+            smr::sanitize::on_decrement(addr, Channel::Weak);
+            self.free_block(t, addr);
+        } else {
+            self.decrement::<WeakKind>(t, addr, by);
+        }
+    }
+
+    /// Hands one entry to `ch`'s instance — the single entry into the
     /// table's retired lists, and so the one retire-side place that marks
     /// the weak and dispose queues as possibly non-empty.
-    fn issue(&self, ch: Channel, t: Tid, r: Retired) {
+    fn issue(&self, ch: Channel, t: Tid, (addr, birth): Entry<S::Birth>) {
         if ch != Channel::Strong {
             self.locals[t.index()].weak_used.set(true);
         }
-        self.ar(ch).retire(t, r);
+        self.ar(ch).retire_born(t, addr, birth);
     }
 
     /// Hazard pointers: parks an object whose strong count this thread
@@ -1173,7 +1209,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// transferred to the domain.
     pub(crate) unsafe fn retire(&self, ch: Channel, t: Tid, addr: usize) {
         smr::sanitize::on_retire(addr, ch);
-        self.issue(ch, t, Retired::new(addr, (*as_header(addr)).birth));
+        self.issue(ch, t, (addr, birth_of::<S>(addr)));
         self.collect(t);
     }
 
@@ -1195,9 +1231,10 @@ impl<S: AcquireRetire> Domain<S> {
         // The batch entry *is* a retire whose engine-level issue is merely
         // deferred to the flush; ownership transfers to the domain here.
         smr::sanitize::on_retire(addr, ch);
-        // Read the birth epoch now, while the displacing operation still has
-        // the block's header warm; the flush only copies records.
-        let r = Retired::new(addr, (*as_header(addr)).birth);
+        // Read the birth now (IBR's; a read of nothing elsewhere), while
+        // the displacing operation still has the block's header warm; the
+        // flush only copies entries.
+        let r = (addr, birth_of::<S>(addr));
         let local = &self.locals[t.index()];
         if !local.flush_registered.get() {
             if !self.register_thread_flush() {
@@ -1248,7 +1285,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// `t` is the calling thread's slot, and the caller is `from`'s owner
     /// thread or has exclusive access to it (its owner is dead, or nobody
     /// else is using the domain).
-    unsafe fn settle(&self, t: Tid, from: &DomainLocal) -> bool {
+    unsafe fn settle(&self, t: Tid, from: &DomainLocal<S::Birth>) -> bool {
         if from.pending.iter().all(Batch::is_empty) {
             return false;
         }
@@ -1262,7 +1299,7 @@ impl<S: AcquireRetire> Domain<S> {
                     // Safety: each entry owes one `ch` reference
                     // transferred at `batch`; quiescence grants the apply
                     // rights the eject path would.
-                    self.apply(ch, t, r.addr, Rights::Eject);
+                    self.apply(ch, t, r.0, Rights::Eject);
                 } else {
                     // The block is alive: its count still includes the
                     // reference the entry owes.
@@ -2198,13 +2235,38 @@ mod tests {
         use std::mem::size_of;
         let loc = size_of::<AtomicSharedPtr<u64, EbrScheme>>();
         let weak_loc = size_of::<crate::AtomicWeakPtr<u64, EbrScheme>>();
-        let header = size_of::<crate::counted::Header>();
-        println!("AtomicSharedPtr {loc} B, AtomicWeakPtr {weak_loc} B, Header {header} B");
+        println!("AtomicSharedPtr {loc} B, AtomicWeakPtr {weak_loc} B");
         assert!(
             loc <= 16 && weak_loc <= 16,
             "a location is a word and a domain"
         );
-        assert!(header <= 40, "the header grew past the parent's 40 bytes");
+        // Two 32-bit counts, the domain and the vtable; a birth word only
+        // where the scheme reads it (IBR). The `counted` module docs give
+        // the table: a change here moves every node's malloc size class.
+        fn header<S: AcquireRetire>() -> usize {
+            size_of::<crate::counted::Header<S::Birth>>()
+        }
+        let headers = [
+            header::<EbrScheme>(),
+            header::<crate::HpScheme>(),
+            header::<crate::HyalineScheme>(),
+            header::<crate::IbrScheme>(),
+        ];
+        println!("Header under EBR, HP, Hyaline, IBR: {headers:?} B");
+        assert_eq!(headers, [24, 24, 24, 32]);
+        // A batched decrement stores the block and the scheme's birth.
+        fn entry<S: AcquireRetire>() -> usize {
+            size_of::<Entry<S::Birth>>()
+        }
+        assert_eq!(
+            [
+                entry::<EbrScheme>(),
+                entry::<crate::HpScheme>(),
+                entry::<crate::HyalineScheme>(),
+                entry::<crate::IbrScheme>()
+            ],
+            [8, 8, 8, 16]
+        );
         assert_eq!(size_of::<SharedPtr<u64, EbrScheme>>(), 8);
         // A guard's kind is a type, not a field: one more word and the
         // guard is returned through memory.

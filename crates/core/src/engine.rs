@@ -418,7 +418,7 @@ impl<'g, S: Scheme, K: RefKind> Held<'g, S, K> {
             smr::sanitize::check_payload(addr);
         }
         // Guard, section or owned reference: the payload is not destroyed.
-        Some(&*(*counted::as_counted::<T>(addr)).value.as_ptr())
+        Some(&*(*counted::as_counted::<T, S>(addr)).value.as_ptr())
     }
 }
 
@@ -465,11 +465,19 @@ fn give_back<S: Scheme, K: RefKind>(cs: &CsGuard<S>, word: usize, hold: Hold<S::
 /// docs): its domain word is not a pin, but the location is counted on a
 /// per-thread lane from `new_owned` to `Drop`, which keeps the core alive —
 /// and so valid behind `domain` — for every `&self` call in between.
+///
+/// `repr(C)`, domain first: a node that declares its successor location
+/// right after the 24-byte header and its key after that has the word at
+/// block offset 32 and the key at 40, one 16-byte-aligned pair, so a hop's
+/// two loads never straddle a cache line (blocks are 16-aligned).
+#[repr(C)]
 pub(crate) struct RcWord<S: Scheme, K: RefKind> {
-    word: AtomicUsize,
     domain: NonNull<Domain<S>>,
+    word: AtomicUsize,
     _kind: PhantomData<fn(K) -> K>,
 }
+
+const _: () = assert!(std::mem::offset_of!(RcWord<smr::Ebr, StrongKind>, word) == 8);
 
 impl<S: Scheme, K: RefKind> RcWord<S, K> {
     /// Creates a location holding `word`, whose (untagged) address the

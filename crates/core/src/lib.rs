@@ -253,6 +253,17 @@ pub use strong::{AtomicSharedPtr, SharedPtr, SnapshotPtr};
 pub use tagged::TaggedPtr;
 pub use weak::{AtomicWeakPtr, WeakPtr, WeakSnapshotPtr};
 
+/// The size of the control block scheme `S` allocates for a `T`, and the
+/// payload's offset in it: what the `lockfree` layout test holds node size
+/// classes to. Not API.
+#[doc(hidden)]
+pub fn block_layout<T, S: Scheme>() -> (usize, usize) {
+    (
+        std::mem::size_of::<counted::Block<T, S>>(),
+        std::mem::offset_of!(counted::Block<T, S>, value),
+    )
+}
+
 /// Epoch-based reclamation engine (→ "RCEBR").
 pub type EbrScheme = smr::Ebr;
 /// Interval-based reclamation engine (→ "RCIBR").

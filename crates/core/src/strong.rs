@@ -94,7 +94,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
         } else {
             smr::sanitize::check_payload(block);
             // Safety: we own a strong reference, so the payload is alive.
-            unsafe { Some(&*(*as_counted::<T>(block)).value.as_ptr()) }
+            unsafe { Some(&*(*as_counted::<T, S>(block)).value.as_ptr()) }
         }
     }
 
@@ -109,7 +109,7 @@ impl<T, S: Scheme> SharedPtr<T, S> {
         if block == 0 {
             0
         } else {
-            unsafe { (*as_header(block)).strong.load() }
+            unsafe { u64::from((*as_header(block)).strong.load()) }
         }
     }
 }

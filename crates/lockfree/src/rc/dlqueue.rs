@@ -61,10 +61,14 @@ use cdrc::{
 
 use crate::ConcurrentQueue;
 
-struct Node<V, S: Scheme> {
-    value: Option<V>,
+/// `repr(C)`, links first: every step of `enqueue` and `dequeue` reads a
+/// node's `next` (the helping step its `prev`); only a dequeue that wins
+/// reads a value.
+#[repr(C)]
+pub(super) struct Node<V, S: Scheme> {
     next: AtomicSharedPtr<Node<V, S>, S>,
     prev: AtomicWeakPtr<Node<V, S>, S>,
+    value: Option<V>,
 }
 
 impl<V, S: Scheme> GraphNode<S> for Node<V, S> {

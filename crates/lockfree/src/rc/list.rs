@@ -168,10 +168,13 @@ pub(super) fn remove_at<N: Link<S>, S: Scheme>(
     false
 }
 
-struct Node<K, V, S: Scheme> {
-    key: K,
+/// `repr(C)`, in the order a hop reads: `find` loads `next` and compares
+/// `key`, so both sit in the block's first bytes, right after the header.
+#[repr(C)]
+pub(super) struct Node<K, V, S: Scheme> {
+    pub(super) next: AtomicSharedPtr<Node<K, V, S>, S>,
+    pub(super) key: K,
     value: V,
-    next: AtomicSharedPtr<Node<K, V, S>, S>,
 }
 
 impl<K, V, S: Scheme> Link<S> for Node<K, V, S> {

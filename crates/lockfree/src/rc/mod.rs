@@ -72,6 +72,33 @@ mod tests {
         assert_eq!(d.pin_word(), (pins, stamp + 2));
     }
 
+    /// The RC node blocks stay in their glibc malloc size classes (a chunk
+    /// is the request plus 8 bytes, rounded up to 16): list 56 B → the
+    /// 64 B class, map and queue 72 B → the 80 B class, under EBR with the
+    /// `u64` keys and values the ledger runs. A field that pushes a node
+    /// up a class fails here. The list's hop words (the `next` location's
+    /// word, which follows its domain word, and the key) sit in the first
+    /// 48 bytes as one 16-byte-aligned pair, which no cache line splits.
+    #[test]
+    fn rc_node_blocks_keep_their_size_classes() {
+        use std::mem::{offset_of, size_of};
+        let (list, at) = cdrc::block_layout::<list::Node<u64, u64, EbrScheme>, EbrScheme>();
+        let (map, _) = cdrc::block_layout::<resizable::Node<u64, u64, EbrScheme>, EbrScheme>();
+        let (queue, _) = cdrc::block_layout::<dlqueue::Node<u64, EbrScheme>, EbrScheme>();
+        println!("RC blocks under EBR: list {list} B, map {map} B, queue {queue} B");
+        assert!(list <= 56, "list block {list} B left the 64 B class");
+        assert!(map <= 72, "map block {map} B left the 80 B class");
+        assert!(queue <= 72, "queue block {queue} B left the 80 B class");
+        type L = list::Node<u64, u64, EbrScheme>;
+        let word = at + offset_of!(L, next) + size_of::<usize>();
+        let key = at + offset_of!(L, key);
+        assert_eq!(
+            (word, key),
+            (32, 40),
+            "the hop's words moved out of their 16-byte pair"
+        );
+    }
+
     #[test]
     fn no_shared_count_under_a_guard_all_schemes() {
         no_shared_count_under_a_guard::<EbrScheme>();

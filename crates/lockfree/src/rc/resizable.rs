@@ -48,12 +48,15 @@ use super::list::{find, link_at, remove_at, Cursor, Link};
 use crate::split_order::{so_dummy, so_regular, Directory};
 use crate::ConcurrentMap;
 
-struct Node<K, V, S: Scheme> {
+/// `repr(C)`, in the order a hop reads: `find` loads `next` and compares
+/// `so_key` first, so both sit right after the header.
+#[repr(C)]
+pub(super) struct Node<K, V, S: Scheme> {
+    next: AtomicSharedPtr<Node<K, V, S>, S>,
     so_key: u64,
     /// `None` marks a bucket sentinel; sentinels are never removed and
     /// never surface through the map API.
     kv: Option<(K, V)>,
-    next: AtomicSharedPtr<Node<K, V, S>, S>,
 }
 
 impl<K, V, S: Scheme> Node<K, V, S> {

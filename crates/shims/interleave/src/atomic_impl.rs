@@ -308,6 +308,24 @@ impl AtomicU64 {
 int_ops!(AtomicU64, u64);
 
 model_atomic!(
+    AtomicU32,
+    u32,
+    real::AtomicU32,
+    "A 32-bit unsigned model-aware atomic."
+);
+impl AtomicU32 {
+    #[inline]
+    fn to_bits(v: u32) -> u64 {
+        v as u64
+    }
+    #[inline]
+    fn from_bits(b: u64) -> u32 {
+        b as u32
+    }
+}
+int_ops!(AtomicU32, u32);
+
+model_atomic!(
     AtomicIsize,
     isize,
     real::AtomicIsize,

@@ -92,7 +92,7 @@ pub mod sync {
     /// Model-aware mirror of `std::sync::atomic`.
     pub mod atomic {
         pub use crate::atomic_impl::{
-            fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
+            fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
         };
     }
 }

@@ -60,6 +60,8 @@ impl Protection for Epochs {
     type Ann = AtomicU64;
     type Guard = ();
     /// The epoch at retirement.
+    /// Nothing: the eject rule reads the retire's epoch, never the birth.
+    type Birth = ();
     type Stamp = u64;
     type Local = ();
     type Shared = ();
@@ -101,9 +103,8 @@ impl Protection for Epochs {
     }
 
     #[inline]
-    fn birth(eng: &Engine<Self>, t: Tid) -> u64 {
+    fn birth(eng: &Engine<Self>, t: Tid) {
         eng.tick(t);
-        0
     }
 
     #[inline]
@@ -125,7 +126,7 @@ impl Protection for Epochs {
             // this scan, so nothing we eject is reachable to it.
             min_ann = min_ann.min(ann.load(Ordering::Relaxed));
         });
-        eject_unless(&mut local.retired, &mut local.ready, |_, epoch| {
+        eject_unless(&mut local.retired, &mut local.ready, |_, (), epoch| {
             epoch >= min_ann
         });
     }

@@ -56,6 +56,9 @@ pub trait Protection: Sized + 'static {
     type Ann: Send + Sync;
     /// [`AcquireRetire::Guard`].
     type Guard: Copy + fmt::Debug + Send;
+    /// [`AcquireRetire::Birth`]: `u64` where `reclaim` reads it, `()`
+    /// where nothing does.
+    type Birth: Birth;
     /// What a retire records next to the pointer.
     type Stamp: Copy + Send;
     /// Owner-only per-slot state beyond the frame's [`Local`].
@@ -122,11 +125,11 @@ pub trait Protection: Sized + 'static {
     #[inline]
     fn release(_eng: &Engine<Self>, _t: Tid, _slot: &Slot<Self>, _guard: Self::Guard) {}
 
-    /// The birth epoch of an object allocated now; epoch schemes call
+    /// The birth of an object allocated now; epoch schemes call
     /// [`Engine::tick`] first.
     #[inline]
-    fn birth(_eng: &Engine<Self>, _t: Tid) -> u64 {
-        0
+    fn birth(_eng: &Engine<Self>, _t: Tid) -> Self::Birth {
+        Self::Birth::of(0)
     }
     /// The stamp of a retire issued now.
     fn stamp(eng: &Engine<Self>) -> Self::Stamp;
@@ -149,13 +152,50 @@ pub trait Protection: Sized + 'static {
     unsafe fn recall(_eng: &Engine<Self>) {}
 }
 
+/// A stored birth: what a scheme keeps of the public record's
+/// [`Retired::birth`]. Only these two types are ever one.
+pub trait Birth: Copy + Default + Send + Sync + fmt::Debug + 'static {
+    /// Keeps what the scheme reads of `epoch`.
+    fn of(epoch: u64) -> Self;
+    /// The epoch the public record reports: 0 where nothing is kept.
+    fn epoch(self) -> u64;
+}
+
+impl Birth for () {
+    #[inline(always)]
+    fn of(_: u64) {}
+    #[inline(always)]
+    fn epoch(self) -> u64 {
+        0
+    }
+}
+
+impl Birth for u64 {
+    #[inline(always)]
+    fn of(epoch: u64) -> u64 {
+        epoch
+    }
+    #[inline(always)]
+    fn epoch(self) -> u64 {
+        self
+    }
+}
+
+/// A retired entry as a slot stores it: the address, its scheme-sized
+/// birth, and the stamp of its retire. 16 bytes under EBR, 8 under HP and
+/// Hyaline, 24 under IBR (the public [`Retired`] record is 16 everywhere).
+pub(crate) type Entry<P> = (usize, <P as Protection>::Birth, <P as Protection>::Stamp);
+
+/// An entry whose protection has lapsed, waiting for `eject`.
+pub(crate) type Lapsed<P> = (usize, <P as Protection>::Birth);
+
 /// The owner-only part of a slot.
 #[allow(missing_debug_implementations)] // unnameable; see `Protection`
 pub struct Local<P: Protection> {
     /// Retired entries awaiting a scan, with the stamp of their retire.
-    pub(crate) retired: Vec<(Retired, P::Stamp)>,
+    pub(crate) retired: Vec<Entry<P>>,
     /// Entries whose protection has lapsed, ready for `eject`.
-    pub(crate) ready: VecDeque<Retired>,
+    pub(crate) ready: VecDeque<Lapsed<P>>,
     /// Critical-section nesting depth.
     pub(crate) depth: u32,
     /// Allocations since the last clock advance (see [`Engine::tick`]).
@@ -224,7 +264,7 @@ pub struct Engine<P: Protection> {
 }
 
 /// The lists a thread handed off on its way out.
-type Orphans<P> = (Vec<(Retired, <P as Protection>::Stamp)>, Vec<Retired>);
+type Orphans<P> = (Vec<Entry<P>>, Vec<Lapsed<P>>);
 
 // SAFETY: `clock`, `cfg`, `shared`, `exit_hook`, the hand-off box and
 // every `Slot::ann` are `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the frame
@@ -235,18 +275,27 @@ unsafe impl<P: Protection> Sync for Engine<P> {}
 
 /// Retains in place the entries `keep` holds on to and queues the rest for
 /// `eject`; allocation-free on the retired list.
-pub(crate) fn eject_unless<S: Copy>(
-    retired: &mut Vec<(Retired, S)>,
-    ready: &mut VecDeque<Retired>,
-    mut keep: impl FnMut(&Retired, S) -> bool,
+pub(crate) fn eject_unless<B: Copy, S: Copy>(
+    retired: &mut Vec<(usize, B, S)>,
+    ready: &mut VecDeque<(usize, B)>,
+    mut keep: impl FnMut(usize, B, S) -> bool,
 ) {
-    retired.retain(|&(r, stamp)| {
-        let kept = keep(&r, stamp);
+    retired.retain(|&(addr, birth, stamp)| {
+        let kept = keep(addr, birth, stamp);
         if !kept {
-            ready.push_back(r);
+            ready.push_back((addr, birth));
         }
         kept
     });
+}
+
+/// The public record of a stored entry.
+#[inline]
+fn record<B: Birth>((addr, birth): (usize, B)) -> Retired {
+    Retired {
+        addr,
+        birth: birth.epoch(),
+    }
 }
 
 impl<P: Protection> Engine<P> {
@@ -380,6 +429,7 @@ impl<P: Protection> Engine<P> {
 
 unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     type Guard = P::Guard;
+    type Birth = P::Birth;
 
     const PROTECTS_REGIONS: bool = P::PROTECTS_REGIONS;
     const PROTECTS_SECTION_READS: bool = P::PROTECTS_SECTION_READS;
@@ -466,6 +516,11 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
 
     #[inline]
     fn birth_epoch(&self, t: Tid) -> u64 {
+        P::birth(self, t).epoch()
+    }
+
+    #[inline]
+    fn birth(&self, t: Tid) -> P::Birth {
         P::birth(self, t)
     }
 
@@ -484,10 +539,17 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         P::release(self, t, self.slot(t), guard)
     }
 
+    #[inline]
     fn retire(&self, t: Tid, r: Retired) {
+        self.retire_born(t, r.addr, P::Birth::of(r.birth));
+    }
+
+    fn retire_born(&self, t: Tid, addr: usize, birth: P::Birth) {
+        debug_assert!(addr != 0, "cannot retire a null pointer");
+        debug_assert_eq!(addr & crate::TAG_MASK, 0, "cannot retire a tagged pointer");
         // SAFETY: `t` is the calling thread's slot (proper use).
         let local = unsafe { self.own(t) };
-        local.retired.push((r, P::stamp(self)));
+        local.retired.push((addr, birth, P::stamp(self)));
         // Scan only once a full threshold of retires has accumulated since
         // the last scan (see `Local::next_scan`), never on every retire.
         if local.retired.len() >= P::scan_threshold(self).max(local.next_scan) {
@@ -504,7 +566,7 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     #[inline]
     fn eject(&self, t: Tid) -> Option<Retired> {
         // SAFETY: `t` is the calling thread's slot (proper use).
-        unsafe { self.own(t) }.ready.pop_front()
+        unsafe { self.own(t) }.ready.pop_front().map(record)
     }
 
     #[inline]
@@ -553,14 +615,14 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         P::recall(self);
         let mut out = Vec::new();
         let (retired, ready) = std::mem::take(&mut *self.orphans());
-        out.extend(retired.into_iter().map(|(r, _)| r));
-        out.extend(ready);
+        out.extend(retired.into_iter().map(|(a, b, _)| record((a, b))));
+        out.extend(ready.into_iter().map(record));
         for slot in self.slots.iter() {
             // SAFETY: exclusive access to every slot is the caller's
             // contract.
             let local = &mut *slot.local.get();
-            out.extend(local.retired.drain(..).map(|(r, _)| r));
-            out.extend(local.ready.drain(..));
+            out.extend(local.retired.drain(..).map(|(a, b, _)| record((a, b))));
+            out.extend(local.ready.drain(..).map(record));
         }
         out
     }
@@ -604,5 +666,26 @@ impl<P: Protection> fmt::Debug for Engine<P> {
             .field("epoch", &self.clock.load())
             .field("cfg", &self.cfg)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn stored_entry_sizes() {
+        // A birth is stored only where the eject rule reads it (IBR), a
+        // stamp only where it is an epoch (EBR, IBR). The public record
+        // `Retired` stays 16 bytes; a slot stores the compact entry.
+        let w = size_of::<usize>();
+        assert_eq!(size_of::<Entry<crate::ebr::Epochs>>(), 2 * w);
+        assert_eq!(size_of::<Entry<crate::ibr::Intervals>>(), 3 * w);
+        assert_eq!(size_of::<Entry<crate::hp::Hazards>>(), w);
+        assert_eq!(size_of::<Entry<crate::hyaline::Batches>>(), w);
+        assert_eq!(size_of::<Lapsed<crate::ebr::Epochs>>(), w);
+        assert_eq!(size_of::<Lapsed<crate::ibr::Intervals>>(), 2 * w);
+        assert_eq!(size_of::<Retired>(), 2 * w);
     }
 }

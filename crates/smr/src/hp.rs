@@ -251,6 +251,7 @@ impl Protection for Hazards {
 
     type Ann = Words;
     type Guard = HpGuard;
+    type Birth = ();
     type Stamp = ();
     type Local = Owned;
     type Shared = ();
@@ -414,7 +415,7 @@ impl Protection for Hazards {
         eject_unless(
             &mut local.retired,
             &mut local.ready,
-            |r, ()| match announced.get_mut(&r.addr) {
+            |addr, (), ()| match announced.get_mut(&addr) {
                 Some(budget) if *budget > 0 => {
                     *budget -= 1;
                     true

@@ -1,10 +1,9 @@
 //! Hyaline-1's protection policy and the [`Hyaline`] alias.
 
-use crate::engine::{Engine, Local, Protection, Slot};
+use crate::engine::{Engine, Entry, Local, Protection, Slot};
 use crate::registry::Tid;
 use crate::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use crate::util::announce_usize;
-use crate::Retired;
 
 /// Slot-head sentinel: the slot's thread is not in a critical section.
 const INVALID: usize = usize::MAX;
@@ -12,7 +11,7 @@ const INVALID: usize = usize::MAX;
 struct Batch {
     /// pushes − leaves; reclamation goes to whoever makes this exactly zero.
     refs: AtomicIsize,
-    items: Vec<(Retired, ())>,
+    items: Vec<Entry<Batches>>,
 }
 
 struct LinkNode {
@@ -97,7 +96,9 @@ unsafe fn claim(eng: &Hyaline, batch: *mut Batch, local: &mut Local<Batches>) {
     // Ordering: Relaxed — a throttle/diagnostic gauge; no protection
     // decision reads it.
     eng.shared.fetch_sub(batch.items.len(), Ordering::Relaxed);
-    local.ready.extend(batch.items.into_iter().map(|(r, ())| r));
+    local
+        .ready
+        .extend(batch.items.into_iter().map(|(addr, (), ())| (addr, ())));
 }
 
 impl Protection for Batches {
@@ -112,6 +113,7 @@ impl Protection for Batches {
     /// The hand-off list head (see the module docs' protocol).
     type Ann = AtomicUsize;
     type Guard = ();
+    type Birth = ();
     type Stamp = ();
     type Local = ();
     type Shared = AtomicUsize;
@@ -276,7 +278,7 @@ impl Protection for Batches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{current_tid, AcquireRetire, GlobalEpoch, SmrConfig};
+    use crate::{current_tid, AcquireRetire, GlobalEpoch, Retired, SmrConfig};
     use std::sync::Arc;
 
     fn new_hyaline(batch: usize) -> Hyaline {

@@ -66,7 +66,9 @@ impl Protection for Intervals {
 
     type Ann = Interval;
     type Guard = ();
-    /// The epoch at retirement (birth epochs ride inside `Retired`).
+    /// The block's birth epoch: the lower end of its lifetime.
+    type Birth = u64;
+    /// The epoch at retirement: the upper end.
     type Stamp = u64;
     /// Last epoch this thread observed (Fig. 4's `prev_epoch`).
     type Local = u64;
@@ -219,11 +221,15 @@ impl Protection for Intervals {
         });
         // Lifetime [r.birth, retire_epoch] intersects any announcement
         // [lo, hi]? Then the entry must stay.
-        eject_unless(&mut local.retired, &mut local.ready, |r, retire_epoch| {
-            intervals
-                .iter()
-                .any(|&(lo, hi)| lo <= retire_epoch && r.birth <= hi)
-        });
+        eject_unless(
+            &mut local.retired,
+            &mut local.ready,
+            |_, birth, retire_epoch| {
+                intervals
+                    .iter()
+                    .any(|&(lo, hi)| lo <= retire_epoch && birth <= hi)
+            },
+        );
     }
 }
 

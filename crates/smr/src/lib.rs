@@ -68,7 +68,7 @@
 //! | `snapshot` | — (HP only: `hazard_snapshot`) | the hazards each thread held at one instant after the scan fence, or `false`; region policies keep the panicking default |
 //! | `force_close` | — (dead-thread recovery) | withdraws *everything* the dead slot announced, `Release` or stronger; the default is `leave` on its behalf |
 //! | `acquire`, `try_acquire`, `release`, `Guard` | Fig. 2; Fig. 4 `acquire`'s revalidation loop; §3.2 announce-then-validate | the returned word stays protected until `release` (or section exit); an announcement written here is fenced before the re-read that trusts it |
-//! | `birth` | Fig. 4 `alloc`: `birth_epoch ← cur_epoch` | epoch schemes call `Engine::tick` so the clock keeps moving |
+//! | `Birth`, `birth` | Fig. 4 `alloc`: `birth_epoch ← cur_epoch` | `u64` only where `reclaim` reads it (IBR), `()` elsewhere; epoch schemes call `Engine::tick` so the clock keeps moving |
 //! | `Stamp`, `stamp` | Fig. 3 `retire`: `push(x, cur_epoch)` | read after the caller's unlink (`GlobalEpoch::load` is `SeqCst` for this) |
 //! | `reclaim` | Fig. 3 `eject`: `epoch < min(ann)`; Fig. 4's interval test; §3.2's `min(#retired, #announced)` | moves to `ready` only entries no announcement protects, and reads announcements only through `Engine::survey`/`sweep`, which pay the scan-side fence |
 //! | `scan_threshold` | §5.1 eject threshold; HP's amortization bound | — |
@@ -160,11 +160,18 @@ pub fn untagged(word: usize) -> usize {
 /// A type-erased retired pointer: the address of the object (sans tag bits)
 /// plus the birth-epoch metadata that interval-based schemes tagged it with
 /// at allocation time.
+///
+/// This is the interface's record, the same 16 bytes under every scheme.
+/// What an instance *stores* per retired entry is smaller where it can be:
+/// the birth is kept as the scheme's [`AcquireRetire::Birth`], so only IBR
+/// keeps it, and [`eject`](AcquireRetire::eject) reports `birth` 0 under
+/// the schemes that keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
     /// Untagged address of the retired object.
     pub addr: usize,
-    /// Birth epoch recorded by [`AcquireRetire::birth_epoch`] at allocation.
+    /// Birth epoch recorded by [`AcquireRetire::birth_epoch`] at allocation
+    /// (read by IBR only).
     pub birth: u64,
 }
 
@@ -378,6 +385,12 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// Token witnessing the protection of one acquired pointer.
     type Guard: Copy + Debug + Send;
 
+    /// What a managed object keeps of its birth epoch, and a retired entry
+    /// with it: `u64` for a scheme whose eject rule reads the birth (IBR),
+    /// `()` for the others (EBR, HP, Hyaline), so that neither a control
+    /// block nor a stored entry carries a word nobody reads.
+    type Birth: Copy + Default + Send + Sync + Debug + 'static;
+
     /// Whether critical sections protect *all* reads (protected-region
     /// schemes: EBR, IBR, Hyaline). Protected-pointer schemes (HP) set this
     /// to `false`: only acquired pointers are protected, so unbounded
@@ -438,8 +451,15 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// Hook invoked once per allocation of a managed object: advances the
     /// epoch according to `epoch_freq` and returns the object's birth epoch
     /// (zero for schemes that do not use one). This is the paper's `alloc`
-    /// customization point, needed by IBR-style schemes.
+    /// customization point, needed by IBR-style schemes. The public-record
+    /// form of [`birth`](Self::birth).
     fn birth_epoch(&self, t: Tid) -> u64;
+
+    /// [`birth_epoch`](Self::birth_epoch) in the form the scheme keeps:
+    /// the epoch under IBR, `()` (the clock still ticks) elsewhere. What
+    /// an object allocated now should store for
+    /// [`retire_born`](Self::retire_born).
+    fn birth(&self, t: Tid) -> Self::Birth;
 
     /// Reads the pointer word at `src` and protects it until the returned
     /// guard is released. Always succeeds; a thread may hold only one such
@@ -459,6 +479,11 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// eject. The deferred operation (free, decrement, dispose, …) is the
     /// caller's business — this crate never dereferences `r.addr`.
     fn retire(&self, t: Tid, r: Retired);
+
+    /// [`retire`](Self::retire) of the object at `addr`, born at `birth` —
+    /// the stored form, so a caller that keeps births the scheme's size
+    /// never widens them to a [`Retired`].
+    fn retire_born(&self, t: Tid, addr: usize, birth: Self::Birth);
 
     /// Returns a previously retired pointer that is no longer protected, if
     /// one is ready. Callers apply the deferred operation themselves and

@@ -26,6 +26,19 @@
 //! **not** mean the counter is zero!) and the *help flag* used by readers to
 //! help a pending decrement-to-zero complete.
 //!
+//! # Width and overflow
+//!
+//! Both counters are one 32-bit word, so a control block's two counts share
+//! one 8-byte field. Two bits are flags, which leaves a 30-bit count:
+//! [`MAX_COUNT`] is 2³⁰ − 1 live references. An increment that would take
+//! a live count past it aborts the process, as `Arc` does on overflow: the
+//! check reads the value the increment's own RMW returned, so it costs one
+//! compare on a value already in a register. Failed increments of a counter
+//! stuck at zero also leave a +1 below the flags; the counter clears them
+//! before they could reach the flag bits (see
+//! [`increment_if_not_zero`](Counter::increment_if_not_zero)), so any
+//! number of failed upgrades is harmless.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,7 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use smr::sync::atomic::{fence, AtomicU64, Ordering};
+use smr::sync::atomic::{fence, AtomicU32, Ordering};
 use std::fmt;
 
 /// The interface shared by the wait-free [`StickyCounter`] and the CAS-loop
@@ -59,12 +72,13 @@ pub trait Counter: Send + Sync {
     ///
     /// Panics if `initial` is zero or exceeds [`MAX_COUNT`]: a counter is
     /// born alive — a "dead" counter can only arise by decrementing to zero.
-    fn with_count(initial: u64) -> Self;
+    fn with_count(initial: u32) -> Self;
 
     /// Atomically increments the counter unless it is zero.
     ///
     /// Returns `true` if the increment took effect, `false` if the counter
-    /// had already reached zero (in which case it remains zero).
+    /// had already reached zero (in which case it remains zero). Aborts the
+    /// process if the count was already [`MAX_COUNT`].
     fn increment_if_not_zero(&self) -> bool;
 
     /// Atomically decrements the counter.
@@ -76,23 +90,39 @@ pub trait Counter: Send + Sync {
     fn decrement(&self) -> bool;
 
     /// A linearizable read of the current count (zero once stuck).
-    fn load(&self) -> u64;
+    fn load(&self) -> u32;
 }
 
 /// Highest bit: set iff the counter has reached zero (is "stuck").
-const ZERO_FLAG: u64 = 1 << 63;
+const ZERO_FLAG: u32 = 1 << 31;
 /// Second-highest bit: set by a helping `load` so that one racing
 /// `decrement` can still claim responsibility for the zero transition.
-const HELP_FLAG: u64 = 1 << 62;
+const HELP_FLAG: u32 = 1 << 30;
 
-/// Largest representable reference count: two bits are reserved for flags.
-pub const MAX_COUNT: u64 = HELP_FLAG - 1;
+/// Largest representable reference count: two bits of the 32-bit word are
+/// reserved for flags, so 2³⁰ − 1. An increment past it aborts.
+pub const MAX_COUNT: u32 = HELP_FLAG - 1;
+
+/// Failed increments a stuck counter may collect below its flags before
+/// one of them clears the lot: half the count field, far from the help
+/// flag the next 2²⁹ would reach.
+const STRAY_LIMIT: u32 = 1 << 29;
+
+/// The overflow exit: a count that could wrap into the flag bits would
+/// report a live object dead. Out of line, so the increment stays small.
+#[cold]
+#[inline(never)]
+fn overflow() -> ! {
+    // Like `Arc`: abort, not panic. A caught panic would leave the +1 in
+    // place, and enough of them would carry the count into the flags.
+    std::process::abort()
+}
 
 /// The wait-free sticky counter of PLDI 2022, Figure 7.
 ///
 /// All three operations ([`increment_if_not_zero`](Counter::increment_if_not_zero),
 /// [`decrement`](Counter::decrement), [`load`](Counter::load)) take constant
-/// time in the worst case. A 64-bit word stores the count in the low 62 bits;
+/// time in the worst case. A 32-bit word stores the count in the low 30 bits;
 /// the two high bits are the zero flag and the help flag.
 ///
 /// Memory ordering: the hot-path RMWs use the classic reference-count
@@ -122,7 +152,7 @@ pub const MAX_COUNT: u64 = HELP_FLAG - 1;
 /// assert!(!c.increment_if_not_zero());
 /// ```
 pub struct StickyCounter {
-    x: AtomicU64,
+    x: AtomicU32,
 }
 
 impl StickyCounter {
@@ -131,38 +161,73 @@ impl StickyCounter {
     /// # Panics
     ///
     /// Panics if `initial == 0` or `initial > MAX_COUNT`.
-    pub fn new(initial: u64) -> Self {
+    pub fn new(initial: u32) -> Self {
         <Self as Counter>::with_count(initial)
     }
 
     /// Reads the raw representation (flags included). Test/debug aid.
     #[doc(hidden)]
-    pub fn raw(&self) -> u64 {
+    pub fn raw(&self) -> u32 {
         self.x.load(Ordering::SeqCst)
+    }
+
+    /// The cold half of an increment whose RMW returned `val ≥ MAX_COUNT`:
+    /// a live count at the cap (abort), or a counter stuck at zero (fail).
+    #[cold]
+    fn increment_slow(&self, val: u32) -> bool {
+        if val & ZERO_FLAG == 0 {
+            overflow();
+        }
+        // Stuck: the +1 just added is a stray. Any value with ZERO_FLAG
+        // reads as zero, but 2³⁰ strays would carry into the flag bits,
+        // and with HELP_FLAG set that wraps the word to a live-looking 0
+        // (2³¹ without it). So once they reach
+        // half the field, clear them, keeping both flags as they are: a
+        // pending help flag is still owed to the decrement that zeroed the
+        // count (`decrement` swaps it away). One attempt is enough; if the
+        // word moved, another increment moved it and will try again.
+        let cur = val.wrapping_add(1);
+        if cur & MAX_COUNT >= STRAY_LIMIT {
+            // Ordering: Relaxed — the word stays stuck either way; no
+            // reader decides anything from the stray count.
+            let _ = self.x.compare_exchange(
+                cur,
+                cur & (ZERO_FLAG | HELP_FLAG),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
+        false
     }
 }
 
 impl Counter for StickyCounter {
-    fn with_count(initial: u64) -> Self {
+    fn with_count(initial: u32) -> Self {
         assert!(initial > 0, "sticky counter must be born alive");
         assert!(initial <= MAX_COUNT, "initial count exceeds MAX_COUNT");
         StickyCounter {
-            x: AtomicU64::new(initial),
+            x: AtomicU32::new(initial),
         }
     }
 
     #[inline]
     fn increment_if_not_zero(&self) -> bool {
-        // One unconditional fetch-add: if the zero flag was set, the counter
-        // is stuck at zero and the stray +1 below the flag bits is harmless
-        // (every reader interprets any value with ZERO_FLAG as zero).
+        // One unconditional fetch-add. If the zero flag was set, the
+        // counter is stuck at zero and the stray +1 below the flag bits is
+        // harmless (every reader interprets any value with ZERO_FLAG as
+        // zero; `increment_slow` keeps the strays from piling up). One
+        // unsigned compare on the returned value sends both that case and
+        // a live count already at `MAX_COUNT` to the cold path.
         // Ordering: Relaxed — as in `Arc::clone`. The success decision is
         // made entirely from the value this RMW returns (RMW atomicity
         // totally orders all counter operations); payload visibility comes
         // from the reference or protection the caller already holds, never
         // from the count.
         let val = self.x.fetch_add(1, Ordering::Relaxed);
-        (val & ZERO_FLAG) == 0
+        if val < MAX_COUNT {
+            return true;
+        }
+        self.increment_slow(val)
     }
 
     #[inline]
@@ -182,7 +247,7 @@ impl Counter for StickyCounter {
             fence(Ordering::Acquire);
             // We brought the stored value to numeric 0: attempt to make the
             // zero official by installing the zero flag.
-            let mut e = 0u64;
+            let mut e = 0u32;
             match self
                 .x
                 .compare_exchange(e, ZERO_FLAG, Ordering::SeqCst, Ordering::SeqCst)
@@ -204,7 +269,7 @@ impl Counter for StickyCounter {
     }
 
     #[inline]
-    fn load(&self) -> u64 {
+    fn load(&self) -> u32 {
         let e = self.x.load(Ordering::SeqCst);
         if e == 0 {
             // Transient zero: a decrement is between its fetch-sub and its
@@ -262,16 +327,19 @@ impl fmt::Debug for StickyCounter {
 /// assert!(c.decrement());
 /// assert!(!c.increment_if_not_zero());
 /// ```
+///
+/// One 32-bit word and the same [`MAX_COUNT`] cap as the sticky counter, so
+/// the ablation compares like with like.
 pub struct CasCounter {
-    x: AtomicU64,
+    x: AtomicU32,
 }
 
 impl Counter for CasCounter {
-    fn with_count(initial: u64) -> Self {
+    fn with_count(initial: u32) -> Self {
         assert!(initial > 0, "counter must be born alive");
         assert!(initial <= MAX_COUNT, "initial count exceeds MAX_COUNT");
         CasCounter {
-            x: AtomicU64::new(initial),
+            x: AtomicU32::new(initial),
         }
     }
 
@@ -285,6 +353,9 @@ impl Counter for CasCounter {
         loop {
             if cur == 0 {
                 return false;
+            }
+            if cur == MAX_COUNT {
+                overflow();
             }
             match self
                 .x
@@ -310,7 +381,7 @@ impl Counter for CasCounter {
     }
 
     #[inline]
-    fn load(&self) -> u64 {
+    fn load(&self) -> u32 {
         self.x.load(Ordering::SeqCst)
     }
 }
@@ -328,6 +399,93 @@ mod tests {
     use super::*;
     use smr::sync::atomic::AtomicU64;
     use std::sync::Arc;
+
+    /// Runs the named test of this binary in a child process with
+    /// `STICKY_CHILD` set, and returns how the child ended: an abort
+    /// cannot be observed from inside the process it kills.
+    fn run_child(test: &str) -> std::process::ExitStatus {
+        std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test, "--nocapture", "--test-threads=1"])
+            .env("STICKY_CHILD", "1")
+            .stderr(std::process::Stdio::null())
+            .stdout(std::process::Stdio::null())
+            .status()
+            .unwrap()
+    }
+
+    fn in_child() -> bool {
+        std::env::var_os("STICKY_CHILD").is_some()
+    }
+
+    fn assert_aborted(status: std::process::ExitStatus) {
+        assert!(!status.success(), "the increment past MAX_COUNT returned");
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            assert_eq!(status.signal(), Some(6), "expected SIGABRT, got {status}");
+        }
+    }
+
+    #[test]
+    fn counts_up_to_max_count() {
+        let c = StickyCounter::new(MAX_COUNT - 1);
+        assert!(c.increment_if_not_zero());
+        assert_eq!(c.load(), MAX_COUNT);
+        assert!(!c.decrement());
+        assert_eq!(c.load(), MAX_COUNT - 1);
+        let c = CasCounter::with_count(MAX_COUNT - 1);
+        assert!(c.increment_if_not_zero());
+        assert_eq!(c.load(), MAX_COUNT);
+    }
+
+    /// An increment of a live count at `MAX_COUNT` aborts, as `Arc` does:
+    /// the chosen behaviour is abort, not panic.
+    #[test]
+    fn increment_past_max_count_aborts_sticky() {
+        if in_child() {
+            let c = StickyCounter::new(MAX_COUNT);
+            c.increment_if_not_zero();
+            return;
+        }
+        assert_aborted(run_child("tests::increment_past_max_count_aborts_sticky"));
+    }
+
+    #[test]
+    fn increment_past_max_count_aborts_cas() {
+        if in_child() {
+            let c = CasCounter::with_count(MAX_COUNT);
+            c.increment_if_not_zero();
+            return;
+        }
+        assert_aborted(run_child("tests::increment_past_max_count_aborts_cas"));
+    }
+
+    #[test]
+    fn failed_increments_never_carry_into_the_flags() {
+        // A counter stuck at zero, with a helper's flag still owed and
+        // strays one short of the limit: the next failed increment clears
+        // the strays and keeps both flags.
+        let c = StickyCounter::new(1);
+        c.x.store(ZERO_FLAG | HELP_FLAG | (STRAY_LIMIT - 1), Ordering::SeqCst);
+        assert!(!c.increment_if_not_zero());
+        assert_eq!(c.raw(), ZERO_FLAG | HELP_FLAG);
+        assert_eq!(c.load(), 0);
+        // Without the help flag too, and a failed upgrade stays failed.
+        c.x.store(ZERO_FLAG | (STRAY_LIMIT - 1), Ordering::SeqCst);
+        assert!(!c.increment_if_not_zero());
+        assert_eq!(c.raw(), ZERO_FLAG);
+        assert!(!c.increment_if_not_zero());
+        assert_eq!(c.load(), 0);
+    }
+
+    #[test]
+    fn counter_is_one_32_bit_word() {
+        // The facade's `AtomicU32` is the std one (4 bytes) outside the
+        // model checker, whose wrapper adds a location id.
+        let word = std::mem::size_of::<smr::sync::atomic::AtomicU32>();
+        assert_eq!(std::mem::size_of::<StickyCounter>(), word);
+        assert_eq!(std::mem::size_of::<CasCounter>(), word);
+    }
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -392,7 +550,7 @@ mod tests {
         assert_eq!(c.raw() & (ZERO_FLAG | HELP_FLAG), ZERO_FLAG | HELP_FLAG);
         // A lagging decrement (whose fetch_sub already happened) now runs its
         // recovery path: it must take credit exactly once.
-        let mut e = 0u64;
+        let mut e = 0u32;
         let r =
             c.x.compare_exchange(e, ZERO_FLAG, Ordering::SeqCst, Ordering::SeqCst);
         assert!(r.is_err());
@@ -463,7 +621,7 @@ mod tests {
         // spin upgrading. Exactly one true decrement must be observed, and
         // every successful upgrade must be matched by its own decrement.
         for _ in 0..20 {
-            let p = 4u64;
+            let p = 4u32;
             let c = Arc::new(StickyCounter::new(p));
             let zeroed = Arc::new(AtomicU64::new(0));
             let mut handles = Vec::new();

@@ -13,12 +13,12 @@ enum Op {
 /// Sequential reference model of a sticky counter.
 #[derive(Debug)]
 struct Model {
-    value: u64,
+    value: u32,
     stuck: bool,
 }
 
 impl Model {
-    fn new(initial: u64) -> Self {
+    fn new(initial: u32) -> Self {
         Model {
             value: initial,
             stuck: false,
@@ -46,7 +46,7 @@ impl Model {
         }
     }
 
-    fn load(&self) -> u64 {
+    fn load(&self) -> u32 {
         if self.stuck {
             0
         } else {
@@ -55,7 +55,7 @@ impl Model {
     }
 }
 
-fn run_against_model<C: Counter>(initial: u64, ops: &[Op]) {
+fn run_against_model<C: Counter>(initial: u32, ops: &[Op]) {
     let c = C::with_count(initial);
     let mut m = Model::new(initial);
     for &op in ops {
@@ -84,19 +84,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     #[test]
-    fn sticky_matches_model(initial in 1u64..20, ops in proptest::collection::vec(op_strategy(), 0..400)) {
+    fn sticky_matches_model(initial in 1u32..20, ops in proptest::collection::vec(op_strategy(), 0..400)) {
         run_against_model::<StickyCounter>(initial, &ops);
     }
 
     #[test]
-    fn cas_matches_model(initial in 1u64..20, ops in proptest::collection::vec(op_strategy(), 0..400)) {
+    fn cas_matches_model(initial in 1u32..20, ops in proptest::collection::vec(op_strategy(), 0..400)) {
         run_against_model::<CasCounter>(initial, &ops);
     }
 
     /// Draining a counter to zero always yields exactly one `true` decrement,
     /// regardless of how many failed upgrades are interleaved.
     #[test]
-    fn exactly_one_true_decrement(initial in 1u64..50) {
+    fn exactly_one_true_decrement(initial in 1u32..50) {
         let c = StickyCounter::new(initial);
         let mut trues = 0;
         for _ in 0..initial {

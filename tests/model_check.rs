@@ -23,7 +23,9 @@
 //! justifies the `GlobalEpoch::advance` SeqCst→AcqRel relaxation (PR 3's
 //! ordering table); the sticky-decrement litmus licenses the reference
 //! counters' Relaxed-increment / Release-decrement discipline (and shows a
-//! Relaxed decrement letting the disposer miss another owner's writes); the
+//! Relaxed decrement letting the disposer miss another owner's writes) on
+//! the counters' 32-bit word, and a race on the `StickyCounter` itself
+//! checks its help flag and single zero at that width; the
 //! unlink litmus pair *defends* the engine's SeqCst unlink swap/CAS —
 //! `unlink_acqrel_swap_is_unsound` exhibits the eject-rule violation that
 //! the tempting AcqRel relaxation opens, and the publication litmus shows
@@ -47,9 +49,10 @@ use interleave::thread as mthread;
 use interleave::{try_check, Config, Report, Violation};
 use lockfree::rc::RcDoubleLinkQueue;
 use lockfree::ConcurrentQueue;
-use smr::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use smr::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use smr::sync::exempt;
 use smr::{current_tid, AcquireRetire, Ebr, GlobalEpoch, Hp, Hyaline, Ibr, Retired, SmrConfig};
+use sticky::Counter;
 
 // ---------------------------------------------------------------------------
 // Harness discipline
@@ -1020,7 +1023,8 @@ fn ibr_scan_without_fence_is_caught() {
 /// missing another owner's writes to it.
 fn sticky_decrement_litmus(decr_order: Ordering) -> Result<Report, Violation> {
     try_check(cfg(2), move || {
-        let count = Arc::new(AtomicU64::new(2));
+        // One 32-bit word, as the counters store it.
+        let count = Arc::new(AtomicU32::new(2));
         let payload = Arc::new(AtomicUsize::new(0));
 
         let owner = {
@@ -1079,6 +1083,55 @@ fn sticky_relaxed_decrement_is_unsound() {
             .contains("disposer missed an owner's pre-release write"),
         "unexpected violation: {v}"
     );
+}
+
+/// The 32-bit `StickyCounter` itself, every path of Fig. 7 in one race:
+/// two owners drop their references while a third thread loads (and may
+/// help a transient zero with the help flag) and tries an upgrade it
+/// drops again at once. In every schedule exactly one decrement reports
+/// the zero, the counter reads zero afterwards, and an upgrade after the
+/// zero fails.
+fn sticky_counter_race() -> Result<Report, Violation> {
+    try_check(cfg(2), || {
+        let c = Arc::new(sticky::StickyCounter::new(2));
+        let zeros = Arc::new(AtomicUsize::new(0));
+        let zeroed = |c: &sticky::StickyCounter, zeros: &AtomicUsize| {
+            if c.decrement() {
+                // Ordering: exempt test bookkeeping.
+                exempt(|| zeros.fetch_add(1, Ordering::Relaxed));
+            }
+        };
+        let owner = {
+            let (c, zeros) = (Arc::clone(&c), Arc::clone(&zeros));
+            mthread::spawn(move || zeroed(&c, &zeros))
+        };
+        let reader = {
+            let (c, zeros) = (Arc::clone(&c), Arc::clone(&zeros));
+            mthread::spawn(move || {
+                let _ = c.load();
+                if c.increment_if_not_zero() {
+                    zeroed(&c, &zeros);
+                }
+            })
+        };
+        zeroed(&c, &zeros);
+        owner.join().unwrap();
+        reader.join().unwrap();
+        assert_eq!(
+            exempt(|| zeros.load(Ordering::Relaxed)),
+            1,
+            "not exactly one decrement took the count to zero"
+        );
+        assert_eq!(c.load(), 0, "a drained counter reads nonzero");
+        assert!(!c.increment_if_not_zero(), "an upgrade revived a zero");
+    })
+}
+
+#[test]
+fn sticky_counter_32_bit_has_one_zero() {
+    let _s = serial();
+    let report = sticky_counter_race().expect("the 32-bit sticky counter lost or doubled its zero");
+    assert!(report.iterations > 1, "explored only one schedule");
 }
 
 // ---------------------------------------------------------------------------
