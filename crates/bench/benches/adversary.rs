@@ -53,7 +53,7 @@ fn adversary_threads() -> usize {
 }
 
 /// The measured bound a hatched/recovered cell must stay under: per-thread
-/// watermark overshoot on three acquire-retire instances for every
+/// watermark overshoot, counted three times over, for every
 /// participating thread (workers, sampler, victim), plus the structure's
 /// own churn slack proportional to the live set. Deliberately generous —
 /// the point is "finite and small", not a tight constant.

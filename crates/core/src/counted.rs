@@ -50,7 +50,7 @@ use std::ptr;
 use smr::AcquireRetire;
 use sticky::{Counter, StickyCounter};
 
-use crate::domain::{Domain, Scheme};
+use crate::domain::{tagged, Domain, Scheme};
 use crate::engine::{RefKind, DISPLACED};
 use crate::ptr::{AtomicRcPtr, RcPtr};
 
@@ -158,12 +158,13 @@ impl<T, B> VtableOf<T, B> {
 /// decrement may be applied immediately under the parent's dispose rights;
 /// deferred edges are displaced-class references (a concurrent reader of
 /// the location they were displaced from may still be protected), which
-/// must go through the domain's deferred machinery. Each class is indexed
-/// by the edge kind's count channel (`Strong`, `Weak`).
+/// must go through the domain's deferred machinery. Direct edges are
+/// indexed by the edge kind's count channel (`Strong`, `Weak`); deferred
+/// ones carry it as their tag, as the domain's batch does.
 #[derive(Default)]
 pub(crate) struct EdgeSink {
     pub direct: [Vec<usize>; 2],
-    pub deferred: [Vec<usize>; 2],
+    pub deferred: Vec<usize>,
 }
 
 /// A payload type that can enumerate its outgoing reference-counted edges,
@@ -219,13 +220,13 @@ impl<'a, S: Scheme> EdgeCollector<'a, S> {
     pub fn take<T, K: RefKind>(&mut self, ptr: &mut RcPtr<T, S, K>) {
         let word = ptr.extract_word();
         let addr = word & !DISPLACED;
-        if addr != 0 {
-            let class = if word & DISPLACED != 0 {
-                &mut self.sink.deferred
-            } else {
-                &mut self.sink.direct
-            };
-            class[K::CHANNEL as usize].push(addr);
+        if addr == 0 {
+            return;
+        }
+        if word & DISPLACED != 0 {
+            self.sink.deferred.push(tagged(addr, K::CHANNEL));
+        } else {
+            self.sink.direct[K::CHANNEL as usize].push(addr);
         }
     }
 

@@ -1,41 +1,63 @@
-//! The reclamation domain: three acquire-retire instances (strong
-//! decrements, weak decrements, disposals — §4.4 of the paper) sharing one
-//! epoch clock, plus the deferred-operation primitives of Figure 8.
+//! The reclamation domain: one acquire-retire instance and its epoch
+//! clock, plus the deferred-operation primitives of Figure 8.
 //!
-//! # The channel table
+//! # One instance, tagged entries
 //!
-//! The three instances are one table, `Domain::ar`, indexed by
-//! [`Channel`], and everything that touches an instance names its channel:
+//! The paper (§4.4) gives each domain three acquire-retire instances, one
+//! per deferred operation. Here one instance, `Domain::ar`, defers all
+//! three, and each retired or batched entry carries its operation in the
+//! block address's low bits: the [`Channel`] discriminant (blocks are
+//! 8-aligned, and `smr::TAG_MASK` is reserved for such tags).
 //!
-//! | channel | defers | applying an ejected entry ([`Domain::apply`]) |
-//! |---------|--------|-----------------------------------------------|
-//! | `Strong` | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire on `Dispose` |
-//! | `Weak` | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
-//! | `Dispose` | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; under hazard pointers, an owner's drop, or an object a hazard snapshot names) | `destruct`; under hazard pointers, after a snapshot that decides its edges |
+//! | tag | defers | applying an ejected entry ([`Domain::apply`]) |
+//! |-----|--------|-----------------------------------------------|
+//! | `Strong` (0) | a strong decrement of a reference a location owned | `decrement::<StrongKind>`; at zero, destruct or retire a `Dispose` entry |
+//! | `Weak` (1) | a weak decrement of a reference a location owned | `decrement::<WeakKind>`; at zero, free the block |
+//! | `Dispose` (2) | disposal of an object whose strong count hit zero but which could not be destructed on the spot (weak observers; a non-graph payload dropped by its owner; under hazard pointers, an owner's drop, or an object a hazard snapshot names) | `destruct`; under hazard pointers, after a snapshot that decides its edges |
 //!
 //! [`Domain::retire`] defers one operation at once; [`Domain::batch`]
-//! buffers a `Strong`/`Weak` one per thread until the next flush point;
+//! buffers a `Strong` or `Weak` one per thread until the next flush point;
 //! [`Domain::settle`] is the one place a taken batch is either applied on
-//! the spot (no section is open) or issued to its instance. Sections open
-//! and close in [`Domain::enter`] / [`Domain::leave`] — strong instance
-//! only, or all three when `full` — which [`CsGuard`] of either kind and the
-//! internal [`Domain::with_cs`] share.
+//! the spot (no section is open) or issued to the instance. Sections open
+//! and close in [`Domain::enter`] / [`Domain::leave`], which [`CsGuard`] and
+//! the internal [`Domain::with_cs`] share. One section covers strong and
+//! weak reads alike.
+//!
+//! Why one instance is as sound as three:
+//!
+//! * **One protection covers all three operations.** A strong snapshot, a
+//!   weak snapshot and a protected load each hold one protection on the one
+//!   instance: the section under a region scheme, a hazard on the block
+//!   under hazard pointers. The instance hands an entry back only once no
+//!   protection that could reach its block is left, whatever its tag; the
+//!   tag only says what to do with it then. Under a region scheme that is
+//!   the three instances' rule with every section open on all three. Under
+//!   hazard pointers the scan keeps `min(#retired, #announced)` copies of
+//!   an announced block *per tag* (`smr::Hp`), so one hazard holds back
+//!   the block's weak decrement and its disposal alike: the accounting
+//!   three instances gave, with every hazard now counted on all of them,
+//!   so it is at least as conservative.
+//! * **Entries retired inside the eject loop.** Applying an entry can
+//!   retire another (a `Dispose` entry for an object a decrement zeroed)
+//!   onto the very list `apply_ready` ejects from, and its threshold scan
+//!   can fire in the middle of the loop. With three instances that already
+//!   happened for `Strong` entries: the new entry is stamped and counted
+//!   like any retire, `eject` pops the ready queue one entry at a time, and
+//!   the loop ends only after a round that ejects nothing.
+//! * **Hazard pointers share one set of words.** Strong and weak snapshots
+//!   take their hazards from the same `hp_slots` words, so a thread that
+//!   holds many runs out sooner. `try_acquire` then fails, and the snapshot
+//!   falls back to an owned reference taken through the reserved word of
+//!   `acquire` (`strong.rs`, `weak.rs`), as a strong one always did.
 //!
 //! What may be destructed on the spot, and whose out-edges may be
 //! decremented on the spot, depends on who took the count to zero
-//! (`Rights`): an owner's drop, an eject (or a quiescent settle, which
-//! grants the same), or an exclusive drain. Under hazard pointers an
-//! eject's zero waits for a hazard snapshot of all three instances taken
-//! after it (`Domain::cascade`): what the snapshot does not name is
-//! destructed, and its edges the snapshot does not name decremented, on
-//! the spot (`Rights::Seen`; the argument is in `engine.rs`).
-//!
-//! `DomainLocal::weak_used` gates the `Weak`/`Dispose` half of `collect`'s
-//! ready peek. It is set exactly where something can land in those two
-//! instances' queues for a thread: `issue` (any retire into either, batched
-//! or not), `enter` with `full` (leaving a full section is where Hyaline
-//! hands a *reader* the batches it was the last to release), and
-//! `reclaim_orphaned_slot` (the adopted lists may hold such entries).
+//! (`Rights`): an owner's drop, an eject (or a region scheme's quiescent
+//! settle, which grants the same), or an exclusive drain. Under hazard pointers an
+//! eject's zero waits for a hazard snapshot taken after it
+//! (`Domain::cascade`): what the snapshot does not name is destructed, and
+//! its edges the snapshot does not name decremented, on the spot
+//! (`Rights::Seen`; the argument is in `engine.rs`).
 //!
 //! # When a retired list is scanned
 //!
@@ -45,12 +67,13 @@
 //! behind it, since a node is destructed only after its predecessor. Two
 //! flush points cover that:
 //!
-//! * `Dispose`, at every outermost section exit of a thread with
-//!   `weak_used` set (`exit_flush`); maps, lists and the tree never set the
-//!   flag and run nothing here;
-//! * all three lists of the settling thread, when `settle`'s sweep finds
-//!   every section closed. A thread that seeded a structure under one guard
-//!   and then went idle does not keep its decrements.
+//! * every outermost section exit of a thread that has issued a `Dispose`
+//!   entry (`exit_flush`, `DomainLocal::disposes`); under a region scheme
+//!   maps, lists and the tree never do and run nothing here;
+//! * the settling thread's list, when `settle`'s sweep finds every section
+//!   closed, and at every settle under hazard pointers. A thread that
+//!   seeded a structure under one guard and then went idle does not keep
+//!   its decrements.
 //!
 //! A flush of an empty list returns at once, so neither point sweeps the
 //! announcements for a thread with nothing retired.
@@ -58,7 +81,9 @@
 //! A thread that *exits* while another thread's section still protects
 //! some of its entries settles its batch by issuing it and then hands its
 //! lists to the live threads (`AcquireRetire::hand_off`): the next
-//! outermost section exit or flush of any thread adopts and scans them.
+//! outermost section exit or flush of any thread adopts and scans them,
+//! and what the scan readies is applied by that thread's `collect` like
+//! its own entries: there is one ready queue, whatever the tags.
 //!
 //! # Domain handles
 //!
@@ -73,7 +98,7 @@
 //!
 //! # Domain lifetime: the pin rule
 //!
-//! A domain's core (this struct: three engine instances, the per-thread
+//! A domain's core (this struct: the engine instance, the per-thread
 //! [`DomainLocal`] lanes, the counters) is torn down by exactly one thread,
 //! and only when nothing can reach it any more. Two kinds of reference keep
 //! it reachable, and they are counted in two different places so that a
@@ -151,11 +176,6 @@ use sticky::Counter;
 
 use crate::counted::{as_header, birth_of, Block, EdgeSink, GraphNode};
 use crate::engine::{RefKind, Rights, StrongKind, WeakKind};
-
-/// The channel table's index set, in table order.
-const CHANNELS: [Channel; 3] = [Channel::Strong, Channel::Weak, Channel::Dispose];
-/// The channels whose deferrals are batched per thread (`DomainLocal::pending`).
-const BATCHED: [Channel; 2] = [Channel::Strong, Channel::Weak];
 
 /// An SMR scheme usable as the engine of the reference-counting library.
 ///
@@ -280,7 +300,7 @@ impl<S: AcquireRetire> DomainRef<S> {
 
     /// Registers this domain with the registry's dead-thread reaper so that
     /// [`smr::reclaim_orphaned_slot`] recovers the domain's per-thread state
-    /// (announcements on all three instances, retired lists, pending
+    /// (announcements, retired lists, pending
     /// decrement batches, a stranded pin) for a thread that died without
     /// unregistering. The closure holds only a weak handle — it never keeps
     /// the domain alive, and returns `false` (pruning itself) once the
@@ -339,7 +359,7 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// thread's lane until it is freed, so single-word pointers can resolve
     /// their domain from the header for as long as the block lives.
     pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Block<T, S> {
-        let birth = self.ar(Channel::Strong).birth(t);
+        let birth = self.ar.birth(t);
         self.allocs.add(t, 1);
         Block::<T, S>::allocate(value, birth, self.0.as_ptr() as *const ())
     }
@@ -351,39 +371,32 @@ impl<S: AcquireRetire> DomainRef<S> {
         S: Scheme,
         T: GraphNode<S>,
     {
-        let birth = self.ar(Channel::Strong).birth(t);
+        let birth = self.ar.birth(t);
         self.allocs.add(t, 1);
         Block::<T, S>::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
     }
 
-    /// Begins a *strong* critical section: read protection for atomic
-    /// shared pointers and snapshots. See [`CsGuard`].
+    /// Begins a critical section: read protection for atomic pointers and
+    /// snapshots of both kinds. See [`CsGuard`].
     #[inline]
     pub fn cs(&self) -> CsGuard<S> {
-        self.guard()
-    }
-
-    /// Begins a *full* critical section additionally covering the weak and
-    /// dispose instances — required for every `AtomicWeakPtr` operation and
-    /// weak snapshot lifetime, and accepted wherever a strong one is. See
-    /// [`CsGuard`].
-    pub fn weak_cs(&self) -> CsGuard<S, WeakKind> {
-        self.guard()
-    }
-
-    /// Opens the section a `K` guard covers; the guard's drop ends it.
-    #[inline]
-    fn guard<K: RefKind>(&self) -> CsGuard<S, K> {
         let t = smr::current_tid();
         // The guard is one unit of the thread's pin depth, given back when
         // it closes.
         self.pin_enter(t);
-        self.enter(t, K::FULL);
+        self.enter(t);
         CsGuard {
             domain: self.0,
             t,
-            _marker: PhantomData,
+            _not_send: PhantomData,
         }
+    }
+
+    // Kept for the frozen benchmark only (`ledger/src/ladder.rs:196`), which
+    // no other caller may join; the next change to the benchmark deletes it.
+    #[doc(hidden)]
+    pub fn weak_cs(&self) -> CsGuard<S> {
+        self.cs()
     }
 }
 
@@ -456,21 +469,20 @@ struct DomainLocal<B> {
     /// `allocs`/`frees`, read by other threads only in a sole-pin fold.
     locs_made: AtomicU64,
     locs_dropped: AtomicU64,
-    /// Whether this thread's weak or dispose ready queue can hold anything
-    /// (sticky; inherited with the slot); the module docs list the three
-    /// places that set it. Until then both queues are provably empty and
-    /// `collect` does not peek them.
-    weak_used: Cell<bool>,
+    /// Whether this thread has issued a `Dispose` entry (sticky; inherited
+    /// with the slot): from then on its section exits scan its list
+    /// (`exit_flush`).
+    disposes: Cell<bool>,
     /// True while this thread is applying ejected deferred operations —
     /// nested `collect` calls become no-ops, flattening what would otherwise
     /// be unbounded recursive destruction (§3.2: `eject` must not recurse).
     applying: Cell<bool>,
-    /// Batched displaced-pointer decrements, one buffer per [`BATCHED`]
-    /// channel: each entry owes the domain one deferred decrement of that
-    /// channel's count, retired in bulk at the next flush point (section
-    /// exit, capacity overflow, `process_deferred`, thread unregister)
-    /// instead of one retire + collect per store.
-    pending: [Batch<B>; 2],
+    /// Batched displaced-pointer decrements: each entry, tagged `Strong` or
+    /// `Weak`, owes the domain one deferred decrement of that count, retired
+    /// in bulk at the next flush point (section exit, capacity overflow,
+    /// `process_deferred`, thread unregister) instead of one retire +
+    /// collect per store.
+    pending: Batch<B>,
     /// Whether this thread has registered its unregister-time flush
     /// callback with this domain. Reset by the callback itself so a
     /// recycled slot's next owner re-registers.
@@ -499,18 +511,37 @@ struct DestructScratch {
 }
 
 /// Tag on a `DomainLocal::zeroed` entry whose dispose round already ran:
-/// the dispose instance's scan proved no weak snapshot reads it, so it is
-/// destructed whatever the snapshot says, which only decides its edges.
+/// the scan that ejected its `Dispose` entry proved no weak snapshot reads
+/// it, so it is destructed whatever the snapshot says, which only decides
+/// its edges.
 const DISPOSED: usize = 0b1;
 
-/// Per-thread batch capacity: overflowing a buffer forces a flush, bounding
-/// how much unreclaimed memory a thread that never reaches a natural flush
-/// point can strand.
-const BATCH_CAP: usize = 64;
+/// Per-thread batch capacity: overflowing the buffer forces a flush,
+/// bounding how much unreclaimed memory a thread that never reaches a
+/// natural flush point can strand.
+const BATCH_CAP: usize = 128;
 
-/// One batched decrement: the block and its stored birth, which the
-/// scheme keeps only under IBR — 8 bytes elsewhere, 16 there.
+/// One batched or issued entry: the block tagged with its [`Channel`], and
+/// the block's stored birth, which the scheme keeps only under IBR — 8
+/// bytes elsewhere, 16 there.
 type Entry<B> = (usize, B);
+
+/// `addr` tagged with the deferred operation `ch`.
+#[inline(always)]
+pub(crate) fn tagged(addr: usize, ch: Channel) -> usize {
+    debug_assert_eq!(addr & smr::TAG_MASK, 0);
+    addr | ch as usize
+}
+
+/// The deferred operation a tagged entry carries.
+#[inline(always)]
+fn channel_of(entry: usize) -> Channel {
+    match entry & smr::TAG_MASK {
+        0 => Channel::Strong,
+        1 => Channel::Weak,
+        _ => Channel::Dispose,
+    }
+}
 
 /// A fixed-capacity decrement buffer: an inline array instead of a `Vec`, so
 /// the batching hot path (one push per displaced pointer) never allocates
@@ -567,17 +598,16 @@ impl<B: Copy + Default> Batch<B> {
 
 /// A reclamation domain for scheme `S`.
 ///
-/// Holds the three acquire-retire instances of §4.4 — one delaying strong
-/// reference-count decrements, one delaying weak decrements, and one delaying
-/// disposal of managed objects — all sharing a [`GlobalEpoch`] so that birth
-/// epochs are comparable across instances.
+/// Holds one acquire-retire instance, which delays strong decrements, weak
+/// decrements and disposals of managed objects alike (the module docs say
+/// why one does the work of §4.4's three), and its [`GlobalEpoch`].
 ///
 /// Owned through [`DomainRef`]; every pointer type and every `lockfree::rc`
 /// structure is bound to exactly one domain ([`Scheme::global_domain`] by
 /// default, or an explicit handle via the `_in` constructors).
 pub struct Domain<S: AcquireRetire> {
-    /// The channel table (module docs), indexed by [`Channel`].
-    ar: [S; 3],
+    /// The one instance (module docs).
+    ar: S,
     clock: Arc<GlobalEpoch>,
     /// Control-block allocation count, sharded per thread: a shared
     /// `fetch_add` on the allocation path serializes every allocating core
@@ -607,7 +637,7 @@ impl<S: AcquireRetire> Domain<S> {
     fn with_config(cfg: SmrConfig, weak_self: Weak<Self>) -> Self {
         let clock = Arc::new(GlobalEpoch::new());
         Domain {
-            ar: CHANNELS.map(|_| S::new(Arc::clone(&clock), cfg.clone())),
+            ar: S::new(Arc::clone(&clock), cfg),
             clock,
             allocs: ShardedCounter::new(),
             frees: ShardedCounter::new(),
@@ -617,9 +647,9 @@ impl<S: AcquireRetire> Domain<S> {
                         depth: Cell::new(0),
                         locs_made: AtomicU64::new(0),
                         locs_dropped: AtomicU64::new(0),
-                        weak_used: Cell::new(false),
+                        disposes: Cell::new(false),
                         applying: Cell::new(false),
-                        pending: BATCHED.map(|_| Batch::new()),
+                        pending: Batch::new(),
                         flush_registered: Cell::new(false),
                         zeroed: Cell::new(Vec::new()),
                         sigma: Cell::new(Vec::new()),
@@ -925,30 +955,29 @@ impl<S: AcquireRetire> Domain<S> {
         self.clock.load()
     }
 
-    /// Whether no critical section is currently open on any of the domain's
-    /// three instances. Inherently racy (a section may open right after the
+    /// Whether no critical section is currently open on the domain.
+    /// Inherently racy (a section may open right after the
     /// check) and useful as a diagnostic: a dead thread that stranded an
     /// open announcement keeps this `false` until
     /// [`reclaim_orphaned_slot`](Self::reclaim_orphaned_slot) force-closes
     /// it.
     pub fn quiescent(&self) -> bool {
-        self.ar.iter().all(S::quiescent)
+        self.ar.quiescent()
     }
 
     // ------------------------------------------------------------------
-    // Figure 8 primitives, per channel. `addr` is always an untagged
-    // control-block address. All `unsafe fn`s require: `addr` points to a
+    // Figure 8 primitives. `addr` is an untagged control-block address
+    // unless said otherwise. All `unsafe fn`s require: `addr` points to a
     // live control block allocated under this domain and the caller upholds
     // the reference-count ownership rules stated on each. (The header-only
     // count operations — increment, expired — live in `engine`/`counted`;
     // they need no domain.)
     // ------------------------------------------------------------------
 
-    /// The instance serving `ch`. With a constant channel this is the field
-    /// access it looks like.
+    /// The acquire-retire instance.
     #[inline(always)]
-    pub(crate) fn ar(&self, ch: Channel) -> &S {
-        &self.ar[ch as usize]
+    pub(crate) fn ar(&self) -> &S {
+        &self.ar
     }
 
     /// Direct decrement of one `K`-reference the caller owns; at zero, what
@@ -965,20 +994,21 @@ impl<S: AcquireRetire> Domain<S> {
         }
     }
 
-    /// Applies one deferred operation of channel `ch` — what an eject
+    /// Applies one tagged deferred operation — what an eject
     /// ([`Rights::Eject`]), a quiescent batch or an exclusive drain hands
-    /// back. (Under hazard pointers `apply_ready` parks a dispose eject for
-    /// the snapshot instead.)
+    /// back — by its tag. (Under hazard pointers `apply_ready` parks a
+    /// `Dispose` eject for the snapshot instead.)
     ///
     /// # Safety
     ///
-    /// The entry carries what its channel defers (module docs): one strong
+    /// The entry carries what its tag defers (module docs): one strong
     /// reference, one weak reference, or — `Dispose` — the disposal
     /// responsibility for an object whose strong count is zero, with no
     /// critical section that could hold a snapshot of it still open. `by`
     /// is true of it.
-    unsafe fn apply(&self, ch: Channel, t: Tid, addr: usize, by: Rights) {
-        match ch {
+    unsafe fn apply(&self, t: Tid, entry: usize, by: Rights) {
+        let addr = smr::untagged(entry);
+        match channel_of(entry) {
             Channel::Strong => self.decrement::<StrongKind>(t, addr, by),
             Channel::Weak => self.decrement::<WeakKind>(t, addr, by),
             Channel::Dispose => self.destruct(t, addr, by),
@@ -1089,10 +1119,8 @@ impl<S: AcquireRetire> Domain<S> {
                     self.batch(Channel::Weak, t, e);
                 }
             }
-            for ch in BATCHED {
-                for e in sink.deferred[ch as usize].drain(..) {
-                    self.batch(ch, t, e);
-                }
+            for e in sink.deferred.drain(..) {
+                self.batch(channel_of(e), t, smr::untagged(e));
             }
         }
         local.destruct_scratch.set(Some(scratch));
@@ -1130,14 +1158,14 @@ impl<S: AcquireRetire> Domain<S> {
         }
     }
 
-    /// Hands one entry to `ch`'s instance — the single entry into the
-    /// table's retired lists, and so the one retire-side place that marks
-    /// the weak and dispose queues as possibly non-empty.
-    fn issue(&self, ch: Channel, t: Tid, (addr, birth): Entry<S::Birth>) {
-        if ch != Channel::Strong {
-            self.locals[t.index()].weak_used.set(true);
+    /// Hands one tagged entry to the instance — the single entry into its
+    /// retired lists, and so the one place that marks a thread as deferring
+    /// disposals.
+    fn issue(&self, t: Tid, (entry, birth): Entry<S::Birth>) {
+        if channel_of(entry) == Channel::Dispose {
+            self.locals[t.index()].disposes.set(true);
         }
-        self.ar(ch).retire_born(t, addr, birth);
+        self.ar.retire_born(t, entry, birth);
     }
 
     /// Hazard pointers: parks an object whose strong count this thread
@@ -1146,8 +1174,8 @@ impl<S: AcquireRetire> Domain<S> {
     /// # Safety
     ///
     /// The disposal responsibility for `addr` (strong count zero) is
-    /// transferred, and the caller runs `apply_ready` before it is done:
-    /// an eject inside its loop, or a quiescent settle.
+    /// transferred, and the caller is an eject inside `apply_ready`'s loop,
+    /// whose round ends in `cascade`.
     pub(crate) unsafe fn await_snapshot(&self, t: Tid, addr: usize) {
         let local = &self.locals[t.index()];
         let mut zeroed = local.zeroed.take();
@@ -1171,7 +1199,7 @@ impl<S: AcquireRetire> Domain<S> {
         }
         let mut sigma = local.sigma.take();
         while !level.is_empty() {
-            let seen = S::hazard_snapshot(&self.ar, &mut sigma);
+            let seen = self.ar.hazard_snapshot(&mut sigma);
             sigma.sort_unstable();
             for &entry in &level {
                 let addr = entry & !DISPOSED;
@@ -1209,7 +1237,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// transferred to the domain.
     pub(crate) unsafe fn retire(&self, ch: Channel, t: Tid, addr: usize) {
         smr::sanitize::on_retire(addr, ch);
-        self.issue(ch, t, (addr, birth_of::<S>(addr)));
+        self.issue(t, (tagged(addr, ch), birth_of::<S>(addr)));
         self.collect(t);
     }
 
@@ -1234,51 +1262,51 @@ impl<S: AcquireRetire> Domain<S> {
         // Read the birth now (IBR's; a read of nothing elsewhere), while
         // the displacing operation still has the block's header warm; the
         // flush only copies entries.
-        let r = (addr, birth_of::<S>(addr));
+        let r = (tagged(addr, ch), birth_of::<S>(addr));
         let local = &self.locals[t.index()];
         if !local.flush_registered.get() {
             if !self.register_thread_flush() {
                 // The thread is already unregistering: nothing would ever
                 // flush a batch entry, so issue the deferral synchronously.
-                self.issue(ch, t, r);
+                self.issue(t, r);
                 return self.collect(t);
             }
             local.flush_registered.set(true);
         }
         // Safety: `t` is the calling thread's slot.
-        if local.pending[ch as usize].push(r) {
+        if local.pending.push(r) {
             self.flush_batches(t);
         }
     }
 
     /// Takes slot `from`'s pending batch and either applies it on the spot
-    /// or issues it to the instances under slot `t`; `false` if it was
+    /// or issues it to the instance under slot `t`; `false` if it was
     /// empty. The one apply-if-quiescent-else-retire arm: the owner's flush,
     /// the adoption of a dead slot and the exclusive drain all come here.
     ///
-    /// Quiescent fast path: every batched entry was displaced from its
-    /// shared location *before* it was pushed, so if no section is active on
-    /// either count instance now, no reader can still hold an uncounted
-    /// snapshot of it — the whole batch may be applied directly, skipping
-    /// the retire/scan/eject round-trip entirely. (A section that opens
-    /// after the check revalidates against the live locations, none of
-    /// which still name these references.) Both sweeps must pass: strong
-    /// snapshots are taken under `Strong` sections and weak ones under
-    /// `Weak`, but guard flavours may hold both.
+    /// Quiescent fast path (region schemes): every batched entry was
+    /// displaced from its shared location *before* it was pushed, so if no
+    /// section is active now, no reader can still hold an uncounted
+    /// snapshot of it — the whole batch may be applied directly, with an
+    /// eject's rights ([`Rights::Eject`]), skipping the retire/scan/eject
+    /// round-trip entirely. (A section that opens after the check
+    /// revalidates against the live locations, none of which still name
+    /// these references.)
     ///
-    /// The apply has an eject's rights ([`Rights::Eject`]), never more.
-    /// Under a region scheme that is everything. Under hazard pointers each
-    /// entry's own address is unannounced, which is all an eject proves
-    /// too, and what the batch zeroes waits for a hazard snapshot taken
-    /// after the zero (`Rights`): quiescence before the zero proves nothing
-    /// about another location that names the object and is unlinked, and
-    /// applied elsewhere, after the check.
+    /// Hazard pointers take no fast path: they issue the batch and scan.
+    /// Quiescence could prove no more than a scan does — each entry's own
+    /// address unannounced — yet it costs a double collect of every
+    /// thread's hazards (`smr::Hp`) where a scan reads each word once, and
+    /// under load some hazard is nearly always held. What the scan finds
+    /// unannounced comes back through `eject` at once, and what that
+    /// zeroes waits for a hazard snapshot taken after the zero (`Rights`).
     ///
-    /// The quiescent arm also scans all three of `t`'s retired lists. A
-    /// list that gets fewer than a threshold of retires is otherwise never
-    /// scanned again: a thread that seeded a structure under one long guard
-    /// and then went idle would keep its issued decrements forever, and
-    /// with them every node behind the first one they name.
+    /// Both scan `t`'s retired list here (a region scheme only when
+    /// quiescent). A list that gets fewer than a threshold of retires is
+    /// otherwise never scanned again: a thread that seeded a structure
+    /// under one long guard and then went idle would keep its issued
+    /// decrements forever, and with them every node behind the first one
+    /// they name.
     ///
     /// # Safety
     ///
@@ -1286,43 +1314,33 @@ impl<S: AcquireRetire> Domain<S> {
     /// thread or has exclusive access to it (its owner is dead, or nobody
     /// else is using the domain).
     unsafe fn settle(&self, t: Tid, from: &DomainLocal<S::Birth>) -> bool {
-        if from.pending.iter().all(Batch::is_empty) {
+        if from.pending.is_empty() {
             return false;
         }
-        // Both copies first: applying an entry can batch new ones, which
-        // land at index 0 of the now-empty buffers.
-        let taken = [from.pending[0].take(), from.pending[1].take()];
-        let quiescent = BATCHED.iter().all(|&ch| self.ar(ch).quiescent());
-        for (ch, (entries, n)) in BATCHED.into_iter().zip(&taken) {
-            for r in &entries[..*n] {
-                if quiescent {
-                    // Safety: each entry owes one `ch` reference
-                    // transferred at `batch`; quiescence grants the apply
-                    // rights the eject path would.
-                    self.apply(ch, t, r.0, Rights::Eject);
-                } else {
-                    // The block is alive: its count still includes the
-                    // reference the entry owes.
-                    self.issue(ch, t, *r);
-                }
+        // The copy first: applying an entry can batch new ones, which land
+        // at index 0 of the now-empty buffer.
+        let (entries, n) = from.pending.take();
+        let quiescent = S::PROTECTS_REGIONS && self.ar.quiescent();
+        for r in &entries[..n] {
+            if quiescent {
+                // Safety: each entry owes the reference its tag names,
+                // transferred at `batch`; quiescence grants the apply
+                // rights the eject path would.
+                self.apply(t, r.0, Rights::Eject);
+            } else {
+                // The block is alive: its count still includes the
+                // reference the entry owes.
+                self.issue(t, *r);
             }
         }
-        if quiescent {
-            for ar in &self.ar {
-                ar.flush(t);
-            }
-            // Hazard pointers: what the batch zeroed waits for a snapshot,
-            // which the apply loop takes (unless this thread is inside it
-            // already, and then its next round does).
-            if !S::PROTECTS_REGIONS {
-                self.apply_ready(t);
-            }
+        if quiescent || !S::PROTECTS_REGIONS {
+            self.ar.flush(t);
         }
         true
     }
 
     /// Retires every batched decrement of the calling thread, repeating
-    /// until the buffers stay empty (applying a batch can destruct objects
+    /// until the buffer stays empty (applying a batch can destruct objects
     /// whose displaced edges batch new decrements).
     pub(crate) fn flush_batches(&self, t: Tid) {
         // Safety: `t` is the calling thread's slot.
@@ -1333,23 +1351,21 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Whether the calling thread has batched decrements not yet retired.
     fn has_pending_batch(&self, t: Tid) -> bool {
-        self.locals[t.index()].pending.iter().any(|b| !b.is_empty())
+        !self.locals[t.index()].pending.is_empty()
     }
 
     /// Installs the two flush triggers for the calling thread: the
-    /// section-exit hook on the strong instance (idempotent, per domain)
-    /// and a thread-unregister callback (per thread × domain). Returns
-    /// `false` when the thread is already unregistering and can no longer
-    /// defer work.
+    /// section-exit hook on the instance (idempotent, per domain) and a
+    /// thread-unregister callback (per thread × domain). Returns `false`
+    /// when the thread is already unregistering and can no longer defer
+    /// work.
     fn register_thread_flush(&self) -> bool {
-        // Section-exit trigger. `leave` ends the *strong* section last, so
-        // hooking only that instance flushes once per outermost section of
-        // either flavour. The hook holds a raw pointer to `self`; it only
-        // fires inside `end_critical_section`, whose callers by contract
-        // keep the instance (and thus the whole domain) reachable until it
-        // returns.
+        // Section-exit trigger, once per outermost section. The hook holds
+        // a raw pointer to `self`; it only fires inside
+        // `end_critical_section`, whose callers by contract keep the
+        // instance (and thus the whole domain) reachable until it returns.
         unsafe {
-            self.ar(Channel::Strong).set_exit_hook(ExitHook::new(
+            self.ar.set_exit_hook(ExitHook::new(
                 self as *const Self as *const (),
                 exit_flush::<S>,
             ));
@@ -1372,9 +1388,7 @@ impl<S: AcquireRetire> Domain<S> {
             // coming. Engine code only, after the pin: an entry left on
             // the lists names a block, so the core cannot be torn down
             // under it, and the upgrade keeps the memory.
-            for ar in &core.ar {
-                ar.hand_off(t);
-            }
+            core.ar.hand_off(t);
             // The slot is about to be recycled: its next owner is a
             // different thread that must register its own callback.
             core.locals[t.index()].flush_registered.set(false);
@@ -1385,25 +1399,15 @@ impl<S: AcquireRetire> Domain<S> {
     // Sections
     // ------------------------------------------------------------------
 
-    /// Opens thread `t`'s section: on the strong instance, and with `full`
-    /// on the weak and dispose instances too. Leaving those can land other
-    /// threads' retires in this thread's ready queues, so from here on
-    /// `collect` peeks them as well.
+    /// Opens thread `t`'s section.
     #[inline]
-    fn enter(&self, t: Tid, full: bool) {
-        self.ar(Channel::Strong).begin_critical_section(t);
-        if full {
-            self.locals[t.index()].weak_used.set(true);
-            self.ar(Channel::Weak).begin_critical_section(t);
-            self.ar(Channel::Dispose).begin_critical_section(t);
-        }
+    fn enter(&self, t: Tid) {
+        self.ar.begin_critical_section(t);
     }
 
-    /// Closes what [`enter`](Self::enter) opened, the strong section last
-    /// so the exit-hook flush keeps its "once per outermost section of
-    /// either flavour" contract, then applies what became ready: leaving a
-    /// section is where region schemes (Hyaline in particular) ready new
-    /// ejects.
+    /// Closes what [`enter`](Self::enter) opened (the exit hook flushes
+    /// there), then applies what became ready: leaving a section is where
+    /// region schemes (Hyaline in particular) ready new ejects.
     ///
     /// Panic-safe: a section can end while the thread is unwinding (the
     /// RAII guards close it on purpose, so the announcement never pins
@@ -1411,12 +1415,8 @@ impl<S: AcquireRetire> Domain<S> {
     /// and a second panic would abort the process, so collection is skipped
     /// then and runs at the next natural flush point.
     #[inline]
-    fn leave(&self, t: Tid, full: bool) {
-        if full {
-            self.ar(Channel::Dispose).end_critical_section(t);
-            self.ar(Channel::Weak).end_critical_section(t);
-        }
-        self.ar(Channel::Strong).end_critical_section(t);
+    fn leave(&self, t: Tid) {
+        self.ar.end_critical_section(t);
         if !std::thread::panicking() {
             self.collect(t);
         }
@@ -1428,15 +1428,15 @@ impl<S: AcquireRetire> Domain<S> {
     /// announcement closed. No pin: the caller's borrowed location keeps
     /// the core alive.
     #[inline]
-    pub(crate) fn with_cs<R>(&self, t: Tid, full: bool, f: impl FnOnce() -> R) -> R {
-        struct End<'a, S: AcquireRetire>(&'a Domain<S>, Tid, bool);
+    pub(crate) fn with_cs<R>(&self, t: Tid, f: impl FnOnce() -> R) -> R {
+        struct End<'a, S: AcquireRetire>(&'a Domain<S>, Tid);
         impl<S: AcquireRetire> Drop for End<'_, S> {
             fn drop(&mut self) {
-                self.0.leave(self.1, self.2);
+                self.0.leave(self.1);
             }
         }
-        self.enter(t, full);
-        let _end = End(self, t, full);
+        self.enter(t);
+        let _end = End(self, t);
         f()
     }
 
@@ -1444,32 +1444,24 @@ impl<S: AcquireRetire> Domain<S> {
     // Applying ejected deferred operations
     // ------------------------------------------------------------------
 
-    /// Applies every ready ejected operation on all three instances.
+    /// Applies every ready ejected operation.
     ///
     /// Re-entrant calls (triggered by retires issued while destroying
-    /// objects) return immediately; the outermost call loops until no
-    /// channel has ready ejects, bounding both recursion depth and the
-    /// amount of ready-but-unapplied garbage.
+    /// objects) return immediately; the outermost call loops until nothing
+    /// is ready, bounding both recursion depth and the amount of
+    /// ready-but-unapplied garbage.
     pub(crate) fn collect(&self, t: Tid) {
-        // Fast path: nothing is ready on any instance — the overwhelmingly
-        // common case for the per-retire calls (ready queues only fill when
-        // a threshold scan runs or a section is left). One thread-local
-        // peek for a thread that never touched the weak or dispose instance
-        // (maps, lists, the tree: those two ready queues cannot hold
-        // anything), three otherwise — instead of the re-entrancy
-        // bookkeeping and eject loop of `apply_ready`.
-        let local = &self.locals[t.index()];
-        if self.ar(Channel::Strong).has_ready(t)
-            || (local.weak_used.get()
-                && (self.ar(Channel::Weak).has_ready(t) || self.ar(Channel::Dispose).has_ready(t)))
-        {
+        // Fast path: nothing is ready — the overwhelmingly common case for
+        // the per-retire calls (the ready queue only fills when a scan runs
+        // or a section is left). One thread-local peek instead of the
+        // re-entrancy bookkeeping and eject loop of `apply_ready`.
+        if self.ar.has_ready(t) {
             self.apply_ready(t);
         }
     }
 
-    /// The slow half of [`collect`](Self::collect): ejects from all three
-    /// instances unconditionally and reports how many rounds applied
-    /// anything (0 when re-entered).
+    /// The slow half of [`collect`](Self::collect): ejects unconditionally
+    /// and reports how many rounds applied anything (0 when re-entered).
     fn apply_ready(&self, t: Tid) -> usize {
         let local = &self.locals[t.index()];
         if local.applying.get() {
@@ -1488,20 +1480,18 @@ impl<S: AcquireRetire> Domain<S> {
         let mut applied = 0;
         loop {
             let mut any = false;
-            for ch in CHANNELS {
-                while let Some(r) = self.ar(ch).eject(t) {
-                    any = true;
-                    if !S::PROTECTS_REGIONS && ch == Channel::Dispose {
-                        // Safety: the entry carries a disposal; its edges
-                        // wait for this round's snapshot.
-                        unsafe { self.await_snapshot(t, r.addr | DISPOSED) };
-                        continue;
-                    }
-                    // Safety: an ejected record carries what its channel
-                    // defers, transferred at `retire`/`batch`, and the
-                    // eject grants the apply rights.
-                    unsafe { self.apply(ch, t, r.addr, Rights::Eject) };
+            while let Some(r) = self.ar.eject(t) {
+                any = true;
+                if !S::PROTECTS_REGIONS && channel_of(r.addr) == Channel::Dispose {
+                    // Safety: the entry carries a disposal; its edges wait
+                    // for this round's snapshot.
+                    unsafe { self.await_snapshot(t, smr::untagged(r.addr) | DISPOSED) };
+                    continue;
                 }
+                // Safety: an ejected record carries what its tag defers,
+                // transferred at `retire`/`batch`, and the eject grants the
+                // apply rights.
+                unsafe { self.apply(t, r.addr, Rights::Eject) };
             }
             // Hazard pointers: what the ejects zeroed, after the ejects.
             if !S::PROTECTS_REGIONS {
@@ -1515,8 +1505,8 @@ impl<S: AcquireRetire> Domain<S> {
         applied
     }
 
-    /// Flushes all three instances and applies everything that becomes
-    /// ready, repeating until a round makes no progress. Recursive teardown
+    /// Flushes the instance and applies everything that becomes ready,
+    /// repeating until a round makes no progress. Recursive teardown
     /// of linked structures completes here (each round releases one more
     /// "level").
     ///
@@ -1532,17 +1522,15 @@ impl<S: AcquireRetire> Domain<S> {
         let _pin = self.pin_thread(t);
         loop {
             self.flush_batches(t);
-            for ar in &self.ar {
-                ar.flush(t);
-            }
+            self.ar.flush(t);
             if self.apply_ready(t) == 0 && !self.has_pending_batch(t) {
                 break;
             }
         }
     }
 
-    /// Drains every retired record from all three instances — protected or
-    /// not — and applies the deferred operations, repeating to a fixpoint.
+    /// Drains every retired record from the instance — protected or not —
+    /// and applies the deferred operations, repeating to a fixpoint.
     ///
     /// # Safety
     ///
@@ -1559,14 +1547,12 @@ impl<S: AcquireRetire> Domain<S> {
             for local in self.locals.iter() {
                 batched |= self.settle(t, local);
             }
-            let drained = CHANNELS.map(|ch| self.ar(ch).drain_all());
-            if !batched && drained.iter().all(Vec::is_empty) {
+            let drained = self.ar.drain_all();
+            if !batched && drained.is_empty() {
                 break;
             }
-            for (ch, records) in CHANNELS.into_iter().zip(drained) {
-                for r in records {
-                    self.apply(ch, t, r.addr, Rights::Unread);
-                }
+            for r in drained {
+                self.apply(t, r.addr, Rights::Unread);
             }
             // Applying may have retired more (possibly on other slots via
             // recycled Tids); loop until nothing is left anywhere.
@@ -1575,8 +1561,8 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Recovers the per-thread state a dead thread stranded in this domain:
-    /// force-closes its announcements on all three instances (migrating its
-    /// retired lists into the calling thread's), settles its orphaned
+    /// force-closes its announcements (migrating its retired lists into the
+    /// calling thread's), settles its orphaned
     /// pending decrement batches under the *calling* thread's slot — the
     /// `on_thread_exit` flush that would normally retire them never ran —
     /// and resets its slot-local flags so the slot's next owner starts
@@ -1599,14 +1585,8 @@ impl<S: AcquireRetire> Domain<S> {
             dead.index(),
             "a thread cannot reclaim its own slot"
         );
-        // Force-close the dead thread's sections and adopt its retired
-        // lists — which may hold weak- and dispose-instance entries.
-        // Instance order does not matter: the owner is dead, so no
-        // scheme-level invariant links the three announcements any more.
-        for ar in &self.ar {
-            ar.reclaim_slot(dead, t);
-        }
-        self.locals[t.index()].weak_used.set(true);
+        // Force-close the dead thread's section and adopt its retired list.
+        self.ar.reclaim_slot(dead, t);
         // Exclusive access to the dead slot's cells follows from the safety
         // contract.
         let local = &self.locals[dead.index()];
@@ -1643,8 +1623,8 @@ impl<S: AcquireRetire> Drop for Domain<S> {
 }
 
 /// Section-exit trampoline: flushes the exiting thread's decrement batch,
-/// then, once the thread has used the weak side, scans its dispose list
-/// (the caller's `leave` applies what the scan readies). `data` is the
+/// then, once the thread has issued a `Dispose` entry, scans its list (the
+/// caller's `leave` applies what the scan readies). `data` is the
 /// domain the hook was installed for; see
 /// [`Domain::register_thread_flush`] for why it is still alive here.
 ///
@@ -1667,10 +1647,9 @@ unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
     // Every exit, not only after an issue: an entry the scan finds still
     // protected must be looked at again, and no later retire may come (the
     // tail's predecessor, say, which holds every node behind it). Only
-    // threads that used the weak side pay, and an empty list costs no
-    // sweep.
-    if d.locals[t.index()].weak_used.get() {
-        d.ar(Channel::Dispose).flush(t);
+    // threads that defer disposals pay, and an empty list costs no sweep.
+    if d.locals[t.index()].disposes.get() {
+        d.ar.flush(t);
     }
 }
 
@@ -1685,20 +1664,14 @@ impl<S: AcquireRetire> fmt::Debug for Domain<S> {
 }
 
 /// RAII critical section (the paper's `critical_section_guard`), obtained
-/// from [`DomainRef::cs`] (`K` = [`StrongKind`]: the strong instance) or
-/// [`DomainRef::weak_cs`] (`K` = [`WeakKind`]: all three instances, §4.4).
+/// from [`DomainRef::cs`].
 ///
 /// All racy atomic-pointer operations and every snapshot lifetime must be
 /// contained in one (§3.4). Pointer operations that are invoked without an
 /// explicit guard open one internally for their own duration; holding a
 /// guard across an operation sequence amortizes the scheme's per-section
-/// fence.
-///
-/// `K` is the kind of reads the section covers. A full section includes
-/// the strong one, so strong snapshots and
-/// [`compare_exchange_with`](crate::AtomicSharedPtr::compare_exchange_with)
-/// take a guard of either kind; weak snapshots need `K = WeakKind`. The
-/// kind is a type, not a field, so both kinds are the same two words.
+/// fence. One guard covers strong and weak reads alike: the domain runs
+/// one acquire-retire instance for every deferred operation (module docs).
 ///
 /// The guard holds one unit of its thread's pin on the domain (module
 /// docs), so it may outlive the [`DomainRef`] it was opened from, and
@@ -1711,62 +1684,38 @@ impl<S: AcquireRetire> fmt::Debug for Domain<S> {
 ///
 /// # Examples
 ///
-/// A full guard serves the strong operations too:
+/// One guard serves strong and weak snapshots:
 ///
 /// ```
-/// use cdrc::{AtomicSharedPtr, DomainRef, EbrScheme, SharedPtr};
+/// use cdrc::{AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, SharedPtr};
 ///
 /// let d: DomainRef<EbrScheme> = DomainRef::new();
 /// let slot = AtomicSharedPtr::new_in(SharedPtr::new_in(1u64, &d), &d);
+/// let back: AtomicWeakPtr<u64, EbrScheme> = AtomicWeakPtr::null_in(&d);
 /// let two = SharedPtr::new_in(2u64, &d);
-/// let cs = d.weak_cs();
+/// back.store(two.downgrade());
+/// let cs = d.cs();
 /// let one = slot.get_snapshot(&cs);
 /// assert_eq!(one.as_ref(), Some(&1));
+/// assert_eq!(back.get_snapshot(&cs).as_ref(), Some(&2));
 /// let displaced = slot.compare_exchange_with(&cs, one.tagged(), &two);
 /// assert_eq!(displaced.expect("uncontended").as_ref(), Some(&1));
 /// assert_eq!(slot.get_snapshot(&cs).as_ref(), Some(&2));
 /// ```
 ///
-/// A strong guard covers no weak snapshot, not even a null one:
-///
-/// ```compile_fail,E0308
-/// use cdrc::{AtomicWeakPtr, DomainRef, EbrScheme};
-///
-/// let d: DomainRef<EbrScheme> = DomainRef::new();
-/// let slot: AtomicWeakPtr<u64, EbrScheme> = AtomicWeakPtr::null_in(&d);
-/// let cs = d.cs();
-/// let _ = slot.get_snapshot(&cs);
-/// ```
-///
-/// ```compile_fail,E0308
-/// use cdrc::{DomainRef, EbrScheme, WeakSnapshotPtr};
-///
-/// let d: DomainRef<EbrScheme> = DomainRef::new();
-/// let cs = d.cs();
-/// let _ = WeakSnapshotPtr::<u64, EbrScheme>::null(&cs);
-/// ```
-///
-/// Neither kind crosses threads:
+/// It does not cross threads:
 ///
 /// ```compile_fail,E0277
 /// fn send<T: Send>() {}
 /// send::<cdrc::CsGuard<cdrc::EbrScheme>>();
 /// ```
-///
-/// ```compile_fail,E0277
-/// fn send<T: Send>() {}
-/// send::<cdrc::CsGuard<cdrc::EbrScheme, cdrc::WeakKind>>();
-/// ```
-// `repr(C)`: the two kinds differ only in the zero-sized marker, so a
-// guard of either kind can be viewed as a strong one (`strong`).
-#[repr(C)]
-pub struct CsGuard<S: AcquireRetire, K: RefKind = StrongKind> {
+pub struct CsGuard<S: AcquireRetire> {
     domain: NonNull<Domain<S>>,
     t: Tid,
-    _marker: PhantomData<(*mut (), K)>,
+    _not_send: PhantomData<*mut ()>,
 }
 
-impl<S: AcquireRetire, K: RefKind> CsGuard<S, K> {
+impl<S: AcquireRetire> CsGuard<S> {
     /// The domain this section protects.
     #[inline]
     pub fn domain(&self) -> &Domain<S> {
@@ -1788,20 +1737,11 @@ impl<S: AcquireRetire, K: RefKind> CsGuard<S, K> {
     pub(crate) fn tid(&self) -> Tid {
         self.t
     }
-
-    /// This guard as a strong one: every section covers the strong
-    /// instance, so what a strong guard allows, a full one allows too.
-    #[inline(always)]
-    pub(crate) fn strong(&self) -> &CsGuard<S> {
-        // Safety: `repr(C)`, and the two types differ only in `K`, which
-        // appears in a zero-sized marker alone.
-        unsafe { &*(self as *const Self).cast::<CsGuard<S>>() }
-    }
 }
 
-impl<S: AcquireRetire, K: RefKind> Drop for CsGuard<S, K> {
+impl<S: AcquireRetire> Drop for CsGuard<S> {
     fn drop(&mut self) {
-        self.domain().leave(self.t, K::FULL);
+        self.domain().leave(self.t);
         // Last: the exit-hook flush and the collection above ran at the
         // guard's own depth.
         // Safety: the guard is one unit of its (creating, `!Send`) thread's
@@ -1810,12 +1750,9 @@ impl<S: AcquireRetire, K: RefKind> Drop for CsGuard<S, K> {
     }
 }
 
-impl<S: AcquireRetire, K: RefKind> fmt::Debug for CsGuard<S, K> {
+impl<S: AcquireRetire> fmt::Debug for CsGuard<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CsGuard")
-            .field("tid", &self.t)
-            .field("full", &K::FULL)
-            .finish()
+        f.debug_struct("CsGuard").field("tid", &self.t).finish()
     }
 }
 
@@ -1837,7 +1774,7 @@ mod tests {
 
     /// The thread-unregister callback must flush a dying thread's pending
     /// decrement batch into the deferred machinery: after the thread joins,
-    /// the dead slot's buffers are empty — its entries sit in the slot's
+    /// the dead slot's buffer is empty — its entries sit in the slot's
     /// retired lists, where a successor thread reusing the slot (or an
     /// exclusive drain) applies them through ordinary collection.
     #[test]
@@ -2025,11 +1962,11 @@ mod tests {
         );
     }
 
-    /// A thread that only *reads* under a full section still ends up owning
+    /// A thread that only *reads* under a section still ends up owning
     /// deferred work: under Hyaline the retirer hands its batch to every
     /// active section and the last leaver takes it home. That thread never
-    /// retired into the weak or dispose instance itself, and its collection
-    /// must apply what it claimed all the same.
+    /// retired anything itself, and its collection must apply what it
+    /// claimed all the same.
     fn reader_only_thread_applies_what_it_claims<S: Scheme>() {
         use std::sync::mpsc::channel;
         let d: DomainRef<S> = DomainRef::new();
@@ -2041,7 +1978,7 @@ mod tests {
         std::thread::scope(|s| {
             let d = &d;
             s.spawn(move || {
-                let cs = d.weak_cs();
+                let cs = d.cs();
                 entered_tx.send(()).unwrap();
                 leave_rx.recv().unwrap();
                 // Leaving the section is all the reader does: whatever it
@@ -2076,7 +2013,8 @@ mod tests {
     /// A dispose entry that its first scan finds protected is scanned again
     /// at the thread's next section exit, though nothing else is retired in
     /// between: in the weak queue one such entry parks every node behind
-    /// it. (HP runs no exit scan; there every node takes the scan rounds.)
+    /// it. (Under HP an open section protects nothing, so the first scan
+    /// already disposes it.)
     fn a_protected_dispose_entry_is_rescanned_at_the_next_exit<S: Scheme>() {
         use crate::sync::atomic::{AtomicBool, Ordering::SeqCst};
         use std::sync::mpsc::channel;
@@ -2099,7 +2037,7 @@ mod tests {
         std::thread::scope(|s| {
             let d = &d;
             s.spawn(move || {
-                let cs = d.weak_cs();
+                let cs = d.cs();
                 entered_tx.send(()).unwrap();
                 leave_rx.recv().unwrap();
                 drop(cs);
@@ -2107,13 +2045,13 @@ mod tests {
             entered_rx.recv().unwrap();
             // The weak observer sends the strong zero to `Dispose`; the
             // exit scan finds the other section still open.
-            drop(d.weak_cs());
+            drop(d.cs());
             drop(p);
-            drop(d.weak_cs());
+            drop(d.cs());
             assert!(!disposed.load(SeqCst));
             leave_tx.send(()).unwrap();
         });
-        drop(d.weak_cs());
+        drop(d.cs());
         assert!(
             disposed.load(SeqCst),
             "{}: the dispose entry waited for a later retire",
@@ -2143,7 +2081,7 @@ mod tests {
     /// weak references, nothing else left alive — and has `who` settle it,
     /// with or without a section stranded open by a dead thread (so both
     /// halves of `settle` run: apply on the spot, or issue to the
-    /// instances). Returns `(allocated, freed)` once everything is settled.
+    /// instance). Returns `(allocated, freed)` once everything is settled.
     fn settle_batch<S: Scheme>(who: Settler, stranded: bool) -> (u64, u64) {
         const N: u64 = 8;
         let _serial = pin_tests();
@@ -2159,7 +2097,7 @@ mod tests {
                 .unwrap()
             })
         };
-        let section = stranded.then(|| die(&|| std::mem::forget(d.weak_cs())));
+        let section = stranded.then(|| die(&|| std::mem::forget(d.cs())));
         let load = || {
             let strong: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
             let weak: crate::AtomicWeakPtr<u64, S> = crate::AtomicWeakPtr::null_in(&d);
@@ -2171,7 +2109,7 @@ mod tests {
             // The locations' drops batch the last two references.
             drop((strong, weak));
             let pending = &d.locals[smr::current_tid().index()].pending;
-            assert!(pending.iter().all(|b| b.len.get() == N as usize));
+            assert_eq!(pending.len.get(), 2 * N as usize);
         };
         match who {
             Settler::Owner => {
@@ -2180,7 +2118,6 @@ mod tests {
             }
             Settler::Adopter => {
                 let dead = die(&load);
-                assert!(!d.locals[t.index()].weak_used.get());
                 // Safety: the loader was joined.
                 assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
             }
@@ -2191,17 +2128,6 @@ mod tests {
             }
         }
         assert!(!d.has_pending_batch(t));
-        // Whoever settled it now has weak- or dispose-instance entries to
-        // its name — issued weak decrements, or the disposals the applied
-        // strong ones deferred (each object still had a weak observer) —
-        // and must peek those queues from here on. The PR 16 regression:
-        // the adopter's copy of the arm did not say so. Under hazard
-        // pointers a quiescent settle destructs what it zeroes past a
-        // snapshot and applies the weak decrements, so nothing lands there
-        // unless the adopter's lists came along.
-        if S::PROTECTS_REGIONS || matches!(who, Settler::Adopter) {
-            assert!(d.locals[t.index()].weak_used.get(), "{who:?}");
-        }
         if let Some(dead) = section {
             // Safety: joined.
             assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
@@ -2268,16 +2194,10 @@ mod tests {
             [8, 8, 8, 16]
         );
         assert_eq!(size_of::<SharedPtr<u64, EbrScheme>>(), 8);
-        // A guard's kind is a type, not a field: one more word and the
-        // guard is returned through memory.
+        // One more word and the guard is returned through memory.
         assert_eq!(size_of::<CsGuard<EbrScheme>>(), 2 * size_of::<usize>());
-        assert_eq!(
-            size_of::<CsGuard<EbrScheme, WeakKind>>(),
-            2 * size_of::<usize>()
-        );
-        // A snapshot is its word, its hold and a reference to the strong
-        // view of its guard: three words, four under HP, whose hold names
-        // a hazard slot.
+        // A snapshot is its word, its hold and a reference to its guard:
+        // three words, four under HP, whose hold names a hazard slot.
         let snaps = [
             size_of::<crate::SnapshotPtr<'static, u64, EbrScheme>>(),
             size_of::<crate::WeakSnapshotPtr<'static, u64, EbrScheme>>(),

@@ -4,31 +4,30 @@
 //!
 //! … the answer to three questions about one reference to a control block
 //! (§4.4, Fig. 8–9: weak pointers are the strong protocol run again on a
-//! second count and a second acquire-retire instance):
+//! second count):
 //!
 //! * **which count it holds** — [`RefKind::count`]: `strong` or `weak` in
 //!   the block's header;
-//! * **which instance defers giving it up** — [`RefKind::CHANNEL`], an index
-//!   into the domain's channel table (`domain.rs`), plus the instance a
-//!   count-free snapshot's guard is taken on ([`RefKind::GUARD`]) and the
-//!   section a protected load needs ([`RefKind::FULL`]);
+//! * **which deferred operation gives it up** — [`RefKind::CHANNEL`], the
+//!   tag its retired entries carry on the domain's one acquire-retire
+//!   instance (`domain.rs`);
 //! * **what taking that count to zero obliges** — [`RefKind::zeroed`]:
 //!   dispose the payload (strong) or free the block (weak).
 //!
 //! [`StrongKind`] and [`WeakKind`] are the two answers, given here and
 //! nowhere else. Everything above this module is generic over the kind:
 //! one owned pointer, one atomic location, one snapshot (`ptr.rs`), one
-//! retire / batch / apply path indexed by channel (`domain.rs`), one edge
-//! collector (`counted.rs`). The `strong.rs` / `weak.rs` modules hold only
-//! what the paper makes different.
+//! retire / batch / apply path dispatched on the tag (`domain.rs`), one
+//! edge collector (`counted.rs`). The `strong.rs` / `weak.rs` modules hold
+//! only what the paper makes different.
 //!
 //! Everything here is *untyped* — words, addresses, tag bits. The pointer
 //! modules add the payload type; this module owns the concurrency protocol:
 //!
 //! * every install path checks the incoming block against the location's
 //!   domain ([`check_same_domain`]);
-//! * displaced references are either retired through the kind's instance
-//!   (store) or handed to the caller as *displaced-class* ownership (swap /
+//! * displaced references are either retired under the kind's tag (store)
+//!   or handed to the caller as *displaced-class* ownership (swap /
 //!   successful CAS) — see [`DISPLACED`];
 //! * failed CASes return the witnessed current word so retry loops never
 //!   re-read the location;
@@ -78,16 +77,9 @@ mod sealed {
 /// pointer family's third type parameter. Sealed; see the `engine` module
 /// docs for what the items answer.
 pub trait RefKind: sealed::Sealed + 'static {
-    /// The channel (count, and instance deferring its decrement).
+    /// The channel: the count, and the tag of its deferred decrement.
     #[doc(hidden)]
     const CHANNEL: Channel;
-    /// The instance a count-free snapshot of this kind holds its guard on.
-    #[doc(hidden)]
-    const GUARD: Channel;
-    /// Whether this kind's protected loads need the full section (all three
-    /// instances) rather than the strong-only one.
-    #[doc(hidden)]
-    const FULL: bool;
 
     /// The header count a reference of this kind holds.
     ///
@@ -144,11 +136,9 @@ pub trait RefKind: sealed::Sealed + 'static {
 ///   X is gone even sooner: the decrement of the location it was
 ///   validated through was applied past a scan or a snapshot that saw it.
 /// * No weak snapshot of X is readable. One taken before Σ's fence holds
-///   a hazard on the dispose instance, and Σ reads each thread's slots on
-///   all three instances at one instant, so the weak instance's hazard it
-///   moved from or the dispose one it moved to is there. One taken after
-///   finds the strong count zero, because it reads the count after its own
-///   announcement fence, and is null.
+///   a hazard on X, which Σ names, as it names a strong one. One taken
+///   after finds the strong count zero, because it reads the count after
+///   its own announcement fence, and is null.
 /// * An edge Y of X that Σ does not name is read by nobody through X. A
 ///   reader that reached Y through X published Y while it still held X,
 ///   that is, before X's zero and so before Σ's fence. It cleared X after
@@ -174,10 +164,10 @@ pub(crate) enum Rights<'s> {
     /// open.
     Owner,
     /// A deferred operation the scheme handed back (an eject), or one a
-    /// settle applied after it found the count instances quiescent. Under
-    /// a region scheme no section that reached the object, or an edge
-    /// through it, is still open. Under hazard pointers an object this
-    /// zeroes waits for a snapshot (above).
+    /// region scheme's settle applied after it found the instance
+    /// quiescent. Under a region scheme no section that reached the
+    /// object, or an edge through it, is still open. Under hazard pointers
+    /// an object this zeroes waits for a snapshot (above).
     Eject,
     /// Hazard pointers: the object's strong count reached zero before the
     /// sorted hazard snapshot Σ given here was taken, and Σ does not name
@@ -192,9 +182,9 @@ impl Rights<'_> {
     /// Whether an object these rights zeroed may be destructed on the spot
     /// rather than retired on `Dispose` (or, under hazard pointers, handed
     /// to the next snapshot). A hazard-pointer reader may hold a weak
-    /// snapshot (a hazard on the dispose instance) that no weak count
-    /// records, so only the region schemes, or an exclusive drain, allow
-    /// it without a snapshot.
+    /// snapshot (a hazard on the block) that no weak count records, so only
+    /// the region schemes, or an exclusive drain, allow it without a
+    /// snapshot.
     #[inline]
     pub(crate) fn destruct_now<S: AcquireRetire>(self) -> bool {
         S::PROTECTS_REGIONS || matches!(self, Rights::Unread)
@@ -221,15 +211,13 @@ impl Rights<'_> {
     }
 }
 
-/// Strong references: counted in `strong`, deferred through the strong
-/// instance; at zero the payload is disposed.
+/// Strong references: counted in `strong`, deferred under the `Strong` tag;
+/// at zero the payload is disposed.
 #[derive(Debug)]
 pub struct StrongKind;
 
 impl RefKind for StrongKind {
     const CHANNEL: Channel = Channel::Strong;
-    const GUARD: Channel = Channel::Strong;
-    const FULL: bool = false;
 
     #[inline(always)]
     unsafe fn count<'a>(addr: usize) -> &'a StickyCounter {
@@ -243,30 +231,29 @@ impl RefKind for StrongKind {
     /// minted from strong ones or other weak ones. Under hazard pointers
     /// an eject's zero waits for a hazard snapshot taken after it
     /// (`Rights`), which decides whatever the weak count is. Otherwise
-    /// disposal is deferred through the dispose instance so snapshots stay
-    /// readable (§4.4).
+    /// disposal is deferred as a `Dispose` entry so snapshots stay readable
+    /// (§4.4).
     ///
     /// The immediate path is sound under a region scheme because a zero
     /// strong count proves every location-owned reference has had its
     /// deferred decrement *applied*, each application ordered after the end
     /// of all critical sections that could have read that location. So no
     /// count-free snapshot of the object can still be live. A weak snapshot
-    /// holds the reader's section open on the weak instance too, so the
-    /// weak decrement of any location it was taken from is still pending,
-    /// and the weak gate sees it. Hazard pointers protect one address on one
-    /// instance, not a region: a weak snapshot is a hazard on the dispose
-    /// instance that a weak decrement applied through the weak instance
-    /// never sees, so under HP the weak count proves nothing. The snapshot
-    /// covers the dispose instance too, and a weak snapshot taken after it
-    /// finds the strong count zero.
+    /// holds the reader's section open, so the weak decrement of any
+    /// location it was taken from is still pending, and the weak gate sees
+    /// it. Hazard pointers protect one address, not a region: a scan that
+    /// finds no hazard on a location's old occupant applies its weak
+    /// decrement, while a weak snapshot taken through another location may
+    /// still hold one, so under HP the weak count proves nothing. The
+    /// snapshot names that hazard, and a weak snapshot taken after it finds
+    /// the strong count zero.
     ///
     /// An owned drop additionally needs the payload to enumerate its edges:
     /// a non-graph payload's `Drop` relinquishes its child pointers itself,
     /// and disposing here would recurse one stack frame per chain level.
     /// Applied from the deferred machinery the recursion is bounded — those
     /// nested drops are owned ones and take this gate — so it destructs
-    /// either way instead of a second round-trip through the dispose
-    /// instance.
+    /// either way instead of a second round-trip as a `Dispose` entry.
     #[allow(private_interfaces)]
     unsafe fn zeroed<S: AcquireRetire>(d: &Domain<S>, t: Tid, addr: usize, by: Rights) {
         let h = as_header(addr);
@@ -283,15 +270,13 @@ impl RefKind for StrongKind {
     }
 }
 
-/// Weak references: counted in `weak`, deferred through the weak instance;
-/// at zero the control block is freed.
+/// Weak references: counted in `weak`, deferred under the `Weak` tag; at
+/// zero the control block is freed.
 #[derive(Debug)]
 pub struct WeakKind;
 
 impl RefKind for WeakKind {
     const CHANNEL: Channel = Channel::Weak;
-    const GUARD: Channel = Channel::Dispose;
-    const FULL: bool = true;
 
     #[inline(always)]
     unsafe fn count<'a>(addr: usize) -> &'a StickyCounter {
@@ -372,25 +357,18 @@ impl<G> Hold<G> {
     }
 }
 
-/// The untyped core of a kind-`K` snapshot (a guard it holds is on the
-/// `K::GUARD` instance). Owns the drop; the typed shell adds the payload
-/// type and nothing else.
-pub(crate) struct Held<'g, S: Scheme, K: RefKind> {
+/// The untyped core of a snapshot of either kind. Owns the drop; the typed
+/// shell adds the payload type and kind, and nothing else.
+pub(crate) struct Held<'g, S: Scheme> {
     pub(crate) word: usize,
     hold: Hold<S::Guard>,
     cs: &'g CsGuard<S>,
-    _kind: PhantomData<fn(K) -> K>,
 }
 
-impl<'g, S: Scheme, K: RefKind> Held<'g, S, K> {
+impl<'g, S: Scheme> Held<'g, S> {
     #[inline(always)]
     pub(crate) fn new(word: usize, hold: Hold<S::Guard>, cs: &'g CsGuard<S>) -> Self {
-        Held {
-            word,
-            hold,
-            cs,
-            _kind: PhantomData,
-        }
+        Held { word, hold, cs }
     }
 
     /// Whether the snapshot holds no reference count of its own.
@@ -422,12 +400,12 @@ impl<'g, S: Scheme, K: RefKind> Held<'g, S, K> {
     }
 }
 
-impl<S: Scheme, K: RefKind> Drop for Held<'_, S, K> {
+impl<S: Scheme> Drop for Held<'_, S> {
     #[inline(always)]
     fn drop(&mut self) {
         // One test and one by-value call, no more: see `give_back`.
         if !matches!(self.hold, Hold::Section) {
-            give_back::<S, K>(self.cs, self.word, self.hold);
+            give_back(self.cs, self.word, self.hold);
         }
     }
 }
@@ -442,11 +420,11 @@ impl<S: Scheme, K: RefKind> Drop for Held<'_, S, K> {
 /// away and a drop is nothing; under hazard pointers a hop pays this call
 /// and keeps its snapshots in registers.
 #[inline(never)]
-fn give_back<S: Scheme, K: RefKind>(cs: &CsGuard<S>, word: usize, hold: Hold<S::Guard>) {
+fn give_back<S: Scheme>(cs: &CsGuard<S>, word: usize, hold: Hold<S::Guard>) {
     let (d, t) = (cs.domain(), cs.tid());
     match hold {
         Hold::Section => {}
-        Hold::Guard(g) => d.ar(K::GUARD).release(t, g),
+        Hold::Guard(g) => d.ar().release(t, g),
         // Safety: an owning snapshot of either kind holds one *strong*
         // reference to its (non-null) block; the guard it borrowed keeps
         // the domain alive.
@@ -529,20 +507,19 @@ impl<S: Scheme, K: RefKind> RcWord<S, K> {
 
     /// Protected load-and-increment (Fig. 8's `load_and_increment` /
     /// `weak_load_and_increment`): the word is loaded and protected via
-    /// `acquire` on `K`'s instance, the count incremented and protection
-    /// released. Returns the untagged address carrying one fresh
+    /// `acquire`, `K`'s count incremented and protection released. Returns the untagged address carrying one fresh
     /// caller-owned `K`-reference (0 for null).
     pub(crate) fn load_owning(&self) -> usize {
         let d: &Domain<S> = self.domain();
         let t = smr::current_tid();
-        d.with_cs(t, K::FULL, || {
-            let ar = d.ar(K::CHANNEL);
+        d.with_cs(t, || {
+            let ar = d.ar();
             let (w, guard) = ar.acquire(t, &self.word);
             let addr = untagged(w);
             if addr != 0 {
                 // Safety: this location owns a `K`-reference to whatever it
-                // stores, with decrements deferred via `K`'s instance, so
-                // the acquire-protected increment targets a live block.
+                // stores, with decrements deferred, so the
+                // acquire-protected increment targets a live block.
                 unsafe { K::incr(addr) };
             }
             ar.release(t, guard);

@@ -18,8 +18,8 @@
 //!
 //! Three generic types, parameterized by the payload `T`, the scheme `S`
 //! and the reference kind `K` ([`StrongKind`] or [`WeakKind`]: which count
-//! a reference holds, which acquire-retire instance defers giving it up,
-//! what reaching zero obliges). The six paper names are aliases:
+//! a reference holds, which tag its deferred decrement carries, what
+//! reaching zero obliges). The six paper names are aliases:
 //!
 //! | generic | strong | weak | counts | concurrent mutation | dereference |
 //! |---------|--------|------|--------|---------------------|-------------|
@@ -92,9 +92,9 @@
 //! drop(cs);
 //! ```
 //!
-//! Weak-pointer operations use the *full* guard, [`DomainRef::weak_cs`] —
-//! the same [`CsGuard`] type at `K =` [`WeakKind`], which covers all three
-//! acquire-retire instances and is accepted by the strong operations too:
+//! Weak-pointer operations use the same guard: the domain defers strong
+//! decrements, weak decrements and disposals on one acquire-retire
+//! instance, so one section protects them all:
 //!
 //! ```
 //! use cdrc::{AtomicWeakPtr, SharedPtr, EbrScheme, Scheme};
@@ -103,7 +103,7 @@
 //! let strong: SharedPtr<u64, EbrScheme> = SharedPtr::new(3);
 //! let slot: AtomicWeakPtr<u64, EbrScheme> = AtomicWeakPtr::null();
 //! slot.store(strong.downgrade());
-//! let cs = Ebr::global_domain().weak_cs();
+//! let cs = Ebr::global_domain().cs();
 //! let snap = slot.get_snapshot(&cs);
 //! assert_eq!(snap.as_ref(), Some(&3));
 //! ```
@@ -145,8 +145,7 @@
 //! (`bench::GUARD_BATCH`) re-pin every 64 operations, as in the paper's
 //! methodology. The `lockfree` crate threads one [`CsGuard`] through every
 //! structure operation (`get_with`, `insert_with`, `enqueue_with`, … on
-//! its `ConcurrentMap`/`ConcurrentQueue` traits): a strong one for the
-//! maps, a full one for the weak-edge queue.
+//! its `ConcurrentMap`/`ConcurrentQueue` traits).
 //!
 //! ## Reclamation domains
 //!

@@ -194,9 +194,8 @@ impl<T, S: Scheme, K: RefKind> Default for RcPtr<T, S, K> {
 /// [`AtomicWeakPtr`](crate::AtomicWeakPtr).
 ///
 /// All operations are lock-free (given a lock-free scheme). Racy operations
-/// open the section they need internally — on *this location's* domain, the
-/// strong-only one for a strong location and the full one for a weak
-/// location; hold a guard from the same domain across a sequence of
+/// open the section they need internally, on *this location's* domain; hold
+/// a guard from the same domain across a sequence of
 /// operations to pay the scheme's per-section fence once (performance only —
 /// correctness never depends on the caller's guard for these methods, since
 /// sections nest).
@@ -436,8 +435,8 @@ impl<T, S: Scheme, K: RefKind> fmt::Debug for AtomicRcPtr<T, S, K> {
 /// (`r.addr()`) in inlined shells; structure code should likewise chase the
 /// word and rotate the snapshot, never lend it.
 pub struct Snapshot<'g, T, S: Scheme, K: RefKind> {
-    pub(crate) inner: Held<'g, S, K>,
-    _marker: PhantomData<Box<T>>,
+    pub(crate) inner: Held<'g, S>,
+    _marker: PtrMarker<T, S, K>,
 }
 
 impl<'g, T, S: Scheme, K: RefKind> Snapshot<'g, T, S, K> {
@@ -449,11 +448,10 @@ impl<'g, T, S: Scheme, K: RefKind> Snapshot<'g, T, S, K> {
         }
     }
 
-    /// A null snapshot (no protection needed), under a guard that covers
-    /// `K`'s reads.
+    /// A null snapshot (no protection needed).
     #[inline(always)]
-    pub fn null(cs: &'g CsGuard<S, K>) -> Self {
-        Self::from_parts(0, Hold::Section, cs.strong())
+    pub fn null(cs: &'g CsGuard<S>) -> Self {
+        Self::from_parts(0, Hold::Section, cs)
     }
 
     /// The untagged block address observed (0 = null).
@@ -477,7 +475,7 @@ impl<'g, T, S: Scheme, K: RefKind> Snapshot<'g, T, S, K> {
 
     /// Borrows the managed value, or `None` for null. For a weak snapshot
     /// reading is safe even if the object has since expired — that is the
-    /// point of the deferred dispose instance.
+    /// point of deferring disposal.
     #[inline(always)]
     #[cfg_attr(feature = "sanitize", track_caller)]
     pub fn as_ref(&self) -> Option<&T> {

@@ -9,8 +9,8 @@
 //!   [`strong_count`](SharedPtr::strong_count).
 //! * [`AtomicSharedPtr`] — a mutable shared location holding a strong
 //!   reference (plus low-order tag bits). Strong-only:
-//!   [`get_snapshot`](AtomicSharedPtr::get_snapshot) under a [`CsGuard`]
-//!   of either kind, and the guard-threaded
+//!   [`get_snapshot`](AtomicSharedPtr::get_snapshot) under a [`CsGuard`],
+//!   and the guard-threaded
 //!   [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with),
 //!   whose failure witness is a protected [`SnapshotPtr`] that can be
 //!   dereferenced immediately.
@@ -163,18 +163,17 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
 
     /// Takes a protected snapshot without incrementing the count in the
     /// common case (Fig. 5). The snapshot lives at most as long as the
-    /// critical section `cs` — strong or full, both cover strong reads —
-    /// which must be a guard over **this location's domain** (asserted in
-    /// debug builds — a foreign guard provides no protection here).
+    /// critical section `cs`, which must be a guard over **this location's
+    /// domain** (asserted in debug builds — a foreign guard provides no
+    /// protection here).
     #[inline(always)]
-    pub fn get_snapshot<'g, G: RefKind>(&self, cs: &'g CsGuard<S, G>) -> SnapshotPtr<'g, T, S> {
-        let cs = cs.strong();
+    pub fn get_snapshot<'g>(&self, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, T, S> {
         debug_assert!(
             cs.covers(self.domain()),
             "guard from a different reclamation domain used on this location"
         );
         let src = self.word();
-        let ar = cs.domain().ar(StrongKind::GUARD);
+        let ar = cs.domain().ar();
         let (word, hold) = match ar.try_acquire(cs.tid(), src) {
             Some((w, g)) => (w, Hold::of::<S>(g)),
             None => (snapshot_owning(cs, src), Hold::Owned),
@@ -211,9 +210,8 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     /// the reference is taken before the CAS and given back directly if it
     /// fails — but the failure witness comes back as a *protected*
     /// [`SnapshotPtr`] that can be dereferenced immediately, so retry loops
-    /// read the current value without any further load. Accepts a guard of
-    /// either kind; it must cover this location's domain (asserted in debug
-    /// builds).
+    /// read the current value without any further load. The guard must
+    /// cover this location's domain (asserted in debug builds).
     ///
     /// Under EBR and Hyaline the returned snapshot is exactly the
     /// witnessed word, protected for free by the active section; IBR and
@@ -225,13 +223,12 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ///
     /// Panics if `desired` is non-null and from a different domain.
     #[inline(always)]
-    pub fn compare_exchange_with<'g, R: StrongRef<T>, G: RefKind>(
+    pub fn compare_exchange_with<'g, R: StrongRef<T>>(
         &self,
-        guard: &'g CsGuard<S, G>,
+        cs: &'g CsGuard<S>,
         expected: TaggedPtr<T>,
         desired: &R,
     ) -> Result<SharedPtr<T, S>, SnapshotPtr<'g, T, S>> {
-        let cs = guard.strong();
         debug_assert!(
             cs.covers(self.domain()),
             "guard from a different reclamation domain used on this location"
@@ -292,7 +289,7 @@ pub type SnapshotPtr<'g, T, S> = Snapshot<'g, T, S, StrongKind>;
 #[cold]
 #[inline(never)]
 fn snapshot_owning<S: Scheme>(cs: &CsGuard<S>, src: &AtomicUsize) -> usize {
-    let (ar, t) = (cs.domain().ar(StrongKind::GUARD), cs.tid());
+    let (ar, t) = (cs.domain().ar(), cs.tid());
     let (w, g) = ar.acquire(t, src);
     let addr = untagged(w);
     if addr != 0 {
@@ -362,14 +359,17 @@ mod tests {
 
     #[test]
     fn shared_ptr_clone_and_drop_dispose_once() {
+        // On a private domain: the owner's drop defers the disposal, which
+        // any section a sibling test holds on the global domain would pin.
+        let d: DomainRef<Ebr> = DomainRef::new();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let p: Sp<Probe> = SharedPtr::new(Probe(Arc::clone(&drops)));
+        let p: Sp<Probe> = SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
         let q = p.clone();
         assert!(p.ptr_eq(&q));
         drop(p);
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(q);
-        settle();
+        d.process_deferred(smr::current_tid());
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 

@@ -11,11 +11,13 @@
 //!   the strong count may legitimately be zero —
 //!   [`upgrade`](WeakPtr::upgrade), [`expired`](WeakPtr::expired),
 //!   [`try_promote`](WeakSnapshotPtr::try_promote);
-//! * destruction of the managed object (*disposal*) is itself deferred
-//!   through a third acquire-retire instance, so a [`WeakSnapshotPtr`] —
-//!   taken by [`get_snapshot`](AtomicWeakPtr::get_snapshot) under a *full*
-//!   guard, `CsGuard<S, WeakKind>` — remains safely readable even if the
-//!   object expires during its lifetime.
+//! * destruction of the managed object (*disposal*) is itself deferred, so
+//!   a [`WeakSnapshotPtr`] — taken by
+//!   [`get_snapshot`](AtomicWeakPtr::get_snapshot) under the same
+//!   [`CsGuard`] as a strong one — remains safely readable even if the
+//!   object expires during its lifetime. The paper defers it through a
+//!   third acquire-retire instance; here it is a third tag on the domain's
+//!   one instance (`domain.rs`).
 //!
 //! The mutation surface is [`AtomicRcPtr`]'s. The one asymmetry: there is
 //! no `compare_exchange_with` returning a protected weak snapshot — a weak
@@ -31,7 +33,7 @@ use smr::untagged;
 
 use crate::counted;
 use crate::domain::{CsGuard, Scheme, StrongRef};
-use crate::engine::{Hold, RefKind, WeakKind};
+use crate::engine::{Hold, WeakKind};
 use crate::ptr::{AtomicRcPtr, RcPtr, Snapshot};
 use crate::strong::SharedPtr;
 
@@ -106,9 +108,9 @@ impl<T, S: Scheme> fmt::Debug for WeakPtr<T, S> {
 /// of scheme `S`; see [`AtomicRcPtr`] for the operations it shares with
 /// [`AtomicSharedPtr`](crate::AtomicSharedPtr).
 ///
-/// Every operation must run inside a *full* critical section
-/// ([`DomainRef::weak_cs`](crate::DomainRef::weak_cs)) over this location's
-/// domain; operations invoked without one open it internally.
+/// Every operation must run inside a critical section
+/// ([`DomainRef::cs`](crate::DomainRef::cs)) over this location's domain;
+/// operations invoked without one open it internally.
 ///
 /// # Examples
 ///
@@ -139,64 +141,66 @@ impl<T, S: Scheme> AtomicWeakPtr<T, S> {
     /// location was null or held an expired object. Lock-free (the retry
     /// resolves races between expiry and replacement, §4.5).
     #[inline]
-    pub fn get_snapshot<'g>(&self, cs: &'g CsGuard<S, WeakKind>) -> WeakSnapshotPtr<'g, T, S> {
+    pub fn get_snapshot<'g>(&self, cs: &'g CsGuard<S>) -> WeakSnapshotPtr<'g, T, S> {
         debug_assert!(
             cs.covers(self.domain()),
             "guard from a different reclamation domain used on this location"
         );
-        let (d, t) = (cs.domain(), cs.tid());
-        let (weak_ar, dispose_ar) = (d.ar(WeakKind::CHANNEL), d.ar(WeakKind::GUARD));
+        let (ar, t) = (cs.domain().ar(), cs.tid());
         loop {
-            // Protect the control block from weak reclamation while we
-            // inspect it.
-            let (w, weak_guard) = weak_ar.acquire(t, self.word());
-            let addr = untagged(w);
-            if addr == 0 {
-                weak_ar.release(t, weak_guard);
-                return WeakSnapshotPtr::null(cs);
-            }
-            // Protect the object from disposal: acquire on a stack location
-            // holding the (stable) address. `None` = expired.
-            let local = AtomicUsize::new(addr);
-            let hold = match dispose_ar.try_acquire(t, &local) {
-                // Safety: control block alive under weak_guard.
-                Some((_, g)) if unsafe { !counted::expired(addr) } => Some(Hold::of::<S>(g)),
-                Some((_, g)) => {
-                    dispose_ar.release(t, g);
-                    None
+            // One protection holds back both the block's weak decrement
+            // and the object's disposal: the domain defers both on the one
+            // instance (`domain.rs`).
+            let w = match ar.try_acquire(t, self.word()) {
+                Some((w, g)) => {
+                    let addr = untagged(w);
+                    // Safety: the guard keeps the block allocated.
+                    if addr != 0 && unsafe { !counted::expired(addr) } {
+                        return WeakSnapshotPtr::from_parts(w, Hold::of::<S>(g), cs);
+                    }
+                    ar.release(t, g);
+                    w
                 }
-                // Safety: as above.
-                None => unsafe { own_if_alive(addr) },
+                None => match own_if_alive(cs, self.word()) {
+                    Ok(w) => return WeakSnapshotPtr::from_parts(w, Hold::Owned, cs),
+                    Err(w) => w,
+                },
             };
-            weak_ar.release(t, weak_guard);
-            if let Some(hold) = hold {
-                return WeakSnapshotPtr::from_parts(w, hold, cs.strong());
-            }
-            // Expired. Only report null if the location still holds this
-            // object — otherwise the count may have belonged to a previous
-            // occupant and we must retry for linearizability (§4.5).
+            // Null, or expired. Only report an expired object as null if
+            // the location still holds it — otherwise the count may have
+            // belonged to a previous occupant and we must retry for
+            // linearizability (§4.5).
             // Ordering: Acquire — the nullity decision linearizes here: we
             // may only report "expired ⇒ null" if the location *still*
             // holds the expired occupant, so this re-validation must not be
             // satisfied by a value older than the expiry we just observed
             // (§4.5). The value itself is never dereferenced.
-            if self.word().load(Ordering::Acquire) == w {
+            if untagged(w) == 0 || self.word().load(Ordering::Acquire) == w {
                 return WeakSnapshotPtr::null(cs);
             }
         }
     }
 }
 
-/// Slow arm of [`AtomicWeakPtr::get_snapshot`], out of dispose guards (HP
-/// only): take a real strong reference if the object is still alive.
-///
-/// # Safety
-///
-/// The control block at `addr` is alive (the caller holds a weak guard).
+/// Slow arm of [`AtomicWeakPtr::get_snapshot`], out of protection resources
+/// (HP only): protects `src` with the reserved `acquire` word just long
+/// enough to take a real strong reference if the object is still alive.
+/// `Ok` with the word read when it did, `Err` with it when the word is null
+/// or its object expired.
 #[cold]
 #[inline(never)]
-unsafe fn own_if_alive<G>(addr: usize) -> Option<Hold<G>> {
-    counted::increment(addr).then_some(Hold::Owned)
+fn own_if_alive<S: Scheme>(cs: &CsGuard<S>, src: &AtomicUsize) -> Result<usize, usize> {
+    let (ar, t) = (cs.domain().ar(), cs.tid());
+    let (w, g) = ar.acquire(t, src);
+    let addr = untagged(w);
+    // Safety: the acquire keeps the block allocated.
+    let owned = addr != 0 && unsafe { counted::increment(addr) };
+    ar.release(t, g);
+    if owned {
+        Ok(w)
+    } else {
+        Err(w)
+    }
 }
 
 /// A protected view of an [`AtomicWeakPtr`]'s pointee (§4.1); see
@@ -205,7 +209,7 @@ unsafe fn own_if_alive<G>(addr: usize) -> Option<Hold<G>> {
 /// Unlike a strong [`SnapshotPtr`](crate::SnapshotPtr), the object may
 /// *expire* (strong count → 0) during the snapshot's lifetime, but its
 /// memory remains safely readable until the snapshot drops: disposal is
-/// deferred through the dispose instance this snapshot holds protection on.
+/// deferred, and held back by the protection this snapshot holds.
 pub type WeakSnapshotPtr<'g, T, S> = Snapshot<'g, T, S, WeakKind>;
 
 impl<'g, T, S: Scheme> WeakSnapshotPtr<'g, T, S> {
@@ -271,8 +275,13 @@ mod tests {
 
     #[test]
     fn weak_does_not_keep_object_alive_but_keeps_block() {
+        // On a private domain: the disposal is deferred (a weak observer),
+        // and any section a sibling test holds on the global domain would
+        // pin it.
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let settle = || d.process_deferred(smr::current_tid());
         let drops = Arc::new(Std::new(0));
-        let strong: Sp<Probe> = SharedPtr::new(Probe(Arc::clone(&drops)));
+        let strong: Sp<Probe> = SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
         let weak = strong.downgrade();
         drop(strong);
         settle();
@@ -311,26 +320,34 @@ mod tests {
         unsafe impl Send for Node {}
         unsafe impl Sync for Node {}
 
+        // On a private domain, as in the test above.
+        let d: DomainRef<Ebr> = DomainRef::new();
         let drops = Arc::new(Std::new(0));
         {
-            let a: Sp<Node> = SharedPtr::new(Node {
-                _name: "a",
-                next: std::cell::RefCell::new(SharedPtr::null()),
-                prev: std::cell::RefCell::new(WeakPtr::null()),
-                probe: Probe(Arc::clone(&drops)),
-            });
-            let b: Sp<Node> = SharedPtr::new(Node {
-                _name: "b",
-                next: std::cell::RefCell::new(SharedPtr::null()),
-                prev: std::cell::RefCell::new(WeakPtr::null()),
-                probe: Probe(Arc::clone(&drops)),
-            });
+            let a: Sp<Node> = SharedPtr::new_in(
+                Node {
+                    _name: "a",
+                    next: std::cell::RefCell::new(SharedPtr::null()),
+                    prev: std::cell::RefCell::new(WeakPtr::null()),
+                    probe: Probe(Arc::clone(&drops)),
+                },
+                &d,
+            );
+            let b: Sp<Node> = SharedPtr::new_in(
+                Node {
+                    _name: "b",
+                    next: std::cell::RefCell::new(SharedPtr::null()),
+                    prev: std::cell::RefCell::new(WeakPtr::null()),
+                    probe: Probe(Arc::clone(&drops)),
+                },
+                &d,
+            );
             // a.next = b (strong); b.prev = a (weak): no strong cycle.
             *a.as_ref().unwrap().next.borrow_mut() = b.clone();
             *b.as_ref().unwrap().prev.borrow_mut() = a.downgrade();
             let _ = &a.as_ref().unwrap().probe;
         }
-        settle();
+        d.process_deferred(smr::current_tid());
         assert_eq!(drops.load(Ordering::SeqCst), 2, "both nodes collected");
     }
 
@@ -412,7 +429,7 @@ mod tests {
         let slot: Awp<u32> = AtomicWeakPtr::null();
         slot.store(strong.downgrade());
         {
-            let cs = Ebr::global_domain().weak_cs();
+            let cs = Ebr::global_domain().cs();
             let snap = slot.get_snapshot(&cs);
             assert!(!snap.is_null());
             assert!(snap.used_fast_path(), "EBR never falls back");
@@ -433,7 +450,7 @@ mod tests {
         slot.store(strong.downgrade());
         drop(strong);
         settle();
-        let cs = Ebr::global_domain().weak_cs();
+        let cs = Ebr::global_domain().cs();
         let snap = slot.get_snapshot(&cs);
         assert!(snap.is_null(), "expired object yields null snapshot");
         drop(snap);
@@ -457,7 +474,7 @@ mod tests {
         let slot: Awp<Probe> = AtomicWeakPtr::null_in(&d);
         slot.store(strong.downgrade());
         {
-            let cs = d.weak_cs();
+            let cs = d.cs();
             let snap = slot.get_snapshot(&cs);
             assert!(!snap.is_null());
             drop(strong);

@@ -146,9 +146,7 @@ pub trait ConcurrentMap<K, V>: Send + Sync {
 /// open a section per call.
 pub trait ConcurrentQueue<V>: Send + Sync {
     /// RAII token holding this thread's critical section(s) open across a
-    /// batch of operations (see [`ConcurrentMap::Guard`]). For the weak-edge
-    /// queue this is the domain's *full* guard, covering the weak and
-    /// dispose instances too.
+    /// batch of operations (see [`ConcurrentMap::Guard`]).
     type Guard;
 
     /// Opens an operation guard for the current thread.

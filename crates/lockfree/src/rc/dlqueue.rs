@@ -56,7 +56,7 @@ use std::marker::PhantomData;
 
 use cdrc::{
     AtomicSharedPtr, AtomicWeakPtr, CsGuard, DomainRef, EdgeCollector, GraphNode, Scheme,
-    SharedPtr, WeakKind, WeakPtr,
+    SharedPtr, WeakPtr,
 };
 
 use crate::ConcurrentQueue;
@@ -132,13 +132,11 @@ where
     V: Clone + Send + Sync,
     S: Scheme,
 {
-    /// The *full* guard: `prev` operations go through the weak and dispose
-    /// instances, so a strong-only section would not suffice. It covers the
-    /// `next`-edge snapshots as well.
-    type Guard = CsGuard<S, WeakKind>;
+    /// One section covers the `next`-edge snapshots and the `prev` ones.
+    type Guard = CsGuard<S>;
 
     fn pin(&self) -> Self::Guard {
-        self.domain.weak_cs()
+        self.domain.cs()
     }
 
     // Fig. 10, enqueue — a witness loop: a lost tail CAS hands back a

@@ -86,7 +86,7 @@ pub trait Protection: Sized + 'static {
     /// announcement; HP takes a snapshot.
     fn quiescent(eng: &Engine<Self>) -> bool;
     /// [`AcquireRetire::hazard_snapshot`]; only the pointer scheme has one.
-    fn snapshot(_engines: &[Engine<Self>], _out: &mut Vec<usize>) -> bool {
+    fn snapshot(_eng: &Engine<Self>, _out: &mut Vec<usize>) -> bool {
         unreachable!(
             "{} protects regions and takes no hazard snapshot",
             Self::NAME
@@ -545,8 +545,7 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     }
 
     fn retire_born(&self, t: Tid, addr: usize, birth: P::Birth) {
-        debug_assert!(addr != 0, "cannot retire a null pointer");
-        debug_assert_eq!(addr & crate::TAG_MASK, 0, "cannot retire a tagged pointer");
+        debug_assert!(crate::untagged(addr) != 0, "cannot retire a null pointer");
         // SAFETY: `t` is the calling thread's slot (proper use).
         let local = unsafe { self.own(t) };
         local.retired.push((addr, birth, P::stamp(self)));
@@ -579,8 +578,8 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         P::quiescent(self)
     }
 
-    fn hazard_snapshot(instances: &[Self], out: &mut Vec<usize>) -> bool {
-        P::snapshot(instances, out)
+    fn hazard_snapshot(&self, out: &mut Vec<usize>) -> bool {
+        P::snapshot(self, out)
     }
 
     fn flush(&self, t: Tid) {

@@ -4,7 +4,7 @@ use crate::engine::{eject_unless, Engine, Local, Protection, Slot};
 use crate::registry::{registered_high_water_mark, Tid};
 use crate::sync::atomic::{fence, AtomicUsize, Ordering};
 use crate::util::{announce_usize, prefetch_read};
-use crate::{sanitize, untagged, SmrConfig};
+use crate::{sanitize, untagged, SmrConfig, TAG_MASK};
 
 use std::collections::HashMap;
 
@@ -30,7 +30,7 @@ const HELD: usize = (1 << (RESERVED + 1)) - 1;
 /// One step of a version word's change count, above the [`HELD`] bits.
 const CHANGE: usize = HELD + 1;
 
-/// One thread's announcements on one instance.
+/// One thread's announcements.
 #[derive(Debug)]
 pub struct Words {
     /// A change count (above [`HELD`]) that the owner moves on before every
@@ -79,34 +79,26 @@ impl Words {
     }
 }
 
-/// Reads thread `i`'s announcements on every instance of `engines` into
-/// `out` as they stood at one instant: versions, hazards, versions again,
-/// at most [`COLLECTS`] times. A thread's hazards only ever protect its
-/// own reads (snapshots do not cross threads), so each thread needs its
-/// own instant, not one shared by all: a collect of one thread's few words
-/// is short, and a busy neighbour does not send it round again.
-fn collect_thread(engines: &[Hp], i: usize, out: &mut Vec<usize>) -> bool {
-    let words = || engines.iter().map(|e| &e.slots[i].ann);
+/// Reads thread `i`'s announcements into `out` as they stood at one
+/// instant: version, hazards, version again, at most [`COLLECTS`] times.
+/// A thread's hazards only ever protect its own reads (snapshots do not
+/// cross threads), so each thread needs its own instant, not one shared by
+/// all: a collect of one thread's few words is short, and a busy neighbour
+/// does not send it round again.
+fn collect_thread(eng: &Hp, i: usize, out: &mut Vec<usize>) -> bool {
+    let words = &eng.slots[i].ann;
     for _ in 0..COLLECTS {
         let mark = out.len();
-        // Change counts only grow, so two sums are equal exactly when none
-        // moved (a count wraps only after 2^31 changes, far more than a
-        // collect lasts).
-        let mut before = 0usize;
-        for w in words() {
-            // Ordering: Acquire — a version read here brings every hazard
-            // store its owner made before moving it past that value.
-            let v = w.version.load(Ordering::Acquire);
-            before = before.wrapping_add(v >> (RESERVED + 1));
-            w.held(v, |a| out.push(a));
-        }
+        // Ordering: Acquire — a version read here brings every hazard store
+        // its owner made before moving it past that value.
+        let before = words.version.load(Ordering::Acquire);
+        words.held(before, |a| out.push(a));
         fence(Ordering::Acquire);
         // Ordering: Relaxed — ordered after the hazard loads by the fence
-        // just above.
-        let after = words().fold(0usize, |sum, w| {
-            sum.wrapping_add(w.version.load(Ordering::Relaxed) >> (RESERVED + 1))
-        });
-        if after == before {
+        // just above. The change count only grows, so an equal word means
+        // nothing moved (it wraps only after 2^31 changes, far more than a
+        // collect lasts).
+        if words.version.load(Ordering::Relaxed) == before {
             return true;
         }
         out.truncate(mark);
@@ -123,13 +115,14 @@ pub struct Owned {
     /// The words in use: `free` with nothing held.
     words: u64,
     /// Scratch multiset of current announcements, reused across scans so the
-    /// scan path stops allocating once warm. A scan rebuilds it, then spends
-    /// it: each retired copy it keeps takes one announcement off the count.
-    announced: HashMap<usize, usize>,
+    /// scan path stops allocating once warm: per address, one count for
+    /// each tag. A scan rebuilds it, then spends it: each retired copy it
+    /// keeps takes one announcement off its tag's count.
+    announced: HashMap<usize, [u32; TAG_MASK + 1]>,
 }
 
 /// HP's protection rule: announce each pointer before trusting it; a scan
-/// keeps `min(#retired, #announced)` copies of an address.
+/// keeps `min(#retired, #announced)` copies of an address under each tag.
 #[derive(Debug)]
 pub struct Hazards;
 
@@ -148,18 +141,20 @@ pub struct Hazards;
 ///
 /// The multi-retire rule (§3.2): a scan counts how many times each address is
 /// currently announced and keeps `min(#retired, #announced)` copies in the
-/// retired list, ejecting the surplus. Critical sections are no-ops.
+/// retired list, ejecting the surplus. The count is kept per tag of the
+/// retired address ([`retire_born`](crate::AcquireRetire::retire_born)), so
+/// one hazard covers one entry under each tag. Critical sections are no-ops.
 ///
 /// Each slot also carries a version word that its owner moves on before
 /// every store to a hazard. A scan reads each word once, which proves only
 /// that nobody protects the addresses it ejects. A hazard *snapshot*
 /// ([`hazard_snapshot`](crate::AcquireRetire::hazard_snapshot), and
 /// [`quiescent`](crate::AcquireRetire::quiescent)) is a double collect per
-/// thread, over that thread's slot on every instance: versions, hazards,
-/// versions. If no version moved, the hazards read held at one instant, so
-/// a reader that moved from one word to another during the collect is
-/// caught in one of them. If a version moved, it tries that thread again,
-/// at most three times in all, and then reports no snapshot.
+/// thread: version, hazards, version. If the version did not move, the
+/// hazards read held at one instant, so a reader that moved from one word
+/// to another during the collect is caught in one of them. If it moved, it
+/// tries that thread again, at most three times in all, and then reports
+/// no snapshot.
 ///
 /// # Examples
 ///
@@ -289,28 +284,24 @@ impl Protection for Hazards {
     /// word once would not do: a reader walking hand over hand slips past
     /// it.
     fn quiescent(eng: &Hp) -> bool {
-        let engines = std::slice::from_ref(eng);
         let mut held = Vec::new();
         let hwm = eng.sweep().count();
-        (0..hwm).all(|i| collect_thread(engines, i, &mut held) && held.is_empty())
+        (0..hwm).all(|i| collect_thread(eng, i, &mut held) && held.is_empty())
     }
 
-    /// The double collect: after the scan fence, each thread's versions,
-    /// hazards and versions again on every instance (`collect_thread`). A
-    /// reader that moved a hazard moved its version first, so equal sums
-    /// mean the hazards read are one state of that thread: a reader
-    /// walking hand over hand, publishing its next hazard in a word
-    /// already read and clearing its last one in a word not yet read,
-    /// moves the version and sends the collect round again.
-    fn snapshot(engines: &[Hp], out: &mut Vec<usize>) -> bool {
+    /// The double collect: after the scan fence, each thread's version,
+    /// hazards and version again (`collect_thread`). A reader that moved a
+    /// hazard moved its version first, so an unchanged version means the
+    /// hazards read are one state of that thread: a reader walking hand
+    /// over hand, publishing its next hazard in a word already read and
+    /// clearing its last one in a word not yet read, moves the version and
+    /// sends the collect round again.
+    fn snapshot(eng: &Hp, out: &mut Vec<usize>) -> bool {
         out.clear();
-        let Some(first) = engines.first() else {
-            return true;
-        };
         // The scan fence (`Engine::sweep`), once: every collect reads after
         // it.
-        let hwm = first.sweep().count();
-        if !(0..hwm).all(|i| collect_thread(engines, i, out)) {
+        let hwm = eng.sweep().count();
+        if !(0..hwm).all(|i| collect_thread(eng, i, out)) {
             return false;
         }
         if sanitize::hazard_snapshots_blind() {
@@ -396,7 +387,8 @@ impl Protection for Hazards {
     fn reclaim(eng: &Hp, local: &mut Local<Self>) {
         let announced = &mut local.own.announced;
         // Count current announcements per address (a multiset: the same
-        // address may be announced by several guards at once).
+        // address may be announced by several guards at once), once for
+        // every tag.
         announced.clear();
         eng.survey(|words| {
             // Ordering: Acquire — the held bits of the version read here
@@ -405,19 +397,25 @@ impl Protection for Hazards {
             // ordered by the fence pairing, and a stale nonzero value only
             // pins an object longer.
             let version = words.version.load(Ordering::Acquire);
-            words.held(version, |a| *announced.entry(a).or_insert(0) += 1);
+            words.held(version, |a| {
+                for n in announced.entry(a).or_default() {
+                    *n += 1;
+                }
+            });
         });
-        // Keep at most `announced[addr]` copies of each retired address;
-        // eject the surplus (§3.2's multi-retire accounting). The multiset
-        // is rebuilt every scan, so its counts are the budget, spent in
-        // place: one lookup per retired entry, none for an unannounced one
-        // beyond the miss.
+        // Keep at most `announced[addr]` copies of each retired address
+        // under each tag; eject the surplus (§3.2's multi-retire
+        // accounting). Per tag, because a tag is a different deferred
+        // operation on the same block: a hazard spent on one entry must
+        // still keep the others. The multiset is rebuilt every scan, so its
+        // counts are the budget, spent in place: one lookup per retired
+        // entry, none for an unannounced one beyond the miss.
         eject_unless(
             &mut local.retired,
             &mut local.ready,
-            |addr, (), ()| match announced.get_mut(&addr) {
-                Some(budget) if *budget > 0 => {
-                    *budget -= 1;
+            |addr, (), ()| match announced.get_mut(&untagged(addr)) {
+                Some(budget) if budget[addr & TAG_MASK] > 0 => {
+                    budget[addr & TAG_MASK] -= 1;
                     true
                 }
                 _ => false,
@@ -483,28 +481,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_covers_every_instance_and_every_change_moves_a_version() {
-        let hps = [new_hp(), new_hp()];
+    fn snapshot_covers_every_word_and_every_change_moves_a_version() {
+        let hp = new_hp();
         let t = current_tid();
-        let version =
-            |hp: &Hp| hp.slots[t.index()].ann.version.load(Ordering::SeqCst) >> (RESERVED + 1);
+        let version = || hp.slots[t.index()].ann.version.load(Ordering::SeqCst) >> (RESERVED + 1);
         let (a, b) = (AtomicUsize::new(0x1000), AtomicUsize::new(0x2000));
         let mut held = Vec::new();
-        assert!(Hp::hazard_snapshot(&hps, &mut held));
-        assert!(held.is_empty() && hps[0].quiescent());
-        let before = version(&hps[0]);
-        let (_, ga) = hps[0].try_acquire(t, &a).unwrap();
-        let (_, gb) = hps[1].acquire(t, &b);
-        assert_eq!(version(&hps[0]), before + 1, "a publish moves the version");
-        assert!(Hp::hazard_snapshot(&hps, &mut held));
+        assert!(hp.hazard_snapshot(&mut held));
+        assert!(held.is_empty() && hp.quiescent());
+        let before = version();
+        let (_, ga) = hp.try_acquire(t, &a).unwrap();
+        assert_eq!(version(), before + 1, "a publish moves the version");
+        let (_, gb) = hp.acquire(t, &b);
+        assert!(hp.hazard_snapshot(&mut held));
         held.sort_unstable();
-        assert_eq!(held, [0x1000, 0x2000], "one snapshot spans both instances");
-        assert!(!hps[0].quiescent() && !hps[1].quiescent());
-        hps[0].release(t, ga);
-        assert_eq!(version(&hps[0]), before + 2, "a clear moves the version");
-        assert!(hps[0].quiescent());
-        hps[1].release(t, gb);
-        assert!(Hp::hazard_snapshot(&hps, &mut held));
+        assert_eq!(
+            held,
+            [0x1000, 0x2000],
+            "a try_acquire word and the reserved one"
+        );
+        assert!(!hp.quiescent());
+        hp.release(t, ga);
+        assert_eq!(version(), before + 3, "a clear moves the version");
+        hp.release(t, gb);
+        assert!(hp.quiescent());
+        assert!(hp.hazard_snapshot(&mut held));
         assert!(held.is_empty());
     }
 
@@ -600,6 +601,27 @@ mod tests {
         hp.flush(t);
         assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
         assert_eq!(hp.eject(t), None, "ejected more often than retired");
+    }
+
+    #[test]
+    fn one_hazard_keeps_one_copy_under_each_tag() {
+        // One hazard on X, X retired once under each of three tags: each
+        // tag is its own deferred operation on X, so the hazard keeps all
+        // three, and they come back with their tags once it is gone.
+        let hp = new_hp();
+        let t = current_tid();
+        let src = AtomicUsize::new(0x3000);
+        let (_, g) = hp.try_acquire(t, &src).unwrap();
+        for tag in 0..3 {
+            hp.retire_born(t, 0x3000 | tag, ());
+        }
+        hp.flush(t);
+        assert_eq!(hp.eject(t), None, "one hazard covers every tag");
+        hp.release(t, g);
+        hp.flush(t);
+        let mut back: Vec<usize> = std::iter::from_fn(|| hp.eject(t)).map(|r| r.addr).collect();
+        back.sort_unstable();
+        assert_eq!(back, [0x3000, 0x3001, 0x3002]);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!    free*).
 //! 2. **Automatic use**: the `cdrc` crate retires pointers whose deferred
 //!    operation is a reference-count decrement (or a weak decrement, or a
-//!    disposal), which is exactly how a manual scheme becomes an automatic
-//!    one.
+//!    disposal, told apart by tag bits on the retired address), which is
+//!    exactly how a manual scheme becomes an automatic one.
 //!
 //! Unlike classical formulations, [`eject`](AcquireRetire::eject) *returns*
 //! the retired pointer rather than freeing it, and the same pointer may be
@@ -70,7 +70,7 @@
 //! | `acquire`, `try_acquire`, `release`, `Guard` | Fig. 2; Fig. 4 `acquire`'s revalidation loop; §3.2 announce-then-validate | the returned word stays protected until `release` (or section exit); an announcement written here is fenced before the re-read that trusts it |
 //! | `Birth`, `birth` | Fig. 4 `alloc`: `birth_epoch ← cur_epoch` | `u64` only where `reclaim` reads it (IBR), `()` elsewhere; epoch schemes call `Engine::tick` so the clock keeps moving |
 //! | `Stamp`, `stamp` | Fig. 3 `retire`: `push(x, cur_epoch)` | read after the caller's unlink (`GlobalEpoch::load` is `SeqCst` for this) |
-//! | `reclaim` | Fig. 3 `eject`: `epoch < min(ann)`; Fig. 4's interval test; §3.2's `min(#retired, #announced)` | moves to `ready` only entries no announcement protects, and reads announcements only through `Engine::survey`/`sweep`, which pay the scan-side fence |
+//! | `reclaim` | Fig. 3 `eject`: `epoch < min(ann)`; Fig. 4's interval test; §3.2's `min(#retired, #announced)`, per tag | moves to `ready` only entries no announcement protects, and reads announcements only through `Engine::survey`/`sweep`, which pay the scan-side fence |
 //! | `scan_threshold` | §5.1 eject threshold; HP's amortization bound | — |
 //! | `over_watermark` | — ([`SmrConfig::max_garbage`]) | never waits inside the caller's own section |
 //! | `recall` | — (Hyaline's hand-off lists) | after it, every retired entry sits in some slot's `retired` or `ready` |
@@ -157,9 +157,9 @@ pub fn untagged(word: usize) -> usize {
     word & !TAG_MASK
 }
 
-/// A type-erased retired pointer: the address of the object (sans tag bits)
-/// plus the birth-epoch metadata that interval-based schemes tagged it with
-/// at allocation time.
+/// A type-erased retired pointer: the address of the object plus the
+/// birth-epoch metadata that interval-based schemes tagged it with at
+/// allocation time.
 ///
 /// This is the interface's record, the same 16 bytes under every scheme.
 /// What an instance *stores* per retired entry is smaller where it can be:
@@ -168,7 +168,8 @@ pub fn untagged(word: usize) -> usize {
 /// the schemes that keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
-    /// Untagged address of the retired object.
+    /// Address of the retired object, with the tag bits
+    /// [`retire_born`](AcquireRetire::retire_born) was given.
     pub addr: usize,
     /// Birth epoch recorded by [`AcquireRetire::birth_epoch`] at allocation
     /// (read by IBR only).
@@ -191,8 +192,7 @@ impl Retired {
 }
 
 /// The shared epoch clock. One clock may back several [`AcquireRetire`]
-/// instances (the `cdrc` domain shares a clock between its strong, weak and
-/// dispose instances so that birth epochs are comparable across them).
+/// instances, whose birth epochs are then comparable across them.
 #[derive(Debug, Default)]
 pub struct GlobalEpoch {
     epoch: AtomicU64,
@@ -483,6 +483,12 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// [`retire`](Self::retire) of the object at `addr`, born at `birth` —
     /// the stored form, so a caller that keeps births the scheme's size
     /// never widens them to a [`Retired`].
+    ///
+    /// `addr` may carry [`TAG_MASK`] bits, which [`eject`](Self::eject)
+    /// hands back unchanged. Protection ignores them, except that HP's
+    /// multi-retire accounting is per tag: a scan keeps
+    /// `min(#retired, #announced)` copies of an announced address under
+    /// each tag, so every hazard covers one entry of each.
     fn retire_born(&self, t: Tid, addr: usize, birth: Self::Birth);
 
     /// Returns a previously retired pointer that is no longer protected, if
@@ -513,7 +519,7 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
 
     /// Hazard-pointer schemes (`!PROTECTS_REGIONS`) only: after a
     /// scan-grade `SeqCst` fence, fills `out` with every address each
-    /// thread's announcements on `instances` held at one instant (an
+    /// thread's announcements on this instance held at one instant (an
     /// instant per thread; the order is unspecified, duplicates are
     /// possible), and returns `true`. Returns `false` when some thread's
     /// announcements kept changing and no such instant was caught; then
@@ -525,17 +531,15 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// fence validates against locations that already show everything the
     /// caller did before the call. Region schemes have no per-pointer
     /// announcement and never call it (their policy's default panics).
-    fn hazard_snapshot(instances: &[Self], out: &mut Vec<usize>) -> bool
-    where
-        Self: Sized;
+    fn hazard_snapshot(&self, out: &mut Vec<usize>) -> bool;
 
     /// Forces a scan so that everything ejectable becomes ready; a no-op
     /// when `t`'s retired list is empty and nothing was handed off
     /// ([`hand_off`](Self::hand_off)). A scan of a non-empty list sweeps
     /// every announcement, so callers flush where a list may otherwise
     /// never reach the amortized threshold: teardown, benchmark phase
-    /// changes, and (in `cdrc`) a quiescent settle or a weak-using
-    /// thread's section exit.
+    /// changes, and (in `cdrc`) a quiescent settle or the section exit
+    /// of a thread that defers disposals.
     fn flush(&self, t: Tid);
 
     /// Hands what thread `t` still holds retired (or ready) to the

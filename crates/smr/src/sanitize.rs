@@ -31,17 +31,17 @@
 //! See the repository README ("Reclamation sanitizer") for how to run the
 //! suite under the sanitizer and example diagnostics.
 
-/// Which deferred-decrement channel a retire travels on; mirrors the three
-/// acquire-retire instances a `cdrc` domain runs (strong counts, weak
-/// counts, delayed disposal).
+/// Which deferred operation a retire carries: a `cdrc` domain tags each
+/// retired address with it (the discriminant, in the low bits) and
+/// dispatches on it at eject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Channel {
     /// A deferred strong-count decrement.
-    Strong,
+    Strong = 0,
     /// A deferred weak-count decrement.
-    Weak,
+    Weak = 1,
     /// A delayed disposal (strong count hit zero with weak holders left).
-    Dispose,
+    Dispose = 2,
 }
 
 /// How long a protection token minted by an engine `acquire` stays valid.

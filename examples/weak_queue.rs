@@ -20,8 +20,7 @@ fn queue_demo() {
         queue.enqueue(i);
     }
     // Fig. 12's workload: pop one element, reinsert it, repeat — batched 32
-    // pairs per full (weak) guard, amortizing all three per-section fences
-    // (strong + weak + dispose) the weak-edge queue pays.
+    // pairs per guard, amortizing the per-section fence.
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let queue = &queue;
@@ -70,7 +69,7 @@ fn weak_api_demo() {
     // A weak snapshot can outlive the last strong reference and is still
     // readable — the object is disposed only after the snapshot drops.
     {
-        let cs = S::global_domain().weak_cs();
+        let cs = S::global_domain().cs();
         let snap = registry.get_snapshot(&cs);
         drop(live);
         let s = snap.as_ref().expect("still readable under snapshot");

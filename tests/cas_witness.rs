@@ -149,7 +149,7 @@ fn location_contract<K: RefKind, S: Scheme>() {
         slot.store(kind(&c));
         drop(c);
         d.process_deferred(t);
-        let cs = d.weak_cs();
+        let cs = d.cs();
         let displaced = slot.take();
         let freed = d.freed();
         drop(displaced);

@@ -246,7 +246,7 @@ fn queue_isolation<S: Scheme>() {
     let qb: RcDoubleLinkQueue<u64, S> = RcDoubleLinkQueue::new_in(db.clone());
 
     qa.enqueue(1);
-    let guard = qa.pin(); // full guard: strong + weak + dispose sections
+    let guard = qa.pin();
 
     for i in 0..100u64 {
         qb.enqueue(i);
@@ -258,11 +258,11 @@ fn queue_isolation<S: Scheme>() {
     // At rest the queue keeps two blocks: the current sentinel plus its
     // disposed predecessor, whose *memory* the sentinel's weak `prev` edge
     // legitimately holds (weak count ≥ 1). Everything else — 100 cycled
-    // nodes — must have been reclaimed despite A's open full section.
+    // nodes — must have been reclaimed despite A's open section.
     assert_eq!(
         qb.domain().in_flight(),
         2,
-        "A's full guard must not pin B's queue nodes ({})",
+        "A's guard must not pin B's queue nodes ({})",
         S::scheme_name()
     );
 

@@ -211,7 +211,7 @@ scheme_matrix!(manual_list_concurrent_mixed, {
     concurrent_mixed_styles(Arc::new(HarrisMichaelList::<u64, u64, S>::new()));
 });
 
-/// Queues: batched pop/push under one full guard conserves elements and
+/// Queues: batched pop/push under one guard conserves elements and
 /// order, matching a sequential model, for the weak-edge RC queue, the
 /// manual queue and the lock-based baseline.
 #[test]

@@ -160,7 +160,7 @@ fn snapshot_slow_arm_balances<S: Scheme>() {
         }
     }
     {
-        let cs = d.weak_cs();
+        let cs = d.cs();
         let held: Vec<_> = observers.iter().map(|w| w.get_snapshot(&cs)).collect();
         for (i, snap) in held.iter().enumerate() {
             assert_eq!(snap.as_ref().map(|node| node.v), Some(i));

@@ -528,7 +528,7 @@ fn weak_upgrade_protocol<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Viol
                 mthread::spawn(move || {
                     let t = current_tid();
                     {
-                        let cs = d.weak_cs();
+                        let cs = d.cs();
                         let snap = wslot.get_snapshot(&cs);
                         if !snap.is_null() {
                             // Readable even if the strong drop already won
@@ -1481,14 +1481,14 @@ fn hp_queue_cleared_prev_is_linearizable_and_balances() {
 // (`cdrc::engine::Rights`)
 // ---------------------------------------------------------------------------
 
-/// HP tuning for the snapshot scenarios: three words per slot so a
+/// Tuning for the snapshot scenarios: under HP, three words per slot so a
 /// collect stays short. The scans stay amortized: every snapshot and scan
 /// reads every slot, and `process_deferred` flushes what the scenarios
 /// need.
-fn tight_hp() -> SmrConfig {
+fn tight_hp<S: AcquireRetire>() -> SmrConfig {
     SmrConfig {
         hp_slots: 2,
-        ..Hp::default_config()
+        ..S::default_config()
     }
 }
 
@@ -1496,7 +1496,7 @@ fn tight_hp() -> SmrConfig {
 /// names A or B: the reader it races holds one of them at every moment.
 fn snapshot_names_a_or_b(hp: &Hp) {
     let mut held = Vec::new();
-    if Hp::hazard_snapshot(std::slice::from_ref(hp), &mut held) {
+    if hp.hazard_snapshot(&mut held) {
         assert!(
             held.contains(&OBJ_A) || held.contains(&OBJ_B),
             "a snapshot missed a reader that held A or B throughout: {held:?}"
@@ -1511,7 +1511,7 @@ fn snapshot_names_a_or_b(hp: &Hp) {
 /// again, or give up.
 fn hp_snapshot_vs_hand_over_hand() -> Result<Report, Violation> {
     try_check(cfg(2), || {
-        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp()));
+        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp::<Hp>()));
         let t = current_tid();
         let (none, a, b) = (
             AtomicUsize::new(0),
@@ -1546,7 +1546,7 @@ fn hp_snapshot_catches_a_hand_over_hand_reader() {
 /// reads A both before and after; only the version says it changed.
 fn hp_snapshot_vs_aba() -> Result<Report, Violation> {
     try_check(cfg(2), || {
-        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp()));
+        let hp = Arc::new(Hp::new(Arc::new(GlobalEpoch::new()), tight_hp::<Hp>()));
         let t = current_tid();
         let (a, b) = (AtomicUsize::new(OBJ_A), AtomicUsize::new(OBJ_B));
         let (_, ga) = hp.try_acquire(t, &a).unwrap();
@@ -1572,28 +1572,28 @@ fn hp_snapshot_sees_aba_on_one_word() {
 
 /// A payload that flags its own drop, so a reader can tell "disposed while
 /// I held it" from the outside, without reading freed memory.
-struct Flagged {
-    next: AtomicSharedPtr<Flagged, cdrc::HpScheme>,
+struct Flagged<S: cdrc::Scheme> {
+    next: AtomicSharedPtr<Flagged<S>, S>,
     dropped: Arc<AtomicBool>,
 }
 
-impl Drop for Flagged {
+impl<S: cdrc::Scheme> Drop for Flagged<S> {
     fn drop(&mut self) {
         exempt(|| self.dropped.store(true, Ordering::Relaxed));
     }
 }
 
-impl cdrc::GraphNode<cdrc::HpScheme> for Flagged {
-    fn pop_edges(&mut self, out: &mut cdrc::EdgeCollector<'_, cdrc::HpScheme>) {
+impl<S: cdrc::Scheme> cdrc::GraphNode<S> for Flagged<S> {
+    fn pop_edges(&mut self, out: &mut cdrc::EdgeCollector<'_, S>) {
         out.take_atomic(&mut self.next);
     }
 }
 
 /// A fresh `Flagged` node over `next`, and its drop flag.
-fn flagged(
-    d: &DomainRef<cdrc::HpScheme>,
-    next: SharedPtr<Flagged, cdrc::HpScheme>,
-) -> (SharedPtr<Flagged, cdrc::HpScheme>, Arc<AtomicBool>) {
+fn flagged<S: cdrc::Scheme>(
+    d: &DomainRef<S>,
+    next: SharedPtr<Flagged<S>, S>,
+) -> (SharedPtr<Flagged<S>, S>, Arc<AtomicBool>) {
     let dropped = Arc::new(AtomicBool::new(false));
     let node = Flagged {
         next: AtomicSharedPtr::new_in(next, d),
@@ -1603,25 +1603,37 @@ fn flagged(
 }
 
 /// Asserts the drop flag of what a reader still holds is down.
-fn still_alive(dropped: &AtomicBool, what: &str) {
+fn still_alive<S: AcquireRetire>(dropped: &AtomicBool, what: &str) {
     let gone = exempt(|| dropped.load(Ordering::Relaxed));
-    assert!(!gone, "HP: {what} was disposed under a reader's snapshot");
+    assert!(
+        !gone,
+        "{}: {what} was disposed under a reader's snapshot",
+        S::scheme_name()
+    );
 }
 
 /// Drains and checks the domain balances once every thread is done.
-fn hp_balances(d: &DomainRef<cdrc::HpScheme>) {
+fn balances<S: cdrc::Scheme>(d: &DomainRef<S>) {
     let t = current_tid();
     d.process_deferred(t);
     unsafe { d.drain_and_apply_all(t) };
-    assert_eq!(d.allocated(), d.freed(), "HP: domain ledger unbalanced");
+    assert_eq!(
+        d.allocated(),
+        d.freed(),
+        "{}: domain ledger unbalanced",
+        S::scheme_name()
+    );
 }
 
-/// The weak gate: a reader holds a weak snapshot of X (a hazard on the
-/// dispose instance only) while the main thread clears the weak location
-/// and then X's only strong location. The weak decrement goes through the
-/// weak instance, which never sees that hazard, so X's weak count can fall
-/// to the strong side's own before its strong zero. A snapshot taken after
-/// that zero covers the dispose instance too and names X.
+/// The weak gate: a reader holds a weak snapshot of X while the main
+/// thread clears the weak location and then X's only strong location. X's
+/// weak count can fall to the strong side's own before its strong zero:
+/// under HP a scan that finds no hazard on the location's old occupant
+/// applies the weak decrement, and the reader's hazard may have been
+/// published after that scan read its slot. A snapshot taken after the
+/// zero names X. Under a region scheme (EBR) the reader's one section
+/// holds back the weak decrement, the disposal and the strong decrement
+/// alike, all deferred on the domain's one instance.
 ///
 /// The two cdrc-level scenarios switch threads only at their yields
 /// (preemption bound 0): the full stack under bound 1 runs for minutes,
@@ -1629,9 +1641,9 @@ fn hp_balances(d: &DomainRef<cdrc::HpScheme>) {
 /// The yields give the schedule that matters, the reader holding its
 /// snapshot across everything the main thread reclaims, and every other
 /// order of the two threads' steps.
-fn hp_weak_gate() -> Result<Report, Violation> {
+fn weak_gate<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation> {
     try_check(cfg(0), || {
-        let d: DomainRef<cdrc::HpScheme> = DomainRef::with_config(tight_hp());
+        let d: DomainRef<S> = DomainRef::with_config(tight_hp::<S>());
         let t = current_tid();
         {
             let (x, x_dropped) = flagged(&d, SharedPtr::null());
@@ -1641,11 +1653,11 @@ fn hp_weak_gate() -> Result<Report, Violation> {
                 let (d, weak) = (d.clone(), Arc::clone(&weak));
                 mthread::spawn(move || {
                     {
-                        let cs = d.weak_cs();
+                        let cs = d.cs();
                         let snap = weak.get_snapshot(&cs);
                         if !snap.is_null() {
                             mthread::yield_now();
-                            still_alive(&x_dropped, "a weak snapshot's object");
+                            still_alive::<S>(&x_dropped, "a weak snapshot's object");
                         }
                     }
                     // Nothing to drain: the reader retires nothing.
@@ -1657,14 +1669,23 @@ fn hp_weak_gate() -> Result<Report, Violation> {
             d.process_deferred(t);
             reader.join().unwrap();
         }
-        hp_balances(&d);
+        balances(&d);
     })
 }
 
 #[test]
 fn hp_weak_snapshot_outlives_its_cleared_location() {
     let _s = serial();
-    let report = hp_weak_gate().expect("HP destructed an object under a weak snapshot");
+    let report =
+        weak_gate::<cdrc::HpScheme>().expect("HP destructed an object under a weak snapshot");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
+
+#[test]
+fn ebr_weak_snapshot_outlives_its_cleared_location() {
+    let _s = serial();
+    let report =
+        weak_gate::<cdrc::EbrScheme>().expect("EBR destructed an object under a weak snapshot");
     assert!(report.iterations > 1, "explored only one schedule");
 }
 
@@ -1675,7 +1696,7 @@ fn hp_weak_snapshot_outlives_its_cleared_location() {
 /// zero: one taken at X's zero can predate the reader's hazard on W.
 fn hp_reader_through_another_edge() -> Result<Report, Violation> {
     try_check(cfg(0), || {
-        let d: DomainRef<cdrc::HpScheme> = DomainRef::with_config(tight_hp());
+        let d: DomainRef<cdrc::HpScheme> = DomainRef::with_config(tight_hp::<Hp>());
         let t = current_tid();
         {
             let (w, w_dropped) = flagged(&d, SharedPtr::null());
@@ -1694,7 +1715,7 @@ fn hp_reader_through_another_edge() -> Result<Report, Violation> {
                         drop(y);
                         mthread::yield_now();
                         if w.is_some_and(|w| !w.is_null()) {
-                            still_alive(&w_dropped, "an edge read through a live location");
+                            still_alive::<Hp>(&w_dropped, "an edge read through a live location");
                         }
                     }
                     // Nothing to drain: the reader retires nothing.
@@ -1706,7 +1727,7 @@ fn hp_reader_through_another_edge() -> Result<Report, Violation> {
             d.process_deferred(t);
             reader.join().unwrap();
         }
-        hp_balances(&d);
+        balances(&d);
     })
 }
 

@@ -202,9 +202,9 @@ fn list_churn_hyaline() {
     list_churn::<HyalineScheme>();
 }
 
-/// The weak-edge queue under pop/push contention: exercises the weak and
-/// dispose instances' orderings (the Fig. 10 `prev` pointers) alongside the
-/// strong ones.
+/// The weak-edge queue under pop/push contention: exercises the weak
+/// decrements' and disposals' orderings (the Fig. 10 `prev` pointers)
+/// alongside the strong ones.
 fn queue_churn<S: Scheme>() {
     assert_balanced::<S>(|| {
         let q: Arc<RcDoubleLinkQueue<u64, S>> = Arc::new(RcDoubleLinkQueue::new());

@@ -75,7 +75,7 @@ fn panic_under_weak_guard<S: Scheme>() {
     let strong: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
     let weak: AtomicWeakPtr<u64, S> = AtomicWeakPtr::null_in(&d);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let guard = d.weak_cs();
+        let guard = d.cs();
         let v = SharedPtr::new_in(7u64, &d);
         weak.store(v.downgrade());
         strong.store(v);

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
-use cdrc::{EbrScheme, HpScheme, Scheme};
+use cdrc::{EbrScheme, HpScheme};
 use lockfree::manual::{DoubleLinkQueue, HarrisMichaelList, NatarajanMittalTree};
 use lockfree::rc::{RcDoubleLinkQueue, RcHarrisMichaelList, RcNatarajanMittalTree};
 use lockfree::{ConcurrentMap, ConcurrentQueue};
@@ -202,9 +202,13 @@ proptest! {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
+        // On a private domain: the last drop defers the disposal (weak
+        // observers), which any section a sibling test holds on the global
+        // domain would pin.
+        let d: cdrc::DomainRef<EbrScheme> = cdrc::DomainRef::new();
         let drops = StdArc::new(A::new(0));
         let first: cdrc::SharedPtr<Probe, EbrScheme> =
-            cdrc::SharedPtr::new(Probe(StdArc::clone(&drops)));
+            cdrc::SharedPtr::new_in(Probe(StdArc::clone(&drops)), &d);
         let mut strongs = vec![first];
         let mut weaks: Vec<cdrc::WeakPtr<Probe, EbrScheme>> = Vec::new();
         for step in script {
@@ -244,7 +248,7 @@ proptest! {
         }
         drop(strongs);
         drop(weaks);
-        EbrScheme::global_domain().process_deferred(smr::current_tid());
+        d.process_deferred(smr::current_tid());
         prop_assert_eq!(drops.load(Ordering::SeqCst), 1, "collected exactly once");
     }
 }

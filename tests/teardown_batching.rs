@@ -17,8 +17,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cdrc::{
-    AtomicSharedPtr, DomainRef, EbrScheme, EdgeCollector, GraphNode, HpScheme, HyalineScheme,
-    IbrScheme, Scheme, SharedPtr,
+    AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, EdgeCollector, GraphNode, HpScheme,
+    HyalineScheme, IbrScheme, Scheme, SharedPtr, WeakPtr,
 };
 use lockfree::manual::HarrisMichaelList;
 use lockfree::rc::RcHarrisMichaelList;
@@ -350,6 +350,68 @@ fn exit_hands_off_what_a_section_pins_all_schemes() {
     exit_hands_off_what_a_section_pins::<IbrScheme>();
     exit_hands_off_what_a_section_pins::<HpScheme>();
     exit_hands_off_what_a_section_pins::<HyalineScheme>();
+}
+
+/// An exited thread's weak decrement and deferred disposal, adopted by a
+/// thread that has never touched a weak pointer, are applied at that
+/// thread's next section exit, with no `process_deferred`. A drops the last
+/// strong reference to X while a weak location names X (the disposal is
+/// deferred), then clears the location (a deferred weak decrement); B's
+/// section pins both until A has sent B away, and A exits, handing its
+/// lists off. The main thread only stores into a strong slot under a guard.
+fn adopted_weak_entries_are_applied<S: Scheme>() {
+    use std::sync::mpsc::channel;
+    let d: DomainRef<S> = DomainRef::new();
+    let (entered_tx, entered_rx) = channel();
+    let (leave_tx, leave_rx) = channel::<()>();
+    let (left_tx, left_rx) = channel();
+    std::thread::scope(|s| {
+        let d = &d;
+        s.spawn(move || {
+            let cs = d.cs();
+            entered_tx.send(()).unwrap();
+            leave_rx.recv().unwrap();
+            drop(cs);
+            left_tx.send(()).unwrap();
+        });
+        entered_rx.recv().unwrap();
+        s.spawn(move || {
+            let weak: AtomicWeakPtr<u64, S> = AtomicWeakPtr::null_in(d);
+            let x = SharedPtr::new_in(1u64, d);
+            weak.store(x.downgrade());
+            {
+                let _cs = d.cs();
+                drop(x);
+                weak.store(WeakPtr::null());
+            }
+            leave_tx.send(()).unwrap();
+            left_rx.recv().unwrap();
+        })
+        .join()
+        .unwrap();
+    });
+    let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
+    {
+        let _cs = d.cs();
+        slot.store(SharedPtr::new_in(1, &d));
+        slot.store(SharedPtr::new_in(2, &d));
+    }
+    assert_eq!(
+        d.allocated() - d.freed(),
+        1,
+        "{}: X stayed in flight",
+        S::scheme_name()
+    );
+    drop(slot);
+    settle(&d);
+}
+
+#[test]
+fn adopted_weak_entries_are_applied_all_schemes() {
+    adopted_weak_entries_are_applied::<EbrScheme>();
+    adopted_weak_entries_are_applied::<IbrScheme>();
+    adopted_weak_entries_are_applied::<HpScheme>();
+    adopted_weak_entries_are_applied::<HyalineScheme>();
 }
 
 /// Dropping the last user handle while batched decrements are pending:

@@ -68,7 +68,7 @@ fn weak_snapshot_reads_stay_valid<S: Scheme>() {
                 let d = S::global_domain();
                 let mut reads = 0u32;
                 while !stop.load(Ordering::Relaxed) {
-                    let cs = d.weak_cs();
+                    let cs = d.cs();
                     let snap = slot.get_snapshot(&cs);
                     if let Some(s) = snap.as_ref() {
                         assert_eq!(s, "payload");
@@ -82,7 +82,7 @@ fn weak_snapshot_reads_stay_valid<S: Scheme>() {
         stop.store(true, Ordering::Relaxed);
         let _ = reader.join().unwrap();
         settle::<S>();
-        let cs = S::global_domain().weak_cs();
+        let cs = S::global_domain().cs();
         assert!(slot.get_snapshot(&cs).is_null());
     }
 }
@@ -99,9 +99,10 @@ fn weak_snapshot_expiry_all_schemes() {
 /// it came from is cleared and the object's last strong reference is given
 /// up. Clearing the location takes the weak count back to the strong
 /// side's own +1 once its decrement is applied, which under hazard
-/// pointers happens through the weak instance: it never sees the
-/// snapshot's hazard on the dispose instance. So the gate cannot tell that
-/// the snapshot exists, and a strong zero must not destruct on the spot.
+/// pointers happens once a scan finds no hazard on the location's old
+/// occupant, while the snapshot may have been taken through another
+/// location. So the gate cannot tell that the snapshot exists, and a
+/// strong zero must not destruct on the spot.
 /// The `freed()` check is exact without the sanitizer; the read after it
 /// is what the sanitizer catches.
 fn weak_snapshot_outlives_its_cleared_location<S: Scheme>() {
@@ -112,7 +113,7 @@ fn weak_snapshot_outlives_its_cleared_location<S: Scheme>() {
     let weak: AtomicWeakPtr<String, S> = AtomicWeakPtr::null_in(&d);
     weak.store(strong.load().downgrade());
     {
-        let cs = d.weak_cs();
+        let cs = d.cs();
         let snap = weak.get_snapshot(&cs);
         weak.store(WeakPtr::null());
         d.process_deferred(t);
@@ -166,7 +167,7 @@ fn weak_snapshot_null_only_if_location_unchanged() {
     };
     let d = EbrScheme::global_domain();
     for _ in 0..20_000 {
-        let cs = d.weak_cs();
+        let cs = d.cs();
         let snap = slot.get_snapshot(&cs);
         // The slot always references the keeper-alive object (modulo the
         // instant between the two stores), so null snapshots must be rare
