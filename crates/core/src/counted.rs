@@ -189,10 +189,8 @@ pub(crate) struct EdgeSink {
 /// zero and before its payload is dropped.
 ///
 /// Implementing the trait has no effect unless the object is allocated
-/// through a graph-aware constructor ([`SharedPtr::new_graph`],
-/// [`SharedPtr::new_graph_in`](crate::SharedPtr::new_graph_in)).
-///
-/// [`SharedPtr::new_graph`]: crate::SharedPtr::new_graph
+/// through the graph-aware constructor
+/// [`SharedPtr::new_graph_in`](crate::SharedPtr::new_graph_in).
 pub trait GraphNode<S: Scheme> {
     /// Moves all outgoing reference-counted edges into `out`, nulling the
     /// corresponding fields.

@@ -68,8 +68,11 @@
 //! flush points cover that:
 //!
 //! * every outermost section exit of a thread that has issued a `Dispose`
-//!   entry (`exit_flush`, `DomainLocal::disposes`); under a region scheme
-//!   maps, lists and the tree never do and run nothing here;
+//!   entry: [`Domain::leave`] learns from the instance's
+//!   `end_critical_section` that the exit was outermost and runs
+//!   `exit_flush`, which flushes the thread's batch and then, per
+//!   `DomainLocal::disposes`, scans its list; under a region scheme maps,
+//!   lists and the tree never dispose and scan nothing here;
 //! * the settling thread's list, when `settle`'s sweep finds every section
 //!   closed, and at every settle under hazard pointers. A thread that
 //!   seeded a structure under one guard and then went idle does not keep
@@ -151,7 +154,7 @@
 //! by a static handle forever, so their count never returns to one and the
 //! slow path is never entered for them. The memory itself is owned by an
 //! `Arc`: one anchor strong count, dropped by the DEAD winner, plus `Weak`s
-//! for the dead-thread reaper and the thread-exit hook, which must
+//! for the dead-thread reaper and the thread-unregister callback, which must
 //! `try_pin` (and give up on DEAD) before touching anything.
 //!
 //! The remaining caveat is unchanged: discarding the last handle while
@@ -171,7 +174,7 @@ use std::sync::{Arc, Weak};
 
 use smr::sanitize::Channel;
 use smr::util::{CachePadded, ShardedCounter};
-use smr::{AcquireRetire, ExitHook, GlobalEpoch, SmrConfig, Tid, MAX_THREADS};
+use smr::{AcquireRetire, GlobalEpoch, SmrConfig, Tid, MAX_THREADS};
 use sticky::Counter;
 
 use crate::counted::{as_header, birth_of, Block, EdgeSink, GraphNode};
@@ -1354,26 +1357,15 @@ impl<S: AcquireRetire> Domain<S> {
         !self.locals[t.index()].pending.is_empty()
     }
 
-    /// Installs the two flush triggers for the calling thread: the
-    /// section-exit hook on the instance (idempotent, per domain) and a
-    /// thread-unregister callback (per thread × domain). Returns `false`
-    /// when the thread is already unregistering and can no longer defer
-    /// work.
+    /// Installs the calling thread's unregister-time flush (per thread ×
+    /// domain); the other flush point, the outermost section exit, is
+    /// [`leave`](Self::leave)'s. Returns `false` when the thread is already
+    /// unregistering and can no longer defer work.
     fn register_thread_flush(&self) -> bool {
-        // Section-exit trigger, once per outermost section. The hook holds
-        // a raw pointer to `self`; it only fires inside
-        // `end_critical_section`, whose callers by contract keep the
-        // instance (and thus the whole domain) reachable until it returns.
-        unsafe {
-            self.ar.set_exit_hook(ExitHook::new(
-                self as *const Self as *const (),
-                exit_flush::<S>,
-            ));
-        }
-        // Thread-unregister trigger. Captures a weak handle: the callback
-        // must not keep the domain alive, and a dead domain has (provably)
-        // nothing left to flush — batch entries pin their blocks, and every
-        // block keeps the core from going DEAD.
+        // Captures a weak handle: the callback must not keep the domain
+        // alive, and a dead domain has (provably) nothing left to flush —
+        // batch entries pin their blocks, and every block keeps the core
+        // from going DEAD.
         let weak = self.weak_self.clone();
         smr::on_thread_exit(Box::new(move |t| {
             let Some(core) = weak.upgrade() else { return };
@@ -1405,20 +1397,54 @@ impl<S: AcquireRetire> Domain<S> {
         self.ar.begin_critical_section(t);
     }
 
-    /// Closes what [`enter`](Self::enter) opened (the exit hook flushes
-    /// there), then applies what became ready: leaving a section is where
-    /// region schemes (Hyaline in particular) ready new ejects.
+    /// Closes what [`enter`](Self::enter) opened; an outermost exit then
+    /// flushes ([`exit_flush`](Self::exit_flush)). Either way it applies
+    /// what became ready: leaving a section is where region schemes
+    /// (Hyaline in particular) ready new ejects.
     ///
     /// Panic-safe: a section can end while the thread is unwinding (the
     /// RAII guards close it on purpose, so the announcement never pins
-    /// other threads' garbage). Applying ejects executes user destructors
-    /// and a second panic would abort the process, so collection is skipped
-    /// then and runs at the next natural flush point.
+    /// other threads' garbage). Flushing and applying ejects execute user
+    /// destructors and a second panic would abort the process, so both are
+    /// skipped then and run at the next natural flush point: entries pin
+    /// their blocks, so nothing is lost, merely deferred.
     #[inline]
     fn leave(&self, t: Tid) {
-        self.ar.end_critical_section(t);
+        let outermost = self.ar.end_critical_section(t);
         if !std::thread::panicking() {
+            if outermost {
+                self.exit_flush(t);
+            }
             self.collect(t);
+        }
+    }
+
+    /// The outermost section exit's flush: the thread's decrement batch,
+    /// then, once the thread has issued a `Dispose` entry, a scan of its
+    /// list (the caller applies what the scan readies). The section is
+    /// fully over, so what this retires is a fresh retire.
+    ///
+    /// A dispose entry waits for a scan, and a thread whose list never
+    /// reaches the threshold is scanned nowhere else. In a chain, each
+    /// entry holds every node behind it: a node is destructed only after
+    /// its predecessor, whose destruct gives up the `next` reference to it.
+    //
+    // Out of line so that `leave` stays small enough to inline into every
+    // operation's section: inlined, it took `leave` out of line and
+    // `kv_zipf`'s `rc_ebr_p50_ns` read 5 % higher (ten ledger pairs, 2-core
+    // x86-64).
+    #[inline(never)]
+    fn exit_flush(&self, t: Tid) {
+        if self.has_pending_batch(t) {
+            self.flush_batches(t);
+        }
+        // Every exit, not only after an issue: an entry the scan finds still
+        // protected must be looked at again, and no later retire may come
+        // (the tail's predecessor, say, which holds every node behind it).
+        // Only threads that defer disposals pay, and an empty list costs no
+        // sweep.
+        if self.locals[t.index()].disposes.get() {
+            self.ar.flush(t);
         }
     }
 
@@ -1480,18 +1506,18 @@ impl<S: AcquireRetire> Domain<S> {
         let mut applied = 0;
         loop {
             let mut any = false;
-            while let Some(r) = self.ar.eject(t) {
+            while let Some(entry) = self.ar.eject(t) {
                 any = true;
-                if !S::PROTECTS_REGIONS && channel_of(r.addr) == Channel::Dispose {
+                if !S::PROTECTS_REGIONS && channel_of(entry) == Channel::Dispose {
                     // Safety: the entry carries a disposal; its edges wait
                     // for this round's snapshot.
-                    unsafe { self.await_snapshot(t, smr::untagged(r.addr) | DISPOSED) };
+                    unsafe { self.await_snapshot(t, smr::untagged(entry) | DISPOSED) };
                     continue;
                 }
-                // Safety: an ejected record carries what its tag defers,
+                // Safety: an ejected entry carries what its tag defers,
                 // transferred at `retire`/`batch`, and the eject grants the
                 // apply rights.
-                unsafe { self.apply(t, r.addr, Rights::Eject) };
+                unsafe { self.apply(t, entry, Rights::Eject) };
             }
             // Hazard pointers: what the ejects zeroed, after the ejects.
             if !S::PROTECTS_REGIONS {
@@ -1551,8 +1577,8 @@ impl<S: AcquireRetire> Domain<S> {
             if !batched && drained.is_empty() {
                 break;
             }
-            for r in drained {
-                self.apply(t, r.addr, Rights::Unread);
+            for entry in drained {
+                self.apply(t, entry, Rights::Unread);
             }
             // Applying may have retired more (possibly on other slots via
             // recycled Tids); loop until nothing is left anywhere.
@@ -1619,37 +1645,6 @@ impl<S: AcquireRetire> Drop for Domain<S> {
         // Safety: exclusive access; drains pending batches on every slot
         // before applying the retired lists.
         unsafe { self.drain_and_apply_all(t) };
-    }
-}
-
-/// Section-exit trampoline: flushes the exiting thread's decrement batch,
-/// then, once the thread has issued a `Dispose` entry, scans its list (the
-/// caller's `leave` applies what the scan readies). `data` is the
-/// domain the hook was installed for; see
-/// [`Domain::register_thread_flush`] for why it is still alive here.
-///
-/// A dispose entry waits for a scan, and a thread whose list never reaches
-/// the threshold is scanned nowhere else. In a chain, each entry holds every
-/// node behind it: a node is destructed only after its predecessor, whose
-/// destruct gives up the `next` reference to it.
-unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
-    // A section can end while the thread is unwinding from a panic (the
-    // RAII guards close it on purpose). Flushing would run user destructors
-    // and a second panic aborts; leave the batch for the next natural flush
-    // point — entries pin their blocks, so nothing is lost, merely deferred.
-    if std::thread::panicking() {
-        return;
-    }
-    let d = &*(data as *const Domain<S>);
-    if d.has_pending_batch(t) {
-        d.flush_batches(t);
-    }
-    // Every exit, not only after an issue: an entry the scan finds still
-    // protected must be looked at again, and no later retire may come (the
-    // tail's predecessor, say, which holds every node behind it). Only
-    // threads that defer disposals pay, and an empty list costs no sweep.
-    if d.locals[t.index()].disposes.get() {
-        d.ar.flush(t);
     }
 }
 
@@ -1742,7 +1737,7 @@ impl<S: AcquireRetire> CsGuard<S> {
 impl<S: AcquireRetire> Drop for CsGuard<S> {
     fn drop(&mut self) {
         self.domain().leave(self.t);
-        // Last: the exit-hook flush and the collection above ran at the
+        // Last: the section-exit flush and the collection above ran at the
         // guard's own depth.
         // Safety: the guard is one unit of its (creating, `!Send`) thread's
         // depth, and closes once.
@@ -2026,10 +2021,6 @@ mod tests {
         }
         let d: DomainRef<S> = DomainRef::new();
         let disposed = Arc::new(AtomicBool::new(false));
-        // A displaced store installs the section-exit hook.
-        let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
-        slot.store(SharedPtr::new_in(1, &d));
-        slot.store(SharedPtr::null());
         let p = SharedPtr::new_in(Flag(Arc::clone(&disposed)), &d);
         let observer = p.downgrade();
         let (entered_tx, entered_rx) = channel();

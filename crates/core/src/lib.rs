@@ -192,8 +192,8 @@
 //! inside the payload's `Drop`, one deferral round-trip per edge — a long
 //! dead chain takes one collection *round per level*. Payloads that
 //! implement [`GraphNode`] and are allocated through
-//! [`SharedPtr::new_graph`] / [`SharedPtr::new_graph_in`] instead enumerate
-//! their edges into an [`EdgeCollector`], letting the domain destruct the
+//! [`SharedPtr::new_graph_in`] instead enumerate their edges into an
+//! [`EdgeCollector`], letting the domain destruct the
 //! whole reachable zero-count subgraph **iteratively, inside the current
 //! operation** (CIRC-style): a node whose strong count hits zero with no
 //! weak observer is disposed on the spot, its directly-owned edges

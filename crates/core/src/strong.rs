@@ -65,19 +65,11 @@ impl<T, S: Scheme> SharedPtr<T, S> {
         Self::from_addr(domain.allocate(smr::current_tid(), value) as usize)
     }
 
-    /// As [`new`](Self::new), for payloads that enumerate their outgoing
-    /// edges ([`GraphNode`](crate::GraphNode)): when the object's strong
-    /// count reaches zero with no weak observers, the whole reachable
-    /// zero-count subgraph is destructed immediately instead of one
-    /// deferral round-trip per edge.
-    pub fn new_graph(value: T) -> Self
-    where
-        T: crate::GraphNode<S>,
-    {
-        Self::new_graph_in(value, S::global_domain())
-    }
-
-    /// As [`new_graph`](Self::new_graph) under an explicit domain.
+    /// As [`new_in`](Self::new_in), for payloads that enumerate their
+    /// outgoing edges ([`GraphNode`](crate::GraphNode)): when the object's
+    /// strong count reaches zero with no weak observers, the whole
+    /// reachable zero-count subgraph is destructed immediately instead of
+    /// one deferral round-trip per edge.
     pub fn new_graph_in(value: T, domain: &DomainRef<S>) -> Self
     where
         T: crate::GraphNode<S>,

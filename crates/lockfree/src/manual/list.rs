@@ -519,26 +519,36 @@ mod tests {
 
     #[test]
     fn contended_same_keys() {
+        // Every thread's op stream derives from one seed, so a failing run
+        // can be replayed with `TEST_SEED`.
+        let seed = crate::test_seed();
         let list: Arc<HarrisMichaelList<u64, u64, Ebr>> = Arc::new(HarrisMichaelList::new());
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
+        let threads: Vec<_> = (0..8u64)
+            .map(|i| {
                 let list = Arc::clone(&list);
                 std::thread::spawn(move || {
+                    let mut state = seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1;
                     for j in 0..500u64 {
-                        let k = j % 16;
-                        if j % 3 == 0 {
-                            list.insert(k, j);
-                        } else if j % 3 == 1 {
-                            list.remove(&k);
-                        } else {
-                            list.get(&k);
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let k = (state >> 33) % 16;
+                        match (state >> 20) % 3 {
+                            0 => {
+                                list.insert(k, j);
+                            }
+                            1 => {
+                                list.remove(&k);
+                            }
+                            _ => {
+                                list.get(&k);
+                            }
                         }
                     }
                 })
             })
             .collect();
         for th in threads {
-            th.join().unwrap();
+            th.join()
+                .unwrap_or_else(|_| panic!("a worker died; replay with TEST_SEED={seed}"));
         }
     }
 

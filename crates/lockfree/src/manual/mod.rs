@@ -19,7 +19,7 @@ pub use resizable::ResizableHashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use smr::{AcquireRetire, Retired, SectionGuard, SmrConfig, Tid};
+use smr::{sync::atomic::AtomicUsize, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid};
 
 use crate::LanePairs;
 
@@ -74,11 +74,7 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
 
     /// Traversal protection: the scheme's `try_acquire`.
     #[inline(always)]
-    pub(crate) fn try_acquire(
-        &self,
-        t: Tid,
-        src: &smr::sync::atomic::AtomicUsize,
-    ) -> Option<(usize, S::Guard)> {
+    pub(crate) fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, S::Guard)> {
         self.smr.try_acquire(t, src)
     }
 
@@ -120,11 +116,11 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
     /// chore).
     #[inline]
     pub(crate) fn collect(&self, t: Tid) {
-        while let Some(r) = self.smr.eject(t) {
+        while let Some(addr) = self.smr.eject(t) {
             self.nodes.down(t);
             // Safety: only `Box<N>`s are retired through this instance
             // (`retire`'s contract), each once.
-            unsafe { drop(Box::from_raw(r.addr as *mut N)) };
+            unsafe { drop(Box::from_raw(addr as *mut N)) };
         }
     }
 
@@ -160,9 +156,9 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
         // parked (and leak with the instance) rather than be freed under
         // that open section.
         if Arc::strong_count(&self.smr) == 1 {
-            for r in self.smr.drain_all() {
+            for addr in self.smr.drain_all() {
                 self.nodes.down(t);
-                drop(Box::from_raw(r.addr as *mut N));
+                drop(Box::from_raw(addr as *mut N));
             }
         }
     }

@@ -434,7 +434,15 @@ where
     /// the paper's Fig. 11 workload. Only supported under protected-region
     /// schemes (manual HP cannot protect an unbounded path — which is why
     /// Fig. 11 has no manual-HP series).
-    fn range_impl(&self, from: &K, to: &K, limit: usize) -> Option<usize> {
+    ///
+    /// Each child edge is read through `try_acquire`, as in `seek`. The
+    /// section alone does not protect what it reads under IBR
+    /// (`PROTECTS_SECTION_READS` is false): its interval covers only objects
+    /// born up to the announced end, and an acquire is what raises that
+    /// end. The raised end stays until the section closes, and a region
+    /// scheme's guard carries nothing (its `try_acquire` is total), so the
+    /// guard is given back at once.
+    fn range_impl(&self, t: Tid, from: &K, to: &K, limit: usize) -> Option<usize> {
         if !S::PROTECTS_REGIONS {
             return None;
         }
@@ -442,12 +450,15 @@ where
         let hi = NmKey::Fin(to.clone());
         let mut found = 0usize;
         let mut stack = vec![self.root as usize];
-        while let Some(n) = stack.pop() {
-            if found >= limit {
-                break;
-            }
+        let child = |edge: &AtomicUsize| {
+            let (w, g) = self.reclaimer.try_acquire(t, edge).expect("regions: total");
+            self.reclaimer.release(t, g);
+            addr(w)
+        };
+        while let Some(n) = stack.pop().filter(|_| found < limit) {
             // Safety: the whole query runs inside the caller's critical
-            // section; every node reached was reachable when read.
+            // section, and every node reached was read through an acquire
+            // (or is the root sentinel).
             unsafe {
                 let node = n as *const Node<K, V>;
                 if self.is_leaf(n) {
@@ -458,10 +469,10 @@ where
                 }
                 // External BST: left keys < node.key <= right keys.
                 if hi >= (*node).key {
-                    stack.push(addr((*node).right.load(Ordering::SeqCst)));
+                    stack.push(child(&(*node).right));
                 }
                 if lo < (*node).key {
-                    stack.push(addr((*node).left.load(Ordering::SeqCst)));
+                    stack.push(child(&(*node).left));
                 }
             }
         }
@@ -504,7 +515,7 @@ where
 
     fn range_with(&self, from: &K, to: &K, limit: usize, guard: &Self::Guard) -> Option<usize> {
         let t = self.reclaimer.tid(guard);
-        let r = self.range_impl(from, to, limit);
+        let r = self.range_impl(t, from, to, limit);
         self.reclaimer.collect(t);
         r
     }
@@ -676,6 +687,61 @@ mod tests {
             h.join()
                 .unwrap_or_else(|_| panic!("a worker died; replay with TEST_SEED={seed}"));
         }
+    }
+
+    /// Ranges race inserts and removes of the keys they count: a node a
+    /// range reaches may be unlinked and retired under it (under IBR one
+    /// born after the range's section began, which only an acquire covers).
+    fn contended_mixed_with_ranges<S: AcquireRetire>() {
+        // Every thread's op stream derives from one seed, so a failing run
+        // can be replayed with `TEST_SEED`.
+        let seed = crate::test_seed();
+        let tree: Arc<NatarajanMittalTree<u64, u64, S>> = Arc::new(NatarajanMittalTree::new());
+        let hs: Vec<_> = (0..8u64)
+            .map(|i| {
+                let tree = Arc::clone(&tree);
+                std::thread::spawn(move || {
+                    let mut state = seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1;
+                    for _ in 0..1500 {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let k = (state >> 33) % 128;
+                        match (state >> 20) % 4 {
+                            0 => {
+                                tree.insert(k, k);
+                            }
+                            1 => {
+                                tree.remove(&k);
+                            }
+                            2 => assert!(tree.get(&k).is_none_or(|v| v == k)),
+                            _ => assert!(tree.range(&k, &(k + 16), 16).unwrap() <= 16),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap_or_else(|_| {
+                panic!(
+                    "{}: a worker died; replay with TEST_SEED={seed}",
+                    S::scheme_name()
+                )
+            });
+        }
+    }
+
+    #[test]
+    fn contended_mixed_with_ranges_ebr() {
+        contended_mixed_with_ranges::<Ebr>();
+    }
+
+    #[test]
+    fn contended_mixed_with_ranges_ibr() {
+        contended_mixed_with_ranges::<Ibr>();
+    }
+
+    #[test]
+    fn contended_mixed_with_ranges_hyaline() {
+        contended_mixed_with_ranges::<Hyaline>();
     }
 
     #[test]

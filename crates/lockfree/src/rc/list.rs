@@ -401,13 +401,16 @@ mod tests {
 
     #[test]
     fn contended_same_keys() {
+        // Every thread's op stream derives from one seed, so a failing run
+        // can be replayed with `TEST_SEED`.
+        let seed = crate::test_seed();
         let list: Arc<RcHarrisMichaelList<u64, u64, EbrScheme>> =
             Arc::new(RcHarrisMichaelList::new());
-        let hs: Vec<_> = (0..8)
-            .map(|s| {
+        let hs: Vec<_> = (0..8u64)
+            .map(|i| {
                 let list = Arc::clone(&list);
                 std::thread::spawn(move || {
-                    let mut state = 0x9E3779B9u64.wrapping_mul(s + 1);
+                    let mut state = seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1;
                     for _ in 0..1000 {
                         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let k = (state >> 33) % 16;
@@ -427,7 +430,8 @@ mod tests {
             })
             .collect();
         for h in hs {
-            h.join().unwrap();
+            h.join()
+                .unwrap_or_else(|_| panic!("a worker died; replay with TEST_SEED={seed}"));
         }
     }
 

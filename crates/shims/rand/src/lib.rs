@@ -59,87 +59,6 @@ macro_rules! impl_sample_range {
 
 impl_sample_range!(u8, u16, u32, u64, usize);
 
-/// Distributions beyond the uniform ranges of [`Rng::gen_range`].
-pub mod distributions {
-    use super::RngCore;
-
-    /// A Zipfian rank distribution over `0..n` (rank 0 is the hottest),
-    /// using the rejection-free closed form of Gray et al. ("Quickly
-    /// generating billion-record synthetic databases"), the same generator
-    /// YCSB's zipfian workloads use.
-    ///
-    /// `theta` is the skew in `[0, 1)`: 0 degenerates to uniform, 0.99 is
-    /// YCSB's default heavy skew. Construction computes the harmonic
-    /// normalizer in O(n); sampling is O(1) and takes `&self`, so one
-    /// instance can be shared by every worker thread of a benchmark.
-    #[derive(Debug, Clone)]
-    pub struct Zipf {
-        n: u64,
-        theta: f64,
-        alpha: f64,
-        zetan: f64,
-        eta: f64,
-        half_pow_theta: f64,
-    }
-
-    impl Zipf {
-        /// A zipfian distribution over `0..n` with skew `theta`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `n == 0` or `theta` is outside `[0, 1)`.
-        pub fn new(n: u64, theta: f64) -> Self {
-            assert!(n > 0, "zipfian over an empty range");
-            assert!(
-                (0.0..1.0).contains(&theta),
-                "theta must be in [0, 1), got {theta}"
-            );
-            let zetan = Self::zeta(n, theta);
-            let zeta2 = Self::zeta(2.min(n), theta);
-            let alpha = 1.0 / (1.0 - theta);
-            let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-            Zipf {
-                n,
-                theta,
-                alpha,
-                zetan,
-                eta,
-                half_pow_theta: 0.5f64.powf(theta),
-            }
-        }
-
-        fn zeta(n: u64, theta: f64) -> f64 {
-            (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-        }
-
-        /// The size of the sampled range.
-        pub fn n(&self) -> u64 {
-            self.n
-        }
-
-        /// The skew this distribution was built with.
-        pub fn theta(&self) -> f64 {
-            self.theta
-        }
-
-        /// Draws one rank in `0..n`; smaller ranks are (exponentially) more
-        /// likely.
-        pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-            // 53 uniform bits → u in [0, 1).
-            let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            let uz = u * self.zetan;
-            if uz < 1.0 {
-                return 0;
-            }
-            if self.n > 1 && uz < 1.0 + self.half_pow_theta {
-                return 1;
-            }
-            let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-            r.min(self.n - 1)
-        }
-    }
-}
-
 /// Pre-packaged generators.
 pub mod rngs {
     use super::{RngCore, SeedableRng};
@@ -192,7 +111,6 @@ pub mod rngs {
 
 #[cfg(test)]
 mod tests {
-    use super::distributions::Zipf;
     use super::rngs::SmallRng;
     use super::{Rng, SeedableRng};
 
@@ -222,53 +140,5 @@ mod tests {
             seen[rng.gen_range(0..4usize)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn zipf_rank_frequency_is_monotone() {
-        // With heavy skew and enough samples, the expected frequency gaps
-        // between well-separated ranks dwarf sampling noise, so strict
-        // comparisons on those ranks are a safe monotonicity check.
-        let zipf = Zipf::new(64, 0.99);
-        let mut rng = SmallRng::seed_from_u64(0xD1CE);
-        let mut counts = [0u64; 64];
-        for _ in 0..200_000 {
-            let r = zipf.sample(&mut rng) as usize;
-            assert!(r < 64, "rank out of range");
-            counts[r] += 1;
-        }
-        assert!(counts[0] > counts[3]);
-        assert!(counts[3] > counts[15]);
-        assert!(counts[15] > counts[63]);
-        assert!(
-            counts[0] > 10 * counts[63],
-            "head dwarfs tail at theta=0.99"
-        );
-    }
-
-    #[test]
-    fn zipf_is_deterministic_for_a_seed() {
-        let zipf = Zipf::new(1000, 0.6);
-        let mut a = SmallRng::seed_from_u64(99);
-        let mut b = SmallRng::seed_from_u64(99);
-        for _ in 0..200 {
-            assert_eq!(zipf.sample(&mut a), zipf.sample(&mut b));
-        }
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_roughly_uniform() {
-        let zipf = Zipf::new(16, 0.0);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut counts = [0u64; 16];
-        for _ in 0..160_000 {
-            counts[zipf.sample(&mut rng) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!(
-                (5_000..20_000).contains(&c),
-                "rank count {c} far from uniform"
-            );
-        }
     }
 }

@@ -182,7 +182,7 @@ mod tests {
         // Epoch must advance past the retirement epoch before ejection.
         ebr.clock.advance();
         ebr.flush(t);
-        assert_eq!(ebr.eject(t), Some(Retired::new(0x1000, 0)));
+        assert_eq!(ebr.eject(t), Some(0x1000));
         assert_eq!(ebr.eject(t), None);
     }
 
@@ -195,7 +195,7 @@ mod tests {
         // than no announcement, but min over an empty set is MAX: ejectable
         // immediately once flushed.
         ebr.flush(t);
-        assert_eq!(ebr.eject(t), Some(Retired::new(0x2000, 0)));
+        assert_eq!(ebr.eject(t), Some(0x2000));
     }
 
     #[test]
@@ -208,9 +208,9 @@ mod tests {
         }
         ebr.clock.advance();
         ebr.flush(t);
-        assert_eq!(ebr.eject(t), Some(r));
-        assert_eq!(ebr.eject(t), Some(r));
-        assert_eq!(ebr.eject(t), Some(r));
+        assert_eq!(ebr.eject(t), Some(r.addr));
+        assert_eq!(ebr.eject(t), Some(r.addr));
+        assert_eq!(ebr.eject(t), Some(r.addr));
         assert_eq!(ebr.eject(t), None);
     }
 

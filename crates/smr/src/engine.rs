@@ -4,10 +4,10 @@
 //! schemes differ only in *what they announce*, *what a retire is stamped
 //! with* and *when an entry may be ejected* (Fig. 3 EBR, Fig. 4 IBR, §3.2
 //! HP). [`Engine`] owns everything else exactly once — per-thread slots,
-//! section nesting, heartbeats, the fault and sanitizer checkpoints, the
-//! exit hook, allocation counting, the retire list and its
-//! threshold-spaced scans, the fence-then-sweep skeleton, the ready queue,
-//! draining and dead-slot recovery — and a crate-private `Protection`
+//! section nesting, heartbeats, the fault and sanitizer checkpoints,
+//! allocation counting, the retire list and its threshold-spaced scans, the
+//! fence-then-sweep skeleton, the ready queue, draining and dead-slot
+//! recovery — and a crate-private `Protection`
 //! policy supplies the protection rule. `smr::{Ebr, Ibr, Hp, Hyaline}` are
 //! aliases of `Engine<policy>`; the crate docs' "Adding a scheme" table
 //! lists what a policy owes.
@@ -16,12 +16,12 @@ use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
 use crate::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use crate::sync::exempt;
 use crate::util::CachePadded;
-use crate::{fault, sanitize, AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig};
+use crate::{fault, sanitize, AcquireRetire, GlobalEpoch, Retired, SmrConfig};
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Rounds of sleep-then-recheck the [`SmrConfig::max_garbage`] backpressure
 /// loop runs before giving up. Bounded so an over-watermark `retire` slows
@@ -157,7 +157,8 @@ pub trait Protection: Sized + 'static {
 pub trait Birth: Copy + Default + Send + Sync + fmt::Debug + 'static {
     /// Keeps what the scheme reads of `epoch`.
     fn of(epoch: u64) -> Self;
-    /// The epoch the public record reports: 0 where nothing is kept.
+    /// The epoch [`AcquireRetire::birth_epoch`] reports: 0 where nothing is
+    /// kept.
     fn epoch(self) -> u64;
 }
 
@@ -184,18 +185,16 @@ impl Birth for u64 {
 /// A retired entry as a slot stores it: the address, its scheme-sized
 /// birth, and the stamp of its retire. 16 bytes under EBR, 8 under HP and
 /// Hyaline, 24 under IBR (the public [`Retired`] record is 16 everywhere).
+/// Once its protection lapses only the address is kept, for `eject`.
 pub(crate) type Entry<P> = (usize, <P as Protection>::Birth, <P as Protection>::Stamp);
-
-/// An entry whose protection has lapsed, waiting for `eject`.
-pub(crate) type Lapsed<P> = (usize, <P as Protection>::Birth);
 
 /// The owner-only part of a slot.
 #[allow(missing_debug_implementations)] // unnameable; see `Protection`
 pub struct Local<P: Protection> {
     /// Retired entries awaiting a scan, with the stamp of their retire.
     pub(crate) retired: Vec<Entry<P>>,
-    /// Entries whose protection has lapsed, ready for `eject`.
-    pub(crate) ready: VecDeque<Lapsed<P>>,
+    /// Addresses whose protection has lapsed, ready for `eject`.
+    pub(crate) ready: VecDeque<usize>,
     /// Critical-section nesting depth.
     pub(crate) depth: u32,
     /// Allocations since the last clock advance (see [`Engine::tick`]).
@@ -253,7 +252,6 @@ pub struct Engine<P: Protection> {
     pub(crate) cfg: SmrConfig,
     pub(crate) shared: P::Shared,
     pub(crate) slots: Box<[CachePadded<Slot<P>>; MAX_THREADS]>,
-    exit_hook: OnceLock<ExitHook>,
     /// What exiting threads handed off ([`AcquireRetire::hand_off`]): their
     /// retired entries with stamps, and their ready ones. The next
     /// outermost section exit of any thread adopts them.
@@ -264,38 +262,29 @@ pub struct Engine<P: Protection> {
 }
 
 /// The lists a thread handed off on its way out.
-type Orphans<P> = (Vec<Entry<P>>, Vec<Lapsed<P>>);
+type Orphans<P> = (Vec<Entry<P>>, Vec<usize>);
 
-// SAFETY: `clock`, `cfg`, `shared`, `exit_hook`, the hand-off box and
-// every `Slot::ann` are `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the frame
-// invariant above gives each `Local` a single accessing thread at a time,
-// and `Local` is `Send` (its policy parts by bound), so handing a slot from
-// an exited thread to its successor is sound.
+// SAFETY: `clock`, `cfg`, `shared`, the hand-off box and every `Slot::ann`
+// are `Sync` by their bounds. `Slot::local` is the one `!Sync` field; the
+// frame invariant above gives each `Local` a single accessing thread at a
+// time, and `Local` is `Send` (its policy parts by bound), so handing a slot
+// from an exited thread to its successor is sound.
 unsafe impl<P: Protection> Sync for Engine<P> {}
 
 /// Retains in place the entries `keep` holds on to and queues the rest for
 /// `eject`; allocation-free on the retired list.
 pub(crate) fn eject_unless<B: Copy, S: Copy>(
     retired: &mut Vec<(usize, B, S)>,
-    ready: &mut VecDeque<(usize, B)>,
+    ready: &mut VecDeque<usize>,
     mut keep: impl FnMut(usize, B, S) -> bool,
 ) {
     retired.retain(|&(addr, birth, stamp)| {
         let kept = keep(addr, birth, stamp);
         if !kept {
-            ready.push_back((addr, birth));
+            ready.push_back(addr);
         }
         kept
     });
-}
-
-/// The public record of a stored entry.
-#[inline]
-fn record<B: Birth>((addr, birth): (usize, B)) -> Retired {
-    Retired {
-        addr,
-        birth: birth.epoch(),
-    }
 }
 
 impl<P: Protection> Engine<P> {
@@ -360,10 +349,10 @@ impl<P: Protection> Engine<P> {
         self.orphans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Takes what exiting threads handed off into slot `t`'s lists and
-    /// scans them there.
+    /// Takes what exiting threads handed off into `local`'s lists and scans
+    /// them there.
     #[cold]
-    fn adopt(&self, t: Tid) {
+    fn adopt(&self, local: &mut Local<P>) {
         let (retired, ready) = {
             let mut box_ = self.orphans();
             // The box is emptied under its lock, so clearing the hint here
@@ -374,8 +363,6 @@ impl<P: Protection> Engine<P> {
             exempt(|| self.orphaned.store(false, Ordering::Relaxed));
             std::mem::take(&mut *box_)
         };
-        // SAFETY: `t` is the calling thread's slot (proper use).
-        let local = unsafe { self.own(t) };
         local.retired.extend(retired);
         local.ready.extend(ready);
         self.scan(local);
@@ -448,7 +435,6 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
             cfg: config,
             shared: P::Shared::default(),
             slots: slots.try_into().ok().expect("MAX_THREADS slots collected"),
-            exit_hook: OnceLock::new(),
             orphans: Mutex::new((Vec::new(), Vec::new())),
             orphaned: AtomicBool::new(false),
         }
@@ -477,41 +463,25 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     }
 
     #[inline]
-    fn end_critical_section(&self, t: Tid) {
-        // Scoped: the hook below may re-enter `retire`/`eject`, which take
-        // their own `&mut Local` — the borrow must be dead by then.
-        let outermost = {
-            let slot = self.slot(t);
-            // SAFETY: `t` is the calling thread's slot (proper use).
-            let local = unsafe { &mut *slot.local.get() };
-            debug_assert!(local.depth > 0, "end_critical_section without begin");
-            local.depth -= 1;
-            let outermost = local.depth == 0;
-            if outermost {
-                P::leave(self, &slot.ann, local);
-            }
-            outermost
-        };
-        if outermost {
-            // Ordering: Relaxed — a hint, not a protocol word: the entries
-            // travel under the box's lock, and a missed hint waits for the
-            // next exit.
-            if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
-                self.adopt(t);
-            }
-            beat(t);
-            sanitize::section_exit(self.id(), t);
-            // Section fully exited: anything the hook retires from here is
-            // stamped, counted or announced against as a fresh retire,
-            // which only widens protection.
-            if let Some(h) = self.exit_hook.get() {
-                h.invoke(t);
-            }
+    fn end_critical_section(&self, t: Tid) -> bool {
+        let slot = self.slot(t);
+        // SAFETY: `t` is the calling thread's slot (proper use).
+        let local = unsafe { &mut *slot.local.get() };
+        debug_assert!(local.depth > 0, "end_critical_section without begin");
+        local.depth -= 1;
+        if local.depth > 0 {
+            return false;
         }
-    }
-
-    fn set_exit_hook(&self, hook: ExitHook) {
-        let _ = self.exit_hook.set(hook);
+        P::leave(self, &slot.ann, local);
+        // Ordering: Relaxed — a hint, not a protocol word: the entries
+        // travel under the box's lock, and a missed hint waits for the next
+        // exit.
+        if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
+            self.adopt(local);
+        }
+        beat(t);
+        sanitize::section_exit(self.id(), t);
+        true
     }
 
     #[inline]
@@ -563,9 +533,9 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     }
 
     #[inline]
-    fn eject(&self, t: Tid) -> Option<Retired> {
+    fn eject(&self, t: Tid) -> Option<usize> {
         // SAFETY: `t` is the calling thread's slot (proper use).
-        unsafe { self.own(t) }.ready.pop_front().map(record)
+        unsafe { self.own(t) }.ready.pop_front()
     }
 
     #[inline]
@@ -583,12 +553,12 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
     }
 
     fn flush(&self, t: Tid) {
-        // Ordering: Relaxed — a hint, as at section exit.
-        if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
-            return self.adopt(t);
-        }
         // SAFETY: `t` is the calling thread's slot (proper use).
         let local = unsafe { self.own(t) };
+        // Ordering: Relaxed — a hint, as at section exit.
+        if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
+            return self.adopt(local);
+        }
         // Nothing to classify: skip the sweep (and its fault checkpoint).
         if !local.retired.is_empty() {
             self.scan(local);
@@ -610,18 +580,16 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         exempt(|| self.orphaned.store(true, Ordering::Relaxed));
     }
 
-    unsafe fn drain_all(&self) -> Vec<Retired> {
+    unsafe fn drain_all(&self) -> Vec<usize> {
         P::recall(self);
-        let mut out = Vec::new();
-        let (retired, ready) = std::mem::take(&mut *self.orphans());
-        out.extend(retired.into_iter().map(|(a, b, _)| record((a, b))));
-        out.extend(ready.into_iter().map(record));
+        let (retired, mut out) = std::mem::take(&mut *self.orphans());
+        out.extend(retired.into_iter().map(|(a, ..)| a));
         for slot in self.slots.iter() {
             // SAFETY: exclusive access to every slot is the caller's
             // contract.
             let local = &mut *slot.local.get();
-            out.extend(local.retired.drain(..).map(|(a, b, _)| record((a, b))));
-            out.extend(local.ready.drain(..).map(record));
+            out.extend(local.retired.drain(..).map(|(a, ..)| a));
+            out.extend(local.ready.drain(..));
         }
         out
     }
@@ -677,14 +645,13 @@ mod tests {
     fn stored_entry_sizes() {
         // A birth is stored only where the eject rule reads it (IBR), a
         // stamp only where it is an epoch (EBR, IBR). The public record
-        // `Retired` stays 16 bytes; a slot stores the compact entry.
+        // `Retired` stays 16 bytes; a slot stores the compact entry, and a
+        // ready one is the address alone.
         let w = size_of::<usize>();
         assert_eq!(size_of::<Entry<crate::ebr::Epochs>>(), 2 * w);
         assert_eq!(size_of::<Entry<crate::ibr::Intervals>>(), 3 * w);
         assert_eq!(size_of::<Entry<crate::hp::Hazards>>(), w);
         assert_eq!(size_of::<Entry<crate::hyaline::Batches>>(), w);
-        assert_eq!(size_of::<Lapsed<crate::ebr::Epochs>>(), w);
-        assert_eq!(size_of::<Lapsed<crate::ibr::Intervals>>(), 2 * w);
         assert_eq!(size_of::<Retired>(), 2 * w);
     }
 }

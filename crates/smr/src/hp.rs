@@ -528,7 +528,7 @@ mod tests {
         hp.release(t, g);
         hp.begin_critical_section(t);
         hp.end_critical_section(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x7000, 0)));
+        assert_eq!(hp.eject(t), Some(0x7000));
     }
 
     #[test]
@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(hp.eject(t), None, "announced pointer must stay");
         hp.release(t, g);
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x2000, 0)));
+        assert_eq!(hp.eject(t), Some(0x2000));
     }
 
     #[test]
@@ -566,12 +566,12 @@ mod tests {
             hp.retire(t, Retired::new(0x3000, 0));
         }
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), Some(0x3000));
+        assert_eq!(hp.eject(t), Some(0x3000));
         assert_eq!(hp.eject(t), None, "one copy pinned by the announcement");
         hp.release(t, g);
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), Some(0x3000));
     }
 
     #[test]
@@ -590,16 +590,16 @@ mod tests {
             hp.retire(t, Retired::new(0x3000, 0));
         }
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), Some(0x3000));
         assert_eq!(hp.eject(t), None, "two copies pinned by two announcements");
         hp.release(t, g1);
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), Some(0x3000));
         assert_eq!(hp.eject(t), None, "one announcement left");
         hp.release(t, g2);
         hp.release(t, g3);
         hp.flush(t);
-        assert_eq!(hp.eject(t), Some(Retired::new(0x3000, 0)));
+        assert_eq!(hp.eject(t), Some(0x3000));
         assert_eq!(hp.eject(t), None, "ejected more often than retired");
     }
 
@@ -619,7 +619,7 @@ mod tests {
         assert_eq!(hp.eject(t), None, "one hazard covers every tag");
         hp.release(t, g);
         hp.flush(t);
-        let mut back: Vec<usize> = std::iter::from_fn(|| hp.eject(t)).map(|r| r.addr).collect();
+        let mut back: Vec<usize> = std::iter::from_fn(|| hp.eject(t)).collect();
         back.sort_unstable();
         assert_eq!(back, [0x3000, 0x3001, 0x3002]);
     }

@@ -98,7 +98,7 @@ unsafe fn claim(eng: &Hyaline, batch: *mut Batch, local: &mut Local<Batches>) {
     eng.shared.fetch_sub(batch.items.len(), Ordering::Relaxed);
     local
         .ready
-        .extend(batch.items.into_iter().map(|(addr, (), ())| (addr, ())));
+        .extend(batch.items.into_iter().map(|(addr, (), ())| addr));
 }
 
 impl Protection for Batches {
@@ -295,7 +295,7 @@ mod tests {
         let t = current_tid();
         hy.retire(t, Retired::new(0x1000, 0));
         hy.flush(t);
-        assert_eq!(hy.eject(t), Some(Retired::new(0x1000, 0)));
+        assert_eq!(hy.eject(t), Some(0x1000));
         assert_eq!(hy.eject(t), None);
     }
 
@@ -319,7 +319,7 @@ mod tests {
         hy.retire(t, Retired::new(0x2000, 0)); // batch of 1, pushed to our own slot
         assert_eq!(hy.eject(t), None, "own section holds the batch");
         hy.end_critical_section(t);
-        assert_eq!(hy.eject(t), Some(Retired::new(0x2000, 0)));
+        assert_eq!(hy.eject(t), Some(0x2000));
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
         retired_tx.send(()).unwrap();
         let claimed = claimed_rx.recv().unwrap();
         reader.join().unwrap();
-        assert_eq!(claimed, Some(Retired::new(0x3000, 0)));
+        assert_eq!(claimed, Some(0x3000));
     }
 
     #[test]

@@ -283,7 +283,11 @@ mod tests {
 
         // Old object: lifetime [0, 0], reader interval [1, 1]: disjoint.
         ibr.flush(t);
-        assert_eq!(ibr.eject(t), Some(r_old), "disjoint interval must eject");
+        assert_eq!(
+            ibr.eject(t),
+            Some(r_old.addr),
+            "disjoint interval must eject"
+        );
 
         // New object retired *during* the reader's section: lifetime [1, 1]
         // intersects [1, 1]: must stay.
@@ -295,7 +299,7 @@ mod tests {
         done_tx.send(()).unwrap();
         reader.join().unwrap();
         ibr.flush(t);
-        assert_eq!(ibr.eject(t), Some(r_new));
+        assert_eq!(ibr.eject(t), Some(r_new.addr));
     }
 
     #[test]
@@ -322,8 +326,8 @@ mod tests {
         ibr.retire(t, r);
         ibr.retire(t, r);
         ibr.flush(t);
-        assert_eq!(ibr.eject(t), Some(r));
-        assert_eq!(ibr.eject(t), Some(r));
+        assert_eq!(ibr.eject(t), Some(r.addr));
+        assert_eq!(ibr.eject(t), Some(r.addr));
         assert_eq!(ibr.eject(t), None);
     }
 

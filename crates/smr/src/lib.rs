@@ -52,9 +52,11 @@
 //!
 //! There is one implementation, [`Engine`], written once: per-thread slots,
 //! section nesting, heartbeats, the fault and sanitizer checkpoints, the
-//! exit hook, the retire list and its threshold-spaced scans, the
-//! fence-then-sweep skeleton, the ready queue, `drain_all` and
-//! `reclaim_slot`. The four schemes are aliases of `Engine<policy>`, and a
+//! retire list and its threshold-spaced scans, the fence-then-sweep
+//! skeleton, the ready queue, `drain_all` and `reclaim_slot`. It runs no
+//! consumer code: [`end_critical_section`](AcquireRetire::end_critical_section)
+//! reports an outermost exit, and the consumer does its own section-exit
+//! work after it. The four schemes are aliases of `Engine<policy>`, and a
 //! policy is an implementation of the crate-private `Protection` trait
 //! (`src/engine.rs`) — one file of `src/` each. A fifth scheme is a fifth
 //! such file plus an alias; what it supplies, and what each item owes:
@@ -134,9 +136,9 @@ pub use hp::{Hp, HpGuard};
 pub use hyaline::Hyaline;
 pub use ibr::Ibr;
 pub use registry::{
-    abandon_current_slot, active_threads, current_tid, heartbeat_of, on_thread_exit,
-    reclaim_orphaned_slot, register_orphan_reaper, registered_high_water_mark, slot_abandoned,
-    slot_in_use, OrphanWatch, Tid, MAX_THREADS,
+    abandon_current_slot, active_threads, current_tid, on_thread_exit, reclaim_orphaned_slot,
+    register_orphan_reaper, registered_high_water_mark, slot_abandoned, slot_in_use, OrphanWatch,
+    Tid, MAX_THREADS,
 };
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -161,15 +163,17 @@ pub fn untagged(word: usize) -> usize {
 /// birth-epoch metadata that interval-based schemes tagged it with at
 /// allocation time.
 ///
-/// This is the interface's record, the same 16 bytes under every scheme.
-/// What an instance *stores* per retired entry is smaller where it can be:
-/// the birth is kept as the scheme's [`AcquireRetire::Birth`], so only IBR
-/// keeps it, and [`eject`](AcquireRetire::eject) reports `birth` 0 under
-/// the schemes that keep none.
+/// This is the record [`retire`](AcquireRetire::retire) takes, the same 16
+/// bytes under every scheme. What an instance *stores* per retired entry is
+/// smaller where it can be: the birth is kept as the scheme's
+/// [`AcquireRetire::Birth`], so only IBR keeps it, and an entry whose
+/// protection has lapsed is the address alone, which is what
+/// [`eject`](AcquireRetire::eject) hands back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
-    /// Address of the retired object, with the tag bits
-    /// [`retire_born`](AcquireRetire::retire_born) was given.
+    /// Address of the retired object; [`new`](Self::new) rejects tag bits
+    /// (a tagged word goes through
+    /// [`retire_born`](AcquireRetire::retire_born)).
     pub addr: usize,
     /// Birth epoch recorded by [`AcquireRetire::birth_epoch`] at allocation
     /// (read by IBR only).
@@ -297,63 +301,6 @@ impl Default for SmrConfig {
     }
 }
 
-/// A type-erased callback a consumer installs on a scheme instance with
-/// [`AcquireRetire::set_exit_hook`], invoked each time a thread leaves its
-/// *outermost* critical section on that instance (after the scheme's own
-/// section-exit work has completed).
-///
-/// The automatic layer uses this to flush per-thread deferred-decrement
-/// batches exactly once per section instead of once per retired pointer.
-///
-/// The hook is deliberately a bare `(data, fn)` pair rather than a boxed
-/// closure: invoking it on the section-exit fast path must not touch the
-/// allocator, and the pair stays `Copy`-cheap inside the engines.
-pub struct ExitHook {
-    data: *const (),
-    call: unsafe fn(*const (), Tid),
-}
-
-// Safety: the `new` contract requires `data` to be valid for the installing
-// instance's lifetime and `call` to tolerate invocation from any registered
-// thread, which is exactly what crossing threads needs.
-unsafe impl Send for ExitHook {}
-unsafe impl Sync for ExitHook {}
-
-impl ExitHook {
-    /// Creates a hook that invokes `call(data, tid)` whenever a thread's
-    /// outermost critical section on the installing instance ends.
-    ///
-    /// # Safety
-    ///
-    /// The caller promises that `data` remains valid for the entire lifetime
-    /// of the scheme instance the hook is installed on, and that `call` is
-    /// sound to invoke with `data` from any registered thread, re-entrantly
-    /// with respect to the instance (the hook runs inside
-    /// [`AcquireRetire::end_critical_section`], so it may call back into
-    /// `retire`/`eject`/`flush` but must not recurse into section exit).
-    pub unsafe fn new(data: *const (), call: unsafe fn(*const (), Tid)) -> Self {
-        ExitHook { data, call }
-    }
-
-    /// Invokes the hook for thread `t`.
-    ///
-    /// The frame calls this after its own outermost section-exit work, with
-    /// no per-thread state borrowed — the hook may re-enter the instance.
-    #[inline]
-    pub(crate) fn invoke(&self, t: Tid) {
-        // Safety: upheld by the `new` contract.
-        unsafe { (self.call)(self.data, t) }
-    }
-}
-
-impl Debug for ExitHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExitHook")
-            .field("data", &self.data)
-            .finish()
-    }
-}
-
 /// The generalized acquire-retire interface (paper Fig. 2).
 ///
 /// One value of an implementing type is one *instance* of the scheme: it has
@@ -433,20 +380,12 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// effect.
     fn begin_critical_section(&self, t: Tid);
 
-    /// Leaves the current read critical section (outermost call only).
-    fn end_critical_section(&self, t: Tid);
-
-    /// Installs an [`ExitHook`] invoked each time a thread leaves its
-    /// outermost critical section on this instance, after the scheme's own
-    /// exit work. At most one hook per instance; installation is one-shot
-    /// and later calls are silently ignored. The hook is a pure
-    /// optimization channel: consumers must stay correct if it never fires.
-    ///
-    /// Callers of `end_critical_section` must guarantee the instance stays
-    /// reachable until the call returns (the hook may run consumer code);
-    /// every proper-use caller already does, since it entered the section
-    /// through a live reference it still holds.
-    fn set_exit_hook(&self, hook: ExitHook);
+    /// Leaves the current read critical section (outermost call only), and
+    /// returns whether the section it closed was the outermost one. After
+    /// an outermost exit the thread holds no section on this instance, so a
+    /// consumer may run its own section-exit work there (`cdrc` flushes its
+    /// batched decrements); what it retires then is a fresh retire.
+    fn end_critical_section(&self, t: Tid) -> bool;
 
     /// Hook invoked once per allocation of a managed object: advances the
     /// epoch according to `epoch_freq` and returns the object's birth epoch
@@ -492,9 +431,10 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     fn retire_born(&self, t: Tid, addr: usize, birth: Self::Birth);
 
     /// Returns a previously retired pointer that is no longer protected, if
-    /// one is ready. Callers apply the deferred operation themselves and
-    /// must not call `eject` recursively from within it.
-    fn eject(&self, t: Tid) -> Option<Retired>;
+    /// one is ready: the word given to `retire`, tag bits included (the
+    /// birth stayed behind). Callers apply the deferred operation
+    /// themselves and must not call `eject` recursively from within it.
+    fn eject(&self, t: Tid) -> Option<usize>;
 
     /// Whether [`eject`](Self::eject) would currently return `Some` — a
     /// cheap thread-local peek that lets callers skip their eject loop's
@@ -551,14 +491,15 @@ pub unsafe trait AcquireRetire: Send + Sync + 'static {
     /// slot's next owner does.
     fn hand_off(&self, t: Tid);
 
-    /// Takes *every* retired record out of the instance, protected or not.
+    /// Takes *every* retired word out of the instance, protected or not, in
+    /// the form [`eject`](Self::eject) hands back.
     ///
     /// # Safety
     ///
     /// Callable only when no other thread is concurrently using this
     /// instance and no critical section is active (typically: after joining
     /// all worker threads, or from `Drop` of an owning domain).
-    unsafe fn drain_all(&self) -> Vec<Retired>;
+    unsafe fn drain_all(&self) -> Vec<usize>;
 
     /// Dead-thread recovery: force-closes slot `dead`'s protection on this
     /// instance (open critical-section announcement, published hazard
@@ -643,9 +584,8 @@ impl<S: AcquireRetire> SectionGuard<S> {
 impl<S: AcquireRetire> Drop for SectionGuard<S> {
     fn drop(&mut self) {
         // Runs during panic unwinds too: ending the section is pure
-        // announcement bookkeeping (plus any installed exit hook, which is
-        // responsible for its own unwind safety), so a panicking operation
-        // never strands an open section pinning everyone else's garbage.
+        // announcement bookkeeping, so a panicking operation never strands
+        // an open section pinning everyone else's garbage.
         self.scheme.end_critical_section(self.t);
     }
 }

@@ -145,7 +145,7 @@ pub(crate) fn beat(t: Tid) {
 }
 
 /// Reads slot `t`'s liveness heartbeat (see [`OrphanWatch`]).
-pub fn heartbeat_of(t: Tid) -> u64 {
+pub(crate) fn heartbeat_of(t: Tid) -> u64 {
     exempt(|| HEARTBEATS[t.index()].load(Ordering::Relaxed))
 }
 

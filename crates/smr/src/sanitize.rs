@@ -46,7 +46,7 @@ pub enum Channel {
 
 /// How long a protection token minted by an engine `acquire` stays valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenLife {
+pub(crate) enum TokenLife {
     /// Until the matching `release` clears the announcement slot named by
     /// the key (hazard pointers).
     UntilRelease(usize),
@@ -433,7 +433,7 @@ mod imp {
 
     /// Records a critical-section entry on engine instance `inst`.
     #[track_caller]
-    pub fn section_enter(inst: usize, t: Tid, protects_reads: bool) {
+    pub(crate) fn section_enter(inst: usize, t: Tid, protects_reads: bool) {
         let mut sh = lock(shadow(t));
         let rec = sh.sections.entry(inst).or_insert(SectionRec {
             depth: 0,
@@ -450,7 +450,7 @@ mod imp {
     /// Records a critical-section exit on `inst`; the outermost exit
     /// releases every interval-style token the section minted.
     #[track_caller]
-    pub fn section_exit(inst: usize, t: Tid) {
+    pub(crate) fn section_exit(inst: usize, t: Tid) {
         let mut sh = lock(shadow(t));
         let Some(rec) = sh.sections.get_mut(&inst) else {
             panic!(
@@ -478,13 +478,13 @@ mod imp {
 
     /// Records a pointer-protection token minted by an engine acquire:
     /// `word` (tag bits ignored) is covered on instance `inst` for
-    /// [`TokenLife`]. `require_section` asserts the scheme's discipline
+    /// [`TokenLife`]. `in_section` asserts the scheme's discipline
     /// that acquires only happen inside sections.
     #[track_caller]
-    pub fn on_protect(inst: usize, t: Tid, word: usize, life: TokenLife, require_section: bool) {
+    pub(crate) fn on_protect(inst: usize, t: Tid, word: usize, life: TokenLife, in_section: bool) {
         let addr = untagged(word);
         let mut sh = lock(shadow(t));
-        if require_section {
+        if in_section {
             let open = sh.sections.get(&inst).map(|s| s.depth > 0).unwrap_or(false);
             assert!(
                 open,
@@ -518,7 +518,7 @@ mod imp {
     }
 
     /// Releases the token held in announcement slot `key` of `inst`.
-    pub fn on_unprotect(inst: usize, t: Tid, key: usize) {
+    pub(crate) fn on_unprotect(inst: usize, t: Tid, key: usize) {
         let mut sh = lock(shadow(t));
         if let Some(addr) = sh.by_key.remove(&(inst, key)) {
             if let Some(n) = sh.protected.get_mut(&addr) {
@@ -562,7 +562,7 @@ mod imp {
     /// shadow. Leaks are *logged* (see [`take_leak_reports`]) rather than
     /// panicked: this runs from a TLS destructor, where a panic would
     /// abort the process.
-    pub fn on_thread_unregister(t: Tid) {
+    pub(crate) fn on_thread_unregister(t: Tid) {
         let mut sh = lock(shadow(t));
         for (inst, rec) in sh.sections.iter().filter(|(_, r)| r.depth > 0) {
             lock(leak_log()).push(format!(
@@ -587,13 +587,13 @@ mod imp {
     /// Clears a slot's shadow without leak reporting — the thread declared
     /// (via fault injection) that it dies without unregistering, so leaked
     /// protections are the *expected* wreckage the reaper recovers.
-    pub fn on_thread_abandon(t: Tid) {
+    pub(crate) fn on_thread_abandon(t: Tid) {
         *lock(shadow(t)) = ThreadShadow::default();
     }
 
     /// Clears a dead slot's shadow when an orphan reaper recovers it, so
     /// the slot's next owner does not inherit phantom protections.
-    pub fn on_slot_reclaimed(dead: Tid) {
+    pub(crate) fn on_slot_reclaimed(dead: Tid) {
         *lock(shadow(dead)) = ThreadShadow::default();
     }
 
@@ -674,28 +674,28 @@ mod imp {
     pub fn check_protected_read(addr: usize) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn section_enter(inst: usize, t: Tid, protects_reads: bool) {}
+    pub(crate) fn section_enter(inst: usize, t: Tid, protects_reads: bool) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn section_exit(inst: usize, t: Tid) {}
+    pub(crate) fn section_exit(inst: usize, t: Tid) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn on_protect(inst: usize, t: Tid, word: usize, life: TokenLife, require_section: bool) {}
+    pub(crate) fn on_protect(inst: usize, t: Tid, word: usize, life: TokenLife, in_section: bool) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn on_unprotect(inst: usize, t: Tid, key: usize) {}
+    pub(crate) fn on_unprotect(inst: usize, t: Tid, key: usize) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
     pub fn check_thread_clean() {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn on_thread_unregister(t: Tid) {}
+    pub(crate) fn on_thread_unregister(t: Tid) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn on_thread_abandon(t: Tid) {}
+    pub(crate) fn on_thread_abandon(t: Tid) {}
     /// No-op (sanitizer compiled out).
     #[inline(always)]
-    pub fn on_slot_reclaimed(dead: Tid) {}
+    pub(crate) fn on_slot_reclaimed(dead: Tid) {}
     /// No-op (sanitizer compiled out): always empty.
     #[inline(always)]
     pub fn take_leak_reports() -> Vec<String> {

@@ -12,8 +12,7 @@
 //! tested beside its policy in `src/`.
 
 use smr::sync::atomic::AtomicUsize;
-use smr::{current_tid, AcquireRetire, ExitHook, GlobalEpoch, Retired, SmrConfig, Tid};
-use std::cell::Cell;
+use smr::{current_tid, AcquireRetire, GlobalEpoch, Retired, SmrConfig, Tid};
 use std::sync::{mpsc, Arc};
 
 fn with<S: AcquireRetire>(cfg: SmrConfig) -> S {
@@ -56,7 +55,7 @@ fn multi_retire_multi_eject<S: AcquireRetire>() {
     }
     s.flush(t);
     for _ in 0..3 {
-        assert_eq!(s.eject(t), Some(r));
+        assert_eq!(s.eject(t), Some(r.addr));
     }
     assert_eq!(s.eject(t), None, "ejected more often than retired");
 }
@@ -178,45 +177,21 @@ fn drain_all_recovers_everything<S: AcquireRetire>() {
     assert_eq!(unsafe { s.drain_all() }.len(), 0);
 }
 
-struct HookProbe<S> {
-    scheme: Cell<*const S>,
-    fired: Cell<usize>,
-    ejected: Cell<usize>,
-}
-
-/// The exit hook under test: counts itself and re-enters the instance.
-unsafe fn on_exit<S: AcquireRetire>(data: *const (), t: Tid) {
-    let probe = &*(data as *const HookProbe<S>);
-    let s = &*probe.scheme.get();
-    probe.fired.set(probe.fired.get() + 1);
-    s.retire(t, object(s, t, 0x7000));
-    probe.ejected.set(probe.ejected.get() + drain(s, t));
-}
-
+/// Only the outermost `end_critical_section` reports itself as such, and
+/// right after it the section is fully over: a retire made there (what a
+/// consumer's section-exit work does) is ejectable at once.
 fn exit_hook_fires_once_per_outermost_section_and_may_reenter<S: AcquireRetire>() {
-    // Declared before the instance, so it outlives it (`ExitHook::new`).
-    let probe = HookProbe::<S> {
-        scheme: Cell::new(std::ptr::null()),
-        fired: Cell::new(0),
-        ejected: Cell::new(0),
-    };
     let (s, t) = (fresh::<S>(), current_tid());
-    probe.scheme.set(&s);
-    // SAFETY: `probe` outlives `s`, and `on_exit` only ever runs on this
-    // thread, from `end_critical_section` below.
-    s.set_exit_hook(unsafe { ExitHook::new(&probe as *const _ as *const (), on_exit::<S>) });
     s.begin_critical_section(t);
     s.begin_critical_section(t);
-    s.end_critical_section(t);
-    assert_eq!(probe.fired.get(), 0, "fired on an inner exit");
-    s.end_critical_section(t);
-    assert_eq!(probe.fired.get(), 1);
-    s.begin_critical_section(t);
-    s.end_critical_section(t);
-    assert_eq!(probe.fired.get(), 2);
-    // The section was fully over when the hook ran, so its own retires
-    // were ejectable at once.
-    assert_eq!(probe.ejected.get(), 2);
+    assert!(!s.end_critical_section(t), "an inner exit is not outermost");
+    assert!(s.end_critical_section(t));
+    for round in 0..2 {
+        s.begin_critical_section(t);
+        assert!(s.end_critical_section(t), "round {round}");
+        s.retire(t, object(&s, t, 0x7000));
+        assert_eq!(drain(&s, t), 1, "round {round}: the section was over");
+    }
 }
 
 fn quiescent_tracks_held_protection<S: AcquireRetire>() {

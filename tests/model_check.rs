@@ -168,7 +168,7 @@ fn reader_vs_retirer<S: AcquireRetire + Send + Sync + 'static>() -> Result<Repor
         );
         s.flush(t);
         while let Some(r) = s.eject(t) {
-            exempt(|| ejected[obj_idx(r.addr)].store(true, Ordering::Relaxed));
+            exempt(|| ejected[obj_idx(r)].store(true, Ordering::Relaxed));
         }
         reader.join().unwrap();
 
@@ -183,15 +183,15 @@ fn reader_vs_retirer<S: AcquireRetire + Send + Sync + 'static>() -> Result<Repor
         );
         s.flush(t);
         while let Some(r) = s.eject(t) {
-            exempt(|| ejected[obj_idx(r.addr)].store(true, Ordering::Relaxed));
+            exempt(|| ejected[obj_idx(r)].store(true, Ordering::Relaxed));
         }
         let drained = unsafe { s.drain_all() };
         let mut returns = [0usize; 2];
         for (i, flag) in ejected.iter().enumerate() {
             returns[i] += exempt(|| flag.load(Ordering::Relaxed)) as usize;
         }
-        for r in &drained {
-            returns[obj_idx(r.addr)] += 1;
+        for &r in &drained {
+            returns[obj_idx(r)] += 1;
         }
         assert_eq!(
             returns,

@@ -190,7 +190,7 @@ fn tracked<S: Scheme>(d: &DomainRef<S>, drops: &Arc<AtomicUsize>) -> SharedPtr<T
 /// Fewer than `BATCH_CAP` displaced decrements sit in the calling thread's
 /// buffer; no explicit flush API is ever called. Ordinary section activity
 /// alone (open a guard, store once, close it — each exit flushes whatever
-/// is pending) must drain them. If the section-exit hook did not flush,
+/// is pending) must drain them. If the section exit did not flush,
 /// the first batch would sit in the buffer forever and the loop below
 /// would never converge.
 fn flush_at_section_exit<S: Scheme>() {
