@@ -43,9 +43,22 @@
 //! thread's pin from the header's domain pointer (one RMW at the outermost
 //! level, a thread-local bump under a guard), because its cascade may free
 //! the very block that was keeping the domain alive.
+//!
+//! **Where a block's memory comes from and goes.** The vtable records the
+//! block's [`Layout`]. [`Counted::init`] only writes the header and the
+//! value; the memory is the allocating thread's last parked block of that
+//! exact layout in the domain, or fresh from the global allocator
+//! ([`alloc_block`]). A freed block is parked on the freeing thread's lane
+//! of its domain (`domain.rs`, `FreeLists`), or given back to the global
+//! allocator when that lane's list for its size is full; the domain's drop
+//! gives back every parked block. Parking happens after the free is
+//! counted, so a parked block is freed as far as the counts and the pin
+//! rule go: it holds no payload, no reference and no passive reference,
+//! only memory that the domain owns until it drops.
 
+use std::alloc::Layout;
 use std::mem::MaybeUninit;
-use std::ptr;
+use std::ptr::{self, NonNull};
 
 use smr::AcquireRetire;
 use sticky::{Counter, StickyCounter};
@@ -58,8 +71,10 @@ use crate::ptr::{AtomicRcPtr, RcPtr};
 pub(crate) struct Vtable {
     /// Drops the payload in place (the *dispose* operation).
     pub dispose: unsafe fn(*mut Header),
-    /// Frees the whole control block; the payload must already be disposed.
-    pub dealloc: unsafe fn(*mut Header),
+    /// The whole block's layout: what the global allocator is asked for
+    /// and given back, and what picks the free list a freed block is parked
+    /// on (module docs).
+    pub layout: Layout,
     /// Extracts the payload's outgoing graph edges into an [`EdgeSink`],
     /// nulling the payload's pointer fields so the `dispose` that follows
     /// cannot re-relinquish them. `None` for payloads without a
@@ -131,19 +146,19 @@ unsafe fn dispose_impl<T, B>(h: *mut Header) {
     );
 }
 
-unsafe fn dealloc_impl<T, B>(h: *mut Header) {
-    smr::sanitize::on_free(h as usize);
-    drop(Box::from_raw(h as *mut Counted<T, B>));
-}
-
 struct VtableOf<T, B>(std::marker::PhantomData<(T, B)>);
 
 impl<T, B> VtableOf<T, B> {
     const VTABLE: Vtable = Vtable {
         dispose: dispose_impl::<T, B>,
-        dealloc: dealloc_impl::<T, B>,
+        layout: Layout::new::<Counted<T, B>>(),
         pop_edges: None,
     };
+}
+
+/// The vtable of a block of payload `T` without a graph hook.
+pub(crate) fn vtable<T, B>() -> &'static Vtable {
+    &VtableOf::<T, B>::VTABLE
 }
 
 // ---------------------------------------------------------------------
@@ -256,36 +271,39 @@ struct GraphVtableOf<T, S>(std::marker::PhantomData<(T, fn(S))>);
 impl<T: GraphNode<S>, S: Scheme> GraphVtableOf<T, S> {
     const VTABLE: Vtable = Vtable {
         dispose: dispose_impl::<T, S::Birth>,
-        dealloc: dealloc_impl::<T, S::Birth>,
+        layout: Layout::new::<Block<T, S>>(),
         pop_edges: Some(pop_edges_impl::<T, S>),
     };
 }
 
-impl<T, B> Counted<T, B> {
-    /// Allocates a control block with strong count 1 and weak count 1 (the
-    /// strong side's +1 on the weak count), recording `domain` as its
-    /// owner. The caller has already counted the block on the domain's
-    /// `allocs` lane (or passes null for domain-less test blocks).
-    pub(crate) fn allocate(value: T, birth: B, domain: *const ()) -> *mut Self {
-        Self::boxed(value, birth, domain, &VtableOf::<T, B>::VTABLE)
-    }
+/// The graph-aware vtable: the block's `pop_edges` hook enumerates the
+/// payload's outgoing edges at destruction, enabling immediate recursive
+/// destruction.
+pub(crate) fn graph_vtable<T: GraphNode<S>, S: Scheme>() -> &'static Vtable {
+    &GraphVtableOf::<T, S>::VTABLE
+}
 
-    /// As [`allocate`](Self::allocate), but with the graph-aware vtable:
-    /// the block's `pop_edges` hook enumerates the payload's outgoing edges
-    /// at destruction, enabling immediate recursive destruction.
-    pub(crate) fn allocate_graph<S: Scheme<Birth = B>>(
+impl<T, B> Counted<T, B> {
+    /// Writes a control block into `mem`: strong count 1 and weak count 1
+    /// (the strong side's +1 on the weak count), `domain` as its owner.
+    /// The caller has already counted the block on the domain's `allocs`
+    /// lane (or passes null for domain-less test blocks).
+    ///
+    /// # Safety
+    ///
+    /// `mem` is unused memory of this type's layout, which is
+    /// `vtable.layout`: fresh from [`alloc_block`] or a parked block of
+    /// that exact layout.
+    pub(crate) unsafe fn init(
+        mem: NonNull<u8>,
         value: T,
         birth: B,
         domain: *const (),
-    ) -> *mut Self
-    where
-        T: GraphNode<S>,
-    {
-        Self::boxed(value, birth, domain, &GraphVtableOf::<T, S>::VTABLE)
-    }
-
-    fn boxed(value: T, birth: B, domain: *const (), vtable: &'static Vtable) -> *mut Self {
-        let p = Box::into_raw(Box::new(Counted {
+        vtable: &'static Vtable,
+    ) -> *mut Self {
+        debug_assert_eq!(vtable.layout, Layout::new::<Self>());
+        let p = mem.as_ptr().cast::<Self>();
+        p.write(Counted {
             header: Header {
                 strong: StickyCounter::new(1),
                 weak: StickyCounter::new(1),
@@ -294,10 +312,17 @@ impl<T, B> Counted<T, B> {
                 birth,
             },
             value: MaybeUninit::new(value),
-        }));
+        });
         smr::sanitize::on_alloc(p as usize);
         p
     }
+}
+
+/// Fresh memory for a block of `layout` from the global allocator.
+pub(crate) fn alloc_block(layout: Layout) -> NonNull<u8> {
+    // Safety: a block is never zero-sized; its header is not.
+    NonNull::new(unsafe { std::alloc::alloc(layout) })
+        .unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
 }
 
 /// Ownership marker shared by the pointer types: owns a `T` (for drop
@@ -379,7 +404,22 @@ mod tests {
 
     fn alloc_unowned<T>(value: T, birth: u64) -> *mut Counted<T, u64> {
         // Domain-less blocks: never freed through a `Domain`.
-        Counted::allocate(value, birth, ptr::null())
+        let vtable = vtable::<T, u64>();
+        unsafe {
+            Counted::init(
+                alloc_block(vtable.layout),
+                value,
+                birth,
+                ptr::null(),
+                vtable,
+            )
+        }
+    }
+
+    /// What `Domain::free_block` does for a block no lane parks.
+    unsafe fn free_unowned(h: *mut Header) {
+        smr::sanitize::on_free(h as usize);
+        std::alloc::dealloc(h.cast(), (*h).vtable.layout);
     }
 
     #[test]
@@ -396,7 +436,7 @@ mod tests {
             // but keeps the dispose-before-free lifecycle uniform (the
             // sanitizer enforces it).
             ((*h).vtable.dispose)(h);
-            ((*h).vtable.dealloc)(h);
+            free_unowned(h);
         }
     }
 
@@ -414,8 +454,8 @@ mod tests {
         unsafe {
             ((*h).vtable.dispose)(h);
             assert_eq!(drops.load(Ordering::SeqCst), 1);
-            ((*h).vtable.dealloc)(h);
-            // Dealloc must not re-drop the payload.
+            free_unowned(h);
+            // Freeing must not re-drop the payload.
             assert_eq!(drops.load(Ordering::SeqCst), 1);
         }
     }
@@ -428,7 +468,7 @@ mod tests {
         assert_eq!(p as usize & smr::TAG_MASK, 0);
         unsafe {
             ((*(p as *mut Header)).vtable.dispose)(p as *mut Header);
-            ((*(p as *mut Header)).vtable.dealloc)(p as *mut Header);
+            free_unowned(p as *mut Header);
         }
     }
 }

@@ -157,6 +157,15 @@
 //! for the dead-thread reaper and the thread-unregister callback, which must
 //! `try_pin` (and give up on DEAD) before touching anything.
 //!
+//! A freed block whose memory a lane keeps for reuse (`FreeLists`: the
+//! freeing thread's next block of the same layout in this domain takes it)
+//! is counted on `frees` before it is parked, and it is no passive
+//! reference: it holds no payload, no count and no domain pointer anyone
+//! reads, and only its lane can reach it. A domain whose only blocks are
+//! parked is at `live == 0` and is torn down as usual; its `Drop` gives
+//! every lane's parked blocks back to the global allocator, an exited
+//! thread's lane included.
+//!
 //! The remaining caveat is unchanged: discarding the last handle while
 //! deferred garbage is pinned by a concurrent section — with no later
 //! pointer drop to re-run the check — leaks those blocks; flush with
@@ -165,6 +174,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::exempt;
+use std::alloc::Layout;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
 use std::marker::PhantomData;
@@ -177,7 +187,7 @@ use smr::util::{CachePadded, ShardedCounter};
 use smr::{AcquireRetire, GlobalEpoch, SmrConfig, Tid, MAX_THREADS};
 use sticky::Counter;
 
-use crate::counted::{as_header, birth_of, Block, EdgeSink, GraphNode};
+use crate::counted::{self, as_header, birth_of, Block, EdgeSink, GraphNode, Vtable};
 use crate::engine::{RefKind, Rights, StrongKind, WeakKind};
 
 /// An SMR scheme usable as the engine of the reference-counting library.
@@ -362,9 +372,7 @@ impl<S: AcquireRetire> DomainRef<S> {
     /// thread's lane until it is freed, so single-word pointers can resolve
     /// their domain from the header for as long as the block lives.
     pub(crate) fn allocate<T>(&self, t: Tid, value: T) -> *mut Block<T, S> {
-        let birth = self.ar.birth(t);
-        self.allocs.add(t, 1);
-        Block::<T, S>::allocate(value, birth, self.0.as_ptr() as *const ())
+        self.allocate_with(t, value, counted::vtable::<T, S::Birth>())
     }
 
     /// As [`allocate`](Self::allocate), but with the graph-aware vtable so
@@ -374,9 +382,24 @@ impl<S: AcquireRetire> DomainRef<S> {
         S: Scheme,
         T: GraphNode<S>,
     {
+        self.allocate_with(t, value, counted::graph_vtable::<T, S>())
+    }
+
+    /// The block's memory is the last one thread `t` parked with this exact
+    /// layout ([`FreeLists`]), or fresh from the global allocator.
+    #[inline]
+    fn allocate_with<T>(&self, t: Tid, value: T, vtable: &'static Vtable) -> *mut Block<T, S> {
         let birth = self.ar.birth(t);
         self.allocs.add(t, 1);
-        Block::<T, S>::allocate_graph::<S>(value, birth, self.0.as_ptr() as *const ())
+        let layout = Layout::new::<Block<T, S>>();
+        // Safety: `t` is the calling thread's slot (the one `allocs` was
+        // just counted on), and the memory popped or allocated has the
+        // block's exact layout, which is `vtable`'s.
+        unsafe {
+            let mem = self.locals[t.index()].free.pop(layout);
+            let mem = mem.unwrap_or_else(|| counted::alloc_block(layout));
+            Block::<T, S>::init(mem, value, birth, self.0.as_ptr() as *const (), vtable)
+        }
     }
 
     /// Begins a critical section: read protection for atomic pointers and
@@ -461,7 +484,11 @@ const PIN_MASK: u64 = (1 << 32) - 1;
 const STAMP: u64 = 1 << 32;
 const DEAD: u64 = u64::MAX;
 
-/// One thread's state in a domain whose scheme stores births of type `B`.
+/// One thread's state in a domain whose scheme stores births of type `B`:
+/// its pin depth, its location lanes, its decrement batch, the scratch of
+/// its cascades and the blocks it freed for reuse. Only the thread that
+/// holds the slot touches it, apart from the folds in `live` and the
+/// exclusive access of a drain, a dead slot's reclaim or the core's drop.
 struct DomainLocal<B> {
     /// How many guards and [`Pin`]s this thread holds on the domain. While
     /// nonzero the thread owns exactly one pin on the liveness word, taken
@@ -503,6 +530,104 @@ struct DomainLocal<B> {
     /// destruct (entered through a non-graph payload's `Drop`) then
     /// allocates fresh buffers.
     destruct_scratch: Cell<Option<Box<DestructScratch>>>,
+    /// Blocks this thread freed, kept for its next allocations of the same
+    /// layout (`free_block`, `DomainRef::allocate`).
+    free: FreeLists,
+}
+
+/// Freed control blocks that a lane keeps for reuse: one intrusive LIFO
+/// list per exact block size, each block's first word linking to the
+/// next. An exit cascade frees tens to hundreds of blocks at once, more
+/// than the allocator's per-thread cache holds, and the same thread's next
+/// operations allocate blocks of the same sizes again.
+///
+/// Only word-aligned blocks of at most [`POOLED_MAX`] bytes are parked, so
+/// a block's size alone picks its list and a list holds one layout; a size
+/// is never rounded up, so reuse keeps every block in its allocator size
+/// class. Owner-thread access only, like every other `DomainLocal` field;
+/// `Domain`'s `Drop` gives every parked block back.
+#[derive(Default)]
+struct FreeLists {
+    /// The list of `(i + 1)`-word blocks at index `i`.
+    lists: [FreeList; POOLED_MAX / WORD],
+}
+
+/// One size's parked blocks: the last one parked, and how many there are.
+#[derive(Default)]
+struct FreeList {
+    head: Cell<Option<NonNull<u8>>>,
+    len: Cell<u32>,
+}
+
+/// The largest block size a lane parks; larger blocks go back to the
+/// global allocator at once.
+const POOLED_MAX: usize = 128;
+/// The alignment of every parked block and the step between list sizes.
+const WORD: usize = std::mem::size_of::<usize>();
+/// Blocks a lane parks per size: past this a freed block goes back to the
+/// global allocator.
+const POOL_CAP: u32 = 256;
+
+impl FreeLists {
+    /// The list of blocks of exactly `layout`, if blocks of it are parked.
+    #[inline(always)]
+    fn list(&self, layout: Layout) -> Option<&FreeList> {
+        let words = layout.size() / WORD;
+        (layout.align() == WORD && (1..=self.lists.len()).contains(&words))
+            .then(|| &self.lists[words - 1])
+    }
+
+    /// Takes the block parked last with exactly `layout`.
+    ///
+    /// # Safety
+    ///
+    /// Owner thread or exclusive access (the `DomainLocal` contract).
+    #[inline]
+    unsafe fn pop(&self, layout: Layout) -> Option<NonNull<u8>> {
+        let list = self.list(layout)?;
+        let block = list.head.get()?;
+        list.head.set(block.cast::<Option<NonNull<u8>>>().read());
+        list.len.set(list.len.get() - 1);
+        Some(block)
+    }
+
+    /// Parks a freed block of `layout`; `false`, leaving the block alone,
+    /// if its list is full or blocks of `layout` are not parked.
+    ///
+    /// # Safety
+    ///
+    /// As [`pop`](Self::pop); `block` is unused memory of `layout` from
+    /// the global allocator.
+    #[inline]
+    unsafe fn park(&self, block: NonNull<u8>, layout: Layout) -> bool {
+        let Some(list) = self.list(layout) else {
+            return false;
+        };
+        if list.len.get() == POOL_CAP {
+            return false;
+        }
+        block.cast::<Option<NonNull<u8>>>().write(list.head.get());
+        list.head.set(Some(block));
+        list.len.set(list.len.get() + 1);
+        true
+    }
+
+    /// Gives every parked block back to the global allocator.
+    ///
+    /// # Safety
+    ///
+    /// As [`pop`](Self::pop).
+    unsafe fn release(&self) {
+        for (i, list) in self.lists.iter().enumerate() {
+            // The size is a multiple of the power of two `WORD`: a valid
+            // layout, the one every block parked on this list has.
+            let layout = Layout::from_size_align_unchecked((i + 1) * WORD, WORD);
+            while let Some(block) = self.pop(layout) {
+                std::alloc::dealloc(block.as_ptr(), layout);
+            }
+            debug_assert_eq!(list.len.get(), 0);
+        }
+    }
 }
 
 /// Scratch buffers for one `destruct` cascade; capacities persist across
@@ -657,6 +782,7 @@ impl<S: AcquireRetire> Domain<S> {
                         zeroed: Cell::new(Vec::new()),
                         sigma: Cell::new(Vec::new()),
                         destruct_scratch: Cell::new(None),
+                        free: FreeLists::default(),
                     })
                 })
                 .collect(),
@@ -1019,18 +1145,25 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Frees a control block whose weak count has reached zero, and with
-    /// it one passive reference on this domain.
+    /// it one passive reference on this domain. Its memory is parked on
+    /// thread `t`'s free lists ([`FreeLists`]) or, when they are full,
+    /// given back to the global allocator; a parked block counts as freed.
     ///
     /// # Safety
     ///
-    /// The weak count of `addr` is zero and nobody else will free it. The
+    /// The weak count of `addr` is zero, its payload is disposed, and
+    /// nobody else will free it. `t` is the calling thread's slot. The
     /// caller must hold the core some other way — a handle, a guard, a
     /// [`Pin`], or a borrowed location — since the block may have been the
     /// last thing keeping it alive.
     pub(crate) unsafe fn free_block(&self, t: Tid, addr: usize) {
-        let h = as_header(addr);
+        smr::sanitize::on_free(addr);
         self.frees.add(t, 1);
-        ((*h).vtable.dealloc)(h);
+        let layout = (*as_header(addr)).vtable.layout;
+        let block = NonNull::new_unchecked(addr as *mut u8);
+        if !self.locals[t.index()].free.park(block, layout) {
+            std::alloc::dealloc(block.as_ptr(), layout);
+        }
     }
 
     /// Destroys the managed object and drops the strong side's weak
@@ -1643,8 +1776,14 @@ impl<S: AcquireRetire> Drop for Domain<S> {
         // records cannot leak them.
         let t = smr::current_tid();
         // Safety: exclusive access; drains pending batches on every slot
-        // before applying the retired lists.
-        unsafe { self.drain_and_apply_all(t) };
+        // before applying the retired lists. Then every lane, an exited
+        // thread's too, gives its parked blocks back.
+        unsafe {
+            self.drain_and_apply_all(t);
+            for local in self.locals.iter() {
+                local.free.release();
+            }
+        }
     }
 }
 
@@ -1765,6 +1904,7 @@ pub trait StrongRef<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::as_counted;
     use crate::{AtomicSharedPtr, EbrScheme, SharedPtr};
 
     /// The thread-unregister callback must flush a dying thread's pending
@@ -2145,6 +2285,109 @@ mod tests {
         run::<crate::IbrScheme>();
         run::<crate::HpScheme>();
         run::<crate::HyalineScheme>();
+    }
+
+    // ------------------------------------------------------------------
+    // Free lists: a freed block is parked on its thread's lane of its
+    // domain, for that thread's next block of the same layout.
+    // ------------------------------------------------------------------
+
+    /// Disposes and frees a block `DomainRef::allocate` made, as an eject
+    /// would.
+    ///
+    /// # Safety
+    ///
+    /// `addr` is a live block of `d` nothing else references.
+    unsafe fn dispose_and_free(d: &D, t: Tid, addr: usize) {
+        let h = as_header(addr);
+        ((*h).vtable.dispose)(h);
+        d.free_block(t, addr);
+    }
+
+    /// The list that parks blocks of payload `T` under EBR.
+    fn parked<T>(d: &D, t: Tid) -> &FreeList {
+        let layout = Layout::new::<Block<T, EbrScheme>>();
+        d.locals[t.index()]
+            .free
+            .list(layout)
+            .expect("a parked size")
+    }
+
+    #[test]
+    fn a_freed_block_is_its_threads_next_block_of_that_layout() {
+        let d: D = DomainRef::new();
+        let t = smr::current_tid();
+        let a = d.allocate(t, 1u64) as usize;
+        let b = d.allocate(t, 2u64) as usize;
+        // Safety: fresh blocks, referenced by nothing.
+        unsafe {
+            dispose_and_free(&d, t, a);
+            dispose_and_free(&d, t, b);
+        }
+        assert_eq!(parked::<u64>(&d, t).len.get(), 2);
+        // Last in, first out.
+        let c = d.allocate(t, 3u64) as usize;
+        let e = d.allocate(t, 4u64) as usize;
+        assert_eq!((c, e), (b, a));
+        // Safety: as above; the payloads read back are the new ones.
+        unsafe {
+            assert_eq!(
+                (*as_counted::<u64, EbrScheme>(c)).value.assume_init_read(),
+                3
+            );
+            dispose_and_free(&d, t, c);
+            dispose_and_free(&d, t, e);
+        }
+        assert_eq!((d.allocated(), d.freed(), d.in_flight()), (4, 4, 0));
+    }
+
+    #[test]
+    fn a_parked_block_goes_to_no_other_layout_or_domain() {
+        let d: D = DomainRef::new();
+        let other: D = DomainRef::new();
+        let t = smr::current_tid();
+        let a = d.allocate(t, 1u64) as usize;
+        // Safety: a fresh block, referenced by nothing.
+        unsafe { dispose_and_free(&d, t, a) };
+        // The parked block stays out of the allocator's hands, so a fresh
+        // block of any kind has another address.
+        let wider = d.allocate(t, [1u64, 2]) as usize;
+        let elsewhere = other.allocate(t, 1u64) as usize;
+        assert_ne!(wider, a, "a block of another layout");
+        assert_ne!(elsewhere, a, "a block of another domain");
+        assert_eq!(parked::<u64>(&d, t).len.get(), 1);
+        assert_eq!(d.allocate(t, 1u64) as usize, a);
+        // Safety: as above.
+        unsafe {
+            dispose_and_free(&d, t, a);
+            dispose_and_free(&d, t, wider);
+            dispose_and_free(&other, t, elsewhere);
+        }
+        // Over-aligned and oversized blocks have no list.
+        #[repr(align(16))]
+        struct Wide(#[allow(dead_code)] u64);
+        let free = &d.locals[t.index()].free;
+        assert!(free.list(Layout::new::<Block<Wide, EbrScheme>>()).is_none());
+        assert!(free
+            .list(Layout::new::<Block<[u64; 14], EbrScheme>>())
+            .is_none());
+        assert!(free
+            .list(Layout::new::<Block<[u64; 13], EbrScheme>>())
+            .is_some());
+    }
+
+    #[test]
+    fn a_lane_parks_at_most_the_cap() {
+        let d: D = DomainRef::new();
+        let t = smr::current_tid();
+        let n = POOL_CAP as usize + 10;
+        let blocks: Vec<usize> = (0..n).map(|i| d.allocate(t, i) as usize).collect();
+        for &b in &blocks {
+            // Safety: fresh blocks, referenced by nothing.
+            unsafe { dispose_and_free(&d, t, b) };
+        }
+        assert_eq!(parked::<usize>(&d, t).len.get(), POOL_CAP);
+        assert_eq!((d.allocated(), d.freed()), (n as u64, n as u64));
     }
 
     #[test]

@@ -358,13 +358,16 @@ mod tests {
 
     /// `kv_cold_read` is bound by node size: the map node is what it was
     /// with a handle in every edge (an `AtomicSharedPtr` is still a word
-    /// and a domain), 48 bytes behind the 40-byte header.
+    /// and a domain), 48 bytes behind the control-block header (24 B, 32 B
+    /// under IBR).
     #[test]
     fn node_is_no_larger_than_with_counted_edges() {
         let node = std::mem::size_of::<Node<u64, u64, EbrScheme>>();
+        let (block, header) = cdrc::block_layout::<Node<u64, u64, EbrScheme>, EbrScheme>();
+        let (ibr_block, ibr_header) = cdrc::block_layout::<Node<u64, u64, IbrScheme>, IbrScheme>();
         println!(
-            "map node {node} B (parent: 48 B); with the 40 B header a {} B block",
-            node + 40
+            "map node {node} B (parent: 48 B); with the {header} B header a {block} B block, \
+             with IBR's {ibr_header} B header {ibr_block} B"
         );
         assert!(node <= 48);
     }

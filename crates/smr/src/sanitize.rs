@@ -158,13 +158,13 @@ mod imp {
         m.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn table() -> &'static [Mutex<HashMap<usize, BlockEntry>>] {
-        static TABLE: OnceLock<Box<[Mutex<HashMap<usize, BlockEntry>>]>> = OnceLock::new();
-        TABLE.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect())
-    }
+    /// One shard of the shadow table: block address to its entry.
+    type Shard = Mutex<HashMap<usize, BlockEntry>>;
 
-    fn shard(addr: usize) -> &'static Mutex<HashMap<usize, BlockEntry>> {
-        &table()[(addr >> 4) & (SHARDS - 1)]
+    fn shard(addr: usize) -> &'static Shard {
+        static TABLE: OnceLock<Box<[Shard]>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect());
+        &table[(addr >> 4) & (SHARDS - 1)]
     }
 
     fn shadows() -> &'static [Mutex<ThreadShadow>] {
