@@ -32,9 +32,9 @@
 //!
 //! Every block also records **which reclamation domain allocated it** (a
 //! type-erased `*const Domain<S>`) and is a *passive reference* on that
-//! domain under the pin rule (`domain.rs` module docs): counted on the
-//! allocating thread's `allocs` lane and, when freed, on the freeing
-//! thread's `frees` lane — never on a shared word. A domain whose folded
+//! domain under the pin rule (`domain.rs` module docs): counted up on the
+//! allocating thread's lane of the domain's `blocks` tally and, when freed,
+//! down on the freeing thread's lane — never on a shared word. A domain whose folded
 //! `live` count is nonzero cannot be torn down, so while a block is alive
 //! its domain is alive: that is what lets the single-word owned pointer
 //! types ([`SharedPtr`](crate::SharedPtr), [`WeakPtr`](crate::WeakPtr))
@@ -286,8 +286,8 @@ pub(crate) fn graph_vtable<T: GraphNode<S>, S: Scheme>() -> &'static Vtable {
 impl<T, B> Counted<T, B> {
     /// Writes a control block into `mem`: strong count 1 and weak count 1
     /// (the strong side's +1 on the weak count), `domain` as its owner.
-    /// The caller has already counted the block on the domain's `allocs`
-    /// lane (or passes null for domain-less test blocks).
+    /// The caller has already counted the block up on the domain's
+    /// `blocks` lane (or passes null for domain-less test blocks).
     ///
     /// # Safety
     ///

@@ -121,9 +121,10 @@
 //!   shared-count RMW and no lane fold at all.
 //! * **Passive references** are control blocks and atomic pointer
 //!   locations. They keep the core *alive* but grant no right to tear it
-//!   down, so they are counted on single-writer per-thread lanes: blocks on
-//!   `allocs`/`frees`, locations on `DomainLocal::{locs_made,
-//!   locs_dropped}`. `live = blocks + locations`. A location stores its
+//!   down, so they are counted on single-writer per-thread lanes, one
+//!   [`LanePairs`] each: `Domain::blocks` (allocations up, frees down) and
+//!   `Domain::locations` (creations up, drops down). `live =
+//!   blocks.net() + locations.net()`. A location stores its
 //!   domain pointer uncounted on the liveness word, yet *is* counted on a
 //!   lane — so a standalone location keeps its domain from dying, and
 //!   guard-free `load`/`store`/CAS through a borrowed `&location` need no
@@ -146,10 +147,17 @@
 //!   (a live block proves `live > 0`, hence not DEAD) and repeats the
 //!   check on its own release. This is the one orphan-flush site.
 //!
+//! Why a sole pin's fold is exact: every decrement of `live` happens under
+//! a pin, so once the releaser is the sole pin every decrement so far
+//! happened-before its fold, and each counted down brings the up it
+//! answers with it (`LanePairs` reads every down lane before any up lane,
+//! with Acquire). What can still race the fold is a pin-free increment —
+//! a location made from the live block it is to own, which is itself a
+//! passive reference — and that can only raise `live`, never hide one.
+//!
 //! Invariants: DEAD is reached only by a sole pin that read `live == 0`
-//! with the stamp unchanged; folds read the subtrahend lanes first and with
-//! Acquire (see [`Domain::in_flight`]), so a fold racing a pin-free writer
-//! can only over-report; a pointer may outlive every handle and reclaims
+//! with the stamp unchanged; a fold racing a pin-free writer can only
+//! over-report; a pointer may outlive every handle and reclaims
 //! the domain on its last drop. The scheme-global default domains are held
 //! by a static handle forever, so their count never returns to one and the
 //! slow path is never entered for them. The memory itself is owned by an
@@ -159,7 +167,7 @@
 //!
 //! A freed block whose memory a lane keeps for reuse (`FreeLists`: the
 //! freeing thread's next block of the same layout in this domain takes it)
-//! is counted on `frees` before it is parked, and it is no passive
+//! is counted down on `blocks` before it is parked, and it is no passive
 //! reference: it holds no payload, no count and no domain pointer anyone
 //! reads, and only its lane can reach it. A domain whose only blocks are
 //! parked is at `live == 0` and is torn down as usual; its `Drop` gives
@@ -173,7 +181,6 @@
 //! their `Drop`).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::exempt;
 use std::alloc::Layout;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
@@ -183,7 +190,7 @@ use std::ptr::NonNull;
 use std::sync::{Arc, Weak};
 
 use smr::sanitize::Channel;
-use smr::util::{CachePadded, ShardedCounter};
+use smr::util::{CachePadded, LanePairs};
 use smr::{AcquireRetire, GlobalEpoch, SmrConfig, Tid, MAX_THREADS};
 use sticky::Counter;
 
@@ -390,9 +397,9 @@ impl<S: AcquireRetire> DomainRef<S> {
     #[inline]
     fn allocate_with<T>(&self, t: Tid, value: T, vtable: &'static Vtable) -> *mut Block<T, S> {
         let birth = self.ar.birth(t);
-        self.allocs.add(t, 1);
+        self.blocks.up(t);
         let layout = Layout::new::<Block<T, S>>();
-        // Safety: `t` is the calling thread's slot (the one `allocs` was
+        // Safety: `t` is the calling thread's slot (the one the block was
         // just counted on), and the memory popped or allocated has the
         // block's exact layout, which is `vtable`'s.
         unsafe {
@@ -485,20 +492,15 @@ const STAMP: u64 = 1 << 32;
 const DEAD: u64 = u64::MAX;
 
 /// One thread's state in a domain whose scheme stores births of type `B`:
-/// its pin depth, its location lanes, its decrement batch, the scratch of
-/// its cascades and the blocks it freed for reuse. Only the thread that
-/// holds the slot touches it, apart from the folds in `live` and the
-/// exclusive access of a drain, a dead slot's reclaim or the core's drop.
+/// its pin depth, its decrement batch, the scratch of its cascades and the
+/// blocks it freed for reuse. Only the thread that holds the slot touches
+/// it, apart from the exclusive access of a drain, a dead slot's reclaim
+/// or the core's drop.
 struct DomainLocal<B> {
     /// How many guards and [`Pin`]s this thread holds on the domain. While
     /// nonzero the thread owns exactly one pin on the liveness word, taken
     /// by the `0 → 1` transition and released by `1 → 0`.
     depth: Cell<u32>,
-    /// Atomic pointer locations this thread created / dropped under the
-    /// domain: the location half of `live`. Single-writer lanes like
-    /// `allocs`/`frees`, read by other threads only in a sole-pin fold.
-    locs_made: AtomicU64,
-    locs_dropped: AtomicU64,
     /// Whether this thread has issued a `Dispose` entry (sticky; inherited
     /// with the slot): from then on its section exits scan its list
     /// (`exit_flush`).
@@ -737,12 +739,13 @@ pub struct Domain<S: AcquireRetire> {
     /// The one instance (module docs).
     ar: S,
     clock: Arc<GlobalEpoch>,
-    /// Control-block allocation count, sharded per thread: a shared
-    /// `fetch_add` on the allocation path serializes every allocating core
-    /// on one cache line.
-    allocs: ShardedCounter,
-    /// Control-block free count, sharded likewise.
-    frees: ShardedCounter,
+    /// Control blocks allocated (`up`) and freed (`down`), per thread: a
+    /// shared `fetch_add` on the allocation path would serialize every
+    /// allocating core on one cache line.
+    blocks: LanePairs,
+    /// Atomic pointer locations created (`up`) and dropped (`down`), per
+    /// thread: with `blocks`, the passive references of the pin rule.
+    locations: LanePairs,
     locals: Box<[CachePadded<DomainLocal<S::Birth>>]>,
     /// The liveness word (module docs): pin count, acquisition stamp, DEAD.
     /// On a line of its own — everything else in this struct is read-only
@@ -767,14 +770,12 @@ impl<S: AcquireRetire> Domain<S> {
         Domain {
             ar: S::new(Arc::clone(&clock), cfg),
             clock,
-            allocs: ShardedCounter::new(),
-            frees: ShardedCounter::new(),
+            blocks: LanePairs::new(),
+            locations: LanePairs::new(),
             locals: (0..MAX_THREADS)
                 .map(|_| {
                     CachePadded::new(DomainLocal {
                         depth: Cell::new(0),
-                        locs_made: AtomicU64::new(0),
-                        locs_dropped: AtomicU64::new(0),
                         disposes: Cell::new(false),
                         applying: Cell::new(false),
                         pending: Batch::new(),
@@ -921,46 +922,23 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Passive references on the core: blocks + locations. Exact when the
-    /// caller is the sole pin; otherwise it can only over-report, because
-    /// the subtrahend lanes are read first and with Acquire (a decrement
-    /// that is seen brings its increment with it) — see
-    /// [`in_flight`](Self::in_flight).
+    /// caller is the sole pin; otherwise each fold can only over-report
+    /// ([`LanePairs`]).
     fn live(&self) -> u64 {
-        let lanes = || self.locals.iter().take(smr::registered_high_water_mark());
-        exempt(|| {
-            let freed = self.frees.sum();
-            // Ordering: Acquire — pairs with the Release store in
-            // `location_dropped`: a drop this fold counts happened-after
-            // the location's creation, so the `locs_made` read below sees
-            // it.
-            let dropped: u64 = lanes()
-                .map(|l| l.locs_dropped.load(Ordering::Acquire))
-                .sum();
-            // Ordering: Relaxed — addend lanes; ordered by the Acquire
-            // reads above and, for pinned writers, by the liveness word.
-            let made: u64 = lanes().map(|l| l.locs_made.load(Ordering::Relaxed)).sum();
-            (self.allocs.sum() + made).saturating_sub(freed + dropped)
-        })
+        self.blocks.net() + self.locations.net()
     }
 
     /// Counts a new atomic pointer location on the calling thread's lane.
     #[inline]
     pub(crate) fn location_made(&self, t: Tid) {
-        let lane = &self.locals[t.index()].locs_made;
-        // Ordering: Relaxed load + Relaxed store — single-writer lane, as
-        // `ShardedCounter::add`; an increment needs no ordering of its own
-        // (see `live`). Exempt from the model like the block lanes.
-        exempt(|| lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed));
+        self.locations.up(t);
     }
 
     /// Counts a location's drop. Must be the location's last use of the
     /// core apart from the caller's own [`Pin`].
     #[inline]
     pub(crate) fn location_dropped(&self, t: Tid) {
-        let lane = &self.locals[t.index()].locs_dropped;
-        // Ordering: Relaxed load (single writer) + Release store — pairs
-        // with the Acquire read in `live`.
-        exempt(|| lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Release));
+        self.locations.down(t);
     }
 
     /// Raises the calling thread's pin depth; at the outermost level
@@ -1043,17 +1021,17 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Control blocks allocated through this domain so far.
     ///
-    /// Monotone diagnostic counter: the sum over per-thread lanes observes
-    /// every allocation that happened-before the call (e.g. via a join) and
-    /// needs no ordering beyond that — see [`ShardedCounter::sum`].
+    /// Monotone diagnostic counter: the fold over per-thread lanes observes
+    /// every allocation that happened-before the call (e.g. via a join) —
+    /// see [`LanePairs::totals`].
     pub fn allocated(&self) -> u64 {
-        self.allocs.sum()
+        self.blocks.totals().0
     }
 
     /// Control blocks freed so far. Same contract as
     /// [`allocated`](Self::allocated).
     pub fn freed(&self) -> u64 {
-        self.frees.sum()
+        self.blocks.totals().1
     }
 
     /// Control blocks currently alive (allocated − freed): live objects plus
@@ -1061,22 +1039,15 @@ impl<S: AcquireRetire> Domain<S> {
     /// repo benchmark's (`ledger/`) garbage sampler reads.
     ///
     /// Concurrent samples only ever **over**-report, never under-report: the
-    /// fold sums `frees` strictly before `allocs` (see the comment in the
-    /// body). This one-sidedness is what makes the adversarial garbage
-    /// curves trustworthy — while a stalled reader pins a scheme's
+    /// fold reads every free lane before any allocation lane
+    /// ([`LanePairs`]), and every free has a matching allocation that
+    /// happened-before it. This one-sidedness is what makes the adversarial
+    /// garbage curves trustworthy — while a stalled reader pins a scheme's
     /// reclamation, a sampler racing the writers may blame the scheme for a
     /// few extra nodes, but a reported bound is never an artifact of the
     /// counter losing track of garbage that actually existed.
     pub fn in_flight(&self) -> u64 {
-        // Fold order matters under concurrency: `frees` is summed *before*
-        // `allocs`. Every free has a matching alloc that happened-before it,
-        // so a sample that reads frees first can at worst miss concurrent
-        // frees (over-reporting garbage). The reverse order could count a
-        // free whose alloc the earlier fold had not yet seen, silently
-        // *under*-reporting live garbage in the very samples the garbage
-        // sampler records.
-        let freed = self.freed();
-        self.allocated().saturating_sub(freed)
+        self.blocks.net()
     }
 
     /// The shared epoch clock (exposed for tests and benchmarks).
@@ -1088,8 +1059,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// Inherently racy (a section may open right after the
     /// check) and useful as a diagnostic: a dead thread that stranded an
     /// open announcement keeps this `false` until
-    /// [`reclaim_orphaned_slot`](Self::reclaim_orphaned_slot) force-closes
-    /// it.
+    /// [`smr::reclaim_orphaned_slot`] force-closes it.
     pub fn quiescent(&self) -> bool {
         self.ar.quiescent()
     }
@@ -1158,7 +1128,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// last thing keeping it alive.
     pub(crate) unsafe fn free_block(&self, t: Tid, addr: usize) {
         smr::sanitize::on_free(addr);
-        self.frees.add(t, 1);
+        self.blocks.down(t);
         let layout = (*as_header(addr)).vtable.layout;
         let block = NonNull::new_unchecked(addr as *mut u8);
         if !self.locals[t.index()].free.park(block, layout) {
@@ -1296,11 +1266,13 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Hands one tagged entry to the instance — the single entry into its
     /// retired lists, and so the one place that marks a thread as deferring
-    /// disposals.
+    /// disposals and that arms its exit flush, which hands what is left on
+    /// its lists to the live threads.
     fn issue(&self, t: Tid, (entry, birth): Entry<S::Birth>) {
         if channel_of(entry) == Channel::Dispose {
             self.locals[t.index()].disposes.set(true);
         }
+        self.arm_exit_flush(t);
         self.ar.retire_born(t, entry, birth);
     }
 
@@ -1399,18 +1371,14 @@ impl<S: AcquireRetire> Domain<S> {
         // the displacing operation still has the block's header warm; the
         // flush only copies entries.
         let r = (tagged(addr, ch), birth_of::<S>(addr));
-        let local = &self.locals[t.index()];
-        if !local.flush_registered.get() {
-            if !self.register_thread_flush() {
-                // The thread is already unregistering: nothing would ever
-                // flush a batch entry, so issue the deferral synchronously.
-                self.issue(t, r);
-                return self.collect(t);
-            }
-            local.flush_registered.set(true);
+        if !self.arm_exit_flush(t) {
+            // The thread is already unregistering: nothing would ever
+            // flush a batch entry, so issue the deferral synchronously.
+            self.issue(t, r);
+            return self.collect(t);
         }
         // Safety: `t` is the calling thread's slot.
-        if local.pending.push(r) {
+        if self.locals[t.index()].pending.push(r) {
             self.flush_batches(t);
         }
     }
@@ -1488,6 +1456,18 @@ impl<S: AcquireRetire> Domain<S> {
     /// Whether the calling thread has batched decrements not yet retired.
     fn has_pending_batch(&self, t: Tid) -> bool {
         !self.locals[t.index()].pending.is_empty()
+    }
+
+    /// Makes sure the calling thread's unregister-time flush is installed
+    /// ([`register_thread_flush`](Self::register_thread_flush)); `false`
+    /// when the thread is already unregistering and can no longer defer
+    /// work.
+    #[inline]
+    fn arm_exit_flush(&self, t: Tid) -> bool {
+        let registered = &self.locals[t.index()].flush_registered;
+        let armed = registered.get() || self.register_thread_flush();
+        registered.set(armed);
+        armed
     }
 
     /// Installs the calling thread's unregister-time flush (per thread ×
@@ -1727,8 +1707,8 @@ impl<S: AcquireRetire> Domain<S> {
     /// and resets its slot-local flags so the slot's next owner starts
     /// clean.
     ///
-    /// Normally invoked through the registry reaper chain
-    /// ([`smr::reclaim_orphaned_slot`]) rather than directly.
+    /// Invoked only through the registry reaper chain
+    /// ([`smr::reclaim_orphaned_slot`]).
     ///
     /// # Safety
     ///
@@ -1737,7 +1717,7 @@ impl<S: AcquireRetire> Domain<S> {
     /// via `join` or the `Acquire` load in [`smr::slot_abandoned`]), and no
     /// other thread concurrently reclaims the same slot. `dead` must not be
     /// the calling thread's own slot.
-    pub unsafe fn reclaim_orphaned_slot(&self, dead: Tid) {
+    pub(crate) unsafe fn reclaim_orphaned_slot(&self, dead: Tid) {
         let t = smr::current_tid();
         assert_ne!(
             t.index(),

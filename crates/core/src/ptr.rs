@@ -33,7 +33,7 @@
 //!
 //! # Domains
 //!
-//! Every pointer is bound to one reclamation [`Domain`](crate::Domain) at
+//! Every pointer is bound to one reclamation [`Domain`] at
 //! creation: the `_in` constructors take an explicit [`DomainRef`], the
 //! plain constructors default to [`Scheme::global_domain`]. An owned
 //! pointer stays a single word — its domain is recorded in the

@@ -227,14 +227,6 @@ impl<'g, T, S: Scheme> WeakSnapshotPtr<'g, T, S> {
         // Safety: control block alive under snapshot protection.
         unsafe { upgrade(self.block()) }
     }
-
-    /// Creates an owned weak reference to the snapshotted object.
-    #[inline(always)]
-    pub fn to_weak(&self) -> WeakPtr<T, S> {
-        // Safety: control block alive under snapshot protection, so its
-        // weak count is nonzero.
-        unsafe { WeakPtr::acquire(self.block()) }
-    }
 }
 
 #[cfg(test)]

@@ -23,10 +23,6 @@ pub(crate) mod nm;
 pub mod rc;
 pub(crate) mod split_order;
 
-use smr::sync::atomic::{AtomicU64, Ordering};
-
-use smr::{registered_high_water_mark, Tid, MAX_THREADS};
-
 /// The uniform map interface the repo benchmark (`ledger/`) and the bench
 /// driver (`crates/bench`) drive.
 ///
@@ -166,83 +162,6 @@ pub trait ConcurrentQueue<V>: Send + Sync {
     /// Removes the head element, if any.
     fn dequeue(&self) -> Option<V> {
         self.dequeue_with(&self.pin())
-    }
-}
-
-/// One thread's pair of event tallies — an `up` count and the `down` count
-/// of events that each have a matching `up` which happened-before them —
-/// aligned to its own cache line. Both counters share the lane
-/// deliberately: they have the same single writer, so packing them costs
-/// nothing and halves the footprint. 64-byte alignment (one x86 line)
-/// rather than the scheme slots' 128: these lanes are written by one thread
-/// and only *read* cross-thread, so adjacent-line prefetch pulling a
-/// neighbour is harmless.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Lane {
-    up: AtomicU64,
-    down: AtomicU64,
-}
-
-/// Per-thread single-writer [`Lane`]s indexed by [`Tid`], folded on read:
-/// the one counter shape behind the manual structures' node counts
-/// (allocs/frees) and the resizable tables' element count
-/// (inserts/removes). One instance costs a single 16 KiB allocation
-/// (`MAX_THREADS` 64-byte lanes).
-#[derive(Debug)]
-pub(crate) struct LanePairs {
-    lanes: Box<[Lane]>,
-}
-
-impl LanePairs {
-    pub(crate) fn new() -> Self {
-        LanePairs {
-            lanes: (0..MAX_THREADS).map(|_| Lane::default()).collect(),
-        }
-    }
-
-    /// Records one `up` event by thread `t`; returns the lane's new tally.
-    #[inline]
-    pub(crate) fn up(&self, t: Tid) -> u64 {
-        // Ordering: Relaxed load + store — single-writer lane (only thread
-        // `t` writes it), so the unfenced read-modify-write is race-free
-        // and needs no `lock` prefix; see `smr::util::ShardedCounter::add`.
-        let lane = &self.lanes[t.index()].up;
-        let n = lane.load(Ordering::Relaxed) + 1;
-        lane.store(n, Ordering::Relaxed);
-        n
-    }
-
-    /// Records one `down` event by thread `t`.
-    #[inline]
-    pub(crate) fn down(&self, t: Tid) {
-        // Ordering: as `up`.
-        let lane = &self.lanes[t.index()].down;
-        lane.store(lane.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// Ups − downs.
-    pub(crate) fn net(&self) -> u64 {
-        // Ordering: Relaxed — monotone lanes; exact for events that
-        // happened-before this read (join / drop exclusivity), monotone
-        // under concurrency. Lanes past the registry high-water mark were
-        // never written.
-        //
-        // Fold order: sum every `down` lane *before* any `up` lane. Each
-        // down (a free, a remove) has a matching up (its alloc, its insert)
-        // that happened-before it, so a sample reading downs first can at
-        // worst miss concurrent downs (over-reporting the net); an
-        // interleaved or ups-first fold could count a down whose up it had
-        // not yet seen and under-report live garbage.
-        let hwm = registered_high_water_mark();
-        // Ordering: Relaxed — statistics lanes; the fold order above, not
-        // any acquire edge, is what keeps the estimate one-sided.
-        let fold = |pick: fn(&Lane) -> &AtomicU64| -> u64 {
-            let lanes = self.lanes.iter().take(hwm);
-            lanes.map(|lane| pick(lane).load(Ordering::Relaxed)).sum()
-        };
-        let down = fold(|lane| &lane.down);
-        fold(|lane| &lane.up).saturating_sub(down)
     }
 }
 

@@ -19,9 +19,8 @@ pub use resizable::ResizableHashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use smr::util::LanePairs;
 use smr::{sync::atomic::AtomicUsize, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid};
-
-use crate::LanePairs;
 
 /// What the [`Reclaimer`] needs of a manual node — the manual-side mirror
 /// of [`cdrc::GraphNode`].
@@ -36,7 +35,8 @@ pub(crate) trait ManualNode {
     fn out_edges(&self, out: &mut Vec<usize>);
 }
 
-/// One manual structure's scheme instance, with its node counters: the
+/// One manual structure's scheme instance, with its node counts on a
+/// [`LanePairs`] (the tally `cdrc`'s domain keeps its blocks on): the
 /// manual mirror of `cdrc::DomainRef`. Every address retired through it is
 /// a `Box<N>` — the type parameter is what lets [`collect`](Self::collect)
 /// free ejected nodes safely. The instance is never shared with another

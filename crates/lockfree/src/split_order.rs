@@ -19,9 +19,8 @@
 
 use smr::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
+use smr::util::LanePairs;
 use smr::Tid;
-
-use crate::LanePairs;
 
 /// Directory segments; segment `l` holds buckets `[2^l, 2^{l+1})`, so
 /// a table tops out at 2^33 buckets — far past any in-memory key count.
@@ -40,45 +39,13 @@ pub(crate) fn so_regular(h: u64) -> u64 {
     h.reverse_bits() | 1
 }
 
-/// Approximate live-element counter driving the growth decisions:
-/// per-thread single-writer lanes (no shared `fetch_add` on the insert
-/// path), folded only on the growth-check cadence.
-#[derive(Debug)]
-struct ElementCount {
-    lanes: LanePairs,
-}
-
-impl ElementCount {
-    /// How many successful inserts a lane absorbs between growth checks.
-    /// The live count can therefore lag by `MAX_THREADS * GROW_CHECK_EVERY`
-    /// in the worst case — bounded slack, spent on keeping the insert fast
-    /// path free of cross-thread folds.
-    const GROW_CHECK_EVERY: u64 = 64;
-
-    /// Records one successful insert by thread `t`; returns `true` on the
-    /// lane's growth-check cadence (every [`Self::GROW_CHECK_EVERY`]th
-    /// insert), when the caller should fold the count and consider growing.
-    #[inline]
-    fn on_insert(&self, t: Tid) -> bool {
-        self.lanes.up(t).is_multiple_of(Self::GROW_CHECK_EVERY)
-    }
-
-    /// Records one successful remove by thread `t`.
-    #[inline]
-    fn on_remove(&self, t: Tid) {
-        self.lanes.down(t);
-    }
-
-    /// Inserts − removes; removes are folded first, so the estimate only
-    /// errs high (see `LanePairs::net`).
-    fn live(&self) -> u64 {
-        self.lanes.net()
-    }
-}
-
 /// The bucket directory of a split-ordered table: a `zero` slot, the spine
 /// of lazily published segments, the routing mask and the element count
 /// that decides when the mask doubles.
+///
+/// The count is per-thread inserts (`up`) and removes (`down`), so the
+/// insert path does no shared `fetch_add`; it is folded only on a lane's
+/// growth-check cadence, and the fold only errs high.
 pub(crate) struct Directory<W> {
     /// Bucket 0's slot — its sentinel heads the entire list. Set at
     /// construction, never rewritten.
@@ -90,10 +57,16 @@ pub(crate) struct Directory<W> {
     /// `buckets - 1`; buckets is always a power of two. Grows by
     /// `m -> 2m + 1`, monotonically.
     mask: AtomicU64,
-    count: ElementCount,
+    count: LanePairs,
 }
 
 impl<W> Directory<W> {
+    /// How many successful inserts a lane absorbs between growth checks.
+    /// The live count can therefore lag by `MAX_THREADS * GROW_CHECK_EVERY`
+    /// in the worst case — bounded slack, spent on keeping the insert fast
+    /// path free of cross-thread folds.
+    const GROW_CHECK_EVERY: u64 = 64;
+
     /// A directory pre-sized for `capacity` elements (rounded up to a power
     /// of two; sentinels still splice in lazily) whose bucket 0 is `zero`.
     pub(crate) fn with_capacity(capacity: usize, zero: W) -> Self {
@@ -105,9 +78,7 @@ impl<W> Directory<W> {
             zero,
             spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             mask: AtomicU64::new(buckets - 1),
-            count: ElementCount {
-                lanes: LanePairs::new(),
-            },
+            count: LanePairs::new(),
         }
     }
 
@@ -121,7 +92,7 @@ impl<W> Directory<W> {
     /// Approximate live element count (exact once concurrent operations
     /// have happened-before the call, e.g. after joining workers).
     pub(crate) fn len(&self) -> u64 {
-        self.count.live()
+        self.count.net()
     }
 
     /// The bucket hash `h` routes to under the current mask.
@@ -212,12 +183,13 @@ impl<W> Directory<W> {
         std::iter::once(&self.zero).chain(published)
     }
 
-    /// Records one successful insert by thread `t` and, on the insert-count
-    /// cadence only, doubles the mask if the live estimate exceeds the
-    /// bucket count (load factor ≈ 1).
+    /// Records one successful insert by thread `t` and, every
+    /// [`GROW_CHECK_EVERY`](Self::GROW_CHECK_EVERY)th insert of its lane,
+    /// doubles the mask if the live estimate exceeds the bucket count (load
+    /// factor ≈ 1).
     #[inline]
     pub(crate) fn on_insert(&self, t: Tid) {
-        if self.count.on_insert(t) {
+        if self.count.up(t).is_multiple_of(Self::GROW_CHECK_EVERY) {
             self.maybe_grow();
         }
     }
@@ -225,11 +197,11 @@ impl<W> Directory<W> {
     /// Records one successful remove by thread `t`.
     #[inline]
     pub(crate) fn on_remove(&self, t: Tid) {
-        self.count.on_remove(t);
+        self.count.down(t);
     }
 
     fn maybe_grow(&self) {
-        let live = self.count.live();
+        let live = self.count.net();
         // Ordering: Relaxed — the mask is a routing hint, not a guard; the
         // CAS below revalidates it and a stale read only delays growth.
         let mask = self.mask.load(Ordering::Relaxed);

@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 // Public configuration and results
 // ---------------------------------------------------------------------------
 
-/// Exploration bounds for [`try_check`](crate::try_check).
+/// Exploration bounds for [`try_check`].
 #[derive(Debug, Clone)]
 pub struct Config {
     /// CHESS-style preemption bound: maximum number of *involuntary*
@@ -103,7 +103,7 @@ thread_local! {
 ///
 /// This is the escape hatch for *infrastructure* state that is shared
 /// across checker iterations and must not enter the model: thread-slot
-/// registries, heartbeat gauges, fault-injection checkpoints, test
+/// registries, statistics tallies, fault-injection checkpoints, test
 /// bookkeeping (e.g. freed-object flags asserted by scenarios). Exempt
 /// accesses are executed in program order by whichever model thread holds
 /// the scheduler token, so within a run they behave sequentially

@@ -4,15 +4,15 @@
 //! schemes differ only in *what they announce*, *what a retire is stamped
 //! with* and *when an entry may be ejected* (Fig. 3 EBR, Fig. 4 IBR, §3.2
 //! HP). [`Engine`] owns everything else exactly once — per-thread slots,
-//! section nesting, heartbeats, the fault and sanitizer checkpoints,
-//! allocation counting, the retire list and its threshold-spaced scans, the
+//! section nesting, the fault and sanitizer checkpoints, allocation
+//! counting, the retire list and its threshold-spaced scans, the
 //! fence-then-sweep skeleton, the ready queue, draining and dead-slot
-//! recovery — and a crate-private `Protection`
-//! policy supplies the protection rule. `smr::{Ebr, Ibr, Hp, Hyaline}` are
+//! recovery — and a crate-private `Protection` policy supplies the
+//! protection rule. `smr::{Ebr, Ibr, Hp, Hyaline}` are
 //! aliases of `Engine<policy>`; the crate docs' "Adding a scheme" table
 //! lists what a policy owes.
 
-use crate::registry::{beat, registered_high_water_mark, Tid, MAX_THREADS};
+use crate::registry::{registered_high_water_mark, Tid, MAX_THREADS};
 use crate::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use crate::sync::exempt;
 use crate::util::CachePadded;
@@ -456,7 +456,6 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         local.depth += 1;
         if local.depth == 1 {
             P::enter(self, &slot.ann, local);
-            beat(t);
             fault::on_section_entry(t);
             sanitize::section_enter(self.id(), t, P::PROTECTS_SECTION_READS);
         }
@@ -479,7 +478,6 @@ unsafe impl<P: Protection> AcquireRetire for Engine<P> {
         if exempt(|| self.orphaned.load(Ordering::Relaxed)) {
             self.adopt(local);
         }
-        beat(t);
         sanitize::section_exit(self.id(), t);
         true
     }

@@ -143,7 +143,7 @@ pub fn arm(plan: FaultPlan) -> FaultScope {
 }
 
 /// Disarms any armed plan and clears the victim designation.
-pub fn disarm() {
+fn disarm() {
     exempt(|| {
         STALL_NS.store(0, Ordering::SeqCst);
         SCAN_DELAY_NS.store(0, Ordering::SeqCst);

@@ -51,9 +51,9 @@
 //! # Adding a scheme
 //!
 //! There is one implementation, [`Engine`], written once: per-thread slots,
-//! section nesting, heartbeats, the fault and sanitizer checkpoints, the
-//! retire list and its threshold-spaced scans, the fence-then-sweep
-//! skeleton, the ready queue, `drain_all` and `reclaim_slot`. It runs no
+//! section nesting, the fault and sanitizer checkpoints, the retire list
+//! and its threshold-spaced scans, the fence-then-sweep skeleton, the ready
+//! queue, `drain_all` and `reclaim_slot`. It runs no
 //! consumer code: [`end_critical_section`](AcquireRetire::end_critical_section)
 //! reports an outermost exit, and the consumer does its own section-exit
 //! work after it. The four schemes are aliases of `Engine<policy>`, and a
@@ -98,10 +98,10 @@
 //! the dead slot's announcements via
 //! [`AcquireRetire::reclaim_slot`] and drain its orphaned state, and the
 //! slot returns to the pool. [`abandon_current_slot`] simulates such a
-//! death; [`OrphanWatch`] flags slots whose heartbeat stagnates. A dead
-//! *idle* HP section pins nothing at all (hazard pointers protect
-//! individual pointers, not regions — [`AcquireRetire::PROTECTS_REGIONS`]
-//! is `false`), which is HP's fault-tolerance-by-construction story.
+//! death. A dead *idle* HP section pins nothing at all (hazard pointers
+//! protect individual pointers, not regions —
+//! [`AcquireRetire::PROTECTS_REGIONS`] is `false`), which is HP's
+//! fault-tolerance-by-construction story.
 //!
 //! # Reclamation sanitizer
 //!
@@ -137,8 +137,8 @@ pub use hyaline::Hyaline;
 pub use ibr::Ibr;
 pub use registry::{
     abandon_current_slot, active_threads, current_tid, on_thread_exit, reclaim_orphaned_slot,
-    register_orphan_reaper, registered_high_water_mark, slot_abandoned, slot_in_use, OrphanWatch,
-    Tid, MAX_THREADS,
+    register_orphan_reaper, registered_high_water_mark, slot_abandoned, slot_in_use, Tid,
+    MAX_THREADS,
 };
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -11,13 +11,11 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Mutex;
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 // The registry is process-global infrastructure shared across model-checker
 // iterations: every atomic access below runs under `exempt` so slot
 // bookkeeping never enters the model (and never leaks per-iteration state).
 use crate::sync::exempt;
-
-use crate::util::CachePadded;
 
 /// Maximum number of concurrently live threads that may use SMR schemes.
 ///
@@ -54,20 +52,11 @@ static REGISTRY: Registry = Registry {
 };
 
 #[allow(clippy::declare_interior_mutable_const)]
-const BEAT_ZERO: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(0));
-
-/// Per-slot liveness heartbeats, bumped by the engines at every outermost
-/// section boundary and by slot acquire/release. Padded: each slot's counter
-/// is written by exactly one thread on its section fast path, so sharing a
-/// cache line across slots would make unrelated threads bounce it.
-static HEARTBEATS: [CachePadded<AtomicU64>; MAX_THREADS] = [BEAT_ZERO; MAX_THREADS];
-
-#[allow(clippy::declare_interior_mutable_const)]
 const NOT_ABANDONED: AtomicBool = AtomicBool::new(false);
 
 /// Set for a slot whose owner declared (via [`abandon_current_slot`]) that it
 /// is about to die without unregistering — the simulated-`SIGKILL` ground
-/// truth the reaper's heartbeat heuristic is validated against.
+/// truth the dead-thread tests reclaim by.
 static ABANDONED: [AtomicBool; MAX_THREADS] = [NOT_ABANDONED; MAX_THREADS];
 
 /// A dead-slot reaper registered by a consumer (the `cdrc` domain registers
@@ -108,10 +97,6 @@ impl Registry {
                 // Ordering: Relaxed — `active` is a diagnostic gauge; no
                 // reader derives protection from it.
                 self.active.fetch_add(1, Ordering::Relaxed);
-                // Fresh owner: advance the liveness heartbeat so an
-                // `OrphanWatch` does not inherit the predecessor's
-                // stagnation count for this slot.
-                beat(Tid(i));
                 return i;
             }
         }
@@ -128,25 +113,6 @@ impl Registry {
             self.in_use[i].store(false, Ordering::Release);
         });
     }
-}
-
-/// Bumps slot `t`'s liveness heartbeat. Engines call this at outermost
-/// section boundaries; the orphan detector ([`OrphanWatch`]) flags slots
-/// whose beat stops advancing.
-#[inline]
-pub(crate) fn beat(t: Tid) {
-    exempt(|| {
-        let h = &HEARTBEATS[t.index()];
-        // Ordering: Relaxed — single-writer diagnostic counter on its own
-        // cache line; no protection decision reads it, only the stall
-        // heuristic.
-        h.store(h.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
-    });
-}
-
-/// Reads slot `t`'s liveness heartbeat (see [`OrphanWatch`]).
-pub(crate) fn heartbeat_of(t: Tid) -> u64 {
-    exempt(|| HEARTBEATS[t.index()].load(Ordering::Relaxed))
 }
 
 /// Whether slot `t` is currently claimed by some thread (live or dead).
@@ -254,9 +220,8 @@ pub fn register_orphan_reaper(f: Box<dyn Fn(Tid) -> bool + Send + Sync>) {
 /// draining orphaned batches), then releases the slot for reuse. Returns
 /// `false` (doing nothing) if the slot is not currently claimed.
 ///
-/// Detection is the caller's burden — pair an [`OrphanWatch`] (no heartbeat
-/// progress across K observations) with out-of-band knowledge that the owner
-/// is dead, or use the [`abandon_current_slot`] ground truth in tests.
+/// Detection is the caller's burden — out-of-band knowledge that the owner
+/// is dead (a join), or the [`abandon_current_slot`] ground truth in tests.
 ///
 /// # Safety
 ///
@@ -281,61 +246,8 @@ pub unsafe fn reclaim_orphaned_slot(t: Tid) -> bool {
     // Ordering: Release — the reapers' recovery writes above happen-before
     // any thread that observes the slot un-abandoned and claims it.
     exempt(|| ABANDONED[t.index()].store(false, Ordering::Release));
-    beat(t);
     REGISTRY.release_slot(t.index());
     true
-}
-
-/// Heartbeat-stagnation detector for orphaned slots.
-///
-/// Call [`observe`](OrphanWatch::observe) periodically (e.g. once per scan
-/// interval); a claimed slot whose heartbeat has not advanced across `k`
-/// consecutive observations is reported as a suspect. Suspicion is a
-/// heuristic, not proof: a live-but-idle thread (registered, doing no SMR
-/// work) and a reader stalled inside a section look identical to a dead
-/// thread. Reaping a suspect therefore still requires the out-of-band
-/// certainty of death documented on [`reclaim_orphaned_slot`].
-#[derive(Debug)]
-pub struct OrphanWatch {
-    last: [u64; MAX_THREADS],
-    stagnant: [u32; MAX_THREADS],
-    k: u32,
-}
-
-impl OrphanWatch {
-    /// A watch flagging slots stagnant for `k` consecutive observations.
-    pub fn new(k: u32) -> Self {
-        OrphanWatch {
-            last: [0; MAX_THREADS],
-            stagnant: [0; MAX_THREADS],
-            k: k.max(1),
-        }
-    }
-
-    /// Samples every claimed slot's heartbeat and returns the current
-    /// suspects (claimed, stagnant for ≥ `k` observations).
-    pub fn observe(&mut self) -> Vec<Tid> {
-        let mut suspects = Vec::new();
-        let hwm = registered_high_water_mark();
-        for i in 0..hwm {
-            let t = Tid(i);
-            if !slot_in_use(t) {
-                self.stagnant[i] = 0;
-                continue;
-            }
-            let now = heartbeat_of(t);
-            if now == self.last[i] {
-                self.stagnant[i] = self.stagnant[i].saturating_add(1);
-            } else {
-                self.last[i] = now;
-                self.stagnant[i] = 0;
-            }
-            if self.stagnant[i] >= self.k {
-                suspects.push(t);
-            }
-        }
-        suspects
-    }
 }
 
 /// Registers a callback to run when the **current thread** releases its SMR

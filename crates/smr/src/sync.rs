@@ -17,7 +17,7 @@
 //!
 //! [`exempt`] suppresses modeling for infrastructure state that must not
 //! enter the model: thread-slot registries, fault-injection checkpoints,
-//! heartbeat gauges, and test bookkeeping. In normal builds it is an
+//! statistics tallies, and test bookkeeping. In normal builds it is an
 //! identity function.
 
 /// Real or model-aware atomics, selected by the `model-check` feature.

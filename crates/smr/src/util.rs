@@ -21,11 +21,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         CachePadded { value }
     }
-
-    /// Unwraps the padded value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -44,76 +39,95 @@ impl<T> DerefMut for CachePadded<T> {
     }
 }
 
-/// A monotone event counter sharded into per-thread cache-padded lanes.
+/// Per-thread tallies of paired events: an `up` (an allocation, an
+/// insert) and a `down` that each answer an `up` which happened-before it
+/// (its free, its remove). One cache-padded lane per possible [`Tid`],
+/// written only by its thread and folded on read.
 ///
 /// A shared `fetch_add` counter is a scalability sink: every increment
-/// bounces the counter's cache line between all writer cores. Sharding by
-/// [`Tid`] makes [`add`](Self::add) a contention-free increment of a lane no
-/// other thread writes; [`sum`](Self::sum) folds the lanes on demand.
+/// bounces its cache line between all writer cores. Here [`up`](Self::up)
+/// and [`down`](Self::down) are a plain increment of a lane no other
+/// thread writes. Lanes of exited threads keep their counts (slots are
+/// recycled, not reset), so totals survive thread churn.
 ///
-/// The sum is *eventually exact*: it observes every increment that
-/// happened-before the read (e.g. via a thread join) and is monotone under
-/// concurrent increments, which is all a statistics counter needs. Lanes of
-/// exited threads keep their contributions (slots are recycled, not reset),
-/// so totals survive thread churn.
-///
-/// A *pair* of counters read as a difference (`cdrc`'s allocated − freed)
-/// gets one guarantee more: lanes are stored with Release and summed with
-/// Acquire, so a reader that sums the subtrahend first sees, for every
-/// decrement it counts, the increment that preceded it — the difference
-/// can be stale only upwards.
+/// Folds are exact for every event that happened-before the read (a
+/// join, a mutex, `cdrc`'s liveness word). Under concurrency they can
+/// only over-report the net: [`totals`](Self::totals) reads every `down`
+/// lane before any `up` lane, and with Acquire, so each `down` it counts
+/// brings the `up` it answers into view. An interleaved or ups-first fold
+/// could count a `down` whose `up` it had not yet seen, and under-report.
 #[derive(Debug)]
-pub struct ShardedCounter {
-    lanes: Box<[CachePadded<AtomicU64>]>,
+pub struct LanePairs {
+    lanes: Box<[CachePadded<Lane>]>,
 }
 
-impl ShardedCounter {
-    /// A counter at zero, with one lane per possible [`Tid`].
+/// One thread's `up` and `down` counts; same single writer, so they share
+/// a line.
+#[derive(Debug, Default)]
+struct Lane {
+    up: AtomicU64,
+    down: AtomicU64,
+}
+
+impl LanePairs {
+    /// Tallies at zero, with one lane per possible [`Tid`].
     pub fn new() -> Self {
-        ShardedCounter {
-            lanes: (0..MAX_THREADS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+        LanePairs {
+            lanes: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
         }
     }
 
-    /// Adds `n` to the calling thread's lane.
+    /// Records one `up` event by thread `t`, the calling thread; returns
+    /// its lane's new `up` count.
     #[inline]
-    pub fn add(&self, t: Tid, n: u64) {
-        // Ordering: Relaxed load + Release store — the lane is written only
-        // by its owning thread, so the unfenced read-modify-write is
-        // race-free (no `lock add` needed, unlike `fetch_add`). Release
-        // (a plain store on x86) pairs with the Acquire in `sum`: whoever
-        // reads this count also sees what its owner did before — in
-        // particular the event on a sibling counter that this one answers.
-        // Exact totals still come from an external happens-before edge
-        // (thread join / test mutex / the `cdrc` liveness word).
-        // Statistics, not protocol: exempt from model checking (a modeled
-        // per-lane counter array would dwarf the protocol state space).
-        exempt(|| {
-            let lane = &self.lanes[t.index()];
-            lane.store(lane.load(Ordering::Relaxed) + n, Ordering::Release);
-        });
+    pub fn up(&self, t: Tid) -> u64 {
+        Self::bump(&self.lanes[t.index()].up)
     }
 
-    /// Folds all lanes ever used into a total.
-    pub fn sum(&self) -> u64 {
-        // Ordering: Acquire — pairs with the Release store in `add` (see
-        // there). Each lane is monotone, so any interleaving of lane reads
-        // yields a value between "all increments that happened-before this
-        // call" and "all increments so far".
-        // Lanes at index >= the registry high-water mark were never written.
+    /// Records one `down` event by thread `t`, the calling thread.
+    #[inline]
+    pub fn down(&self, t: Tid) {
+        Self::bump(&self.lanes[t.index()].down);
+    }
+
+    #[inline]
+    fn bump(count: &AtomicU64) -> u64 {
+        // Ordering: Relaxed load + Release store — the lane has one writer,
+        // so the unfenced read-modify-write is race-free (no `lock add`).
+        // Release (a plain store on x86) pairs with the Acquire in `totals`:
+        // a fold that sees this count sees what its thread did before, in
+        // particular the `up` a `down` answers. Exempt from model checking:
+        // a modeled lane array would dwarf the protocol state space (the
+        // checker's `pin_word_*` scenarios model the pin rule's fold).
         exempt(|| {
-            self.lanes
-                .iter()
-                .take(registered_high_water_mark())
-                .map(|lane| lane.load(Ordering::Acquire))
-                .sum()
+            let n = count.load(Ordering::Relaxed) + 1;
+            count.store(n, Ordering::Release);
+            n
         })
+    }
+
+    /// `(ups, downs)` over every lane ever used; every `down` lane is read
+    /// before any `up` lane (type docs).
+    pub fn totals(&self) -> (u64, u64) {
+        // Lanes at index >= the registry high-water mark were never written.
+        let lanes = || self.lanes.iter().take(registered_high_water_mark());
+        // Ordering: Acquire — pairs with the Release store in `bump`.
+        let fold = |pick: fn(&Lane) -> &AtomicU64| -> u64 {
+            exempt(|| lanes().map(|l| pick(l).load(Ordering::Acquire)).sum())
+        };
+        let downs = fold(|l| &l.down);
+        (fold(|l| &l.up), downs)
+    }
+
+    /// Ups − downs: exact when every event happened-before the call,
+    /// otherwise never low (type docs).
+    pub fn net(&self) -> u64 {
+        let (ups, downs) = self.totals();
+        ups.saturating_sub(downs)
     }
 }
 
-impl Default for ShardedCounter {
+impl Default for LanePairs {
     fn default() -> Self {
         Self::new()
     }
@@ -189,7 +203,6 @@ mod tests {
         assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 128);
         let v = CachePadded::new(7u32);
         assert_eq!(*v, 7);
-        assert_eq!(v.into_inner(), 7);
     }
 
     #[test]
@@ -200,16 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counter_sums_across_threads() {
-        let c = std::sync::Arc::new(ShardedCounter::new());
-        c.add(crate::current_tid(), 3);
+    fn lane_pairs_fold_across_threads() {
+        let c = std::sync::Arc::new(LanePairs::new());
+        let t = crate::current_tid();
+        assert_eq!(c.up(t), 1);
         let hs: Vec<_> = (0..4)
             .map(|_| {
                 let c = std::sync::Arc::clone(&c);
                 std::thread::spawn(move || {
                     let t = crate::current_tid();
                     for _ in 0..100 {
-                        c.add(t, 1);
+                        c.up(t);
+                    }
+                    for _ in 0..40 {
+                        c.down(t);
                     }
                 })
             })
@@ -217,7 +234,8 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        // Joins establish happens-before: the sum is exact here.
-        assert_eq!(c.sum(), 403);
+        // Joins establish happens-before: the folds are exact here.
+        assert_eq!(c.totals(), (401, 160));
+        assert_eq!(c.net(), 241);
     }
 }

@@ -128,26 +128,4 @@ fn churn_recycles_tids_and_bounds_the_high_water_mark() {
         registered_high_water_mark()
     );
     assert_eq!(active_threads(), baseline_active, "deaths all reclaimed");
-
-    // Phase 5 — OrphanWatch: an abandoned slot's heartbeat stagnates and the
-    // watch flags it after k observations. (Idle live threads look the same
-    // — the watch is a detector, not an oracle — so filter by the abandoned
-    // ground truth as a real monitor would by out-of-band liveness.)
-    let dead = std::thread::spawn(|| {
-        let _ = current_tid();
-        smr::abandon_current_slot()
-    })
-    .join()
-    .unwrap();
-    let mut watch = smr::OrphanWatch::new(3);
-    let mut flagged = Vec::new();
-    for _ in 0..5 {
-        flagged = watch.observe();
-    }
-    assert!(
-        flagged.iter().any(|&t| t == dead && smr::slot_abandoned(t)),
-        "watch must flag the dead slot as stagnant"
-    );
-    assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
-    assert_eq!(active_threads(), baseline_active);
 }

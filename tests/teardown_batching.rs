@@ -7,6 +7,8 @@
 //! * batched decrements reach the deferred machinery at each flush point —
 //!   section exit, batch-capacity overflow, thread unregister, and
 //!   last-handle domain teardown;
+//! * an exiting thread hands its retired lists to the live threads,
+//!   whether or not it ever batched;
 //! * a proptest model checks batching is observationally invisible: a
 //!   store/swap/take sequence over a slot behaves exactly like a `Vec`
 //!   model, and the domain still balances afterwards.
@@ -350,6 +352,38 @@ fn exit_hands_off_what_a_section_pins_all_schemes() {
     exit_hands_off_what_a_section_pins::<IbrScheme>();
     exit_hands_off_what_a_section_pins::<HpScheme>();
     exit_hands_off_what_a_section_pins::<HyalineScheme>();
+}
+
+/// A thread whose only deferral is a `Dispose` retire (an owner dropping a
+/// non-graph pointer) never batches, yet its exit still hands the entry
+/// off: the live thread's `process_deferred` adopts and frees it instead
+/// of leaving it on the exited slot for that slot's next owner. The main
+/// thread takes its slot first, so the worker cannot be handed that slot
+/// back and recover the entry by inheritance.
+fn exit_hands_off_a_thread_that_never_batched<S: Scheme>() {
+    let d: DomainRef<S> = DomainRef::new();
+    let t = smr::current_tid();
+    {
+        let d = d.clone();
+        std::thread::spawn(move || drop(SharedPtr::new_in(5u64, &d)))
+            .join()
+            .unwrap();
+    }
+    d.process_deferred(t);
+    assert_eq!(
+        d.in_flight(),
+        0,
+        "{}: the exited thread's disposal stranded",
+        S::scheme_name()
+    );
+}
+
+#[test]
+fn exit_hands_off_a_thread_that_never_batched_all_schemes() {
+    exit_hands_off_a_thread_that_never_batched::<EbrScheme>();
+    exit_hands_off_a_thread_that_never_batched::<IbrScheme>();
+    exit_hands_off_a_thread_that_never_batched::<HpScheme>();
+    exit_hands_off_a_thread_that_never_batched::<HyalineScheme>();
 }
 
 /// An exited thread's weak decrement and deferred disposal, adopted by a
