@@ -580,7 +580,7 @@ impl<S: Scheme, K: RefKind> RcWord<S, K> {
     /// # Panics
     ///
     /// Panics if `new`'s address is non-null and from a foreign domain.
-    pub(crate) fn cas(&self, expected: usize, new: usize, weak_cas: bool) -> Result<usize, usize> {
+    pub(crate) fn cas(&self, expected: usize, new: usize) -> Result<usize, usize> {
         check_same_domain(untagged(new), self.domain());
         // Liveness holds whether or not the CAS lands: the caller's own
         // reference keeps `new` alive for the duration of the call.
@@ -599,13 +599,8 @@ impl<S: Scheme, K: RefKind> RcWord<S, K> {
         // to the caller, who may seed a protected snapshot from it
         // (`compare_exchange_with`) and dereference: the publisher's Release
         // must be visible.
-        if weak_cas {
-            self.word
-                .compare_exchange_weak(expected, new, Ordering::SeqCst, Ordering::Acquire)
-        } else {
-            self.word
-                .compare_exchange(expected, new, Ordering::SeqCst, Ordering::Acquire)
-        }
+        self.word
+            .compare_exchange(expected, new, Ordering::SeqCst, Ordering::Acquire)
     }
 
     /// Unconditionally ORs tag bits into the word, returning the previous

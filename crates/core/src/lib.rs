@@ -45,7 +45,7 @@
 //! |-----------|----|------------|
 //! | [`store`](AtomicRcPtr::store) | both kinds | nothing: the displaced reference is retired internally |
 //! | [`swap`](AtomicRcPtr::swap), [`take`](AtomicRcPtr::take) | both kinds | the displaced occupant as an *owned* pointer (take = swap-with-null) |
-//! | [`compare_exchange`](AtomicRcPtr::compare_exchange), [`compare_exchange_weak`](AtomicRcPtr::compare_exchange_weak) `(expected, desired, new_tag)` | both kinds | `Ok(displaced)`, owned; `Err(`[`CompareExchangeErr`]`)`: the *witnessed* current word, so retry loops never pay a second protected load, and `desired`, untouched |
+//! | [`compare_exchange`](AtomicRcPtr::compare_exchange) `(expected, desired, new_tag)` | both kinds | `Ok(displaced)`, owned; `Err(`[`CompareExchangeErr`]`)`: the *witnessed* current word, so retry loops never pay a second protected load, and `desired`, untouched |
 //! | [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with) `(guard, expected, &borrow)` | strong | as `compare_exchange(expected, from_strong(&borrow), 0)`, with the failure witness a protected [`SnapshotPtr`] that dereferences immediately |
 //! | [`fetch_or_tag`](AtomicRcPtr::fetch_or_tag), [`try_set_tag`](AtomicRcPtr::try_set_tag) | both kinds | the previous word / `Result<installed, witness>`: only the low tag bits change, so tag-state machines compose with the CAS loops |
 //!

@@ -328,31 +328,9 @@ impl<T, S: Scheme, K: RefKind> AtomicRcPtr<T, S, K> {
         desired: RcPtr<T, S, K>,
         new_tag: usize,
     ) -> Result<RcPtr<T, S, K>, CompareExchangeErr<RcPtr<T, S, K>, T>> {
-        self.cas(expected, desired, new_tag, false)
-    }
-
-    /// As [`compare_exchange`](Self::compare_exchange), but may fail
-    /// spuriously (the witness then equals `expected`) — cheaper on
-    /// LL/SC architectures inside a retry loop that re-attempts anyway.
-    pub fn compare_exchange_weak(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: RcPtr<T, S, K>,
-        new_tag: usize,
-    ) -> Result<RcPtr<T, S, K>, CompareExchangeErr<RcPtr<T, S, K>, T>> {
-        self.cas(expected, desired, new_tag, true)
-    }
-
-    fn cas(
-        &self,
-        expected: TaggedPtr<T>,
-        desired: RcPtr<T, S, K>,
-        new_tag: usize,
-        weak_cas: bool,
-    ) -> Result<RcPtr<T, S, K>, CompareExchangeErr<RcPtr<T, S, K>, T>> {
         debug_assert_eq!(new_tag & !smr::TAG_MASK, 0);
         let new = desired.block() | new_tag;
-        match self.inner.cas(expected.word(), new, weak_cas) {
+        match self.inner.cas(expected.word(), new) {
             Ok(old) => {
                 std::mem::forget(desired);
                 Ok(RcPtr::from_displaced(untagged(old)))

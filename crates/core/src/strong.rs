@@ -483,25 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_exchange_weak_eventually_succeeds() {
-        let slot: Asp<u32> = AtomicSharedPtr::new(SharedPtr::new(1));
-        let two = Sp::new(2);
-        let mut cur = slot.load_tagged();
-        loop {
-            match slot.compare_exchange_weak(cur, two.clone(), 0) {
-                Ok(displaced) => {
-                    assert_eq!(displaced.as_ref(), Some(&1));
-                    break;
-                }
-                Err(e) => cur = e.current,
-            }
-        }
-        assert_eq!(slot.load().as_ref(), Some(&2));
-        drop((slot, two));
-        settle();
-    }
-
-    #[test]
     fn swap_and_take_move_ownership() {
         // On a private domain: a displaced pointer's drop is a deferred
         // decrement, and the exact drop counts after one `process_deferred`

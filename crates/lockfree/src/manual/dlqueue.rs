@@ -14,12 +14,17 @@
 //! at its publication. The automatic variant
 //! ([`crate::rc::RcDoubleLinkQueue`]) implements the helping exactly as the
 //! paper's Fig. 10, where weak pointers make it safe.
+//!
+//! An operation holds at most two nodes (the head or tail it read, and the
+//! head's successor), each a `Held` that gives its guard back when it is
+//! replaced or goes out of scope; the one reclamation chore left by hand is
+//! retiring the head a dequeue unlinks.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
 
 use smr::{AcquireRetire, Tid};
 
-use super::{ManualNode, Reclaimer};
+use super::{Held, ManualNode, Reclaimer};
 use crate::ConcurrentQueue;
 
 struct Node<V> {
@@ -83,36 +88,27 @@ where
     /// Protection for a CAS failure witness: schemes whose active section
     /// alone protects every word read from a live location
     /// ([`AcquireRetire::PROTECTS_SECTION_READS`]: EBR, Hyaline) take the
-    /// witnessed pointer directly — acquiring on a stack slot mints a
+    /// witnessed pointer directly — reading it from a stack slot mints a
     /// (trivial) guard without re-reading the live word. The rest must
     /// revalidate against the live word (IBR: the witness may be born after
     /// the announced interval; HP: protection is per announced pointer), so
-    /// they re-acquire — the witness only seeded the failed comparison.
-    fn protect_witness(&self, t: Tid, w: usize, src: &AtomicUsize) -> (usize, S::Guard) {
+    /// they re-read `src` — the witness only seeded the failed comparison.
+    fn protect_witness(&self, t: Tid, w: usize, src: &AtomicUsize) -> Held<'_, Node<V>, S> {
         if S::PROTECTS_SECTION_READS {
-            let local = AtomicUsize::new(w);
-            self.reclaimer
-                .try_acquire(t, &local)
-                .expect("section-read schemes never exhaust guards")
+            self.reclaimer.read(t, &AtomicUsize::new(w))
         } else {
-            self.reclaimer
-                .try_acquire(t, src)
-                .expect("queue ops hold at most 2 guards")
+            self.reclaimer.read(t, src)
         }
     }
 
     fn enqueue_impl(&self, t: Tid, v: V) {
-        let node = Box::into_raw(self.reclaimer.alloc(t, |birth| Node::new(birth, Some(v))));
-        let (mut ltail, mut g) = self
-            .reclaimer
-            .try_acquire(t, &self.tail)
-            .expect("queue ops hold at most 2 guards");
+        let node = Box::leak(self.reclaimer.alloc(t, |birth| Node::new(birth, Some(v))));
+        let mut ltail = self.reclaimer.read(t, &self.tail);
         loop {
-            // Safety: node unpublished.
-            unsafe { (*node).prev.store(ltail, Ordering::SeqCst) };
+            node.prev.store(ltail.word(), Ordering::SeqCst);
             match self.tail.compare_exchange(
-                ltail,
-                node as usize,
+                ltail.word(),
+                node as *const Node<V> as usize,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
@@ -120,67 +116,45 @@ where
                     // We won: publish the forward edge. ltail cannot be
                     // retired before this store — dequeuers need
                     // ltail.next ≠ 0 to advance past it.
-                    // Safety: ltail protected by the guard and by the
-                    // argument above.
-                    unsafe {
-                        (*(ltail as *mut Node<V>))
-                            .next
-                            .store(node as usize, Ordering::SeqCst)
-                    };
-                    self.reclaimer.release(t, g);
+                    ltail
+                        .node()
+                        .next
+                        .store(node as *const Node<V> as usize, Ordering::SeqCst);
                     return;
                 }
                 // The witness is the new tail; under EBR/Hyaline it is
                 // already protected (no re-read), under IBR/HP the retry
-                // re-acquires from the live word.
-                Err(w) => {
-                    self.reclaimer.release(t, g);
-                    (ltail, g) = self.protect_witness(t, w, &self.tail);
-                }
+                // re-reads the live word.
+                Err(w) => ltail = self.protect_witness(t, w, &self.tail),
             }
         }
     }
 
     fn dequeue_impl(&self, t: Tid) -> Option<V> {
-        let (mut lhead, mut hg) = self
-            .reclaimer
-            .try_acquire(t, &self.head)
-            .expect("queue ops hold at most 2 guards");
+        let mut lhead = self.reclaimer.read(t, &self.head);
         loop {
-            let head_node = lhead as *const Node<V>;
-            // Safety: lhead protected by hg (validated against self.head,
-            // or carried over from a CAS witness under a region scheme).
-            let next_field = unsafe { &(*head_node).next };
-            let (lnext, ng) = self
-                .reclaimer
-                .try_acquire(t, next_field)
-                .expect("queue ops hold at most 2 guards");
-            if lnext == 0 {
-                self.reclaimer.release(t, ng);
-                self.reclaimer.release(t, hg);
+            // lhead is validated against self.head, or carried over from a
+            // CAS witness under a section-read scheme.
+            let lnext = self.reclaimer.read(t, &lhead.node().next);
+            if lnext.word() == 0 {
                 return None;
             }
-            match self
-                .head
-                .compare_exchange(lhead, lnext, Ordering::SeqCst, Ordering::SeqCst)
-            {
+            match self.head.compare_exchange(
+                lhead.word(),
+                lnext.word(),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
                 Ok(_) => {
-                    // Safety: lnext protected by ng; its value slot is
-                    // written once at enqueue.
-                    let v = unsafe { (*(lnext as *const Node<V>)).value.clone() };
-                    // Safety: our CAS unlinked lhead; hg protects it.
-                    unsafe { self.reclaimer.retire(t, lhead) };
-                    self.reclaimer.release(t, ng);
-                    self.reclaimer.release(t, hg);
+                    // lnext's value slot is written once at enqueue.
+                    let v = lnext.node().value.clone();
+                    // Safety: our CAS unlinked lhead, which still holds it.
+                    unsafe { self.reclaimer.retire(t, lhead.addr()) };
                     return v;
                 }
                 // The witness is the new head; EBR/Hyaline retry on it
-                // directly, IBR/HP re-acquire from the live word.
-                Err(w) => {
-                    self.reclaimer.release(t, ng);
-                    self.reclaimer.release(t, hg);
-                    (lhead, hg) = self.protect_witness(t, w, &self.head);
-                }
+                // directly, IBR/HP re-read the live word.
+                Err(w) => lhead = self.protect_witness(t, w, &self.head),
             }
         }
     }

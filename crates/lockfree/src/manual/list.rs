@@ -9,14 +9,16 @@
 //! Traversal protection is hand-over-hand: the current node is acquired
 //! (with validation, for protected-pointer schemes) from an edge that lives
 //! in a node that is itself still protected, so no unprotected memory is
-//! ever dereferenced.
+//! ever dereferenced. The hop moves raw guards between its three roles (the
+//! [module docs](super) say why); a search ends on a `Cursor` of two
+//! `Held`s, so the operations that act on it give nothing back by hand.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
 use std::cmp::Ordering as KeyOrder;
 
-use smr::{untagged, AcquireRetire, SmrConfig, Tid};
+use smr::{sanitize, untagged, AcquireRetire, SmrConfig, Tid};
 
-use super::{ManualNode, Reclaimer};
+use super::{Held, ManualNode, Reclaimer};
 use crate::ConcurrentMap;
 
 const MARK: usize = 1;
@@ -29,25 +31,16 @@ pub(super) trait Link: ManualNode {
     fn next(&self) -> &AtomicUsize;
 }
 
-/// Where a [`find`] stopped: `prev_loc` is the edge holding `cur_w`. Owns
-/// the 0–2 guards protecting the node around that edge and the node at it;
-/// hand it to [`link_at`], [`remove_at`] or [`release`] to give them back.
-pub(super) struct Cursor<G> {
+/// Where a [`find`] stopped: `prev_loc` is the edge holding `cur`'s word
+/// (unmarked; 0 = end of list). Holds the node around that edge (none at
+/// the start edge) and the node at it until it drops; [`link_at`] and
+/// [`remove_at`] act on it.
+pub(super) struct Cursor<'r, N, S: AcquireRetire> {
     prev_loc: *const AtomicUsize,
-    prev_guard: Option<G>,
-    /// Unmarked word at `prev_loc` (0 = end of list).
-    pub(super) cur_w: usize,
-    cur_guard: Option<G>,
+    /// Only its guard: the word of the node around `prev_loc` is not kept.
+    _prev: Held<'r, N, S>,
+    pub(super) cur: Held<'r, N, S>,
     pub(super) found: bool,
-}
-
-/// Gives back the guards a search position holds.
-pub(super) fn release<N: ManualNode, S: AcquireRetire>(
-    r: &Reclaimer<N, S>,
-    t: Tid,
-    c: Cursor<S::Guard>,
-) {
-    release_guards(r, t, [c.prev_guard, c.cur_guard]);
 }
 
 fn release_guards<N: ManualNode, S: AcquireRetire, const G: usize>(
@@ -67,7 +60,8 @@ fn release_guards<N: ManualNode, S: AcquireRetire, const G: usize>(
 /// (node against the target) does not order `Less`, unlinking — and
 /// retiring — marked nodes on the way. Restarts begin at `head` again, so
 /// it must be an edge that is never marked: the list head, or an immortal
-/// sentinel's `next`. Returns with 0–2 guards held, in the cursor.
+/// sentinel's `next`. The hop keeps raw guards (the module docs say why)
+/// and hands the two it ends with to the cursor.
 ///
 /// # Safety
 ///
@@ -81,12 +75,28 @@ fn release_guards<N: ManualNode, S: AcquireRetire, const G: usize>(
 // `kv_cold_read` manual cells). Whether *that* method is inlined is left
 // to the compiler, as it was.
 #[inline(always)]
-pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
-    r: &Reclaimer<N, S>,
+pub(super) unsafe fn find<'r, N: Link, S: AcquireRetire>(
+    r: &'r Reclaimer<N, S>,
     t: Tid,
     head: &AtomicUsize,
     mut cmp: impl FnMut(&N) -> KeyOrder,
-) -> Cursor<S::Guard> {
+) -> Cursor<'r, N, S> {
+    let cursor = |prev_loc, prev_guard, cur_w, cur_guard, found| Cursor {
+        prev_loc,
+        _prev: Held {
+            word: 0,
+            guard: prev_guard,
+            t,
+            r,
+        },
+        cur: Held {
+            word: cur_w,
+            guard: cur_guard,
+            t,
+            r,
+        },
+        found,
+    };
     'retry: loop {
         let mut prev_loc: *const AtomicUsize = head;
         let mut prev_guard: Option<S::Guard> = None;
@@ -103,14 +113,9 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
         loop {
             let cur = untagged(cur_w);
             if cur == 0 {
-                return Cursor {
-                    prev_loc,
-                    prev_guard,
-                    cur_w,
-                    cur_guard,
-                    found: false,
-                };
+                return cursor(prev_loc, prev_guard, cur_w, cur_guard, false);
             }
+            sanitize::check_payload(cur);
             // Safety: `cur` is protected by cur_guard.
             let node = unsafe { &*(cur as *const N) };
             let (next_w, next_g) = r
@@ -154,43 +159,34 @@ pub(super) unsafe fn find<N: Link, S: AcquireRetire>(
                 }
                 order => {
                     release_guards(r, t, [next_guard]);
-                    return Cursor {
-                        prev_loc,
-                        prev_guard,
-                        cur_w,
-                        cur_guard,
-                        found: order == KeyOrder::Equal,
-                    };
+                    let found = order == KeyOrder::Equal;
+                    return cursor(prev_loc, prev_guard, cur_w, cur_guard, found);
                 }
             }
         }
     }
 }
 
-/// Links `node` in at the cursor (which did not find its key) and gives the
-/// cursor's guards back. `Ok` is the linked node's address; a lost race
-/// hands `node` back untouched: re-find.
+/// Links `node` in at the cursor (which did not find its key). `Ok` is the
+/// linked node's address; a lost race hands `node` back untouched:
+/// re-find.
 ///
 /// # Safety
 ///
-/// `c` came from [`find`] on this `r` and `t`, inside the critical
-/// section that is still open.
+/// `c` came from [`find`], inside the critical section that is still open.
 pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
-    r: &Reclaimer<N, S>,
-    t: Tid,
-    c: Cursor<S::Guard>,
+    c: Cursor<'_, N, S>,
     node: Box<N>,
 ) -> Result<usize, Box<N>> {
-    node.next().store(c.cur_w, Ordering::SeqCst);
+    node.next().store(c.cur.word(), Ordering::SeqCst);
     let addr = Box::into_raw(node);
     // Safety: prev_loc protected per find's contract.
     let linked = unsafe { &*c.prev_loc }.compare_exchange(
-        c.cur_w,
+        c.cur.word(),
         addr as usize,
         Ordering::SeqCst,
         Ordering::SeqCst,
     );
-    release(r, t, c);
     match linked {
         Ok(_) => Ok(addr as usize),
         // Safety: never published, still ours.
@@ -207,45 +203,38 @@ pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
 /// # Safety
 ///
 /// As [`link_at`], for every cursor `locate` returns.
-pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire>(
-    r: &Reclaimer<N, S>,
+pub(super) unsafe fn find_or_link<'r, N: Link, S: AcquireRetire>(
+    r: &'r Reclaimer<N, S>,
     t: Tid,
     mut node: Box<N>,
-    mut locate: impl FnMut(&N) -> Cursor<S::Guard>,
+    mut locate: impl FnMut(&N) -> Cursor<'r, N, S>,
 ) -> Result<usize, usize> {
     loop {
         let c = locate(&node);
         if c.found {
-            let incumbent = untagged(c.cur_w);
-            release(r, t, c);
+            let incumbent = c.cur.addr();
+            drop(c);
             r.discard(t, node); // never published
             return Err(incumbent);
         }
         // Safety: per this function's contract.
-        match unsafe { link_at(r, t, c, node) } {
+        match unsafe { link_at(c, node) } {
             Ok(addr) => return Ok(addr),
             Err(back) => node = back,
         }
     }
 }
 
-/// Deletes the node the cursor found and gives the cursor's guards back:
-/// marks its next word, then tries the physical unlink and, if that
-/// succeeds, retires it (a later [`find`] does both otherwise). `false` if
-/// a competing delete marked it first — re-find, which helps that delete
-/// along.
+/// Deletes the node the cursor found: marks its next word, then tries the
+/// physical unlink and, if that succeeds, retires it (a later [`find`] does
+/// both otherwise). `false` if a competing delete marked it first —
+/// re-find, which helps that delete along.
 ///
 /// # Safety
 ///
 /// As [`link_at`], and `c.found`.
-pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(
-    r: &Reclaimer<N, S>,
-    t: Tid,
-    c: Cursor<S::Guard>,
-) -> bool {
-    let cur = untagged(c.cur_w);
-    // Safety: cur protected by the cursor's guard.
-    let node = unsafe { &*(cur as *const N) };
+pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(c: Cursor<'_, N, S>) -> bool {
+    let node = c.cur.node();
     // Logically delete: mark cur's next word. A failed mark CAS hands back
     // the witnessed word, so we retry in place (cur stays protected by the
     // cursor) instead of re-finding — the word only changes when a
@@ -270,13 +259,12 @@ pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(
     // Safety: prev_loc protected per find's contract.
     if marked
         && unsafe { &*c.prev_loc }
-            .compare_exchange(c.cur_w, next_w, Ordering::SeqCst, Ordering::SeqCst)
+            .compare_exchange(c.cur.word(), next_w, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     {
         // Safety: our CAS unlinked it; the cursor still protects it.
-        unsafe { r.retire(t, cur) };
+        unsafe { c.cur.r.retire(c.cur.t, c.cur.addr()) };
     }
-    release(r, t, c);
     marked
 }
 
@@ -339,31 +327,10 @@ where
 
     /// [`find`] from the list head. Must be called inside a critical
     /// section.
-    fn find(&self, t: Tid, key: &K) -> Cursor<S::Guard> {
+    fn find(&self, t: Tid, key: &K) -> Cursor<'_, Node<K, V>, S> {
         // Safety: every node linked under `head` is a `Box<Node<K, V>>`
         // retired through `self.reclaimer` once unlinked.
         unsafe { find(&self.reclaimer, t, &self.head, |n| n.key.cmp(key)) }
-    }
-
-    /// Counts live (unmarked) nodes — test helper, not linearizable.
-    pub fn iter_count(&self) -> usize {
-        // RAII section (not bare begin/end): a panic while traversing must
-        // not strand the announcement open and pin reclamation forever.
-        let guard = self.reclaimer.pin();
-        let t = guard.tid();
-        let mut n = 0;
-        let mut w = self.head.load(Ordering::SeqCst);
-        while untagged(w) != 0 {
-            let node = untagged(w) as *const Node<K, V>;
-            let next = unsafe { (*node).next.load(Ordering::SeqCst) };
-            if next & MARK == 0 {
-                n += 1;
-            }
-            w = next & !MARK;
-        }
-        drop(guard);
-        self.reclaimer.collect(t);
-        n
     }
 }
 
@@ -400,11 +367,10 @@ where
         let removed = loop {
             let c = self.find(t, key);
             if !c.found {
-                release(r, t, c);
                 break false;
             }
             // Safety: `c` is this section's cursor over `r`, found.
-            if unsafe { remove_at(r, t, c) } {
+            if unsafe { remove_at(c) } {
                 break true;
             }
             // Retry from find so it can help the competing delete.
@@ -417,10 +383,8 @@ where
         let r = &self.reclaimer;
         let t = r.tid(guard);
         let c = self.find(t, key);
-        let node = untagged(c.cur_w) as *const Node<K, V>;
-        // Safety: protected by the cursor guard; value immutable.
-        let out = c.found.then(|| unsafe { (*node).value.clone() });
-        release(r, t, c);
+        let out = c.found.then(|| c.cur.node().value.clone());
+        drop(c);
         r.collect(t);
         out
     }
@@ -464,6 +428,14 @@ mod tests {
     use smr::{Ebr, Hp, Hyaline, Ibr};
     use std::sync::Arc;
 
+    /// How many of `keys` the list holds, counted with `get`.
+    fn count<S: AcquireRetire>(
+        list: &HarrisMichaelList<u64, u64, S>,
+        keys: std::ops::Range<u64>,
+    ) -> usize {
+        keys.filter(|k| list.get(k).is_some()).count()
+    }
+
     fn smoke<S: AcquireRetire>() {
         let list: HarrisMichaelList<u64, u64, S> = HarrisMichaelList::new();
         assert!(list.insert(5, 50));
@@ -475,7 +447,7 @@ mod tests {
         assert!(list.remove(&5));
         assert!(!list.remove(&5));
         assert_eq!(list.get(&5), None);
-        assert_eq!(list.iter_count(), 2);
+        assert_eq!(count(&list, 0..10), 2);
     }
 
     #[test]
@@ -506,7 +478,7 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        assert_eq!(list.iter_count(), 8 * 150);
+        assert_eq!(count(&list, 0..8 * 300), 8 * 150);
     }
 
     #[test]
@@ -623,7 +595,7 @@ mod tests {
         walk_past_a_stalled_delete(&list.reclaimer, &list.head, |k| {
             list.get(&k) == Some(k * 10)
         });
-        assert_eq!(list.iter_count(), 2);
+        assert_eq!(count(&list, 0..4), 2);
 
         // From a sentinel's edge, as the split-ordered map starts its
         // walks: the anchor is a `next` word inside a node that is never
@@ -650,12 +622,14 @@ mod tests {
             let (c, guard) = walk(k);
             assert!(!c.found);
             // Safety: `c` is `guard`'s cursor.
-            assert!(unsafe { link_at(&r, guard.tid(), c, new_node(k)) }.is_ok());
+            assert!(unsafe { link_at(c, new_node(k)) }.is_ok());
+            drop(guard);
         }
         walk_past_a_stalled_delete(&r, &sentinel.next, |k| {
             let (c, guard) = walk(k);
             let found = c.found;
-            release(&r, guard.tid(), c);
+            drop(c);
+            drop(guard);
             found
         });
         let chain = untagged(sentinel.next.load(Ordering::SeqCst));

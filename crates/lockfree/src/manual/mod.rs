@@ -4,7 +4,26 @@
 //!
 //! Each structure owns one `Reclaimer`, the only place it touches its
 //! scheme's reclamation side: the chores the paper's Fig. 1a repeats per
-//! structure are written once there.
+//! structure are written once there, and the reclamation sanitizer
+//! ([`smr::sanitize`]) sees every node's allocation, retire and free there.
+//!
+//! A node a structure reads is a `Held`: the word an acquire read and
+//! the guard that protects the node it names, given back on drop — the
+//! way an RC structure holds a `cdrc::SnapshotPtr`. `Held::node` is where
+//! a manual node is dereferenced (and the sanitizer checks it is not freed);
+//! `Reclaimer::read` is how one is made, or `Reclaimer::unguarded` for
+//! a node nothing else can free: a sentinel, or a chain the caller has
+//! just unlinked and not yet retired. So a manual
+//! structure gives nothing back by hand and leaks no guard on an early
+//! return; what it still does by hand is what reclamation is — retiring
+//! what it unlinks.
+//!
+//! One loop keeps hand-juggled guards: the hop of the Harris-Michael search
+//! (`list::find`), which runs hundreds of times per operation of a long
+//! list. A `Held` per hop carries its thread and reclaimer through every
+//! iteration and doubled the manual HP hop in `traversal_parity`; the hop
+//! moves raw guards between three roles and hands the two it ends with to
+//! its cursor as `Held`s.
 
 pub mod dlqueue;
 pub mod list;
@@ -19,8 +38,11 @@ pub use resizable::ResizableHashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use smr::sanitize::{self, Channel};
 use smr::util::LanePairs;
-use smr::{sync::atomic::AtomicUsize, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid};
+use smr::{
+    sync::atomic::AtomicUsize, untagged, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid,
+};
 
 /// What the [`Reclaimer`] needs of a manual node — the manual-side mirror
 /// of [`cdrc::GraphNode`].
@@ -72,7 +94,9 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
         guard.tid()
     }
 
-    /// Traversal protection: the scheme's `try_acquire`.
+    /// The scheme's `try_acquire`, for the list search's hop, which moves
+    /// raw guards (module docs); everything else reads through
+    /// [`read`](Self::read).
     #[inline(always)]
     pub(crate) fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, S::Guard)> {
         self.smr.try_acquire(t, src)
@@ -84,17 +108,69 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
         self.smr.release(t, g);
     }
 
+    /// Reads the edge `src` and protects the node it names until the
+    /// returned [`Held`] drops. `t` is inside a critical section on this
+    /// instance that outlives the `Held`, and `src` holds 0 or a node of
+    /// this reclaimer (tag bits allowed).
+    #[inline(always)]
+    pub(crate) fn read(&self, t: Tid, src: &AtomicUsize) -> Held<'_, N, S> {
+        let (word, g) = self
+            .smr
+            .try_acquire(t, src)
+            .expect("a manual structure holds at most 5 guards at once");
+        Held {
+            word,
+            guard: Some(g),
+            t,
+            r: self,
+        }
+    }
+
+    /// A [`Held`] on `word` without a guard.
+    ///
+    /// # Safety
+    ///
+    /// `word` is 0 or names a node of this reclaimer that cannot be freed
+    /// while the `Held` lives: a sentinel, which is never retired, or a
+    /// node only the caller can retire.
+    #[inline(always)]
+    pub(crate) unsafe fn unguarded(&self, t: Tid, word: usize) -> Held<'_, N, S> {
+        Held {
+            word,
+            guard: None,
+            t,
+            r: self,
+        }
+    }
+
     /// Allocates and counts a node, built from its birth epoch.
     #[inline]
     pub(crate) fn alloc(&self, t: Tid, make: impl FnOnce(u64) -> N) -> Box<N> {
         self.nodes.up(t);
-        Box::new(make(self.smr.birth_epoch(t)))
+        let node = Box::new(make(self.smr.birth_epoch(t)));
+        sanitize::on_alloc(&*node as *const N as usize);
+        node
     }
 
     /// Frees a node that was never published.
     pub(crate) fn discard(&self, t: Tid, node: Box<N>) {
+        // Safety: a `Box<N>` from `alloc`, never published.
+        unsafe { self.free(t, Box::into_raw(node) as usize) };
+    }
+
+    /// Uncounts and frees the node at `addr`.
+    ///
+    /// # Safety
+    ///
+    /// `addr` is a `Box<N>` from [`alloc`](Self::alloc) that no reader can
+    /// reach any more, freed once.
+    #[inline]
+    unsafe fn free(&self, t: Tid, addr: usize) {
         self.nodes.down(t);
-        drop(node);
+        // A manual node is disposed and freed in one step.
+        sanitize::on_dispose(addr);
+        sanitize::on_free(addr);
+        drop(Box::from_raw(addr as *mut N));
     }
 
     /// Retires the node at `addr`; a later [`collect`](Self::collect) frees
@@ -106,7 +182,11 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
     /// caller's CAS — so retired exactly once — and still protected (or
     /// otherwise live) for the read of its birth epoch.
     #[inline]
+    #[track_caller]
     pub(crate) unsafe fn retire(&self, t: Tid, addr: usize) {
+        // A manual retire is a deferred dispose-and-free: the sanitizer
+        // sees it on the dispose channel, so a second retire is caught.
+        sanitize::on_retire(addr, Channel::Dispose);
         // Safety: per this function's contract.
         let birth = unsafe { (*(addr as *const N)).birth() };
         self.smr.retire(t, Retired::new(addr, birth));
@@ -117,10 +197,9 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
     #[inline]
     pub(crate) fn collect(&self, t: Tid) {
         while let Some(addr) = self.smr.eject(t) {
-            self.nodes.down(t);
             // Safety: only `Box<N>`s are retired through this instance
             // (`retire`'s contract), each once.
-            unsafe { drop(Box::from_raw(addr as *mut N)) };
+            unsafe { self.free(t, addr) };
         }
     }
 
@@ -147,8 +226,7 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
             let node = a as *mut N;
             (*node).out_edges(&mut edges);
             stack.extend(edges.drain(..).filter(|&e| e != 0));
-            self.nodes.down(t);
-            drop(Box::from_raw(node));
+            self.free(t, a);
         }
         // `drain_all` requires that no critical section is active. Every
         // `SectionGuard` holds the instance's `Arc`, so a count of one means
@@ -157,9 +235,56 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
         // that open section.
         if Arc::strong_count(&self.smr) == 1 {
             for addr in self.smr.drain_all() {
-                self.nodes.down(t);
-                drop(Box::from_raw(addr as *mut N));
+                self.free(t, addr);
             }
+        }
+    }
+}
+
+/// A node a manual structure reads: the word an acquire read (tag bits
+/// kept) and the guard protecting the node it names, given back when this
+/// drops — the manual mirror of `cdrc::SnapshotPtr`. Made by
+/// [`Reclaimer::read`], or [`Reclaimer::unguarded`] without a guard. It
+/// lives inside the operation's critical section; under a region scheme the
+/// guard carries nothing and the section is what protects.
+pub(crate) struct Held<'r, N, S: AcquireRetire> {
+    word: usize,
+    guard: Option<S::Guard>,
+    t: Tid,
+    r: &'r Reclaimer<N, S>,
+}
+
+impl<N, S: AcquireRetire> Held<'_, N, S> {
+    /// The word as read, tag bits included.
+    #[inline(always)]
+    pub(crate) fn word(&self) -> usize {
+        self.word
+    }
+
+    /// The node's address: the word without its tag bits (0 = none).
+    #[inline(always)]
+    pub(crate) fn addr(&self) -> usize {
+        untagged(self.word)
+    }
+
+    /// The node — the one place a manual node is dereferenced. The word
+    /// must not be 0.
+    #[inline(always)]
+    #[track_caller]
+    pub(crate) fn node(&self) -> &N {
+        debug_assert_ne!(self.addr(), 0, "a null word names no node");
+        sanitize::check_payload(self.addr());
+        // Safety: the guard (or the open section, or the node's being a
+        // sentinel) keeps the node from being freed while `self` lives.
+        unsafe { &*(self.addr() as *const N) }
+    }
+}
+
+impl<N, S: AcquireRetire> Drop for Held<'_, N, S> {
+    #[inline(always)]
+    fn drop(&mut self) {
+        if let Some(g) = self.guard {
+            self.r.smr.release(self.t, g);
         }
     }
 }
@@ -212,5 +337,60 @@ mod tests {
         drop(r);
         assert_eq!(nodes.net(), 32, "chain freed, retired cells not drained");
         drop(guard);
+    }
+
+    /// Runs `f`, which must panic, and returns the panic message.
+    fn panic_msg(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a sanitizer panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// A node unlinked once and retired twice: the reclaimer tells the
+    /// sanitizer of each retire, and the second is caught before it reaches
+    /// the scheme.
+    #[test]
+    fn the_sanitizer_catches_a_double_retire() {
+        if !sanitize::enabled() {
+            return;
+        }
+        let r: Reclaimer<Cell, Ebr> = Reclaimer::new(Ebr::default_config());
+        let guard = r.pin();
+        let t = r.tid(&guard);
+        let addr = Box::into_raw(r.alloc(t, |birth| Cell { birth, next: 0 })) as usize;
+        // Safety: a `Box<Cell>` from `alloc`, never linked, retired once.
+        unsafe { r.retire(t, addr) };
+        // Safety: none — the seeded bug; the sanitizer stops it first.
+        let msg = panic_msg(|| unsafe { r.retire(t, addr) });
+        assert!(msg.contains("double retire"), "{msg}");
+        drop(guard);
+        // Safety: exclusive; drains the one retire that reached the scheme.
+        unsafe { r.teardown([]) };
+        assert_eq!(r.in_flight(), 0);
+    }
+
+    /// A word held without a guard whose node is retired and collected
+    /// under it: `Held::node` is caught before it dereferences.
+    #[test]
+    fn the_sanitizer_catches_a_held_node_after_its_free() {
+        if !sanitize::enabled() {
+            return;
+        }
+        let r: Reclaimer<Cell, Ebr> = Reclaimer::new(Ebr::default_config());
+        let t = smr::current_tid();
+        let addr = Box::into_raw(r.alloc(t, |birth| Cell { birth, next: 0 })) as usize;
+        // Safety: none — the seeded bug: nothing keeps this node from being
+        // freed while it is held.
+        let held = unsafe { r.unguarded(t, addr) };
+        // Safety: a `Box<Cell>` from `alloc`, never linked, retired once.
+        unsafe { r.retire(t, addr) };
+        // No section is open: the retire ejects at once.
+        r.smr.flush(t);
+        r.collect(t);
+        assert_eq!(r.in_flight(), 0, "the node was freed");
+        let msg = panic_msg(|| {
+            held.node();
+        });
+        assert!(msg.contains("use after free"), "{msg}");
     }
 }

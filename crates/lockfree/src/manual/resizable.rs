@@ -8,8 +8,8 @@
 //! publishing a bigger mask — over the manual list's search
 //! ([`super::list`]), which does the chores the RC variant deletes: every
 //! unlinking CAS must `retire` its victim, every ejected node must be
-//! freed, and traversal protection is hand-over-hand guard juggling
-//! instead of snapshot lifetimes.
+//! freed, and traversal protection is hand-over-hand guards ending in
+//! `Held`s instead of snapshot lifetimes.
 //!
 //! Sentinels are *immortal*: never marked, never retired, freed only at
 //! teardown. That is what makes the directory sound under manual SMR — a
@@ -22,7 +22,7 @@ use std::hash::{BuildHasher, Hash};
 
 use smr::{untagged, AcquireRetire, Tid};
 
-use super::list::{find, find_or_link, release, remove_at, Cursor, Link};
+use super::list::{find, find_or_link, remove_at, Cursor, Link};
 use super::{ManualNode, Reclaimer};
 use crate::split_order::{so_dummy, so_regular, Directory};
 use crate::ConcurrentMap;
@@ -169,14 +169,21 @@ where
     /// then the real key (two distinct keys can share an odd so-key;
     /// sentinels are `None` and sort before every regular node). Restarts
     /// are bucket-local. Must be called inside a critical section.
-    fn find_from(&self, t: Tid, start: usize, so_key: u64, key: Option<&K>) -> Cursor<S::Guard> {
+    fn find_from(
+        &self,
+        t: Tid,
+        start: usize,
+        so_key: u64,
+        key: Option<&K>,
+    ) -> Cursor<'_, Node<K, V>, S> {
+        let r = &self.reclaimer;
         // Safety: sentinels are never retired, so `start`'s edge lives as
         // long as the map and is never marked (cf. `&self.head` in the
         // plain list); every node linked behind it is a `Box<Node<K, V>>`
         // retired through `self.reclaimer` once unlinked.
         unsafe {
-            let head = &(*(start as *const Node<K, V>)).next;
-            find(&self.reclaimer, t, head, |n| {
+            let start = r.unguarded(t, start);
+            find(r, t, &start.node().next, |n| {
                 (n.so_key, n.key()).cmp(&(so_key, key))
             })
         }
@@ -222,11 +229,10 @@ where
         let removed = loop {
             let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
             if !c.found {
-                release(r, t, c);
                 break false;
             }
             // Safety: `c` is this section's cursor over `r`, found.
-            if unsafe { remove_at(r, t, c) } {
+            if unsafe { remove_at(c) } {
                 self.dir.on_remove(t);
                 break true;
             }
@@ -241,12 +247,8 @@ where
         let t = r.tid(guard);
         let h = self.hasher.hash_one(key);
         let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
-        let node = untagged(c.cur_w) as *const Node<K, V>;
-        // Safety: protected by the cursor guard; value immutable.
-        let out = c
-            .found
-            .then(|| unsafe { (*node).kv.as_ref().unwrap().1.clone() });
-        release(r, t, c);
+        let out = c.found.then(|| c.cur.node().kv.as_ref().unwrap().1.clone());
+        drop(c);
         r.collect(t);
         out
     }

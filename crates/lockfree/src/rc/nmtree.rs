@@ -88,7 +88,7 @@ where
     /// [`DomainRef::new`] for full isolation, or a clone of another
     /// structure's domain to reclaim (and meter) together.
     pub fn new_in(domain: DomainRef<S>) -> Self {
-        let s_node: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
+        let sentinel_s: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
             Node {
                 key: NmKey::Inf1,
                 value: None,
@@ -101,7 +101,7 @@ where
             Node {
                 key: NmKey::Inf2,
                 value: None,
-                left: AtomicSharedPtr::new_in(s_node, &domain),
+                left: AtomicSharedPtr::new_in(sentinel_s, &domain),
                 right: AtomicSharedPtr::new_in(Node::leaf(&domain, NmKey::Inf2, None), &domain),
             },
             &domain,

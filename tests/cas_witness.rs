@@ -94,7 +94,7 @@ fn location_contract<K: RefKind, S: Scheme>() {
         drop(displaced);
 
         // CAS failure: the witness is the current word and `desired` comes
-        // back untouched; both feed the retry. The weak form converges too.
+        // back untouched; both feed the retry.
         let desired = kind(&a);
         let held = counts();
         let e = slot
@@ -106,7 +106,7 @@ fn location_contract<K: RefKind, S: Scheme>() {
         assert_eq!(counts(), held, "failed CAS touched a count");
         let (mut expected, mut desired) = (stale, e.desired);
         let displaced = loop {
-            match slot.compare_exchange_weak(expected, desired, 0) {
+            match slot.compare_exchange(expected, desired, 0) {
                 Ok(displaced) => break displaced,
                 Err(e) => (expected, desired) = (e.current, e.desired),
             }
@@ -403,37 +403,6 @@ fn swap_take_teardown_all_schemes() {
     swap_take_teardown::<IbrScheme>();
     swap_take_teardown::<HpScheme>();
     swap_take_teardown::<HyalineScheme>();
-}
-
-/// `compare_exchange_weak` witness loops converge (spurious failures hand
-/// back `expected` and the loop re-attempts).
-fn weak_cas_converges<S: Scheme>() {
-    let d: DomainRef<S> = DomainRef::new();
-    let t = smr::current_tid();
-    {
-        let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(0, &d), &d);
-        let mut desired: SharedPtr<u64, S> = SharedPtr::new_in(1, &d);
-        let mut cur = slot.load_tagged();
-        let displaced = loop {
-            match slot.compare_exchange_weak(cur, desired, 0) {
-                Ok(old) => break old,
-                Err(e) => (cur, desired) = (e.current, e.desired),
-            }
-        };
-        assert_eq!(displaced.as_ref(), Some(&0));
-        drop(displaced);
-        drop(slot);
-    }
-    d.process_deferred(t);
-    assert_eq!(d.allocated(), d.freed());
-}
-
-#[test]
-fn weak_cas_converges_all_schemes() {
-    weak_cas_converges::<EbrScheme>();
-    weak_cas_converges::<IbrScheme>();
-    weak_cas_converges::<HpScheme>();
-    weak_cas_converges::<HyalineScheme>();
 }
 
 /// The guard-threaded variant: the failure witness dereferences without any
