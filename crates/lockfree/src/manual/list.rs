@@ -72,8 +72,8 @@ fn release_guards<N: ManualNode, S: AcquireRetire, const G: usize>(
 // Always inlined into the caller's own `find`/`find_from` method, which is
 // where the loop lived before it was shared: out of line the cursor comes
 // back through memory on every operation (−4 … −7 % on the ledger's
-// `kv_cold_read` manual cells). Whether *that* method is inlined is left
-// to the compiler, as it was.
+// `kv_cold_read` manual cells). The map's `find_from` is always inlined
+// too: a cursor of two `Held`s tipped the compiler into calling it.
 #[inline(always)]
 pub(super) unsafe fn find<'r, N: Link, S: AcquireRetire>(
     r: &'r Reclaimer<N, S>,

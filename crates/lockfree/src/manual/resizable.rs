@@ -169,6 +169,7 @@ where
     /// then the real key (two distinct keys can share an odd so-key;
     /// sentinels are `None` and sort before every regular node). Restarts
     /// are bucket-local. Must be called inside a critical section.
+    #[inline(always)]
     fn find_from(
         &self,
         t: Tid,
