@@ -102,24 +102,21 @@ where
     }
 
     fn enqueue_impl(&self, t: Tid, v: V) {
-        let node = Box::leak(self.reclaimer.alloc(t, |birth| Node::new(birth, Some(v))));
+        // Shared from the start: once the CAS lands, other threads read it.
+        let node: &Node<V> = Box::leak(self.reclaimer.alloc(t, |birth| Node::new(birth, Some(v))));
+        let addr = node as *const Node<V> as usize;
         let mut ltail = self.reclaimer.read(t, &self.tail);
         loop {
             node.prev.store(ltail.word(), Ordering::SeqCst);
-            match self.tail.compare_exchange(
-                ltail.word(),
-                node as *const Node<V> as usize,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
+            match self
+                .tail
+                .compare_exchange(ltail.word(), addr, Ordering::SeqCst, Ordering::SeqCst)
+            {
                 Ok(_) => {
                     // We won: publish the forward edge. ltail cannot be
                     // retired before this store — dequeuers need
                     // ltail.next ≠ 0 to advance past it.
-                    ltail
-                        .node()
-                        .next
-                        .store(node as *const Node<V> as usize, Ordering::SeqCst);
+                    ltail.node().next.store(addr, Ordering::SeqCst);
                     return;
                 }
                 // The witness is the new tail; under EBR/Hyaline it is
