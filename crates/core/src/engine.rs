@@ -48,6 +48,28 @@
 //! the location would have, while every other operation (clone, deref,
 //! re-install into a location) is unaffected. Transferring the reference
 //! back into an atomic location erases the bit — locations always retire.
+//!
+//! # Linking: a location-owned reference that moves to another location
+//!
+//! [`RcWord::link`] installs an *unshared* node — strong count 1, weak
+//! count 1, not displaced-class: no other reference of either kind, so no
+//! other thread can reach it — in place of `expected`, after writing
+//! `expected`'s address into a null edge of that node. On success the
+//! location's reference to `expected` is the edge's: nothing is
+//! incremented, and no decrement is batched. Two facts make that sound:
+//!
+//! * Nobody reads the edge before the CAS publishes the node. No reference
+//!   to it exists but the caller's, and the CAS's Release half carries the
+//!   edge's plain store to every reader that loads the node. A failed CAS
+//!   published nothing, so the edge is reset to null unseen and the node
+//!   goes back to the caller as it came.
+//! * The reference stays location-owned. A reader that loaded `expected`
+//!   from the old location may still be mid-increment or holding a
+//!   count-free snapshot of it; that is why a displaced reference must be
+//!   given up through the deferred machinery. Here it is not given up: the
+//!   edge owns it now, and the edge, like every location, defers whatever
+//!   decrement ends it (a store, its node's destruction, or the displaced
+//!   pointer an unlinking CAS hands out).
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::marker::PhantomData;
@@ -601,6 +623,40 @@ impl<S: Scheme, K: RefKind> RcWord<S, K> {
         // must be visible.
         self.word
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::Acquire)
+    }
+
+    /// [`cas`](Self::cas) of an unshared `new` whose null location `edge`
+    /// (inside `new`'s payload, bound to this location's domain) takes over
+    /// this location's reference to `expected`'s address: "Linking" in the
+    /// module docs. The caller has checked that `new` is unshared and that
+    /// `edge` is null and lies inside it. On success the caller's reference
+    /// to `new` belongs to this location; on failure `edge` is null again
+    /// and the witnessed word comes back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new` or `edge` is bound to a foreign domain.
+    pub(crate) fn link(&self, expected: usize, new: usize, edge: &Self) -> Result<(), usize> {
+        // Both checks come before the edge is written: a refused link
+        // unwinds with the node as it came.
+        check_same_domain(untagged(new), self.domain());
+        assert!(
+            edge.domain == self.domain,
+            "cross-domain edge: a linked node's edge must be bound to the location's domain"
+        );
+        let moved = untagged(expected);
+        // The edge is an install like any other: it must name a live block.
+        smr::sanitize::on_install(moved);
+        // Ordering: Relaxed — `new` is unshared, so nobody reads the edge
+        // before the CAS below publishes `new`; that CAS's Release half
+        // carries this store to every reader that loads `new`.
+        edge.word.store(moved, Ordering::Relaxed);
+        self.cas(expected, new).map(drop).map_err(|w| {
+            // Ordering: Relaxed — nothing was published; the edge is still
+            // the caller's alone.
+            edge.word.store(0, Ordering::Relaxed);
+            w
+        })
     }
 
     /// Unconditionally ORs tag bits into the word, returning the previous

@@ -47,6 +47,7 @@
 //! | [`swap`](AtomicRcPtr::swap), [`take`](AtomicRcPtr::take) | both kinds | the displaced occupant as an *owned* pointer (take = swap-with-null) |
 //! | [`compare_exchange`](AtomicRcPtr::compare_exchange) `(expected, desired, new_tag)` | both kinds | `Ok(displaced)`, owned; `Err(`[`CompareExchangeErr`]`)`: the *witnessed* current word, so retry loops never pay a second protected load, and `desired`, untouched |
 //! | [`compare_exchange_with`](AtomicSharedPtr::compare_exchange_with) `(guard, expected, &borrow)` | strong | as `compare_exchange(expected, from_strong(&borrow), 0)`, with the failure witness a protected [`SnapshotPtr`] that dereferences immediately |
+//! | [`link`](AtomicSharedPtr::link) `(expected, node, edge)` | strong | as `compare_exchange(expected, node, 0)` for an *unshared* `node` whose null `edge` takes over the location's reference to `expected`: inserting between two nodes counts nothing |
 //! | [`fetch_or_tag`](AtomicRcPtr::fetch_or_tag), [`try_set_tag`](AtomicRcPtr::try_set_tag) | both kinds | the previous word / `Result<installed, witness>`: only the low tag bits change, so tag-state machines compose with the CAS loops |
 //!
 //! A displaced pointer handed back by swap or a successful CAS remembers

@@ -144,6 +144,13 @@ impl<T, S: Scheme, K: RefKind> RcPtr<T, S, K> {
         std::mem::replace(&mut self.addr, 0)
     }
 
+    /// Whether this reference was location-owned when handed out, so that
+    /// its drop defers.
+    #[inline]
+    pub(crate) fn displaced(&self) -> bool {
+        self.addr & DISPLACED != 0
+    }
+
     /// Whether this is the null pointer.
     pub fn is_null(&self) -> bool {
         self.block() == 0
@@ -200,7 +207,7 @@ impl<T, S: Scheme, K: RefKind> Default for RcPtr<T, S, K> {
 /// correctness never depends on the caller's guard for these methods, since
 /// sections nest).
 pub struct AtomicRcPtr<T, S: Scheme, K: RefKind> {
-    inner: RcWord<S, K>,
+    pub(crate) inner: RcWord<S, K>,
     _marker: PtrMarker<T, S, K>,
 }
 

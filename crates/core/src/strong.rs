@@ -25,6 +25,7 @@
 
 use crate::sync::atomic::AtomicUsize;
 use std::fmt;
+use std::mem::size_of;
 
 use smr::untagged;
 use sticky::Counter;
@@ -247,6 +248,60 @@ impl<T, S: Scheme> AtomicSharedPtr<T, S> {
     ) -> Result<SharedPtr<T, S>, TaggedPtr<T>> {
         self.compare_exchange(expected, desired, 0)
             .map_err(|e| e.current)
+    }
+
+    /// Installs the unshared `node` in place of `expected` (under tag 0),
+    /// *moving* this location's reference to `expected` into the null edge
+    /// of `node` that `edge` names: the edge is given `expected`'s address
+    /// before the CAS, and on success it owns the reference the location
+    /// held, so nothing is incremented and no decrement is deferred; the
+    /// location owns `node`'s one reference. On failure the edge is null
+    /// again, and the error is
+    /// [`compare_exchange`](AtomicRcPtr::compare_exchange)'s: the witnessed
+    /// word and `node`, untouched. This is how a linked structure inserts
+    /// between two nodes with no count traffic on the successor.
+    ///
+    /// *Unshared* means that no other thread can reach `node`: strong count
+    /// 1 and weak count 1 (no clone, no weak reference), and not a
+    /// displaced pointer handed out of a location, which a reader may still
+    /// hold a snapshot of. The `engine` module docs ("Linking") give the
+    /// argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is null or shared; if the edge is not null, does
+    /// not lie inside `node`'s payload, or is bound to a different domain;
+    /// and if `node` is from a different domain.
+    pub fn link(
+        &self,
+        expected: TaggedPtr<T>,
+        node: SharedPtr<T, S>,
+        edge: impl FnOnce(&T) -> &AtomicSharedPtr<T, S>,
+    ) -> Result<(), CompareExchangeErr<SharedPtr<T, S>, T>> {
+        let value = node.as_ref().expect("link of a null node");
+        // Safety: `node` owns a strong reference, so its block is alive.
+        let header = unsafe { &*as_header(node.block()) };
+        assert!(
+            !node.displaced() && header.strong.load() == 1 && header.weak.load() == 1,
+            "link of a shared node: it has a clone or a weak reference, or came out of a location"
+        );
+        let edge = edge(value);
+        let (at, start) = (edge as *const Self as usize, value as *const T as usize);
+        assert!(
+            start <= at && at + size_of::<Self>() <= start + size_of::<T>(),
+            "link edge outside the linked node"
+        );
+        assert!(edge.load_tagged().is_null(), "link edge not null");
+        match self.inner.link(expected.word(), node.block(), &edge.inner) {
+            Ok(()) => {
+                std::mem::forget(node);
+                Ok(())
+            }
+            Err(w) => Err(CompareExchangeErr {
+                current: TaggedPtr::from_word(w),
+                desired: node,
+            }),
+        }
     }
 
     // Kept for the frozen benchmark only (`ledger/src/ladder.rs:170`), which
@@ -480,6 +535,66 @@ mod tests {
         drop(cs);
         drop((slot, two));
         settle();
+    }
+
+    /// A node with one edge, for `link`.
+    #[derive(Debug)]
+    struct Cell {
+        next: Asp<Cell>,
+        _v: u64,
+    }
+
+    fn cell(d: &DomainRef<Ebr>, v: u64) -> Sp<Cell> {
+        let next = AtomicSharedPtr::null_in(d);
+        SharedPtr::new_in(Cell { next, _v: v }, d)
+    }
+
+    #[test]
+    fn link_moves_the_reference_and_a_failure_hands_the_node_back() {
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let t = smr::current_tid();
+        let slot: Asp<Cell> = AtomicSharedPtr::new_in(cell(&d, 1), &d);
+        let one = slot.load(); // the slot's reference and this one
+        let expected = slot.load_tagged();
+        // A stale expected fails: the edge is null again and the node comes
+        // back with the witness.
+        let back = slot
+            .link(TaggedPtr::null(), cell(&d, 2), |c| &c.next)
+            .expect_err("stale expected");
+        assert_eq!(back.current, expected);
+        assert!(back.desired.as_ref().unwrap().next.load_tagged().is_null());
+        assert_eq!(back.desired.strong_count(), 1);
+        // The link lands: the slot's reference to `one` moved into the new
+        // node's edge, so `one`'s count did not move.
+        slot.link(expected, back.desired, |c| &c.next)
+            .expect("link lands");
+        assert_eq!(one.strong_count(), 2, "a link moves, it does not count");
+        let two = slot.load();
+        assert_eq!(two.as_ref().unwrap()._v, 2);
+        assert_eq!(two.as_ref().unwrap().next.load_tagged(), expected);
+        drop((two, one, slot));
+        d.process_deferred(t);
+        assert_eq!(d.allocated(), d.freed());
+    }
+
+    #[test]
+    #[should_panic(expected = "link of a shared node")]
+    fn link_refuses_a_node_with_a_clone() {
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let slot: Asp<Cell> = AtomicSharedPtr::null_in(&d);
+        let node = cell(&d, 1);
+        let _clone = node.clone();
+        let _ = slot.link(TaggedPtr::null(), node, |c| &c.next);
+    }
+
+    #[test]
+    #[should_panic(expected = "link of a shared node")]
+    fn link_refuses_a_node_with_a_weak_reference() {
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let slot: Asp<Cell> = AtomicSharedPtr::null_in(&d);
+        let node = cell(&d, 1);
+        let _weak = node.downgrade();
+        let _ = slot.link(TaggedPtr::null(), node, |c| &c.next);
     }
 
     #[test]

@@ -175,3 +175,41 @@ pub(crate) fn test_seed() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(7)
 }
+
+/// Worker `worker`'s order over `0..n` under `seed`: a rotation, reversed
+/// for half the seeds, so that each seed interleaves a concurrent test's
+/// fixed per-worker key sets differently.
+#[cfg(test)]
+pub(crate) fn seeded_order(seed: u64, worker: u64, n: u64) -> impl Iterator<Item = u64> {
+    let mix = (seed ^ worker.wrapping_mul(0xD6E8_FEB8_6659_FD93)).wrapping_mul(6364136223846793005);
+    let (rot, reverse) = ((mix >> 33) % n, mix >> 63 == 1);
+    (0..n).map(move |j| (if reverse { n - 1 - j } else { j } + rot) % n)
+}
+
+/// Joins a seeded test's workers, naming the seed if one died.
+#[cfg(test)]
+pub(crate) fn join_seeded<T>(workers: Vec<std::thread::JoinHandle<T>>, seed: u64) {
+    for w in workers {
+        w.join()
+            .unwrap_or_else(|_| panic!("a worker died; replay with TEST_SEED={seed}"));
+    }
+}
+
+/// Inserts keys `0..8` into `map`, then each again: the refused inserts
+/// must allocate nothing, as `allocated` (the structure's allocation
+/// count) shows. An insert searches before it allocates.
+#[cfg(test)]
+pub(crate) fn a_failed_insert_allocates_nothing<M: ConcurrentMap<u64, u64>>(
+    map: &M,
+    allocated: impl Fn() -> u64,
+) {
+    for k in 0..8 {
+        assert!(map.insert(k, k));
+    }
+    let before = allocated();
+    for k in 0..8 {
+        assert!(!map.insert(k, k + 1));
+        assert_eq!(map.get(&k), Some(k));
+    }
+    assert_eq!(allocated(), before, "a refused insert allocated");
+}

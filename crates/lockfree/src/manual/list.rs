@@ -26,7 +26,7 @@ const MARK: usize = 1;
 /// What the Harris-Michael search needs of a node: its successor edge (low
 /// bit set = this node is logically deleted). The split-ordered map
 /// ([`super::resizable`]) is one such list too and runs the same [`find`],
-/// [`link_at`] and [`remove_at`] from a bucket sentinel's edge.
+/// [`find_or_link`] and [`remove_at`] from a bucket sentinel's edge.
 pub(super) trait Link: ManualNode {
     fn next(&self) -> &AtomicUsize;
 }
@@ -194,33 +194,51 @@ pub(super) unsafe fn link_at<N: Link, S: AcquireRetire>(
     }
 }
 
-/// Links the freshly allocated `node` where `locate` — a [`find`] for its
-/// key, re-run after every lost race — says it goes. `Ok` is its address
-/// once linked; if the key is already present the node is discarded and
-/// `Err` is the incumbent's address (protected no longer: only meaningful
-/// for nodes that are never retired).
+/// Inserts a node for `key` where [`find`] from `head` says it goes, unless
+/// the key is there already. It searches first (`cmp` orders a node against
+/// a key), allocates the node with `make` only on a miss, and keeps it
+/// across lost races, re-finding by the key inside it (`key_of`). `Ok` is
+/// the node's address once linked; if the key is present `Err` is the
+/// incumbent's (protected no longer: only meaningful for nodes that are
+/// never retired), and a node allocated before a lost race is discarded.
+/// [`crate::rc::list`] has the same function, without the chores.
 ///
 /// # Safety
 ///
-/// As [`link_at`], for every cursor `locate` returns.
-pub(super) unsafe fn find_or_link<'r, N: Link, S: AcquireRetire>(
-    r: &'r Reclaimer<N, S>,
+/// As [`find`] from `head`.
+#[inline]
+pub(super) unsafe fn find_or_link<N: Link, S: AcquireRetire, Q>(
+    r: &Reclaimer<N, S>,
     t: Tid,
-    mut node: Box<N>,
-    mut locate: impl FnMut(&N) -> Cursor<'r, N, S>,
+    head: &AtomicUsize,
+    key: Q,
+    cmp: impl Fn(&N, &Q) -> KeyOrder,
+    make: impl FnOnce(Q) -> Box<N>,
+    key_of: impl Fn(&N) -> &Q,
 ) -> Result<usize, usize> {
+    // The key, until a miss allocates the node that carries it.
+    let mut pending: Result<Box<N>, (Q, _)> = Err((key, make));
     loop {
-        let c = locate(&node);
+        let c = {
+            let key = match &pending {
+                Ok(node) => key_of(node),
+                Err((key, _)) => key,
+            };
+            // Safety: per this function's contract.
+            unsafe { find(r, t, head, |n| cmp(n, key)) }
+        };
         if c.found {
             let incumbent = c.cur.addr();
-            drop(c);
-            r.discard(t, node); // never published
+            if let Ok(node) = pending {
+                r.discard(t, node); // never published
+            }
             return Err(incumbent);
         }
-        // Safety: per this function's contract.
+        let node = pending.unwrap_or_else(|(key, make)| make(key));
+        // Safety: `c` is this section's cursor from `find`.
         match unsafe { link_at(c, node) } {
             Ok(addr) => return Ok(addr),
-            Err(back) => node = back,
+            Err(back) => pending = Ok(back),
         }
     }
 }
@@ -233,6 +251,7 @@ pub(super) unsafe fn find_or_link<'r, N: Link, S: AcquireRetire>(
 /// # Safety
 ///
 /// As [`link_at`], and `c.found`.
+#[inline]
 pub(super) unsafe fn remove_at<N: Link, S: AcquireRetire>(c: Cursor<'_, N, S>) -> bool {
     let node = c.cur.node();
     // Logically delete: mark cur's next word. A failed mark CAS hands back
@@ -349,14 +368,19 @@ where
     fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
         let r = &self.reclaimer;
         let t = r.tid(guard);
-        let node = r.alloc(t, |birth| Node {
-            birth,
-            key,
-            value,
-            next: AtomicUsize::new(0),
-        });
-        // Safety: `find`'s cursors, in `guard`'s section over `r`.
-        let linked = unsafe { find_or_link(r, t, node, |n| self.find(t, &n.key)).is_ok() };
+        let make = |key| {
+            r.alloc(t, |birth| Node {
+                birth,
+                key,
+                value,
+                next: AtomicUsize::new(0),
+            })
+        };
+        // Safety: every node linked under `head` is a `Box<Node<K, V>>`
+        // retired through `r` once unlinked; `guard`'s section is open.
+        let linked = unsafe {
+            find_or_link(r, t, &self.head, key, |n, k| n.key.cmp(k), make, |n| &n.key).is_ok()
+        };
         r.collect(t);
         linked
     }
@@ -459,12 +483,13 @@ mod tests {
     }
 
     fn concurrent<S: AcquireRetire>() {
+        let seed = crate::test_seed();
         let list: Arc<HarrisMichaelList<u64, u64, S>> = Arc::new(HarrisMichaelList::new());
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let list = Arc::clone(&list);
                 std::thread::spawn(move || {
-                    for j in 0..300u64 {
+                    for j in crate::seeded_order(seed, i, 300) {
                         let k = i * 300 + j;
                         assert!(list.insert(k, k * 10));
                         assert_eq!(list.get(&k), Some(k * 10));
@@ -475,10 +500,8 @@ mod tests {
                 })
             })
             .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        assert_eq!(count(&list, 0..8 * 300), 8 * 150);
+        crate::join_seeded(threads, seed);
+        assert_eq!(count(&list, 0..8 * 300), 8 * 150, "TEST_SEED={seed}");
     }
 
     #[test]
@@ -487,6 +510,18 @@ mod tests {
         concurrent::<Ibr>();
         concurrent::<Hp>();
         concurrent::<Hyaline>();
+    }
+
+    #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: AcquireRetire>() {
+            let list: HarrisMichaelList<u64, u64, S> = HarrisMichaelList::new();
+            crate::a_failed_insert_allocates_nothing(&list, || list.reclaimer.nodes.totals().0);
+        }
+        on::<Ebr>();
+        on::<Ibr>();
+        on::<Hp>();
+        on::<Hyaline>();
     }
 
     #[test]

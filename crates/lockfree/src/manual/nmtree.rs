@@ -289,19 +289,25 @@ where
     fn insert_impl(&self, t: Tid, key: K, value: V) -> bool {
         let r = &self.reclaimer;
         let nmkey = NmKey::Fin(key);
+        // The value, until the first miss allocates the new leaf; the leaf
+        // is then kept across lost races.
+        let mut pending: Result<Box<Node<K, V>>, V> = Err(value);
         loop {
             let s = self.seek(t, &nmkey);
             let leaf = s.leaf.node();
             if leaf.key == nmkey {
+                if let Ok(new_leaf) = pending {
+                    r.discard(t, new_leaf); // never published
+                }
                 return false;
             }
+            let new_leaf = Box::into_raw(pending.unwrap_or_else(|value| {
+                r.alloc(t, |birth| Node::leaf(birth, nmkey.clone(), Some(value)))
+            }));
             // Build the replacement: an internal node whose children are the
             // old leaf and the new leaf, ordered by key (internal key = the
-            // larger of the two, external-BST style). Rebuilt per attempt;
-            // contention is the uncommon case.
-            let new_leaf = Box::into_raw(r.alloc(t, |birth| {
-                Node::leaf(birth, nmkey.clone(), Some(value.clone()))
-            }));
+            // larger of the two, external-BST style). Its key and child order
+            // depend on the leaf this seek found, so it is built per attempt.
             let (ikey, lc, rc) = if nmkey < leaf.key {
                 (leaf.key.clone(), new_leaf as usize, s.leaf.addr())
             } else {
@@ -317,13 +323,13 @@ where
                 Ordering::SeqCst,
             );
             let Err(w) = witness else { return true };
-            // Failed: free the unpublished nodes, then use the CAS's own
-            // witness (no re-load) to decide whether a pending delete on
-            // this leaf needs help before retrying.
+            // Failed: free the unpublished internal node and keep the leaf,
+            // then use the CAS's own witness (no re-load) to decide whether
+            // a pending delete on this leaf needs help before retrying.
             // Safety: never published, exclusively ours.
             unsafe {
                 r.discard(t, Box::from_raw(new_internal));
-                r.discard(t, Box::from_raw(new_leaf));
+                pending = Ok(Box::from_raw(new_leaf));
             }
             if addr(w) == s.leaf.addr() && w & BITS != 0 {
                 self.cleanup(t, &nmkey, &s);
@@ -569,12 +575,13 @@ mod tests {
     }
 
     fn concurrent<S: AcquireRetire>() {
+        let seed = crate::test_seed();
         let tree: Arc<NatarajanMittalTree<u64, u64, S>> = Arc::new(NatarajanMittalTree::new());
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let tree = Arc::clone(&tree);
                 std::thread::spawn(move || {
-                    for j in 0..400u64 {
+                    for j in crate::seeded_order(seed, i, 400) {
                         let k = i * 1000 + j;
                         assert!(tree.insert(k, k));
                         assert_eq!(tree.get(&k), Some(k));
@@ -586,13 +593,12 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
         for i in 0..8u64 {
             for j in 0..400u64 {
                 let k = i * 1000 + j;
-                assert_eq!(tree.get(&k), if j % 2 == 0 { None } else { Some(k) });
+                let want = if j % 2 == 0 { None } else { Some(k) };
+                assert_eq!(tree.get(&k), want, "key {k}, TEST_SEED={seed}");
             }
         }
     }
@@ -603,6 +609,18 @@ mod tests {
         concurrent::<Ibr>();
         concurrent::<Hp>();
         concurrent::<Hyaline>();
+    }
+
+    #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: AcquireRetire>() {
+            let tree: NatarajanMittalTree<u64, u64, S> = NatarajanMittalTree::new();
+            crate::a_failed_insert_allocates_nothing(&tree, || tree.reclaimer.nodes.totals().0);
+        }
+        on::<Ebr>();
+        on::<Ibr>();
+        on::<Hp>();
+        on::<Hyaline>();
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! the node it names cannot be reclaimed while the map exists.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
+use std::cmp::Ordering as KeyOrder;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 
@@ -37,10 +38,18 @@ struct Node<K, V> {
     next: AtomicUsize,
 }
 
-impl<K, V> Node<K, V> {
+impl<K: Ord, V> Node<K, V> {
     #[inline]
     fn key(&self) -> Option<&K> {
         self.kv.as_ref().map(|(k, _)| k)
+    }
+
+    /// This node against `(so_key, key)` in split order: so-key first,
+    /// then the real key (two distinct keys can share an odd so-key;
+    /// sentinels are `None` and sort before every regular node).
+    #[inline(always)]
+    fn order(&self, so_key: u64, key: Option<&K>) -> KeyOrder {
+        (self.so_key, self.key()).cmp(&(so_key, key))
     }
 }
 
@@ -143,13 +152,17 @@ where
         // Splice the sentinel in, or find the one a racing toucher did,
         // walking from the parent's. Either way its address is usable
         // unguarded forever, since sentinels are immortal.
-        let so_key = so_dummy(b as u64);
-        let sentinel = self.new_node(t, so_key, None);
-        // Safety: `find_from`'s cursors, in this section over the reclaimer.
+        // Safety: as in `find_from`, from the parent sentinel's edge.
         let (Ok(addr) | Err(addr)) = unsafe {
-            find_or_link(&self.reclaimer, t, sentinel, |_| {
-                self.find_from(t, parent, so_key, None)
-            })
+            find_or_link(
+                &self.reclaimer,
+                t,
+                &self.reclaimer.unguarded(t, parent).node().next,
+                so_dummy(b as u64),
+                |n, &so_key| n.order(so_key, None),
+                |so_key| self.new_node(t, so_key, None),
+                |n| &n.so_key,
+            )
         };
         // Losing this install race is harmless: the list admits exactly one
         // node per (even) so-key, so any competing install wrote `addr` too.
@@ -165,10 +178,9 @@ where
     }
 
     /// The list module's Harris-Michael find from sentinel `start`'s edge
-    /// to the first node ≥ `(so_key, key)` in split order: so-key first,
-    /// then the real key (two distinct keys can share an odd so-key;
-    /// sentinels are `None` and sort before every regular node). Restarts
-    /// are bucket-local. Must be called inside a critical section.
+    /// to the first node ≥ `(so_key, key)` in split order
+    /// ([`Node::order`]). Restarts are bucket-local. Must be called inside
+    /// a critical section.
     #[inline(always)]
     fn find_from(
         &self,
@@ -184,9 +196,7 @@ where
         // retired through `self.reclaimer` once unlinked.
         unsafe {
             let start = r.unguarded(t, start);
-            find(r, t, &start.node().next, |n| {
-                (n.so_key, n.key()).cmp(&(so_key, key))
-            })
+            find(r, t, &start.node().next, |n| n.order(so_key, key))
         }
     }
 }
@@ -208,12 +218,20 @@ where
         let t = r.tid(guard);
         let h = self.hasher.hash_one(&key);
         let so = so_regular(h);
-        let node = self.new_node(t, so, Some((key, value)));
-        // Safety: `find_from`'s cursors, in `guard`'s section over `r`.
+        // The bucket is read once: after a concurrent grow splits it, its
+        // sentinel is an ancestor of the key's, which a walk passes through.
+        // Safety: as in `find_from`, from the bucket sentinel's edge, in
+        // `guard`'s section over `r`.
         let linked = unsafe {
-            find_or_link(r, t, node, |n| {
-                self.find_from(t, self.bucket_for(t, h), so, n.key())
-            })
+            find_or_link(
+                r,
+                t,
+                &r.unguarded(t, self.bucket_for(t, h)).node().next,
+                key,
+                |n, key| n.order(so, Some(key)),
+                |key| self.new_node(t, so, Some((key, value))),
+                |n| n.key().expect("a regular node"),
+            )
             .is_ok()
         };
         if linked {
@@ -319,6 +337,18 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: AcquireRetire>() {
+            let m: ResizableHashMap<u64, u64, S> = ResizableHashMap::new();
+            crate::a_failed_insert_allocates_nothing(&m, || m.reclaimer.nodes.totals().0);
+        }
+        on::<Ebr>();
+        on::<Ibr>();
+        on::<Hp>();
+        on::<Hyaline>();
+    }
+
+    #[test]
     fn grows_under_single_threaded_load() {
         let m: ResizableHashMap<u64, u64, Ebr> = ResizableHashMap::new();
         assert_eq!(m.buckets(), 1);
@@ -333,12 +363,13 @@ mod tests {
 
     #[test]
     fn concurrent_grow_under_churn() {
+        let seed = crate::test_seed();
         let m: Arc<ResizableHashMap<u64, u64, Hp>> = Arc::new(ResizableHashMap::new());
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    for j in 0..500u64 {
+                    for j in crate::seeded_order(seed, i, 500) {
                         let k = i * 10_000 + j;
                         assert!(m.insert(k, k));
                         assert_eq!(m.get(&k), Some(k));
@@ -349,14 +380,13 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
         assert!(m.buckets() > 1, "table grew during churn");
         for i in 0..8u64 {
             for j in 0..500u64 {
                 let k = i * 10_000 + j;
-                assert_eq!(m.get(&k), if j % 2 == 0 { None } else { Some(k) });
+                let want = if j % 2 == 0 { None } else { Some(k) };
+                assert_eq!(m.get(&k), want, "key {k}, TEST_SEED={seed}");
             }
         }
     }
@@ -365,13 +395,14 @@ mod tests {
     /// once the map drops, every node — sentinels, live, and retired in
     /// any worker's slot — must be freed.
     fn no_leaks_after_churn(threads: u64) {
+        let seed = crate::test_seed();
         let m: Arc<ResizableHashMap<u64, u64, Ebr>> = Arc::new(ResizableHashMap::new());
         let nodes = Arc::clone(&m.reclaimer.nodes);
         let hs: Vec<_> = (0..threads)
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    for j in 0..1000 {
+                    for j in crate::seeded_order(seed, i, 1000) {
                         let k = i * 10_000 + j;
                         m.insert(k, k);
                         if j % 2 == 0 {
@@ -381,11 +412,13 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
         drop(m);
-        assert_eq!(nodes.net(), 0, "every node freed at drop");
+        assert_eq!(
+            nodes.net(),
+            0,
+            "every node freed at drop (TEST_SEED={seed})"
+        );
     }
 
     #[test]
@@ -412,12 +445,13 @@ mod tests {
 
     #[test]
     fn concurrent_hp() {
+        let seed = crate::test_seed();
         let m: Arc<ResizableHashMap<u64, u64, Hp>> = Arc::new(ResizableHashMap::with_capacity(64));
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    for j in 0..500u64 {
+                    for j in crate::seeded_order(seed, i, 500) {
                         let k = i * 1000 + j;
                         assert!(m.insert(k, k));
                         assert_eq!(m.get(&k), Some(k));
@@ -428,8 +462,6 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
     }
 }

@@ -27,7 +27,8 @@ const MARK: usize = 1;
 
 /// What the Harris-Michael search needs of a node: its successor edge. The
 /// split-ordered map ([`super::resizable`]) is one such list too and runs
-/// the same [`find`], [`link_at`] and [`remove_at`] from a bucket sentinel.
+/// the same [`find`], [`find_or_link`] and [`remove_at`] from a bucket
+/// sentinel.
 pub(super) trait Link<S: Scheme>: Sized {
     fn next(&self) -> &AtomicSharedPtr<Self, S>;
 }
@@ -119,24 +120,56 @@ pub(super) fn find<'g, N: Link<S>, S: Scheme>(
     }
 }
 
-/// Links `node` in at the cursor (which did not find its key), *moving* the
-/// caller's reference in (no count round-trip); the displaced edge
-/// reference to `cur` is balanced by the one `node.next` now holds. A lost
-/// race hands `node` back untouched: re-find (the witness alone cannot
-/// certify prev is still linked).
+/// Links `node` in at the cursor (which did not find its key) with
+/// [`AtomicSharedPtr::link`]: the caller's reference to `node` moves into
+/// the edge, and the edge's reference to `cur` moves into `node.next`, so
+/// the displaced edge reference to `cur` is balanced by the one `node.next`
+/// now holds, and neither is counted. A lost race hands `node` back
+/// untouched: re-find (the witness alone cannot certify prev is still
+/// linked).
 pub(super) fn link_at<N: Link<S>, S: Scheme>(
     head: &AtomicSharedPtr<N, S>,
     c: &Cursor<'_, N, S>,
     node: SharedPtr<N, S>,
 ) -> Result<(), SharedPtr<N, S>> {
-    node.as_ref()
-        .expect("linking a null node")
-        .next()
-        .store(c.cur.to_shared());
     edge_of(head, &c.prev)
-        .compare_exchange(c.cur.tagged(), node, 0)
-        .map(drop)
+        .link(c.cur.tagged(), node, |n| n.next())
         .map_err(|e| e.desired)
+}
+
+/// Inserts a node for `key` where [`find`] from `head` says it goes, unless
+/// the key is there already: `true` if linked. It searches first (`cmp`
+/// orders a node against a key), builds the node with `make` only on a
+/// miss, and keeps it across lost races, re-finding by the key inside it
+/// (`key_of`). [`crate::manual::list`] has the same function, with the
+/// manual chores.
+pub(super) fn find_or_link<N: Link<S>, S: Scheme, Q>(
+    head: &AtomicSharedPtr<N, S>,
+    cs: &CsGuard<S>,
+    key: Q,
+    cmp: impl Fn(&N, &Q) -> Ordering,
+    make: impl FnOnce(Q) -> SharedPtr<N, S>,
+    key_of: impl Fn(&N) -> &Q,
+) -> bool {
+    // The key, until a miss builds the node that carries it.
+    let mut pending: Result<SharedPtr<N, S>, (Q, _)> = Err((key, make));
+    loop {
+        let c = {
+            let key = match &pending {
+                Ok(node) => key_of(node.as_ref().expect("a built node")),
+                Err((key, _)) => key,
+            };
+            find(head, cs, |n| cmp(n, key))
+        };
+        if c.found {
+            return false; // a built node drops unpublished
+        }
+        let node = pending.unwrap_or_else(|(key, make)| make(key));
+        match link_at(head, &c, node) {
+            Ok(()) => return true,
+            Err(back) => pending = Ok(back),
+        }
+    }
 }
 
 /// Deletes the node the cursor found: marks its next word, then tries the
@@ -240,25 +273,24 @@ where
 
     fn insert_with(&self, k: K, v: V, cs: &Self::Guard) -> bool {
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let mut new_node: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
-            Node {
-                key: k,
-                value: v,
-                next: AtomicSharedPtr::null_in(&self.domain),
+        find_or_link(
+            &self.head,
+            cs,
+            k,
+            |node, key| node.key.cmp(key),
+            |key| {
+                let next = AtomicSharedPtr::null_in(&self.domain);
+                SharedPtr::new_graph_in(
+                    Node {
+                        next,
+                        key,
+                        value: v,
+                    },
+                    &self.domain,
+                )
             },
-            &self.domain,
-        );
-        loop {
-            let key = &new_node.as_ref().unwrap().key;
-            let c = find(&self.head, cs, |node| node.key.cmp(key));
-            if c.found {
-                return false; // new_node drops; no manual free needed
-            }
-            match link_at(&self.head, &c, new_node) {
-                Ok(()) => return true,
-                Err(back) => new_node = back,
-            }
-        }
+            |node| &node.key,
+        )
     }
 
     fn remove_with(&self, k: &K, cs: &Self::Guard) -> bool {
@@ -364,12 +396,13 @@ mod tests {
     }
 
     fn concurrent<S: Scheme>() {
+        let seed = crate::test_seed();
         let list: Arc<RcHarrisMichaelList<u64, u64, S>> = Arc::new(RcHarrisMichaelList::new());
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let list = Arc::clone(&list);
                 std::thread::spawn(move || {
-                    for j in 0..300u64 {
+                    for j in crate::seeded_order(seed, i, 300) {
                         let k = i * 1000 + j;
                         assert!(list.insert(k, k));
                         assert_eq!(list.get(&k), Some(k));
@@ -380,13 +413,12 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
         for i in 0..8u64 {
             for j in 0..300u64 {
                 let k = i * 1000 + j;
-                assert_eq!(list.get(&k), if j % 2 == 0 { None } else { Some(k) });
+                let want = if j % 2 == 0 { None } else { Some(k) };
+                assert_eq!(list.get(&k), want, "key {k}, TEST_SEED={seed}");
             }
         }
     }
@@ -397,6 +429,56 @@ mod tests {
         concurrent::<IbrScheme>();
         concurrent::<HpScheme>();
         concurrent::<HyalineScheme>();
+    }
+
+    #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: Scheme>() {
+            let d: DomainRef<S> = DomainRef::new();
+            let list: RcHarrisMichaelList<u64, u64, S> = RcHarrisMichaelList::new_in(d.clone());
+            crate::a_failed_insert_allocates_nothing(&list, || d.allocated());
+        }
+        on::<EbrScheme>();
+        on::<IbrScheme>();
+        on::<HpScheme>();
+        on::<HyalineScheme>();
+    }
+
+    /// Under an open guard, an insert between two nodes leaves the
+    /// successor's count where it was, and settling it frees nothing: the
+    /// edge's reference to the successor moved into the new node instead
+    /// of being counted there and its decrement deferred.
+    fn a_link_moves_it_does_not_count<S: Scheme>() {
+        let d: DomainRef<S> = DomainRef::new();
+        let list: RcHarrisMichaelList<u64, u64, S> = RcHarrisMichaelList::new_in(d.clone());
+        assert!(list.insert(1, 10) && list.insert(3, 30));
+        let first = list.head.load();
+        let succ = first.as_ref().unwrap().next.load();
+        assert_eq!(succ.as_ref().unwrap().key, 3);
+        assert_eq!(succ.strong_count(), 2, "the edge's reference and ours");
+        let (allocated, freed) = (d.allocated(), d.freed());
+        {
+            let cs = list.pin();
+            assert!(list.insert_with(2, 20, &cs));
+            assert_eq!(
+                succ.strong_count(),
+                2,
+                "{}: the link counted the successor",
+                S::scheme_name()
+            );
+        }
+        d.process_deferred(smr::current_tid());
+        assert_eq!((d.allocated(), d.freed()), (allocated + 1, freed));
+        assert_eq!(succ.strong_count(), 2);
+        assert_eq!(list.get(&2), Some(20));
+    }
+
+    #[test]
+    fn a_link_moves_it_does_not_count_all_schemes() {
+        a_link_moves_it_does_not_count::<EbrScheme>();
+        a_link_moves_it_does_not_count::<IbrScheme>();
+        a_link_moves_it_does_not_count::<HpScheme>();
+        a_link_moves_it_does_not_count::<HyalineScheme>();
     }
 
     #[test]

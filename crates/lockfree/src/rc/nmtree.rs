@@ -5,6 +5,10 @@
 //! the location's reference to the spliced-out chain, and deferred
 //! reference counting reclaims every chain node and flagged leaf
 //! automatically — this is the paper's Figure 1b.
+//!
+//! An insert touches no count either: it links its replacement subtree
+//! with [`AtomicSharedPtr::link`], which moves the parent edge's reference
+//! to the old leaf into the new internal node's edge.
 
 use std::marker::PhantomData;
 
@@ -189,22 +193,31 @@ where
 
     fn insert_impl(&self, cs: &CsGuard<S>, key: K, value: V) -> bool {
         let nmkey = NmKey::Fin(key);
+        // The value, until the first miss builds the new leaf; the leaf is
+        // then kept across lost races.
+        let mut pending: Result<SharedPtr<Node<K, V, S>, S>, V> = Err(value);
         loop {
             let s = self.seek(cs, &nmkey);
             let leaf = s.leaf.as_ref().unwrap();
             if leaf.key == nmkey {
                 return false;
             }
-            // Build replacement subtree: internal(max) { old leaf, new }.
-            let new_leaf = Node::leaf(&self.domain, nmkey.clone(), Some(value.clone()));
-            let (ikey, l, r) = if nmkey < leaf.key {
-                (leaf.key.clone(), new_leaf, s.leaf.to_shared())
+            let new_leaf = pending
+                .unwrap_or_else(|value| Node::leaf(&self.domain, nmkey.clone(), Some(value)));
+            // The replacement subtree: internal(max) { old leaf, new leaf }.
+            // Its key and child order depend on the leaf this seek found,
+            // so it is built per attempt, with the old leaf's side left
+            // null for `link` to fill.
+            let new_left = nmkey < leaf.key;
+            let ikey = if new_left { &leaf.key } else { &nmkey };
+            let (l, r) = if new_left {
+                (new_leaf, SharedPtr::null())
             } else {
-                (nmkey.clone(), s.leaf.to_shared(), new_leaf)
+                (SharedPtr::null(), new_leaf)
             };
             let new_internal: SharedPtr<Node<K, V, S>, S> = SharedPtr::new_graph_in(
                 Node {
-                    key: ikey,
+                    key: ikey.clone(),
                     value: None,
                     left: AtomicSharedPtr::new_in(l, &self.domain),
                     right: AtomicSharedPtr::new_in(r, &self.domain),
@@ -212,21 +225,23 @@ where
                 &self.domain,
             );
             let parent = s.parent.as_ref().unwrap();
-            let edge = parent.child_edge(&nmkey);
-            // Move our reference to the replacement subtree in (no count
-            // round-trip); the displaced edge reference to the old leaf is
-            // balanced by the one new_internal's child edge holds.
-            match edge.compare_exchange(s.leaf.tagged().with_tag(0), new_internal, 0) {
-                Ok(displaced_leaf) => {
-                    drop(displaced_leaf);
-                    return true;
-                }
+            // The parent edge's reference to the old leaf moves into the new
+            // internal node's edge, and ours to the internal node into the
+            // parent edge: no count changes.
+            match parent
+                .child_edge(&nmkey)
+                .link(s.leaf.tagged().with_tag(0), new_internal, |n| {
+                    n.child_edge(&leaf.key)
+                }) {
+                Ok(()) => return true,
                 Err(e) => {
+                    // Take the new leaf back out of the unpublished internal
+                    // node for the next attempt.
+                    let internal = e.desired.as_ref().expect("the internal node");
+                    pending = Ok(internal.child_edge(&nmkey).take());
                     // The witness replaces the old re-load: if the edge
                     // still points at the leaf but carries a flag/tag, a
-                    // delete is pending on it — help before retrying. The
-                    // returned subtree drops here (the old leaf it captured
-                    // is stale for the next attempt).
+                    // delete is pending on it — help before retrying.
                     let w = e.current;
                     if w.ptr_eq(s.leaf.tagged()) && w.tag() != 0 {
                         self.cleanup(cs, &nmkey, &s);
@@ -456,12 +471,13 @@ mod tests {
     }
 
     fn concurrent<S: Scheme>() {
+        let seed = crate::test_seed();
         let tree: Arc<RcNatarajanMittalTree<u64, u64, S>> = Arc::new(RcNatarajanMittalTree::new());
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let tree = Arc::clone(&tree);
                 std::thread::spawn(move || {
-                    for j in 0..400u64 {
+                    for j in crate::seeded_order(seed, i, 400) {
                         let k = i * 1000 + j;
                         assert!(tree.insert(k, k));
                         assert_eq!(tree.get(&k), Some(k));
@@ -472,9 +488,7 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
     }
 
     #[test]
@@ -483,6 +497,19 @@ mod tests {
         concurrent::<IbrScheme>();
         concurrent::<HpScheme>();
         concurrent::<HyalineScheme>();
+    }
+
+    #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: Scheme>() {
+            let d: DomainRef<S> = DomainRef::new();
+            let tree: RcNatarajanMittalTree<u64, u64, S> = RcNatarajanMittalTree::new_in(d.clone());
+            crate::a_failed_insert_allocates_nothing(&tree, || d.allocated());
+        }
+        on::<EbrScheme>();
+        on::<IbrScheme>();
+        on::<HpScheme>();
+        on::<HyalineScheme>();
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! CAS-installed-once references to sentinels — the same directory the
 //! manual table keeps addresses in (`src/split_order.rs`).
 
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
@@ -44,7 +45,7 @@ use cdrc::{
     TaggedPtr,
 };
 
-use super::list::{find, link_at, remove_at, Cursor, Link};
+use super::list::{find, find_or_link, remove_at, Cursor, Link};
 use crate::split_order::{so_dummy, so_regular, Directory};
 use crate::ConcurrentMap;
 
@@ -59,10 +60,18 @@ pub(super) struct Node<K, V, S: Scheme> {
     kv: Option<(K, V)>,
 }
 
-impl<K, V, S: Scheme> Node<K, V, S> {
+impl<K: Ord, V, S: Scheme> Node<K, V, S> {
     #[inline]
     fn key(&self) -> Option<&K> {
         self.kv.as_ref().map(|(k, _)| k)
+    }
+
+    /// This node against `(so_key, key)` in split order: so-key first,
+    /// then the real key (two distinct keys can share an odd so-key;
+    /// sentinels are `None` and sort before every regular node).
+    #[inline(always)]
+    fn order(&self, so_key: u64, key: Option<&K>) -> Ordering {
+        (self.so_key, self.key()).cmp(&(so_key, key))
     }
 }
 
@@ -192,18 +201,20 @@ where
         so_key: u64,
         cs: &'g CsGuard<S>,
     ) -> SharedPtr<Node<K, V, S>, S> {
-        let mut sentinel = Self::new_node(&self.domain, so_key, None);
-        loop {
-            let c = Self::find_from(start, so_key, None, cs);
-            if c.found {
-                return c.cur.to_shared(); // raced: reuse the winner's node
-            }
-            let keep = sentinel.clone();
-            match link_at(Self::head(start), &c, sentinel) {
-                Ok(()) => return keep,
-                Err(back) => sentinel = back,
-            }
-        }
+        find_or_link(
+            Self::head(start),
+            cs,
+            so_key,
+            |node, &so_key| node.order(so_key, None),
+            |so_key| Self::new_node(&self.domain, so_key, None),
+            |node| &node.so_key,
+        );
+        // Linked or raced, the list holds the sentinel now, and only the
+        // list: a link moves the node's one reference in. The slot needs
+        // its own, so re-find it; sentinels are never deleted.
+        let c = Self::find_from(start, so_key, None, cs);
+        debug_assert!(c.found, "a spliced sentinel is never deleted");
+        c.cur.to_shared()
     }
 
     /// The edge a bucket's walks start (and restart) from: its sentinel's
@@ -216,18 +227,14 @@ where
     }
 
     /// The list module's Harris-Michael find from `start`'s edge to the
-    /// first node ≥ `(so_key, key)` in split order: so-key first, then the
-    /// real key (two distinct keys can share an odd so-key; sentinels are
-    /// `None` and sort before every regular node).
+    /// first node ≥ `(so_key, key)` in split order ([`Node::order`]).
     fn find_from<'g>(
         start: &SnapshotPtr<'g, Node<K, V, S>, S>,
         so_key: u64,
         key: Option<&K>,
         cs: &'g CsGuard<S>,
     ) -> Cursor<'g, Node<K, V, S>, S> {
-        find(Self::head(start), cs, |node| {
-            (node.so_key, node.key()).cmp(&(so_key, key))
-        })
+        find(Self::head(start), cs, |node| node.order(so_key, key))
     }
 
     /// The sentinel to start `h`'s operation from under the current mask.
@@ -252,23 +259,21 @@ where
         debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
         let h = self.hasher.hash_one(&k);
         let so = so_regular(h);
-        let mut new_node = Self::new_node(&self.domain, so, Some((k, v)));
-        loop {
-            // Re-read the mask each attempt: a concurrent grow between
-            // attempts may have split this key's bucket.
-            let start = self.bucket_for(h, cs);
-            let c = Self::find_from(&start, so, new_node.as_ref().unwrap().key(), cs);
-            if c.found {
-                return false; // new_node drops; no manual free needed
-            }
-            match link_at(Self::head(&start), &c, new_node) {
-                Ok(()) => {
-                    self.dir.on_insert(smr::current_tid());
-                    return true;
-                }
-                Err(back) => new_node = back,
-            }
+        // The bucket is read once: after a concurrent grow splits it, its
+        // sentinel is an ancestor of the key's, which a walk passes through.
+        let start = self.bucket_for(h, cs);
+        let linked = find_or_link(
+            Self::head(&start),
+            cs,
+            k,
+            |node, key| node.order(so, Some(key)),
+            |key| Self::new_node(&self.domain, so, Some((key, v))),
+            |node| node.key().expect("a regular node"),
+        );
+        if linked {
+            self.dir.on_insert(smr::current_tid());
         }
+        linked
     }
 
     fn remove_with(&self, k: &K, cs: &Self::Guard) -> bool {
@@ -381,6 +386,19 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_insert_allocates_nothing() {
+        fn on<S: Scheme>() {
+            let d: DomainRef<S> = DomainRef::new();
+            let m: RcResizableHashMap<u64, u64, S> = RcResizableHashMap::new_in(d.clone());
+            crate::a_failed_insert_allocates_nothing(&m, || d.allocated());
+        }
+        on::<EbrScheme>();
+        on::<IbrScheme>();
+        on::<HpScheme>();
+        on::<HyalineScheme>();
+    }
+
+    #[test]
     fn grows_under_single_threaded_load() {
         let m: RcResizableHashMap<u64, u64, EbrScheme> = RcResizableHashMap::new();
         assert_eq!(m.buckets(), 1);
@@ -415,12 +433,13 @@ mod tests {
 
     #[test]
     fn concurrent_grow_under_churn() {
+        let seed = crate::test_seed();
         let m: Arc<RcResizableHashMap<u64, u64, HpScheme>> = Arc::new(RcResizableHashMap::new());
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    for j in 0..500u64 {
+                    for j in crate::seeded_order(seed, i, 500) {
                         let k = i * 10_000 + j;
                         assert!(m.insert(k, k));
                         assert_eq!(m.get(&k), Some(k));
@@ -431,14 +450,13 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
         assert!(m.buckets() > 1, "table grew during churn");
         for i in 0..8u64 {
             for j in 0..500u64 {
                 let k = i * 10_000 + j;
-                assert_eq!(m.get(&k), if j % 2 == 0 { None } else { Some(k) });
+                let want = if j % 2 == 0 { None } else { Some(k) };
+                assert_eq!(m.get(&k), want, "key {k}, TEST_SEED={seed}");
             }
         }
     }
@@ -486,13 +504,14 @@ mod tests {
 
     #[test]
     fn concurrent_hp() {
+        let seed = crate::test_seed();
         let m: Arc<RcResizableHashMap<u64, u64, HpScheme>> =
             Arc::new(RcResizableHashMap::with_capacity(64));
         let hs: Vec<_> = (0..8)
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    for j in 0..400u64 {
+                    for j in crate::seeded_order(seed, i, 400) {
                         let k = i * 1000 + j;
                         assert!(m.insert(k, k));
                         assert_eq!(m.get(&k), Some(k));
@@ -503,8 +522,6 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::join_seeded(hs, seed);
     }
 }

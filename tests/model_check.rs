@@ -37,7 +37,9 @@
 //! same full-stack exploration, now with the relaxed counters modeled. The
 //! queue scenario takes the same exploration up to a structure: the weak
 //! queue's enqueue with an old tail's `prev` cleared, racing a second
-//! enqueue that then dequeues. The hazard-snapshot scenarios race HP's
+//! enqueue that then dequeues. The list scenario races the RC list's
+//! insert, whose link moves an edge's reference instead of counting it,
+//! against a remove of the node it links before. The hazard-snapshot scenarios race HP's
 //! double collect against a reader moving its hazards (hand over hand, and
 //! ABA on one word), and HP's destruct past a snapshot against a weak
 //! snapshot and against a reader that came through another location.
@@ -47,8 +49,8 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use cdrc::{AtomicSharedPtr, AtomicWeakPtr, DomainRef, SharedPtr, StrongRef};
 use interleave::thread as mthread;
 use interleave::{try_check, Config, Report, Violation};
-use lockfree::rc::RcDoubleLinkQueue;
-use lockfree::ConcurrentQueue;
+use lockfree::rc::{RcDoubleLinkQueue, RcHarrisMichaelList};
+use lockfree::{ConcurrentMap, ConcurrentQueue};
 use smr::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use smr::sync::exempt;
 use smr::{current_tid, AcquireRetire, Ebr, GlobalEpoch, Hp, Hyaline, Ibr, Retired, SmrConfig};
@@ -1474,6 +1476,102 @@ fn ebr_queue_cleared_prev_is_linearizable_and_balances() {
 fn hp_queue_cleared_prev_is_linearizable_and_balances() {
     let _s = serial();
     queue_cleared_prev::<cdrc::HpScheme>().expect("weak queue violation under HP");
+}
+
+// ---------------------------------------------------------------------------
+// The RC list's insert ∥ remove on one edge: a link moves the edge's
+// reference to the node it inserts before (`cdrc::engine`, "Linking")
+// ---------------------------------------------------------------------------
+
+/// A list key that poisons itself when its node is disposed and refuses to
+/// be compared once poisoned, so a search that reads a reclaimed node
+/// fails the scenario.
+#[derive(PartialEq, Eq)]
+struct ListKey(u64);
+
+const POISONED: u64 = u64::MAX;
+
+impl Ord for ListKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        assert!(
+            self.0 != POISONED && other.0 != POISONED,
+            "a search read a disposed node"
+        );
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ListKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Drop for ListKey {
+    fn drop(&mut self) {
+        // Volatile: a store right before the block is freed is otherwise
+        // dead to the optimizer.
+        // Safety: `self.0` is a live, aligned `u64` this key owns.
+        unsafe { std::ptr::write_volatile(&mut self.0, POISONED) };
+    }
+}
+
+/// One thread links a fresh node (key 1) before X (key 2) on the head edge
+/// while another removes X from that same edge: the inserter's link may
+/// move the edge's reference to X into the new node just before the
+/// remover marks X and unlinks it from the new node's edge, or the unlink
+/// may come first and the link fail on the witness. Across every
+/// interleaving both operations succeed, the list ends holding 1 and not
+/// 2, no search compares a disposed key, and the domain balances.
+fn list_link_vs_remove<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation> {
+    try_check(cfg(1), || {
+        let d: DomainRef<S> = DomainRef::with_config(tight::<S>());
+        let t = current_tid();
+        {
+            let list = Arc::new(RcHarrisMichaelList::<ListKey, u64, S>::new_in(d.clone()));
+            assert!(list.insert(ListKey(2), 20));
+            let inserter = {
+                let list = Arc::clone(&list);
+                mthread::spawn(move || {
+                    assert!(list.insert(ListKey(1), 10), "1 was absent");
+                    // The inserter may have helped unlink X and retired it
+                    // while the remover's section still covered X. Its slot
+                    // is handed to the remover in-model: left to the thread's
+                    // exit, the hand-off would run outside the checker.
+                    smr::abandon_current_slot()
+                })
+            };
+            assert!(list.remove(&ListKey(2)), "X was there to remove");
+            let dead = inserter.join().unwrap();
+            // Safety: the inserter has terminated (joined) and touches no
+            // SMR state after abandoning its slot.
+            assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
+            assert_eq!(list.get(&ListKey(1)), Some(10), "{}", S::scheme_name());
+            assert_eq!(list.get(&ListKey(2)), None, "{}", S::scheme_name());
+        }
+        d.process_deferred(t);
+        unsafe { d.drain_and_apply_all(t) };
+        assert_eq!(
+            d.allocated(),
+            d.freed(),
+            "{}: domain ledger unbalanced after the list's drop",
+            S::scheme_name()
+        );
+    })
+}
+
+#[test]
+fn ebr_list_link_vs_remove_balances() {
+    let _s = serial();
+    let report = list_link_vs_remove::<cdrc::EbrScheme>().expect("list violation under EBR");
+    assert!(report.iterations > 1, "explored only one schedule");
+}
+
+#[test]
+fn hp_list_link_vs_remove_balances() {
+    let _s = serial();
+    let report = list_link_vs_remove::<cdrc::HpScheme>().expect("list violation under HP");
+    assert!(report.iterations > 1, "explored only one schedule");
 }
 
 // ---------------------------------------------------------------------------
