@@ -18,6 +18,8 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod family;
+pub(crate) mod list;
 pub mod manual;
 pub(crate) mod nm;
 pub mod rc;

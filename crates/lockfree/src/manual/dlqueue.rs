@@ -27,7 +27,7 @@ use smr::{AcquireRetire, Tid};
 use super::{Held, ManualNode, Reclaimer};
 use crate::ConcurrentQueue;
 
-struct Node<V> {
+pub(super) struct Node<V> {
     birth: u64,
     value: Option<V>,
     /// Back pointer (structural fidelity with DoubleLink; never traversed
@@ -236,9 +236,18 @@ mod tests {
         fifo::<Hyaline>();
     }
 
+    /// The hand-written HP and IBR baselines are where reclamation bugs
+    /// live, so the conservation test runs under every scheme.
     #[test]
     fn concurrent_pop_push_conserves_elements() {
-        let q: Arc<DoubleLinkQueue<u64, Ebr>> = Arc::new(DoubleLinkQueue::new());
+        conserves_elements::<Ebr>();
+        conserves_elements::<Ibr>();
+        conserves_elements::<Hp>();
+        conserves_elements::<Hyaline>();
+    }
+
+    fn conserves_elements<S: AcquireRetire>() {
+        let q: Arc<DoubleLinkQueue<u64, S>> = Arc::new(DoubleLinkQueue::new());
         let threads = 8u64;
         for i in 0..threads {
             q.enqueue(i);

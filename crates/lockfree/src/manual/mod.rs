@@ -7,23 +7,25 @@
 //! structure are written once there, and the reclamation sanitizer
 //! ([`smr::sanitize`]) sees every node's allocation, retire and free there.
 //!
-//! A node a structure reads is a `Held`: the word an acquire read and
-//! the guard that protects the node it names, given back on drop — the
-//! way an RC structure holds a `cdrc::SnapshotPtr`. `Held::node` is where
-//! a manual node is dereferenced (and the sanitizer checks it is not freed);
-//! `Reclaimer::read` is how one is made, or `Reclaimer::unguarded` for
-//! a node nothing else can free: a sentinel, or a chain the caller has
-//! just unlinked and not yet retired. So a manual
-//! structure gives nothing back by hand and leaks no guard on an early
-//! return; what it still does by hand is what reclamation is — retiring
-//! what it unlinks.
+//! The list and the split-ordered map are not written here: both families
+//! run one list and one map (`src/list.rs`, `src/split_order.rs`), and
+//! `Manual`, this family's impl of the crate's `Family` hook, is what makes
+//! them manual. It retires what a winning unlink CAS takes out, collects at
+//! the end of an operation, links by storing a word and CASing it in, and
+//! gives guards back. What it holds of a node is a `Raw`, a word and its raw
+//! guard: the search hop runs hundreds of times per operation of a long
+//! list, and a `Held` per hop, which carries its thread and reclaimer
+//! through every iteration, doubled the manual HP hop in `traversal_parity`.
 //!
-//! One loop keeps hand-juggled guards: the hop of the Harris-Michael search
-//! (`list::find`), which runs hundreds of times per operation of a long
-//! list. A `Held` per hop carries its thread and reclaimer through every
-//! iteration and doubled the manual HP hop in `traversal_parity`; the hop
-//! moves raw guards between three roles and hands the two it ends with to
-//! its cursor as `Held`s.
+//! The queue and the tree hold nodes as `Held`s: the word an acquire read
+//! and the guard that protects the node it names, given back on drop — the
+//! way an RC structure holds a `cdrc::SnapshotPtr`. `Held::node` is where
+//! such a node is dereferenced (and the sanitizer checks it is not freed);
+//! `Reclaimer::read` is how one is made, or `Reclaimer::unguarded` for a
+//! node nothing else can free: a sentinel, or a chain the caller has just
+//! unlinked and not yet retired. So a manual structure gives nothing back
+//! by hand and leaks no guard on an early return; what it still does by
+//! hand is what reclamation is — retiring what it unlinks.
 
 pub mod dlqueue;
 pub mod list;
@@ -39,10 +41,12 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use smr::sanitize::{self, Channel};
+use smr::sync::atomic::{AtomicUsize, Ordering};
 use smr::util::LanePairs;
-use smr::{
-    sync::atomic::AtomicUsize, untagged, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid,
-};
+use smr::{untagged, AcquireRetire, Retired, SectionGuard, SmrConfig, Tid};
+
+use crate::family::{Family, Kind, Link};
+use crate::list::MARK;
 
 /// What the [`Reclaimer`] needs of a manual node — the manual-side mirror
 /// of [`cdrc::GraphNode`].
@@ -92,20 +96,6 @@ impl<N: ManualNode, S: AcquireRetire> Reclaimer<N, S> {
     pub(crate) fn tid(&self, guard: &SectionGuard<S>) -> Tid {
         debug_assert!(guard.covers(&self.smr), "guard from a foreign instance");
         guard.tid()
-    }
-
-    /// The scheme's `try_acquire`, for the list search's hop, which moves
-    /// raw guards (module docs); everything else reads through
-    /// [`read`](Self::read).
-    #[inline(always)]
-    pub(crate) fn try_acquire(&self, t: Tid, src: &AtomicUsize) -> Option<(usize, S::Guard)> {
-        self.smr.try_acquire(t, src)
-    }
-
-    /// Gives back a guard from [`try_acquire`](Self::try_acquire).
-    #[inline(always)]
-    pub(crate) fn release(&self, t: Tid, g: S::Guard) {
-        self.smr.release(t, g);
     }
 
     /// Reads the edge `src` and protects the node it names until the
@@ -289,6 +279,173 @@ impl<N, S: AcquireRetire> Drop for Held<'_, N, S> {
     }
 }
 
+/// The manual family's nodes: plain words for edges, and the birth epoch
+/// `retire` hands the scheme.
+pub(crate) struct ManualKind;
+
+impl Kind for ManualKind {
+    type Edge<N> = AtomicUsize;
+    type Birth = u64;
+}
+
+/// An operation of the manual family: thread `t` inside a critical section
+/// of `r`'s scheme instance, over nodes `N` that `r` allocated.
+pub(crate) struct Manual<'r, N, S: AcquireRetire> {
+    r: &'r Reclaimer<N, S>,
+    t: Tid,
+}
+
+impl<'r, N: ManualNode, S: AcquireRetire> Manual<'r, N, S> {
+    /// The context of an operation under `guard`, a section of `r`'s
+    /// instance that outlives it.
+    ///
+    /// # Safety
+    ///
+    /// Every edge the operation is handed holds 0 or the address of a node
+    /// `r` allocated, and a node is freed only through `r`'s `retire` once
+    /// it is unlinked (or at teardown, for a sentinel).
+    #[inline(always)]
+    pub(crate) unsafe fn new(r: &'r Reclaimer<N, S>, guard: &'r SectionGuard<S>) -> Self {
+        Manual { r, t: r.tid(guard) }
+    }
+}
+
+impl<N, S: AcquireRetire> Clone for Manual<'_, N, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<N, S: AcquireRetire> Copy for Manual<'_, N, S> {}
+
+/// What the manual family holds of a node: the word an acquire read and the
+/// raw guard protecting it (none for a sentinel, which is never retired).
+/// The list hop moves these, not `Held`s (module docs).
+pub(crate) struct Raw<S: AcquireRetire> {
+    word: usize,
+    guard: Option<S::Guard>,
+}
+
+impl<N: Link<ManualKind> + ManualNode, S: AcquireRetire> Family for Manual<'_, N, S> {
+    type Kind = ManualKind;
+    type Node = N;
+    type Held = Raw<S>;
+    type Owned = Box<N>;
+
+    #[inline(always)]
+    fn read(self, e: &AtomicUsize) -> Raw<S> {
+        let (word, g) = (self.r.smr)
+            .try_acquire(self.t, e)
+            .expect("a list operation holds at most 3 guards");
+        let guard = Some(g);
+        Raw { word, guard }
+    }
+
+    fn load(e: &AtomicUsize) -> usize {
+        e.load(Ordering::SeqCst)
+    }
+
+    fn word(h: &Raw<S>) -> usize {
+        h.word
+    }
+
+    #[inline(always)]
+    fn node(h: &Raw<S>) -> Option<&N> {
+        let addr = untagged(h.word);
+        if addr == 0 {
+            return None;
+        }
+        sanitize::check_payload(addr);
+        // Safety: a node of `r` (`new`'s contract), which `h`'s guard, the
+        // open section, or its being a sentinel keeps from being freed.
+        Some(unsafe { &*(addr as *const N) })
+    }
+
+    #[inline(always)]
+    fn release(self, h: Raw<S>) {
+        if let Some(g) = h.guard {
+            self.r.smr.release(self.t, g);
+        }
+    }
+
+    /// The successor comes back as its word alone: `unlink` only stores it,
+    /// and it is not dereferenced (once the marked node is unlinked by
+    /// another thread, it may be freed).
+    fn mark(self, e: &AtomicUsize) -> Option<Raw<S>> {
+        let mut w = e.load(Ordering::SeqCst);
+        while w & MARK == 0 {
+            match e.compare_exchange(w, w | MARK, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => {
+                    return Some(Raw {
+                        word: w,
+                        guard: None,
+                    })
+                }
+                Err(witness) => w = witness,
+            }
+        }
+        None
+    }
+
+    fn link(e: &AtomicUsize, at: &Raw<S>, node: Box<N>) -> Result<(), Box<N>> {
+        node.next().store(at.word, Ordering::SeqCst);
+        let addr = Box::into_raw(node);
+        match e.compare_exchange(at.word, addr as usize, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(_) => Ok(()),
+            // Safety: never published, still ours.
+            Err(_) => Err(unsafe { Box::from_raw(addr) }),
+        }
+    }
+
+    /// The winning CAS retires `cur`: the manual chore.
+    #[inline(always)]
+    fn unlink(self, e: &AtomicUsize, cur: &Raw<S>, next: Raw<S>) -> Option<Raw<S>> {
+        let word = next.word & !MARK;
+        if e.compare_exchange(cur.word, word, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            self.release(next);
+            return None;
+        }
+        // Safety: our CAS unlinked it, so it is retired once; `cur` still
+        // protects it for the read of its birth.
+        unsafe { self.r.retire(self.t, untagged(cur.word)) };
+        Some(Raw { word, ..next })
+    }
+
+    fn alloc(self, _: &AtomicUsize, make: impl FnOnce(AtomicUsize, u64) -> N) -> Box<N> {
+        self.r
+            .alloc(self.t, |birth| make(AtomicUsize::new(0), birth))
+    }
+
+    fn built(o: &Box<N>) -> &N {
+        o
+    }
+
+    fn discard(self, o: Box<N>) {
+        self.r.discard(self.t, o);
+    }
+
+    /// Frees whatever the scheme ejects: the other manual chore.
+    fn end(self) {
+        self.r.collect(self.t);
+    }
+
+    fn null(_: &AtomicUsize) -> AtomicUsize {
+        AtomicUsize::new(0)
+    }
+
+    /// A sentinel is never retired, so its address needs no guard.
+    fn sentinel(self, slot: &AtomicUsize) -> Option<Raw<S>> {
+        let word = slot.load(Ordering::SeqCst);
+        (word != 0).then_some(Raw { word, guard: None })
+    }
+
+    fn install(slot: &AtomicUsize, s: &Raw<S>) {
+        let _ = slot.compare_exchange(0, s.word, Ordering::SeqCst, Ordering::SeqCst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +465,22 @@ mod tests {
         fn out_edges(&self, out: &mut Vec<usize>) {
             out.push(self.next);
         }
+    }
+
+    /// The manual nodes, the denominator of every RC/manual ratio, keep
+    /// their sizes with the `u64` keys and values the ledger runs: the list
+    /// node 32 B (the glibc 48 B chunk), the map node 48 B (64 B; its pair
+    /// is an `Option`, `None` for a sentinel), the queue node 40 B (48 B).
+    /// The list and map nodes are shared with the RC family; a field added
+    /// there for one family must not grow the other unseen.
+    #[test]
+    fn manual_node_sizes_keep_their_size_classes() {
+        use std::mem::size_of;
+        let list = size_of::<list::Node<u64, u64>>();
+        let map = size_of::<resizable::Node<u64, u64>>();
+        let queue = size_of::<dlqueue::Node<u64>>();
+        println!("manual nodes: list {list} B, map {map} B, queue {queue} B");
+        assert_eq!((list, map, queue), (32, 48, 40));
     }
 
     /// A guard from `pin` that outlives its structure: the structure's

@@ -2,14 +2,12 @@
 //! Shalev-Shavit lock-free extensible hash table over the generalized
 //! acquire-retire interface.
 //!
-//! Same algorithm as [`crate::rc::resizable`] — one Harris-Michael list
-//! sorted by bit-reversed hash, a lazily-doubled `split_order::Directory`
-//! of sentinel shortcuts (`src/split_order.rs`), growth by
-//! publishing a bigger mask — over the manual list's search
-//! ([`super::list`]), which does the chores the RC variant deletes: every
-//! unlinking CAS must `retire` its victim, every ejected node must be
-//! freed, and traversal protection is hand-over-hand guards ending in
-//! `Held`s instead of snapshot lifetimes.
+//! The one split-ordered body of `src/split_order.rs` — one
+//! Harris-Michael list sorted by bit-reversed hash, a lazily-doubled
+//! directory of sentinel shortcuts, growth by publishing a bigger mask —
+//! run under the manual family, which does the chores the RC variant
+//! deletes: every unlinking CAS must `retire` its victim, and every ejected
+//! node must be freed.
 //!
 //! Sentinels are *immortal*: never marked, never retired, freed only at
 //! teardown. That is what makes the directory sound under manual SMR — a
@@ -17,51 +15,18 @@
 //! the node it names cannot be reclaimed while the map exists.
 
 use smr::sync::atomic::{AtomicUsize, Ordering};
-use std::cmp::Ordering as KeyOrder;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 
-use smr::{untagged, AcquireRetire, Tid};
+use smr::{untagged, AcquireRetire, SectionGuard};
 
-use super::list::{find, find_or_link, remove_at, Cursor, Link};
-use super::{ManualNode, Reclaimer};
-use crate::split_order::{so_dummy, so_regular, Directory};
+use super::{Manual, ManualKind, ManualNode, Reclaimer};
+use crate::split_order::{self, so_dummy, SplitOrdered};
 use crate::ConcurrentMap;
 
-struct Node<K, V> {
-    birth: u64,
-    so_key: u64,
-    /// `None` marks a bucket sentinel; sentinels are never removed and
-    /// never surface through the map API.
-    kv: Option<(K, V)>,
-    /// Next pointer; low bit set = this node is logically deleted.
-    next: AtomicUsize,
-}
-
-impl<K: Ord, V> Node<K, V> {
-    #[inline]
-    fn key(&self) -> Option<&K> {
-        self.kv.as_ref().map(|(k, _)| k)
-    }
-
-    /// This node against `(so_key, key)` in split order: so-key first,
-    /// then the real key (two distinct keys can share an odd so-key;
-    /// sentinels are `None` and sort before every regular node).
-    #[inline(always)]
-    fn order(&self, so_key: u64, key: Option<&K>) -> KeyOrder {
-        (self.so_key, self.key()).cmp(&(so_key, key))
-    }
-}
-
-impl<K, V> Link for Node<K, V> {
-    #[inline(always)]
-    fn next(&self) -> &AtomicUsize {
-        &self.next
-    }
-}
+/// The map node, with plain-word edges and a birth epoch.
+pub(super) type Node<K, V> = split_order::Node<K, V, ManualKind>;
 
 impl<K, V> ManualNode for Node<K, V> {
-    #[inline(always)]
     fn birth(&self) -> u64 {
         self.birth
     }
@@ -78,13 +43,12 @@ pub struct ResizableHashMap<K, V, S: AcquireRetire> {
     /// Slots hold sentinel addresses (0 = bucket untouched), CAS-installed
     /// at most once; bucket 0's sentinel — the head of the entire list — is
     /// installed at construction.
-    dir: Directory<AtomicUsize>,
+    map: SplitOrdered<K, V, ManualKind>,
     reclaimer: Reclaimer<Node<K, V>, S>,
-    hasher: RandomState,
 }
 
-// Safety: nodes are only dereferenced under scheme protection (or sentinel
-// immortality); values cross threads only via `V: Send + Sync` clones.
+// Safety: nodes are only dereferenced under scheme protection; keys and
+// values cross threads inside nodes and as `V: Send + Sync` clones.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Send for ResizableHashMap<K, V, S> {}
 unsafe impl<K: Send + Sync, V: Send + Sync, S: AcquireRetire> Sync for ResizableHashMap<K, V, S> {}
 
@@ -104,100 +68,25 @@ where
     /// scheme instance. The table doubles once its element count exceeds
     /// its bucket count, so one sized for its key range never grows.
     pub fn with_capacity(capacity: usize) -> Self {
-        let map = ResizableHashMap {
-            dir: Directory::with_capacity(capacity, AtomicUsize::new(0)),
-            reclaimer: Reclaimer::new(S::default_config()),
-            hasher: RandomState::new(),
-        };
-        let zero = Box::into_raw(map.new_node(smr::current_tid(), so_dummy(0), None));
-        map.dir.zero().store(zero as usize, Ordering::SeqCst);
-        map
+        let reclaimer = Reclaimer::new(S::default_config());
+        let zero = reclaimer.alloc(smr::current_tid(), |birth| {
+            Node::new(AtomicUsize::new(0), birth, so_dummy(0), None)
+        });
+        let zero = AtomicUsize::new(Box::into_raw(zero) as usize);
+        let map = SplitOrdered::with_capacity(capacity, zero);
+        ResizableHashMap { map, reclaimer }
     }
 
     /// Current bucket count (monotone; grows under load).
     pub fn buckets(&self) -> u64 {
-        self.dir.buckets()
+        self.map.dir.buckets()
     }
 
-    /// Approximate live element count (exact after joining workers).
-    pub fn len(&self) -> u64 {
-        self.dir.len()
-    }
-
-    /// Whether the map is (approximately) empty; see [`len`](Self::len).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn new_node(&self, t: Tid, so_key: u64, kv: Option<(K, V)>) -> Box<Node<K, V>> {
-        self.reclaimer.alloc(t, |birth| Node {
-            birth,
-            so_key,
-            kv,
-            next: AtomicUsize::new(0),
-        })
-    }
-
-    /// Returns bucket `b`'s sentinel address, splicing it (and any missing
-    /// ancestors, recursively) into the list on first touch. Must be called
-    /// inside a critical section.
-    fn ensure_bucket(&self, t: Tid, b: usize) -> usize {
-        let slot = self.dir.slot(b, || AtomicUsize::new(0));
-        let w = slot.load(Ordering::SeqCst);
-        if w != 0 {
-            return w;
-        }
-        debug_assert!(b > 0, "bucket 0's sentinel is installed at construction");
-        let parent = self.ensure_bucket(t, Directory::<AtomicUsize>::parent(b));
-        // Splice the sentinel in, or find the one a racing toucher did,
-        // walking from the parent's. Either way its address is usable
-        // unguarded forever, since sentinels are immortal.
-        // Safety: as in `find_from`, from the parent sentinel's edge.
-        let (Ok(addr) | Err(addr)) = unsafe {
-            find_or_link(
-                &self.reclaimer,
-                t,
-                &self.reclaimer.unguarded(t, parent).node().next,
-                so_dummy(b as u64),
-                |n, &so_key| n.order(so_key, None),
-                |so_key| self.new_node(t, so_key, None),
-                |n| &n.so_key,
-            )
-        };
-        // Losing this install race is harmless: the list admits exactly one
-        // node per (even) so-key, so any competing install wrote `addr` too.
-        let _ = slot.compare_exchange(0, addr, Ordering::SeqCst, Ordering::SeqCst);
-        addr
-    }
-
-    /// The sentinel to start `h`'s operation from under the current mask
-    /// (re-read each attempt: a concurrent grow between attempts may have
-    /// split the key's bucket).
-    fn bucket_for(&self, t: Tid, h: u64) -> usize {
-        self.ensure_bucket(t, self.dir.bucket_of(h))
-    }
-
-    /// The list module's Harris-Michael find from sentinel `start`'s edge
-    /// to the first node ≥ `(so_key, key)` in split order
-    /// ([`Node::order`]). Restarts are bucket-local. Must be called inside
-    /// a critical section.
-    #[inline(always)]
-    fn find_from(
-        &self,
-        t: Tid,
-        start: usize,
-        so_key: u64,
-        key: Option<&K>,
-    ) -> Cursor<'_, Node<K, V>, S> {
-        let r = &self.reclaimer;
-        // Safety: sentinels are never retired, so `start`'s edge lives as
-        // long as the map and is never marked (cf. `&self.head` in the
-        // plain list); every node linked behind it is a `Box<Node<K, V>>`
-        // retired through `self.reclaimer` once unlinked.
-        unsafe {
-            let start = r.unguarded(t, start);
-            find(r, t, &start.node().next, |n| n.order(so_key, key))
-        }
+    fn op<'g>(&'g self, guard: &'g SectionGuard<S>) -> Manual<'g, Node<K, V>, S> {
+        // Safety: every node behind the sentinels is a `Box<Node<K, V>>` of
+        // `self.reclaimer`, retired through it once unlinked; sentinels are
+        // never retired.
+        unsafe { Manual::new(&self.reclaimer, guard) }
     }
 }
 
@@ -214,62 +103,15 @@ where
     }
 
     fn insert_with(&self, key: K, value: V, guard: &Self::Guard) -> bool {
-        let r = &self.reclaimer;
-        let t = r.tid(guard);
-        let h = self.hasher.hash_one(&key);
-        let so = so_regular(h);
-        // The bucket is read once: after a concurrent grow splits it, its
-        // sentinel is an ancestor of the key's, which a walk passes through.
-        // Safety: as in `find_from`, from the bucket sentinel's edge, in
-        // `guard`'s section over `r`.
-        let linked = unsafe {
-            find_or_link(
-                r,
-                t,
-                &r.unguarded(t, self.bucket_for(t, h)).node().next,
-                key,
-                |n, key| n.order(so, Some(key)),
-                |key| self.new_node(t, so, Some((key, value))),
-                |n| n.key().expect("a regular node"),
-            )
-            .is_ok()
-        };
-        if linked {
-            self.dir.on_insert(t);
-        }
-        r.collect(t);
-        linked
+        self.map.insert(self.op(guard), key, value)
     }
 
     fn remove_with(&self, key: &K, guard: &Self::Guard) -> bool {
-        let r = &self.reclaimer;
-        let t = r.tid(guard);
-        let h = self.hasher.hash_one(key);
-        let removed = loop {
-            let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
-            if !c.found {
-                break false;
-            }
-            // Safety: `c` is this section's cursor over `r`, found.
-            if unsafe { remove_at(c) } {
-                self.dir.on_remove(t);
-                break true;
-            }
-            // Retry from find so it can help the competing delete.
-        };
-        r.collect(t);
-        removed
+        self.map.remove(self.op(guard), key)
     }
 
     fn get_with(&self, key: &K, guard: &Self::Guard) -> Option<V> {
-        let r = &self.reclaimer;
-        let t = r.tid(guard);
-        let h = self.hasher.hash_one(key);
-        let c = self.find_from(t, self.bucket_for(t, h), so_regular(h), Some(key));
-        let out = c.found.then(|| c.cur.node().kv.as_ref().unwrap().1.clone());
-        drop(c);
-        r.collect(t);
-        out
+        self.map.get(self.op(guard), key)
     }
 
     fn in_flight_nodes(&self) -> u64 {
@@ -294,7 +136,7 @@ impl<K, V, S: AcquireRetire> Drop for ResizableHashMap<K, V, S> {
         // every node — sentinels, live nodes and marked-but-linked ones.
         // Directory slots hold plain addresses (no ownership): the
         // directory frees its own segments.
-        let head = self.dir.zero().load(Ordering::SeqCst);
+        let head = self.map.dir.zero().load(Ordering::SeqCst);
         // Safety: exclusive access; linked nodes are never retired.
         unsafe { self.reclaimer.teardown([head]) };
     }
@@ -304,7 +146,7 @@ impl<K, V, S: AcquireRetire> std::fmt::Debug for ResizableHashMap<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResizableHashMap")
             .field("scheme", &S::scheme_name())
-            .field("buckets", &self.dir.buckets())
+            .field("buckets", &self.map.dir.buckets())
             .finish_non_exhaustive()
     }
 }

@@ -1,10 +1,10 @@
-//! Harris-Michael list over reference-counted pointers ("RC" variants).
-//!
-//! Note what is *absent* relative to [`crate::manual::list`]: no `retire`,
-//! no `eject`, no node freeing, no birth epochs — a successful unlink CAS
-//! transfers the last location-owned reference to the deferred machinery
-//! and the node (plus anything only it references) is reclaimed
-//! automatically.
+//! Harris-Michael list over reference-counted pointers ("RC" variants): the
+//! one list of `src/list.rs`, run under the automatic family (`Rc`, in
+//! [`super`]). Note what is *absent* relative to
+//! [`crate::manual::list`]: no `retire`, no `eject`, no node freeing, no
+//! birth epochs — a successful unlink CAS transfers the last
+//! location-owned reference to the deferred machinery and the node (plus
+//! anything only it references) is reclaimed automatically.
 //!
 //! Each list owns a reclamation domain: [`new`](RcHarrisMichaelList::new)
 //! binds to the scheme's global default, [`new_in`](RcHarrisMichaelList::new_in)
@@ -14,208 +14,14 @@
 //! counters — exact for this structure (plus any structures deliberately
 //! sharing the domain).
 
-use std::cmp::Ordering;
-use std::marker::PhantomData;
+use cdrc::{AtomicSharedPtr, CsGuard, DomainRef, EdgeCollector, GraphNode, Scheme, SharedPtr};
 
-use cdrc::{
-    AtomicSharedPtr, CsGuard, DomainRef, EdgeCollector, GraphNode, Scheme, SharedPtr, SnapshotPtr,
-};
-
+use super::{Rc, RcKind};
+use crate::list;
 use crate::ConcurrentMap;
 
-const MARK: usize = 1;
-
-/// What the Harris-Michael search needs of a node: its successor edge. The
-/// split-ordered map ([`super::resizable`]) is one such list too and runs
-/// the same [`find`], [`find_or_link`] and [`remove_at`] from a bucket
-/// sentinel.
-pub(super) trait Link<S: Scheme>: Sized {
-    fn next(&self) -> &AtomicSharedPtr<Self, S>;
-}
-
-/// Where a [`find`] stopped.
-pub(super) struct Cursor<'g, N, S: Scheme> {
-    /// Node containing the edge we are at; `None` = the edge the search
-    /// started from.
-    prev: Option<SnapshotPtr<'g, N, S>>,
-    /// Snapshot read (unmarked) from that edge; null = end of list.
-    pub(super) cur: SnapshotPtr<'g, N, S>,
-    pub(super) found: bool,
-}
-
-/// The edge out of `prev`, or `head` while the search has not left it.
-#[inline(always)]
-fn edge_of<'a, N: Link<S>, S: Scheme>(
-    head: &'a AtomicSharedPtr<N, S>,
-    prev: &'a Option<SnapshotPtr<'_, N, S>>,
-) -> &'a AtomicSharedPtr<N, S> {
-    // A `prev` snapshot is a node the search stepped over, never null.
-    match prev.as_ref().and_then(|p| p.as_ref()) {
-        Some(node) => node.next(),
-        None => head,
-    }
-}
-
-/// The Harris-Michael search: walks from the edge `head` to the first node
-/// that `cmp` (node against the target) does not order `Less`, unlinking
-/// marked nodes on the way. Restarts begin at `head` again, so it must be
-/// an edge that is never marked: the list head, or a sentinel's `next`.
-///
-/// The hop is: load `next`'s word, validate the `prev` edge, compare,
-/// rotate. The snapshots are only moved and dropped, never lent to a
-/// function that is not inlined (the no-escape invariant on
-/// [`SnapshotPtr`]), so the loop-carried dependency is load → mask → load
-/// and under a region scheme the rotation compiles to nothing.
-pub(super) fn find<'g, N: Link<S>, S: Scheme>(
-    head: &AtomicSharedPtr<N, S>,
-    cs: &'g CsGuard<S>,
-    mut cmp: impl FnMut(&N) -> Ordering,
-) -> Cursor<'g, N, S> {
-    'retry: loop {
-        let mut prev: Option<SnapshotPtr<'g, N, S>> = None;
-        let mut cur = head.get_snapshot(cs);
-        if cur.tag() != 0 {
-            // Only transiently, mid-unlink or mid-splice.
-            continue 'retry;
-        }
-        loop {
-            let Some(node) = cur.as_ref() else {
-                let found = false;
-                return Cursor { prev, cur, found };
-            };
-            let next = node.next().get_snapshot(cs);
-            // Validate cur is still linked unmarked at the prev edge.
-            let edge = edge_of(head, &prev);
-            if edge.load_tagged() != cur.tagged() {
-                continue 'retry;
-            }
-            if next.tag() & MARK != 0 {
-                // cur is logically deleted: splice it out. Dropping the
-                // displaced reference reclaims cur (and anything only it
-                // references) automatically.
-                match edge.compare_exchange_with(cs, cur.tagged(), &next) {
-                    Ok(unlinked) => {
-                        drop(unlinked);
-                        cur = next.with_tag(0);
-                    }
-                    // Witness unmarked: another helper or inserter won the
-                    // race — resume from the witnessed word, same prev.
-                    Err(w) if w.tag() == 0 => cur = w,
-                    // A marked edge means prev itself is being deleted.
-                    Err(_) => continue 'retry,
-                }
-                continue;
-            }
-            match cmp(node) {
-                Ordering::Less => {
-                    prev = Some(cur);
-                    cur = next;
-                }
-                ord => {
-                    let found = ord == Ordering::Equal;
-                    return Cursor { prev, cur, found };
-                }
-            }
-        }
-    }
-}
-
-/// Links `node` in at the cursor (which did not find its key) with
-/// [`AtomicSharedPtr::link`]: the caller's reference to `node` moves into
-/// the edge, and the edge's reference to `cur` moves into `node.next`, so
-/// the displaced edge reference to `cur` is balanced by the one `node.next`
-/// now holds, and neither is counted. A lost race hands `node` back
-/// untouched: re-find (the witness alone cannot certify prev is still
-/// linked).
-pub(super) fn link_at<N: Link<S>, S: Scheme>(
-    head: &AtomicSharedPtr<N, S>,
-    c: &Cursor<'_, N, S>,
-    node: SharedPtr<N, S>,
-) -> Result<(), SharedPtr<N, S>> {
-    edge_of(head, &c.prev)
-        .link(c.cur.tagged(), node, |n| n.next())
-        .map_err(|e| e.desired)
-}
-
-/// Inserts a node for `key` where [`find`] from `head` says it goes, unless
-/// the key is there already: `true` if linked. It searches first (`cmp`
-/// orders a node against a key), builds the node with `make` only on a
-/// miss, and keeps it across lost races, re-finding by the key inside it
-/// (`key_of`). [`crate::manual::list`] has the same function, with the
-/// manual chores.
-pub(super) fn find_or_link<N: Link<S>, S: Scheme, Q>(
-    head: &AtomicSharedPtr<N, S>,
-    cs: &CsGuard<S>,
-    key: Q,
-    cmp: impl Fn(&N, &Q) -> Ordering,
-    make: impl FnOnce(Q) -> SharedPtr<N, S>,
-    key_of: impl Fn(&N) -> &Q,
-) -> bool {
-    // The key, until a miss builds the node that carries it.
-    let mut pending: Result<SharedPtr<N, S>, (Q, _)> = Err((key, make));
-    loop {
-        let c = {
-            let key = match &pending {
-                Ok(node) => key_of(node.as_ref().expect("a built node")),
-                Err((key, _)) => key,
-            };
-            find(head, cs, |n| cmp(n, key))
-        };
-        if c.found {
-            return false; // a built node drops unpublished
-        }
-        let node = pending.unwrap_or_else(|(key, make)| make(key));
-        match link_at(head, &c, node) {
-            Ok(()) => return true,
-            Err(back) => pending = Ok(back),
-        }
-    }
-}
-
-/// Deletes the node the cursor found: marks its next word, then tries the
-/// physical unlink (a later `find` helps otherwise). `false` if a competing
-/// delete marked it first — re-find, which helps that delete along.
-pub(super) fn remove_at<N: Link<S>, S: Scheme>(
-    head: &AtomicSharedPtr<N, S>,
-    cs: &CsGuard<S>,
-    c: &Cursor<'_, N, S>,
-) -> bool {
-    let node = c.cur.as_ref().expect("cursor found a node");
-    // Mark cur's next word, retrying in place on the witness (cur stays
-    // protected by the cursor).
-    let mut next_t = node.next().load_tagged();
-    while next_t.tag() & MARK == 0 {
-        match node.next().try_set_tag(next_t, MARK) {
-            Ok(_) => {
-                // The displaced reference to cur drops here — that is the
-                // entire reclamation path.
-                let next = node.next().get_snapshot(cs);
-                let unlinked =
-                    edge_of(head, &c.prev).compare_exchange_with(cs, c.cur.tagged(), &next);
-                drop(unlinked);
-                return true;
-            }
-            Err(w) => next_t = w,
-        }
-    }
-    false
-}
-
-/// `repr(C)`, in the order a hop reads: `find` loads `next` and compares
-/// `key`, so both sit in the block's first bytes, right after the header.
-#[repr(C)]
-pub(super) struct Node<K, V, S: Scheme> {
-    pub(super) next: AtomicSharedPtr<Node<K, V, S>, S>,
-    pub(super) key: K,
-    value: V,
-}
-
-impl<K, V, S: Scheme> Link<S> for Node<K, V, S> {
-    #[inline(always)]
-    fn next(&self) -> &AtomicSharedPtr<Self, S> {
-        &self.next
-    }
-}
+/// The list node, with counted edges.
+pub(super) type Node<K, V, S> = list::Node<K, V, RcKind<S>>;
 
 impl<K, V, S: Scheme> GraphNode<S> for Node<K, V, S> {
     fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
@@ -228,7 +34,6 @@ impl<K, V, S: Scheme> GraphNode<S> for Node<K, V, S> {
 pub struct RcHarrisMichaelList<K, V, S: Scheme> {
     head: AtomicSharedPtr<Node<K, V, S>, S>,
     domain: DomainRef<S>,
-    _marker: PhantomData<(K, V)>,
 }
 
 impl<K, V, S> RcHarrisMichaelList<K, V, S>
@@ -249,13 +54,16 @@ where
         RcHarrisMichaelList {
             head: AtomicSharedPtr::null_in(&domain),
             domain,
-            _marker: PhantomData,
         }
     }
 
     /// The reclamation domain this list allocates and reclaims through.
     pub fn domain(&self) -> &DomainRef<S> {
         &self.domain
+    }
+
+    fn op<'g>(&'g self, cs: &'g CsGuard<S>) -> Rc<'g, Node<K, V, S>, S> {
+        Rc::new(cs, &self.domain)
     }
 }
 
@@ -272,44 +80,20 @@ where
     }
 
     fn insert_with(&self, k: K, v: V, cs: &Self::Guard) -> bool {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        find_or_link(
-            &self.head,
-            cs,
-            k,
-            |node, key| node.key.cmp(key),
-            |key| {
-                let next = AtomicSharedPtr::null_in(&self.domain);
-                SharedPtr::new_graph_in(
-                    Node {
-                        next,
-                        key,
-                        value: v,
-                    },
-                    &self.domain,
-                )
-            },
-            |node| &node.key,
-        )
+        list::insert(self.op(cs), &self.head, k, v)
     }
 
     fn remove_with(&self, k: &K, cs: &Self::Guard) -> bool {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        loop {
-            let c = find(&self.head, cs, |node| node.key.cmp(k));
-            if !c.found {
-                return false;
-            }
-            if remove_at(&self.head, cs, &c) {
-                return true;
-            }
-        }
+        list::remove(self.op(cs), &self.head, |n| n.key.cmp(k))
     }
 
     fn get_with(&self, k: &K, cs: &Self::Guard) -> Option<V> {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let c = find(&self.head, cs, |node| node.key.cmp(k));
-        c.cur.as_ref().filter(|_| c.found).map(|n| n.value.clone())
+        list::get(
+            self.op(cs),
+            &self.head,
+            |n| n.key.cmp(k),
+            |n| n.value.clone(),
+        )
     }
 
     /// Exact for this list's own domain: live nodes plus deferred garbage
@@ -537,7 +321,7 @@ mod tests {
         let victim = first.next.load();
         let last = victim.as_ref().unwrap().next.load_tagged();
         assert_eq!((first.key, victim.as_ref().unwrap().key), (1, 2));
-        victim.as_ref().unwrap().next.fetch_or_tag(MARK);
+        victim.as_ref().unwrap().next.fetch_or_tag(list::MARK);
         drop(victim);
 
         assert!(walk(3), "the walk gets past the marked node");
@@ -559,7 +343,16 @@ mod tests {
         let new_node = |key: u64| {
             let next = AtomicSharedPtr::null_in(&domain);
             let value = key * 10;
-            SharedPtr::new_graph_in(Node { key, value, next }, &domain)
+            let birth = ();
+            SharedPtr::new_graph_in(
+                Node {
+                    key,
+                    value,
+                    next,
+                    birth,
+                },
+                &domain,
+            )
         };
 
         // From the list head, through the map interface.
@@ -576,13 +369,17 @@ mod tests {
         let anchor = &sentinel.as_ref().unwrap().next;
         for k in [2, 3, 1] {
             let cs = domain.cs();
-            let c = find(anchor, &cs, |n: &TestNode<S>| n.key.cmp(&k));
+            let c = list::find(Rc::new(&cs, &domain), anchor, |n: &TestNode<S>| {
+                n.key.cmp(&k)
+            });
             assert!(!c.found);
-            assert!(link_at(anchor, &c, new_node(k)).is_ok());
+            assert!(list::link_at(anchor, &c, new_node(k)).is_ok());
         }
         walk_past_a_stalled_delete(&domain, anchor, |k| {
             let cs = domain.cs();
-            let c = find(anchor, &cs, |n: &TestNode<S>| n.key.cmp(&k));
+            let c = list::find(Rc::new(&cs, &domain), anchor, |n: &TestNode<S>| {
+                n.key.cmp(&k)
+            });
             c.found
         });
         drop((list, sentinel));

@@ -4,6 +4,14 @@
 //! a reference-counted pointer and every `retire` call *deleted*: unlinking
 //! the last strong reference reclaims nodes (and whole spliced-out chains)
 //! automatically, once no snapshot or in-flight protection refers to them.
+//!
+//! For the list and the split-ordered map that is literal: both families
+//! run one list and one map (`src/list.rs`, `src/split_order.rs`), and
+//! `Rc`, this family's impl of the crate's `Family` hook, is the whole
+//! difference. It holds a node as a `cdrc::SnapshotPtr`, links with
+//! `AtomicSharedPtr::link`, and reclaims by dropping the reference an
+//! unlink displaced; it has no `retire`, no `collect` and no guard to give
+//! back.
 
 pub mod dlqueue;
 pub mod list;
@@ -14,6 +22,149 @@ pub use dlqueue::RcDoubleLinkQueue;
 pub use list::RcHarrisMichaelList;
 pub use nmtree::RcNatarajanMittalTree;
 pub use resizable::RcResizableHashMap;
+
+use std::marker::PhantomData;
+
+use cdrc::{
+    AtomicSharedPtr, CsGuard, DomainRef, GraphNode, Scheme, SharedPtr, SnapshotPtr, TaggedPtr,
+};
+
+use crate::family::{Family, Kind, Link};
+use crate::list::MARK;
+
+/// The automatic family's nodes: counted edges, and no birth.
+pub(crate) struct RcKind<S>(PhantomData<S>);
+
+impl<S: Scheme> Kind for RcKind<S> {
+    type Edge<N> = AtomicSharedPtr<N, S>;
+    type Birth = ();
+}
+
+/// An operation of the automatic family: a `cdrc` critical section on the
+/// structure's domain, over nodes `N`. Its edges know their domain, so the
+/// section is all it carries.
+pub(crate) struct Rc<'g, N, S: Scheme> {
+    cs: &'g CsGuard<S>,
+    _node: PhantomData<fn() -> N>,
+}
+
+impl<'g, N, S: Scheme> Rc<'g, N, S> {
+    #[inline(always)]
+    pub(crate) fn new(cs: &'g CsGuard<S>, domain: &DomainRef<S>) -> Self {
+        debug_assert!(cs.covers(domain), "guard from a foreign domain");
+        let _node = PhantomData;
+        Rc { cs, _node }
+    }
+}
+
+impl<N, S: Scheme> Clone for Rc<'_, N, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<N, S: Scheme> Copy for Rc<'_, N, S> {}
+
+impl<'g, N: Link<RcKind<S>> + GraphNode<S>, S: Scheme> Family for Rc<'g, N, S> {
+    type Kind = RcKind<S>;
+    type Node = N;
+    type Held = SnapshotPtr<'g, N, S>;
+    type Owned = SharedPtr<N, S>;
+
+    #[inline(always)]
+    fn read(self, e: &AtomicSharedPtr<N, S>) -> Self::Held {
+        e.get_snapshot(self.cs)
+    }
+
+    fn load(e: &AtomicSharedPtr<N, S>) -> usize {
+        e.load_tagged().word()
+    }
+
+    fn word(h: &Self::Held) -> usize {
+        h.tagged().word()
+    }
+
+    #[inline(always)]
+    fn node(h: &Self::Held) -> Option<&N> {
+        h.as_ref()
+    }
+
+    #[inline(always)]
+    fn release(self, h: Self::Held) {
+        drop(h);
+    }
+
+    fn mark(self, e: &AtomicSharedPtr<N, S>) -> Option<Self::Held> {
+        let mut w = e.load_tagged();
+        while w.tag() & MARK == 0 {
+            match e.try_set_tag(w, MARK) {
+                Ok(_) => return Some(e.get_snapshot(self.cs)),
+                Err(witness) => w = witness,
+            }
+        }
+        None
+    }
+
+    /// [`AtomicSharedPtr::link`]: the caller's reference to `node` moves
+    /// into `e`, and `e`'s reference to `at` moves into `node`'s edge, so
+    /// neither is counted.
+    fn link(
+        e: &AtomicSharedPtr<N, S>,
+        at: &Self::Held,
+        node: Self::Owned,
+    ) -> Result<(), Self::Owned> {
+        e.link(at.tagged(), node, |n| n.next())
+            .map_err(|e| e.desired)
+    }
+
+    /// Dropping the displaced reference reclaims `cur`, and anything only it
+    /// references, once no snapshot holds it.
+    #[inline(always)]
+    fn unlink(
+        self,
+        e: &AtomicSharedPtr<N, S>,
+        cur: &Self::Held,
+        next: Self::Held,
+    ) -> Option<Self::Held> {
+        let unlinked = e.compare_exchange_with(self.cs, cur.tagged(), &next);
+        unlinked.ok().map(|displaced| {
+            drop(displaced);
+            next.with_tag(0)
+        })
+    }
+
+    fn alloc(
+        self,
+        at: &AtomicSharedPtr<N, S>,
+        make: impl FnOnce(AtomicSharedPtr<N, S>, ()) -> N,
+    ) -> Self::Owned {
+        SharedPtr::new_graph_in(make(Self::null(at), ()), at.domain())
+    }
+
+    fn built(o: &Self::Owned) -> &N {
+        o.as_ref().expect("a built node")
+    }
+
+    fn discard(self, o: Self::Owned) {
+        drop(o);
+    }
+
+    fn end(self) {}
+
+    fn null(like: &AtomicSharedPtr<N, S>) -> AtomicSharedPtr<N, S> {
+        AtomicSharedPtr::null_in(like.domain())
+    }
+
+    fn sentinel(self, slot: &AtomicSharedPtr<N, S>) -> Option<Self::Held> {
+        Some(slot.get_snapshot(self.cs)).filter(|s| !s.is_null())
+    }
+
+    /// The slot takes a strong reference of its own, so a sentinel lives as
+    /// long as the map.
+    fn install(slot: &AtomicSharedPtr<N, S>, s: &Self::Held) {
+        let _ = slot.compare_exchange(TaggedPtr::null(), s.to_shared(), 0);
+    }
+}
 
 #[cfg(test)]
 mod tests {

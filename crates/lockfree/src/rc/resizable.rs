@@ -33,64 +33,27 @@
 //!
 //! Bucket pointers live in a `split_order::Directory` of strong,
 //! CAS-installed-once references to sentinels — the same directory the
-//! manual table keeps addresses in (`src/split_order.rs`).
+//! manual table keeps addresses in. The map's operations are the one
+//! split-ordered body of `src/split_order.rs`, run under the automatic
+//! family; what is this file's own is the teardown that follows from a
+//! slot's owning a reference to its sentinel.
 
-use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash};
-use std::marker::PhantomData;
+use std::hash::Hash;
 
-use cdrc::{
-    AtomicSharedPtr, CsGuard, DomainRef, EdgeCollector, GraphNode, Scheme, SharedPtr, SnapshotPtr,
-    TaggedPtr,
-};
+use cdrc::{AtomicSharedPtr, CsGuard, DomainRef, EdgeCollector, GraphNode, Scheme, SharedPtr};
 
-use super::list::{find, find_or_link, remove_at, Cursor, Link};
-use crate::split_order::{so_dummy, so_regular, Directory};
+use super::{Rc, RcKind};
+use crate::split_order::{self, so_dummy, SplitOrdered};
 use crate::ConcurrentMap;
 
-/// `repr(C)`, in the order a hop reads: `find` loads `next` and compares
-/// `so_key` first, so both sit right after the header.
-#[repr(C)]
-pub(super) struct Node<K, V, S: Scheme> {
-    next: AtomicSharedPtr<Node<K, V, S>, S>,
-    so_key: u64,
-    /// `None` marks a bucket sentinel; sentinels are never removed and
-    /// never surface through the map API.
-    kv: Option<(K, V)>,
-}
-
-impl<K: Ord, V, S: Scheme> Node<K, V, S> {
-    #[inline]
-    fn key(&self) -> Option<&K> {
-        self.kv.as_ref().map(|(k, _)| k)
-    }
-
-    /// This node against `(so_key, key)` in split order: so-key first,
-    /// then the real key (two distinct keys can share an odd so-key;
-    /// sentinels are `None` and sort before every regular node).
-    #[inline(always)]
-    fn order(&self, so_key: u64, key: Option<&K>) -> Ordering {
-        (self.so_key, self.key()).cmp(&(so_key, key))
-    }
-}
-
-impl<K, V, S: Scheme> Link<S> for Node<K, V, S> {
-    #[inline(always)]
-    fn next(&self) -> &AtomicSharedPtr<Self, S> {
-        &self.next
-    }
-}
+/// The map node, with counted edges.
+pub(super) type Node<K, V, S> = split_order::Node<K, V, RcKind<S>>;
 
 impl<K, V, S: Scheme> GraphNode<S> for Node<K, V, S> {
     fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
         out.take_atomic(&mut self.next);
     }
 }
-
-/// One directory slot: a strong, CAS-installed-once pointer to a bucket's
-/// sentinel node (null until the bucket is first touched).
-type Slot<K, V, S> = AtomicSharedPtr<Node<K, V, S>, S>;
 
 /// Lock-free resizable hash map over `cdrc` pointers with scheme `S`
 /// ("RCEBR", "RCIBR", "RCHP", "RCHyaline" depending on `S`): a
@@ -101,13 +64,11 @@ type Slot<K, V, S> = AtomicSharedPtr<Node<K, V, S>, S>;
 /// split-ordered policy. No operation ever blocks on a resize; there is no
 /// resize *phase* at all.
 pub struct RcResizableHashMap<K, V, S: Scheme> {
-    /// Bucket 0's slot holds the sentinel that heads the entire list,
-    /// installed at construction; it anchors teardown: nulling it (plus the
-    /// other directory slots) releases the whole chain.
-    dir: Directory<Slot<K, V, S>>,
-    hasher: RandomState,
+    /// Each directory slot holds a strong reference to its bucket's
+    /// sentinel; bucket 0's, installed at construction, heads the whole
+    /// list and anchors teardown.
+    map: SplitOrdered<K, V, RcKind<S>>,
     domain: DomainRef<S>,
-    _marker: PhantomData<(K, V)>,
 }
 
 impl<K, V, S> RcResizableHashMap<K, V, S>
@@ -135,12 +96,11 @@ where
 
     /// As [`with_capacity`](Self::with_capacity), bound to `domain`.
     pub fn with_capacity_in(capacity: usize, domain: DomainRef<S>) -> Self {
-        let zero = AtomicSharedPtr::new_in(Self::new_node(&domain, so_dummy(0), None), &domain);
+        let zero = Node::new(AtomicSharedPtr::null_in(&domain), (), so_dummy(0), None);
+        let zero = AtomicSharedPtr::new_in(SharedPtr::new_graph_in(zero, &domain), &domain);
         RcResizableHashMap {
-            dir: Directory::with_capacity(capacity, zero),
-            hasher: RandomState::new(),
+            map: SplitOrdered::with_capacity(capacity, zero),
             domain,
-            _marker: PhantomData,
         }
     }
 
@@ -149,97 +109,13 @@ where
         &self.domain
     }
 
-    fn new_node(
-        domain: &DomainRef<S>,
-        so_key: u64,
-        kv: Option<(K, V)>,
-    ) -> SharedPtr<Node<K, V, S>, S> {
-        let next = AtomicSharedPtr::null_in(domain);
-        SharedPtr::new_graph_in(Node { so_key, kv, next }, domain)
-    }
-
     /// Current bucket count (monotone; grows under load).
     pub fn buckets(&self) -> u64 {
-        self.dir.buckets()
+        self.map.dir.buckets()
     }
 
-    /// Approximate live element count (exact once concurrent operations
-    /// have happened-before the call, e.g. after joining workers).
-    pub fn len(&self) -> u64 {
-        self.dir.len()
-    }
-
-    /// Whether the map is (approximately) empty; see [`len`](Self::len).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns bucket `b`'s sentinel, splicing it (and, recursively, any
-    /// missing ancestors) into the list on first touch.
-    ///
-    /// Recursion depth is the popcount of `b`.
-    fn ensure_bucket<'g>(&self, b: usize, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, Node<K, V, S>, S> {
-        let slot = self.dir.slot(b, || AtomicSharedPtr::null_in(&self.domain));
-        let snap = slot.get_snapshot(cs);
-        if !snap.is_null() {
-            return snap;
-        }
-        debug_assert!(b > 0, "bucket 0's sentinel is installed at construction");
-        let parent = self.ensure_bucket(Directory::<Slot<K, V, S>>::parent(b), cs);
-        let sentinel = self.splice_sentinel(&parent, so_dummy(b as u64), cs);
-        // Losing this install race is harmless: the list admits exactly one
-        // node per (even) so-key, so the winner published the same node.
-        let _ = slot.compare_exchange(TaggedPtr::null(), sentinel, 0);
-        slot.get_snapshot(cs)
-    }
-
-    /// Inserts (or finds) the sentinel with `so_key`, starting the walk at
-    /// `start` (an ancestor sentinel). Returns a strong reference to it.
-    fn splice_sentinel<'g>(
-        &self,
-        start: &SnapshotPtr<'g, Node<K, V, S>, S>,
-        so_key: u64,
-        cs: &'g CsGuard<S>,
-    ) -> SharedPtr<Node<K, V, S>, S> {
-        find_or_link(
-            Self::head(start),
-            cs,
-            so_key,
-            |node, &so_key| node.order(so_key, None),
-            |so_key| Self::new_node(&self.domain, so_key, None),
-            |node| &node.so_key,
-        );
-        // Linked or raced, the list holds the sentinel now, and only the
-        // list: a link moves the node's one reference in. The slot needs
-        // its own, so re-find it; sentinels are never deleted.
-        let c = Self::find_from(start, so_key, None, cs);
-        debug_assert!(c.found, "a spliced sentinel is never deleted");
-        c.cur.to_shared()
-    }
-
-    /// The edge a bucket's walks start (and restart) from: its sentinel's
-    /// `next`. Sentinels are never deleted, so the edge is never marked and
-    /// always a valid anchor — no walk restarts from the table head.
-    fn head<'a>(
-        start: &'a SnapshotPtr<'_, Node<K, V, S>, S>,
-    ) -> &'a AtomicSharedPtr<Node<K, V, S>, S> {
-        &start.as_ref().expect("sentinels are non-null").next
-    }
-
-    /// The list module's Harris-Michael find from `start`'s edge to the
-    /// first node ≥ `(so_key, key)` in split order ([`Node::order`]).
-    fn find_from<'g>(
-        start: &SnapshotPtr<'g, Node<K, V, S>, S>,
-        so_key: u64,
-        key: Option<&K>,
-        cs: &'g CsGuard<S>,
-    ) -> Cursor<'g, Node<K, V, S>, S> {
-        find(Self::head(start), cs, |node| node.order(so_key, key))
-    }
-
-    /// The sentinel to start `h`'s operation from under the current mask.
-    fn bucket_for<'g>(&self, h: u64, cs: &'g CsGuard<S>) -> SnapshotPtr<'g, Node<K, V, S>, S> {
-        self.ensure_bucket(self.dir.bucket_of(h), cs)
+    fn op<'g>(&'g self, cs: &'g CsGuard<S>) -> Rc<'g, Node<K, V, S>, S> {
+        Rc::new(cs, &self.domain)
     }
 }
 
@@ -256,49 +132,15 @@ where
     }
 
     fn insert_with(&self, k: K, v: V, cs: &Self::Guard) -> bool {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let h = self.hasher.hash_one(&k);
-        let so = so_regular(h);
-        // The bucket is read once: after a concurrent grow splits it, its
-        // sentinel is an ancestor of the key's, which a walk passes through.
-        let start = self.bucket_for(h, cs);
-        let linked = find_or_link(
-            Self::head(&start),
-            cs,
-            k,
-            |node, key| node.order(so, Some(key)),
-            |key| Self::new_node(&self.domain, so, Some((key, v))),
-            |node| node.key().expect("a regular node"),
-        );
-        if linked {
-            self.dir.on_insert(smr::current_tid());
-        }
-        linked
+        self.map.insert(self.op(cs), k, v)
     }
 
     fn remove_with(&self, k: &K, cs: &Self::Guard) -> bool {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let h = self.hasher.hash_one(k);
-        let so = so_regular(h);
-        loop {
-            let start = self.bucket_for(h, cs);
-            let c = Self::find_from(&start, so, Some(k), cs);
-            if !c.found {
-                return false;
-            }
-            if remove_at(Self::head(&start), cs, &c) {
-                self.dir.on_remove(smr::current_tid());
-                return true;
-            }
-        }
+        self.map.remove(self.op(cs), k)
     }
 
     fn get_with(&self, k: &K, cs: &Self::Guard) -> Option<V> {
-        debug_assert!(cs.covers(&self.domain), "guard from a foreign domain");
-        let h = self.hasher.hash_one(k);
-        let c = Self::find_from(&self.bucket_for(h, cs), so_regular(h), Some(k), cs);
-        let kv = c.cur.as_ref().filter(|_| c.found)?.kv.as_ref();
-        kv.map(|(_, v)| v.clone())
+        self.map.get(self.op(cs), k)
     }
 
     /// Exact for this map's own domain (live nodes — including sentinels —
@@ -327,7 +169,7 @@ impl<K, V, S: Scheme> Drop for RcResizableHashMap<K, V, S> {
         // additional strong references to sentinels and must be released
         // too (the directory then frees its segments). Finally flush the
         // domain so a private-domain map leaves `allocated() == freed()`.
-        for slot in self.dir.slots() {
+        for slot in self.map.dir.slots() {
             slot.store(SharedPtr::null());
         }
         self.domain.process_deferred(smr::current_tid());
@@ -337,7 +179,7 @@ impl<K, V, S: Scheme> Drop for RcResizableHashMap<K, V, S> {
 impl<K, V, S: Scheme> std::fmt::Debug for RcResizableHashMap<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RcResizableHashMap")
-            .field("buckets", &self.dir.buckets())
+            .field("buckets", &self.map.dir.buckets())
             .finish_non_exhaustive()
     }
 }
@@ -491,7 +333,12 @@ mod tests {
         }
         domain.process_deferred(smr::current_tid());
         // Sentinels are nodes of the same domain: one per touched bucket.
-        let sentinels = m.dir.slots().filter(|s| !s.load_tagged().is_null()).count();
+        let sentinels = m
+            .map
+            .dir
+            .slots()
+            .filter(|s| !s.load_tagged().is_null())
+            .count();
         assert!(sentinels >= 1, "bucket 0's sentinel always exists");
         assert_eq!(
             m.in_flight_nodes(),

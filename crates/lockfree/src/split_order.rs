@@ -1,8 +1,11 @@
-//! What the two split-ordered resizable tables (Shalev & Shavit) share:
-//! the split-order key arithmetic and the lazily doubled bucket
-//! [`Directory`]. Bucket sentinels carry even bit-reversed keys, regular
+//! The split-ordered resizable map (Shalev & Shavit), written once for both
+//! families over [`crate::list`]: the split-order key arithmetic, the
+//! lazily doubled bucket [`Directory`], and the map's operations from a
+//! bucket sentinel. Bucket sentinels carry even bit-reversed keys, regular
 //! nodes odd ones, so doubling the bucket mask splits every bucket's
-//! contiguous so-key range without moving a node.
+//! contiguous so-key range without moving a node. What stays with each
+//! family is how a directory slot holds its sentinel (`ensure_bucket`) and
+//! teardown.
 //!
 //! # The lazily-doubled directory
 //!
@@ -17,10 +20,16 @@
 //! one: the manual table stores sentinel addresses in `AtomicUsize`s, the
 //! RC table strong references in `AtomicSharedPtr`s.
 
+use std::cmp::Ordering as KeyOrder;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
+
 use smr::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use smr::util::LanePairs;
-use smr::Tid;
+
+use crate::family::{Edge, Family, Kind, Link};
+use crate::list;
 
 /// Directory segments; segment `l` holds buckets `[2^l, 2^{l+1})`, so
 /// a table tops out at 2^33 buckets — far past any in-memory key count.
@@ -87,12 +96,6 @@ impl<W> Directory<W> {
         // Ordering: Relaxed — reporting read of a monotone routing mask; a
         // stale value is just an older (still valid) size.
         self.mask.load(Ordering::Relaxed) + 1
-    }
-
-    /// Approximate live element count (exact once concurrent operations
-    /// have happened-before the call, e.g. after joining workers).
-    pub(crate) fn len(&self) -> u64 {
-        self.count.net()
     }
 
     /// The bucket hash `h` routes to under the current mask.
@@ -183,21 +186,25 @@ impl<W> Directory<W> {
         std::iter::once(&self.zero).chain(published)
     }
 
-    /// Records one successful insert by thread `t` and, every
+    /// Records one successful insert by the calling thread and, every
     /// [`GROW_CHECK_EVERY`](Self::GROW_CHECK_EVERY)th insert of its lane,
     /// doubles the mask if the live estimate exceeds the bucket count (load
     /// factor ≈ 1).
     #[inline]
-    pub(crate) fn on_insert(&self, t: Tid) {
-        if self.count.up(t).is_multiple_of(Self::GROW_CHECK_EVERY) {
+    pub(crate) fn on_insert(&self) {
+        if self
+            .count
+            .up(smr::current_tid())
+            .is_multiple_of(Self::GROW_CHECK_EVERY)
+        {
             self.maybe_grow();
         }
     }
 
-    /// Records one successful remove by thread `t`.
+    /// Records one successful remove by the calling thread.
     #[inline]
-    pub(crate) fn on_remove(&self, t: Tid) {
-        self.count.down(t);
+    pub(crate) fn on_remove(&self) {
+        self.count.down(smr::current_tid());
     }
 
     fn maybe_grow(&self) {
@@ -235,6 +242,168 @@ impl<W> Drop for Directory<W> {
                 unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, len))) };
             }
         }
+    }
+}
+
+/// A split-ordered node of either family: a bucket sentinel (`kv` is
+/// `None`) or a regular node. `repr(C)`, in the order a hop reads: `find`
+/// loads `next` and compares `so_key` first.
+#[repr(C)]
+pub(crate) struct Node<K, V, M: Kind> {
+    pub(crate) next: M::Edge<Self>,
+    so_key: u64,
+    pub(crate) birth: M::Birth,
+    /// Sentinels are never removed and never surface through the map API.
+    kv: Option<(K, V)>,
+}
+
+impl<K: Ord, V, M: Kind> Node<K, V, M> {
+    pub(crate) fn new(
+        next: M::Edge<Self>,
+        birth: M::Birth,
+        so_key: u64,
+        kv: Option<(K, V)>,
+    ) -> Self {
+        Node {
+            next,
+            so_key,
+            birth,
+            kv,
+        }
+    }
+
+    #[inline]
+    fn key(&self) -> Option<&K> {
+        self.kv.as_ref().map(|(k, _)| k)
+    }
+
+    /// This node against `(so_key, key)` in split order: so-key first,
+    /// then the real key (two distinct keys can share an odd so-key;
+    /// sentinels have none and sort before every regular node).
+    #[inline(always)]
+    fn order(&self, so_key: u64, key: Option<&K>) -> KeyOrder {
+        (self.so_key, self.key()).cmp(&(so_key, key))
+    }
+}
+
+impl<K, V, M: Kind> Link<M> for Node<K, V, M> {
+    #[inline(always)]
+    fn next(&self) -> &M::Edge<Self> {
+        &self.next
+    }
+}
+
+/// The edge a bucket's walks start (and restart) from: its sentinel's
+/// `next`. Sentinels are never deleted, so the edge is never marked.
+#[inline(always)]
+fn head<'a, F: Family>(start: &'a F::Held) -> &'a Edge<F>
+where
+    F::Node: 'a,
+{
+    F::node(start).expect("sentinels are non-null").next()
+}
+
+/// A split-ordered map: one Harris-Michael list sorted by split-order key,
+/// and the directory of shortcuts to its bucket sentinels, each slot an
+/// edge of the family's kind.
+pub(crate) struct SplitOrdered<K, V, M: Kind> {
+    /// Bucket 0's slot holds the sentinel that heads the whole list.
+    pub(crate) dir: Directory<M::Edge<Node<K, V, M>>>,
+    hasher: RandomState,
+}
+
+impl<K: Ord + Hash, V, M: Kind> SplitOrdered<K, V, M> {
+    /// A map pre-sized for `capacity` elements whose bucket 0 is `zero`.
+    pub(crate) fn with_capacity(capacity: usize, zero: M::Edge<Node<K, V, M>>) -> Self {
+        SplitOrdered {
+            dir: Directory::with_capacity(capacity, zero),
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// `k`'s sentinel under the current mask, and its split-order key. The
+    /// bucket is read once per operation: after a concurrent grow splits
+    /// it, its sentinel is an ancestor of the key's, which a walk passes
+    /// through.
+    #[inline]
+    fn route<F>(&self, f: F, k: &K) -> (F::Held, u64)
+    where
+        F: Family<Kind = M, Node = Node<K, V, M>>,
+    {
+        let h = self.hasher.hash_one(k);
+        (self.bucket(f, self.dir.bucket_of(h)), so_regular(h))
+    }
+
+    /// Returns bucket `b`'s sentinel, splicing it (and, recursively, any
+    /// missing ancestors) into the list on first touch: walking from the
+    /// parent's sentinel, it inserts or finds the one node with `b`'s
+    /// so-key, then installs it in `b`'s slot. Recursion depth is the
+    /// popcount of `b`.
+    fn bucket<F>(&self, f: F, b: usize) -> F::Held
+    where
+        F: Family<Kind = M, Node = Node<K, V, M>>,
+    {
+        let slot = self.dir.slot(b, || F::null(self.dir.zero()));
+        if let Some(s) = f.sentinel(slot) {
+            return s;
+        }
+        debug_assert!(b > 0, "bucket 0's sentinel is installed at construction");
+        let parent = self.bucket(f, Directory::<Edge<F>>::parent(b));
+        let (edge, so) = (head::<F>(&parent), so_dummy(b as u64));
+        let make = |so| f.alloc(edge, |next, birth| Node::new(next, birth, so, None));
+        let by_so = |n: &Node<K, V, M>, so: &u64| n.order(*so, None);
+        list::find_or_link(f, edge, so, by_so, make, |n| &n.so_key);
+        let c = list::find(f, edge, |n| n.order(so, None));
+        debug_assert!(c.found, "a spliced sentinel is never deleted");
+        F::install(slot, &c.cur);
+        drop(c);
+        f.release(parent);
+        f.sentinel(slot).expect("installed")
+    }
+
+    pub(crate) fn insert<F>(&self, f: F, k: K, v: V) -> bool
+    where
+        F: Family<Kind = M, Node = Node<K, V, M>>,
+    {
+        let (start, so) = self.route(f, &k);
+        let at = head::<F>(&start);
+        let make = |k| f.alloc(at, |next, birth| Node::new(next, birth, so, Some((k, v))));
+        let by_key = |n: &Node<K, V, M>, k: &K| n.order(so, Some(k));
+        let linked =
+            list::find_or_link(f, at, k, by_key, make, |n| n.key().expect("a regular node"));
+        f.release(start);
+        f.end();
+        if linked {
+            self.dir.on_insert();
+        }
+        linked
+    }
+
+    pub(crate) fn remove<F>(&self, f: F, k: &K) -> bool
+    where
+        F: Family<Kind = M, Node = Node<K, V, M>>,
+    {
+        let (start, so) = self.route(f, k);
+        let removed = list::remove(f, head::<F>(&start), |n| n.order(so, Some(k)));
+        f.release(start);
+        if removed {
+            self.dir.on_remove();
+        }
+        removed
+    }
+
+    pub(crate) fn get<F>(&self, f: F, k: &K) -> Option<V>
+    where
+        F: Family<Kind = M, Node = Node<K, V, M>>,
+        V: Clone,
+    {
+        let (start, so) = self.route(f, k);
+        let by_key = |n: &Node<K, V, M>| n.order(so, Some(k));
+        let out = list::get(f, head::<F>(&start), by_key, |n| {
+            n.kv.as_ref().map(|kv| kv.1.clone())
+        });
+        f.release(start);
+        out.flatten()
     }
 }
 
@@ -320,27 +489,26 @@ mod tests {
     #[test]
     fn sized_for_its_keys_it_never_grows() {
         let dir = plain(100);
-        let t = smr::current_tid();
         assert_eq!(dir.buckets(), 128, "rounded up to a power of two");
         for _ in 0..128 {
-            dir.on_insert(t);
+            dir.on_insert();
         }
         assert_eq!(
-            (dir.len(), dir.buckets()),
+            (dir.count.net(), dir.buckets()),
             (128, 128),
             "load factor 1 holds"
         );
         // Churn at the full size crosses many growth checks; none fires.
         for _ in 0..1024 {
-            dir.on_remove(t);
-            dir.on_insert(t);
+            dir.on_remove();
+            dir.on_insert();
         }
-        assert_eq!((dir.len(), dir.buckets()), (128, 128));
+        assert_eq!((dir.count.net(), dir.buckets()), (128, 128));
         // The next check above load factor 1 doubles the mask, once.
         for _ in 0..64 {
-            dir.on_insert(t);
+            dir.on_insert();
         }
-        assert_eq!((dir.len(), dir.buckets()), (192, 256));
+        assert_eq!((dir.count.net(), dir.buckets()), (192, 256));
         assert_eq!(dir.bucket_of(u64::MAX), 255);
     }
 }

@@ -37,9 +37,10 @@
 //! same full-stack exploration, now with the relaxed counters modeled. The
 //! queue scenario takes the same exploration up to a structure: the weak
 //! queue's enqueue with an old tail's `prev` cleared, racing a second
-//! enqueue that then dequeues. The list scenario races the RC list's
-//! insert, whose link moves an edge's reference instead of counting it,
-//! against a remove of the node it links before. The hazard-snapshot scenarios race HP's
+//! enqueue that then dequeues. The list scenarios run the one
+//! Harris-Michael list under each family: an insert, whose RC link moves an
+//! edge's reference instead of counting it, against a remove of the node it
+//! links before, and two removes of one node. The hazard-snapshot scenarios race HP's
 //! double collect against a reader moving its hazards (hand over hand, and
 //! ABA on one word), and HP's destruct past a snapshot against a weak
 //! snapshot and against a reader that came through another location.
@@ -49,6 +50,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use cdrc::{AtomicSharedPtr, AtomicWeakPtr, DomainRef, SharedPtr, StrongRef};
 use interleave::thread as mthread;
 use interleave::{try_check, Config, Report, Violation};
+use lockfree::manual::HarrisMichaelList;
 use lockfree::rc::{RcDoubleLinkQueue, RcHarrisMichaelList};
 use lockfree::{ConcurrentMap, ConcurrentQueue};
 use smr::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1479,17 +1481,31 @@ fn hp_queue_cleared_prev_is_linearizable_and_balances() {
 }
 
 // ---------------------------------------------------------------------------
-// The RC list's insert ∥ remove on one edge: a link moves the edge's
-// reference to the node it inserts before (`cdrc::engine`, "Linking")
+// The Harris-Michael list on one edge, under each family: insert ∥ remove,
+// where an RC link moves the edge's reference to the node it inserts before
+// (`cdrc::engine`, "Linking"), and remove ∥ remove, where the loser helps
+// the winner's unlink. Both families run the one list of
+// `crates/lockfree/src/list.rs`, so these check it under each family's
+// hooks.
 // ---------------------------------------------------------------------------
+
+/// Keys alive in the running scenario: every node's, and every lookup's
+/// while it runs. Zero once a list is dropped means every node was
+/// reclaimed, and none twice.
+static LIVE_KEYS: AtomicUsize = AtomicUsize::new(0);
 
 /// A list key that poisons itself when its node is disposed and refuses to
 /// be compared once poisoned, so a search that reads a reclaimed node
-/// fails the scenario.
+/// fails the scenario. Made by [`key`], which counts it in [`LIVE_KEYS`].
 #[derive(PartialEq, Eq)]
 struct ListKey(u64);
 
 const POISONED: u64 = u64::MAX;
+
+fn key(k: u64) -> ListKey {
+    exempt(|| LIVE_KEYS.fetch_add(1, Ordering::Relaxed));
+    ListKey(k)
+}
 
 impl Ord for ListKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -1513,42 +1529,21 @@ impl Drop for ListKey {
         // dead to the optimizer.
         // Safety: `self.0` is a live, aligned `u64` this key owns.
         unsafe { std::ptr::write_volatile(&mut self.0, POISONED) };
+        exempt(|| LIVE_KEYS.fetch_sub(1, Ordering::Relaxed));
     }
 }
 
-/// One thread links a fresh node (key 1) before X (key 2) on the head edge
-/// while another removes X from that same edge: the inserter's link may
-/// move the edge's reference to X into the new node just before the
-/// remover marks X and unlinks it from the new node's edge, or the unlink
-/// may come first and the link fail on the witness. Across every
-/// interleaving both operations succeed, the list ends holding 1 and not
-/// 2, no search compares a disposed key, and the domain balances.
-fn list_link_vs_remove<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violation> {
-    try_check(cfg(1), || {
-        let d: DomainRef<S> = DomainRef::with_config(tight::<S>());
-        let t = current_tid();
-        {
-            let list = Arc::new(RcHarrisMichaelList::<ListKey, u64, S>::new_in(d.clone()));
-            assert!(list.insert(ListKey(2), 20));
-            let inserter = {
-                let list = Arc::clone(&list);
-                mthread::spawn(move || {
-                    assert!(list.insert(ListKey(1), 10), "1 was absent");
-                    // The inserter may have helped unlink X and retired it
-                    // while the remover's section still covered X. Its slot
-                    // is handed to the remover in-model: left to the thread's
-                    // exit, the hand-off would run outside the checker.
-                    smr::abandon_current_slot()
-                })
-            };
-            assert!(list.remove(&ListKey(2)), "X was there to remove");
-            let dead = inserter.join().unwrap();
-            // Safety: the inserter has terminated (joined) and touches no
-            // SMR state after abandoning its slot.
-            assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
-            assert_eq!(list.get(&ListKey(1)), Some(10), "{}", S::scheme_name());
-            assert_eq!(list.get(&ListKey(2)), None, "{}", S::scheme_name());
-        }
+/// A list scenario's list, built fresh each iteration, and the check to run
+/// once it is dropped.
+type Built<M> = (M, Box<dyn FnOnce()>);
+
+/// The RC list on its own domain, which must balance once the list is
+/// dropped and the threads' lists are drained.
+fn rc_list<S: cdrc::Scheme + Send + Sync>() -> Built<RcHarrisMichaelList<ListKey, u64, S>> {
+    let d: DomainRef<S> = DomainRef::with_config(tight::<S>());
+    let list = RcHarrisMichaelList::new_in(d.clone());
+    let t = current_tid();
+    let balances = move || {
         d.process_deferred(t);
         unsafe { d.drain_and_apply_all(t) };
         assert_eq!(
@@ -1557,21 +1552,112 @@ fn list_link_vs_remove<S: cdrc::Scheme + Send + Sync>() -> Result<Report, Violat
             "{}: domain ledger unbalanced after the list's drop",
             S::scheme_name()
         );
+    };
+    (list, Box::new(balances))
+}
+
+/// The manual list on its own scheme instance. Its teardown frees what is
+/// linked and drains what was retired, the dead thread's entries included,
+/// so [`LIVE_KEYS`] is the balance.
+fn manual_list<S: AcquireRetire>() -> Built<HarrisMichaelList<ListKey, u64, S>> {
+    (
+        HarrisMichaelList::with_config(tight::<S>()),
+        Box::new(|| {}),
+    )
+}
+
+/// Runs `body` on a fresh list each iteration, then drops the list, runs
+/// its family's balance check and checks that every key came back.
+fn list_scenario<M: ConcurrentMap<ListKey, u64> + 'static>(
+    build: fn() -> Built<M>,
+    body: fn(Arc<M>),
+) -> Result<Report, Violation> {
+    try_check(cfg(1), move || {
+        exempt(|| LIVE_KEYS.store(0, Ordering::Relaxed));
+        let (list, balances) = build();
+        body(Arc::new(list));
+        balances();
+        let live = exempt(|| LIVE_KEYS.load(Ordering::Relaxed));
+        assert_eq!(
+            live, 0,
+            "{live} keys outlived the list: a node was not reclaimed"
+        );
     })
 }
 
-#[test]
-fn ebr_list_link_vs_remove_balances() {
-    let _s = serial();
-    let report = list_link_vs_remove::<cdrc::EbrScheme>().expect("list violation under EBR");
-    assert!(report.iterations > 1, "explored only one schedule");
+/// Ends a spawned scenario thread in-model: its slot is handed to the
+/// joiner, which reclaims it. Left to the thread's exit, the hand-off would
+/// run outside the checker.
+fn leave() -> smr::Tid {
+    smr::abandon_current_slot()
 }
 
-#[test]
-fn hp_list_link_vs_remove_balances() {
-    let _s = serial();
-    let report = list_link_vs_remove::<cdrc::HpScheme>().expect("list violation under HP");
-    assert!(report.iterations > 1, "explored only one schedule");
+fn reap(dead: smr::Tid) {
+    // Safety: the thread has terminated (joined) and touches no SMR state
+    // after abandoning its slot.
+    assert!(unsafe { smr::reclaim_orphaned_slot(dead) });
+}
+
+/// One thread links a fresh node (key 1) before X (key 2) on the head edge
+/// while another removes X from that same edge: the inserter's link may
+/// move the edge's reference to X into the new node just before the
+/// remover marks X and unlinks it from the new node's edge, or the unlink
+/// may come first and the link fail on the witness. Across every
+/// interleaving both operations succeed, the list ends holding 1 and not
+/// 2, no search compares a disposed key, and every node is reclaimed once.
+fn link_vs_remove<M: ConcurrentMap<ListKey, u64> + 'static>(list: Arc<M>) {
+    assert!(list.insert(key(2), 20));
+    let inserter = {
+        let list = Arc::clone(&list);
+        mthread::spawn(move || {
+            assert!(list.insert(key(1), 10), "1 was absent");
+            leave()
+        })
+    };
+    assert!(list.remove(&key(2)), "X was there to remove");
+    reap(inserter.join().unwrap());
+    assert_eq!(list.get(&key(1)), Some(10));
+    assert_eq!(list.get(&key(2)), None);
+}
+
+/// Two threads remove X (key 2, before key 3) from the head edge. One marks
+/// X first; the other finds it marked, helps unlink it, and reports it
+/// absent. Across every interleaving exactly one removal succeeds, X is
+/// unlinked (and retired) once, and every node is reclaimed once.
+fn remove_vs_remove<M: ConcurrentMap<ListKey, u64> + 'static>(list: Arc<M>) {
+    assert!(list.insert(key(3), 30) && list.insert(key(2), 20));
+    let other = {
+        let list = Arc::clone(&list);
+        mthread::spawn(move || (list.remove(&key(2)), leave()))
+    };
+    let mine = list.remove(&key(2));
+    let (theirs, dead) = other.join().unwrap();
+    reap(dead);
+    assert!(mine != theirs, "removals succeeded: {mine} and {theirs}");
+    assert_eq!(list.get(&key(2)), None);
+    assert_eq!(list.get(&key(3)), Some(30));
+}
+
+macro_rules! list_scenarios {
+    ($($name:ident: $build:expr, $body:ident;)*) => {$(
+        #[test]
+        fn $name() {
+            let _s = serial();
+            let report = list_scenario($build, $body).expect(stringify!($name));
+            assert!(report.iterations > 1, "explored only one schedule");
+        }
+    )*};
+}
+
+list_scenarios! {
+    ebr_list_link_vs_remove_balances: rc_list::<cdrc::EbrScheme>, link_vs_remove;
+    hp_list_link_vs_remove_balances: rc_list::<cdrc::HpScheme>, link_vs_remove;
+    manual_ebr_list_link_vs_remove_balances: manual_list::<Ebr>, link_vs_remove;
+    manual_hp_list_link_vs_remove_balances: manual_list::<Hp>, link_vs_remove;
+    ebr_list_remove_vs_remove_balances: rc_list::<cdrc::EbrScheme>, remove_vs_remove;
+    hp_list_remove_vs_remove_balances: rc_list::<cdrc::HpScheme>, remove_vs_remove;
+    manual_ebr_list_remove_vs_remove_balances: manual_list::<Ebr>, remove_vs_remove;
+    manual_hp_list_remove_vs_remove_balances: manual_list::<Hp>, remove_vs_remove;
 }
 
 // ---------------------------------------------------------------------------
